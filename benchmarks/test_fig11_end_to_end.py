@@ -20,7 +20,7 @@ from repro.systems import (
     TltSystem,
     VerlSystem,
 )
-from repro.utils import geometric_mean
+from repro.utils import geometric_mean, stable_digest
 from repro.workload import LognormalLengths
 
 #: (display name, catalog name, TP degree, drafter quality) per model.
@@ -55,7 +55,7 @@ def _run_gpu(gpu_name: str):
     rows = []
     ratios = {"Open-R1": [], "TLT-Base": [], "TLT": []}
     for display, catalog, tp, quality in MODELS:
-        rng = np.random.default_rng(hash(display) % 2**32)
+        rng = np.random.default_rng(stable_digest(display) % 2**32)
         # Distilled reasoning models produce longer responses.
         median = 4000 if display == "DeepSeek-7B" else 2500
         workload = _workload(rng, median, 32_768)

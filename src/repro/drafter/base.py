@@ -16,10 +16,14 @@ tree builder branch one parent state into ``topk`` children.
 
 Each call has a batched sibling (:meth:`Drafter.begin_batch`,
 :meth:`Drafter.propose_batch`, :meth:`Drafter.extend_batch`) taking many
-states at once: the batched engine drafts every live sequence's tree in
-lock-step, issuing one batched call per tree depth instead of one call
-per node per sequence.  The base class provides per-state fallbacks;
-vectorised overrides must be row-identical to them.
+states at once, and :meth:`Drafter.extend_propose_batch` fuses the last
+two: the batched engine drafts every live sequence's tree in lock-step,
+and after the root proposal each round of growth is ONE fused launch over
+the nodes about to be expanded, instead of two calls per node per
+sequence.  The batched calls accept states either as a sequence or packed
+by :meth:`Drafter.pack_states` (an array with one row per state, which is
+how the tree builder keeps them).  The base class provides per-state
+fallbacks; vectorised overrides must be row-identical to them.
 
 Because every drafting state is rebuilt from the target's hidden hand-off
 at the start of each cycle, a drafter carries **no cross-cycle state the
@@ -33,7 +37,7 @@ cycles must override it to return False.
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,6 +144,41 @@ class Drafter(abc.ABC):
             self.extend(state, int(token))
             for state, token in zip(states, tokens)
         ]
+
+    def pack_states(self, states: Sequence[DrafterState]) -> np.ndarray:
+        """States as an array with one leading-axis row per state.
+
+        The tree builder stores states in one ``(batch, slots, ...)``
+        table and hands fancy-indexed selections of it back to the
+        batched calls.  The default packs opaque states into a 1-D
+        object array; a vectorised drafter returns its numeric rows.
+        """
+        rows = np.empty(len(states), dtype=object)
+        for index, state in enumerate(states):
+            rows[index] = state
+        return rows
+
+    def extend_propose_batch(
+        self,
+        states: Sequence[DrafterState],
+        tokens: Sequence[int],
+        temperature: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fused :meth:`extend_batch` then :meth:`propose_batch`.
+
+        One launch per round of tree growth: append ``tokens[i]`` to
+        ``states[i]`` and propose below the successor.
+
+        Returns:
+            ``(successors, probs)``: the successor states packed as by
+            :meth:`pack_states` and their ``(n, V)`` next-token
+            distributions.  Overrides MUST stay row-identical to the
+            two calls made separately.
+        """
+        successors = self.extend_batch(states, tokens)
+        return self.pack_states(successors), np.array(
+            self.propose_batch(successors, temperature)
+        )
 
     def observe_rollouts(
         self, sequences: Sequence[Sequence[int]]

@@ -252,6 +252,31 @@ class EagleDrafter(Drafter):
         hidden = self._cell_rows(fused, embed)  # (n, d)
         return [EagleState(hidden=hidden[i]) for i in range(n)]
 
+    def pack_states(self, states: Sequence[EagleState]) -> np.ndarray:
+        """``(n, d)`` hidden rows; an already packed block passes through."""
+        if isinstance(states, np.ndarray):
+            return states
+        if not len(states):
+            return np.zeros((0, self.hidden_size))
+        return np.stack(
+            [np.asarray(s.hidden, dtype=np.float64) for s in states],
+            axis=0,
+        )
+
+    def _extend_rows(
+        self, states: Sequence[EagleState], tokens: Sequence[int]
+    ) -> np.ndarray:
+        """One cell step over all (state, token) pairs -> ``(n, d)``."""
+        if len(states) != len(tokens):
+            raise DrafterError(
+                "states and tokens must have equal lengths, got "
+                f"{len(states)}/{len(tokens)}"
+            )
+        ids = np.asarray(tokens, dtype=np.int64)
+        return self._cell_rows(
+            self.pack_states(states), self.target.params["embed"][ids]
+        )
+
     def propose(self, state: EagleState, temperature: float) -> np.ndarray:
         return self.propose_batch([state], temperature)[0]
 
@@ -264,14 +289,11 @@ class EagleDrafter(Drafter):
         the batched drafting paths share one canonical (batch-size-
         invariant) numeric kernel and return bitwise-equal rows.
         """
-        if not states:
-            return []
-        hiddens = np.stack(
-            [np.asarray(s.hidden, dtype=np.float64) for s in states],
-            axis=0,
+        return list(
+            temperature_probs(
+                self._head_rows(self.pack_states(states)), temperature
+            )
         )
-        probs = temperature_probs(self._head_rows(hiddens), temperature)
-        return [probs[i] for i in range(len(states))]
 
     def extend(self, state: EagleState, token: int) -> EagleState:
         return self.extend_batch([state], [token])[0]
@@ -286,23 +308,27 @@ class EagleDrafter(Drafter):
         Single-pair :meth:`extend` delegates here (same bitwise-identity
         argument as :meth:`propose_batch`).
         """
-        if len(states) != len(tokens):
-            raise DrafterError(
-                "states and tokens must have equal lengths, got "
-                f"{len(states)}/{len(tokens)}"
-            )
-        if not states:
-            return []
-        hiddens = np.stack(
-            [np.asarray(s.hidden, dtype=np.float64) for s in states],
-            axis=0,
-        )
-        ids = np.asarray([int(t) for t in tokens], dtype=np.int64)
-        embeds = self.target.params["embed"][ids]
-        new_hidden = self._cell_rows(hiddens, embeds)
         return [
-            EagleState(hidden=new_hidden[i]) for i in range(len(states))
+            EagleState(hidden=row)
+            for row in self._extend_rows(states, tokens)
         ]
+
+    def extend_propose_batch(
+        self,
+        states: Sequence[EagleState],
+        tokens: Sequence[int],
+        temperature: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fused launch: one cell step feeding one head matmul.
+
+        Works on packed hidden rows end to end — no per-node
+        :class:`EagleState` is built — and goes through the same
+        row-stable kernels as the separate calls.
+        """
+        hiddens = self._extend_rows(states, tokens)
+        return hiddens, temperature_probs(
+            self._head_rows(hiddens), temperature
+        )
 
     # -- training-time forward/backward ------------------------------------
 

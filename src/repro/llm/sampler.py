@@ -3,7 +3,8 @@
 Speculative decoding's losslessness proof is stated over the *post-
 temperature* token distributions, so every consumer in this library goes
 through :func:`temperature_probs` — the single place where logits become a
-sampling distribution — and through :func:`sample_from_probs`, the single
+sampling distribution — and through :func:`sample_from_probs` (or, with
+uniforms drawn elsewhere, :func:`tokens_at_uniforms` beneath it), the single
 place where a distribution becomes a token.  Keeping these centralized makes
 the lossless-acceptance property testable end to end.
 """
@@ -47,13 +48,29 @@ def temperature_probs(
         )
     logits = np.asarray(logits, dtype=np.float64)
     if temperature == 0.0:
-        best = logits.argmax(axis=axis)
-        probs = np.zeros_like(logits)
-        np.put_along_axis(
-            probs, np.expand_dims(best, axis=axis), 1.0, axis=axis
-        )
-        return probs
+        # One-hot at the first maximum: compare an index grid laid along
+        # ``axis`` with the argmax.
+        best_shape = list(logits.shape)
+        best_shape[axis] = 1
+        grid_shape = [1] * logits.ndim
+        grid_shape[axis] = -1
+        grid = np.arange(logits.shape[axis]).reshape(grid_shape)
+        best = logits.argmax(axis=axis).reshape(best_shape)
+        return (grid == best).astype(np.float64)
     return softmax(logits / temperature, axis=axis)
+
+
+def tokens_at_uniforms(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF lookup: row ``i`` of ``(n, V)`` ``probs`` at ``draws[i]``.
+
+    The one place a uniform becomes a token, so callers that must draw
+    their uniforms elsewhere (one private stream per row) sample exactly
+    like :func:`sample_from_probs`.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    # Guard against cumulative rounding: force the last column to 1.
+    cdf[:, -1] = 1.0
+    return (cdf < draws[:, None]).sum(axis=-1)
 
 
 def sample_from_probs(
@@ -66,11 +83,7 @@ def sample_from_probs(
     """
     probs = np.asarray(probs, dtype=np.float64)
     flat = probs.reshape(-1, probs.shape[-1])
-    cdf = np.cumsum(flat, axis=-1)
-    # Guard against cumulative rounding: force the last column to 1.
-    cdf[:, -1] = 1.0
-    draws = rng.random(flat.shape[0])
-    ids = (cdf < draws[:, None]).sum(axis=-1)
+    ids = tokens_at_uniforms(flat, rng.random(flat.shape[0]))
     return ids.reshape(probs.shape[:-1])
 
 

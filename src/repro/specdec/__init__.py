@@ -53,11 +53,8 @@ from repro.specdec.scheduler import (
 )
 from repro.specdec.strategy import SdStrategy, default_strategy_pool
 from repro.specdec.tree import (
-    DraftTree,
     FlatDraftTree,
     GrowMap,
-    TreeNode,
-    build_draft_tree,
     build_draft_trees,
     verify_tree,
     verify_trees,
@@ -70,11 +67,8 @@ __all__ = [
     "accept_token",
     "multi_round_accept",
     "residual_distribution",
-    "DraftTree",
     "FlatDraftTree",
     "GrowMap",
-    "TreeNode",
-    "build_draft_tree",
     "build_draft_trees",
     "verify_tree",
     "verify_trees",

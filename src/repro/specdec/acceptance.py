@@ -134,15 +134,13 @@ def multi_round_accept(
         )
     current = np.asarray(target_probs, dtype=np.float64)
     for index, (token, q) in enumerate(zip(candidates, draft_prob_dists)):
-        q = np.asarray(q, dtype=np.float64)
-        q_tok = float(q[token])
+        q_tok = q[token]
         if q_tok <= 0.0:
             # The candidate has zero draft mass under its recorded
             # distribution — treat as an automatic rejection with no
             # residual update (it carried no probability to subtract).
             continue
-        ratio = float(current[token]) / q_tok
-        if rng.random() < min(1.0, ratio):
+        if rng.random() < min(1.0, current[token] / q_tok):
             return index, current
         current = residual_distribution(current, q)
     return None, current
@@ -153,20 +151,41 @@ def inverse_cdf_draws(
 ) -> List[int]:
     """Map uniform draws through the inverse CDF of ``probs``.
 
-    The single candidate-sampling primitive shared by the tree builders
-    and :func:`sequential_residual_draws`: the cumulative distribution is
-    clamped to end exactly at 1.0 (guarding cumulative rounding) and each
-    draw is clamped into the support, so a uniform of exactly 1.0 can
-    never index past the last token.
+    The candidate-sampling primitive: :func:`sequential_residual_draws`
+    uses it directly and :func:`batched_inverse_cdf_draws` (the tree
+    builder's form) matches it row by row.  The cumulative distribution
+    is clamped to end exactly at 1.0 (guarding cumulative rounding) and
+    each draw is clamped into the support, so a uniform of exactly 1.0
+    can never index past the last token.
     """
     probs = np.asarray(probs, dtype=np.float64)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    top = probs.shape[0] - 1
-    return [
-        min(int(np.searchsorted(cdf, float(draw), side="right")), top)
-        for draw in uniforms
-    ]
+    draws = np.searchsorted(cdf, uniforms, side="right")
+    return np.minimum(draws, probs.shape[0] - 1).tolist()
+
+
+def batched_inverse_cdf_draws(
+    probs: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """:func:`inverse_cdf_draws` for a whole block of distributions.
+
+    Args:
+        probs: ``(rows, V)`` distributions.
+        uniforms: ``(rows, draws)`` uniforms, row ``i`` drawn for
+            ``probs[i]``.
+
+    Returns:
+        ``(rows, draws)`` token ids: the number of cumulative sums not
+        above each uniform, which is what a right-sided binary search
+        returns.  The last cumulative sum is 1 by definition and a
+        uniform lies below it, so only the first ``V - 1`` sums are
+        compared — which also keeps a uniform of exactly 1.0 inside the
+        support.  ``cumsum`` accumulates each row sequentially, so every
+        row equals its scalar counterpart bit for bit.
+    """
+    cdf = probs.cumsum(axis=1)
+    return (cdf[:, None, :-1] <= uniforms[:, :, None]).sum(axis=2)
 
 
 def sequential_residual_draws(

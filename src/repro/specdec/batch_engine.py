@@ -365,10 +365,11 @@ class BatchedSpecDecodeEngine:
     def draft_launches(self) -> int:
         """Batched drafter launches issued this session (tree path).
 
-        One ``begin_batch``/``propose_batch``/``extend_batch`` call each
-        count as one launch — the quantity the flat lock-step tree build
-        amortises across the live batch (the linear path is not counted;
-        its drafting is already chain-batched).
+        One ``begin_batch``, ``propose_batch`` or fused
+        ``extend_propose_batch`` call each count as one launch — the
+        quantity the lock-step tree build amortises across the live
+        batch (the linear path is not counted; its drafting is already
+        chain-batched).
         """
         return self._draft_launches
 

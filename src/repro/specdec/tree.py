@@ -1,4 +1,4 @@
-"""Draft-tree construction and parallel verification, flat-tensor first.
+"""Draft-tree construction and parallel verification, array-resident.
 
 Reproduces Figure 9 of the paper: starting from the committed prefix, the
 drafter expands up to ``topk`` candidate children per node for up to
@@ -7,26 +7,31 @@ drafter expands up to ``topk`` candidate children per node for up to
 in one batched forward pass and accepted along a single root-to-leaf path
 with the multi-round rule.
 
-Trees are represented two ways:
+A finished tree is a :class:`FlatDraftTree`: contiguous, level-ordered
+per-node arrays (tokens, parent indices, depths, cumulative draft
+confidences) plus a CSR candidate table and an ancestor/tree-attention
+mask helper.  Node ``i``'s verification row is simply row ``i + 1``.
 
-* :class:`FlatDraftTree` — the primary layout: contiguous, level-ordered
-  per-node arrays (tokens, parent indices, depths, cumulative draft
-  confidences) plus a CSR candidate table and an ancestor/tree-attention
-  mask helper.  Node ``i``'s verification row is simply row ``i + 1``.
-* :class:`DraftTree` — the legacy per-node object view (kept for the
-  single-sequence API and for tooling that walks parent/child pointers);
-  the two views round-trip through :meth:`FlatDraftTree.from_draft_tree`
-  and :meth:`FlatDraftTree.to_node_view`.
+:func:`build_draft_trees` grows EVERY live sequence's tree in lock-step
+inside one set of ``(batch, slots)`` tables (:class:`_LockStepTrees`):
+nodes, candidate lists and drafter states are written in place, a round's
+decisions for all live sequences are a handful of array operations, and
+the flat trees are cut out of the tables by one stable depth sort.  A
+node's drafter state is only computed when the node is expanded, by the
+fused :meth:`~repro.drafter.base.Drafter.extend_propose_batch` launch that
+also yields its proposal, so the drafter launches per cycle are
 
-The batched entry point :func:`build_draft_trees` grows EVERY live
-sequence's tree in lock-step, issuing **one batched drafter call per tree
-depth** (one ``propose_batch`` over all frontiers, one ``extend_batch``
-over all materialised children) instead of one call per node per
-sequence.  In ``topk`` mode the level-order layout is precomputed as a
-:class:`GrowMap` (per-depth branch factors and level widths, TriForce
-style); in ``sample`` mode the flat layout is grown dynamically by the
-same best-first policy as the per-node path.  Both modes commit tokens
-byte-identical to the per-node builder under fixed seeds.
+* ``sample`` mode — ``1 + rounds``: one ``begin_batch``, one root
+  proposal, one fused launch per further best-first expansion round
+  (``rounds`` is the largest number of expansions any live sequence
+  makes, at most ``1 + tokens_to_verify``);
+* ``topk`` mode — at most ``1 + draft_depth``: one ``begin_batch``, one
+  root proposal, one fused launch per level below the first, laid out
+  ahead of time by a :class:`GrowMap` (TriForce style).
+
+Both modes commit tokens byte-identical to building each tree alone, node
+by node, under the same seeds (``tests/_tree_oracle.py`` is that
+reference).
 
 Expansion is *best-first* on cumulative draft confidence and
 **all-or-nothing per node**: once a node's candidates are drawn, every one
@@ -53,81 +58,31 @@ Two child-expansion modes are supported:
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    List,
+    Literal,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.drafter.base import Drafter, DrafterState
+from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
-from repro.llm.model import TinyLM, contexts_from_sequences
-from repro.llm.sampler import sample_from_probs, temperature_probs
-from repro.llm.vocab import EOS_ID
-from repro.specdec.acceptance import inverse_cdf_draws, multi_round_accept
+from repro.llm.model import TinyLM
+from repro.llm.sampler import temperature_probs, tokens_at_uniforms
+from repro.llm.vocab import EOS_ID, PAD_ID
+from repro.specdec.acceptance import (
+    batched_inverse_cdf_draws,
+    multi_round_accept,
+)
 from repro.specdec.strategy import SdStrategy
 
 ChildMode = Literal["sample", "topk"]
-
-
-@dataclass
-class TreeNode:
-    """One drafted token in the candidate tree (legacy node view).
-
-    Attributes:
-        token: drafted token id.
-        parent: index of the parent node in ``DraftTree.nodes`` (-1 = root).
-        depth: 1 for root children, increasing down the tree.
-        path_prob: product of draft probabilities along the path (the
-            "confidence score" used for top-N selection).
-        draft_dist: the draft distribution this node's token was drawn
-            from (needed by the acceptance rule).
-        state: drafter state *after* consuming this node's token (``None``
-            in views reconstructed from a :class:`FlatDraftTree`).
-        child_candidates: sibling-ordered child tokens drafted below this
-            node (may contain duplicates in ``sample`` mode).
-        child_dists: the draft distribution for each child candidate.
-        child_nodes: candidate token -> node index (first occurrence).
-        selected: whether this node survived top-N selection.
-    """
-
-    token: int
-    parent: int
-    depth: int
-    path_prob: float
-    draft_dist: np.ndarray
-    state: DrafterState
-    child_candidates: List[int] = field(default_factory=list)
-    child_dists: List[np.ndarray] = field(default_factory=list)
-    child_nodes: Dict[int, int] = field(default_factory=dict)
-    selected: bool = False
-
-
-@dataclass
-class DraftTree:
-    """A drafted candidate tree plus root-level bookkeeping (legacy view).
-
-    Attributes:
-        nodes: all drafted nodes (root excluded; root is implicit).
-        root_candidates: sibling-ordered root-level candidate tokens.
-        root_dists: draft distribution per root candidate.
-        root_children: token -> node index for root-level nodes.
-        selected_indices: indices of nodes that survived top-N selection,
-            in breadth-first order.
-        draft_steps: number of drafter ``extend`` calls performed.
-    """
-
-    nodes: List[TreeNode]
-    root_candidates: List[int]
-    root_dists: List[np.ndarray]
-    root_children: Dict[int, int]
-    selected_indices: List[int]
-    draft_steps: int
-
-    @property
-    def num_selected(self) -> int:
-        """Number of nodes submitted for verification."""
-        return len(self.selected_indices)
 
 
 @dataclass(frozen=True)
@@ -135,8 +90,8 @@ class GrowMap:
     """Precomputed level-order layout of a ``topk``-mode draft tree.
 
     TriForce-style: the deterministic beam build visits levels of known
-    maximum width, so the flat layout (and the number of batched drafter
-    launches — at most two per level) is fixed before drafting starts.
+    maximum width, so the table sizes (and the number of batched drafter
+    launches — one per level) are fixed before drafting starts.
 
     Attributes:
         depth: number of tree levels (``strategy.draft_depth``).
@@ -195,18 +150,14 @@ class FlatDraftTree:
         parents: ``(N,)`` flat parent index per node (-1 = root).
         depths: ``(N,)`` node depth (1 = root children), non-decreasing.
         path_probs: ``(N,)`` cumulative draft confidence per node.
-        level_offsets: ``(max_depth + 1,)`` cumulative node counts per
-            level: depth-``d`` nodes occupy
-            ``level_offsets[d - 1]:level_offsets[d]``.
         cand_offsets: ``(N + 2,)`` CSR offsets of the candidate slots.
         cand_tokens: ``(C,)`` candidate token per candidate row.
         cand_child: ``(C,)`` flat index of the materialised selected child
             for each candidate row, or -1 (duplicate draws share the first
             occurrence's child, as the multi-round rule requires).
         cand_dists: ``(C, V)`` draft distribution per candidate row.
-        node_dist_row: ``(N,)`` candidate row each node's token was first
-            drawn from (recovers ``TreeNode.draft_dist``).
-        draft_steps: drafter ``extend`` count spent building the tree.
+        draft_steps: nodes drafted for this tree before selection (one
+            ``extend`` each on the per-node path).
         draft_calls: drafter launches the per-node path would have issued
             for this tree (begin + proposes + extends) — the baseline the
             engine's ``draft_launches_saved`` counter is measured against.
@@ -216,12 +167,10 @@ class FlatDraftTree:
     parents: np.ndarray
     depths: np.ndarray
     path_probs: np.ndarray
-    level_offsets: np.ndarray
     cand_offsets: np.ndarray
     cand_tokens: np.ndarray
     cand_child: np.ndarray
     cand_dists: np.ndarray
-    node_dist_row: np.ndarray
     draft_steps: int
     draft_calls: int
 
@@ -240,16 +189,36 @@ class FlatDraftTree:
         """Deepest materialised level (0 for an empty tree)."""
         return int(self.depths[-1]) if self.num_nodes else 0
 
+    @property
+    def node_dist_row(self) -> np.ndarray:
+        """``(N,)`` candidate row each node's token was first drawn from.
+
+        Node ``i``'s draft distribution is ``cand_dists[node_dist_row[i]]``.
+        """
+        # Assign in reverse so the earliest row naming a node sticks.
+        named = np.flatnonzero(self.cand_child >= 0)[::-1]
+        rows = np.full(self.num_nodes, -1, dtype=np.int64)
+        rows[self.cand_child[named]] = named
+        return rows
+
+    @property
+    def level_offsets(self) -> np.ndarray:
+        """``(max_depth + 1,)`` cumulative node counts per level.
+
+        Depth-``d`` nodes occupy ``level_offsets[d - 1]:level_offsets[d]``.
+        """
+        return np.searchsorted(
+            self.depths, np.arange(self.max_depth + 1), side="right"
+        )
+
     def level_slice(self, depth: int) -> slice:
         """Contiguous flat-index range of the nodes at ``depth``."""
         if not 1 <= depth <= self.max_depth:
             raise SpecDecodeError(
                 f"depth must be in [1, {self.max_depth}], got {depth}"
             )
-        return slice(
-            int(self.level_offsets[depth - 1]),
-            int(self.level_offsets[depth]),
-        )
+        offsets = self.level_offsets
+        return slice(int(offsets[depth - 1]), int(offsets[depth]))
 
     def children_of(self, index: int) -> List[int]:
         """Flat indices of ``index``'s materialised children (-1 = root)."""
@@ -279,935 +248,350 @@ class FlatDraftTree:
             mask[i, i] = True
         return mask
 
-    @classmethod
-    def from_draft_tree(cls, tree: DraftTree) -> "FlatDraftTree":
-        """Flatten a legacy per-node tree (selected subtree only).
 
-        ``draft_calls`` is reconstructed as ``begin + one propose per
-        expanded slot + one extend per node`` — a lower bound, since the
-        per-node ``sample`` builder also spends proposes on expansions it
-        then discards for lack of budget; the batched builders record the
-        exact count instead.
-        """
-        nodes = tree.nodes
-        order = list(tree.selected_indices)
-        selected_set = set(order)
-        slot_tokens = [list(tree.root_candidates)] + [
-            list(node.child_candidates) for node in nodes
-        ]
-        slot_dists = [list(tree.root_dists)] + [
-            list(node.child_dists) for node in nodes
-        ]
-        slot_child = [dict(tree.root_children)] + [
-            dict(node.child_nodes) for node in nodes
-        ]
-        draft_calls = (
-            1
-            + sum(1 for tokens in slot_tokens if tokens)
-            + tree.draft_steps
-        )
-        return _assemble_flat(
-            order=order,
-            selected_set=selected_set,
-            tokens=[node.token for node in nodes],
-            parents=[node.parent for node in nodes],
-            depths=[node.depth for node in nodes],
-            path_probs=[node.path_prob for node in nodes],
-            slot_tokens=slot_tokens,
-            slot_dists=slot_dists,
-            slot_child=slot_child,
-            draft_steps=tree.draft_steps,
-            draft_calls=draft_calls,
-        )
+class _LockStepTrees:
+    """One cycle's draft trees, grown in place in ``(batch, slots)`` tables.
 
-    def to_node_view(self) -> DraftTree:
-        """Rebuild the legacy per-node view of the selected subtree.
-
-        Drafter states are not retained by the flat layout, so the
-        reconstructed nodes carry ``state=None``; candidates whose child
-        was pruned reappear as never-materialised candidates (the
-        acceptance walk treats both identically).
-        """
-        nodes: List[TreeNode] = []
-        for i in range(self.num_nodes):
-            nodes.append(
-                TreeNode(
-                    token=int(self.tokens[i]),
-                    parent=int(self.parents[i]),
-                    depth=int(self.depths[i]),
-                    path_prob=float(self.path_probs[i]),
-                    draft_dist=self.cand_dists[int(self.node_dist_row[i])],
-                    state=None,
-                    selected=True,
-                )
-            )
-        root_candidates: List[int] = []
-        root_dists: List[np.ndarray] = []
-        root_children: Dict[int, int] = {}
-        for slot in range(self.num_nodes + 1):
-            start = int(self.cand_offsets[slot])
-            end = int(self.cand_offsets[slot + 1])
-            if slot == 0:
-                cand_list, dist_list, child_map = (
-                    root_candidates, root_dists, root_children
-                )
-            else:
-                node = nodes[slot - 1]
-                cand_list, dist_list, child_map = (
-                    node.child_candidates,
-                    node.child_dists,
-                    node.child_nodes,
-                )
-            for row in range(start, end):
-                token = int(self.cand_tokens[row])
-                cand_list.append(token)
-                dist_list.append(self.cand_dists[row])
-                child = int(self.cand_child[row])
-                if child >= 0 and token not in child_map:
-                    child_map[token] = child
-        return DraftTree(
-            nodes=nodes,
-            root_candidates=root_candidates,
-            root_dists=root_dists,
-            root_children=root_children,
-            selected_indices=list(range(self.num_nodes)),
-            draft_steps=self.draft_steps,
-        )
-
-
-def _assemble_flat(
-    order: List[int],
-    selected_set: set,
-    tokens: List[int],
-    parents: List[int],
-    depths: List[int],
-    path_probs: List[float],
-    slot_tokens: List[List[int]],
-    slot_dists: List[List[np.ndarray]],
-    slot_child: List[Dict[int, int]],
-    draft_steps: int,
-    draft_calls: int,
-) -> FlatDraftTree:
-    """Pack per-node build state into a :class:`FlatDraftTree`.
-
-    ``order`` lists the selected node indices in flat (verification)
-    order; slot ``j + 1`` of the ``slot_*`` arrays describes node ``j``'s
-    candidates (slot 0 = root).  Candidate child pointers are remapped to
-    flat indices, nulling children that were pruned by selection.
-    """
-    n = len(order)
-    flat_of = {legacy: flat for flat, legacy in enumerate(order)}
-    f_tokens = np.array([tokens[j] for j in order], dtype=np.int64)
-    f_parents = np.array(
-        [
-            flat_of[parents[j]] if parents[j] != -1 else -1
-            for j in order
-        ],
-        dtype=np.int64,
-    )
-    f_depths = np.array([depths[j] for j in order], dtype=np.int64)
-    f_path_probs = np.array(
-        [path_probs[j] for j in order], dtype=np.float64
-    )
-    max_depth = int(f_depths[-1]) if n else 0
-    level_offsets = np.searchsorted(
-        f_depths, np.arange(max_depth + 1), side="right"
-    ).astype(np.int64)
-
-    cand_offsets = np.zeros(n + 2, dtype=np.int64)
-    cand_tokens_list: List[int] = []
-    cand_child_list: List[int] = []
-    cand_dist_rows: List[np.ndarray] = []
-    node_dist_row = np.full(n, -1, dtype=np.int64)
-    row = 0
-    flat_slots = [0] + [j + 1 for j in order]
-    for s, legacy_slot in enumerate(flat_slots):
-        cand_offsets[s] = row
-        child_map = slot_child[legacy_slot]
-        for token, dist in zip(
-            slot_tokens[legacy_slot], slot_dists[legacy_slot]
-        ):
-            child = child_map.get(token)
-            if child is not None and child in selected_set:
-                flat_child = flat_of[child]
-                if node_dist_row[flat_child] < 0:
-                    node_dist_row[flat_child] = row
-            else:
-                flat_child = -1
-            cand_tokens_list.append(int(token))
-            cand_child_list.append(flat_child)
-            cand_dist_rows.append(dist)
-            row += 1
-    cand_offsets[n + 1] = row
-
-    cand_dists = (
-        np.array(cand_dist_rows, dtype=np.float64)
-        if cand_dist_rows
-        else np.zeros((0, 0))
-    )
-    return FlatDraftTree(
-        tokens=f_tokens,
-        parents=f_parents,
-        depths=f_depths,
-        path_probs=f_path_probs,
-        level_offsets=level_offsets,
-        cand_offsets=cand_offsets,
-        cand_tokens=np.array(cand_tokens_list, dtype=np.int64),
-        cand_child=np.array(cand_child_list, dtype=np.int64),
-        cand_dists=cand_dists,
-        node_dist_row=node_dist_row,
-        draft_steps=draft_steps,
-        draft_calls=draft_calls,
-    )
-
-
-def build_draft_tree(
-    drafter: Drafter,
-    prefix_tokens: Sequence[int],
-    last_hidden: Optional[np.ndarray],
-    strategy: SdStrategy,
-    temperature: float,
-    rng: np.random.Generator,
-    child_mode: ChildMode = "sample",
-) -> DraftTree:
-    """Draft a candidate tree below the committed prefix (per-node path).
-
-    This is the single-sequence reference builder; the batched engine uses
-    :func:`build_draft_trees`, which commits identical tokens with one
-    drafter launch per depth instead of one per node.
-
-    Args:
-        drafter: the draft model.
-        prefix_tokens: committed sequence (prompt + accepted tokens).
-        last_hidden: exact target hidden state handed off by the engine.
-        strategy: ``(draft_depth, topk, tokens_to_verify)``.
-        temperature: sampling temperature shared with the target.
-        rng: random generator (used in ``sample`` mode).
-        child_mode: ``"sample"`` (lossless) or ``"topk"`` (EAGLE-2 style).
-
-    Returns:
-        A :class:`DraftTree` with selection already applied.
-    """
-    if child_mode == "sample":
-        return _build_tree_sampled(
-            drafter, prefix_tokens, last_hidden, strategy, temperature, rng
-        )
-    if child_mode == "topk":
-        return _build_tree_topk(
-            drafter, prefix_tokens, last_hidden, strategy, temperature
-        )
-    raise SpecDecodeError(f"unknown child mode {child_mode!r}")
-
-
-def _build_tree_sampled(
-    drafter: Drafter,
-    prefix_tokens: Sequence[int],
-    last_hidden: Optional[np.ndarray],
-    strategy: SdStrategy,
-    temperature: float,
-    rng: np.random.Generator,
-) -> DraftTree:
-    """Lossless best-first build (see the module docstring)."""
-    root_state = drafter.begin(prefix_tokens, last_hidden)
-    nodes: List[TreeNode] = []
-    draft_steps = 0
-
-    def draw_candidates(
-        state: DrafterState,
-    ) -> Tuple[List[int], List[np.ndarray]]:
-        """Draw i.i.d. candidate children for one node."""
-        probs = drafter.propose(state, temperature)
-        tokens = inverse_cdf_draws(probs, rng.random(strategy.topk))
-        dists = [probs] * len(tokens)
-        return tokens, dists
-
-    root_candidates: List[int] = []
-    root_dists: List[np.ndarray] = []
-    root_children: Dict[int, int] = {}
-    budget = strategy.tokens_to_verify
-
-    def expand(parent_index: int) -> Optional[List[int]]:
-        """Draw candidates below one node; materialise ALL of them.
-
-        Losslessness requires all-or-nothing bookkeeping: either every
-        drawn candidate is recorded for verification, or (when the unique
-        children would exceed the node budget) the entire draw is
-        discarded and the node stays an unexpanded leaf — the discard
-        decision never selects among the drawn values, so the committed-
-        token distribution at the node is unaffected.
-
-        Returns the created child-node indices, or ``None`` when the
-        expansion was discarded for lack of budget.
-        """
-        nonlocal draft_steps
-        if parent_index == -1:
-            parent_state = root_state
-            parent_prob = 1.0
-            parent_depth = 0
-        else:
-            parent_node = nodes[parent_index]
-            parent_state = parent_node.state
-            parent_prob = parent_node.path_prob
-            parent_depth = parent_node.depth
-        candidates, dists = draw_candidates(parent_state)
-        unique = list(dict.fromkeys(candidates))
-        if len(nodes) + len(unique) > budget:
-            return None
-        if parent_index == -1:
-            root_candidates.extend(candidates)
-            root_dists.extend(dists)
-            child_map = root_children
-        else:
-            parent_node.child_candidates.extend(candidates)
-            parent_node.child_dists.extend(dists)
-            child_map = parent_node.child_nodes
-        created: List[int] = []
-        for token, dist in zip(candidates, dists):
-            if token in child_map:
-                continue
-            state = drafter.extend(parent_state, token)
-            draft_steps += 1
-            node = TreeNode(
-                token=token,
-                parent=parent_index,
-                depth=parent_depth + 1,
-                path_prob=parent_prob * float(dist[token]),
-                draft_dist=dist,
-                state=state,
-                selected=True,
-            )
-            nodes.append(node)
-            index = len(nodes) - 1
-            child_map[token] = index
-            created.append(index)
-        return created
-
-    # Best-first expansion under the node budget.  The frontier holds
-    # expandable nodes keyed by (-path_prob, creation index).
-    counter = 0
-    frontier: List[Tuple[float, int, int]] = []
-
-    def push(node_index: int) -> None:
-        nonlocal counter
-        node = nodes[node_index]
-        if node.depth >= strategy.draft_depth or node.token == EOS_ID:
-            return
-        heapq.heappush(frontier, (-node.path_prob, counter, node_index))
-        counter += 1
-
-    created = expand(-1)
-    if created is not None:
-        for index in created:
-            push(index)
-    while frontier and len(nodes) < budget:
-        _, _, parent_index = heapq.heappop(frontier)
-        created = expand(parent_index)
-        if created is not None:
-            for index in created:
-                push(index)
-
-    selected = sorted(
-        range(len(nodes)), key=lambda i: (nodes[i].depth, i)
-    )
-    return DraftTree(
-        nodes=nodes,
-        root_candidates=root_candidates,
-        root_dists=root_dists,
-        root_children=root_children,
-        selected_indices=selected,
-        draft_steps=draft_steps,
-    )
-
-
-def _build_tree_topk(
-    drafter: Drafter,
-    prefix_tokens: Sequence[int],
-    last_hidden: Optional[np.ndarray],
-    strategy: SdStrategy,
-    temperature: float,
-) -> DraftTree:
-    """EAGLE-2-style deterministic build: beam expansion + top-V rerank.
-
-    Per level the ``topk`` most confident frontier nodes are expanded and
-    the most confident ``GrowMap.level_width`` drafted candidates are
-    materialised; afterwards the ``tokens_to_verify`` highest-confidence
-    nodes across the whole tree form the verified (connected) subtree.
-    """
-    root_state = drafter.begin(prefix_tokens, last_hidden)
-    nodes: List[TreeNode] = []
-    draft_steps = 0
-    level_width = GrowMap.from_strategy(strategy).level_width
-
-    def top_children(
-        state: DrafterState,
-    ) -> Tuple[List[int], np.ndarray]:
-        probs = drafter.propose(state, temperature)
-        order = np.argsort(-probs, kind="stable")[: strategy.topk]
-        return [int(t) for t in order if probs[t] > 0.0], probs
-
-    # Root level.
-    root_tokens, root_probs = top_children(root_state)
-    root_candidates: List[int] = list(root_tokens)
-    root_dists: List[np.ndarray] = [root_probs] * len(root_tokens)
-    root_children: Dict[int, int] = {}
-    frontier: List[int] = []
-    for token in root_tokens:
-        state = drafter.extend(root_state, token)
-        draft_steps += 1
-        nodes.append(
-            TreeNode(
-                token=token,
-                parent=-1,
-                depth=1,
-                path_prob=float(root_probs[token]),
-                draft_dist=root_probs,
-                state=state,
-            )
-        )
-        index = len(nodes) - 1
-        root_children[token] = index
-        frontier.append(index)
-
-    for _ in range(1, strategy.draft_depth):
-        frontier.sort(key=lambda i: -nodes[i].path_prob)
-        expanded = frontier[: strategy.topk]
-        candidates: List[Tuple[float, int, int, np.ndarray]] = []
-        for parent_index in expanded:
-            parent = nodes[parent_index]
-            if parent.token == EOS_ID:
-                continue
-            tokens, probs = top_children(parent.state)
-            parent.child_candidates.extend(tokens)
-            parent.child_dists.extend([probs] * len(tokens))
-            for token in tokens:
-                candidates.append(
-                    (
-                        parent.path_prob * float(probs[token]),
-                        parent_index,
-                        token,
-                        probs,
-                    )
-                )
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: -item[0])
-        next_frontier: List[int] = []
-        for path_prob, parent_index, token, probs in (
-            candidates[:level_width]
-        ):
-            parent = nodes[parent_index]
-            state = drafter.extend(parent.state, token)
-            draft_steps += 1
-            nodes.append(
-                TreeNode(
-                    token=token,
-                    parent=parent_index,
-                    depth=parent.depth + 1,
-                    path_prob=path_prob,
-                    draft_dist=probs,
-                    state=state,
-                )
-            )
-            index = len(nodes) - 1
-            parent.child_nodes[token] = index
-            next_frontier.append(index)
-        frontier = next_frontier
-
-    selected = _select_top_connected(nodes, strategy.tokens_to_verify)
-    return DraftTree(
-        nodes=nodes,
-        root_candidates=root_candidates,
-        root_dists=root_dists,
-        root_children=root_children,
-        selected_indices=selected,
-        draft_steps=draft_steps,
-    )
-
-
-def _select_top_connected(nodes: List[TreeNode], budget: int) -> List[int]:
-    """Mark the ``budget`` most confident nodes (connected subtree).
-
-    Path confidence is monotone non-increasing, and ties break toward
-    shallower nodes, so ancestors always rank ahead of descendants; a
-    parent check guards the invariant regardless.
-    """
-    order = sorted(
-        range(len(nodes)),
-        key=lambda i: (-nodes[i].path_prob, nodes[i].depth, i),
-    )
-    kept: List[int] = []
-    kept_set: set = set()
-    for index in order:
-        if len(kept) >= budget:
-            break
-        parent = nodes[index].parent
-        if parent != -1 and parent not in kept_set:
-            continue
-        kept.append(index)
-        kept_set.add(index)
-    for index in range(len(nodes)):
-        nodes[index].selected = index in kept_set
-    kept.sort(key=lambda i: (nodes[i].depth, i))
-    return kept
-
-
-class _LockStepBuilder:
-    """Shared per-sequence node/slot bookkeeping for lock-step builds.
-
-    Subclasses replicate the corresponding per-node builder's control
-    flow exactly — same draw order, same float arithmetic on the same
-    bitwise-identical proposal rows — so the assembled flat tree matches
-    ``FlatDraftTree.from_draft_tree(build_draft_tree(...))`` byte for
-    byte.  ``legacy_calls`` counts the drafter launches the per-node path
-    would have spent on this sequence (begin + proposes + extends).
+    Slot 0 of every sequence is its implicit root (depth 0, confidence
+    1, the ``begin`` state).  Each round of growth appends one *block* of
+    slots — the same columns for every sequence — and ``made`` marks
+    which of them hold a node, so a round is a handful of whole-table
+    operations with no per-sequence compaction, and slot order is
+    creation order.  A parent pointer, a candidate list and a drafter
+    state are all addressed by ``(sequence, slot)``; the last slot is
+    scratch, where a sequence that has stopped growing parks the writes
+    of rounds it sits out.  The two child modes differ only in how they
+    turn a round's proposals into a block and pick the next parents;
+    adding blocks, recording candidates, launching the drafter and
+    cutting out the :class:`FlatDraftTree` arrays are shared.
     """
 
     def __init__(
         self,
-        strategy: SdStrategy,
+        drafter: Drafter,
+        prefixes: Sequence[Sequence[int]],
+        last_hiddens: Sequence[Optional[np.ndarray]],
         temperature: float,
-        root_state: DrafterState,
+        capacity: int,
+        width: int,
     ) -> None:
-        self.strategy = strategy
+        self.drafter = drafter
         self.temperature = temperature
-        self.root_state = root_state
-        self.tokens: List[int] = []
-        self.parents: List[int] = []
-        self.depths: List[int] = []
-        self.path_probs: List[float] = []
-        self.states: List[DrafterState] = []
-        # Candidate slots: slot 0 = root, slot i + 1 = node i.
-        self.slot_tokens: List[List[int]] = [[]]
-        self.slot_dists: List[Optional[np.ndarray]] = [None]
-        self.slot_child: List[Dict[int, int]] = [{}]
-        self.draft_steps = 0
-        self.legacy_calls = 1  # begin
+        self.batch = batch = len(prefixes)
+        # Kept beside the table: a contiguous block for the root proposal.
+        self._roots = drafter.pack_states(
+            drafter.begin_batch(prefixes, last_hiddens)
+        )
+        self.launches = 1
+        slots = capacity + 2
+        self.scratch = capacity + 1
+        self.next_slot = 1
+        self.states = np.empty(
+            (batch, slots) + self._roots.shape[1:], dtype=self._roots.dtype
+        )
+        self.states[:, 0] = self._roots
+        self.tokens = np.zeros((batch, slots), dtype=np.int64)
+        self.parents = np.zeros((batch, slots), dtype=np.int64)
+        self.depths = np.zeros((batch, slots), dtype=np.int64)
+        self.path_probs = np.ones((batch, slots), dtype=np.float64)
+        self.made = np.zeros((batch, slots), dtype=bool)
+        #: Proposals the per-node path would have spent per sequence.
+        self.proposes = np.zeros(batch, dtype=np.int64)
+        self.cand_tokens = np.zeros((batch, slots, width), dtype=np.int64)
+        #: Slot of each candidate's materialised child; 0 (the root, never
+        #: a child) marks a candidate without one.
+        self.cand_child = np.zeros((batch, slots, width), dtype=np.int64)
+        self.cand_count = np.zeros((batch, slots), dtype=np.int64)
+        self.cand_dists: Optional[np.ndarray] = None
 
-    def _state_of(self, index: int) -> DrafterState:
-        return self.root_state if index == -1 else self.states[index]
+    def propose_roots(self) -> np.ndarray:
+        """``(batch, V)`` proposals below every root (one launch)."""
+        self.launches += 1
+        probs = np.array(
+            self.drafter.propose_batch(self._roots, self.temperature)
+        )
+        self.cand_dists = np.empty(
+            self.cand_count.shape + probs.shape[1:], dtype=np.float64
+        )
+        return probs
 
-    def _add_node(
-        self, parent: int, token: int, path_prob: float,
-        state: DrafterState,
+    def launch(self, seq: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Compute the states of ``slot`` nodes and propose below them.
+
+        One fused drafter launch: each node's state is its parent's
+        (already expanded, so already in the table) extended by the
+        node's token.  Returns the ``(len(seq), V)`` proposals.
+        """
+        states, probs = self.drafter.extend_propose_batch(
+            self.states[seq, self.parents[seq, slot]],
+            self.tokens[seq, slot],
+            self.temperature,
+        )
+        self.states[seq, slot] = states
+        self.launches += 1
+        return probs
+
+    def add_block(
+        self,
+        tokens: np.ndarray,
+        parents: np.ndarray,
+        depths: np.ndarray,
+        path_probs: np.ndarray,
+        made: np.ndarray,
     ) -> int:
-        self.draft_steps += 1
-        self.legacy_calls += 1  # the per-node extend
-        index = len(self.tokens)
-        self.tokens.append(int(token))
-        self.parents.append(parent)
-        self.depths.append(
-            1 if parent == -1 else self.depths[parent] + 1
-        )
-        self.path_probs.append(path_prob)
-        self.states.append(state)
-        self.slot_tokens.append([])
-        self.slot_dists.append(None)
-        self.slot_child.append({})
-        self.slot_child[parent + 1][int(token)] = index
-        return index
+        """Append one ``(batch, width)`` block of slots; return its first.
 
-    def _assemble(self, order: List[int]) -> FlatDraftTree:
-        return _assemble_flat(
-            order=order,
-            selected_set=set(order),
-            tokens=self.tokens,
-            parents=self.parents,
-            depths=self.depths,
-            path_probs=self.path_probs,
-            slot_tokens=[
-                list(tokens) for tokens in self.slot_tokens
-            ],
-            slot_dists=[
-                [] if dist is None
-                else [dist] * len(self.slot_tokens[slot])
-                for slot, dist in enumerate(self.slot_dists)
-            ],
-            slot_child=self.slot_child,
-            draft_steps=self.draft_steps,
-            draft_calls=self.legacy_calls,
-        )
-
-
-class _SampledTreeBuilder(_LockStepBuilder):
-    """Lock-step twin of :func:`_build_tree_sampled` for one sequence.
-
-    The best-first loop is unrolled into rounds: each round the builder
-    exposes its next frontier parent for the batched proposal, then (after
-    the shared ``extend_batch``) materialises that parent's children and
-    pops the next parent.  Its private ``rng`` is consumed in exactly the
-    per-node order (one ``random(topk)`` per expansion, drawn before the
-    budget check), so committed tokens are unchanged.
-    """
-
-    def __init__(
-        self,
-        strategy: SdStrategy,
-        temperature: float,
-        rng: np.random.Generator,
-        root_state: DrafterState,
-    ) -> None:
-        super().__init__(strategy, temperature, root_state)
-        self.rng = rng
-        self.budget = strategy.tokens_to_verify
-        self._counter = 0
-        self._frontier: List[Tuple[float, int, int]] = []
-        # Parent index awaiting expansion (-1 = root, None = finished).
-        self.pending: Optional[int] = -1
-        self._new_children: List[int] = []
-
-    def parent_state(self) -> DrafterState:
-        return self._state_of(self.pending)
-
-    def on_proposal(self, probs: np.ndarray) -> None:
-        """Consume the batched proposal row for the pending parent.
-
-        Mirrors ``expand``: the candidate draw happens unconditionally
-        (rng parity with the per-node path), then the whole draw is
-        discarded when its unique children would exceed the budget.
+        Entries outside ``made`` are placeholders no later step reads.
         """
-        self.legacy_calls += 1  # the per-node propose
-        candidates = inverse_cdf_draws(
-            probs, self.rng.random(self.strategy.topk)
-        )
-        unique = list(dict.fromkeys(candidates))
-        if len(self.tokens) + len(unique) > self.budget:
-            self._new_children = []
-            return
-        slot = self.pending + 1
-        self.slot_tokens[slot].extend(candidates)
-        self.slot_dists[slot] = probs
-        self._new_children = unique
+        first = self.next_slot
+        block = slice(first, first + tokens.shape[1])
+        self.tokens[:, block] = tokens
+        self.parents[:, block] = parents
+        self.depths[:, block] = depths
+        self.path_probs[:, block] = path_probs
+        self.made[:, block] = made
+        self.next_slot = block.stop
+        return first
 
-    def extend_requests(self) -> List[Tuple[DrafterState, int]]:
-        parent_state = self.parent_state()
-        return [(parent_state, token) for token in self._new_children]
+    def record_candidates(
+        self,
+        seq: np.ndarray,
+        slot: np.ndarray,
+        tokens: np.ndarray,
+        children: np.ndarray,
+        counts: np.ndarray,
+        dists: np.ndarray,
+    ) -> None:
+        """Store the candidate lists drawn below ``(seq, slot)`` pairs."""
+        self.cand_tokens[seq, slot] = tokens
+        self.cand_child[seq, slot] = children
+        self.cand_count[seq, slot] = counts
+        self.cand_dists[seq, slot] = dists
 
-    def finish_round(self, new_states: List[DrafterState]) -> None:
-        """Materialise this round's children and pop the next parent."""
-        parent = self.pending
-        if self._new_children:
-            parent_prob = (
-                1.0 if parent == -1 else self.path_probs[parent]
-            )
-            dist = self.slot_dists[parent + 1]
-            for token, state in zip(self._new_children, new_states):
-                index = self._add_node(
-                    parent, token, parent_prob * float(dist[token]), state
+    def emit(self, keep: np.ndarray, max_depth: int) -> List[FlatDraftTree]:
+        """Cut the kept nodes out of the tables as flat trees.
+
+        One stable sort by ``(sequence, depth)`` over the kept slots plus
+        every root puts each tree's candidate slots in verification order
+        (root first); a slot's position behind its tree's root is its flat
+        index, which makes the root -1.  All per-tree arrays are then
+        slices of batch-wide gathers, with slots remapped to flat indices
+        through one ``(batch, slots)`` lookup that also reads -1 for every
+        dropped node.
+        """
+        keep = keep.copy()
+        keep[:, 0] = True
+        seq, slot = keep.nonzero()
+        depth = self.depths[seq, slot]
+        order = (seq * (max_depth + 1) + depth).argsort(kind="stable")
+        seq, slot, depth = seq[order], slot[order], depth[order]
+        ends = keep.sum(axis=1).cumsum()
+        roots = np.concatenate(([0], ends[:-1]))
+        flat_of = np.full(keep.shape, -1, dtype=np.int64)
+        flat_of[seq, slot] = np.arange(seq.shape[0]) - (roots + 1)[seq]
+        tokens = self.tokens[seq, slot]
+        parents = flat_of[seq, self.parents[seq, slot]]
+        path_probs = self.path_probs[seq, slot]
+
+        counts = self.cand_count[seq, slot]
+        offsets = np.zeros(seq.shape[0] + 1, dtype=np.int64)
+        counts.cumsum(out=offsets[1:])
+        of_slot = np.arange(seq.shape[0]).repeat(counts)
+        row_seq, row_slot = seq[of_slot], slot[of_slot]
+        column = np.arange(offsets[-1]) - offsets[of_slot]
+        cand_tokens = self.cand_tokens[row_seq, row_slot, column]
+        cand_child = flat_of[
+            row_seq, self.cand_child[row_seq, row_slot, column]
+        ]
+        cand_dists = self.cand_dists[row_seq, row_slot]
+
+        draft_steps = self.made.sum(axis=1).tolist()
+        proposes = self.proposes.tolist()
+        row_ends = offsets[ends].tolist()
+        roots, ends = roots.tolist(), ends.tolist()
+        trees: List[FlatDraftTree] = []
+        for b, (root, end) in enumerate(zip(roots, ends)):
+            nodes = slice(root + 1, end)
+            row_start = row_ends[b - 1] if b else 0
+            cand_rows = slice(row_start, row_ends[b])
+            trees.append(
+                FlatDraftTree(
+                    tokens=tokens[nodes],
+                    parents=parents[nodes],
+                    depths=depth[nodes],
+                    path_probs=path_probs[nodes],
+                    cand_offsets=offsets[root : end + 1] - row_start,
+                    cand_tokens=cand_tokens[cand_rows],
+                    cand_child=cand_child[cand_rows],
+                    cand_dists=cand_dists[cand_rows],
+                    draft_steps=draft_steps[b],
+                    draft_calls=1 + proposes[b] + draft_steps[b],
                 )
-                self._push(index)
-            self._new_children = []
-        if self._frontier and len(self.tokens) < self.budget:
-            _, _, self.pending = heapq.heappop(self._frontier)
-        else:
-            self.pending = None
-
-    def _push(self, index: int) -> None:
-        if (
-            self.depths[index] >= self.strategy.draft_depth
-            or self.tokens[index] == EOS_ID
-        ):
-            return
-        heapq.heappush(
-            self._frontier,
-            (-self.path_probs[index], self._counter, index),
-        )
-        self._counter += 1
-
-    def build(self) -> FlatDraftTree:
-        order = sorted(
-            range(len(self.tokens)),
-            key=lambda i: (self.depths[i], i),
-        )
-        return self._assemble(order)
+            )
+        return trees
 
 
-def _build_trees_sampled(
-    drafter: Drafter,
-    prefixes: Sequence[Sequence[int]],
-    last_hiddens: Sequence[Optional[np.ndarray]],
+def _grow_sampled(
+    trees: _LockStepTrees,
     strategy: SdStrategy,
-    temperature: float,
     rngs: Sequence[np.random.Generator],
-) -> Tuple[List[FlatDraftTree], int]:
-    """Grow every sequence's lossless tree in lock-step rounds."""
-    root_states = drafter.begin_batch(prefixes, last_hiddens)
-    launches = 1
-    builders = [
-        _SampledTreeBuilder(strategy, temperature, rng, state)
-        for rng, state in zip(rngs, root_states)
-    ]
+) -> None:
+    """Lossless best-first growth, one expansion per sequence per round.
+
+    Each round every growing sequence draws ``topk`` i.i.d. candidates
+    below its pending parent from its private ``rng`` — before the
+    budget check, and in sequence order, exactly as the per-node path
+    consumes the streams — then either materialises ALL unique draws or
+    discards the whole draw when they would exceed the budget (the
+    decision never selects among drawn values, see the module
+    docstring).  The next parent is the open node of highest confidence;
+    ``argmax`` returns the first maximum, i.e. the earliest-created of
+    equally confident nodes, which is the order a ``(-confidence,
+    creation counter)`` heap pops them in.
+
+    Round ``r``'s draws fill block ``r`` (``topk`` slots, duplicates and
+    discarded draws left unmade).  Sequences that have stopped growing
+    stay in the arrays: their rows compute placeholders, are masked out
+    of ``made`` and record into the scratch slot.
+    """
+    budget, topk = strategy.tokens_to_verify, strategy.topk
+    batch = trees.batch
+    rows = np.arange(batch)
+    draw_index = np.arange(topk)
+    # Confidence of each made, expandable, not yet expanded node.
+    frontier = np.full(trees.made.shape, -1.0)
+    uniforms = np.zeros((batch, topk))
+    counts = np.zeros(batch, dtype=np.int64)
+    growing = np.ones(batch, dtype=bool)
+    live = rows
+    pending = np.zeros(batch, dtype=np.int64)
+    depth = np.ones(batch, dtype=np.int64)
+    parent_prob = np.ones(batch)
+    probs = trees.propose_roots()
     while True:
-        active = [b for b in builders if b.pending is not None]
-        if not active:
-            break
-        probs_rows = drafter.propose_batch(
-            [b.parent_state() for b in active], temperature
+        for b in live.tolist():
+            rngs[b].random(out=uniforms[b])
+        draws = batched_inverse_cdf_draws(probs, uniforms)
+        # Duplicate draws share the first occurrence's child.
+        first = (draws[:, :, None] == draws[:, None, :]).argmax(axis=2)
+        fresh = (first == draw_index) & growing[:, None]
+        grown = counts + fresh.sum(axis=1)
+        fits = grown <= budget
+        np.copyto(counts, grown, where=fits)
+        made = fresh & fits[:, None]
+        path_prob = parent_prob[:, None] * probs[rows[:, None], draws]
+        block = trees.add_block(
+            draws, pending[:, None], depth[:, None], path_prob, made
         )
-        launches += 1
-        for builder, probs in zip(active, probs_rows):
-            builder.on_proposal(probs)
-        requests = [
-            request
-            for builder in active
-            for request in builder.extend_requests()
-        ]
-        if requests:
-            new_states = drafter.extend_batch(
-                [state for state, _ in requests],
-                [token for _, token in requests],
-            )
-            launches += 1
-        else:
-            new_states = []
-        position = 0
-        for builder in active:
-            count = len(builder._new_children)
-            builder.finish_round(
-                new_states[position : position + count]
-            )
-            position += count
-    return [builder.build() for builder in builders], launches
+        frontier[:, block : block + topk] = np.where(
+            made
+            & (draws != EOS_ID)
+            & (depth < strategy.draft_depth)[:, None],
+            path_prob,
+            -1.0,
+        )
+        trees.record_candidates(
+            rows,
+            np.where(growing, pending, trees.scratch),
+            draws,
+            first + block,
+            fits * topk,
+            probs,
+        )
+        trees.proposes += growing
 
-
-class _TopkTreeBuilder(_LockStepBuilder):
-    """Lock-step twin of :func:`_build_tree_topk` for one sequence.
-
-    The deterministic beam build already proceeds level by level, so the
-    batched form follows the :class:`GrowMap` directly: one proposal
-    round over every expanded parent, one extend round over the reranked
-    level — at most two drafter launches per level for the whole batch.
-    """
-
-    def __init__(
-        self,
-        strategy: SdStrategy,
-        temperature: float,
-        root_state: DrafterState,
-        grow_map: GrowMap,
-    ) -> None:
-        super().__init__(strategy, temperature, root_state)
-        self.grow_map = grow_map
-        self.done = False
-        self._frontier: List[int] = []
-        self._pending_root: List[int] = []
-        # (path_prob, parent index, token, probs) per reranked candidate.
-        self._pending: List[Tuple[float, int, int, np.ndarray]] = []
-
-    # -- root level --------------------------------------------------------
-
-    def on_root_proposal(self, probs: np.ndarray) -> None:
-        self.legacy_calls += 1
-        order = np.argsort(-probs, kind="stable")[: self.strategy.topk]
-        tokens = [int(t) for t in order if probs[t] > 0.0]
-        self.slot_tokens[0] = list(tokens)
-        self.slot_dists[0] = probs
-        self._pending_root = tokens
-        if not tokens:
-            self.done = True
-
-    def root_extend_requests(self) -> List[Tuple[DrafterState, int]]:
-        return [
-            (self.root_state, token) for token in self._pending_root
-        ]
-
-    def materialise_root(self, new_states: List[DrafterState]) -> None:
-        dist = self.slot_dists[0]
-        for token, state in zip(self._pending_root, new_states):
-            index = self._add_node(
-                -1, token, float(dist[token]), state
-            )
-            self._frontier.append(index)
-        self._pending_root = []
-
-    # -- deeper levels -----------------------------------------------------
-
-    def select_parents(self) -> List[int]:
-        """Beam-select this level's expansion parents (stable sort)."""
-        self._frontier.sort(key=lambda i: -self.path_probs[i])
-        expanded = self._frontier[: self.strategy.topk]
-        parents = [
-            i for i in expanded if self.tokens[i] != EOS_ID
-        ]
-        if not parents:
-            self.done = True
-        return parents
-
-    def node_state(self, index: int) -> DrafterState:
-        return self.states[index]
-
-    def on_level_proposals(
-        self, proposals: List[Tuple[int, np.ndarray]]
-    ) -> None:
-        """Record every proposed candidate, then rerank and cut the level.
-
-        All proposed tokens enter their parent's candidate slot BEFORE
-        the ``level_width`` cut, exactly as the per-node builder does —
-        the acceptance walk needs the full sibling lists.
-        """
-        candidates: List[Tuple[float, int, int, np.ndarray]] = []
-        for parent_index, probs in proposals:
-            self.legacy_calls += 1
-            order = np.argsort(-probs, kind="stable")[
-                : self.strategy.topk
-            ]
-            tokens = [int(t) for t in order if probs[t] > 0.0]
-            slot = parent_index + 1
-            self.slot_tokens[slot].extend(tokens)
-            self.slot_dists[slot] = probs
-            parent_prob = self.path_probs[parent_index]
-            for token in tokens:
-                candidates.append(
-                    (
-                        parent_prob * float(probs[token]),
-                        parent_index,
-                        token,
-                        probs,
-                    )
-                )
-        if not candidates:
-            self.done = True
-            self._pending = []
+        pending = frontier.argmax(axis=1)
+        parent_prob = frontier[rows, pending]
+        growing = (parent_prob >= 0.0) & (counts < budget)
+        live = growing.nonzero()[0]
+        if not live.size:
             return
-        candidates.sort(key=lambda item: -item[0])
-        self._pending = candidates[: self.grow_map.level_width]
-
-    def level_extend_requests(self) -> List[Tuple[DrafterState, int]]:
-        return [
-            (self.states[parent_index], token)
-            for _, parent_index, token, _ in self._pending
-        ]
-
-    def materialise_level(
-        self, new_states: List[DrafterState]
-    ) -> None:
-        next_frontier: List[int] = []
-        for (path_prob, parent_index, token, _), state in zip(
-            self._pending, new_states
-        ):
-            index = self._add_node(
-                parent_index, token, path_prob, state
-            )
-            next_frontier.append(index)
-        self._frontier = next_frontier
-        self._pending = []
-
-    def build(self) -> FlatDraftTree:
-        order = self._select_top_connected_flat(
-            self.strategy.tokens_to_verify
-        )
-        return self._assemble(order)
-
-    def _select_top_connected_flat(self, budget: int) -> List[int]:
-        """Array twin of :func:`_select_top_connected`."""
-        order = sorted(
-            range(len(self.tokens)),
-            key=lambda i: (-self.path_probs[i], self.depths[i], i),
-        )
-        kept: List[int] = []
-        kept_set: set = set()
-        for index in order:
-            if len(kept) >= budget:
-                break
-            parent = self.parents[index]
-            if parent != -1 and parent not in kept_set:
-                continue
-            kept.append(index)
-            kept_set.add(index)
-        kept.sort(key=lambda i: (self.depths[i], i))
-        return kept
+        frontier[rows, pending] = -1.0
+        depth = trees.depths[rows, pending] + 1
+        probs[live] = trees.launch(live, pending[live])
 
 
-def _build_trees_topk(
-    drafter: Drafter,
-    prefixes: Sequence[Sequence[int]],
-    last_hiddens: Sequence[Optional[np.ndarray]],
-    strategy: SdStrategy,
-    temperature: float,
-) -> Tuple[List[FlatDraftTree], int]:
-    """Grow every sequence's beam tree level-synchronously.
+def _grow_topk(trees: _LockStepTrees, grow_map: GrowMap) -> None:
+    """EAGLE-2-style beam growth, one level of every sequence per round.
 
-    Launch count is ``O(draft_depth)`` regardless of batch size or node
-    count: one ``begin_batch``, one root proposal/extend pair, then at
-    most one proposal and one extend launch per deeper level.
+    Per level the ``branch`` most confident nodes of the previous level
+    are expanded, every proposed token enters its parent's candidate
+    list, and the most confident ``level_width`` candidates (stable
+    order: parent-major, then token rank) become the level's block.  A
+    block is filled in descending confidence, so its beam is simply its
+    first ``branch`` nodes; EOS nodes in the beam are skipped, not
+    replaced (their board columns stay empty).
     """
-    grow_map = GrowMap.from_strategy(strategy)
-    root_states = drafter.begin_batch(prefixes, last_hiddens)
-    launches = 1
-    builders = [
-        _TopkTreeBuilder(strategy, temperature, state, grow_map)
-        for state in root_states
-    ]
-
-    probs_rows = drafter.propose_batch(
-        [b.root_state for b in builders], temperature
-    )
-    launches += 1
-    for builder, probs in zip(builders, probs_rows):
-        builder.on_root_proposal(probs)
-    requests = [
-        request
-        for builder in builders
-        for request in builder.root_extend_requests()
-    ]
-    if requests:
-        new_states = drafter.extend_batch(
-            [state for state, _ in requests],
-            [token for _, token in requests],
+    batch, branch = trees.batch, grow_map.branch
+    rank = np.arange(branch)
+    rows = np.arange(batch)[:, None]
+    # Proposal row -> sequence, expanded slot, position in the beam.
+    seq, parent = np.arange(batch), np.zeros(batch, dtype=np.int64)
+    place = np.zeros(batch, dtype=np.int64)
+    probs = trees.propose_roots()
+    for depth in range(1, grow_map.depth + 1):
+        proposals = seq.shape[0]
+        proposal = np.arange(proposals)
+        trees.proposes += np.bincount(seq, minlength=batch)
+        order = (-probs).argsort(axis=1, kind="stable")[:, :branch]
+        cand_prob = probs[proposal[:, None], order]
+        valid = cand_prob > 0.0
+        # Rerank each sequence's candidates on one board row and cut.
+        beam = 1 if depth == 1 else branch
+        board = np.full((batch, beam * branch), -np.inf)
+        board[seq[:, None], place[:, None] * branch + rank] = np.where(
+            valid,
+            trees.path_probs[seq, parent][:, None] * cand_prob,
+            -np.inf,
         )
-        launches += 1
-        position = 0
-        for builder in builders:
-            count = len(builder._pending_root)
-            builder.materialise_root(
-                new_states[position : position + count]
-            )
-            position += count
-
-    for _ in range(1, strategy.draft_depth):
-        active = [b for b in builders if not b.done]
-        if not active:
-            break
-        proposal_refs: List[Tuple[_TopkTreeBuilder, int]] = []
-        for builder in active:
-            for parent_index in builder.select_parents():
-                proposal_refs.append((builder, parent_index))
-        if not proposal_refs:
-            continue
-        probs_rows = drafter.propose_batch(
-            [b.node_state(p) for b, p in proposal_refs], temperature
-        )
-        launches += 1
-        per_builder: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        for (builder, parent_index), probs in zip(
-            proposal_refs, probs_rows
-        ):
-            per_builder.setdefault(id(builder), []).append(
-                (parent_index, probs)
-            )
-        proposed = [b for b in active if id(b) in per_builder]
-        for builder in proposed:
-            builder.on_level_proposals(per_builder[id(builder)])
-        requests = [
-            request
-            for builder in proposed
-            for request in builder.level_extend_requests()
+        top = (-board).argsort(axis=1, kind="stable")[
+            :, : grow_map.capacities[depth - 1]
         ]
-        if not requests:
-            continue
-        new_states = drafter.extend_batch(
-            [state for state, _ in requests],
-            [token for _, token in requests],
+        top_prob = board[rows, top]
+        made = top_prob > -np.inf
+        row_of = np.zeros((batch, beam), dtype=np.int64)
+        row_of[seq, place] = proposal
+        from_row, from_col = row_of[rows, top // branch], top % branch
+        tokens = order[from_row, from_col]
+        block = trees.add_block(
+            tokens, parent[from_row], depth, top_prob, made
         )
-        launches += 1
-        position = 0
-        for builder in proposed:
-            count = len(builder._pending)
-            builder.materialise_level(
-                new_states[position : position + count]
-            )
-            position += count
+        # Unmade board entries write their child into a scratch row.
+        children = np.zeros((proposals + 1, branch), dtype=np.int64)
+        children[np.where(made, from_row, proposals), from_col] = (
+            block + np.arange(top.shape[1])
+        )
+        trees.record_candidates(
+            seq, parent, order, children[:proposals], valid.sum(axis=1),
+            probs,
+        )
+        if depth == grow_map.depth:
+            return
+        expand = made[:, :branch] & (tokens[:, :branch] != EOS_ID)
+        seq, place = expand.nonzero()
+        if not seq.size:
+            return
+        parent = block + place
+        probs = trees.launch(seq, parent)
 
-    return [builder.build() for builder in builders], launches
+
+def _select_top_connected(trees: _LockStepTrees, budget: int) -> np.ndarray:
+    """``(batch, slots)`` mask of each tree's ``budget`` best nodes.
+
+    Nodes rank by ``(-confidence, depth, creation index)``.  A child's
+    confidence is its parent's times a probability, so it never exceeds
+    the parent's, and on a tie the shallower parent ranks first: every
+    prefix of the ranking is a connected subtree.
+    """
+    if trees.made.sum(axis=1).max() <= budget:
+        return trees.made  # nothing to cut
+    ranking = np.lexsort(
+        (trees.depths, np.where(trees.made, -trees.path_probs, np.inf)),
+        axis=1,
+    )
+    keep = np.zeros(trees.made.shape, dtype=bool)
+    np.put_along_axis(keep, ranking[:, :budget], True, axis=1)
+    return keep & trees.made
 
 
 def build_draft_trees(
@@ -1221,11 +605,11 @@ def build_draft_trees(
 ) -> Tuple[List[FlatDraftTree], int]:
     """Draft every live sequence's candidate tree in lock-step.
 
-    The batched twin of :func:`build_draft_tree`: all trees grow together
-    through the drafter's batched calls (one ``propose_batch`` over every
-    frontier and one ``extend_batch`` over every materialised child per
-    round), and each sequence's private ``rng`` is consumed in exactly
-    the per-node order — committed tokens are byte-identical to building
+    All trees grow together in shared tables through batched drafter
+    calls — ``1 + rounds`` launches in ``sample`` mode, at most
+    ``1 + draft_depth`` in ``topk`` mode (see the module docstring) —
+    and each sequence's private ``rng`` is consumed in exactly the
+    per-node order, so committed tokens are byte-identical to building
     each tree alone under the same seeds.
 
     Args:
@@ -1250,17 +634,25 @@ def build_draft_trees(
     if not prefixes:
         return [], 0
     if child_mode == "sample":
-        return _build_trees_sampled(
-            drafter, prefixes, last_hiddens, strategy, temperature, rngs
+        # At most one expansion per node plus the root's, ``topk`` slots each.
+        trees = _LockStepTrees(
+            drafter, prefixes, last_hiddens, temperature,
+            capacity=(strategy.tokens_to_verify + 1) * strategy.topk,
+            width=strategy.topk,
         )
-    if child_mode == "topk":
-        return _build_trees_topk(
-            drafter, prefixes, last_hiddens, strategy, temperature
+        _grow_sampled(trees, strategy, rngs)
+        keep = trees.made
+    elif child_mode == "topk":
+        grow_map = GrowMap.from_strategy(strategy)
+        trees = _LockStepTrees(
+            drafter, prefixes, last_hiddens, temperature,
+            capacity=grow_map.max_nodes, width=grow_map.branch,
         )
-    raise SpecDecodeError(f"unknown child mode {child_mode!r}")
-
-
-AnyDraftTree = Union[DraftTree, FlatDraftTree]
+        _grow_topk(trees, grow_map)
+        keep = _select_top_connected(trees, strategy.tokens_to_verify)
+    else:
+        raise SpecDecodeError(f"unknown child mode {child_mode!r}")
+    return trees.emit(keep, strategy.draft_depth), trees.launches
 
 
 @dataclass
@@ -1290,53 +682,32 @@ class TreeVerifyResult:
 
 
 def plan_verify_rows(
-    tree: AnyDraftTree, prefix_tokens: Sequence[int]
+    tree: FlatDraftTree, prefix_tokens: Sequence[int]
 ) -> Tuple[List[List[int]], Dict[int, int]]:
-    """Lay out the verification rows for one tree (either view).
+    """Lay out the verification rows for one tree as token paths.
 
     Row 0 is the committed prefix (providing the root distribution and the
-    fallback hand-off hidden); each selected node contributes one row
-    holding its root-to-node path appended to the prefix.  For a
-    :class:`FlatDraftTree` the mapping is the identity shift — node ``i``
-    verifies on row ``i + 1`` — because flat order IS verification order.
+    fallback hand-off hidden); each node contributes one row holding its
+    root-to-node path appended to the prefix.  Node ``i`` verifies on row
+    ``i + 1`` because flat order IS verification order.
+    :func:`verify_trees` builds the same rows directly as context windows.
 
     Returns:
-        ``(paths, row_of_node)`` where ``row_of_node`` maps a selected
-        node index to its row in ``paths``.
+        ``(paths, row_of_node)`` where ``row_of_node`` maps a node index
+        to its row in ``paths``.
     """
     prefix = [int(t) for t in prefix_tokens]
     if not prefix:
         raise SpecDecodeError("prefix must be non-empty")
     paths: List[List[int]] = [prefix]
-    row_of_node: Dict[int, int] = {}
-    if isinstance(tree, FlatDraftTree):
-        node_paths: List[List[int]] = []
-        for index in range(tree.num_nodes):
-            parent = int(tree.parents[index])
-            parent_path = prefix if parent == -1 else node_paths[parent]
-            path = parent_path + [int(tree.tokens[index])]
-            node_paths.append(path)
-            row_of_node[index] = len(paths)
-            paths.append(path)
-        return paths, row_of_node
-    nodes = tree.nodes
-    legacy_paths: Dict[int, List[int]] = {}
-    for index in tree.selected_indices:
-        node = nodes[index]
-        if node.parent == -1:
-            parent_path = prefix
-        else:
-            parent_path = legacy_paths[node.parent]
-        path = parent_path + [node.token]
-        legacy_paths[index] = path
-        row_of_node[index] = len(paths)
-        paths.append(path)
-    return paths, row_of_node
+    for parent, token in zip(tree.parents.tolist(), tree.tokens.tolist()):
+        paths.append(paths[parent + 1] + [token])
+    return paths, {index: index + 1 for index in range(tree.num_nodes)}
 
 
 def verify_tree(
     target: TinyLM,
-    tree: AnyDraftTree,
+    tree: FlatDraftTree,
     prefix_tokens: Sequence[int],
     temperature: float,
     rng: np.random.Generator,
@@ -1358,9 +729,48 @@ def verify_tree(
     )[0]
 
 
+def _verify_contexts(
+    trees: Sequence[FlatDraftTree],
+    prefixes: Sequence[Sequence[int]],
+    window: int,
+) -> Tuple[np.ndarray, List[int]]:
+    """``(rows, window)`` context block of every tree's verification rows.
+
+    Each tree contributes its prefix row followed by one row per node.  A
+    node's context is its parent's shifted left by one token with the
+    node's token appended, so the block is filled straight from
+    ``parents``/``tokens`` — no token paths are materialised: every
+    pass copies all parents' contexts at once, and after ``d`` passes
+    the rows of depth ``<= d`` are final.
+
+    Returns the block and each tree's first row.
+    """
+    sizes = np.array([tree.num_nodes + 1 for tree in trees])
+    first_rows = sizes.cumsum() - sizes
+    contexts = np.full((sizes.sum(), window), PAD_ID, dtype=np.int64)
+    for first, prefix in zip(first_rows.tolist(), prefixes):
+        tail = prefix[-window:]
+        if not len(tail):
+            raise SpecDecodeError("prefix must be non-empty")
+        contexts[first, window - len(tail) :] = tail
+    # Global rows: a node sits one row further down than its flat index
+    # for every root before it, its own included.
+    owner = np.arange(len(trees)).repeat(sizes - 1)
+    node_rows = np.arange(owner.shape[0]) + owner + 1
+    parent_rows = (
+        np.concatenate([tree.parents for tree in trees])
+        + first_rows[owner]
+        + 1
+    )
+    contexts[node_rows, -1] = np.concatenate([tree.tokens for tree in trees])
+    for _ in range(max(tree.max_depth for tree in trees)):
+        contexts[node_rows, :-1] = contexts[parent_rows, 1:]
+    return contexts, first_rows.tolist()
+
+
 def verify_trees(
     target: TinyLM,
-    trees: Sequence[AnyDraftTree],
+    trees: Sequence[FlatDraftTree],
     prefixes: Sequence[Sequence[int]],
     temperature: float,
     rngs: Sequence[np.random.Generator],
@@ -1374,13 +784,9 @@ def verify_trees(
     identical to per-sequence verification, so committed tokens match
     :func:`verify_tree` exactly.
 
-    Legacy :class:`DraftTree` inputs are flattened first — the acceptance
-    walk indexes the flat layout directly (node ``i`` on row ``i + 1``),
-    with no per-node pointer chasing.
-
     Args:
         target: the target model.
-        trees: one draft tree per live sequence (either view).
+        trees: one draft tree per live sequence.
         prefixes: committed prefix per live sequence.
         temperature: shared sampling temperature.
         rngs: per-sequence random streams (acceptance + bonus sampling).
@@ -1395,113 +801,94 @@ def verify_trees(
         )
     if not trees:
         return []
-    flat_trees = [
-        tree
-        if isinstance(tree, FlatDraftTree)
-        else FlatDraftTree.from_draft_tree(tree)
-        for tree in trees
-    ]
-    all_paths: List[List[int]] = []
-    offsets: List[int] = []
-    for tree, prefix in zip(flat_trees, prefixes):
-        paths, _ = plan_verify_rows(tree, prefix)
-        offsets.append(len(all_paths))
-        all_paths.extend(paths)
-
-    contexts = contexts_from_sequences(
-        all_paths, target.config.context_window
+    contexts, first_rows = _verify_contexts(
+        trees, prefixes, target.config.context_window
     )
     logits, hiddens = target.step(contexts)
     probs = temperature_probs(logits, temperature)
     hidden_stack = np.stack(hiddens, axis=1)  # (rows, L, d)
-
-    results: List[TreeVerifyResult] = []
-    for i, (tree, offset) in enumerate(zip(flat_trees, offsets)):
-        rows = (
-            offsets[i + 1] if i + 1 < len(offsets) else len(all_paths)
-        ) - offset
-        results.append(
-            _walk_acceptance(
-                tree,
-                probs[offset : offset + rows],
-                hidden_stack[offset : offset + rows],
-                rngs[i],
-            )
+    walks = [
+        _walk_acceptance(tree, probs[first : first + tree.num_nodes + 1], rng)
+        for tree, first, rng in zip(trees, first_rows, rngs)
+    ]
+    # Every walk drew its own bonus uniform; the lookups share one pass.
+    bonus_tokens = tokens_at_uniforms(
+        np.array([walk.bonus_dist for walk in walks]),
+        np.array([walk.bonus_uniform for walk in walks]),
+    ).tolist()
+    return [
+        TreeVerifyResult(
+            accepted_tokens=walk.accepted + [bonus],
+            accepted_node_count=len(walk.accepted),
+            bonus_token=bonus,
+            next_hidden=hidden_stack[first + walk.row].copy(),
+            verify_batch=tree.num_nodes + 1,
+            depth_attempts=walk.depth_attempts,
+            depth_accepts=walk.depth_accepts,
         )
-    return results
+        for tree, first, walk, bonus in zip(
+            trees, first_rows, walks, bonus_tokens
+        )
+    ]
+
+
+class _Walk(NamedTuple):
+    """Where one tree's acceptance walk ended, bonus token still to pick."""
+
+    accepted: List[int]
+    row: int
+    bonus_dist: np.ndarray
+    bonus_uniform: float
+    depth_attempts: List[int]
+    depth_accepts: List[int]
 
 
 def _walk_acceptance(
-    tree: FlatDraftTree,
-    probs: np.ndarray,
-    hidden_stack: np.ndarray,
-    rng: np.random.Generator,
-) -> TreeVerifyResult:
+    tree: FlatDraftTree, probs: np.ndarray, rng: np.random.Generator
+) -> _Walk:
     """Run the multi-round acceptance walk over one flat tree's rows.
 
-    ``probs``/``hidden_stack`` are this tree's slice of the batched target
-    forward; row 0 is the prefix row and node ``i`` sits on row ``i + 1``
-    by construction, so the walk needs no row map.  Candidate rows with
-    ``cand_child == -1`` (pruned or never-materialised children) are
-    skipped, exactly as the legacy walk skipped unselected nodes.
+    ``probs`` is this tree's slice of the batched target forward; row 0
+    is the prefix row and node ``i`` sits on row ``i + 1`` by
+    construction, so the walk needs no row map and a node's row is also
+    its candidate slot.  Candidate rows with ``cand_child == -1`` (pruned
+    or never-materialised children) are skipped; duplicate draws stay in
+    (sharing the first occurrence's child), as the multi-round rule
+    requires.  The walk ends by drawing the uniform that picks the bonus
+    token from the full target distribution (at a leaf) or from the
+    final residual (after a rejection).
     """
+    offsets = tree.cand_offsets.tolist()
+    children = tree.cand_child.tolist()
+    cand_tokens = tree.cand_tokens.tolist()
     depth_attempts: List[int] = []
     depth_accepts: List[int] = []
     accepted: List[int] = []
 
-    current_row = 0  # root row; node i verifies on row i + 1
-    slot = 0
-    depth = 0
+    row = 0
     while True:
-        start = int(tree.cand_offsets[slot])
-        end = int(tree.cand_offsets[slot + 1])
+        bonus_dist = probs[row]
+        start, end = offsets[row], offsets[row + 1]
         if start == end:
-            # Leaf: sample the bonus token from the full target distribution.
-            bonus_dist = probs[current_row]
             break
-        depth += 1
-        _extend_counts(depth_attempts, depth)
-        _extend_counts(depth_accepts, depth)
-        depth_attempts[depth - 1] += 1
-        # Only candidates whose child survived selection participate;
-        # duplicate draws stay in (sharing the first occurrence's child),
-        # as the multi-round rule requires.
-        live = [
-            row
-            for row in range(start, end)
-            if int(tree.cand_child[row]) >= 0
-        ]
+        depth_attempts.append(1)
+        depth_accepts.append(0)
+        live = [c for c in range(start, end) if children[c] >= 0]
         if not live:
-            bonus_dist = probs[current_row]
             break
         chosen, residual = multi_round_accept(
-            probs[current_row],
-            [int(tree.cand_tokens[row]) for row in live],
-            [tree.cand_dists[row] for row in live],
+            bonus_dist,
+            [cand_tokens[c] for c in live],
+            tree.cand_dists[live],
             rng,
         )
         if chosen is None:
             bonus_dist = residual
             break
-        depth_accepts[depth - 1] += 1
-        node = int(tree.cand_child[live[chosen]])
-        accepted.append(int(tree.tokens[node]))
-        current_row = node + 1
-        slot = node + 1
-
-    bonus_token = int(sample_from_probs(bonus_dist[None, :], rng)[0])
-    return TreeVerifyResult(
-        accepted_tokens=accepted + [bonus_token],
-        accepted_node_count=len(accepted),
-        bonus_token=bonus_token,
-        next_hidden=hidden_stack[current_row].copy(),
-        verify_batch=int(probs.shape[0]),
-        depth_attempts=depth_attempts,
-        depth_accepts=depth_accepts,
+        depth_accepts[-1] = 1
+        accepted.append(cand_tokens[live[chosen]])
+        row = children[live[chosen]] + 1
+    return _Walk(
+        accepted, row, bonus_dist, rng.random(), depth_attempts,
+        depth_accepts,
     )
-
-
-def _extend_counts(counts: List[int], depth: int) -> None:
-    """Grow a per-depth counter list to cover ``depth`` (1-indexed)."""
-    while len(counts) < depth:
-        counts.append(0)

@@ -1,6 +1,11 @@
 """Shared utilities: seeded RNG management, statistics helpers, logging."""
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
+from repro.utils.rng import (
+    RngFactory,
+    as_generator,
+    spawn_generators,
+    stable_digest,
+)
 from repro.utils.stats import (
     OnlineMeanVar,
     SlidingWindow,
@@ -14,6 +19,7 @@ __all__ = [
     "RngFactory",
     "as_generator",
     "spawn_generators",
+    "stable_digest",
     "OnlineMeanVar",
     "SlidingWindow",
     "describe",

@@ -73,7 +73,7 @@ class RngFactory:
         index = self._counters.get(name, 0)
         self._counters[name] = index + 1
         # Derive a child seed from (root, name, index) deterministically.
-        name_digest = _stable_digest(name)
+        name_digest = stable_digest(name)
         seq = np.random.SeedSequence(
             entropy=self._seed if self._seed is not None else None,
             spawn_key=(name_digest, index),
@@ -85,7 +85,7 @@ class RngFactory:
         return {name: self.get(name) for name in names}
 
 
-def _stable_digest(name: str) -> int:
+def stable_digest(name: str) -> int:
     """A process-stable 63-bit digest of ``name`` (``hash()`` is salted)."""
     value = 1469598103934665603  # FNV-1a offset basis
     for byte in name.encode("utf-8"):

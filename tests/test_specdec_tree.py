@@ -8,8 +8,21 @@ import pytest
 from repro.errors import ConfigError
 from repro.llm.model import contexts_from_sequences
 from repro.llm.sampler import temperature_probs
-from repro.specdec import SdStrategy, build_draft_tree, verify_tree
+from repro.specdec import SdStrategy
+from repro.specdec import verify_tree as verify_flat_tree
 from repro.specdec.engine import _initial_hidden
+
+from _tree_oracle import (
+    build_draft_tree,
+    flatten,
+    plan_verify_rows as plan_verify_rows_ref,
+    to_node_view,
+)
+
+
+def verify_tree(target, tree, prefix, temperature, rng):
+    """Verify a per-node oracle tree through the production flat path."""
+    return verify_flat_tree(target, flatten(tree), prefix, temperature, rng)
 
 
 @pytest.fixture()
@@ -242,7 +255,6 @@ class TestVerifyTree:
 
 
 from repro.specdec import (  # noqa: E402  (grouped with the flat tests)
-    FlatDraftTree,
     GrowMap,
     build_draft_trees,
     verify_trees,
@@ -297,8 +309,8 @@ class TestFlatRoundTrip:
                 trained_drafter, prefix, hidden, strategy, temperature,
                 np.random.default_rng(seed), child_mode,
             )
-            flat = FlatDraftTree.from_draft_tree(tree)
-            view = flat.to_node_view()
+            flat = flatten(tree)
+            view = to_node_view(flat)
             assert flat.num_selected == tree.num_selected
             selected = tree.selected_indices
             for flat_i, legacy_i in enumerate(selected):
@@ -319,7 +331,7 @@ class TestFlatRoundTrip:
             assert flat_paths == legacy_paths
             assert list(flat_rows.values()) == sorted(flat_rows.values())
             # Round-trip again: the node view flattens back identically.
-            again = FlatDraftTree.from_draft_tree(view)
+            again = flatten(view)
             assert np.array_equal(again.tokens, flat.tokens)
             assert np.array_equal(again.parents, flat.parents)
             assert np.array_equal(again.cand_tokens, flat.cand_tokens)
@@ -356,7 +368,7 @@ class TestFlatRoundTrip:
         )
         assert launches >= 1
         for reference, flat in zip(
-            map(FlatDraftTree.from_draft_tree, legacy), trees
+            map(flatten, legacy), trees
         ):
             assert np.array_equal(reference.tokens, flat.tokens)
             assert np.array_equal(reference.parents, flat.parents)
@@ -378,7 +390,7 @@ class TestFlatRoundTrip:
         for ra, rb in zip(rngs_a, rngs_b):
             assert ra.random() == rb.random()
         verify_a = verify_trees(
-            target, legacy, prefixes, temperature,
+            target, list(map(flatten, legacy)), prefixes, temperature,
             [np.random.default_rng(seed + 50 + i) for i in range(4)],
         )
         verify_b = verify_trees(
@@ -390,13 +402,6 @@ class TestFlatRoundTrip:
             assert np.array_equal(a.next_hidden, b.next_hidden)
             assert a.depth_attempts == b.depth_attempts
             assert a.depth_accepts == b.depth_accepts
-
-
-def plan_verify_rows_ref(tree, prefix):
-    """Reference row plan computed from the legacy node view."""
-    from repro.specdec.tree import plan_verify_rows
-
-    return plan_verify_rows(tree, prefix)
 
 
 class TestFlatLayoutInvariants:

@@ -76,3 +76,14 @@ class TestRngFactory:
 
     def test_seed_property(self):
         assert RngFactory(11).seed == 11
+
+
+class TestStableDigest:
+    def test_pinned_across_processes(self):
+        """``hash(str)`` is salted per process; seeds derived from names
+        must not be.  The values are FNV-1a folded to 63 bits."""
+        from repro.utils import stable_digest
+
+        assert stable_digest("") == 1469598103934665603
+        assert stable_digest("Qwen-7B") == 7902548461949527714
+        assert 0 <= stable_digest("Llama-70B") < 2**63
