@@ -23,8 +23,6 @@ Asserted shape (the elasticity claim):
 
 from __future__ import annotations
 
-import time
-
 from _common import format_table, trained_substrate, write_result
 
 import numpy as np
@@ -151,12 +149,10 @@ def test_autoscale(benchmark):
         grid = {}
 
         def measure(scenario, label, run_fn):
-            started = time.perf_counter()
             report, scaler = run_fn()
             grid[scenario, label] = {
                 "report": report,
                 "scaler": scaler,
-                "wall": time.perf_counter() - started,
             }
 
         for scenario, make_trace in scenarios.items():
@@ -212,7 +208,6 @@ def test_autoscale(benchmark):
                 if scaler
                 else "",
                 report.migrations,
-                f"{run['wall'] * 1e3:.0f}ms",
             ]
         )
     write_result(
@@ -220,7 +215,7 @@ def test_autoscale(benchmark):
         format_table(
             [
                 "scenario", "config", "peak", "slo", "p99",
-                "cycles", "scales", "ring", "migr", "wall",
+                "cycles", "scales", "ring", "migr",
             ],
             rows,
         ),

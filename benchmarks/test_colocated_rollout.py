@@ -8,12 +8,13 @@ equal total size (2 workers) on the same workload ingredients:
   idle).
 * **dedicated** — the classic split: one worker serves the interactive
   trace, the other decodes the GRPO rollout batch, nothing shared.
-* **co-located** — both workers serve the interactive trace while
-  :class:`~repro.rl.serving_backend.ServingRolloutBackend` rides the
-  SAME pool with the rollout batch as group-tagged BATCH-class
-  requests; :class:`~repro.serving.dispatch.SloPreemption` parks
-  rollouts whenever an interactive arrival needs a slot and resumes
-  them byte-identically when it frees.
+* **co-located** — both workers serve the interactive trace while a
+  :class:`~repro.longtail.RolloutScheduler` puts the rollout batch on
+  the SAME pool as group-tagged BATCH-class requests (whole-group FIFO
+  mode, so the rollout columns are the un-reordered baseline);
+  :class:`~repro.serving.dispatch.SloPreemption` parks rollouts
+  whenever an interactive arrival needs a slot and resumes them
+  byte-identically when it frees.
 
 Expected shape (asserted below): the co-located pool completes the
 rollout batch at >= 1.5x the dedicated pool's token throughput (it can
@@ -26,13 +27,11 @@ static strategy make scheduling invisible to outputs).
 
 from __future__ import annotations
 
-import time
-
 from _common import format_table, trained_substrate, write_result
 
 import numpy as np
 
-from repro.rl import ServingRolloutBackend
+from repro.longtail import RolloutScheduler, SchedulerMode
 from repro.serving import (
     INTERACTIVE,
     LeastLoadedDispatch,
@@ -111,7 +110,6 @@ def test_colocated_rollout(benchmark):
         grid = {}
 
         # -- no-RL baseline: 2 workers, interactive only ----------------
-        started = time.perf_counter()
         frontend = _pool(target, drafter, NUM_WORKERS)
         base_report = frontend.run(_interactive_trace(vocab_size))
         grid["no-RL"] = {
@@ -120,15 +118,13 @@ def test_colocated_rollout(benchmark):
             "rollout_ticks": 0.0,
             "rollout": None,
             "preemptions": base_report.preemptions,
-            "wall": time.perf_counter() - started,
         }
 
         # -- dedicated split: 1 worker each -----------------------------
-        started = time.perf_counter()
         inter_pool = _pool(target, drafter, 1)
         inter_report = inter_pool.run(_interactive_trace(vocab_size))
         rollout_pool = _pool(target, drafter, 1)
-        backend = ServingRolloutBackend(rollout_pool)
+        backend = RolloutScheduler(rollout_pool, mode=SchedulerMode.FIFO)
         result = backend.generate(
             target, prompts, ROLLOUT_TOKENS, TEMPERATURE,
             np.random.default_rng(ROLLOUT_SEED),
@@ -139,15 +135,13 @@ def test_colocated_rollout(benchmark):
             "rollout_ticks": result.stats["pool_ticks"],
             "rollout": result,
             "preemptions": 0,
-            "wall": time.perf_counter() - started,
         }
 
         # -- co-located: one shared 2-worker pool -----------------------
-        started = time.perf_counter()
         frontend = _pool(target, drafter, NUM_WORKERS)
         for request in _interactive_trace(vocab_size):
             frontend.submit(request)
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=SchedulerMode.FIFO)
         result = backend.generate(
             target, prompts, ROLLOUT_TOKENS, TEMPERATURE,
             np.random.default_rng(ROLLOUT_SEED),
@@ -159,7 +153,6 @@ def test_colocated_rollout(benchmark):
             "rollout_ticks": result.stats["pool_ticks"],
             "rollout": result,
             "preemptions": coloc_report.preemptions,
-            "wall": time.perf_counter() - started,
         }
         return grid
 
@@ -192,7 +185,6 @@ def test_colocated_rollout(benchmark):
                 run["preemptions"],
                 f"{report.prefix_hit_rate:.0%}",
                 report.prefill_launches_saved,
-                f"{run['wall'] * 1e3:.0f}ms",
             ]
         )
     write_result(
@@ -201,7 +193,7 @@ def test_colocated_rollout(benchmark):
             [
                 "pool", "inter p99", "inter SLO", "rl toks",
                 "rl ticks", "rl tok/tick", "batch util", "parks",
-                "prefix hit", "prefill saved", "wall",
+                "prefix hit", "prefill saved",
             ],
             rows,
         ),

@@ -20,8 +20,6 @@ Asserted shape:
 
 from __future__ import annotations
 
-import time
-
 from _common import format_table, trained_substrate, write_result
 
 import numpy as np
@@ -103,12 +101,8 @@ def test_fleet_serving(benchmark):
         grid = {}
 
         def measure(label, run_fn):
-            started = time.perf_counter()
             report = run_fn()
-            grid[label] = {
-                "report": report,
-                "wall": time.perf_counter() - started,
-            }
+            grid[label] = {"report": report}
             return report
 
         measure(
@@ -154,7 +148,6 @@ def test_fleet_serving(benchmark):
                 f"{report.p99_latency:.2f}",
                 f"{report.slo_attainment:.0%}",
                 int(summary.get("spills", 0)),
-                f"{run['wall'] * 1e3:.0f}ms",
             ]
         )
     rr = grid["fleet-rr"]["report"]
@@ -164,7 +157,7 @@ def test_fleet_serving(benchmark):
             "amortisation",
             "",
             f"{rr.prefill_launches / max(hashed.prefill_launches, 1):.1f}x",
-            "", "", "", "", "", "",
+            "", "", "", "", "",
         ]
     )
     write_result(
@@ -172,7 +165,7 @@ def test_fleet_serving(benchmark):
         format_table(
             [
                 "config", "replicas", "prefill", "saved", "hit rate",
-                "p99", "slo", "spills", "wall",
+                "p99", "slo", "spills",
             ],
             rows,
         ),

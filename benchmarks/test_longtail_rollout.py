@@ -5,10 +5,9 @@ Two claims from the distribution-aware rollout loop
 same pool shape:
 
 * **Makespan** — a straggler-heavy segmented GRPO trace is rolled out
-  (a) FIFO whole-group, batch-at-a-time (byte-for-byte the
-  :class:`~repro.rl.serving_backend.ServingRolloutBackend` behaviour)
-  and (b) tail-first with cross-batch pipelining through the
-  :class:`~repro.longtail.scheduler.RolloutScheduler`.  Scheduling only
+  through the :class:`~repro.longtail.scheduler.RolloutScheduler`
+  (a) FIFO whole-group, batch-at-a-time and (b) tail-first with
+  cross-batch pipelining.  Scheduling only
   reorders work: per-request outputs are byte-identical, and the
   pipelined run finishes the same three batches in strictly fewer pool
   ticks because batch *k+1*'s members decode in the slots batch *k*'s
@@ -29,8 +28,6 @@ same pool shape:
 """
 
 from __future__ import annotations
-
-import time
 
 from _common import format_table, train_eagle, write_result
 
@@ -113,7 +110,6 @@ def _run_rollouts(target, drafter, trace, mode, pipelined, predictor):
         segment_of=trace.segment_of,
     )
     rng = np.random.default_rng(ROLLOUT_SEED)
-    started = time.perf_counter()
     if pipelined:
         # Lookahead-1 stepping (the run_pipelined_steps shape): batch
         # k+1 is staged while batch k's stragglers drain, and batch
@@ -142,7 +138,6 @@ def _run_rollouts(target, drafter, trace, mode, pipelined, predictor):
         "ticks": engine.clock.now,
         "stats": scheduler.stats,
         "predictor": scheduler.predictor,
-        "wall": time.perf_counter() - started,
     }
 
 
@@ -337,25 +332,22 @@ def test_longtail_rollout(benchmark):
             "fifo whole-group", f"{fifo['ticks']:.0f}",
             fifo["stats"].pipelined_releases,
             fifo["stats"].requests_released,
-            f"{fifo['wall'] * 1e3:.0f}ms",
         ],
         [
             "tail-first pipelined", f"{tail['ticks']:.0f}",
             tail["stats"].pipelined_releases,
             tail["stats"].requests_released,
-            f"{tail['wall'] * 1e3:.0f}ms",
         ],
         [
             "makespan win",
             f"{fifo['ticks'] / max(tail['ticks'], 1):.2f}x",
-            "", "", "",
+            "", "",
         ],
         [
             "predictor",
             f"hit_rate={calibration['hit_rate']:.2f}",
             f"mae={calibration['mean_abs_error']:.1f}",
             f"prior_fb={calibration['prior_fallbacks']:.0f}",
-            "",
         ],
     ]
     for segment in zoo_trace.segments:
@@ -365,13 +357,12 @@ def test_longtail_rollout(benchmark):
                 f"base={zoo['base_rate'][segment]:.3f}",
                 f"zoo={zoo['zoo_rate'][segment]:.3f}",
                 f"arm={zoo['final_arm'][segment]}",
-                "",
             ]
         )
     write_result(
         "longtail_rollout",
         format_table(
-            ["mode", "ticks", "pipelined", "released", "wall"],
+            ["mode", "ticks", "pipelined", "released"],
             rows,
         ),
     )

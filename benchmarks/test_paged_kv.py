@@ -28,8 +28,6 @@ stacks), and all outputs are byte-identical to the no-cache reference
 
 from __future__ import annotations
 
-import time
-
 from _common import format_table, write_result
 
 import numpy as np
@@ -131,13 +129,9 @@ def test_paged_kv(benchmark):
     def sweep():
         grid = {}
         for label, config in configs.items():
-            started = time.perf_counter()
             pool = _pool(target, drafter, **config)
             report = pool.run(_trace(vocab_size))
-            grid[label] = {
-                "report": report,
-                "wall": time.perf_counter() - started,
-            }
+            grid[label] = {"report": report}
         return grid
 
     grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -155,7 +149,6 @@ def test_paged_kv(benchmark):
                 f"{report.cache_demotions}/{report.cache_promotions}",
                 f"{report.cache_cold_hits}/"
                 f"{report.cache_cold_evictions}",
-                f"{run['wall'] * 1e3:.0f}ms",
             ]
         )
     exact = grid["exact"]["report"]
@@ -164,7 +157,7 @@ def test_paged_kv(benchmark):
         [
             "token amortisation",
             f"{exact.prefill_tokens / max(paged.prefill_tokens, 1):.1f}x",
-            "", "", "", "", "", "",
+            "", "", "", "", "",
         ]
     )
     write_result(
@@ -172,7 +165,7 @@ def test_paged_kv(benchmark):
         format_table(
             [
                 "stack", "tokens", "tok saved", "launches",
-                "saved", "demote/promote", "cold hit/evict", "wall",
+                "saved", "demote/promote", "cold hit/evict",
             ],
             rows,
         ),
@@ -233,7 +226,6 @@ def test_block_size_sweep(benchmark):
     def sweep():
         grid = {}
         for block_size in BLOCK_SIZES:
-            started = time.perf_counter()
             pool = _pool(
                 target,
                 drafter,
@@ -248,7 +240,6 @@ def test_block_size_sweep(benchmark):
             grid[block_size] = {
                 "report": report,
                 "insertions": insertions,
-                "wall": time.perf_counter() - started,
             }
         return grid
 
@@ -269,7 +260,6 @@ def test_block_size_sweep(benchmark):
                 saved,
                 run["insertions"],
                 f"{saved / max(run['insertions'], 1):.2f}",
-                f"{run['wall'] * 1e3:.0f}ms",
             ]
         )
     write_result(
@@ -277,7 +267,7 @@ def test_block_size_sweep(benchmark):
         format_table(
             [
                 "block", "tokens", "tok saved", "blocks inserted",
-                "saved/block", "wall",
+                "saved/block",
             ],
             rows,
         ),

@@ -20,8 +20,6 @@ classes without touching outputs.
 
 from __future__ import annotations
 
-import time
-
 from _common import format_table, trained_substrate, write_result
 
 import numpy as np
@@ -88,9 +86,7 @@ def _run(target, drafter, trace, preemption):
         dispatch=LeastLoadedDispatch(),
         preemption=preemption,
     )
-    started = time.perf_counter()
-    report = frontend.run(trace)
-    return frontend, report, time.perf_counter() - started
+    return frontend, frontend.run(trace)
 
 
 def test_preemption(benchmark):
@@ -112,7 +108,7 @@ def test_preemption(benchmark):
     ]
     rows = []
     for label in ("no-preemption", "slo-preemption"):
-        frontend, report, wall = grid[label]
+        frontend, report = grid[label]
         per_class = report.per_class()
         inter = per_class["interactive"]
         batch = per_class["batch"]
@@ -126,7 +122,6 @@ def test_preemption(benchmark):
                 f"{report.slo_attainment:.0%}",
                 report.preemptions,
                 f"{report.ticks:.0f}",
-                f"{wall * 1e3:.0f}ms",
                 "yes" if responses == base_responses else "NO",
             ]
         )
@@ -135,14 +130,14 @@ def test_preemption(benchmark):
         format_table(
             [
                 "policy", "inter p99", "inter SLO", "batch p99",
-                "SLO all", "parks", "ticks", "wall", "identical",
+                "SLO all", "parks", "ticks", "identical",
             ],
             rows,
         ),
     )
 
-    _, base, _ = grid["no-preemption"]
-    frontend, pre, _ = grid["slo-preemption"]
+    _, base = grid["no-preemption"]
+    frontend, pre = grid["slo-preemption"]
     base_inter = base.per_class()["interactive"]
     pre_inter = pre.per_class()["interactive"]
 

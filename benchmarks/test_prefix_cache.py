@@ -27,8 +27,6 @@ leader row across a co-admitted group — cannot change outputs).
 
 from __future__ import annotations
 
-import time
-
 from _common import format_table, trained_substrate, write_result
 
 import numpy as np
@@ -121,13 +119,9 @@ def test_prefix_cache(benchmark):
     def sweep():
         grid = {}
         for label, config in configs.items():
-            started = time.perf_counter()
             pool = _pool(target, drafter, **config)
             report = pool.run(_trace(vocab_size))
-            grid[label] = {
-                "report": report,
-                "wall": time.perf_counter() - started,
-            }
+            grid[label] = {"report": report}
         return grid
 
     grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -147,7 +141,6 @@ def test_prefix_cache(benchmark):
                 ),
                 f"{report.p99_latency:.2f}",
                 f"{report.ticks:.0f}",
-                f"{run['wall'] * 1e3:.0f}ms",
             ]
         )
     fifo = grid["fifo"]["report"]
@@ -156,7 +149,7 @@ def test_prefix_cache(benchmark):
         [
             "amortisation",
             f"{fifo.prefill_launches / max(full.prefill_launches, 1):.1f}x",
-            "", "", "", "", "", "",
+            "", "", "", "", "",
         ]
     )
     write_result(
@@ -164,7 +157,7 @@ def test_prefix_cache(benchmark):
         format_table(
             [
                 "stack", "prefill", "saved", "hit rate",
-                "per-worker hits", "p99", "ticks", "wall",
+                "per-worker hits", "p99", "ticks",
             ],
             rows,
         ),

@@ -24,113 +24,83 @@ Quickstart::
         strategy=SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8),
     )
     print(out.metrics.mean_accept_length)
+
+The names below are resolved on first access, so importing one
+sub-package (``import repro.rl``) loads that package and what it
+depends on, not the whole stack.
 """
 
-from repro.drafter import (
-    DrafterTrainer,
-    DrafterTrainingConfig,
-    EagleDrafter,
-    EagleDrafterConfig,
-    NgramDrafter,
-    NgramDrafterConfig,
-    TrainingStrategy,
-)
-from repro.llm import TinyLM, TinyLMConfig, Vocabulary, generate
-from repro.rl import (
-    AdaptiveSpeculativeRollout,
-    ColocatedLoop,
-    RlConfig,
-    RlTrainer,
-    ServingRolloutBackend,
-    SpeculativeRollout,
-    VanillaRollout,
-)
-from repro.autoscale import (
-    Autoscaler,
-    HysteresisPolicy,
-    PressureSnapshot,
-    ScaleDecision,
-    ScaleEvent,
-    ScalingPolicy,
-    SignalAggregator,
-)
-from repro.cache import KVCacheManager, PrefixIndex
-from repro.fleet import (
-    ConsistentHashRing,
-    FleetEngine,
-    FleetLeastLoaded,
-    FleetReport,
-    FleetRoundRobin,
-    PrefixHashRouting,
-    ReplicaState,
-    RoutingPolicy,
-    StaticRouting,
-)
-from repro.serving import (
-    RequestIdAllocator,
-    ServingEngine,
-    ServingRequest,
-    SloClass,
-    poisson_trace,
-)
-from repro.specdec import (
-    FifoAdmission,
-    PrefixAwareAdmission,
-    SdStrategy,
-    default_strategy_pool,
-    speculative_generate,
-)
-from repro.tuner import BegMabSelector
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TinyLM",
-    "TinyLMConfig",
-    "Vocabulary",
-    "generate",
-    "EagleDrafter",
-    "EagleDrafterConfig",
-    "NgramDrafter",
-    "NgramDrafterConfig",
-    "DrafterTrainer",
-    "DrafterTrainingConfig",
-    "TrainingStrategy",
-    "SdStrategy",
-    "default_strategy_pool",
-    "speculative_generate",
-    "BegMabSelector",
-    "RlTrainer",
-    "RlConfig",
-    "VanillaRollout",
-    "SpeculativeRollout",
-    "AdaptiveSpeculativeRollout",
-    "ServingRolloutBackend",
-    "ColocatedLoop",
-    "ServingEngine",
-    "ServingRequest",
-    "SloClass",
-    "RequestIdAllocator",
-    "poisson_trace",
-    "KVCacheManager",
-    "PrefixIndex",
-    "FleetEngine",
-    "FleetReport",
-    "RoutingPolicy",
-    "FleetRoundRobin",
-    "FleetLeastLoaded",
-    "Autoscaler",
-    "HysteresisPolicy",
-    "PressureSnapshot",
-    "ScaleDecision",
-    "ScaleEvent",
-    "ScalingPolicy",
-    "SignalAggregator",
-    "PrefixHashRouting",
-    "StaticRouting",
-    "ConsistentHashRing",
-    "ReplicaState",
-    "FifoAdmission",
-    "PrefixAwareAdmission",
-    "__version__",
-]
+#: Public name -> sub-package that defines it.
+_EXPORTS = {
+    "repro.llm": ("TinyLM", "TinyLMConfig", "Vocabulary", "generate"),
+    "repro.drafter": (
+        "EagleDrafter",
+        "EagleDrafterConfig",
+        "NgramDrafter",
+        "NgramDrafterConfig",
+        "DrafterTrainer",
+        "DrafterTrainingConfig",
+        "TrainingStrategy",
+    ),
+    "repro.specdec": (
+        "SdStrategy",
+        "default_strategy_pool",
+        "speculative_generate",
+        "FifoAdmission",
+        "PrefixAwareAdmission",
+    ),
+    "repro.tuner": ("BegMabSelector",),
+    "repro.rl": (
+        "RlTrainer",
+        "RlConfig",
+        "VanillaRollout",
+        "SpeculativeRollout",
+    ),
+    "repro.longtail": ("ColocatedLoop",),
+    "repro.serving": (
+        "ServingEngine",
+        "ServingRequest",
+        "SloClass",
+        "RequestIdAllocator",
+        "poisson_trace",
+    ),
+    "repro.cache": ("KVCacheManager", "PrefixIndex"),
+    "repro.fleet": (
+        "FleetEngine",
+        "FleetReport",
+        "RoutingPolicy",
+        "FleetRoundRobin",
+        "FleetLeastLoaded",
+        "PrefixHashRouting",
+        "StaticRouting",
+        "ConsistentHashRing",
+        "ReplicaState",
+    ),
+    "repro.autoscale": (
+        "Autoscaler",
+        "HysteresisPolicy",
+        "PressureSnapshot",
+        "ScaleDecision",
+        "ScaleEvent",
+        "ScalingPolicy",
+        "SignalAggregator",
+    ),
+}
+_HOME = {
+    name: package for package, names in _EXPORTS.items() for name in names
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    package = _HOME.get(name)
+    if package is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(package), name)
+    globals()[name] = value
+    return value

@@ -56,10 +56,6 @@ def common_prefix_len(a: Sequence[int], b: Sequence[int]) -> int:
     return bound
 
 
-#: Internal alias (the index predates the public name).
-_common_len = common_prefix_len
-
-
 class PrefixIndex:
     """Path-compressed radix tree of token sequences.
 
@@ -95,7 +91,7 @@ class PrefixIndex:
                 node.children[key[position]] = leaf
                 self._count += 1
                 return True
-            shared = _common_len(child.edge, key[position:])
+            shared = common_prefix_len(child.edge, key[position:])
             if shared < len(child.edge):
                 # Split the edge at the divergence (or at key end).
                 stub = _Node(child.edge[:shared])
@@ -128,7 +124,7 @@ class PrefixIndex:
             child = node.children.get(key[position])
             if child is None:
                 return False
-            shared = _common_len(child.edge, key[position:])
+            shared = common_prefix_len(child.edge, key[position:])
             if shared < len(child.edge):
                 return False
             path.append((node, key[position]))
@@ -179,7 +175,7 @@ class PrefixIndex:
             child = node.children.get(key[position])
             if child is None:
                 return position
-            shared = _common_len(child.edge, key[position:])
+            shared = common_prefix_len(child.edge, key[position:])
             position += shared
             if shared < len(child.edge):
                 return position
@@ -205,7 +201,7 @@ class PrefixIndex:
             child = node.children.get(key[position])
             if child is None:
                 return best
-            shared = _common_len(child.edge, key[position:])
+            shared = common_prefix_len(child.edge, key[position:])
             if shared < len(child.edge):
                 return best
             position += shared
@@ -237,7 +233,7 @@ class PrefixIndex:
             child = node.children.get(key[position])
             if child is None:
                 return None
-            shared = _common_len(child.edge, key[position:])
+            shared = common_prefix_len(child.edge, key[position:])
             if shared < len(child.edge):
                 return None
             position += shared

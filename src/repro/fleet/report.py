@@ -71,14 +71,9 @@ class FleetReport:
         the single-pool layer uses — one implementation to trust.
         """
         records: List[RequestRecord] = []
-        class_slot_cycles: Dict[str, int] = {}
         capacity: Optional[int] = 0
         for report in self.replica_reports:
             records.extend(report.records)
-            for name, cycles in report.class_slot_cycles.items():
-                class_slot_cycles[name] = (
-                    class_slot_cycles.get(name, 0) + cycles
-                )
             if capacity is not None:
                 if report.pool_slot_capacity is None:
                     capacity = None
@@ -93,7 +88,7 @@ class FleetReport:
             worker_target_steps=self._concat("worker_target_steps"),
             stolen=sum(r.stolen for r in self.replica_reports),
             policy=self.policy,
-            class_slot_cycles=class_slot_cycles,
+            class_slot_cycles=self._sum_dicts("class_slot_cycles"),
             pool_slot_capacity=capacity,
             worker_prefix_hits=self._concat("worker_prefix_hits"),
             worker_prefix_misses=self._concat("worker_prefix_misses"),
@@ -119,7 +114,16 @@ class FleetReport:
             worker_cache_cold_evictions=self._concat(
                 "worker_cache_cold_evictions"
             ),
+            segment_accepted=self._sum_dicts("segment_accepted"),
+            segment_drafted=self._sum_dicts("segment_drafted"),
         )
+
+    def _sum_dicts(self, attribute: str) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for report in self.replica_reports:
+            for key, count in getattr(report, attribute).items():
+                out[key] = out.get(key, 0) + count
+        return out
 
     def _concat(self, attribute: str) -> List[int]:
         out: List[int] = []

@@ -1,11 +1,20 @@
 """Distribution-aware rollout scheduling over the shared serving pool.
 
-:class:`~repro.rl.serving_backend.ServingRolloutBackend` submits a GRPO
-rollout batch whole: every member arrives at once, workers admit in
-FIFO order, and the batch's makespan is set by whichever straggler was
-admitted *last* — the worst case the paper's long-tail analysis warns
-about.  :class:`RolloutScheduler` closes the gap with two moves the
-long-tail papers argue for (DARTS; "Beat the Long-Tail"):
+:class:`RolloutScheduler` is the one way a GRPO rollout batch reaches a
+:class:`~repro.serving.frontend.ServingEngine`: prompts become seeded,
+group-tagged BATCH-class requests on the *same* workers that serve
+online traffic, the pool is ticked until they resolve, and the batch
+comes back group-complete.  It is a
+:class:`~repro.rl.rollout_backends.RolloutBackend`
+(``RlTrainer(backend=RolloutScheduler(pool))``), and the same object
+splits into :meth:`~RolloutScheduler.submit_batch` /
+:meth:`~RolloutScheduler.collect` for callers that pipeline batches.
+
+Submitted whole (:attr:`SchedulerMode.FIFO`), every member arrives at
+once, workers admit in FIFO order, and the batch's makespan is set by
+whichever straggler was admitted *last* — the worst case the paper's
+long-tail analysis warns about.  The default mode closes the gap with
+two moves the long-tail papers argue for (DARTS; "Beat the Long-Tail"):
 
 * **tail-first admission** — GRPO groups are decomposed and members
   staged longest-predicted-first (the :class:`~repro.longtail.
@@ -27,22 +36,36 @@ reorder *work*, never randomness.  A FIFO run and a tail-first
 pipelined run of the same batches produce byte-identical per-request
 outputs; only the makespan moves.  (:class:`SchedulerMode` exists so
 the FIFO baseline runs through the *same* code path — same seed draws,
-same id allocation — making that comparison airtight.)
+same id allocation — making that comparison airtight.)  The same
+streams make co-location safe: a rollout's committed tokens do not
+depend on which worker it lands on, what interactive neighbours it
+batches with, or how often :class:`~repro.serving.dispatch.
+SloPreemption` parks it, so under a static strategy co-located rollouts
+are byte-identical to a dedicated-pool run.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from collections import deque
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 import numpy as np
 
 from repro.errors import ConfigError, SchedulingError, ServingError
 from repro.llm.vocab import BOS_ID, EOS_ID
 from repro.longtail.predictor import LengthPredictor
-from repro.rl.rollout_backends import RolloutResult
-from repro.rl.serving_backend import group_tags
+from repro.rl.rollout_backends import RolloutBackend, RolloutResult
 from repro.serving.frontend import ServingEngine
 from repro.serving.request import (
     BATCH,
@@ -56,44 +79,51 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.rl.trainer import RlStepReport, RlTrainer
 
 
+def group_tags(
+    prompts: Sequence[Sequence[int]],
+    group_size: Optional[int] = None,
+) -> List[int]:
+    """Group indices for a GRPO-expanded prompt list.
+
+    GRPO expands each distinct prompt ``group_size`` times in
+    group-major order (:meth:`~repro.workload.prompts.PromptBatch.
+    expanded`).  When ``group_size`` is given the tags are exact chunk
+    ordinals; when omitted, runs of identical consecutive prompts are
+    taken as the groups — correct unless two *adjacent* groups sampled
+    the same prompt, in which case they merge (pass the real shape
+    when you have it).
+    """
+    if group_size is not None:
+        if group_size < 1:
+            raise ConfigError(
+                f"group_size must be >= 1, got {group_size}"
+            )
+        if len(prompts) % group_size != 0:
+            raise ConfigError(
+                f"{len(prompts)} prompts do not split into groups "
+                f"of {group_size}"
+            )
+        return [index // group_size for index in range(len(prompts))]
+    tags: List[int] = []
+    tag = 0
+    for index, prompt in enumerate(prompts):
+        if index > 0 and list(prompt) != list(prompts[index - 1]):
+            tag += 1
+        tags.append(tag)
+    return tags
+
+
 class SchedulerMode(enum.Enum):
     """How staged rollout requests reach the pool.
 
-    FIFO is the whole-group baseline (everything submitted at once, no
-    reorder, no cross-batch overlap — byte-for-byte the behaviour of
-    :class:`~repro.rl.serving_backend.ServingRolloutBackend`);
-    TAIL_FIRST stages members longest-predicted-first and releases
-    batch k+1 into capacity batch k's stragglers free up.
+    FIFO is the whole-group baseline (everything submitted at once in
+    prompt order, no reorder, no cross-batch overlap); TAIL_FIRST
+    stages members longest-predicted-first and releases batch k+1 into
+    capacity batch k's stragglers free up.
     """
 
     FIFO = "fifo"
     TAIL_FIRST = "tail-first"
-
-
-@dataclass
-class _StagedRequest:
-    """One rollout member staged for release.
-
-    ``order`` is the member's index in its batch's original prompt
-    order (result assembly key); ``predicted`` the predictor's length
-    estimate the tail-first sort runs on.
-    """
-
-    request: ServingRequest
-    batch_id: int
-    order: int
-    predicted: int
-
-
-@dataclass
-class _Batch:
-    """Book-keeping for one submitted rollout batch."""
-
-    batch_id: int
-    prompts: List[List[int]]  # client token space (no BOS)
-    request_ids: List[int]  # in original prompt order
-    max_new_tokens: int
-    collected: bool = False
 
 
 @dataclass
@@ -129,14 +159,34 @@ class SchedulerStats:
         }
 
 
-class RolloutScheduler:
+class RolloutScheduler(RolloutBackend):
     """Tail-first, pipelined admission of GRPO rollouts to a pool.
+
+    The one rollout path onto a shared pool: :meth:`generate` makes it
+    the trainer's :class:`~repro.rl.rollout_backends.RolloutBackend`,
+    :meth:`submit_batch` / :meth:`pump` / :meth:`collect` are the same
+    path split open for pipelined callers.
+
+    A note on launch accounting: a result's ``target_steps`` (also
+    ``stats["pool_target_steps"]``) is the POOL-WIDE launch delta over
+    the collect window — decode cycles spent on interactive neighbours
+    or on another batch's stragglers are included, because they
+    genuinely share the batched forwards the rollouts ride.  It is what
+    the pool spent while the batch was in flight, not a per-request
+    attribution; do not compare it 1:1 against
+    :class:`~repro.rl.rollout_backends.SpeculativeRollout`, whose
+    private engine serves rollouts alone.  The prefill counters in
+    ``stats`` have the same provenance.
 
     Args:
         engine: the shared serving pool (the same object online traffic
             rides; rollouts enter as ``slo``-class requests through the
             standard submit path, so the urgent lane and preemption
-            policy apply to them unchanged).
+            policy apply to them unchanged).  Its target model must be
+            the *same object* as the policy the trainer mutates, so RL
+            updates reach every worker without weight shipping, and its
+            temperature must match the trainer's rollout temperature
+            (both are validated per batch).
         predictor: response-length estimator staged members are ranked
             by; a fresh default-configured one is built when omitted.
             The scheduler feeds every collected batch's observed
@@ -146,12 +196,15 @@ class RolloutScheduler:
         slo: SLO class rollout requests carry (BATCH — preemptible
             background traffic).
         group_size: GRPO group size for exact group tagging; inferred
-            from identical consecutive prompts when omitted.
+            from identical consecutive prompts when omitted (see
+            :func:`group_tags`).
         segment_of: optional prompt -> segment labeller; tagged
             requests get per-segment acceptance counters and
             segment-affinity dispatch (the drafter-zoo hooks).
         max_ticks: safety bound on pool ticks per collect.
     """
+
+    name = "serving-pool"
 
     def __init__(
         self,
@@ -186,9 +239,30 @@ class RolloutScheduler:
         self.segment_of = segment_of
         self.max_ticks = max_ticks
         self.stats = SchedulerStats()
-        self._staged: List[_StagedRequest] = []
-        self._batches: Dict[int, _Batch] = {}
+        #: (batch id, request) pairs held back, in release order.
+        self._staged: Deque[Tuple[int, ServingRequest]] = deque()
+        #: Uncollected batches: id -> request ids in prompt order.
+        #: Ids only grow, so iteration order is submission order and an
+        #: id below ``_next_batch_id`` that is absent was collected.
+        self._batches: Dict[int, List[int]] = {}
         self._next_batch_id = 0
+
+    # -- the trainer's backend ----------------------------------------------
+
+    def generate(
+        self,
+        policy: "TinyLM",
+        prompts: Sequence[Sequence[int]],
+        max_new_tokens: int,
+        temperature: float,
+        rng: np.random.Generator,
+    ) -> RolloutResult:
+        """One rollout batch through the pool, start to finish."""
+        return self.collect(
+            self.submit_batch(
+                policy, prompts, max_new_tokens, temperature, rng
+            )
+        )
 
     # -- submission --------------------------------------------------------
 
@@ -203,12 +277,10 @@ class RolloutScheduler:
         """Stage one GRPO rollout batch; returns its batch id.
 
         Seeds are drawn from ``rng`` in **prompt order** before any
-        staging decision — exactly the draw
-        :class:`~repro.rl.serving_backend.ServingRolloutBackend` makes
-        — so the scheduler's reordering cannot touch any request's
-        random stream, and a caller alternating ``sample_prompts`` /
-        ``submit_batch`` consumes the trainer RNG in the same order as
-        the in-line loop.
+        staging decision, so the scheduler's reordering cannot touch
+        any request's random stream, and a caller alternating
+        ``sample_prompts`` / ``submit_batch`` consumes the trainer RNG
+        in the same order as the in-line loop.
 
         In FIFO mode the whole batch is submitted to the pool
         immediately (whole-group baseline); in TAIL_FIRST mode members
@@ -223,8 +295,8 @@ class RolloutScheduler:
         if served.target is not policy:
             raise ConfigError(
                 "the serving pool must serve the policy being trained "
-                "(same object); build the pool over the trainer's "
-                "policy"
+                "(same object), so in-place RL updates reach every "
+                "worker; build the pool over the trainer's policy"
             )
         if served.temperature != temperature:
             raise ConfigError(
@@ -240,52 +312,43 @@ class RolloutScheduler:
         tags = group_tags(prompts, self.group_size)
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        prompt_lists = [[int(t) for t in p] for p in prompts]
-        staged: List[_StagedRequest] = []
-        for order, (prompt, seed, request_id, tag) in enumerate(
-            zip(prompt_lists, seeds, ids, tags)
+        requests: List[ServingRequest] = []
+        for prompt, seed, request_id, tag in zip(
+            prompts, seeds, ids, tags
         ):
-            predicted = self.predictor.predict(
-                prompt, cap=max_new_tokens
-            )
-            staged.append(
-                _StagedRequest(
-                    request=ServingRequest(
-                        request_id=request_id,
-                        prompt=prompt,
-                        max_new_tokens=max_new_tokens,
-                        arrival_time=self.engine.clock.now,
-                        slo=self.slo,
-                        predicted_length=predicted,
-                        seed=int(seed),
-                        group=ids.start + tag,
-                        segment=(
-                            self.segment_of(prompt)
-                            if self.segment_of is not None
-                            else None
-                        ),
+            prompt = [int(t) for t in prompt]
+            requests.append(
+                ServingRequest(
+                    request_id=request_id,
+                    prompt=prompt,
+                    max_new_tokens=max_new_tokens,
+                    arrival_time=self.engine.clock.now,
+                    slo=self.slo,
+                    predicted_length=self.predictor.predict(
+                        prompt, cap=max_new_tokens
                     ),
-                    batch_id=batch_id,
-                    order=order,
-                    predicted=predicted,
+                    seed=int(seed),
+                    group=ids.start + tag,
+                    segment=(
+                        self.segment_of(prompt)
+                        if self.segment_of is not None
+                        else None
+                    ),
                 )
             )
-        self._batches[batch_id] = _Batch(
-            batch_id=batch_id,
-            prompts=prompt_lists,
-            request_ids=list(ids),
-            max_new_tokens=max_new_tokens,
-        )
+        self._batches[batch_id] = list(ids)
         self.stats.batches_submitted += 1
         if self.mode is SchedulerMode.FIFO:
             # Whole-group baseline: everything arrives at once, in
-            # prompt order, exactly like ServingRolloutBackend.
-            for item in staged:
-                self._release(item)
+            # prompt order.
+            for request in requests:
+                self._release(batch_id, request)
         else:
             # Tail first: stragglers claim slots before short members.
-            staged.sort(key=lambda s: (-s.predicted, s.request.request_id))
-            self._staged.extend(staged)
+            requests.sort(
+                key=lambda r: (-r.predicted_length, r.request_id)
+            )
+            self._staged.extend((batch_id, r) for r in requests)
             self.pump()
         return batch_id
 
@@ -310,19 +373,17 @@ class RolloutScheduler:
         )
         released = 0
         while self._staged and released < headroom:
-            self._release(self._staged.pop(0))
+            self._release(*self._staged.popleft())
             released += 1
         return released
 
-    def _release(self, item: _StagedRequest) -> None:
+    def _release(self, batch_id: int, request: ServingRequest) -> None:
         """Submit one staged request to the pool, arriving now."""
-        item.request.arrival_time = self.engine.clock.now
-        self.engine.submit(item.request)
+        request.arrival_time = self.engine.clock.now
+        self.engine.submit(request)
         self.stats.requests_released += 1
-        if any(
-            batch.batch_id < item.batch_id and not batch.collected
-            for batch in self._batches.values()
-        ):
+        # The oldest uncollected batch is the dict's first key.
+        if next(iter(self._batches)) < batch_id:
             self.stats.pipelined_releases += 1
 
     # -- delivery ----------------------------------------------------------
@@ -331,29 +392,25 @@ class RolloutScheduler:
         """Tick the pool until ``batch_id`` is complete; deliver it.
 
         Group-complete delivery in original prompt order — the trainer
-        sees exactly what the FIFO backend would have handed it (byte-
-        identical responses; only the makespan moved).  Observed
+        sees the same responses under either :class:`SchedulerMode`
+        (byte-identical; only the makespan moves), and a member that
+        was cancelled or expired mid-batch fails the whole batch loudly
+        instead of silently corrupting the GRPO group.  Observed
         response lengths are fed back to the predictor before
-        returning, so the next batch's staging uses them.
+        returning, so the next batch's staging uses them, and the
+        batch's book-keeping is dropped.
         """
-        batch = self._batches.get(batch_id)
-        if batch is None:
-            raise SchedulingError(f"unknown batch id {batch_id}")
-        if batch.collected:
+        if batch_id not in self._batches:
             raise SchedulingError(
                 f"batch {batch_id} was already collected"
+                if 0 <= batch_id < self._next_batch_id
+                else f"unknown batch id {batch_id}"
             )
+        request_ids = self._batches[batch_id]
         engine = self.engine
-        steps_before = sum(
-            w.engine.target_steps for w in engine.workers
-        )
+        launches_before = self._pool_launches()
         ticks = 0
-        while any(
-            # Staged-first: an unreleased member has no pool record yet.
-            i in self._staged_ids()
-            or engine.records[i].state not in RESOLVED_STATES
-            for i in batch.request_ids
-        ):
+        while not self._resolved(batch_id):
             if ticks >= self.max_ticks:
                 raise ServingError(
                     f"rollout batch {batch_id} did not drain within "
@@ -363,10 +420,10 @@ class RolloutScheduler:
             engine.tick()
             ticks += 1
         self.stats.collect_ticks += ticks
-        batch.collected = True
+        del self._batches[batch_id]
         self.stats.batches_collected += 1
 
-        records = [engine.records[i] for i in batch.request_ids]
+        records = [engine.records[i] for i in request_ids]
         dead = [
             r.request.request_id for r in records if not r.finished
         ]
@@ -377,11 +434,11 @@ class RolloutScheduler:
             )
         responses = [list(r.response) for r in records]
         self.predictor.observe_batch(
-            batch.prompts, [max(1, len(r)) for r in responses]
+            [r.request.prompt for r in records],
+            [max(1, len(r)) for r in responses],
         )
-        pool_steps = (
-            sum(w.engine.target_steps for w in engine.workers)
-            - steps_before
+        pool_steps, prefills, prefills_saved = (
+            int(n) for n in self._pool_launches() - launches_before
         )
         return RolloutResult(
             prompts=[
@@ -390,39 +447,62 @@ class RolloutScheduler:
                 for r in records
             ],
             responses=responses,
+            # EOS is only ever committed as the final token, so the
+            # tail token is exactly the engine's slot.done flag.
             finished=[
                 bool(r) and r[-1] == EOS_ID for r in responses
             ],
             target_steps=pool_steps,
             stats={
                 "pool_target_steps": float(pool_steps),
-                "collect_ticks": float(ticks),
+                "pool_ticks": float(ticks),
                 "preemptions": float(
                     sum(r.preemptions for r in records)
                 ),
+                "stolen": float(sum(r.stolen for r in records)),
                 "rollout_tokens": float(
                     sum(len(r) for r in responses)
                 ),
+                # Grouped rollouts share prompts by construction, so
+                # with a prefix cache + prefix-aware admission most of
+                # a group's prefill launches show up as saved.
+                "prefill_launches": float(prefills),
+                "prefill_launches_saved": float(prefills_saved),
                 "pipelined_releases": float(
                     self.stats.pipelined_releases
                 ),
             },
         )
 
-    def _staged_ids(self) -> frozenset:
-        """Request ids still held back by the scheduler."""
-        return frozenset(
-            item.request.request_id for item in self._staged
+    def _pool_launches(self) -> np.ndarray:
+        """Pool-wide (target, prefill, prefill-saved) launch counters."""
+        return np.sum(
+            [
+                (
+                    w.engine.target_steps,
+                    w.engine.prefill_launches,
+                    w.engine.prefill_launches_saved,
+                )
+                for w in self.engine.workers
+            ],
+            axis=0,
+        )
+
+    def _resolved(self, batch_id: int) -> bool:
+        """True once every member has left the scheduler and the pool."""
+        # Staged first: an unreleased member has no pool record yet.
+        if any(staged_id == batch_id for staged_id, _ in self._staged):
+            return False
+        records = self.engine.records
+        return all(
+            records[i].state in RESOLVED_STATES
+            for i in self._batches[batch_id]
         )
 
     @property
     def pending_batches(self) -> List[int]:
         """Uncollected batch ids in submission order."""
-        return sorted(
-            batch_id
-            for batch_id, batch in self._batches.items()
-            if not batch.collected
-        )
+        return list(self._batches)
 
 
 def run_pipelined_steps(

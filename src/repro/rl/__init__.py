@@ -9,10 +9,11 @@ policy-gradient updates:
 * :mod:`repro.rl.kl` — the k1/k2/k3 KL estimators (Schulman);
 * :mod:`repro.rl.algorithms` — GRPO / RLOO / REINFORCE / REINFORCE++ /
   DAPO advantage estimators;
-* :mod:`repro.rl.rollout_backends` — vanilla vs speculative rollout (the
-  seam where TLT plugs in losslessly);
-* :mod:`repro.rl.serving_backend` — rollouts as BATCH-class traffic on
-  the shared online serving pool (the closed serving ↔ RL loop);
+* :mod:`repro.rl.rollout_backends` — the :class:`RolloutBackend` seam
+  where TLT plugs in losslessly: vanilla vs speculative rollout on a
+  private engine (rollouts on a shared serving pool implement the same
+  seam one layer up, :class:`repro.longtail.RolloutScheduler`; this
+  package imports nothing from ``repro.serving`` or ``repro.longtail``);
 * :mod:`repro.rl.trainer` — the end-to-end RL training loop.
 """
 
@@ -26,18 +27,10 @@ from repro.rl.algorithms import (
 )
 from repro.rl.kl import kl_estimate, kl_grad_coef
 from repro.rl.rollout_backends import (
-    AdaptiveSpeculativeRollout,
-    DraftedRolloutBackend,
     RolloutBackend,
     RolloutResult,
     SpeculativeRollout,
     VanillaRollout,
-    result_from_slots,
-)
-from repro.rl.serving_backend import (
-    ColocatedLoop,
-    ServingRolloutBackend,
-    group_tags,
 )
 from repro.rl.trainer import RlConfig, RlStepReport, RlTrainer
 
@@ -54,12 +47,6 @@ __all__ = [
     "RolloutResult",
     "VanillaRollout",
     "SpeculativeRollout",
-    "AdaptiveSpeculativeRollout",
-    "DraftedRolloutBackend",
-    "result_from_slots",
-    "ServingRolloutBackend",
-    "ColocatedLoop",
-    "group_tags",
     "RlConfig",
     "RlStepReport",
     "RlTrainer",

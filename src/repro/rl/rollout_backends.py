@@ -1,4 +1,4 @@
-"""Rollout backends: vanilla, speculative, and adaptive-speculative.
+"""Rollout backends: vanilla and speculative (static or adaptive).
 
 The RL trainer is backend-agnostic; swapping :class:`VanillaRollout` for
 :class:`SpeculativeRollout` is the TLT integration point.  Because the SD
@@ -7,14 +7,15 @@ engine is mathematically lossless, both backends sample responses from the
 overlap — while the speculative backend needs far fewer target-model
 forward launches.
 
-All speculative backends run the continuous-batching engine
+:class:`SpeculativeRollout` runs the continuous-batching engine
 (:class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`): sequences
 retire individually and waiting prompts are admitted into freed slots, so
-one target launch serves every live sequence per cycle.
-:class:`AdaptiveSpeculativeRollout` additionally attaches an
-:class:`~repro.rollout.adaptive.AdaptiveSdManager`, whose elastic
-threshold and BEG-MAB selector are driven by the engine's *real*
-per-cycle live-batch sizes and measured accept lengths.
+one target launch serves every live sequence per cycle.  Given an
+:class:`~repro.rollout.adaptive.AdaptiveSdManager` instead of a static
+strategy, the elastic threshold and BEG-MAB selector are driven by the
+engine's *real* per-cycle live-batch sizes and measured accept lengths.
+Rollouts that ride a shared serving pool are the same interface one
+package up: :class:`repro.longtail.RolloutScheduler`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.drafter.base import Drafter
+from repro.errors import ConfigError
 from repro.llm.generation import generate
 from repro.llm.model import TinyLM
 from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine
-from repro.specdec.engine import speculative_generate
 from repro.specdec.strategy import SdStrategy
 
 
@@ -80,51 +81,6 @@ class RolloutBackend(abc.ABC):
         """Generate one batch of responses."""
 
 
-class DraftedRolloutBackend(RolloutBackend):
-    """Shared surface of backends that speculate with a drafter.
-
-    Every speculative backend — per-batch engines here and the serving-
-    pool backend (:class:`~repro.rl.serving_backend.
-    ServingRolloutBackend`) — carries a drafter whose weights the spot
-    trainer refreshes between RL steps; :meth:`swap_drafter` is the
-    common hand-off point for those refreshed weights.
-    """
-
-    drafter: Drafter
-
-    def swap_drafter(self, drafter: Drafter) -> None:
-        """Adopt refreshed drafter weights for subsequent rollouts.
-
-        The RL-side counterpart of the serving pool's rolling hot swap
-        (:meth:`repro.serving.frontend.ServingEngine.swap_drafter`):
-        the spot trainer publishes a snapshot between RL steps
-        (:meth:`repro.spot.trainer.SpotTrainer.snapshot_drafter`) and
-        the next ``generate`` call speculates with it.
-        """
-        self.drafter = drafter
-
-
-def result_from_slots(
-    slots: Sequence,  # Sequence[SequenceSlot]
-    target_steps: int,
-    stats: Dict[str, float],
-) -> RolloutResult:
-    """Assemble a :class:`RolloutResult` from finished engine slots.
-
-    Shared by every backend that drains a continuous-batching engine
-    (directly, or through the serving pool's per-request records): the
-    slots arrive in request order, so prompts/responses line up with
-    the caller's prompt list.
-    """
-    return RolloutResult(
-        prompts=[slot.request.prompt for slot in slots],
-        responses=[slot.response for slot in slots],
-        finished=[slot.done for slot in slots],
-        target_steps=target_steps,
-        stats=stats,
-    )
-
-
 class VanillaRollout(RolloutBackend):
     """Plain autoregressive decoding (the VeRL-style baseline)."""
 
@@ -143,14 +99,31 @@ class VanillaRollout(RolloutBackend):
         )
 
 
-class SpeculativeRollout(DraftedRolloutBackend):
-    """Speculative decoding rollout with a (possibly adapting) drafter.
+class SpeculativeRollout(RolloutBackend):
+    """Speculative-decoding rollout on a private continuous-batching engine.
+
+    One :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine` per
+    rollout batch, configured the engine's own way: a static
+    ``strategy`` every cycle, XOR an adaptive manager (``sd_config`` /
+    ``manager`` — full TLT).  Under a manager the engine reports its
+    live-batch size every cycle: above the elastic activation threshold
+    the batch decodes vanilla (one batched forward per token), below it
+    the manager's BEG-MAB selector picks the strategy and absorbs the
+    cycle's *measured* accept lengths — the algorithmic counterpart of
+    the paper's Figure 14 dynamics.
 
     Args:
         drafter: the draft model (learned or model-free); shared across
             steps so spot training between steps improves later rollouts.
-        strategy: SD configuration.
+        strategy: static SD configuration.
+        sd_config: adaptive-manager configuration (threshold, strategy
+            pool, selector); a manager is built from it when ``manager``
+            is omitted.
+        manager: pre-built manager to reuse (keeps bandit state across
+            rollouts — the non-stationary setting BEG-MAB targets).
         child_mode: tree child expansion mode (``sample`` = lossless).
+        use_tree: tree-based drafting (default) or linear chains.
+        max_batch_size: live-slot capacity of the scheduler.
         feed_ngram: when True, finished responses are fed back into the
             drafter's retrieval database (model-free drafters).
     """
@@ -160,73 +133,7 @@ class SpeculativeRollout(DraftedRolloutBackend):
     def __init__(
         self,
         drafter: Drafter,
-        strategy: SdStrategy,
-        child_mode: str = "sample",
-        feed_ngram: bool = True,
-        max_batch_size: Optional[int] = None,
-    ) -> None:
-        self.drafter = drafter
-        self.strategy = strategy
-        self.child_mode = child_mode
-        self.feed_ngram = feed_ngram
-        self.max_batch_size = max_batch_size
-
-    def generate(self, policy, prompts, max_new_tokens, temperature, rng):
-        out = speculative_generate(
-            policy,
-            self.drafter,
-            prompts,
-            max_new_tokens,
-            temperature,
-            rng,
-            strategy=self.strategy,
-            child_mode=self.child_mode,  # type: ignore[arg-type]
-            max_batch_size=self.max_batch_size,
-        )
-        if self.feed_ngram and not self.drafter.trainable:
-            self.drafter.observe_rollouts(out.responses)
-        metrics = out.metrics
-        return RolloutResult(
-            prompts=out.prompts,
-            responses=out.responses,
-            finished=out.finished,
-            target_steps=out.target_steps,
-            stats={
-                "accept_length": metrics.mean_accept_length,
-                "cycles": float(metrics.num_cycles),
-                "draft_efficiency": metrics.draft_efficiency,
-            },
-        )
-
-
-class AdaptiveSpeculativeRollout(DraftedRolloutBackend):
-    """Continuous-batching rollout with elastic adaptive SD (full TLT).
-
-    The engine reports its live-batch size to the manager every cycle:
-    above the elastic activation threshold the batch decodes vanilla (one
-    batched forward per token), below it the manager's BEG-MAB selector
-    picks the strategy and absorbs the cycle's *measured* accept lengths
-    — the algorithmic counterpart of the paper's Figure 14 dynamics.
-
-    Args:
-        drafter: the draft model (shared across steps so spot training
-            between steps improves later rollouts).
-        sd_config: adaptive-manager configuration (threshold, strategy
-            pool, selector); a default manager is built from it when
-            ``manager`` is omitted.
-        manager: pre-built manager to reuse (keeps bandit state across
-            rollouts — the non-stationary setting BEG-MAB targets).
-        child_mode: tree child expansion mode (``sample`` = lossless).
-        use_tree: tree-based drafting (default) or linear chains.
-        max_batch_size: live-slot capacity of the scheduler.
-        feed_ngram: feed finished responses back into retrieval drafters.
-    """
-
-    name = "adaptive-speculative"
-
-    def __init__(
-        self,
-        drafter: Drafter,
+        strategy: Optional[SdStrategy] = None,
         sd_config: Optional[AdaptiveSdConfig] = None,
         manager: Optional[AdaptiveSdManager] = None,
         child_mode: str = "sample",
@@ -234,44 +141,66 @@ class AdaptiveSpeculativeRollout(DraftedRolloutBackend):
         max_batch_size: Optional[int] = None,
         feed_ngram: bool = True,
     ) -> None:
+        if manager is None and sd_config is not None:
+            manager = AdaptiveSdManager(sd_config)
+        if (strategy is None) == (manager is None):
+            raise ConfigError(
+                "pass exactly one of a static strategy or an adaptive "
+                "sd_config / manager"
+            )
         self.drafter = drafter
-        self.manager = manager or AdaptiveSdManager(
-            sd_config or AdaptiveSdConfig()
-        )
+        self.strategy = strategy
+        self.manager = manager
         self.child_mode = child_mode
         self.use_tree = use_tree
         self.max_batch_size = max_batch_size
         self.feed_ngram = feed_ngram
 
+    def swap_drafter(self, drafter: Drafter) -> None:
+        """Adopt refreshed drafter weights for subsequent rollouts.
+
+        The RL-side counterpart of the serving pool's rolling hot swap
+        (:meth:`repro.serving.frontend.ServingEngine.swap_drafter`):
+        the spot trainer publishes a snapshot between RL steps
+        (:meth:`repro.spot.trainer.SpotTrainer.snapshot_drafter`) and
+        the next ``generate`` call speculates with it.
+        """
+        self.drafter = drafter
+
     def generate(self, policy, prompts, max_new_tokens, temperature, rng):
+        manager = self.manager
         engine = BatchedSpecDecodeEngine(
             policy,
             self.drafter,
-            strategy=None,
-            temperature=temperature,
+            self.strategy,
+            temperature,
             child_mode=self.child_mode,  # type: ignore[arg-type]
             use_tree=self.use_tree,
             max_batch_size=self.max_batch_size,
-            sd_manager=self.manager,
+            sd_manager=manager,
         )
-        activations_before = self.manager.activations
+        activations_before = manager.activations if manager else 0
         result = engine.generate(prompts, max_new_tokens, rng)
         responses = [slot.response for slot in result.slots]
         if self.feed_ngram and not self.drafter.trainable:
             self.drafter.observe_rollouts(responses)
         metrics = result.metrics
-        return result_from_slots(
-            result.slots,
+        stats = {
+            "accept_length": metrics.mean_accept_length,
+            "cycles": float(metrics.num_cycles),
+            "draft_efficiency": metrics.draft_efficiency,
+            "sd_cycles": float(result.sd_cycles),
+            "vanilla_cycles": float(result.vanilla_cycles),
+            "max_live_batch": float(result.max_live_batch),
+        }
+        if manager is not None:
+            stats["sd_activations"] = float(
+                manager.activations - activations_before
+            )
+        return RolloutResult(
+            prompts=[slot.request.prompt for slot in result.slots],
+            responses=responses,
+            finished=[slot.done for slot in result.slots],
             target_steps=result.target_steps,
-            stats={
-                "accept_length": metrics.mean_accept_length,
-                "cycles": float(metrics.num_cycles),
-                "draft_efficiency": metrics.draft_efficiency,
-                "sd_cycles": float(result.sd_cycles),
-                "vanilla_cycles": float(result.vanilla_cycles),
-                "max_live_batch": float(result.max_live_batch),
-                "sd_activations": float(
-                    self.manager.activations - activations_before
-                ),
-            },
+            stats=stats,
         )

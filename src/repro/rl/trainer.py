@@ -153,15 +153,17 @@ class RlTrainer:
     def sample_prompts(self) -> PromptBatch:
         """Draw one step's prompt batch from the trainer's RNG.
 
-        The scheduler seam: an external rollout scheduler
-        (:class:`~repro.longtail.scheduler.RolloutScheduler`) samples
-        the prompts here — consuming the trainer's RNG in exactly the
-        order :meth:`step` would — runs the rollout its own way
-        (tail-first, pipelined across steps), and hands the finished
+        The pipelining seam: a caller that splits the backend's
+        ``generate`` into ``submit_batch`` / ``collect``
+        (:func:`repro.longtail.run_pipelined_steps` over the same
+        ``RolloutScheduler`` that serves as the in-line backend)
+        samples the prompts here — consuming the trainer's RNG in
+        exactly the order :meth:`step` would — keeps batches in flight
+        across steps, and hands each finished
         :class:`~repro.rl.rollout_backends.RolloutResult` back through
         ``step(rollout=..., prompts=...)``.  Because prompt sampling
         and the backend's per-request seed draws are the only RNG
-        consumers in the rollout stage, a scheduler that preserves this
+        consumers in the rollout stage, a caller that preserves this
         call order reproduces the in-line step byte-for-byte.
         """
         config = self.config

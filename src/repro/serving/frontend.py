@@ -108,9 +108,6 @@ from repro.specdec.scheduler import SequenceRequest, SequenceSlot
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode
 
-#: Backwards-compatible alias (the set now lives beside RequestState).
-_RESOLVED_STATES = RESOLVED_STATES
-
 
 class ServingWorker:
     """One decode worker: an incremental engine plus dispatch metadata.
@@ -633,7 +630,7 @@ class ServingEngine:
             True when the request existed and was still cancellable.
         """
         record = self.records.get(request_id)
-        if record is None or record.state in _RESOLVED_STATES:
+        if record is None or record.state in RESOLVED_STATES:
             return False
         if record.state is RequestState.PENDING:
             self._drop_arrival(request_id)
@@ -995,7 +992,7 @@ class ServingEngine:
         if any(w.has_work for w in self.workers):
             return True
         return any(
-            r.state not in _RESOLVED_STATES
+            r.state not in RESOLVED_STATES
             for r in self.records.values()
         )
 
@@ -1157,7 +1154,7 @@ class ServingEngine:
         while self._deadlines and self._deadlines[0][0] <= now:
             _, request_id = heapq.heappop(self._deadlines)
             record = self.records[request_id]
-            if record.state in _RESOLVED_STATES:
+            if record.state in RESOLVED_STATES:
                 continue
             if record.state is RequestState.PENDING:
                 self._drop_arrival(request_id)

@@ -9,11 +9,12 @@ optimizer offloading the paper measures.
 
 Each system carries its rollout policy in two interchangeable forms: the
 roofline-calibrated cluster simulator (:meth:`~RlSystem.simulate_step`)
-and, via :meth:`rollout_backend`, the *algorithmic* continuous-batching
-engine — an :class:`~repro.rl.rollout_backends.AdaptiveSpeculativeRollout`
-built from the same :class:`~repro.rollout.adaptive.AdaptiveSdConfig`, so
-the elastic threshold and strategy pool that shape the simulated timeline
-also drive real batched token generation on the TinyLM substrate.
+and the *algorithmic* continuous-batching engine — serving pools built by
+:meth:`~_AdaptiveSdSystem.serving_frontend` (and the fleet / co-located
+builders on top of it) from the same
+:class:`~repro.rollout.adaptive.AdaptiveSdConfig`, so the elastic
+threshold and strategy pool that shape the simulated timeline also drive
+real batched token generation on the TinyLM substrate.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from repro.fleet.engine import FleetEngine
 from repro.fleet.router import RoutingPolicy
 from repro.hardware.gpus import ModelSpec
 from repro.llm.model import TinyLM
-from repro.rl.rollout_backends import AdaptiveSpeculativeRollout
-from repro.rl.serving_backend import ColocatedLoop, ServingRolloutBackend
+from repro.longtail.colocated import ColocatedLoop
+from repro.longtail.scheduler import RolloutScheduler
 from repro.serving.dispatch import (
     DispatchPolicy,
     PreemptionPolicy,
@@ -66,39 +67,6 @@ class _AdaptiveSdSystem(RlSystem):
     """Shared plumbing for systems whose rollouts use adaptive SD."""
 
     sd_config: AdaptiveSdConfig
-
-    def rollout_backend(
-        self,
-        drafter: Drafter,
-        child_mode: str = "sample",
-        max_batch_size: Optional[int] = None,
-        manager: Optional[AdaptiveSdManager] = None,
-    ) -> AdaptiveSpeculativeRollout:
-        """Algorithmic rollout backend mirroring this system's SD policy.
-
-        The returned backend runs the batched continuous-batching engine
-        under an :class:`~repro.rollout.adaptive.AdaptiveSdManager` built
-        from the same configuration the cluster simulator uses, so the
-        simulated elastic-activation behaviour and the real token-level
-        engine share one source of truth.
-
-        Args:
-            drafter: the draft model to speculate with (the n-gram
-                retrieval drafter for TLT-Base, spot-trained EAGLE for
-                full TLT).
-            child_mode: tree child expansion mode (``sample`` = lossless).
-            max_batch_size: live-slot capacity of the scheduler.
-            manager: reuse an existing manager (keeps bandit state across
-                RL steps); one is built from ``self.sd_config`` when
-                omitted.
-        """
-        return AdaptiveSpeculativeRollout(
-            drafter,
-            sd_config=self.sd_config,
-            manager=manager,
-            child_mode=child_mode,
-            max_batch_size=max_batch_size,
-        )
 
     def serving_frontend(
         self,
@@ -332,32 +300,24 @@ class _AdaptiveSdSystem(RlSystem):
         drafter: Drafter,
         task: "Task",
         rl_config: "RlConfig",
-        num_workers: int = 2,
-        max_batch_size: Optional[int] = 4,
-        strategy: Optional[SdStrategy] = None,
-        child_mode: str = "sample",
-        use_tree: bool = True,
-        dispatch: Optional[DispatchPolicy] = None,
-        preemption: Optional[PreemptionPolicy] = None,
-        work_stealing: bool = True,
-        group_affinity: bool = True,
-        admission: Optional[AdmissionPolicy] = None,
-        kv_cache_tokens: Optional[int] = None,
         spot_trainer: Optional["SpotTrainer"] = None,
         spot_updates_per_round: int = 20,
         rl_rng: Optional[np.random.Generator] = None,
         spot_rng: Optional[np.random.Generator] = None,
+        **pool_kwargs,
     ) -> ColocatedLoop:
         """Wire serving, RL training, and drafter refresh into one loop.
 
         The ROADMAP's north-star scenario: ONE worker pool serves
         online traffic *and* generates the trainer's GRPO rollouts.
-        Rollout groups enter as group-tagged BATCH requests, the
+        Rollout groups enter through a
+        :class:`~repro.longtail.scheduler.RolloutScheduler` as
+        group-tagged BATCH requests, the
         :class:`~repro.serving.dispatch.SloPreemption` policy (the
         default) parks them byte-identically whenever interactive
         arrivals need slots, and — when a spot trainer is attached —
-        each round ends with :meth:`publish_drafter` rolling the
-        refreshed EAGLE weights across the pool with zero downtime.
+        each round ends with the refreshed EAGLE weights rolling across
+        the pool with zero downtime.
 
         Args:
             policy: the model being RL-trained; the pool serves the
@@ -366,78 +326,49 @@ class _AdaptiveSdSystem(RlSystem):
             task: prompt generator + verifier for the RL loop.
             rl_config: RL hyper-parameters (the pool inherits its
                 rollout temperature).
-            num_workers / max_batch_size: pool shape.
-            strategy: static SD configuration; when None, per-worker
-                adaptive managers are built from ``self.sd_config``
-                (elastic SD — rollout outputs then legitimately depend
-                on the live batch, so use a static strategy when you
-                need byte-identity against a dedicated pool).
-            child_mode / use_tree: drafting configuration.
-            dispatch: routing policy (round-robin when omitted).
-            preemption: defaults to :class:`SloPreemption` — the
-                policy that makes co-location safe for interactive
-                latency.
-            work_stealing: rebalance queued requests between cycles.
-            group_affinity: co-locate each GRPO group on one worker
-                (on by default — groups share prompts by construction).
-            admission: pluggable admission policy
-                (:class:`~repro.specdec.control.PrefixAwareAdmission`
-                + ``kv_cache_tokens`` make each co-located GRPO group
-                pay ONE prefill launch instead of one per member).
-            kv_cache_tokens: per-worker prefix-cache capacity in
-                prompt tokens (no cache when omitted).
             spot_trainer: optional spot drafter trainer closing the
                 refresh loop.
             spot_updates_per_round: drafter update budget per round.
             rl_rng / spot_rng: generators for the trainer and the
                 spot-buffer sampling.
+            **pool_kwargs: forwarded to :meth:`serving_frontend`, whose
+                defaults apply except ``max_batch_size=4``,
+                ``group_affinity=True`` (groups share prompts by
+                construction; with ``admission=``
+                :class:`~repro.specdec.control.PrefixAwareAdmission`
+                + ``kv_cache_tokens`` each co-located GRPO group pays
+                ONE prefill launch instead of one per member) and
+                ``preemption=SloPreemption()`` — the policy that makes
+                co-location safe for interactive latency.  Pass a
+                static ``strategy=`` when you need byte-identity
+                against a dedicated pool (elastic SD legitimately
+                depends on the live batch).
 
         Returns:
-            A ready-to-run :class:`~repro.rl.serving_backend.
+            A ready-to-run :class:`~repro.longtail.colocated.
             ColocatedLoop`; submit interactive traffic to its
             ``frontend`` at any point.
         """
         from repro.rl.trainer import RlTrainer
 
-        frontend = self.serving_frontend(
-            policy,
-            drafter,
-            num_workers=num_workers,
-            max_batch_size=max_batch_size,
-            temperature=rl_config.temperature,
-            child_mode=child_mode,
-            use_tree=use_tree,
-            dispatch=dispatch,
-            preemption=(
-                preemption if preemption is not None
-                else SloPreemption()
-            ),
-            work_stealing=work_stealing,
-            group_affinity=group_affinity,
-            strategy=strategy,
-            admission=admission,
-            kv_cache_tokens=kv_cache_tokens,
-        )
-        backend = ServingRolloutBackend(
-            frontend, group_size=rl_config.group_size
-        )
+        pool_kwargs.setdefault("max_batch_size", 4)
+        pool_kwargs.setdefault("group_affinity", True)
+        pool_kwargs.setdefault("preemption", SloPreemption())
+        pool_kwargs.setdefault("temperature", rl_config.temperature)
+        frontend = self.serving_frontend(policy, drafter, **pool_kwargs)
         trainer = RlTrainer(
             policy,
             task,
             rl_config,
-            backend=backend,
+            backend=RolloutScheduler(
+                frontend, group_size=rl_config.group_size
+            ),
             rng=rl_rng,
         )
-        publish = None
-        if spot_trainer is not None:
-            publish = lambda: self.publish_drafter(  # noqa: E731
-                frontend, spot_trainer
-            )
         return ColocatedLoop(
             frontend,
             trainer,
             spot=spot_trainer,
-            publish=publish,
             spot_updates_per_round=spot_updates_per_round,
             spot_rng=spot_rng,
         )

@@ -765,9 +765,12 @@ class TestRolloutBackendSwap:
     def test_adaptive_backend_adopts_published_drafter(
         self, target, trained_drafter, untrained_drafter
     ):
-        from repro.rl import AdaptiveSpeculativeRollout
+        from repro.rl import SpeculativeRollout
+        from repro.rollout import AdaptiveSdConfig
 
-        backend = AdaptiveSpeculativeRollout(untrained_drafter)
+        backend = SpeculativeRollout(
+            untrained_drafter, sd_config=AdaptiveSdConfig()
+        )
         backend.swap_drafter(trained_drafter)
         assert backend.drafter is trained_drafter
         out = backend.generate(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SpecDecodeError
+from repro.longtail import RolloutScheduler, SchedulerMode
 from repro.serving import (
     BATCH,
     INTERACTIVE,
@@ -422,14 +423,15 @@ class TestServingScheduleInvariance:
         assert _responses(preempted) == _responses(base)
         assert all(r.finished for r in preempted.records)
 
+    @pytest.mark.parametrize(
+        "mode", list(SchedulerMode), ids=lambda m: m.value
+    )
     def test_rollout_backend_invariant_to_pool_shape(
-        self, scenario_factory
+        self, scenario_factory, mode
     ):
-        """The serving rollout backend returns byte-identical rollouts
+        """The pool rollout backend returns byte-identical rollouts
         from a 1-worker and a 2-worker pool (the co-location
-        guarantee in miniature)."""
-        from repro.rl import ServingRolloutBackend
-
+        guarantee in miniature), under either scheduler mode."""
         scenario = scenario_factory(16, num_requests=4)
         prompts = [scenario.prompts[0]] * 2 + [scenario.prompts[1]] * 2
 
@@ -440,7 +442,7 @@ class TestServingScheduleInvariance:
                 strategy=scenario.strategy,
                 temperature=scenario.temperature, max_batch_size=1,
             )
-            backend = ServingRolloutBackend(frontend)
+            backend = RolloutScheduler(frontend, mode=mode)
             return backend.generate(
                 scenario.target, prompts, 8,
                 scenario.temperature, np.random.default_rng(3),

@@ -487,6 +487,38 @@ class TestSystemIntegration:
                 assert worker.engine.drafter is published
 
 
+class TestPooledReport:
+    def test_pooled_sums_segment_counters(self, target,
+                                          trained_drafter):
+        """Per-segment acceptance survives the fleet roll-up: pooled
+        counters are the per-replica sums, not silently empty."""
+        trace = _trace()
+        for request in trace:
+            request.segment = (
+                "even" if request.request_id % 2 == 0 else "odd"
+            )
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter) for _ in range(2)],
+            routing=FleetRoundRobin(),
+        )
+        report = fleet.run(trace, max_ticks=5000)
+        pooled = report.pooled()
+        for name in ("segment_accepted", "segment_drafted"):
+            per_replica = [
+                getattr(r, name) for r in report.replica_reports
+            ]
+            assert all(per_replica)  # every replica recorded some
+            assert getattr(pooled, name) == {
+                segment: sum(d.get(segment, 0) for d in per_replica)
+                for segment in ("even", "odd")
+            }
+        assert set(pooled.segment_acceptance) == {"even", "odd"}
+        assert all(
+            0.0 <= rate <= 1.0
+            for rate in pooled.segment_acceptance.values()
+        )
+
+
 class TestMergedEventStream:
     """FleetEngine.subscribe: one fleet-wide stream, replica-tagged."""
 

@@ -6,10 +6,10 @@ Three contracts under test:
   online estimator — family learning, prior/cap fallback, and
   calibration scored strictly before each update (no peeking);
 * the :class:`~repro.longtail.scheduler.RolloutScheduler` only ever
-  reorders *work*: FIFO mode reproduces
-  :class:`~repro.rl.serving_backend.ServingRolloutBackend`
-  byte-for-byte, tail-first pipelined mode reproduces FIFO
-  byte-for-byte, and the trainer seam
+  reorders *work*: ``generate()`` is ``collect(submit_batch())``
+  (ids, responses, RNG streams, ticks), tail-first pipelined mode
+  reproduces FIFO byte-for-byte, its book-keeping does not outlive a
+  collected batch, and the trainer seam
   (:meth:`~repro.rl.trainer.RlTrainer.step` with an injected rollout)
   reproduces the in-line step exactly at ``lookahead=0``;
 * the zoo plumbing — per-worker drafter swaps, per-segment acceptance
@@ -32,14 +32,11 @@ from repro.longtail import (
     SchedulerMode,
     run_pipelined_steps,
 )
-from repro.rl import (
-    RlConfig,
-    RlTrainer,
-    ServingRolloutBackend,
-)
+from repro.rl import RlConfig, RlTrainer
 from repro.serving import (
     SegmentAffinityDispatch,
     ServingEngine,
+    frontend as serving_frontend,
 )
 from repro.serving.metrics import ServingReport
 from repro.serving.request import SloClass
@@ -232,33 +229,106 @@ class TestSchedulerValidation:
             scheduler.collect(batch_id)  # already delivered
 
 
-class TestFifoEquivalence:
-    def test_matches_serving_backend_byte_for_byte(
-        self, scenario_factory
-    ):
-        """FIFO mode is the whole-group baseline: same seeds, same
-        ids, same responses as ServingRolloutBackend."""
+class TestGenerateIsSubmitThenCollect:
+    """The backend call and the split call are one path: on twin pools
+    they allocate the same ids, commit the same tokens, leave every
+    request's private stream in the same state, and take the same
+    number of pool ticks."""
+
+    def _run(self, monkeypatch, scenario, mode, split):
+        streams = {}
+        make_request = serving_frontend.make_serving_request
+
+        def recording(**kwargs):
+            request = make_request(**kwargs)
+            streams[request.request_id] = request.rng
+            return request
+
+        monkeypatch.setattr(
+            serving_frontend, "make_serving_request", recording
+        )
+        engine = _frontend(scenario)
+        scheduler = RolloutScheduler(engine, mode=mode)
+        args = (
+            scenario.target,
+            _grpo_prompts(scenario, groups=3, group_size=2),
+            6,
+            scenario.temperature,
+            np.random.default_rng(9),
+        )
+        if split:
+            result = scheduler.collect(scheduler.submit_batch(*args))
+        else:
+            result = scheduler.generate(*args)
+        return (
+            result,
+            sorted(engine.records),
+            [streams[i].bit_generator.state for i in sorted(streams)],
+            engine.report().ticks,
+        )
+
+    @pytest.mark.parametrize(
+        "mode", list(SchedulerMode), ids=lambda m: m.value
+    )
+    def test_twin_pools(self, scenario_factory, monkeypatch, mode):
         scenario = scenario_factory(73)
-        prompts = _grpo_prompts(scenario, groups=2, group_size=2)
+        whole, whole_ids, whole_streams, whole_ticks = self._run(
+            monkeypatch, scenario, mode, split=False
+        )
+        split, split_ids, split_streams, split_ticks = self._run(
+            monkeypatch, scenario, mode, split=True
+        )
+        assert whole_ids == split_ids == list(range(6))
+        assert whole.responses == split.responses
+        assert whole.prompts == split.prompts
+        assert whole.finished == split.finished
+        assert whole.stats == split.stats
+        assert whole_streams == split_streams
+        assert whole_ticks == split_ticks > 0
 
-        backend = ServingRolloutBackend(_frontend(scenario))
-        reference = backend.generate(
-            scenario.target, prompts, 6, scenario.temperature,
-            np.random.default_rng(9),
+    def test_one_stats_dict(self, scenario_factory):
+        scenario = scenario_factory(73)
+        result = RolloutScheduler(_frontend(scenario)).generate(
+            scenario.target, _grpo_prompts(scenario), 6,
+            scenario.temperature, np.random.default_rng(9),
+        )
+        assert set(result.stats) == {
+            "pool_target_steps", "pool_ticks", "preemptions", "stolen",
+            "rollout_tokens", "prefill_launches",
+            "prefill_launches_saved", "pipelined_releases",
+        }
+        assert result.target_steps == result.stats["pool_target_steps"]
+        assert result.stats["pool_ticks"] > 0
+        assert result.stats["rollout_tokens"] == sum(
+            len(r) for r in result.responses
         )
 
-        scheduler = RolloutScheduler(
-            _frontend(scenario), mode=SchedulerMode.FIFO
-        )
-        batch_id = scheduler.submit_batch(
-            scenario.target, prompts, 6, scenario.temperature,
-            np.random.default_rng(9),
-        )
-        result = scheduler.collect(batch_id)
 
-        assert result.responses == reference.responses
-        assert result.prompts == reference.prompts
-        assert result.finished == reference.finished
+class TestBookkeeping:
+    def test_collected_batches_leave_no_state(self, scenario_factory):
+        """A training run's worth of submit/collect rounds must not
+        accumulate per-batch records (or their prompt lists)."""
+        scenario = scenario_factory(79)
+        scheduler = RolloutScheduler(_frontend(scenario))
+        rng = np.random.default_rng(6)
+        prompts = _grpo_prompts(scenario)
+        for round_ in range(5):
+            batch_id = scheduler.submit_batch(
+                scenario.target, prompts, 4, scenario.temperature, rng
+            )
+            assert batch_id == round_
+            assert scheduler.pending_batches == [batch_id]
+            scheduler.collect(batch_id)
+        assert scheduler.pending_batches == []
+        assert not scheduler._batches and not scheduler._staged
+        assert scheduler.stats.batches_collected == 5
+        # Delivered and never-submitted ids still fail loudly.
+        for batch_id in range(5):
+            with pytest.raises(SchedulingError, match="already"):
+                scheduler.collect(batch_id)
+        for batch_id in (5, -1):
+            with pytest.raises(SchedulingError, match="unknown"):
+                scheduler.collect(batch_id)
 
 
 class TestByteIdentity:
@@ -442,8 +512,11 @@ class TestTrainerSeam:
         with pytest.raises(ConfigError):
             trainer.step(rollout=None, prompts=trainer.sample_prompts())
 
+    @pytest.mark.parametrize(
+        "mode", list(SchedulerMode), ids=lambda m: m.value
+    )
     def test_injected_rollout_matches_inline_step(
-        self, scenario_factory
+        self, scenario_factory, mode
     ):
         """lookahead=0 pipelined stepping IS the in-line loop: same
         prompts, same seeds, same updates, same reports."""
@@ -453,16 +526,14 @@ class TestTrainerSeam:
         view_a = _PoolScenario(scenario, policy_a)
         trainer_a = _trainer(
             scenario, policy_a,
-            backend=ServingRolloutBackend(_frontend(view_a)),
+            backend=RolloutScheduler(_frontend(view_a), mode=mode),
         )
         inline = [trainer_a.step() for _ in range(2)]
 
         policy_b = scenario.target.clone()
         view_b = _PoolScenario(scenario, policy_b)
         trainer_b = _trainer(scenario, policy_b)
-        scheduler = RolloutScheduler(
-            _frontend(view_b), mode=SchedulerMode.FIFO
-        )
+        scheduler = RolloutScheduler(_frontend(view_b), mode=mode)
         piped = run_pipelined_steps(
             trainer_b, scheduler, num_steps=2, lookahead=0
         )

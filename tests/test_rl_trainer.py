@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +21,9 @@ from repro.rl import (
     SpeculativeRollout,
     VanillaRollout,
 )
-from repro.specdec import SdStrategy
+from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
+from repro.specdec import SdStrategy, speculative_generate
+from repro.specdec.batch_engine import BatchedSpecDecodeEngine
 from repro.workload import SuccessorChainTask
 
 
@@ -160,6 +166,66 @@ class TestSpeculativeBackend:
         assert "accept_length" in report.rollout_stats
         assert report.rollout_stats["accept_length"] >= 1.0
 
+    PROMPTS = [[5, 6, 7], [9, 10], [5, 6, 7], [11, 12, 13, 14]]
+    STRATEGY = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
+
+    def _drafter(self, policy):
+        return EagleDrafter(
+            policy, EagleDrafterConfig(), np.random.default_rng(3)
+        )
+
+    def test_static_backend_is_speculative_generate(self):
+        policy = make_policy()
+        drafter = self._drafter(policy)
+        out = SpeculativeRollout(
+            drafter, strategy=self.STRATEGY, max_batch_size=2
+        ).generate(
+            policy, self.PROMPTS, 16, 0.9, np.random.default_rng(21)
+        )
+        reference = speculative_generate(
+            policy, drafter, self.PROMPTS, 16, 0.9,
+            np.random.default_rng(21), self.STRATEGY, max_batch_size=2,
+        )
+        assert out.responses == reference.responses
+        assert out.prompts == reference.prompts
+        assert out.finished == reference.finished
+        assert out.target_steps == reference.target_steps
+
+    def test_adaptive_backend_is_the_managed_engine(self):
+        policy = make_policy()
+        drafter = self._drafter(policy)
+        config = AdaptiveSdConfig(
+            strategies=[self.STRATEGY], activation_threshold=3
+        )
+        out = SpeculativeRollout(
+            drafter, manager=AdaptiveSdManager(config)
+        ).generate(
+            policy, self.PROMPTS, 16, 0.9, np.random.default_rng(22)
+        )
+        reference = BatchedSpecDecodeEngine(
+            policy, drafter, None, 0.9,
+            sd_manager=AdaptiveSdManager(config),
+        ).generate(self.PROMPTS, 16, np.random.default_rng(22))
+        assert out.responses == [s.response for s in reference.slots]
+        assert out.prompts == [s.request.prompt for s in reference.slots]
+        assert out.finished == [s.done for s in reference.slots]
+        assert out.target_steps == reference.target_steps
+        assert out.stats["sd_cycles"] == reference.sd_cycles
+        assert out.stats["vanilla_cycles"] == reference.vanilla_cycles > 0
+
+    def test_exactly_one_of_strategy_or_adaptive(self):
+        drafter = self._drafter(make_policy())
+        config = AdaptiveSdConfig(strategies=[self.STRATEGY])
+        with pytest.raises(ConfigError):
+            SpeculativeRollout(drafter)
+        with pytest.raises(ConfigError):
+            SpeculativeRollout(drafter, self.STRATEGY, sd_config=config)
+        with pytest.raises(ConfigError):
+            SpeculativeRollout(
+                drafter, self.STRATEGY,
+                manager=AdaptiveSdManager(config),
+            )
+
     def test_sd_and_vanilla_learning_curves_similar(self):
         """Figure 12's claim at miniature scale: same-seed prompt streams
         with vanilla vs speculative rollouts learn equally well."""
@@ -188,3 +254,21 @@ class TestSpeculativeBackend:
 
         sd_score = run(sd_backend, seed=11)
         assert abs(sd_score - vanilla_score) < 0.15
+
+
+def test_rl_package_does_not_load_the_serving_stack():
+    """Layering: ``repro.rl`` sits below ``repro.serving`` and
+    ``repro.longtail`` (rollouts on a pool implement RolloutBackend up
+    there), so importing it alone must load neither."""
+    probe = (
+        "import sys, repro.rl; "
+        "print([m for m in sys.modules if m.startswith("
+        "('repro.serving', 'repro.longtail'))])"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,11 @@
-"""Tests for the serving-pool rollout backend and the co-located loop.
+"""Tests for rollouts on the serving pool and the co-located loop.
 
-The tentpole of the closed serving <-> RL integration:
-:class:`~repro.rl.serving_backend.ServingRolloutBackend` round-trips
-GRPO rollout groups through a shared :class:`~repro.serving.frontend.
-ServingEngine` as BATCH-class traffic, and
-:class:`~repro.rl.serving_backend.ColocatedLoop` /
+The closed serving <-> RL integration:
+:class:`~repro.longtail.RolloutScheduler`, as the trainer's rollout
+backend, round-trips GRPO rollout groups through a shared
+:class:`~repro.serving.frontend.ServingEngine` as BATCH-class traffic
+(every backend contract here holds under both scheduler modes), and
+:class:`~repro.longtail.ColocatedLoop` /
 :meth:`~repro.systems.tlt.TltSystem.colocated_system` close the loop
 with spot drafter refresh published pool-wide.
 """
@@ -19,13 +20,13 @@ from repro.drafter import DrafterTrainer, DrafterTrainingConfig
 from repro.errors import ConfigError, ServingError
 from repro.hardware import get_gpu, get_model
 from repro.llm.vocab import BOS_ID, Vocabulary
-from repro.rl import (
+from repro.longtail import (
     ColocatedLoop,
-    RlConfig,
-    RlTrainer,
-    ServingRolloutBackend,
+    RolloutScheduler,
+    SchedulerMode,
     group_tags,
 )
+from repro.rl import RlConfig, RlTrainer
 from repro.serving import (
     BATCH,
     INTERACTIVE,
@@ -45,6 +46,11 @@ def _frontend(scenario, num_workers=2, max_batch_size=2, **kwargs):
         strategy=scenario.strategy, temperature=scenario.temperature,
         max_batch_size=max_batch_size, **kwargs,
     )
+
+
+@pytest.fixture(params=list(SchedulerMode), ids=lambda m: m.value)
+def mode(request):
+    return request.param
 
 
 class TestGroupTags:
@@ -70,9 +76,9 @@ class TestGroupTags:
             group_tags(prompts, group_size=0)
 
 
-class TestServingRolloutBackend:
+class TestSchedulerAsBackend:
     def test_validates_slo_policy_and_temperature(
-        self, scenario_factory
+        self, scenario_factory, mode
     ):
         from repro.serving.request import SloClass
 
@@ -80,10 +86,10 @@ class TestServingRolloutBackend:
         frontend = _frontend(scenario)
         deadlined = SloClass("rollout", 8.0, 96.0, deadline=10.0)
         with pytest.raises(ConfigError):
-            ServingRolloutBackend(frontend, slo=deadlined)
+            RolloutScheduler(frontend, mode=mode, slo=deadlined)
         with pytest.raises(ConfigError):
-            ServingRolloutBackend(frontend, max_ticks=0)
-        backend = ServingRolloutBackend(frontend)
+            RolloutScheduler(frontend, mode=mode, max_ticks=0)
+        backend = RolloutScheduler(frontend, mode=mode)
         other_policy = scenario.target.clone()
         with pytest.raises(ConfigError):
             backend.generate(
@@ -97,11 +103,11 @@ class TestServingRolloutBackend:
             )
 
     def test_rollouts_ride_the_pool_as_batch_class(
-        self, scenario_factory
+        self, scenario_factory, mode
     ):
         scenario = scenario_factory(41)
         frontend = _frontend(scenario)
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=mode)
         prompts = [scenario.prompts[0]] * 2 + [scenario.prompts[1]] * 2
         result = backend.generate(
             scenario.target, prompts, 6, scenario.temperature,
@@ -128,11 +134,11 @@ class TestServingRolloutBackend:
             )
 
     def test_successive_batches_get_fresh_ids_and_groups(
-        self, scenario_factory
+        self, scenario_factory, mode
     ):
         scenario = scenario_factory(42)
         frontend = _frontend(scenario)
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=mode)
         rng = np.random.default_rng(2)
         backend.generate(
             scenario.target, [scenario.prompts[0]] * 2, 4,
@@ -148,7 +154,7 @@ class TestServingRolloutBackend:
         assert groups[0] == groups[1] != groups[2] == groups[3]
 
     def test_interactive_traffic_served_during_rollouts(
-        self, scenario_factory
+        self, scenario_factory, mode
     ):
         """The co-location contract: interactive arrivals preempt
         rollouts mid-generate and finish inside the rollout window."""
@@ -162,7 +168,7 @@ class TestServingRolloutBackend:
         )
         for request in inter:
             frontend.submit(request)
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=mode)
         prompts = [scenario.prompts[0]] * 4 + [scenario.prompts[1]] * 4
         result = backend.generate(
             scenario.target, prompts, 24, scenario.temperature,
@@ -184,12 +190,12 @@ class TestServingRolloutBackend:
         per_class = report.per_class()
         assert per_class["batch"]["utilization"] > 0.0
 
-    def test_cancelled_rollout_fails_loudly(self, scenario_factory):
+    def test_cancelled_rollout_fails_loudly(self, scenario_factory, mode):
         """A rollout killed mid-batch must not silently corrupt the
         GRPO group."""
         scenario = scenario_factory(44)
         frontend = _frontend(scenario, num_workers=1)
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=mode)
 
         # Cancel one rollout as soon as it is submitted, from inside
         # the pool's own event loop (subscriber fires on dispatch).
@@ -209,14 +215,14 @@ class TestServingRolloutBackend:
 
 
 class TestGroupAffinity:
-    def test_groups_land_on_one_worker(self, scenario_factory):
+    def test_groups_land_on_one_worker(self, scenario_factory, mode):
         scenario = scenario_factory(45)
         frontend = _frontend(
             scenario, num_workers=2, max_batch_size=4,
             dispatch=RoundRobinDispatch(), group_affinity=True,
             work_stealing=False,
         )
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=mode)
         prompts = (
             [scenario.prompts[0]] * 3 + [scenario.prompts[1]] * 3
         )
@@ -241,14 +247,14 @@ class TestGroupAffinity:
         assert frontend._group_worker == {}
         assert frontend._group_pending == {}
 
-    def test_affinity_off_stripes_groups(self, scenario_factory):
+    def test_affinity_off_stripes_groups(self, scenario_factory, mode):
         scenario = scenario_factory(45)
         frontend = _frontend(
             scenario, num_workers=2, max_batch_size=4,
             dispatch=RoundRobinDispatch(), group_affinity=False,
             work_stealing=False,
         )
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=mode)
         prompts = (
             [scenario.prompts[0]] * 3 + [scenario.prompts[1]] * 3
         )
@@ -373,7 +379,7 @@ class TestColocatedLoop:
             ColocatedLoop(frontend, trainer)
 
     def test_trainer_learns_through_the_pool(
-        self, scenario_factory, target
+        self, scenario_factory, target, mode
     ):
         """End to end: GRPO improves reward with rollouts generated by
         the shared pool (smoke-level, two steps)."""
@@ -390,7 +396,7 @@ class TestColocatedLoop:
             policy, task,
             RlConfig(num_prompts=3, group_size=2, max_new_tokens=8,
                      temperature=0.9, learning_rate=5e-3),
-            backend=ServingRolloutBackend(frontend),
+            backend=RolloutScheduler(frontend, mode=mode),
             rng=np.random.default_rng(0),
         )
         reports = trainer.run(2)

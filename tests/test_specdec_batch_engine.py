@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SpecDecodeError
-from repro.rl import AdaptiveSpeculativeRollout
+from repro.rl import SpeculativeRollout
 from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
 from repro.specdec import (
     BatchedSpecDecodeEngine,
@@ -273,7 +273,7 @@ class TestAdaptiveIntegration:
     def test_reused_manager_reports_per_rollout_activations(
         self, target, trained_drafter
     ):
-        backend = AdaptiveSpeculativeRollout(
+        backend = SpeculativeRollout(
             trained_drafter,
             sd_config=AdaptiveSdConfig(
                 strategies=[SdStrategy(3, 2, 6)],
@@ -288,7 +288,7 @@ class TestAdaptiveIntegration:
         assert backend.manager.activations == 2
 
     def test_adaptive_backend_stats(self, target, trained_drafter):
-        backend = AdaptiveSpeculativeRollout(
+        backend = SpeculativeRollout(
             trained_drafter,
             sd_config=AdaptiveSdConfig(
                 strategies=[SdStrategy(3, 2, 6)],
