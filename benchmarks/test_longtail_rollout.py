@@ -154,17 +154,16 @@ def _family_rollouts(target, family, count=16, seed=303):
 
 def _segment_deltas(report, previous, segments):
     """Per-segment (accepted, drafted) since the ``previous`` report."""
-    out = {}
-    for segment in segments:
-        out[segment] = (
-            report.segment_accepted.get(segment, 0)
-            - (previous.segment_accepted.get(segment, 0)
-               if previous else 0),
-            report.segment_drafted.get(segment, 0)
-            - (previous.segment_drafted.get(segment, 0)
-               if previous else 0),
+    spent = report.totals
+    if previous:
+        spent = spent - previous.totals
+    return {
+        segment: (
+            spent.segment_accepted.get(segment, 0),
+            spent.segment_drafted.get(segment, 0),
         )
-    return out
+        for segment in segments
+    }
 
 
 def _zoo_round(scheduler, batch, target):

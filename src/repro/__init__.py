@@ -1,8 +1,8 @@
 """TLT: Taming the Long-Tail — ASPLOS 2026 reproduction.
 
 A laptop-scale but complete reproduction of *"Taming the Long-Tail:
-Efficient Reasoning RL Training with Adaptive Drafter"*: lossless
-speculative decoding (linear + tree) over a real numpy LM substrate,
+Efficient Reasoning RL Training with Adaptive Drafter"*: lossless tree
+speculative decoding (a chain is ``topk=1``) over a real numpy LM substrate,
 EAGLE/HASS/EAGLE-3 drafter training, the BEG-MAB strategy tuner, the spot
 trainer (DataBuffer, packing, selective async checkpointing, worker
 coordinator), GRPO-family RL, and a roofline-calibrated cluster simulator

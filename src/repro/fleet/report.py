@@ -4,7 +4,7 @@ A fleet run produces one :class:`~repro.serving.metrics.ServingReport`
 per replica (each already aggregating its own workers).  The
 :class:`FleetReport` keeps those per-replica views — capacity planning
 needs them — and rolls everything into fleet-wide numbers by pooling
-the records and per-worker counters into one synthetic
+the records and per-worker counter ledgers into one synthetic
 :class:`~repro.serving.metrics.ServingReport` (:meth:`pooled`), so
 fleet p50/p99, TTFT, SLO attainment, prefix hit rate, and the
 prefill/draft launch-amortisation counters are computed by exactly the
@@ -72,8 +72,13 @@ class FleetReport:
         """
         records: List[RequestRecord] = []
         capacity: Optional[int] = 0
+        class_slot_cycles: Dict[str, int] = {}
         for report in self.replica_reports:
             records.extend(report.records)
+            for name, cycles in report.class_slot_cycles.items():
+                class_slot_cycles[name] = (
+                    class_slot_cycles.get(name, 0) + cycles
+                )
             if capacity is not None:
                 if report.pool_slot_capacity is None:
                     capacity = None
@@ -84,52 +89,16 @@ class FleetReport:
                 records, key=lambda r: r.request.request_id
             ),
             ticks=self.ticks,
-            worker_busy_cycles=self._concat("worker_busy_cycles"),
-            worker_target_steps=self._concat("worker_target_steps"),
+            worker_counters=[
+                counters
+                for report in self.replica_reports
+                for counters in report.worker_counters
+            ],
             stolen=sum(r.stolen for r in self.replica_reports),
             policy=self.policy,
-            class_slot_cycles=self._sum_dicts("class_slot_cycles"),
+            class_slot_cycles=class_slot_cycles,
             pool_slot_capacity=capacity,
-            worker_prefix_hits=self._concat("worker_prefix_hits"),
-            worker_prefix_misses=self._concat("worker_prefix_misses"),
-            worker_prefill_launches=self._concat(
-                "worker_prefill_launches"
-            ),
-            worker_prefill_saved=self._concat("worker_prefill_saved"),
-            worker_draft_launches=self._concat("worker_draft_launches"),
-            worker_draft_saved=self._concat("worker_draft_saved"),
-            worker_prefill_tokens=self._concat("worker_prefill_tokens"),
-            worker_prefill_tokens_saved=self._concat(
-                "worker_prefill_tokens_saved"
-            ),
-            worker_cache_demotions=self._concat(
-                "worker_cache_demotions"
-            ),
-            worker_cache_promotions=self._concat(
-                "worker_cache_promotions"
-            ),
-            worker_cache_cold_hits=self._concat(
-                "worker_cache_cold_hits"
-            ),
-            worker_cache_cold_evictions=self._concat(
-                "worker_cache_cold_evictions"
-            ),
-            segment_accepted=self._sum_dicts("segment_accepted"),
-            segment_drafted=self._sum_dicts("segment_drafted"),
         )
-
-    def _sum_dicts(self, attribute: str) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for report in self.replica_reports:
-            for key, count in getattr(report, attribute).items():
-                out[key] = out.get(key, 0) + count
-        return out
-
-    def _concat(self, attribute: str) -> List[int]:
-        out: List[int] = []
-        for report in self.replica_reports:
-            out.extend(getattr(report, attribute))
-        return out
 
     # -- headline numbers (delegated to the pooled view) -------------------
 
@@ -167,26 +136,6 @@ class FleetReport:
     def prefill_launches_saved(self) -> int:
         """Prefill forwards avoided fleet-wide (caches + coalescing)."""
         return self.pooled().prefill_launches_saved
-
-    @property
-    def prefill_tokens(self) -> int:
-        """Prompt tokens actually prefilled across every replica."""
-        return self.pooled().prefill_tokens
-
-    @property
-    def prefill_tokens_saved(self) -> int:
-        """Prompt tokens avoided fleet-wide (hits + block reuse)."""
-        return self.pooled().prefill_tokens_saved
-
-    @property
-    def draft_launches(self) -> int:
-        """Batched drafter launches issued across every replica."""
-        return self.pooled().draft_launches
-
-    @property
-    def draft_launches_saved(self) -> int:
-        """Drafter launches avoided fleet-wide vs per-node drafting."""
-        return self.pooled().draft_launches_saved
 
     # -- tables ------------------------------------------------------------
 

@@ -73,6 +73,7 @@ from repro.serving.request import (
     ServingRequest,
     SloClass,
 )
+from repro.specdec.metrics import WorkerCounters
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.llm.model import TinyLM
@@ -167,13 +168,13 @@ class RolloutScheduler(RolloutBackend):
     :meth:`submit_batch` / :meth:`pump` / :meth:`collect` are the same
     path split open for pipelined callers.
 
-    A note on launch accounting: a result's ``target_steps`` (also
-    ``stats["pool_target_steps"]``) is the POOL-WIDE launch delta over
-    the collect window — decode cycles spent on interactive neighbours
-    or on another batch's stragglers are included, because they
-    genuinely share the batched forwards the rollouts ride.  It is what
-    the pool spent while the batch was in flight, not a per-request
-    attribution; do not compare it 1:1 against
+    A note on launch accounting: a result's ``target_steps`` is the
+    POOL-WIDE launch delta over the collect window — decode cycles
+    spent on interactive neighbours or on another batch's stragglers
+    are included, because they genuinely share the batched forwards
+    the rollouts ride.  It is what the pool spent while the batch was
+    in flight, not a per-request attribution; do not compare it 1:1
+    against
     :class:`~repro.rl.rollout_backends.SpeculativeRollout`, whose
     private engine serves rollouts alone.  The prefill counters in
     ``stats`` have the same provenance.
@@ -408,7 +409,7 @@ class RolloutScheduler(RolloutBackend):
             )
         request_ids = self._batches[batch_id]
         engine = self.engine
-        launches_before = self._pool_launches()
+        counters_before = self._pool_counters()
         ticks = 0
         while not self._resolved(batch_id):
             if ticks >= self.max_ticks:
@@ -437,9 +438,7 @@ class RolloutScheduler(RolloutBackend):
             [r.request.prompt for r in records],
             [max(1, len(r)) for r in responses],
         )
-        pool_steps, prefills, prefills_saved = (
-            int(n) for n in self._pool_launches() - launches_before
-        )
+        spent = self._pool_counters() - counters_before
         return RolloutResult(
             prompts=[
                 ([BOS_ID] + list(r.request.prompt))
@@ -452,9 +451,8 @@ class RolloutScheduler(RolloutBackend):
             finished=[
                 bool(r) and r[-1] == EOS_ID for r in responses
             ],
-            target_steps=pool_steps,
+            target_steps=spent.target_steps,
             stats={
-                "pool_target_steps": float(pool_steps),
                 "pool_ticks": float(ticks),
                 "preemptions": float(
                     sum(r.preemptions for r in records)
@@ -466,26 +464,21 @@ class RolloutScheduler(RolloutBackend):
                 # Grouped rollouts share prompts by construction, so
                 # with a prefix cache + prefix-aware admission most of
                 # a group's prefill launches show up as saved.
-                "prefill_launches": float(prefills),
-                "prefill_launches_saved": float(prefills_saved),
+                "prefill_launches": float(spent.prefill_launches),
+                "prefill_launches_saved": float(
+                    spent.prefill_launches_saved
+                ),
                 "pipelined_releases": float(
                     self.stats.pipelined_releases
                 ),
             },
         )
 
-    def _pool_launches(self) -> np.ndarray:
-        """Pool-wide (target, prefill, prefill-saved) launch counters."""
-        return np.sum(
-            [
-                (
-                    w.engine.target_steps,
-                    w.engine.prefill_launches,
-                    w.engine.prefill_launches_saved,
-                )
-                for w in self.engine.workers
-            ],
-            axis=0,
+    def _pool_counters(self) -> WorkerCounters:
+        """The pool's ledger now (a fresh sum over the live ones)."""
+        return sum(
+            (w.engine.counters for w in self.engine.workers),
+            WorkerCounters(),
         )
 
     def _resolved(self, batch_id: int) -> bool:

@@ -21,9 +21,10 @@ Deployment rides the serving pool's existing machinery end to end:
   the per-worker generalization of the rolling hot swap, zero
   downtime, one swap per tick;
 * acceptance feedback comes from the pool's per-segment counters
-  (:attr:`~repro.serving.metrics.ServingReport.segment_accepted` /
-  ``segment_drafted``), observed as *deltas* so the bandit scores what
-  happened since its last look, not the run's whole history;
+  (``segment_accepted`` / ``segment_drafted`` of the report's
+  :attr:`~repro.serving.metrics.ServingReport.totals` ledger),
+  observed as *deltas* so the bandit scores what happened since its
+  last look, not the run's whole history;
 * **continual refresh**: a spot trainer's newest snapshot replaces an
   arm in place (:meth:`DrafterZoo.refresh_arm`) and is republished to
   every segment currently hosting that arm — the zoo's analogue of
@@ -49,6 +50,7 @@ from repro.drafter.base import Drafter
 from repro.errors import ConfigError, DrafterError
 from repro.serving.frontend import ServingEngine
 from repro.serving.metrics import ServingReport
+from repro.specdec.metrics import WorkerCounters
 from repro.utils.stats import SlidingWindow
 
 
@@ -129,9 +131,8 @@ class DrafterZoo:
         #: segment -> home-worker index; the live placement map
         #: SegmentAffinityDispatch routes by (shared object, zoo-owned).
         self.segment_worker: Dict[str, int] = {}
-        #: Cumulative report counters at the last observe (deltas).
-        self._seen_accepted: Dict[str, int] = {}
-        self._seen_drafted: Dict[str, int] = {}
+        #: The pool's ledger at the last observe (deltas subtract it).
+        self._seen = WorkerCounters()
         self.refreshes = 0
         self.publications = 0
 
@@ -212,20 +213,18 @@ class DrafterZoo:
         arm), and appends it to that arm's window.  Segments with no
         new drafted tokens are skipped — no traffic, no evidence.
         """
+        totals = report.totals
+        delta = totals - self._seen
+        self._seen = totals
         for segment in self.segments:
-            accepted = report.segment_accepted.get(segment, 0)
-            drafted = report.segment_drafted.get(segment, 0)
-            d_accepted = accepted - self._seen_accepted.get(segment, 0)
-            d_drafted = drafted - self._seen_drafted.get(segment, 0)
-            self._seen_accepted[segment] = accepted
-            self._seen_drafted[segment] = drafted
+            d_drafted = delta.segment_drafted.get(segment, 0)
             if d_drafted <= 0:
                 continue
             bandit = self._bandit(segment)
             if bandit.current_arm is None:
                 continue
             bandit.windows[bandit.current_arm].append(
-                d_accepted / d_drafted
+                delta.segment_accepted.get(segment, 0) / d_drafted
             )
 
     # -- continual refresh -------------------------------------------------

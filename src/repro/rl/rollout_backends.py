@@ -122,7 +122,6 @@ class SpeculativeRollout(RolloutBackend):
         manager: pre-built manager to reuse (keeps bandit state across
             rollouts — the non-stationary setting BEG-MAB targets).
         child_mode: tree child expansion mode (``sample`` = lossless).
-        use_tree: tree-based drafting (default) or linear chains.
         max_batch_size: live-slot capacity of the scheduler.
         feed_ngram: when True, finished responses are fed back into the
             drafter's retrieval database (model-free drafters).
@@ -137,7 +136,6 @@ class SpeculativeRollout(RolloutBackend):
         sd_config: Optional[AdaptiveSdConfig] = None,
         manager: Optional[AdaptiveSdManager] = None,
         child_mode: str = "sample",
-        use_tree: bool = True,
         max_batch_size: Optional[int] = None,
         feed_ngram: bool = True,
     ) -> None:
@@ -152,7 +150,6 @@ class SpeculativeRollout(RolloutBackend):
         self.strategy = strategy
         self.manager = manager
         self.child_mode = child_mode
-        self.use_tree = use_tree
         self.max_batch_size = max_batch_size
         self.feed_ngram = feed_ngram
 
@@ -175,7 +172,6 @@ class SpeculativeRollout(RolloutBackend):
             self.strategy,
             temperature,
             child_mode=self.child_mode,  # type: ignore[arg-type]
-            use_tree=self.use_tree,
             max_batch_size=self.max_batch_size,
             sd_manager=manager,
         )

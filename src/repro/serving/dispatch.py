@@ -3,7 +3,7 @@
 The dispatcher decides which worker an arriving request joins.  Because
 every request carries its own random stream, routing is *free* to be
 smart: it changes latency and SLO attainment but never the committed
-tokens.  Three policies span the design space the long-tail papers argue
+tokens.  Six policies span the design space the long-tail papers argue
 about:
 
 * :class:`RoundRobinDispatch` — the placement-oblivious baseline.
@@ -19,6 +19,9 @@ about:
   prefix cache (or in-flight requests) already holds the longest shared
   prefix of their prompt, so prefills land as cache hits — the
   dispatch-side half of the prefix-cache subsystem (:mod:`repro.cache`).
+* :class:`SegmentAffinityDispatch` — routes segment-tagged arrivals to
+  the worker hosting their segment's specialist drafter (the drafter
+  zoo's placement map).
 * :class:`PreemptionAwareDispatch` — when the whole pool is saturated,
   routes urgent arrivals to the worker whose cheapest preemption victim
   has the fewest remaining tokens, minimising what a park costs.
@@ -43,8 +46,7 @@ classes without touching a single committed token.
 Policies duck-type their ``workers`` argument against the serving
 front-end's :class:`~repro.serving.frontend.ServingWorker` surface
 (``num_live``, ``num_waiting``, ``free_slots``, ``backlog_tokens``,
-``steal``, ``enqueue``, ``prefix_match``, ``victim_cost``,
-``park_cost``).
+``steal``, ``enqueue``, ``prefix_match``, ``park_cost``).
 """
 
 from __future__ import annotations
@@ -263,10 +265,8 @@ class PreemptionAwareDispatch(DispatchPolicy):
     park_cost` evaluates the policy against the worker's live set),
     and urgency is that policy's own ``is_urgent`` test — routing and
     parking cannot drift apart.  Pass the pool's actual policy
-    instance via ``policy``; when omitted, a :class:`SloPreemption`
-    is built from ``urgent_ttft``/``victim_classes`` (the pool
-    defaults), which is only correct if the pool runs those defaults
-    too.
+    instance via ``policy`` (a default :class:`SloPreemption` when
+    omitted).
 
     Workers where no park can happen (no eligible victim) are skipped
     entirely; non-urgent arrivals, and any arrival while a free slot
@@ -277,10 +277,6 @@ class PreemptionAwareDispatch(DispatchPolicy):
             (least-loaded when omitted).
         policy: the pool's preemption policy; urgency and per-worker
             park costs are derived from it directly.
-        urgent_ttft: TTFT target for the internally built
-            :class:`SloPreemption` when ``policy`` is omitted.
-        victim_classes: victim classes for the internally built
-            :class:`SloPreemption` when ``policy`` is omitted.
     """
 
     name = "preemption-aware"
@@ -289,17 +285,9 @@ class PreemptionAwareDispatch(DispatchPolicy):
         self,
         fallback: Optional[DispatchPolicy] = None,
         policy: Optional["PreemptionPolicy"] = None,
-        urgent_ttft: float = 4.0,
-        victim_classes: Optional[Sequence[str]] = ("batch",),
     ) -> None:
-        if urgent_ttft <= 0:
-            raise ConfigError(
-                f"urgent_ttft must be positive, got {urgent_ttft}"
-            )
         self.fallback = fallback or LeastLoadedDispatch()
-        self.policy = policy or SloPreemption(
-            urgent_ttft=urgent_ttft, victim_classes=victim_classes
-        )
+        self.policy = policy or SloPreemption()
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
         self._validate(workers)
@@ -429,9 +417,7 @@ class SloPreemption(PreemptionPolicy):
         return victim.request_id
 
 
-def steal_work(
-    workers: Sequence, max_moves: int = 1_000_000
-) -> List[Tuple[int, int, int]]:
+def steal_work(workers: Sequence) -> List[Tuple[int, int, int]]:
     """Move queued requests from backlogged workers to free slots.
 
     One request moves per iteration: the donor is the worker with the
@@ -447,7 +433,7 @@ def steal_work(
         the front-end uses these to re-point its records.
     """
     moves: List[Tuple[int, int, int]] = []
-    while len(moves) < max_moves:
+    while True:
         donors = [
             w for w in workers
             if w.num_waiting > 0 and w.free_slots == 0

@@ -60,6 +60,7 @@ vanilla).
 
 from __future__ import annotations
 
+import copy
 import heapq
 from collections import deque
 from typing import (
@@ -129,9 +130,9 @@ class ServingWorker:
             space, not the client's.
         resolve: maps a request id to its :class:`~repro.serving.
             request.ServingRequest` (wired to the front-end's
-            records), so :meth:`victim_cost` / :meth:`park_cost` can
-            reason about SLO classes the engine-level requests don't
-            carry.  None = no serving-level information.
+            records), so :meth:`park_cost` can reason about SLO
+            classes the engine-level requests don't carry.  None = no
+            serving-level information.
     """
 
     def __init__(
@@ -151,7 +152,6 @@ class ServingWorker:
         engine.time_fn = time_fn
         self.add_bos = add_bos
         self.resolve = resolve
-        self.busy_cycles = 0
         self._predicted: Dict[int, int] = {}
 
     # -- load surface (read by dispatch policies) --------------------------
@@ -270,44 +270,6 @@ class ServingWorker:
             if victim.request_id == victim_id
         )
 
-    def victim_cost(
-        self, victim_classes: Optional[frozenset] = None
-    ) -> Optional[int]:
-        """Remaining-token cost of this worker's cheapest park victim.
-
-        The smallest remaining response cap across live slots whose
-        SLO class is in ``victim_classes`` — a policy-free proxy for
-        :meth:`park_cost` (which should be preferred when the pool's
-        preemption policy is at hand).  Restricting to the preemption
-        policy's victim classes matters: a slot the policy would never
-        park (an INTERACTIVE neighbour about to finish) must not make
-        this worker look cheap.  None when no eligible victim is
-        live, or when classes are requested but the worker has no
-        :attr:`resolve`.
-
-        Args:
-            victim_classes: eligible SLO class names (None = every
-                live slot counts).
-        """
-        costs = []
-        for slot in self.engine.scheduler.live:
-            if victim_classes is not None:
-                if self.resolve is None:
-                    return None
-                request_id = slot.request.request_id
-                name = self.resolve(request_id).slo.name
-                if name not in victim_classes:
-                    continue
-            costs.append(
-                slot.request.max_new_tokens - len(slot.response)
-            )
-        return min(costs) if costs else None
-
-    @property
-    def cheapest_victim_tokens(self) -> Optional[int]:
-        """Class-blind :meth:`victim_cost` (every live slot counts)."""
-        return self.victim_cost(None)
-
     def prefix_match(self, prompt: Sequence[int]) -> int:
         """Longest prefix this worker already holds for ``prompt``.
 
@@ -402,7 +364,6 @@ class ServingWorker:
         """Run one decode cycle; returns None when the worker is idle."""
         if not self.engine.has_work:
             return None
-        self.busy_cycles += 1
         outcome = self.engine.step()
         for slot in outcome.retired:
             self._predicted.pop(slot.request.request_id, None)
@@ -424,7 +385,6 @@ class ServingEngine:
             per worker); each sees its own worker's live-batch size.
         temperature: sampling temperature.
         child_mode: tree child expansion mode (``sample`` is lossless).
-        use_tree: tree-based drafting (default) or linear chains.
         max_batch_size: per-worker live-slot capacity (None = unbounded;
             finite capacity is what makes queueing — and dispatch —
             matter).
@@ -473,7 +433,6 @@ class ServingEngine:
         sd_managers: Optional[Sequence[AdaptiveSdManager]] = None,
         temperature: float = 0.8,
         child_mode: ChildMode = "sample",
-        use_tree: bool = True,
         max_batch_size: Optional[int] = None,
         dispatch: Optional[DispatchPolicy] = None,
         preemption: Optional[PreemptionPolicy] = None,
@@ -530,7 +489,6 @@ class ServingEngine:
                 strategy,
                 temperature,
                 child_mode=child_mode,
-                use_tree=use_tree,
                 max_batch_size=max_batch_size,
                 sd_manager=(
                     self.managers[worker_id] if self.managers else None
@@ -900,37 +858,20 @@ class ServingEngine:
         return self.report()
 
     def report(self) -> ServingReport:
-        """Aggregate the current records into a report."""
+        """Aggregate the current records into a report.
+
+        Counters are not named here: each worker's ledger is copied
+        whole, and the report's totals are sums over the copies.
+        """
         capacity = self.workers[0].capacity
-        caches = [w.engine.kv_cache for w in self.workers]
-        # Join each engine's per-request draft/accept counters with the
-        # request's segment tag: per-segment acceptance is the signal
-        # the drafter zoo's bandit (and its scoreboard) reads.
-        segment_accepted: Dict[str, int] = {}
-        segment_drafted: Dict[str, int] = {}
-        for worker in self.workers:
-            engine = worker.engine
-            for request_id, accepted in engine.request_accepted.items():
-                record = self.records.get(request_id)
-                if record is None or record.request.segment is None:
-                    continue
-                segment = record.request.segment
-                segment_accepted[segment] = (
-                    segment_accepted.get(segment, 0) + accepted
-                )
-                segment_drafted[segment] = (
-                    segment_drafted.get(segment, 0)
-                    + engine.request_drafted.get(request_id, 0)
-                )
         return ServingReport(
             records=[
                 self.records[request_id]
                 for request_id in sorted(self.records)
             ],
             ticks=self.clock.now,
-            worker_busy_cycles=[w.busy_cycles for w in self.workers],
-            worker_target_steps=[
-                w.engine.target_steps for w in self.workers
+            worker_counters=[
+                copy.deepcopy(w.engine.counters) for w in self.workers
             ],
             stolen=self.stolen,
             policy=self.dispatch.name,
@@ -939,50 +880,6 @@ class ServingEngine:
                 None if capacity is None
                 else capacity * len(self.workers)
             ),
-            worker_prefix_hits=[
-                0 if cache is None else cache.stats.hits
-                for cache in caches
-            ],
-            worker_prefix_misses=[
-                0 if cache is None else cache.stats.misses
-                for cache in caches
-            ],
-            worker_prefill_launches=[
-                w.engine.prefill_launches for w in self.workers
-            ],
-            worker_prefill_saved=[
-                w.engine.prefill_launches_saved for w in self.workers
-            ],
-            worker_draft_launches=[
-                w.engine.draft_launches for w in self.workers
-            ],
-            worker_draft_saved=[
-                w.engine.draft_launches_saved for w in self.workers
-            ],
-            worker_prefill_tokens=[
-                w.engine.prefill_tokens for w in self.workers
-            ],
-            worker_prefill_tokens_saved=[
-                w.engine.prefill_tokens_saved for w in self.workers
-            ],
-            worker_cache_demotions=[
-                0 if cache is None else cache.stats.demotions
-                for cache in caches
-            ],
-            worker_cache_promotions=[
-                0 if cache is None else cache.stats.promotions
-                for cache in caches
-            ],
-            worker_cache_cold_hits=[
-                0 if cache is None else cache.stats.cold_hits
-                for cache in caches
-            ],
-            worker_cache_cold_evictions=[
-                0 if cache is None else cache.stats.cold_evictions
-                for cache in caches
-            ],
-            segment_accepted=segment_accepted,
-            segment_drafted=segment_drafted,
         )
 
     # -- internals ---------------------------------------------------------
@@ -1060,6 +957,7 @@ class ServingEngine:
                     max_new_tokens=request.max_new_tokens,
                     seed=request.seed,
                     add_bos=self.add_bos,
+                    segment=request.segment,
                 ),
                 predicted=request.dispatch_length,
                 urgent=(

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.serving.request import RequestState, ServingRequest
+from repro.specdec.metrics import WorkerCounters
 
 
 @dataclass
@@ -132,8 +133,10 @@ class ServingReport:
     Attributes:
         records: per-request lifecycle records in request-id order.
         ticks: virtual time the run spanned.
-        worker_busy_cycles: decode cycles each worker executed.
-        worker_target_steps: batched target launches each worker spent.
+        worker_counters: one :class:`~repro.specdec.metrics.
+            WorkerCounters` snapshot per worker — the ledger every
+            launch/prefill/draft/segment/cache total below is a sum
+            over (:attr:`totals`).
         stolen: queued requests moved between workers by work stealing.
         policy: dispatch-policy name (labelling only).
         class_slot_cycles: slot-cycles decoded per SLO class (one live
@@ -142,57 +145,15 @@ class ServingReport:
             to, rather than the aggregate ``utilization``.
         pool_slot_capacity: total live slots across the pool (None when
             per-worker capacity is unbounded).
-        worker_prefix_hits: per-worker exact prefix-cache hits (zeros
-            when no :class:`~repro.cache.manager.KVCacheManager` is
-            attached).
-        worker_prefix_misses: per-worker prefix-cache misses.
-        worker_prefill_launches: per-sequence prefill forwards each
-            worker actually computed.
-        worker_prefill_saved: prefill forwards each worker avoided
-            (cache hits + same-wave shared-prefix coalescing).
-        worker_draft_launches: batched drafter launches each worker
-            issued while tree-drafting.
-        worker_draft_saved: drafter launches each worker avoided versus
-            per-node drafting (the flat tree build's amortisation).
-        worker_prefill_tokens: prompt tokens each worker actually
-            prefilled (suffixes beyond cached block coverage).
-        worker_prefill_tokens_saved: prompt tokens each worker avoided
-            prefilling (exact hits, same-wave sharing, block reuse).
-        worker_cache_demotions: blocks each worker's cache demoted
-            HOT -> COLD under capacity pressure.
-        worker_cache_promotions: COLD blocks promoted back to HOT on
-            re-touch.
-        worker_cache_cold_hits: touches served by a COLD-tier block.
-        worker_cache_cold_evictions: blocks dropped out of the COLD
-            tier entirely.
-        segment_accepted: draft tokens accepted per workload segment
-            (segment-tagged requests only — see
-            :attr:`~repro.serving.request.ServingRequest.segment`).
-        segment_drafted: draft tokens proposed per workload segment.
     """
 
     records: List[RequestRecord]
     ticks: float
-    worker_busy_cycles: List[int]
-    worker_target_steps: List[int]
+    worker_counters: List[WorkerCounters] = field(default_factory=list)
     stolen: int = 0
     policy: str = ""
     class_slot_cycles: Dict[str, int] = field(default_factory=dict)
     pool_slot_capacity: Optional[int] = None
-    worker_prefix_hits: List[int] = field(default_factory=list)
-    worker_prefix_misses: List[int] = field(default_factory=list)
-    worker_prefill_launches: List[int] = field(default_factory=list)
-    worker_prefill_saved: List[int] = field(default_factory=list)
-    worker_draft_launches: List[int] = field(default_factory=list)
-    worker_draft_saved: List[int] = field(default_factory=list)
-    worker_prefill_tokens: List[int] = field(default_factory=list)
-    worker_prefill_tokens_saved: List[int] = field(default_factory=list)
-    worker_cache_demotions: List[int] = field(default_factory=list)
-    worker_cache_promotions: List[int] = field(default_factory=list)
-    worker_cache_cold_hits: List[int] = field(default_factory=list)
-    worker_cache_cold_evictions: List[int] = field(default_factory=list)
-    segment_accepted: Dict[str, int] = field(default_factory=dict)
-    segment_drafted: Dict[str, int] = field(default_factory=dict)
 
     # -- slices ------------------------------------------------------------
 
@@ -269,11 +230,16 @@ class ServingReport:
         return self.total_tokens / self.ticks
 
     @property
+    def totals(self) -> WorkerCounters:
+        """The pool's ledger: every worker's counters added up."""
+        return sum(self.worker_counters, WorkerCounters())
+
+    @property
     def utilization(self) -> List[float]:
         """Busy fraction per worker (cycles executed / elapsed ticks)."""
         if self.ticks <= 0:
-            return [0.0 for _ in self.worker_busy_cycles]
-        return [c / self.ticks for c in self.worker_busy_cycles]
+            return [0.0 for _ in self.worker_counters]
+        return [w.busy_cycles / self.ticks for w in self.worker_counters]
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -283,25 +249,16 @@ class ServingReport:
         shared-prefix coalescing is not a cache consultation and is
         accounted in :attr:`prefill_launches_saved` instead.
         """
-        hits = sum(self.worker_prefix_hits)
-        lookups = hits + sum(self.worker_prefix_misses)
-        if not lookups:
-            return 0.0
-        return hits / lookups
+        return self.totals.cache.hit_rate
 
     def worker_prefix_hit_rates(self) -> List[float]:
         """Per-worker exact prefix-cache hit rates."""
-        return [
-            hits / (hits + misses) if hits + misses else 0.0
-            for hits, misses in zip(
-                self.worker_prefix_hits, self.worker_prefix_misses
-            )
-        ]
+        return [w.cache.hit_rate for w in self.worker_counters]
 
     @property
     def prefill_launches(self) -> int:
         """Per-sequence prefill forwards the pool computed."""
-        return sum(self.worker_prefill_launches)
+        return self.totals.prefill_launches
 
     @property
     def prefill_launches_saved(self) -> int:
@@ -311,7 +268,7 @@ class ServingReport:
         into one launch per shared prefix — the amortisation headline
         of the prefix-cache subsystem (0 when no cache is attached).
         """
-        return sum(self.worker_prefill_saved)
+        return self.totals.prefill_launches_saved
 
     @property
     def prefill_tokens(self) -> int:
@@ -322,7 +279,7 @@ class ServingReport:
         coverage, so this drops below the launch-equivalent total
         whenever partial prefixes are reused.
         """
-        return sum(self.worker_prefill_tokens)
+        return self.totals.prefill_tokens
 
     @property
     def prefill_tokens_saved(self) -> int:
@@ -332,27 +289,27 @@ class ServingReport:
         context; block-granular admission saves the covered prefix of
         partial matches (0 when no cache is attached).
         """
-        return sum(self.worker_prefill_tokens_saved)
+        return self.totals.prefill_tokens_saved
 
     @property
     def cache_demotions(self) -> int:
         """Blocks demoted HOT -> COLD across every worker's cache."""
-        return sum(self.worker_cache_demotions)
+        return self.totals.cache.demotions
 
     @property
     def cache_promotions(self) -> int:
         """COLD blocks promoted back to HOT across the pool."""
-        return sum(self.worker_cache_promotions)
+        return self.totals.cache.promotions
 
     @property
     def cache_cold_hits(self) -> int:
         """Touches served by COLD-tier blocks across the pool."""
-        return sum(self.worker_cache_cold_hits)
+        return self.totals.cache.cold_hits
 
     @property
     def cache_cold_evictions(self) -> int:
         """Blocks dropped out of the COLD tier across the pool."""
-        return sum(self.worker_cache_cold_evictions)
+        return self.totals.cache.cold_evictions
 
     @property
     def segment_acceptance(self) -> Dict[str, float]:
@@ -364,19 +321,20 @@ class ServingReport:
         on that same segment's traffic.  Segments that drafted
         nothing report 0.0.
         """
+        totals = self.totals
         return {
             segment: (
-                self.segment_accepted.get(segment, 0) / drafted
+                totals.segment_accepted.get(segment, 0) / drafted
                 if drafted
                 else 0.0
             )
-            for segment, drafted in sorted(self.segment_drafted.items())
+            for segment, drafted in sorted(totals.segment_drafted.items())
         }
 
     @property
     def draft_launches(self) -> int:
-        """Batched drafter launches the pool issued (tree path)."""
-        return sum(self.worker_draft_launches)
+        """Batched drafter launches the pool issued."""
+        return self.totals.draft_launches
 
     @property
     def draft_launches_saved(self) -> int:
@@ -386,7 +344,7 @@ class ServingReport:
         depth for a worker's whole live batch; this is the per-node
         baseline's call count minus what was actually launched.
         """
-        return sum(self.worker_draft_saved)
+        return self.totals.draft_launches_saved
 
     @property
     def class_utilization(self) -> Dict[str, float]:
@@ -398,7 +356,7 @@ class ServingReport:
         aggregate :attr:`utilization` hides — the co-location benchmark
         reads reclaimed-bubble capacity directly off the BATCH entry.
         """
-        slots = self.pool_slot_capacity or len(self.worker_busy_cycles)
+        slots = self.pool_slot_capacity or len(self.worker_counters)
         denominator = self.ticks * max(slots, 1)
         if denominator <= 0:
             return {name: 0.0 for name in self.class_slot_cycles}

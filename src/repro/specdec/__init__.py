@@ -1,15 +1,14 @@
 """Speculative decoding core (paper §2.2, §5.1).
 
-Implements the mathematically lossless accept/reject rules (chain rule of
-Leviathan et al. for linear drafts, multi-round speculative sampling of
-SpecInfer for tree drafts), confidence-guided draft-tree construction
-(Figure 9), and the end-to-end speculative generation loop used by every
-accept-length and speedup experiment.
+Implements the mathematically lossless accept/reject rule (multi-round
+speculative sampling of SpecInfer; with one candidate per node it is the
+chain rule of Leviathan et al.), confidence-guided draft-tree construction
+(Figure 9; a chain is the ``topk = 1`` tree, ``SdStrategy(d, 1, d)``), and
+the end-to-end speculative generation loop used by every accept-length and
+speedup experiment.
 """
 
 from repro.specdec.acceptance import (
-    AcceptResult,
-    accept_token,
     multi_round_accept,
     residual_distribution,
 )
@@ -33,16 +32,11 @@ from repro.specdec.engine import (
     SpeculativeGenerationOutput,
     speculative_generate,
 )
-from repro.specdec.linear import (
-    LinearDraftResult,
-    draft_chain,
-    linear_decode_step,
-    linear_decode_steps,
-)
 from repro.specdec.metrics import (
     AcceptanceProfile,
     SdCycleStats,
     SdRunMetrics,
+    WorkerCounters,
 )
 from repro.specdec.scheduler import (
     BatchCycleReport,
@@ -63,8 +57,6 @@ from repro.specdec.tree import (
 __all__ = [
     "SdStrategy",
     "default_strategy_pool",
-    "AcceptResult",
-    "accept_token",
     "multi_round_accept",
     "residual_distribution",
     "FlatDraftTree",
@@ -72,10 +64,6 @@ __all__ = [
     "build_draft_trees",
     "verify_tree",
     "verify_trees",
-    "LinearDraftResult",
-    "draft_chain",
-    "linear_decode_step",
-    "linear_decode_steps",
     "speculative_generate",
     "SpeculativeGenerationOutput",
     "BatchedSpecDecodeEngine",
@@ -98,4 +86,5 @@ __all__ = [
     "SdCycleStats",
     "SdRunMetrics",
     "AcceptanceProfile",
+    "WorkerCounters",
 ]

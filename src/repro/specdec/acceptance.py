@@ -1,19 +1,16 @@
-"""Lossless accept/reject rules for speculative decoding.
+"""Lossless accept/reject rule for speculative decoding.
 
-Two rules are implemented, both provably distribution-preserving:
+:func:`multi_round_accept` is SpecInfer's multi-round speculative sampling
+over a set of sibling candidates ``x_i ~ q_i``: candidates are tried in
+order — ``x`` is accepted with probability ``min(1, p(x)/q(x))`` — and
+after each rejection the target distribution is replaced by the residual
+``norm(max(p - q, 0))`` against that candidate's draft distribution.  If
+every sibling is rejected, sampling from the final residual preserves the
+target distribution exactly.  With one candidate it is the chain rule of
+Leviathan et al. (2023), which is how a ``topk = 1`` tree (a chain) is
+verified.
 
-* :func:`accept_token` — the chain rule of Leviathan et al. (2023): a draft
-  token ``x ~ q`` is accepted with probability ``min(1, p(x)/q(x))``;
-  on rejection the caller resamples from the residual
-  ``norm(max(p - q, 0))``.
-* :func:`multi_round_accept` — SpecInfer's multi-round extension for a set
-  of sibling candidates ``x_i ~ q_i``: candidates are tried in order, and
-  after each rejection the target distribution is replaced by the residual
-  against that candidate's draft distribution.  If every sibling is
-  rejected, sampling from the final residual preserves the target
-  distribution exactly.
-
-Both rules require that each candidate was *sampled from the draft
+The rule requires that each candidate was *sampled from the draft
 distribution passed in*; the tree builder's ``sample`` child mode satisfies
 this (and is what the property tests exercise).  The deterministic ``topk``
 child mode trades strict losslessness at ``temperature > 0`` for the higher
@@ -23,7 +20,6 @@ accept lengths EAGLE-2-style systems report; greedy verification
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,55 +50,6 @@ def residual_distribution(
     if total <= _RESIDUAL_EPS:
         return target_probs / target_probs.sum()
     return residual / total
-
-
-@dataclass
-class AcceptResult:
-    """Outcome of one accept/reject trial.
-
-    Attributes:
-        accepted: whether the draft token was accepted.
-        residual: the updated target distribution to use after a rejection
-            (``None`` when accepted).
-    """
-
-    accepted: bool
-    residual: Optional[np.ndarray]
-
-
-def accept_token(
-    target_probs: np.ndarray,
-    draft_probs: np.ndarray,
-    token: int,
-    rng: np.random.Generator,
-) -> AcceptResult:
-    """Chain acceptance rule for one draft token sampled from ``draft_probs``.
-
-    Args:
-        target_probs: target model distribution ``p`` at this position.
-        draft_probs: draft distribution ``q`` the token was sampled from.
-        token: the drafted token id.
-        rng: random generator (consumes exactly one uniform).
-
-    Returns:
-        :class:`AcceptResult`; on rejection ``residual`` holds
-        ``norm(max(p - q, 0))`` for resampling.
-    """
-    target_probs = np.asarray(target_probs, dtype=np.float64)
-    draft_probs = np.asarray(draft_probs, dtype=np.float64)
-    q_tok = float(draft_probs[token])
-    if q_tok <= 0.0:
-        raise SpecDecodeError(
-            f"draft token {token} has zero draft probability; it cannot "
-            "have been sampled from the provided draft distribution"
-        )
-    ratio = float(target_probs[token]) / q_tok
-    if rng.random() < min(1.0, ratio):
-        return AcceptResult(accepted=True, residual=None)
-    return AcceptResult(
-        accepted=False,
-        residual=residual_distribution(target_probs, draft_probs),
-    )
 
 
 def multi_round_accept(

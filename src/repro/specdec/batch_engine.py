@@ -3,12 +3,12 @@
 This is the serving-shaped counterpart of the per-sequence loop that used
 to live in :mod:`repro.specdec.engine`: every cycle it drafts a candidate
 set for **each live sequence**, verifies all of them in **one** batched
-target forward (:func:`~repro.specdec.tree.verify_trees` /
-:func:`~repro.specdec.linear.linear_decode_steps`), commits per-sequence,
-retires sequences on EOS or their length cap and admits waiting requests
-into the freed slots.  The target-launch count therefore scales with the
-number of *cycles of the slowest sequence*, not with the sum of
-per-sequence cycles — the long-tail regime the paper analyzes.
+target forward (:func:`~repro.specdec.tree.verify_trees`), commits
+per-sequence, retires sequences on EOS or their length cap and admits
+waiting requests into the freed slots.  The target-launch count
+therefore scales with the number of *cycles of the slowest sequence*,
+not with the sum of per-sequence cycles — the long-tail regime the paper
+analyzes.
 
 The engine is **incrementally drivable**: :meth:`BatchedSpecDecodeEngine.
 start` opens a decoding session, :meth:`~BatchedSpecDecodeEngine.step`
@@ -86,8 +86,11 @@ from repro.cache.blocks import (
     effective_prefill_context,
 )
 from repro.specdec.engine import initial_hiddens, suffix_prefill_hiddens
-from repro.specdec.linear import linear_decode_steps
-from repro.specdec.metrics import SdCycleStats, SdRunMetrics
+from repro.specdec.metrics import (
+    SdCycleStats,
+    SdRunMetrics,
+    WorkerCounters,
+)
 from repro.specdec.scheduler import (
     BatchCycleReport,
     ContinuousBatchScheduler,
@@ -166,7 +169,6 @@ class BatchedSpecDecodeEngine:
             attached — the manager then selects the strategy per cycle).
         temperature: sampling temperature shared by drafter and target.
         child_mode: tree child expansion mode (``sample`` is lossless).
-        use_tree: tree-based drafting (default) or linear chains.
         max_batch_size: live-slot capacity (None = all prompts live at
             once; 1 = fully sequential decoding).
         sd_manager: optional adaptive SD manager driven by the real
@@ -188,7 +190,6 @@ class BatchedSpecDecodeEngine:
         strategy: Optional[SdStrategy],
         temperature: float,
         child_mode: ChildMode = "sample",
-        use_tree: bool = True,
         max_batch_size: Optional[int] = None,
         sd_manager: Optional["AdaptiveSdManager"] = None,
         admission: Optional[AdmissionPolicy] = None,
@@ -203,7 +204,6 @@ class BatchedSpecDecodeEngine:
         self.strategy = strategy
         self.temperature = temperature
         self.child_mode = child_mode
-        self.use_tree = use_tree
         self.max_batch_size = max_batch_size
         self.sd_manager = sd_manager
         self.admission = admission
@@ -224,24 +224,15 @@ class BatchedSpecDecodeEngine:
         self._in_step = False
         self._scheduler: Optional[ContinuousBatchScheduler] = None
         self._metrics = SdRunMetrics()
-        self._target_steps = 0
+        #: The open session's monotonic counts — the one place they
+        #: are written (see :class:`~repro.specdec.metrics.
+        #: WorkerCounters`).
+        self.counters = self._fresh_counters()
         self._reports: List[BatchCycleReport] = []
-        self._prefill_launches = 0
-        self._prefill_saved = 0
-        self._prefill_tokens = 0
-        self._prefill_tokens_saved = 0
-        self._draft_launches = 0
-        self._draft_saved = 0
         #: request_id -> cache key currently pinned by its live slot.
         self._cache_keys: Dict[int, Tuple[int, ...]] = {}
         #: request_id -> cache key released at park, awaiting resume.
         self._parked_keys: Dict[int, Tuple[int, ...]] = {}
-        #: Per-request draft/accept token counters for the open session
-        #: (request_id -> tokens).  The serving report joins these with
-        #: each request's segment tag for per-segment acceptance rates —
-        #: the signal the drafter zoo's bandit learns from.
-        self.request_accepted: Dict[int, int] = {}
-        self.request_drafted: Dict[int, int] = {}
 
     # -- incremental session API -------------------------------------------
 
@@ -266,17 +257,15 @@ class BatchedSpecDecodeEngine:
         if self.sd_manager is not None:
             self.sd_manager.reset()
         self._metrics = SdRunMetrics()
-        self._target_steps = 0
+        self.counters = self._fresh_counters()
         self._reports = []
-        self._prefill_launches = 0
-        self._prefill_saved = 0
-        self._prefill_tokens = 0
-        self._prefill_tokens_saved = 0
-        self._draft_launches = 0
-        self._draft_saved = 0
-        self.request_accepted = {}
-        self.request_drafted = {}
         self.events.clear()
+
+    def _fresh_counters(self) -> WorkerCounters:
+        """A zeroed ledger reading the attached cache's live stats."""
+        if self.kv_cache is None:
+            return WorkerCounters()
+        return WorkerCounters(cache=self.kv_cache.stats)
 
     @property
     def scheduler(self) -> ContinuousBatchScheduler:
@@ -313,75 +302,6 @@ class BatchedSpecDecodeEngine:
         return (
             0 if self._scheduler is None else self._scheduler.num_resuming
         )
-
-    @property
-    def target_steps(self) -> int:
-        """Batched target forward launches spent so far this session."""
-        return self._target_steps
-
-    @property
-    def prefill_launches(self) -> int:
-        """Per-sequence prefill forwards computed this session.
-
-        One per prefilled row through the batched prefill forward — the
-        quantity prefix caching amortises (``target_steps`` counts the
-        batched *waves*, which stay 0-or-1 per admission cycle).
-        """
-        return self._prefill_launches
-
-    @property
-    def prefill_launches_saved(self) -> int:
-        """Prefill forwards avoided this session.
-
-        Counts exact-prompt cache hits plus same-wave duplicates that
-        shared one leader's prefill row (one launch per shared prefix
-        instead of one per group member).  Always 0 without an attached
-        :class:`~repro.cache.manager.KVCacheManager`.
-        """
-        return self._prefill_saved
-
-    @property
-    def prefill_tokens(self) -> int:
-        """Prompt tokens actually prefilled this session.
-
-        Each computed prompt is charged the suffix of its effective
-        context beyond what cached blocks covered (the full context
-        without a cache) — the token-granular cost the paged cache
-        shrinks even when launch counts tie.
-        """
-        return self._prefill_tokens
-
-    @property
-    def prefill_tokens_saved(self) -> int:
-        """Prompt tokens the prefill stage avoided computing.
-
-        Exact hits and same-wave duplicates save their whole effective
-        context; partial block reuse saves the covered prefix.  Always
-        0 without an attached cache.
-        """
-        return self._prefill_tokens_saved
-
-    @property
-    def draft_launches(self) -> int:
-        """Batched drafter launches issued this session (tree path).
-
-        One ``begin_batch``, ``propose_batch`` or fused
-        ``extend_propose_batch`` call each count as one launch — the
-        quantity the lock-step tree build amortises across the live
-        batch (the linear path is not counted; its drafting is already
-        chain-batched).
-        """
-        return self._draft_launches
-
-    @property
-    def draft_launches_saved(self) -> int:
-        """Drafter launches avoided this session versus per-node drafting.
-
-        The per-node baseline is ``sum(tree.draft_calls)`` — one begin,
-        propose and extend per node per sequence — minus the batched
-        launches actually issued.
-        """
-        return self._draft_saved
 
     @property
     def metrics(self) -> SdRunMetrics:
@@ -505,6 +425,7 @@ class BatchedSpecDecodeEngine:
         if not scheduler.has_work:
             raise SpecDecodeError("step() called with no live or waiting work")
         self._in_step = True
+        self.counters.busy_cycles += 1
         try:
             return self._step(scheduler)
         finally:
@@ -516,7 +437,8 @@ class BatchedSpecDecodeEngine:
         # Fresh admissions need the drafter hand-off computed; resumed
         # slots carry their stashed hidden state and must NOT be
         # re-prefilled (that is what keeps them byte-identical).
-        self._target_steps += self._prefill(admitted)
+        counters = self.counters
+        counters.target_steps += self._prefill(admitted)
         for slot in resumed:
             self._reacquire_cache_ref(slot.request.request_id)
             self._emit(
@@ -536,22 +458,25 @@ class BatchedSpecDecodeEngine:
                 strategy = self.sd_manager.select_strategy(batch)
             else:
                 sd_active = False
-        draft_launches_before = self._draft_launches
-        draft_saved_before = self._draft_saved
+        draft_launches_before = counters.draft_launches
+        draft_saved_before = counters.draft_launches_saved
         if sd_active:
             assert strategy is not None
             cycle_stats = self._sd_cycle(live, strategy, self._metrics)
-            self._target_steps += 1
-            # cycle_stats is parallel to `live`: charge each request its
-            # own drafted/accepted tokens (per-segment acceptance feeds
-            # off these through the serving report).
+            counters.target_steps += 1
+            # cycle_stats is parallel to `live`: charge each tagged
+            # request's segment its drafted/accepted tokens.
             for slot, stats in zip(live, cycle_stats):
-                rid = slot.request.request_id
-                self.request_accepted[rid] = (
-                    self.request_accepted.get(rid, 0) + stats.accepted
+                segment = slot.request.segment
+                if segment is None:
+                    continue
+                counters.segment_accepted[segment] = (
+                    counters.segment_accepted.get(segment, 0)
+                    + stats.accepted
                 )
-                self.request_drafted[rid] = (
-                    self.request_drafted.get(rid, 0) + stats.drafted
+                counters.segment_drafted[segment] = (
+                    counters.segment_drafted.get(segment, 0)
+                    + stats.drafted
                 )
             if self.sd_manager is not None:
                 # Cost proxy: rows pushed through the target plus
@@ -576,7 +501,7 @@ class BatchedSpecDecodeEngine:
             verify_rows = sum(c.verify_batch for c in cycle_stats)
         else:
             self._vanilla_cycle(live)
-            self._target_steps += 1
+            counters.target_steps += 1
             committed = batch
             drafted = 0
             verify_rows = batch
@@ -605,8 +530,10 @@ class BatchedSpecDecodeEngine:
                 sum(wait_cycles) / len(wait_cycles) if wait_cycles else 0.0
             ),
             resumed=len(resumed),
-            draft_launches=self._draft_launches - draft_launches_before,
-            draft_launches_saved=self._draft_saved - draft_saved_before,
+            draft_launches=counters.draft_launches - draft_launches_before,
+            draft_launches_saved=(
+                counters.draft_launches_saved - draft_saved_before
+            ),
         )
         self._reports.append(report)
         scheduler.tick()
@@ -622,7 +549,7 @@ class BatchedSpecDecodeEngine:
         return BatchedGenerationResult(
             slots=self.scheduler.results(),
             metrics=self._metrics,
-            target_steps=self._target_steps,
+            target_steps=self.counters.target_steps,
             cycle_reports=list(self._reports),
         )
 
@@ -707,6 +634,7 @@ class BatchedSpecDecodeEngine:
         if not admitted:
             return 0
         cache = self.kv_cache
+        counters = self.counters
         if cache is None:
             hiddens = initial_hiddens(
                 self.target, [slot.sequence for slot in admitted]
@@ -715,10 +643,10 @@ class BatchedSpecDecodeEngine:
             for slot, hidden in zip(admitted, hiddens):
                 slot.hidden = hidden
                 if hidden is not None:
-                    self._prefill_tokens += len(
+                    counters.prefill_tokens += len(
                         effective_prefill_context(slot.sequence, window)
                     )
-            self._prefill_launches += sum(
+            counters.prefill_launches += sum(
                 1 for h in hiddens if h is not None
             )
             return int(any(h is not None for h in hiddens))
@@ -735,8 +663,8 @@ class BatchedSpecDecodeEngine:
                 # Same-wave duplicate: rides the leader's row (not a
                 # cache consultation — no hit/miss recorded, even when
                 # the leader itself was a hit).
-                self._prefill_saved += 1
-                self._prefill_tokens_saved += len(key)
+                counters.prefill_launches_saved += 1
+                counters.prefill_tokens_saved += len(key)
                 continue
             leaders[key] = index
             plan = cache.plan_admission(
@@ -744,13 +672,13 @@ class BatchedSpecDecodeEngine:
             )
             if plan.hidden is not None:
                 hiddens[index] = plan.hidden
-                self._prefill_saved += 1
-                self._prefill_tokens_saved += len(key)
+                counters.prefill_launches_saved += 1
+                counters.prefill_tokens_saved += len(key)
             else:
                 computing.append((index, plan.compute_start))
-                self._prefill_launches += 1
-                self._prefill_tokens += len(key) - plan.compute_start
-                self._prefill_tokens_saved += plan.compute_start
+                counters.prefill_launches += 1
+                counters.prefill_tokens += len(key) - plan.compute_start
+                counters.prefill_tokens_saved += plan.compute_start
                 for end in block_boundaries(len(key), cache.block_size):
                     pending.add(key[:end])
         if computing:
@@ -822,66 +750,40 @@ class BatchedSpecDecodeEngine:
     ) -> List[SdCycleStats]:
         """One draft/verify cycle across every live sequence."""
         cycle_stats: List[SdCycleStats] = []
-        if self.use_tree:
-            trees, launches = build_draft_trees(
-                self.drafter,
-                [slot.sequence for slot in live],
-                [slot.hidden for slot in live],
-                strategy,
-                self.temperature,
-                [slot.rng for slot in live],
-                child_mode=self.child_mode,
+        trees, launches = build_draft_trees(
+            self.drafter,
+            [slot.sequence for slot in live],
+            [slot.hidden for slot in live],
+            strategy,
+            self.temperature,
+            [slot.rng for slot in live],
+            child_mode=self.child_mode,
+        )
+        self.counters.draft_launches += launches
+        self.counters.draft_launches_saved += max(
+            0, sum(tree.draft_calls for tree in trees) - launches
+        )
+        results = verify_trees(
+            self.target,
+            trees,
+            [slot.sequence for slot in live],
+            self.temperature,
+            [slot.rng for slot in live],
+        )
+        for slot, tree, result in zip(live, trees, results):
+            stats = SdCycleStats(
+                accepted=result.accepted_node_count,
+                committed=slot.commit(result.accepted_tokens, EOS_ID),
+                drafted=tree.num_selected,
+                draft_steps=tree.draft_steps,
+                verify_batch=result.verify_batch,
             )
-            saved = max(
-                0,
-                sum(tree.draft_calls for tree in trees) - launches,
+            metrics.profile.record(
+                result.depth_attempts, result.depth_accepts
             )
-            self._draft_launches += launches
-            self._draft_saved += saved
-            metrics.record_draft_launches(launches, saved)
-            results = verify_trees(
-                self.target,
-                trees,
-                [slot.sequence for slot in live],
-                self.temperature,
-                [slot.rng for slot in live],
-            )
-            for slot, tree, result in zip(live, trees, results):
-                stats = SdCycleStats(
-                    accepted=result.accepted_node_count,
-                    committed=slot.commit(result.accepted_tokens, EOS_ID),
-                    drafted=tree.num_selected,
-                    draft_steps=tree.draft_steps,
-                    verify_batch=result.verify_batch,
-                )
-                metrics.profile.record(
-                    result.depth_attempts, result.depth_accepts
-                )
-                slot.hidden = result.next_hidden
-                metrics.add_cycle(stats)
-                cycle_stats.append(stats)
-        else:
-            results = linear_decode_steps(
-                self.target,
-                self.drafter,
-                [slot.sequence for slot in live],
-                [slot.hidden for slot in live],
-                strategy.draft_depth,
-                self.temperature,
-                [slot.rng for slot in live],
-            )
-            for slot, result in zip(live, results):
-                stats = SdCycleStats(
-                    accepted=result.accepted_count,
-                    committed=slot.commit(result.accepted_tokens, EOS_ID),
-                    drafted=result.drafted_count,
-                    draft_steps=result.drafted_count,
-                    verify_batch=result.verify_batch,
-                )
-                metrics.profile.record_flags(result.accept_flags)
-                slot.hidden = result.next_hidden
-                metrics.add_cycle(stats)
-                cycle_stats.append(stats)
+            slot.hidden = result.next_hidden
+            metrics.add_cycle(stats)
+            cycle_stats.append(stats)
         return cycle_stats
 
     def _vanilla_cycle(self, live: List[SequenceSlot]) -> None:
@@ -911,6 +813,7 @@ def make_serving_request(
     max_new_tokens: int,
     seed: int,
     add_bos: bool = True,
+    segment: Optional[str] = None,
 ) -> SequenceRequest:
     """Build a :class:`SequenceRequest` with its own seeded stream.
 
@@ -930,4 +833,5 @@ def make_serving_request(
         prompt=prompt_list,
         max_new_tokens=max_new_tokens,
         rng=np.random.default_rng(int(seed)),
+        segment=segment,
     )

@@ -166,7 +166,6 @@ def speculative_generate(
     strategy: Optional[SdStrategy],
     add_bos: bool = True,
     child_mode: ChildMode = "sample",
-    use_tree: bool = True,
     max_batch_size: Optional[int] = None,
     sd_manager: Optional["AdaptiveSdManager"] = None,
 ) -> SpeculativeGenerationOutput:
@@ -184,7 +183,6 @@ def speculative_generate(
             selects strategies per cycle).
         add_bos: prepend BOS to each prompt.
         child_mode: tree child expansion mode (``sample`` is lossless).
-        use_tree: tree-based drafting (default) or linear chains.
         max_batch_size: live-slot capacity of the continuous-batching
             scheduler (None = all prompts decode together, 1 = fully
             sequential decoding; with a static ``strategy`` every
@@ -205,7 +203,6 @@ def speculative_generate(
         strategy,
         temperature,
         child_mode=child_mode,
-        use_tree=use_tree,
         max_batch_size=max_batch_size,
         sd_manager=sd_manager,
     )

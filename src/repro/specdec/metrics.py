@@ -9,10 +9,13 @@ model for speedup estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+import operator
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
+
+from repro.cache.manager import CacheStats
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,6 @@ class AcceptanceProfile:
             self._grow(depth + 1)
             self.accepts[depth] += count
 
-    def record_flags(self, accept_flags: Sequence[bool]) -> None:
-        """Fold a linear cycle's per-position accept flags."""
-        for depth, flag in enumerate(accept_flags):
-            self._grow(depth + 1)
-            self.attempts[depth] += 1
-            self.accepts[depth] += int(flag)
-
     def rates(self) -> List[float]:
         """Acceptance rate per draft position (positions with attempts)."""
         out: List[float] = []
@@ -89,18 +85,12 @@ class SdRunMetrics:
             cycle's admission wave.
         wait_cycles: per-request cycles spent waiting before admission,
             in admission order.
-        draft_launch_counts: batched drafter launches per tree-drafted
-            engine cycle.
-        draft_saved_counts: drafter launches avoided per tree-drafted
-            engine cycle versus per-node drafting of the same trees.
     """
 
     cycles: List[SdCycleStats] = field(default_factory=list)
     profile: AcceptanceProfile = field(default_factory=AcceptanceProfile)
     queue_depths: List[int] = field(default_factory=list)
     wait_cycles: List[int] = field(default_factory=list)
-    draft_launch_counts: List[int] = field(default_factory=list)
-    draft_saved_counts: List[int] = field(default_factory=list)
 
     def add_cycle(self, stats: SdCycleStats) -> None:
         """Record one cycle."""
@@ -113,11 +103,6 @@ class SdRunMetrics:
     def record_wait(self, cycles: int) -> None:
         """Record one admitted request's waiting time in cycles."""
         self.wait_cycles.append(int(cycles))
-
-    def record_draft_launches(self, launches: int, saved: int) -> None:
-        """Record one tree-drafted cycle's drafter-launch amortisation."""
-        self.draft_launch_counts.append(int(launches))
-        self.draft_saved_counts.append(int(saved))
 
     @property
     def num_cycles(self) -> int:
@@ -171,16 +156,6 @@ class SdRunMetrics:
         return max(self.queue_depths)
 
     @property
-    def draft_launches(self) -> int:
-        """Total batched drafter launches across tree-drafted cycles."""
-        return sum(self.draft_launch_counts)
-
-    @property
-    def draft_launches_saved(self) -> int:
-        """Total drafter launches avoided versus per-node drafting."""
-        return sum(self.draft_saved_counts)
-
-    @property
     def mean_wait_cycles(self) -> float:
         """Average per-request admission wait in cycles."""
         if not self.wait_cycles:
@@ -193,12 +168,6 @@ class SdRunMetrics:
             cycles=self.cycles + other.cycles,
             queue_depths=self.queue_depths + other.queue_depths,
             wait_cycles=self.wait_cycles + other.wait_cycles,
-            draft_launch_counts=(
-                self.draft_launch_counts + other.draft_launch_counts
-            ),
-            draft_saved_counts=(
-                self.draft_saved_counts + other.draft_saved_counts
-            ),
         )
         merged.profile.record(other.profile.attempts, other.profile.accepts)
         merged.profile.record(self.profile.attempts, self.profile.accepts)
@@ -214,6 +183,88 @@ class SdRunMetrics:
             "total_committed": float(self.total_committed),
             "mean_queue_depth": self.mean_queue_depth,
             "mean_wait_cycles": self.mean_wait_cycles,
-            "draft_launches": float(self.draft_launches),
-            "draft_launches_saved": float(self.draft_launches_saved),
         }
+
+
+def _leafwise(left, right, op: Callable[[int, int], int]):
+    """``op`` over two ledgers: ints, per-key dicts, nested dataclasses."""
+    if isinstance(left, dict):
+        return {
+            key: op(left.get(key, 0), right.get(key, 0))
+            for key in {**left, **right}
+        }
+    if is_dataclass(left):
+        return type(left)(
+            **{
+                f.name: _leafwise(
+                    getattr(left, f.name), getattr(right, f.name), op
+                )
+                for f in fields(left)
+            }
+        )
+    return op(left, right)
+
+
+@dataclass
+class WorkerCounters:
+    """The one ledger of a worker's monotonic counts.
+
+    Each count is written in exactly one place — where the event
+    happens, on the ledger its engine owns (``engine.counters``, reset
+    by one assignment in ``start()``) — and every layer above reads it
+    from here: a :class:`~repro.serving.metrics.ServingReport` carries
+    one snapshot per worker and its named totals are sums over them
+    (ledgers add and subtract field by field), so a counter added here
+    reaches every report without another line.
+
+    Attributes:
+        busy_cycles: decode cycles the engine executed.
+        target_steps: batched target forward launches (prefill waves,
+            SD verifications and vanilla steps each count once).
+        prefill_launches: per-sequence prefill forwards computed — one
+            per prefilled row through the batched prefill forward, the
+            quantity prefix caching amortises (``target_steps`` counts
+            the batched *waves*, 0-or-1 per admission cycle).
+        prefill_launches_saved: prefill forwards avoided: exact-prompt
+            cache hits plus same-wave duplicates that shared one
+            leader's row.  Always 0 without an attached cache.
+        prefill_tokens: prompt tokens actually prefilled — each
+            computed prompt is charged the suffix of its effective
+            context beyond what cached blocks covered (the full context
+            without a cache).
+        prefill_tokens_saved: prompt tokens the prefill stage avoided:
+            exact hits and same-wave duplicates save their whole
+            effective context, partial block reuse the covered prefix.
+        draft_launches: batched drafter launches issued (one
+            ``begin_batch``, ``propose_batch`` or fused
+            ``extend_propose_batch`` call each count once).
+        draft_launches_saved: drafter launches avoided versus per-node
+            drafting (``sum(tree.draft_calls)`` minus the launches
+            actually issued).
+        segment_accepted: draft tokens accepted per workload segment
+            (segment-tagged requests only) — with ``segment_drafted``
+            the signal the drafter zoo's bandit learns from.
+        segment_drafted: draft tokens proposed per workload segment.
+        cache: the attached prefix cache's own
+            :class:`~repro.cache.manager.CacheStats` — the live object
+            on an engine's ledger (the cache writes it and outlives a
+            session), a copy in a report; zeros without a cache.
+    """
+
+    busy_cycles: int = 0
+    target_steps: int = 0
+    prefill_launches: int = 0
+    prefill_launches_saved: int = 0
+    prefill_tokens: int = 0
+    prefill_tokens_saved: int = 0
+    draft_launches: int = 0
+    draft_launches_saved: int = 0
+    segment_accepted: Dict[str, int] = field(default_factory=dict)
+    segment_drafted: Dict[str, int] = field(default_factory=dict)
+    cache: CacheStats = field(default_factory=CacheStats)
+
+    def __add__(self, other: "WorkerCounters") -> "WorkerCounters":
+        return _leafwise(self, other, operator.add)
+
+    def __sub__(self, other: "WorkerCounters") -> "WorkerCounters":
+        return _leafwise(self, other, operator.sub)

@@ -138,12 +138,15 @@ class SequenceRequest:
         prompt: full prompt token ids (BOS already applied).
         max_new_tokens: response-length cap for this request.
         rng: this request's private random stream.
+        segment: optional workload-segment tag; the engine counts
+            accepted/drafted tokens per segment on its ledger.
     """
 
     request_id: int
     prompt: List[int]
     max_new_tokens: int
     rng: np.random.Generator
+    segment: Optional[str] = None
 
 
 @dataclass
@@ -231,7 +234,7 @@ class BatchCycleReport:
         mean_wait_cycles: mean cycles the requests admitted before this
             cycle spent waiting (0.0 when nothing was admitted).
         draft_launches: batched drafter launches issued by this cycle's
-            tree build (0 for vanilla/linear cycles).
+            tree build (0 for vanilla cycles).
         draft_launches_saved: drafter launches avoided versus per-node
             drafting of the same trees.
     """

@@ -44,15 +44,10 @@ from repro.hardware.gpus import ModelSpec
 from repro.llm.model import TinyLM
 from repro.longtail.colocated import ColocatedLoop
 from repro.longtail.scheduler import RolloutScheduler
-from repro.serving.dispatch import (
-    DispatchPolicy,
-    PreemptionPolicy,
-    SloPreemption,
-)
+from repro.serving.dispatch import SloPreemption
 from repro.rollout.acceptance import ParametricAcceptance
 from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
 from repro.serving.frontend import ServingEngine
-from repro.specdec.control import AdmissionPolicy
 from repro.specdec.strategy import SdStrategy
 from repro.systems.base import RlSystem, SystemStepReport
 
@@ -73,20 +68,9 @@ class _AdaptiveSdSystem(RlSystem):
         target: TinyLM,
         drafter: Drafter,
         num_workers: int = 2,
-        max_batch_size: Optional[int] = 8,
-        temperature: float = 0.8,
-        child_mode: str = "sample",
-        use_tree: bool = True,
-        dispatch: Optional[DispatchPolicy] = None,
-        preemption: Optional[PreemptionPolicy] = None,
-        work_stealing: bool = True,
         share_bandit: bool = True,
-        group_affinity: bool = False,
         strategy: Optional[SdStrategy] = None,
-        admission: Optional[AdmissionPolicy] = None,
-        kv_cache_tokens: Optional[int] = None,
-        kv_cache_block_size: Optional[int] = 8,
-        kv_cache_cold_tokens: int = 0,
+        **pool_kwargs,
     ) -> ServingEngine:
         """Online serving front-end mirroring this system's SD policy.
 
@@ -104,31 +88,16 @@ class _AdaptiveSdSystem(RlSystem):
             drafter: the draft model (spot-trained EAGLE for full TLT,
                 the n-gram retrieval drafter for TLT-Base).
             num_workers: decode workers in the pool.
-            max_batch_size: per-worker live-slot capacity.
-            temperature: sampling temperature.
-            child_mode: tree child expansion mode (``sample`` = lossless).
-            use_tree: tree-based drafting (default) or linear chains.
-            dispatch: routing policy (round-robin when omitted).
-            preemption: optional policy parking live low-urgency
-                requests for urgent arrivals (None = never preempt).
-            work_stealing: rebalance queued requests between cycles.
             share_bandit: share one strategy selector across workers.
-            group_affinity: co-locate requests sharing a group tag.
             strategy: static SD configuration; when set, per-worker
                 adaptive managers are NOT built and every cycle runs
                 this strategy (what byte-identity guarantees need —
                 elastic SD legitimately depends on the live batch).
-            admission: pluggable admission policy shared by every
-                worker's scheduler
-                (:class:`~repro.specdec.control.PrefixAwareAdmission`
-                co-admits shared-prefix requests; FIFO when omitted).
-            kv_cache_tokens: per-worker prefix-cache capacity in
-                prompt tokens (no cache when omitted).
-            kv_cache_block_size: tokens per KV block (None = exact-
-                match mode, no partial-prefix reuse).
-            kv_cache_cold_tokens: COLD demotion-tier budget per worker
-                cache (0 = evict outright).
+            **pool_kwargs: every other
+                :class:`~repro.serving.frontend.ServingEngine` keyword
+                (``max_batch_size`` defaults to 8 here).
         """
+        pool_kwargs.setdefault("max_batch_size", 8)
         managers: List[AdaptiveSdManager] = []
         if strategy is None:
             selector = self.sd_config.selector
@@ -145,18 +114,7 @@ class _AdaptiveSdSystem(RlSystem):
             num_workers=num_workers,
             strategy=strategy,
             sd_managers=managers or None,
-            temperature=temperature,
-            child_mode=child_mode,  # type: ignore[arg-type]
-            use_tree=use_tree,
-            max_batch_size=max_batch_size,
-            dispatch=dispatch,
-            preemption=preemption,
-            work_stealing=work_stealing,
-            group_affinity=group_affinity,
-            admission=admission,
-            kv_cache_tokens=kv_cache_tokens,
-            kv_cache_block_size=kv_cache_block_size,
-            kv_cache_cold_tokens=kv_cache_cold_tokens,
+            **pool_kwargs,
         )
 
     def fleet_frontend(

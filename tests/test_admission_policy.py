@@ -248,8 +248,8 @@ class TestEnginePrefixCache:
     ):
         plain_engine = self._engine(target, trained_drafter, strategy)
         plain = self._run(plain_engine)
-        assert plain_engine.prefill_launches == len(GROUPED_PROMPTS)
-        assert plain_engine.prefill_launches_saved == 0
+        assert plain_engine.counters.prefill_launches == len(GROUPED_PROMPTS)
+        assert plain_engine.counters.prefill_launches_saved == 0
 
         cached_engine = self._engine(
             target, trained_drafter, strategy,
@@ -258,16 +258,16 @@ class TestEnginePrefixCache:
         )
         self._run(cached_engine)
         # Three distinct prompts -> three computed rows, ever.
-        assert cached_engine.prefill_launches == 3
+        assert cached_engine.counters.prefill_launches == 3
         assert (
-            cached_engine.prefill_launches_saved
+            cached_engine.counters.prefill_launches_saved
             == len(GROUPED_PROMPTS) - 3
         )
         # Warm session: every prompt is already cached.
         self._run(cached_engine)
-        assert cached_engine.prefill_launches == 0
+        assert cached_engine.counters.prefill_launches == 0
         assert (
-            cached_engine.prefill_launches_saved
+            cached_engine.counters.prefill_launches_saved
             == len(GROUPED_PROMPTS)
         )
         assert plain == plain  # keep the reference alive for clarity
@@ -370,9 +370,6 @@ class _StubWorker:
         self._victim = victim
         self.matches = {}
 
-    def victim_cost(self, victim_classes=None):
-        return self._victim
-
     def park_cost(self, policy, arrival):
         return self._victim
 
@@ -444,37 +441,6 @@ class TestDispatchPolicies:
         ]
         assert PreemptionAwareDispatch().choose(_arrival(), workers) == 1
 
-    def test_victim_cost_respects_classes(
-        self, target, trained_drafter, strategy
-    ):
-        # A real worker pool: one BATCH rollout and one INTERACTIVE
-        # request live on worker 0; the class-blind cost sees both,
-        # the class-restricted cost only the BATCH slot, and a worker
-        # with no eligible victim reports None.
-        from repro.serving import BATCH
-
-        pool = ServingEngine(
-            target, trained_drafter, num_workers=1, strategy=strategy,
-            temperature=0.9, max_batch_size=2,
-        )
-        batch_request = _arrival(0, prompt=(5, 6, 7), slo=BATCH)
-        batch_request.max_new_tokens = 64
-        inter_request = _arrival(1, prompt=(9, 10, 11))
-        inter_request.max_new_tokens = 8
-        pool.submit(batch_request)
-        pool.submit(inter_request)
-        pool.tick()
-        worker = pool.workers[0]
-        assert worker.victim_cost(frozenset({"batch"})) is not None
-        blind = worker.cheapest_victim_tokens
-        assert blind is not None
-        assert blind <= worker.victim_cost(frozenset({"batch"}))
-        assert worker.victim_cost(frozenset({"standard"})) is None
-        # Without a resolver, class-restricted costs are unknowable.
-        worker.resolve = None
-        assert worker.victim_cost(frozenset({"batch"})) is None
-        assert worker.cheapest_victim_tokens is not None
-
     def test_park_cost_matches_actual_preemption_choice(
         self, target, trained_drafter, strategy
     ):
@@ -539,8 +505,6 @@ class TestDispatchPolicies:
     def test_validation(self):
         with pytest.raises(ConfigError):
             PrefixAffinityDispatch(min_match=0)
-        with pytest.raises(ConfigError):
-            PreemptionAwareDispatch(urgent_ttft=0.0)
         with pytest.raises(ConfigError):
             PrefixAffinityDispatch().choose(_arrival(), [])
 

@@ -3,6 +3,7 @@ drain/migration, fleet-wide hot swap, id allocation, determinism."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -21,11 +22,13 @@ from repro.fleet import (
 )
 from repro.hardware import get_gpu, get_model
 from repro.serving import (
+    LeastLoadedDispatch,
+    PrefixAffinityDispatch,
     RequestIdAllocator,
     ServingEngine,
     ServingRequest,
 )
-from repro.specdec import SdStrategy
+from repro.specdec import PrefixAwareAdmission, SdStrategy, WorkerCounters
 from repro.systems import TltSystem
 from repro.workload import fleet_trace
 
@@ -487,32 +490,121 @@ class TestSystemIntegration:
                 assert worker.engine.drafter is published
 
 
-class TestPooledReport:
-    def test_pooled_sums_segment_counters(self, target,
-                                          trained_drafter):
-        """Per-segment acceptance survives the fleet roll-up: pooled
-        counters are the per-replica sums, not silently empty."""
-        trace = _trace()
-        for request in trace:
-            request.segment = (
-                "even" if request.request_id % 2 == 0 else "odd"
+# -- the counter ledger ----------------------------------------------------
+
+#: ``FleetReport.summary()`` / ``replica_reports[0].summary()`` of the
+#: run below as produced before reports became views over the ledger
+#: (commit e9bd47d): every key must survive with its value.
+FLEET_SUMMARY = {
+    "requests": 56.0, "finished": 56.0, "cancelled": 0.0,
+    "p50_latency": 3.4893243003646868,
+    "p99_latency": 16.754280608827287,
+    "p99_ttft": 11.494350554367278,
+    "slo_attainment": 0.9642857142857143,
+    "throughput": 3.784090909090909, "ticks": 88.0, "stolen": 0.0,
+    "expired": 0.0, "preempted": 0.0,
+    "prefix_hit_rate": 0.7777777777777778,
+    "prefill_launches": 12.0, "prefill_launches_saved": 44.0,
+    "prefill_tokens": 48.0, "prefill_tokens_saved": 176.0,
+    "draft_launches": 943.0, "draft_launches_saved": 1644.0,
+    "replicas": 2.0, "spills": 0.0, "migrations": 0.0,
+    "ring_moves": 0.0, "drains": 0.0, "drafter_rolls": 0.0,
+    "worker_cycles": 352.0,
+}
+POOL0_SUMMARY = {
+    "requests": 26.0, "finished": 26.0, "cancelled": 0.0,
+    "p50_latency": 3.4893243003646868,
+    "p99_latency": 10.815264550464446,
+    "p99_ttft": 2.6801939116148805,
+    "slo_attainment": 1.0, "throughput": 1.7272727272727273,
+    "ticks": 88.0, "stolen": 0.0, "expired": 0.0, "preempted": 0.0,
+    "prefix_hit_rate": 0.7692307692307693,
+    "prefill_launches": 6.0, "prefill_launches_saved": 20.0,
+    "prefill_tokens": 24.0, "prefill_tokens_saved": 80.0,
+    "draft_launches": 481.0, "draft_launches_saved": 742.0,
+}
+
+
+@pytest.fixture(scope="module")
+def ledger_run(target, trained_drafter):
+    """2 replicas x 2 workers, caches on, segment tags, on the
+    ``benchmarks/test_fleet_serving.py`` trace and pool shape."""
+    trace = fleet_trace(
+        np.random.default_rng(41), target.config.vocab_size,
+        num_tenants=8, requests_per_tenant=5, num_batch=16,
+        batch_group_size=4, prefix_len=4, mean_interarrival=2.0,
+        batch_gap=3.0,
+    )
+    for request in trace:
+        request.segment = request.slo.name
+    fleet = FleetEngine(
+        [
+            ServingEngine(
+                target, trained_drafter, num_workers=2,
+                strategy=SdStrategy(4, 4, 8), temperature=0.7,
+                max_batch_size=2,
+                dispatch=PrefixAffinityDispatch(
+                    fallback=LeastLoadedDispatch()
+                ),
+                group_affinity=True, work_stealing=False,
+                admission=PrefixAwareAdmission(),
+                kv_cache_tokens=4096,
             )
-        fleet = FleetEngine(
-            [_pool(target, trained_drafter) for _ in range(2)],
-            routing=FleetRoundRobin(),
+            for _ in range(2)
+        ],
+        routing=PrefixHashRouting(spill_factor=4.0, spill_margin=128),
+    )
+    return fleet, fleet.run(trace)
+
+
+class TestCounterLedger:
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(WorkerCounters)]
+    )
+    def test_no_layer_forgets_a_counter(self, ledger_run, name):
+        """Fleet total == sum of replica totals == sum of the engines'
+        own ledgers, for every field the ledger has or will have."""
+        fleet, report = ledger_run
+        engines = sum(
+            (
+                worker.engine.counters
+                for replica in fleet.replicas
+                for worker in replica.frontend.workers
+            ),
+            WorkerCounters(),
         )
-        report = fleet.run(trace, max_ticks=5000)
+        replicas = sum(
+            (r.totals for r in report.replica_reports), WorkerCounters()
+        )
+        total = getattr(report.pooled().totals, name)
+        assert total == getattr(replicas, name)
+        assert total == getattr(engines, name)
+        # The run exercised the counter (zeros would agree vacuously).
+        assert total != getattr(WorkerCounters(), name)
+
+    def test_summaries_keep_every_key_and_value(self, ledger_run):
+        _, report = ledger_run
+        assert report.summary() == FLEET_SUMMARY
+        assert report.replica_reports[0].summary() == POOL0_SUMMARY
+
+    def test_reports_are_snapshots(self, ledger_run):
+        """A report's ledgers are copies: engines that keep serving
+        (or reset) do not rewrite a report already taken."""
+        fleet, report = ledger_run
+        before = report.pooled().totals
+        for replica in fleet.replicas:
+            for worker in replica.frontend.workers:
+                worker.engine.counters.target_steps += 1
+                worker.engine.kv_cache.stats.hits += 1
+        assert report.pooled().totals == before
+
+    def test_segment_acceptance_survives_the_roll_up(self, ledger_run):
+        _, report = ledger_run
         pooled = report.pooled()
-        for name in ("segment_accepted", "segment_drafted"):
-            per_replica = [
-                getattr(r, name) for r in report.replica_reports
-            ]
-            assert all(per_replica)  # every replica recorded some
-            assert getattr(pooled, name) == {
-                segment: sum(d.get(segment, 0) for d in per_replica)
-                for segment in ("even", "odd")
-            }
-        assert set(pooled.segment_acceptance) == {"even", "odd"}
+        assert all(
+            r.totals.segment_drafted for r in report.replica_reports
+        )
+        assert set(pooled.segment_acceptance) == {"batch", "interactive"}
         assert all(
             0.0 <= rate <= 1.0
             for rate in pooled.segment_acceptance.values()

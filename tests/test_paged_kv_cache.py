@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import KVCacheManager
+from repro.cache import CacheStats, KVCacheManager
 from repro.drafter import EagleDrafter, EagleDrafterConfig
 from repro.errors import CacheError
 from repro.llm import TinyLM, TinyLMConfig
@@ -31,6 +31,7 @@ from repro.serving.metrics import ServingReport
 from repro.specdec import (
     BatchedSpecDecodeEngine,
     SdStrategy,
+    WorkerCounters,
     make_serving_request,
 )
 
@@ -92,8 +93,8 @@ class TestAccountingBugfixes:
         # duplicates ride it without touching hit/miss counters.
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
-        assert engine.prefill_launches == 0
-        assert engine.prefill_launches_saved == 3
+        assert engine.counters.prefill_launches == 0
+        assert engine.counters.prefill_launches_saved == 3
 
     def test_window_equivalent_prompts_share_cache(
         self, target, trained_drafter, strategy
@@ -338,18 +339,18 @@ class TestBlockGranularPrefill:
         key_tokens = 4 * 14  # four effective keys of 14 tokens
         # Exact-match caching can only coalesce identical prompts —
         # these four are all distinct, so it prefills every token.
-        assert exact_engine.prefill_tokens == key_tokens
+        assert exact_engine.counters.prefill_tokens == key_tokens
         # Block-granular admission shares the 12 whole-block prefix
         # tokens across the wave: 14 + 3 * 2 = 20.
-        assert paged_engine.prefill_tokens == 20
+        assert paged_engine.counters.prefill_tokens == 20
         assert (
-            paged_engine.prefill_tokens
-            < exact_engine.prefill_tokens
+            paged_engine.counters.prefill_tokens
+            < exact_engine.counters.prefill_tokens
         )
         # Conservation: computed + saved covers every admitted key.
         for engine in (exact_engine, paged_engine):
             assert (
-                engine.prefill_tokens + engine.prefill_tokens_saved
+                engine.counters.prefill_tokens + engine.counters.prefill_tokens_saved
                 == key_tokens
             )
         # Outputs are byte-identical to the no-cache reference.
@@ -367,8 +368,8 @@ class TestBlockGranularPrefill:
         )
         engine.start(_requests(grouped_prompts, max_new_tokens=8))
         warm = _drain(engine)
-        assert engine.prefill_tokens == 0
-        assert engine.prefill_launches == 0
+        assert engine.counters.prefill_tokens == 0
+        assert engine.counters.prefill_launches == 0
         assert cache.stats.hits == 4
         assert [s.response for s in warm.slots] == [
             s.response for s in cold.slots
@@ -380,14 +381,20 @@ class TestReportPlumbing:
         report = ServingReport(
             records=[],
             ticks=1.0,
-            worker_busy_cycles=[1, 1],
-            worker_target_steps=[1, 1],
-            worker_prefill_tokens=[20, 22],
-            worker_prefill_tokens_saved=[36, 14],
-            worker_cache_demotions=[2, 0],
-            worker_cache_promotions=[1, 0],
-            worker_cache_cold_hits=[1, 3],
-            worker_cache_cold_evictions=[0, 1],
+            worker_counters=[
+                WorkerCounters(
+                    prefill_tokens=20,
+                    prefill_tokens_saved=36,
+                    cache=CacheStats(
+                        demotions=2, promotions=1, cold_hits=1
+                    ),
+                ),
+                WorkerCounters(
+                    prefill_tokens=22,
+                    prefill_tokens_saved=14,
+                    cache=CacheStats(cold_hits=3, cold_evictions=1),
+                ),
+            ],
         )
         assert report.prefill_tokens == 42
         assert report.prefill_tokens_saved == 50

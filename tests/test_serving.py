@@ -310,17 +310,17 @@ class _FallbackBeginDrafter(Drafter):
 
 
 class TestBatchedBeginFastPath:
-    def test_linear_tokens_identical_to_fallback(
-        self, target, trained_drafter, strategy
+    def test_chain_tokens_identical_to_fallback(
+        self, target, trained_drafter
     ):
         """The batched begin fast path (one fuse+cell matmul across the
         live batch) commits exactly the tokens of the per-sequence
-        fallback."""
+        fallback (on a chain: the ``topk=1`` tree)."""
         def run(drafter):
             return speculative_generate(
                 target, drafter, PROMPTS, max_new_tokens=24,
                 temperature=0.9, rng=np.random.default_rng(5),
-                strategy=strategy, use_tree=False,
+                strategy=SdStrategy(3, 1, 3),
             )
 
         fast = run(trained_drafter)

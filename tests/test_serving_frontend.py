@@ -181,7 +181,7 @@ class TestServingEngine:
             assert record.ttft <= record.latency
             assert 0 < len(record.response) <= record.request.max_new_tokens
         assert report.total_tokens > 0
-        assert len(report.worker_busy_cycles) == 2
+        assert len(report.worker_counters) == 2
 
     def test_responses_independent_of_dispatch(self, target,
                                                trained_drafter):

@@ -1,9 +1,10 @@
-"""Tests for the lossless accept/reject rules.
+"""Tests for the lossless accept/reject rule.
 
 The key properties verified statistically (against *analytic* target
 distributions, never two-sample):
 
-* chain rule: committed token ~ target distribution regardless of drafter,
+* chain rule (one candidate): committed token ~ target distribution
+  regardless of drafter,
 * multi-round rule: same, for any number of sibling candidates.
 """
 
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import SpecDecodeError
 from repro.specdec import (
-    accept_token,
     multi_round_accept,
     residual_distribution,
 )
@@ -54,27 +54,28 @@ class TestResidual:
         assert (out >= 0).all()
 
 
-class TestAcceptToken:
-    def test_zero_draft_prob_raises(self):
-        p = np.array([0.5, 0.5])
-        q = np.array([1.0, 0.0])
-        with pytest.raises(SpecDecodeError):
-            accept_token(p, q, 1, np.random.default_rng(0))
+class TestOneCandidate:
+    """The chain rule: :func:`multi_round_accept` with one candidate.
+
+    (A zero-draft-mass candidate auto-rejects instead of raising:
+    ``TestMultiRound.test_zero_mass_candidate_skipped``.)
+    """
 
     def test_always_accept_when_target_dominates(self):
         p = np.array([1.0, 0.0])
         q = np.array([0.5, 0.5])
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert accept_token(p, q, 0, rng).accepted
+            chosen, _ = multi_round_accept(p, [0], [q], rng)
+            assert chosen == 0
 
     def test_always_reject_zero_target(self):
         p = np.array([1.0, 0.0])
         q = np.array([0.5, 0.5])
         rng = np.random.default_rng(0)
-        result = accept_token(p, q, 1, rng)
-        assert not result.accepted
-        assert np.allclose(result.residual, [1.0, 0.0])
+        chosen, residual = multi_round_accept(p, [1], [q], rng)
+        assert chosen is None
+        assert np.allclose(residual, [1.0, 0.0])
 
     def test_chain_rule_lossless(self):
         """Draft from q, accept/resample: output must be ~ p (chi-square)."""
@@ -84,12 +85,12 @@ class TestAcceptToken:
         n = 40000
         counts = np.zeros(4)
         for _ in range(n):
-            token = rng.choice(4, p=q)
-            result = accept_token(p, q, int(token), rng)
-            if result.accepted:
+            token = int(rng.choice(4, p=q))
+            chosen, residual = multi_round_accept(p, [token], [q], rng)
+            if chosen is not None:
                 counts[token] += 1
             else:
-                counts[rng.choice(4, p=result.residual)] += 1
+                counts[rng.choice(4, p=residual)] += 1
         chi2 = float(np.sum((counts - n * p) ** 2 / (n * p)))
         # 3 dof, 99.9th percentile ~ 16.27
         assert chi2 < 16.27

@@ -26,12 +26,11 @@ def strategy():
 
 
 def _generate(target, drafter, strategy, max_batch_size, seed=42,
-              use_tree=True, max_new_tokens=40):
+              max_new_tokens=40):
     return speculative_generate(
         target, drafter, PROMPTS, max_new_tokens=max_new_tokens,
         temperature=0.9, rng=np.random.default_rng(seed),
-        strategy=strategy, use_tree=use_tree,
-        max_batch_size=max_batch_size,
+        strategy=strategy, max_batch_size=max_batch_size,
     )
 
 
@@ -50,15 +49,11 @@ class TestBatchedSequentialEquivalence:
             assert batched.finished == sequential.finished
             assert batched.prompts == sequential.prompts
 
-    def test_linear_mode_tokens_identical(
-        self, target, trained_drafter, strategy
-    ):
-        sequential = _generate(
-            target, trained_drafter, strategy, 1, use_tree=False
-        )
-        batched = _generate(
-            target, trained_drafter, strategy, None, use_tree=False
-        )
+    def test_chain_mode_tokens_identical(self, target, trained_drafter):
+        """A chain is the ``topk=1`` tree."""
+        chain = SdStrategy(3, 1, 3)
+        sequential = _generate(target, trained_drafter, chain, 1)
+        batched = _generate(target, trained_drafter, chain, None)
         assert batched.responses == sequential.responses
 
     def test_untrained_drafter_equivalence(

@@ -5,14 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.drafter.ngram import NgramDrafter, NgramDrafterConfig
 from repro.errors import SpecDecodeError
 from repro.llm import TinyLM, TinyLMConfig, generate
 from repro.llm.model import contexts_from_sequences
 from repro.llm.sampler import temperature_probs
 from repro.llm.vocab import EOS_ID
 from repro.specdec import SdStrategy, speculative_generate
-from repro.specdec.linear import linear_decode_step
-from repro.specdec.engine import _initial_hidden
 
 
 @pytest.fixture()
@@ -100,14 +99,6 @@ class TestSpeculativeGenerate:
                 strategy=strategy,
             )
 
-    def test_linear_mode(self, target, trained_drafter, strategy):
-        rng = np.random.default_rng(6)
-        out = speculative_generate(
-            target, trained_drafter, [[5, 6]], max_new_tokens=20,
-            temperature=0.9, rng=rng, strategy=strategy, use_tree=False,
-        )
-        assert out.metrics.mean_accept_length >= 1.0
-
     def test_greedy_matches_vanilla_exactly(
         self, target, trained_drafter, strategy
     ):
@@ -121,6 +112,53 @@ class TestSpeculativeGenerate:
             temperature=0.0, rng=np.random.default_rng(1),
             strategy=strategy, child_mode="topk",
         )
+        assert sd.responses == vanilla.responses
+
+
+@pytest.fixture(params=["eagle", "ngram"])
+def chain_drafter(request, target, trained_drafter, rollout_sequences):
+    if request.param == "eagle":
+        return trained_drafter
+    drafter = NgramDrafter(
+        NgramDrafterConfig(vocab_size=target.config.vocab_size)
+    )
+    drafter.observe_rollouts(rollout_sequences)
+    return drafter
+
+
+class TestChainStrategy:
+    """A chain is the ``topk=1`` tree: ``SdStrategy(d, 1, d)``."""
+
+    CHAIN = SdStrategy(draft_depth=4, topk=1, tokens_to_verify=4)
+    PROMPTS = [[5, 6], [9, 10, 11], [4, 8, 12], [13, 14]]
+
+    def _run(self, target, drafter, temperature, max_batch_size):
+        return speculative_generate(
+            target, drafter, self.PROMPTS, max_new_tokens=20,
+            temperature=temperature, rng=np.random.default_rng(6),
+            strategy=self.CHAIN, max_batch_size=max_batch_size,
+        )
+
+    def test_chain_mode(self, target, chain_drafter):
+        out = self._run(target, chain_drafter, 0.9, None)
+        assert out.metrics.mean_accept_length >= 1.0
+        for cycle in out.metrics.cycles:
+            assert cycle.accepted <= cycle.drafted <= 4
+            assert cycle.committed <= cycle.accepted + 1
+            assert cycle.verify_batch == cycle.drafted + 1
+
+    def test_sequential_equals_batched(self, target, chain_drafter):
+        sequential = self._run(target, chain_drafter, 0.9, 1)
+        batched = self._run(target, chain_drafter, 0.9, None)
+        assert batched.responses == sequential.responses
+        assert batched.finished == sequential.finished
+
+    def test_greedy_matches_vanilla(self, target, chain_drafter):
+        vanilla = generate(
+            target, self.PROMPTS, max_new_tokens=20, temperature=0.0,
+            rng=np.random.default_rng(0),
+        )
+        sd = self._run(target, chain_drafter, 0.0, None)
         assert sd.responses == vanilla.responses
 
 
@@ -174,36 +212,3 @@ class TestLosslessnessStatistical:
         dof = len(obs) - 1
         # Very loose bound: mean + 6*sqrt(2*dof) covers far past 99.99%.
         assert chi2 < dof + 6 * np.sqrt(2 * dof), f"chi2={chi2:.1f} dof={dof}"
-
-
-class TestLinearStep:
-    def test_chain_prefix_structure(self, target, trained_drafter):
-        prefix = [1, 5, 7, 9]
-        rng = np.random.default_rng(0)
-        hidden = _initial_hidden(target, prefix)
-        result = linear_decode_step(
-            target, trained_drafter, prefix, hidden, draft_depth=4,
-            temperature=0.9, rng=rng,
-        )
-        assert result.accepted_count <= result.drafted_count
-        assert len(result.accepted_tokens) == result.accepted_count + 1
-        # accept_flags: accepted prefix then at most one rejection
-        flags = result.accept_flags
-        if False in flags:
-            first_reject = flags.index(False)
-            assert all(flags[:first_reject])
-            assert len(flags) == first_reject + 1
-
-    def test_invalid_depth(self, target, trained_drafter):
-        with pytest.raises(SpecDecodeError):
-            linear_decode_step(
-                target, trained_drafter, [1, 2], None, draft_depth=0,
-                temperature=1.0, rng=np.random.default_rng(0),
-            )
-
-    def test_empty_prefix_raises(self, target, trained_drafter):
-        with pytest.raises(SpecDecodeError):
-            linear_decode_step(
-                target, trained_drafter, [], None, draft_depth=2,
-                temperature=1.0, rng=np.random.default_rng(0),
-            )
