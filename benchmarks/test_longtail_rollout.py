@@ -111,7 +111,7 @@ def _run_rollouts(target, drafter, trace, mode, pipelined, predictor):
     )
     rng = np.random.default_rng(ROLLOUT_SEED)
     if pipelined:
-        # Lookahead-1 stepping (the run_pipelined_steps shape): batch
+        # Lookahead-1 stepping (the ColocatedLoop.run shape): batch
         # k+1 is staged while batch k's stragglers drain, and batch
         # k+1's staging order can use batch k-1's observed lengths.
         results = []

@@ -11,7 +11,7 @@ pool shape:
 
 * **no-cache** — the byte-identity reference; every prompt prefills
   its full effective context.
-* **exact** — ``kv_cache_block_size=None``: whole-key blocks, the
+* **exact** — a block size above every key: whole-key blocks, the
   pre-paged behaviour (repeat prompts hit, distinct prompts pay full).
 * **paged** — fixed-size blocks: distinct prompts sharing a prefix
   prefill only their divergent suffixes.
@@ -47,6 +47,8 @@ STRATEGY = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
 #: fig-substrate window of 4 would make every key a single block).
 WINDOW = 16
 BLOCK = 4
+#: Above every effective key (none exceeds the window): whole-key blocks.
+EXACT = 2 * WINDOW
 KV_TOKENS = 512
 TIGHT_HOT = 28
 TIGHT_COLD = 28
@@ -114,7 +116,7 @@ def test_paged_kv(benchmark):
     configs = {
         "no-cache": dict(),
         "exact": dict(
-            kv_cache_tokens=KV_TOKENS, kv_cache_block_size=None
+            kv_cache_tokens=KV_TOKENS, kv_cache_block_size=EXACT
         ),
         "paged": dict(
             kv_cache_tokens=KV_TOKENS, kv_cache_block_size=BLOCK
@@ -201,8 +203,8 @@ def test_paged_kv(benchmark):
     assert tight.cache_demotions > 0
 
 
-#: Block-size sweep grid.  None = whole-key (exact-match) blocks.
-BLOCK_SIZES = (2, 4, 8, 16, None)
+#: Block-size sweep grid, ending on whole-key (exact-match) blocks.
+BLOCK_SIZES = (2, 4, 8, 16, EXACT)
 DEFAULT_BLOCK = 8  # the ServingEngine default being documented
 
 
@@ -250,7 +252,7 @@ def test_block_size_sweep(benchmark):
         run = grid[block_size]
         report = run["report"]
         saved = report.prefill_tokens_saved
-        label = "exact" if block_size is None else str(block_size)
+        label = "exact" if block_size == EXACT else str(block_size)
         if block_size == DEFAULT_BLOCK:
             label += " (default)"
         rows.append(
@@ -276,7 +278,7 @@ def test_block_size_sweep(benchmark):
     # Byte identity is block-size-invariant: granularity changes what
     # is recomputed, never what is committed.
     reference = [
-        r.response for r in grid[None]["report"].records
+        r.response for r in grid[EXACT]["report"].records
     ]
     for block_size in BLOCK_SIZES:
         assert [

@@ -1,11 +1,12 @@
 """End-to-end TLT-style reasoning RL training.
 
-Runs GRPO on the successor-chain reasoning task with the full TLT data
-path: speculative rollouts through an adaptive drafter, hidden-state
-capture into the Online DataBuffer, and spot drafter training between
-steps (the idle-bubble analogue).  Prints the reward curve alongside the
-drafter's accept length — which *improves* over training because the spot
-trainer keeps the drafter aligned with the evolving policy.
+Runs GRPO on the successor-chain reasoning task through the packaged
+closed loop (:meth:`~repro.systems.tlt.TltSystem.colocated_system`):
+speculative rollouts ride a serving pool, each step's finished rollouts
+feed the Online DataBuffer, a spot slice trains the drafter (the
+idle-bubble analogue) and the snapshot is republished pool-wide.  Prints
+the reward curve alongside the pool ticks each rollout batch took and the
+cumulative drafter updates.
 
 Run:  python examples/reasoning_rl_training.py
 """
@@ -18,16 +19,16 @@ from repro import (
     EagleDrafter,
     EagleDrafterConfig,
     RlConfig,
-    RlTrainer,
     SdStrategy,
-    SpeculativeRollout,
     TinyLMConfig,
     Vocabulary,
 )
+from repro.cluster import ClusterSpec
 from repro.drafter import DrafterTrainer, DrafterTrainingConfig
-from repro.drafter.training import collect_training_sequences
+from repro.hardware import get_gpu, get_model
 from repro.llm.pretrain import pretrained_target
 from repro.spot import OnlineDataBuffer, SpotTrainer
+from repro.systems import TltSystem
 from repro.workload import SuccessorChainTask
 
 RL_STEPS = 24
@@ -44,12 +45,9 @@ def main() -> None:
     vocab = Vocabulary(config.vocab_size)
     task = SuccessorChainTask(vocab=vocab, target_pairs=10)
 
-    # TLT components: adaptive drafter + speculative rollout backend +
-    # spot trainer fed by the DataBuffer.
+    # TLT components: adaptive drafter + spot trainer fed by the
+    # DataBuffer, closed into one loop over a serving pool.
     drafter = EagleDrafter(policy, EagleDrafterConfig(), rng)
-    backend = SpeculativeRollout(
-        drafter, SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8)
-    )
     spot = SpotTrainer(
         trainer=DrafterTrainer(
             drafter, DrafterTrainingConfig(learning_rate=5e-3)
@@ -59,34 +57,33 @@ def main() -> None:
         batch_sequences=24,
         max_positions=1024,
     )
-
-    trainer = RlTrainer(
-        policy, task,
+    system = TltSystem(
+        get_model("Qwen2.5-7B"),
+        ClusterSpec(num_workers=2, gpus_per_worker=4, gpu=get_gpu("H100")),
+    )
+    loop = system.colocated_system(
+        policy, drafter, task,
         RlConfig(num_prompts=8, group_size=8, max_new_tokens=32,
                  temperature=1.0, learning_rate=6e-3, kl_coef=0.002),
-        backend=backend,
-        rng=np.random.default_rng(1),
+        spot_trainer=spot,
+        spot_updates_per_round=SPOT_UPDATES_PER_STEP,
+        rl_rng=np.random.default_rng(1),
+        spot_rng=np.random.default_rng(2),
+        num_workers=2,
+        max_batch_size=32,
+        strategy=SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8),
     )
 
-    spot_rng = np.random.default_rng(2)
     print(f"{'step':>4} {'reward':>7} {'len':>6} "
-          f"{'accept':>7} {'drafter upd':>11}")
+          f"{'pool ticks':>10} {'drafter upd':>11}")
     for step in range(RL_STEPS):
-        spot.begin_step(step)
-        report = trainer.step()
-        # Inference stage: cache hidden states of finished rollouts.
-        assert trainer.last_rollout is not None
-        spot.ingest(
-            collect_training_sequences(
-                policy, trainer.last_rollout.full_sequences, step
-            )
-        )
-        # Long-tail bubble: opportunistic drafter updates.
-        slice_report = spot.train_slice(SPOT_UPDATES_PER_STEP, spot_rng)
-        accept = report.rollout_stats.get("accept_length", 1.0)
+        # One turn of the loop: rollout on the pool, policy update,
+        # spot slice in the long-tail bubble, snapshot republished.
+        (report,) = loop.run(1)
         print(f"{step:>4} {report.mean_reward:>7.3f} "
               f"{report.mean_response_length:>6.1f} "
-              f"{accept:>7.2f} {spot.total_updates:>11}")
+              f"{report.rollout_stats['pool_ticks']:>10.0f} "
+              f"{spot.total_updates:>11}")
 
     print("\nReward learned by GRPO while the adaptive drafter kept the")
     print("rollout accelerated — and losslessly so: the reward curve is")

@@ -71,20 +71,15 @@ def effective_prefill_context(
     return key
 
 
-def block_boundaries(
-    length: int, block_size: Optional[int]
-) -> List[int]:
+def block_boundaries(length: int, block_size: int) -> List[int]:
     """Covered-prefix lengths at which a key splits into blocks.
 
     Full blocks of ``block_size`` tokens followed by one partial tail
-    block; ``block_size=None`` is the degenerate exact-match mode (the
-    whole key is a single block — the ablation baseline the paged
-    benchmark compares against).
+    block; with ``block_size >= length`` the whole key is a single
+    block (the ablation baseline the paged benchmark compares against).
     """
     if length <= 0:
         return []
-    if block_size is None:
-        return [length]
     ends = list(range(block_size, length + 1, block_size))
     if not ends or ends[-1] != length:
         ends.append(length)

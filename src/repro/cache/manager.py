@@ -142,9 +142,9 @@ class KVCacheManager:
         capacity_tokens: HOT-tier token budget; an insert that cannot
             fit after demoting/evicting every unpinned block is
             declined (pinned blocks are never touched).
-        block_size: tokens per block.  ``None`` is the degenerate
-            exact-match mode — each key is one monolithic block, no
-            partial reuse (the ablation baseline).
+        block_size: tokens per block.  At or above the longest key
+            every key is one monolithic block with no partial reuse
+            (the ablation baseline).
         cold_capacity_tokens: COLD demotion-tier budget (0 = evicted
             blocks are dropped outright, the pre-paged behaviour).
         context_window: the target model's window, used to canonicalise
@@ -156,7 +156,7 @@ class KVCacheManager:
     def __init__(
         self,
         capacity_tokens: int,
-        block_size: Optional[int] = 8,
+        block_size: int = 8,
         cold_capacity_tokens: int = 0,
         context_window: Optional[int] = None,
     ) -> None:
@@ -164,9 +164,9 @@ class KVCacheManager:
             raise CacheError(
                 f"capacity_tokens must be >= 1, got {capacity_tokens}"
             )
-        if block_size is not None and block_size < 1:
+        if block_size < 1:
             raise CacheError(
-                f"block_size must be >= 1 or None, got {block_size}"
+                f"block_size must be >= 1, got {block_size}"
             )
         if cold_capacity_tokens < 0:
             raise CacheError(

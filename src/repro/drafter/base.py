@@ -29,9 +29,7 @@ Because every drafting state is rebuilt from the target's hidden hand-off
 at the start of each cycle, a drafter carries **no cross-cycle state the
 engine depends on** — which is what makes zero-downtime hot swap
 (:meth:`repro.specdec.batch_engine.BatchedSpecDecodeEngine.swap_drafter`)
-cycle-boundary safe for any drafter whose :attr:`Drafter.supports_hot_swap`
-is True (the default).  A drafter that caches engine-visible state across
-cycles must override it to return False.
+cycle-boundary safe for every drafter.
 """
 
 from __future__ import annotations
@@ -194,15 +192,3 @@ class Drafter(abc.ABC):
     def trainable(self) -> bool:
         """Whether this drafter has weights updated by the spot trainer."""
         return False
-
-    @property
-    def supports_hot_swap(self) -> bool:
-        """Whether this drafter may replace (or be replaced by) another
-        mid-rollout at a cycle boundary.
-
-        True by default: draft state is rebuilt from the target hidden
-        hand-off every cycle, so the engine needs nothing migrated.
-        Drafters that keep engine-visible state across cycles must
-        return False.
-        """
-        return True

@@ -177,9 +177,6 @@ class FleetEngine:
         routing: fleet routing policy
             (:class:`~repro.fleet.router.PrefixHashRouting` with
             least-loaded spill when omitted).
-        id_allocator: shared request-id namespace (a fresh one when
-            omitted).  Every replica's ``allocate_request_ids`` is
-            re-pointed at it, so no two replicas can mint the same id.
         warmup_ticks: fleet ticks a JOINING replica waits before
             promotion to ACTIVE (0 = promoted on its first tick).
     """
@@ -188,7 +185,6 @@ class FleetEngine:
         self,
         replicas: Sequence[ServingEngine],
         routing: Optional[RoutingPolicy] = None,
-        id_allocator: Optional[RequestIdAllocator] = None,
         warmup_ticks: int = 0,
     ) -> None:
         if not replicas:
@@ -199,7 +195,10 @@ class FleetEngine:
             )
         self.clock = VirtualClock()
         self.routing = routing or PrefixHashRouting()
-        self.id_allocator = id_allocator or RequestIdAllocator()
+        #: The fleet's one request-id namespace: every replica's
+        #: ``allocate_request_ids`` is re-pointed at it, so no two
+        #: replicas can mint the same id.
+        self.id_allocator = RequestIdAllocator()
         self.warmup_ticks = warmup_ticks
         #: Fleet-wide merged lifecycle stream: every replica's events
         #: re-published with their ``replica_id`` stamped, so consumers
@@ -341,10 +340,6 @@ class FleetEngine:
         if not isinstance(drafter, Drafter):
             raise FleetError(
                 f"swap_drafter() needs a Drafter, got {type(drafter)!r}"
-            )
-        if not drafter.supports_hot_swap:
-            raise FleetError(
-                f"drafter {drafter.name!r} does not support hot swap"
             )
         self._swap_drafter = drafter
         self._swap_queue = deque(

@@ -22,12 +22,10 @@ cache locality but never a committed token.
   arrival spills to the *second-warmest* replica for its prefix —
   cooler than the owner, warmest cache first — so one hot family's
   overflow lands on one overflow replica and pays its cold prefill
-  once (``warm_spill=False`` restores the least-loaded choice).  For
-  windowed models, ``context_window`` keys the ring on the prompt's
-  *effective prefill context* rather than its raw head, so
+  once.  For windowed models, ``context_window`` keys the ring on the
+  prompt's *effective prefill context* rather than its raw head, so
   window-equivalent prompts co-locate (see the class docstring).  Ring
-  membership follows the replica
-  lifecycle via :meth:`RoutingPolicy.on_join` / :meth:`on_leave`, and
+  membership follows the replica lifecycle via :meth:`RoutingPolicy.on_join` / :meth:`on_leave`, and
   every membership change audits how many previously-routed keys moved
   owner (the report's ``ring_moves`` counter — consistent hashing's
   minimal-movement claim, measured).
@@ -52,10 +50,10 @@ class RoutingPolicy(abc.ABC):
     """Chooses the replica an arriving request is handed to.
 
     ``replicas`` is the sequence of *routable* (ACTIVE) replicas, each
-    exposing ``replica_id`` and ``backlog_tokens``; the returned index
-    is into that sequence.  Policies are notified of membership changes
-    (:meth:`on_join` / :meth:`on_leave`) so stateful routing — the hash
-    ring — tracks the lifecycle exactly.
+    exposing ``replica_id``, ``backlog_tokens`` and ``prefix_match``;
+    the returned index is into that sequence.  Policies are notified
+    of membership changes (:meth:`on_join` / :meth:`on_leave`) so
+    stateful routing — the hash ring — tracks the lifecycle exactly.
     """
 
     #: Label used in reports and benchmark tables.
@@ -131,23 +129,19 @@ class PrefixHashRouting(RoutingPolicy):
         spill_factor: hot-spot shedding threshold.  When the hashed
             owner's ``backlog_tokens`` exceeds ``spill_factor * min``
             (the least-loaded replica's backlog) ``+ spill_margin``,
-            the arrival spills to the least-loaded replica instead.
-            None disables spilling (pure affinity).
+            the arrival spills to the *second-warmest* replica for its
+            prefix — the replica (excluding the overloaded owner, and
+            only among replicas strictly cooler than it) whose caches
+            or in-flight requests hold the longest match for the
+            request's prompt.  Successive spills of one hot family then
+            pile onto the SAME overflow replica, which pays the
+            family's cold prefill once; a load-only spill would scatter
+            the family across every cool replica and pay the prefill on
+            each.  None disables spilling (pure affinity).
         spill_margin: absolute slack (tokens) before spilling can
             trigger, so near-idle fleets do not spill on noise.
         fallback: policy used when the ring is empty or the hashed
             owner is not currently routable (least-loaded by default).
-        warm_spill: when True (default), a spilled arrival goes to the
-            *second-warmest* replica for its prefix — the replica
-            (excluding the overloaded owner, and only among replicas
-            strictly cooler than it) whose caches or in-flight
-            requests hold the longest match for the request's prompt —
-            instead of the globally least-loaded one.  Successive
-            spills of one hot family then pile onto the SAME overflow
-            replica, which pays the family's cold prefill once; a
-            load-only spill scatters the family across every cool
-            replica and pays the prefill on each.  False restores the
-            load-only behaviour (the baseline the warmth test beats).
         context_window: the served model's attention window.  When
             set, the routing key is the leading ``prefix_len`` tokens
             of the prompt's *effective prefill context*
@@ -173,7 +167,6 @@ class PrefixHashRouting(RoutingPolicy):
         spill_factor: Optional[float] = 2.0,
         spill_margin: int = 32,
         fallback: Optional[RoutingPolicy] = None,
-        warm_spill: bool = True,
         context_window: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -197,7 +190,6 @@ class PrefixHashRouting(RoutingPolicy):
         self.prefix_len = prefix_len
         self.spill_factor = spill_factor
         self.spill_margin = spill_margin
-        self.warm_spill = warm_spill
         self.context_window = context_window
         self.fallback = fallback or FleetLeastLoaded()
         self.ring = ConsistentHashRing(vnodes=vnodes)
@@ -293,11 +285,10 @@ class PrefixHashRouting(RoutingPolicy):
 
         Only replicas strictly cooler than the owner are candidates —
         spilling must shed load, never trade one hot spot for another.
-        With :attr:`warm_spill`, the warmest candidate for the
-        request's prompt wins (the *second-warmest* replica overall,
-        the owner being the warmest), ties broken by load then id;
-        otherwise the least-loaded candidate (the PR 7 behaviour).
-        None when no replica is cooler than the owner.
+        The warmest candidate for the request's prompt wins (the
+        *second-warmest* replica overall, the owner being the
+        warmest), ties broken by load then id.  None when no replica
+        is cooler than the owner.
         """
         candidates = [
             i
@@ -306,31 +297,14 @@ class PrefixHashRouting(RoutingPolicy):
         ]
         if not candidates:
             return None
-        if self.warm_spill:
-            return max(
-                candidates,
-                key=lambda i: (
-                    self._warmth(replicas[i], request.prompt),
-                    -loads[i],
-                    -replicas[i].replica_id,
-                ),
-            )
-        return min(
+        return max(
             candidates,
-            key=lambda i: (loads[i], replicas[i].replica_id),
+            key=lambda i: (
+                replicas[i].prefix_match(request.prompt),
+                -loads[i],
+                -replicas[i].replica_id,
+            ),
         )
-
-    @staticmethod
-    def _warmth(replica, prompt: Sequence[int]) -> int:
-        """Longest prefix of ``prompt`` the replica already holds.
-
-        Replicas without a warmth probe (bare stubs in tests, future
-        non-caching replicas) count as cold rather than erroring.
-        """
-        probe = getattr(replica, "prefix_match", None)
-        if probe is None:
-            return 0
-        return int(probe(prompt))
 
 
 class StaticRouting(RoutingPolicy):

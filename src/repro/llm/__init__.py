@@ -13,9 +13,9 @@ Everything downstream (speculative decoding, drafter training, GRPO) works
 against this substrate exactly as it would against a real transformer.
 """
 
-from repro.llm.generation import GenerationOutput, generate, prefill
+from repro.llm.generation import GenerationOutput, generate
 from repro.llm.model import ForwardCache, ForwardResult, TinyLM, TinyLMConfig
-from repro.llm.optim import Adam, Sgd
+from repro.llm.optim import Adam
 from repro.llm.params import ParamSet
 from repro.llm.sampler import (
     log_softmax,
@@ -33,7 +33,6 @@ __all__ = [
     "ForwardCache",
     "ParamSet",
     "Adam",
-    "Sgd",
     "Vocabulary",
     "softmax",
     "log_softmax",
@@ -41,6 +40,5 @@ __all__ = [
     "sample_from_logits",
     "sample_from_probs",
     "generate",
-    "prefill",
     "GenerationOutput",
 ]

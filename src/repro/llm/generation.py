@@ -8,7 +8,7 @@ forward per generated token.  Speculative decoding lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ class GenerationOutput:
     """Result of a batched generation call.
 
     Attributes:
-        prompts: the input prompts (with BOS prepended when requested).
+        prompts: the input prompts, BOS prepended.
         responses: generated tokens per sequence, including the terminal EOS
             when one was emitted.
         finished: per-sequence flag — True when EOS terminated generation,
@@ -57,24 +57,12 @@ class GenerationOutput:
         return sum(self.response_lengths)
 
 
-def prefill(model: TinyLM, sequences: Sequence[Sequence[int]]) -> np.ndarray:
-    """Return the (B, k) trailing context for each sequence.
-
-    For a windowed model the "KV cache" reduces to the trailing context
-    window, so prefill is O(1) state; the hidden states for drafter training
-    are recomputed in the RL inference stage instead (exactly as the paper
-    caches them during response prefilling).
-    """
-    return contexts_from_sequences(sequences, model.config.context_window)
-
-
 def generate(
     model: TinyLM,
     prompts: Sequence[Sequence[int]],
     max_new_tokens: int,
     temperature: float,
     rng: np.random.Generator,
-    add_bos: bool = True,
     record_probs: bool = False,
 ) -> GenerationOutput:
     """Vanilla batched autoregressive generation.
@@ -86,7 +74,6 @@ def generate(
         temperature: sampling temperature (0 = greedy).
         rng: random generator consumed one uniform per active sequence per
             step.
-        add_bos: prepend BOS to every prompt.
         record_probs: also return the sampled tokens' probabilities.
 
     Returns:
@@ -98,10 +85,7 @@ def generate(
         )
     if not prompts:
         raise GenerationError("prompts must be non-empty")
-    prompt_lists = [
-        ([BOS_ID] + list(map(int, p))) if add_bos else list(map(int, p))
-        for p in prompts
-    ]
+    prompt_lists = [[BOS_ID] + list(map(int, p)) for p in prompts]
     batch = len(prompt_lists)
     sequences = [list(p) for p in prompt_lists]
     responses: List[List[int]] = [[] for _ in range(batch)]

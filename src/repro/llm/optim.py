@@ -1,8 +1,8 @@
 """Optimizers over :class:`~repro.llm.params.ParamSet`.
 
 The paper trains both the target model (RL stage, Adam + BF16 mixed
-precision) and the drafter (spot training) with Adam; we provide Adam and
-plain SGD over the shared parameter container.
+precision) and the drafter (spot training) with Adam, provided here over
+the shared parameter container.
 """
 
 from __future__ import annotations
@@ -13,31 +13,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.llm.params import ParamSet
-
-
-class Sgd:
-    """Vanilla stochastic gradient descent with optional momentum."""
-
-    def __init__(self, lr: float, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Optional[ParamSet] = None
-
-    def step(self, params: ParamSet, grads: ParamSet) -> None:
-        """Apply one descent step in-place on ``params``."""
-        if self.momentum == 0.0:
-            params.add_scaled(grads, -self.lr)
-            return
-        if self._velocity is None:
-            self._velocity = grads.zeros_like()
-        for name, vel in self._velocity.items():
-            vel *= self.momentum
-            vel += grads[name]
-        params.add_scaled(self._velocity, -self.lr)
 
 
 class Adam:

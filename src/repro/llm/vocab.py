@@ -11,8 +11,6 @@ Three ids are reserved at the bottom of the range:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
-
 import numpy as np
 
 from repro.errors import VocabularyError
@@ -56,30 +54,9 @@ class Vocabulary:
         return EOS_ID
 
     @property
-    def first_regular_id(self) -> int:
-        """Smallest non-special token id."""
-        return NUM_SPECIAL_TOKENS
-
-    @property
     def num_regular(self) -> int:
         """Number of non-special token ids."""
         return self.size - NUM_SPECIAL_TOKENS
-
-    def contains(self, token_id: int) -> bool:
-        """Whether ``token_id`` is a valid id in this vocabulary."""
-        return 0 <= token_id < self.size
-
-    def validate_tokens(self, tokens: Iterable[int]) -> None:
-        """Raise :class:`VocabularyError` if any token id is out of range."""
-        for tok in tokens:
-            if not self.contains(int(tok)):
-                raise VocabularyError(
-                    f"token id {tok} outside vocabulary of size {self.size}"
-                )
-
-    def regular_ids(self) -> List[int]:
-        """All non-special token ids, ascending."""
-        return list(range(NUM_SPECIAL_TOKENS, self.size))
 
     def random_regular_tokens(
         self, rng: np.random.Generator, count: int
@@ -88,15 +65,3 @@ class Vocabulary:
         if count < 0:
             raise VocabularyError(f"count must be non-negative, got {count}")
         return rng.integers(NUM_SPECIAL_TOKENS, self.size, size=count)
-
-    def strip_special(self, tokens: Sequence[int]) -> List[int]:
-        """Drop pad/bos and truncate at the first EOS (exclusive)."""
-        out: List[int] = []
-        for tok in tokens:
-            tok = int(tok)
-            if tok == EOS_ID:
-                break
-            if tok in (PAD_ID, BOS_ID):
-                continue
-            out.append(tok)
-        return out

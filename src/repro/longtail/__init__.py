@@ -28,7 +28,6 @@ from repro.longtail.scheduler import (
     SchedulerMode,
     SchedulerStats,
     group_tags,
-    run_pipelined_steps,
 )
 from repro.longtail.zoo import DrafterZoo
 
@@ -41,6 +40,5 @@ __all__ = [
     "SchedulerMode",
     "SchedulerStats",
     "group_tags",
-    "run_pipelined_steps",
     "DrafterZoo",
 ]

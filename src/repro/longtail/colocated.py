@@ -21,7 +21,6 @@ from repro.drafter.base import Drafter
 from repro.drafter.training import collect_training_sequences
 from repro.errors import ConfigError
 from repro.longtail.scheduler import RolloutScheduler
-from repro.serving.frontend import ServingEngine
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.rl.trainer import RlStepReport, RlTrainer
@@ -32,8 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 class ColocatedLoop:
     """The closed loop: RL trainer ↔ shared pool ↔ drafter refresh.
 
-    One :meth:`round` is one turn of the paper's loop lifted onto a
-    live serving pool:
+    :meth:`run` is the one stepping loop; each round is one turn of
+    the paper's loop lifted onto a live serving pool:
 
     1. the trainer's rollout batch rides the pool as BATCH traffic
        (:class:`~repro.longtail.scheduler.RolloutScheduler`), preempted
@@ -46,10 +45,9 @@ class ColocatedLoop:
        traffic) speculate with it.
 
     Args:
-        frontend: the shared serving pool.
         trainer: the RL trainer, built over a
-            :class:`~repro.longtail.scheduler.RolloutScheduler` on
-            ``frontend``.
+            :class:`~repro.longtail.scheduler.RolloutScheduler`; the
+            scheduler's pool is the loop's :attr:`frontend`.
         spot: optional spot drafter trainer; omitted = no refresh
             (TLT-Base-style loop).
         spot_updates_per_round: drafter update budget per bubble.
@@ -58,7 +56,6 @@ class ColocatedLoop:
 
     def __init__(
         self,
-        frontend: ServingEngine,
         trainer: "RlTrainer",
         spot: Optional["SpotTrainer"] = None,
         spot_updates_per_round: int = 20,
@@ -69,13 +66,10 @@ class ColocatedLoop:
                 "ColocatedLoop needs a trainer whose backend rides the "
                 f"shared pool; got {type(trainer.backend).__name__}"
             )
-        if trainer.backend.engine is not frontend:
-            raise ConfigError(
-                "trainer backend must ride the same pool as the loop"
-            )
         if spot_updates_per_round < 1:
             raise ConfigError("spot_updates_per_round must be >= 1")
-        self.frontend = frontend
+        #: The shared serving pool the trainer's rollouts ride.
+        self.frontend = trainer.backend.engine
         self.trainer = trainer
         self.spot = spot
         self.spot_updates_per_round = spot_updates_per_round
@@ -104,31 +98,73 @@ class ColocatedLoop:
         self.published.append(published)
         return published
 
-    def round(self) -> "RlStepReport":
-        """Run one RL step + spot refresh + pool-wide publication."""
-        step = self.trainer.steps_done
-        if self.spot is not None:
-            self.spot.begin_step(step)
-        report = self.trainer.step()
-        if self.spot is not None:
-            rollout = self.trainer.last_rollout
-            assert rollout is not None
-            self.spot.ingest(
-                collect_training_sequences(
-                    self.trainer.policy,
-                    rollout.full_sequences,
-                    step,
-                )
-            )
-            self.spot.train_slice(
-                self.spot_updates_per_round, self.spot_rng
-            )
-            self.publish_drafter()
-        return report
+    def run(
+        self, num_rounds: int, lookahead: int = 0
+    ) -> List["RlStepReport"]:
+        """Run ``num_rounds`` RL steps, each followed by the refresh.
 
-    def run(self, num_rounds: int) -> List["RlStepReport"]:
-        """Run several rounds; returns their step reports."""
-        return [self.round() for _ in range(num_rounds)]
+        Keeps up to ``lookahead`` extra batches staged ahead of the one
+        being trained on: while batch *k*'s stragglers decode, batch
+        *k+1*'s short requests are already filling the freed slots, and
+        batch *k* is still delivered group-complete before its update
+        runs.  Trainer RNG order is preserved — ``sample_prompts`` and
+        the scheduler's in-prompt-order seed draw alternate exactly as
+        :meth:`~repro.rl.trainer.RlTrainer.step`'s calls would — so the
+        *requests* are identical at every ``lookahead`` and
+        ``lookahead=0`` is ``trainer.step()`` byte for byte; a
+        looked-ahead batch *is* rolled out under a policy (and drafter)
+        up to ``lookahead`` updates stale, the classic async-RL
+        freshness trade the caller opts into.
+
+        With a spot trainer attached every step ends with the refresh:
+        ingest the finished rollouts, train a slice in the bubble
+        (drawing from ``spot_rng`` only), publish the snapshot.
+
+        Returns the per-step reports.
+        """
+        if num_rounds < 1:
+            raise ConfigError(f"num_rounds must be >= 1, got {num_rounds}")
+        if lookahead < 0:
+            raise ConfigError(f"lookahead must be >= 0, got {lookahead}")
+        trainer = self.trainer
+        scheduler = trainer.backend
+        config = trainer.config
+        in_flight: List = []  # (batch_id, PromptBatch)
+        submitted = 0
+        reports: List["RlStepReport"] = []
+        for _ in range(num_rounds):
+            while submitted < num_rounds and len(in_flight) <= lookahead:
+                prompts = trainer.sample_prompts()
+                batch_id = scheduler.submit_batch(
+                    trainer.policy,
+                    prompts.expanded,
+                    config.max_new_tokens,
+                    config.temperature,
+                    trainer.rng,
+                )
+                in_flight.append((batch_id, prompts))
+                submitted += 1
+            batch_id, prompts = in_flight.pop(0)
+            step = trainer.steps_done
+            if self.spot is not None:
+                self.spot.begin_step(step)
+            rollout = scheduler.collect(batch_id)
+            reports.append(trainer.step(rollout=rollout, prompts=prompts))
+            if self.spot is not None:
+                self.spot.ingest(
+                    collect_training_sequences(
+                        trainer.policy, rollout.full_sequences, step
+                    )
+                )
+                self.spot.train_slice(
+                    self.spot_updates_per_round, self.spot_rng
+                )
+                self.publish_drafter()
+        return reports
+
+    def round(self) -> "RlStepReport":
+        """One RL step + spot refresh + pool-wide publication."""
+        return self.run(1)[0]
 
     def drain(self) -> "ServingReport":
         """Serve remaining interactive traffic (and finish any swap).

@@ -67,17 +67,11 @@ from repro.llm.vocab import BOS_ID, EOS_ID
 from repro.longtail.predictor import LengthPredictor
 from repro.rl.rollout_backends import RolloutBackend, RolloutResult
 from repro.serving.frontend import ServingEngine
-from repro.serving.request import (
-    BATCH,
-    RESOLVED_STATES,
-    ServingRequest,
-    SloClass,
-)
+from repro.serving.request import BATCH, RESOLVED_STATES, ServingRequest
 from repro.specdec.metrics import WorkerCounters
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.llm.model import TinyLM
-    from repro.rl.trainer import RlStepReport, RlTrainer
 
 
 def group_tags(
@@ -181,11 +175,12 @@ class RolloutScheduler(RolloutBackend):
 
     Args:
         engine: the shared serving pool (the same object online traffic
-            rides; rollouts enter as ``slo``-class requests through the
-            standard submit path, so the urgent lane and preemption
-            policy apply to them unchanged).  Its target model must be
-            the *same object* as the policy the trainer mutates, so RL
-            updates reach every worker without weight shipping, and its
+            rides; rollouts enter as BATCH-class requests — preemptible,
+            deadline-free background traffic — through the standard
+            submit path, so the urgent lane and preemption policy apply
+            to them unchanged).  Its target model must be the *same
+            object* as the policy the trainer mutates, so RL updates
+            reach every worker without weight shipping, and its
             temperature must match the trainer's rollout temperature
             (both are validated per batch).
         predictor: response-length estimator staged members are ranked
@@ -194,8 +189,6 @@ class RolloutScheduler(RolloutBackend):
             lengths back, closing the estimator's loop.
         mode: :class:`SchedulerMode` (TAIL_FIRST unless benchmarking
             the FIFO baseline).
-        slo: SLO class rollout requests carry (BATCH — preemptible
-            background traffic).
         group_size: GRPO group size for exact group tagging; inferred
             from identical consecutive prompts when omitted (see
             :func:`group_tags`).
@@ -212,18 +205,12 @@ class RolloutScheduler(RolloutBackend):
         engine: ServingEngine,
         predictor: Optional[LengthPredictor] = None,
         mode: SchedulerMode = SchedulerMode.TAIL_FIRST,
-        slo: SloClass = BATCH,
         group_size: Optional[int] = None,
         segment_of: Optional[
             Callable[[Sequence[int]], Optional[str]]
         ] = None,
         max_ticks: int = 1_000_000,
     ) -> None:
-        if slo.deadline is not None:
-            raise ConfigError(
-                "rollout requests must not carry a deadline: an "
-                "expired rollout would silently corrupt the GRPO group"
-            )
         if group_size is not None and group_size < 1:
             raise ConfigError(
                 f"group_size must be >= 1, got {group_size}"
@@ -235,7 +222,6 @@ class RolloutScheduler(RolloutBackend):
         self.engine = engine
         self.predictor = predictor or LengthPredictor()
         self.mode = mode
-        self.slo = slo
         self.group_size = group_size
         self.segment_of = segment_of
         self.max_ticks = max_ticks
@@ -324,7 +310,7 @@ class RolloutScheduler(RolloutBackend):
                     prompt=prompt,
                     max_new_tokens=max_new_tokens,
                     arrival_time=self.engine.clock.now,
-                    slo=self.slo,
+                    slo=BATCH,
                     predicted_length=self.predictor.predict(
                         prompt, cap=max_new_tokens
                     ),
@@ -440,11 +426,7 @@ class RolloutScheduler(RolloutBackend):
         )
         spent = self._pool_counters() - counters_before
         return RolloutResult(
-            prompts=[
-                ([BOS_ID] + list(r.request.prompt))
-                if engine.add_bos else list(r.request.prompt)
-                for r in records
-            ],
+            prompts=[[BOS_ID] + list(r.request.prompt) for r in records],
             responses=responses,
             # EOS is only ever committed as the final token, so the
             # tail token is exactly the engine's slot.done flag.
@@ -497,50 +479,3 @@ class RolloutScheduler(RolloutBackend):
         """Uncollected batch ids in submission order."""
         return list(self._batches)
 
-
-def run_pipelined_steps(
-    trainer: "RlTrainer",
-    scheduler: RolloutScheduler,
-    num_steps: int,
-    lookahead: int = 1,
-) -> List["RlStepReport"]:
-    """Drive ``num_steps`` RL steps with pipelined rollouts.
-
-    Keeps up to ``lookahead`` extra batches staged ahead of the one
-    being trained on: while batch *k*'s stragglers decode, batch
-    *k+1*'s short requests are already filling the freed slots, and
-    batch *k* is still delivered group-complete before its update runs.
-    Trainer RNG order is preserved — ``sample_prompts`` and the
-    scheduler's in-prompt-order seed draw alternate exactly as the
-    in-line loop's calls would — so the *requests* are identical to
-    sequential stepping; a looked-ahead batch *is* rolled out under a
-    policy that is up to ``lookahead`` updates stale, the classic
-    async-RL freshness trade the caller opts into (``lookahead=0``
-    degenerates to fully-synchronous stepping).
-
-    Returns the per-step reports.
-    """
-    if num_steps < 1:
-        raise ConfigError(f"num_steps must be >= 1, got {num_steps}")
-    if lookahead < 0:
-        raise ConfigError(f"lookahead must be >= 0, got {lookahead}")
-    config = trainer.config
-    in_flight: List = []  # (batch_id, PromptBatch)
-    submitted = 0
-    reports: List["RlStepReport"] = []
-    for _ in range(num_steps):
-        while submitted < num_steps and len(in_flight) < lookahead + 1:
-            prompts = trainer.sample_prompts()
-            batch_id = scheduler.submit_batch(
-                trainer.policy,
-                prompts.expanded,
-                config.max_new_tokens,
-                config.temperature,
-                trainer.rng,
-            )
-            in_flight.append((batch_id, prompts))
-            submitted += 1
-        batch_id, prompts = in_flight.pop(0)
-        rollout = scheduler.collect(batch_id)
-        reports.append(trainer.step(rollout=rollout, prompts=prompts))
-    return reports

@@ -111,10 +111,6 @@ class DrafterZoo:
                 raise ConfigError(
                     f"arm {name!r} is not a Drafter: {type(drafter)!r}"
                 )
-            if not drafter.supports_hot_swap:
-                raise ConfigError(
-                    f"arm {name!r} does not support hot swap"
-                )
         self.arms: Dict[str, Drafter] = dict(arms)
         self.segments = list(segments)
         self.epsilon = epsilon
@@ -247,10 +243,6 @@ class DrafterZoo:
         if not isinstance(drafter, Drafter):
             raise ConfigError(
                 f"refresh needs a Drafter, got {type(drafter)!r}"
-            )
-        if not drafter.supports_hot_swap:
-            raise ConfigError(
-                f"refreshed arm {name!r} does not support hot swap"
             )
         self.arms[name] = drafter
         self.refreshes += 1

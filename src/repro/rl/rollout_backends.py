@@ -30,7 +30,7 @@ from repro.drafter.base import Drafter
 from repro.errors import ConfigError
 from repro.llm.generation import generate
 from repro.llm.model import TinyLM
-from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
+from repro.rollout.adaptive import AdaptiveSdManager
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine
 from repro.specdec.strategy import SdStrategy
 
@@ -104,27 +104,24 @@ class SpeculativeRollout(RolloutBackend):
 
     One :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine` per
     rollout batch, configured the engine's own way: a static
-    ``strategy`` every cycle, XOR an adaptive manager (``sd_config`` /
-    ``manager`` — full TLT).  Under a manager the engine reports its
-    live-batch size every cycle: above the elastic activation threshold
-    the batch decodes vanilla (one batched forward per token), below it
-    the manager's BEG-MAB selector picks the strategy and absorbs the
-    cycle's *measured* accept lengths — the algorithmic counterpart of
-    the paper's Figure 14 dynamics.
+    ``strategy`` every cycle, XOR an adaptive ``manager`` (full TLT).
+    Under a manager the engine reports its live-batch size every cycle:
+    above the elastic activation threshold the batch decodes vanilla
+    (one batched forward per token), below it the manager's BEG-MAB
+    selector picks the strategy and absorbs the cycle's *measured*
+    accept lengths — the algorithmic counterpart of the paper's Figure
+    14 dynamics.  Finished responses are fed back into a model-free
+    drafter's retrieval database after every batch.
 
     Args:
         drafter: the draft model (learned or model-free); shared across
             steps so spot training between steps improves later rollouts.
         strategy: static SD configuration.
-        sd_config: adaptive-manager configuration (threshold, strategy
-            pool, selector); a manager is built from it when ``manager``
-            is omitted.
-        manager: pre-built manager to reuse (keeps bandit state across
-            rollouts — the non-stationary setting BEG-MAB targets).
+        manager: adaptive manager (threshold, strategy pool, selector);
+            it keeps its bandit state across rollouts — the
+            non-stationary setting BEG-MAB targets.
         child_mode: tree child expansion mode (``sample`` = lossless).
         max_batch_size: live-slot capacity of the scheduler.
-        feed_ngram: when True, finished responses are fed back into the
-            drafter's retrieval database (model-free drafters).
     """
 
     name = "speculative"
@@ -133,25 +130,20 @@ class SpeculativeRollout(RolloutBackend):
         self,
         drafter: Drafter,
         strategy: Optional[SdStrategy] = None,
-        sd_config: Optional[AdaptiveSdConfig] = None,
         manager: Optional[AdaptiveSdManager] = None,
         child_mode: str = "sample",
         max_batch_size: Optional[int] = None,
-        feed_ngram: bool = True,
     ) -> None:
-        if manager is None and sd_config is not None:
-            manager = AdaptiveSdManager(sd_config)
         if (strategy is None) == (manager is None):
             raise ConfigError(
                 "pass exactly one of a static strategy or an adaptive "
-                "sd_config / manager"
+                "manager"
             )
         self.drafter = drafter
         self.strategy = strategy
         self.manager = manager
         self.child_mode = child_mode
         self.max_batch_size = max_batch_size
-        self.feed_ngram = feed_ngram
 
     def swap_drafter(self, drafter: Drafter) -> None:
         """Adopt refreshed drafter weights for subsequent rollouts.
@@ -178,7 +170,7 @@ class SpeculativeRollout(RolloutBackend):
         activations_before = manager.activations if manager else 0
         result = engine.generate(prompts, max_new_tokens, rng)
         responses = [slot.response for slot in result.slots]
-        if self.feed_ngram and not self.drafter.trainable:
+        if not self.drafter.trainable:
             self.drafter.observe_rollouts(responses)
         metrics = result.metrics
         stats = {

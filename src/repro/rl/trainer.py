@@ -155,7 +155,7 @@ class RlTrainer:
 
         The pipelining seam: a caller that splits the backend's
         ``generate`` into ``submit_batch`` / ``collect``
-        (:func:`repro.longtail.run_pipelined_steps` over the same
+        (:meth:`repro.longtail.ColocatedLoop.run` over the same
         ``RolloutScheduler`` that serves as the in-line backend)
         samples the prompts here — consuming the trainer's RNG in
         exactly the order :meth:`step` would — keeps batches in flight

@@ -9,8 +9,8 @@ the loop back into the adaptive SD layer — each worker's
 :class:`~repro.rollout.adaptive.AdaptiveSdManager` sees its own live
 batch every cycle.
 
-The layer is rebased on the engine control plane
-(:class:`~repro.specdec.control.EngineControl`): an optional
+The layer drives the engine's lifecycle methods
+(:mod:`repro.specdec.control`): an optional
 :class:`SloPreemption` policy parks live BATCH stragglers
 byte-identically for urgent arrivals,
 :meth:`ServingEngine.swap_drafter` rolls refreshed drafter weights

@@ -37,10 +37,9 @@ been consumed yet, so it decodes identically wherever it lands.
 full worker (and so miss its SLO), :class:`SloPreemption` picks the
 longest-backlog low-urgency victim — canonically a BATCH-class RL
 rollout — to **park**: the victim's slot is stashed whole (tokens,
-hidden hand-off, random stream) through the engine's control plane
-(:class:`~repro.specdec.control.EngineControl`), the urgent request
-takes the freed slot, and the victim resumes byte-identically once
-capacity frees up.  Preemption therefore trades latency *across* SLO
+hidden hand-off, random stream) by the engine's ``park``, the urgent
+request takes the freed slot, and the victim resumes byte-identically
+once capacity frees up.  Preemption therefore trades latency *across* SLO
 classes without touching a single committed token.
 
 Policies duck-type their ``workers`` argument against the serving
@@ -311,9 +310,9 @@ class PreemptionPolicy(abc.ABC):
     """Decides which live request (if any) to park for an arrival.
 
     Consulted by the front-end at dispatch time when the chosen worker
-    has no free slot: the returned victim is parked through the worker's
-    :class:`~repro.specdec.control.EngineControl` surface, freeing a
-    slot the arrival is admitted into at the worker's next cycle.
+    has no free slot: the returned victim is parked on the worker's
+    engine, freeing a slot the arrival is admitted into at the worker's
+    next cycle.
     Returning None declines to preempt (the arrival queues normally).
     """
 

@@ -9,12 +9,10 @@ requests are work-stolen from backlogged workers, and requests can be
 cancelled mid-decode — explicitly or by SLO deadline — without
 perturbing a single committed token of any survivor.
 
-The front-end is rebased on the engine's control plane
-(:class:`~repro.specdec.control.EngineControl`): every lifecycle
-mutation — admit, cancel, expire, park, resume, drafter swap — goes
-through that surface, and every worker's lifecycle events (stamped with
-cycle and virtual time) are merged into one pool-wide trail
-(:meth:`ServingEngine.lifecycle_events`).  Two capabilities ride on it:
+Every lifecycle mutation — admit, cancel, expire, park, resume,
+drafter swap — is a method of the worker's engine, and every worker's
+lifecycle events (stamped with cycle and virtual time) are merged into
+one pool-wide trail (:meth:`ServingEngine.lifecycle_events`).  Two capabilities ride on it:
 
 * **SLO-aware preemption** — a
   :class:`~repro.serving.dispatch.PreemptionPolicy` parks the
@@ -113,10 +111,9 @@ from repro.specdec.tree import ChildMode
 class ServingWorker:
     """One decode worker: an incremental engine plus dispatch metadata.
 
-    The worker talks to its engine exclusively through the control
-    plane (:class:`~repro.specdec.control.EngineControl`) plus the
-    incremental ``step()``, so any engine satisfying the protocol can
-    sit here.
+    The worker drives its engine's lifecycle methods and incremental
+    ``step()``, and reads ``engine.scheduler`` / ``.counters`` /
+    ``.kv_cache`` / ``.max_batch_size`` for the load surface below.
 
     Args:
         worker_id: stable index of this worker in the pool (stamped
@@ -125,9 +122,6 @@ class ServingWorker:
             (an incremental session is opened immediately).
         time_fn: virtual-time source wired into the engine's event
             stream (the pool's clock).
-        add_bos: whether the front-end prepends BOS to prompts — the
-            worker's prefix probes must compare in the engine's token
-            space, not the client's.
         resolve: maps a request id to its :class:`~repro.serving.
             request.ServingRequest` (wired to the front-end's
             records), so :meth:`park_cost` can reason about SLO
@@ -140,7 +134,6 @@ class ServingWorker:
         worker_id: int,
         engine: BatchedSpecDecodeEngine,
         time_fn: Optional[Callable[[], float]] = None,
-        add_bos: bool = True,
         resolve: Optional[
             Callable[[int], "ServingRequest"]
         ] = None,
@@ -150,7 +143,6 @@ class ServingWorker:
         engine.start(())
         engine.events.worker_id = worker_id
         engine.time_fn = time_fn
-        self.add_bos = add_bos
         self.resolve = resolve
         self._predicted: Dict[int, int] = {}
 
@@ -280,9 +272,7 @@ class ServingWorker:
         lifted into the engine's token space (BOS applied) first.
         Non-accounting: dispatch probes never skew hit rates.
         """
-        tokens: List[int] = [int(t) for t in prompt]
-        if self.add_bos:
-            tokens = [BOS_ID] + tokens
+        tokens: List[int] = [BOS_ID] + [int(t) for t in prompt]
         best = 0
         cache = self.engine.kv_cache
         if cache is not None:
@@ -393,7 +383,6 @@ class ServingEngine:
             when an urgent arrival would otherwise queue (None = never
             preempt — PR 2 behaviour).
         work_stealing: rebalance queued requests between cycles.
-        add_bos: prepend BOS to request prompts.
         group_affinity: route requests sharing a ``group`` tag to the
             worker the group's first member landed on (best effort —
             work stealing may still move queued members).  Grouped GRPO
@@ -412,16 +401,10 @@ class ServingEngine:
             and :class:`~repro.serving.dispatch.PrefixAffinityDispatch`
             can route arrivals to the worker holding their prefix.
         kv_cache_block_size: tokens per KV block in each worker's
-            cache (``None`` = exact-match mode: whole-key blocks, no
-            partial reuse — the ablation baseline).
+            cache (a size at or above the longest key gives whole-key
+            blocks with no partial reuse — the ablation baseline).
         kv_cache_cold_tokens: budget of each cache's COLD demotion
             tier (0 = evict outright, the classic single-tier LRU).
-        id_allocator: the request-id namespace this pool mints from.
-            Pass one shared :class:`~repro.serving.request.
-            RequestIdAllocator` to every replica of a fleet so
-            concurrent pools can never allocate colliding ids; a
-            private allocator is created when omitted (single-pool
-            behaviour, unchanged).
     """
 
     def __init__(
@@ -437,13 +420,11 @@ class ServingEngine:
         dispatch: Optional[DispatchPolicy] = None,
         preemption: Optional[PreemptionPolicy] = None,
         work_stealing: bool = True,
-        add_bos: bool = True,
         group_affinity: bool = False,
         admission: Optional[AdmissionPolicy] = None,
         kv_cache_tokens: Optional[int] = None,
-        kv_cache_block_size: Optional[int] = 8,
+        kv_cache_block_size: int = 8,
         kv_cache_cold_tokens: int = 0,
-        id_allocator: Optional[RequestIdAllocator] = None,
     ) -> None:
         if num_workers < 1:
             raise ConfigError(
@@ -458,9 +439,9 @@ class ServingEngine:
             raise ConfigError(
                 f"kv_cache_tokens must be >= 1, got {kv_cache_tokens}"
             )
-        if kv_cache_block_size is not None and kv_cache_block_size < 1:
+        if kv_cache_block_size < 1:
             raise ConfigError(
-                f"kv_cache_block_size must be >= 1 or None, "
+                f"kv_cache_block_size must be >= 1, "
                 f"got {kv_cache_block_size}"
             )
         if kv_cache_cold_tokens < 0:
@@ -472,7 +453,6 @@ class ServingEngine:
         self.dispatch = dispatch or RoundRobinDispatch()
         self.preemption = preemption
         self.work_stealing = work_stealing
-        self.add_bos = add_bos
         self.managers = list(sd_managers) if sd_managers else []
         self.workers: List[ServingWorker] = []
         self._events: List[RequestEvent] = []
@@ -509,7 +489,6 @@ class ServingEngine:
                 worker_id,
                 engine,
                 time_fn=lambda: self.clock.now,
-                add_bos=add_bos,
                 resolve=(
                     lambda request_id:
                     self.records[request_id].request
@@ -533,7 +512,9 @@ class ServingEngine:
         self.group_affinity = group_affinity
         self._group_worker: Dict[int, int] = {}
         self._group_pending: Dict[int, int] = {}
-        self.id_allocator = id_allocator or RequestIdAllocator()
+        #: The request-id namespace this pool mints from (a fleet
+        #: points every replica at its one shared allocator).
+        self.id_allocator = RequestIdAllocator()
         #: Slot-cycles decoded per SLO class (one live slot decoding for
         #: one tick = one slot-cycle) — the per-class utilization the
         #: co-location benchmark reads reclaimed-bubble capacity from.
@@ -699,10 +680,6 @@ class ServingEngine:
         if not isinstance(drafter, Drafter):
             raise ServingError(
                 f"swap_drafter() needs a Drafter, got {type(drafter)!r}"
-            )
-        if not drafter.supports_hot_swap:
-            raise ServingError(
-                f"drafter {drafter.name!r} does not support hot swap"
             )
 
     @property
@@ -956,7 +933,6 @@ class ServingEngine:
                     prompt=request.prompt,
                     max_new_tokens=request.max_new_tokens,
                     seed=request.seed,
-                    add_bos=self.add_bos,
                     segment=request.segment,
                 ),
                 predicted=request.dispatch_length,

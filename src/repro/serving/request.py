@@ -130,8 +130,8 @@ class RequestState(enum.Enum):
 
 
 #: Terminal serving states — nothing left to do for these requests.
-#: Shared by the front-end's event loop and the RL rollout backend's
-#: drain loop, so a future terminal state cannot desynchronize them.
+#: Shared by the front-end's event loop and the rollout scheduler's
+#: collect loop, so a future terminal state cannot desynchronize them.
 RESOLVED_STATES = frozenset(
     {
         RequestState.FINISHED,
@@ -157,8 +157,10 @@ class ServingRequest:
         group: optional group tag.  GRPO rollout groups share one tag so
             the front-end can route a whole group to one worker
             (``group_affinity``) — grouped rollouts share their prompt
-            by construction, which is what prefix-cache-aware admission
-            will exploit.  None means ungrouped (ordinary traffic).
+            by construction, which is what
+            :class:`~repro.specdec.control.PrefixAwareAdmission` turns
+            into one prefill launch per group.  None means ungrouped
+            (ordinary traffic).
         segment: optional workload-segment label (length/prompt family).
             Segment-tagged requests get per-segment acceptance counters
             on :class:`~repro.serving.metrics.ServingReport`, and

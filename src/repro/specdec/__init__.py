@@ -21,7 +21,6 @@ from repro.specdec.batch_engine import (
 from repro.specdec.control import (
     AdmissionPolicy,
     AdmissionView,
-    EngineControl,
     EventBus,
     FifoAdmission,
     PrefixAwareAdmission,
@@ -75,7 +74,6 @@ __all__ = [
     "RequestLifecycle",
     "SequenceRequest",
     "SequenceSlot",
-    "EngineControl",
     "EventBus",
     "RequestEvent",
     "RequestEventKind",

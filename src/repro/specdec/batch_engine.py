@@ -13,9 +13,8 @@ analyzes.
 The engine is **incrementally drivable**: :meth:`BatchedSpecDecodeEngine.
 start` opens a decoding session, :meth:`~BatchedSpecDecodeEngine.step`
 runs exactly one admission + draft/verify + retirement cycle, and the
-request set is mutated between cycles through the
-:class:`~repro.specdec.control.EngineControl` surface the engine
-implements — :meth:`~BatchedSpecDecodeEngine.admit` /
+request set is mutated between cycles through
+:meth:`~BatchedSpecDecodeEngine.admit` /
 :meth:`~BatchedSpecDecodeEngine.cancel` /
 :meth:`~BatchedSpecDecodeEngine.expire` /
 :meth:`~BatchedSpecDecodeEngine.park` /
@@ -215,7 +214,7 @@ class BatchedSpecDecodeEngine:
             # Cache keys must match what the hand-off actually depends
             # on: the target's effective context (the window bugfix).
             kv_cache.context_window = target.config.context_window
-        #: Lifecycle event stream (the EngineControl contact surface).
+        #: Lifecycle event stream.
         self.events = EventBus()
         #: Optional virtual-time source stamped onto events (wired by
         #: the serving worker to its pool's VirtualClock).
@@ -411,10 +410,6 @@ class BatchedSpecDecodeEngine:
             raise SpecDecodeError(
                 f"swap_drafter() needs a Drafter, got {type(drafter)!r}"
             )
-        if not drafter.supports_hot_swap:
-            raise SpecDecodeError(
-                f"drafter {drafter.name!r} does not support hot swap"
-            )
         self.drafter = drafter
         self.drafter_swaps += 1
         self._emit(RequestEventKind.SWAPPED, None)
@@ -560,7 +555,6 @@ class BatchedSpecDecodeEngine:
         prompts: Sequence[Sequence[int]],
         max_new_tokens: int,
         rng: np.random.Generator,
-        add_bos: bool = True,
     ) -> BatchedGenerationResult:
         """Decode ``prompts`` to completion under continuous batching.
 
@@ -569,7 +563,6 @@ class BatchedSpecDecodeEngine:
             max_new_tokens: per-sequence response-length cap.
             rng: master generator; one seed per request is drawn up front
                 so scheduling never changes any sequence's randomness.
-            add_bos: prepend BOS to each prompt.
 
         Returns:
             A :class:`BatchedGenerationResult` (request order preserved).
@@ -578,7 +571,7 @@ class BatchedSpecDecodeEngine:
             raise SpecDecodeError(
                 f"max_new_tokens must be >= 1, got {max_new_tokens}"
             )
-        requests = self._make_requests(prompts, max_new_tokens, rng, add_bos)
+        requests = self._make_requests(prompts, max_new_tokens, rng)
         self.start(requests)
         while self.has_work:
             self.step()
@@ -591,13 +584,9 @@ class BatchedSpecDecodeEngine:
         prompts: Sequence[Sequence[int]],
         max_new_tokens: int,
         rng: np.random.Generator,
-        add_bos: bool,
     ) -> List[SequenceRequest]:
         """Build requests with private per-request random streams."""
-        prompt_lists = [
-            ([BOS_ID] + list(map(int, p))) if add_bos else list(map(int, p))
-            for p in prompts
-        ]
+        prompt_lists = [[BOS_ID] + list(map(int, p)) for p in prompts]
         seeds = rng.integers(
             0, np.iinfo(np.int64).max, size=len(prompt_lists)
         )
@@ -812,7 +801,6 @@ def make_serving_request(
     prompt: Sequence[int],
     max_new_tokens: int,
     seed: int,
-    add_bos: bool = True,
     segment: Optional[str] = None,
 ) -> SequenceRequest:
     """Build a :class:`SequenceRequest` with its own seeded stream.
@@ -825,12 +813,9 @@ def make_serving_request(
         raise SpecDecodeError(
             f"max_new_tokens must be >= 1, got {max_new_tokens}"
         )
-    prompt_list = [int(t) for t in prompt]
-    if add_bos:
-        prompt_list = [BOS_ID] + prompt_list
     return SequenceRequest(
         request_id=request_id,
-        prompt=prompt_list,
+        prompt=[BOS_ID] + [int(t) for t in prompt],
         max_new_tokens=max_new_tokens,
         rng=np.random.default_rng(int(seed)),
         segment=segment,

@@ -1,20 +1,16 @@
-"""The engine control plane: lifecycle protocol + event stream.
+"""The engine control plane: lifecycle events + admission policies.
 
 The batched engine's original surface (``start``/``admit``/``cancel``/
 ``step``) was wide enough for the serving front-end's first iteration but
 too narrow for the paper's mid-rollout dynamics: an adaptively refreshed
 drafter must be deployed *without* stalling decode, and SLO-aware
 scheduling must be able to *pause* a long-tail request rather than kill
-it.  This module defines the shared control surface both the batch
-engine and the serving layer speak:
+it.  :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`
+carries that lifecycle itself (``admit`` / ``cancel`` / ``expire`` /
+``park`` / ``resume`` / ``swap_drafter``) and
+:class:`~repro.serving.frontend.ServingWorker` drives it directly; this
+module holds what the two layers share:
 
-* :class:`EngineControl` — a structural protocol over the request
-  lifecycle: ``admit`` / ``cancel`` / ``expire`` / ``park`` / ``resume``
-  / ``swap_drafter`` plus a subscribable :class:`EventBus`.
-  :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`
-  implements it; :class:`~repro.serving.frontend.ServingWorker` and
-  :class:`~repro.serving.frontend.ServingEngine` are rebased on it, so
-  any engine satisfying the protocol can sit under the serving layer.
 * :class:`RequestEvent` / :class:`RequestEventKind` — the lifecycle
   event stream.  Every transition (admitted, parked, resumed,
   preempted, swapped, finished, cancelled, expired) is emitted with the
@@ -54,19 +50,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    TYPE_CHECKING,
-    runtime_checkable,
-)
-
-from repro.cache.prefix_index import common_prefix_len
-from repro.drafter.base import Drafter
-from repro.errors import SpecDecodeError
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - types only (import cycle guard:
     # the scheduler imports the admission surface defined below)
@@ -189,47 +173,6 @@ class EventBus:
         return len(self._events)
 
 
-@runtime_checkable
-class EngineControl(Protocol):
-    """Structural protocol of a controllable decoding engine.
-
-    The serving layer drives engines exclusively through this surface
-    (plus the incremental ``step()``), so any engine implementing it —
-    today :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`,
-    tomorrow a prefix-cache-aware or pooled RL+serving engine — slots
-    under :class:`~repro.serving.frontend.ServingWorker` unchanged.
-    """
-
-    #: Lifecycle event stream (see module docstring).
-    events: EventBus
-
-    def admit(self, request: SequenceRequest) -> None:
-        """Enqueue a request into the waiting queue."""
-        ...
-
-    def cancel(self, request_id: int) -> Optional[SequenceSlot]:
-        """Cancel a waiting, parked, or live request; None if unknown."""
-        ...
-
-    def expire(self, request_id: int) -> Optional[SequenceSlot]:
-        """Retire a request as deadline-expired; None if unknown."""
-        ...
-
-    def park(
-        self, request_id: int, preempted: bool = False
-    ) -> SequenceSlot:
-        """Suspend a live request, stashing its slot for later resume."""
-        ...
-
-    def resume(self, request_id: int) -> None:
-        """Queue a parked request for re-admission into a live slot."""
-        ...
-
-    def swap_drafter(self, drafter: Drafter) -> None:
-        """Replace the drafter at a cycle boundary (zero downtime)."""
-        ...
-
-
 # -- admission (the WAITING -> LIVE edge, made pluggable) ------------------
 
 
@@ -321,9 +264,11 @@ class PrefixAwareAdmission(AdmissionPolicy):
     requests whose prompt matches an *anchor* — a request already
     selected this wave, a live slot's prompt, or a cached prefix —
     forward into the same wave, so the engine's prefill stage
-    coalesces them into one launch per shared prefix.  Matching is
-    exact by default (the only reuse the prefill stage can cash in
-    today); ``min_shared`` opts into partial-prefix pull-forward.
+    coalesces them into one launch per shared prefix.  Only *exact*
+    prompt matches count as sharers — the matches the prefill stage can
+    coalesce into one launch (the hidden hand-off depends on every
+    prompt token) — so co-admission never reorders the queue without a
+    prefill saving to show for it.
 
     Fairness invariants:
 
@@ -335,28 +280,9 @@ class PrefixAwareAdmission(AdmissionPolicy):
       stream of later-queued sharers), remaining capacity prefers the
       earliest-queued prefix-sharer, and with no sharers the policy
       degrades to FIFO exactly.
-
-    Args:
-        min_shared: None (default) counts only *exact* prompt matches
-            as sharers — the matches the engine's prefill stage can
-            actually coalesce into one launch (the hidden hand-off
-            depends on every prompt token), so co-admission never
-            reorders the queue without a prefill saving to show for
-            it.  Set an integer to also pull forward requests sharing
-            at least that many leading tokens (BOS included when the
-            engine applies one): a forward-looking mode for the
-            ROADMAP's block-granular partial-prefix reuse, which today
-            buys batching locality but no launch savings.
     """
 
     name = "prefix-aware"
-
-    def __init__(self, min_shared: Optional[int] = None) -> None:
-        if min_shared is not None and min_shared < 1:
-            raise SpecDecodeError(
-                f"min_shared must be >= 1 when set, got {min_shared}"
-            )
-        self.min_shared = min_shared
 
     def select(self, view: AdmissionView) -> List[int]:
         limit = view.limit
@@ -379,21 +305,9 @@ class PrefixAwareAdmission(AdmissionPolicy):
         anchors.extend(tuple(slot.request.prompt) for slot in view.live)
 
         def shares(prompt: Tuple[int, ...]) -> bool:
-            if self.min_shared is None:  # exact-reuse mode (default)
-                if view.cache is not None and view.cache.covers_prompt(
-                    prompt
-                ):
-                    return True
-                return any(anchor == prompt for anchor in anchors)
-            if (
-                view.cache is not None
-                and view.cache.prompt_match(prompt) >= self.min_shared
-            ):
+            if view.cache is not None and view.cache.covers_prompt(prompt):
                 return True
-            return any(
-                common_prefix_len(prompt, anchor) >= self.min_shared
-                for anchor in anchors
-            )
+            return any(anchor == prompt for anchor in anchors)
 
         # 3) The FIFO head goes unconditionally (starvation guard: a
         #    unique-prompt head must not be passed over forever by a

@@ -164,7 +164,6 @@ def speculative_generate(
     temperature: float,
     rng: np.random.Generator,
     strategy: Optional[SdStrategy],
-    add_bos: bool = True,
     child_mode: ChildMode = "sample",
     max_batch_size: Optional[int] = None,
     sd_manager: Optional["AdaptiveSdManager"] = None,
@@ -181,7 +180,6 @@ def speculative_generate(
             it so results do not depend on ``max_batch_size``.
         strategy: SD configuration tuple (optional when ``sd_manager``
             selects strategies per cycle).
-        add_bos: prepend BOS to each prompt.
         child_mode: tree child expansion mode (``sample`` is lossless).
         max_batch_size: live-slot capacity of the continuous-batching
             scheduler (None = all prompts decode together, 1 = fully
@@ -206,7 +204,7 @@ def speculative_generate(
         max_batch_size=max_batch_size,
         sd_manager=sd_manager,
     )
-    result = engine.generate(prompts, max_new_tokens, rng, add_bos=add_bos)
+    result = engine.generate(prompts, max_new_tokens, rng)
     return SpeculativeGenerationOutput(
         prompts=[slot.request.prompt for slot in result.slots],
         responses=[slot.response for slot in result.slots],

@@ -10,7 +10,6 @@ preemption loses almost no progress.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -35,14 +34,12 @@ class SpotTrainingReport:
         positions: training positions in the sampled batch.
         ce_loss: final cross-entropy loss of the slice.
         checkpoint_foreground_s: caller-blocking checkpoint time.
-        preempted: whether the slice ended by preemption.
     """
 
     updates: int
     positions: int
     ce_loss: float
     checkpoint_foreground_s: float
-    preempted: bool = False
 
 
 @dataclass
@@ -90,15 +87,12 @@ class SpotTrainer:
         self,
         max_updates: int,
         rng: np.random.Generator,
-        deadline_s: Optional[float] = None,
     ) -> SpotTrainingReport:
-        """Run up to ``max_updates`` optimisation steps.
+        """Run ``max_updates`` optimisation steps.
 
         Args:
             max_updates: update budget for this slice.
             rng: generator for buffer sampling.
-            deadline_s: optional wall-clock budget; the slice stops (as a
-                simulated preemption) when exceeded.
 
         Returns:
             A :class:`SpotTrainingReport`; when the buffer is empty the
@@ -129,35 +123,24 @@ class SpotTrainer:
                 checkpoint_foreground_s=0.0,
             )
 
-        start = time.perf_counter()
         ckpt_foreground = 0.0
         ce_loss = float("nan")
-        updates = 0
-        preempted = False
         for _ in range(max_updates):
-            if (
-                deadline_s is not None
-                and time.perf_counter() - start >= deadline_s
-            ):
-                preempted = True
-                break
             report = self.trainer.train_step(batch)
             ce_loss = report.ce_loss
-            updates += 1
             self._updates_total += 1
             if (
                 self.checkpoints is not None
                 and self._updates_total % self.checkpoint_every == 0
             ):
                 ckpt_foreground += self._checkpoint()
-        if self.checkpoints is not None and (updates or preempted):
+        if self.checkpoints is not None:
             ckpt_foreground += self._checkpoint()
         return SpotTrainingReport(
-            updates=updates,
+            updates=max_updates,
             positions=batch.num_positions,
             ce_loss=ce_loss,
             checkpoint_foreground_s=ckpt_foreground,
-            preempted=preempted,
         )
 
     def preempt(self) -> float:
@@ -171,8 +154,8 @@ class SpotTrainer:
 
         Returns a deep copy of the drafter being trained, suitable for
         handing to a live engine pool
-        (:meth:`repro.serving.frontend.ServingEngine.swap_drafter` /
-        :meth:`repro.systems.tlt.TltSystem.publish_drafter`): training
+        (:meth:`repro.serving.frontend.ServingEngine.swap_drafter`, as
+        :meth:`repro.longtail.ColocatedLoop.publish_drafter` does): training
         continues mutating the original while the snapshot serves.
         """
         drafter = self.trainer.drafter

@@ -20,7 +20,7 @@ real batched token generation on the TinyLM substrate.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, TYPE_CHECKING, Union
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class _AdaptiveSdSystem(RlSystem):
         target: TinyLM,
         drafter: Drafter,
         num_workers: int = 2,
-        share_bandit: bool = True,
         strategy: Optional[SdStrategy] = None,
         **pool_kwargs,
     ) -> ServingEngine:
@@ -78,17 +77,16 @@ class _AdaptiveSdSystem(RlSystem):
         per worker from ``self.sd_config`` — the same elastic threshold
         and strategy pool the cluster simulator uses — so each worker's
         SD/vanilla decision is driven by *its own* live-batch size as the
-        dispatcher shapes it.  With ``share_bandit`` the workers feed one
-        BEG-MAB selector, pooling accept-length measurements across the
-        pool (more traffic, faster convergence) while keeping elastic
-        activation state per worker.
+        dispatcher shapes it.  The workers feed one BEG-MAB selector,
+        pooling accept-length measurements across the pool (more
+        traffic, faster convergence) while keeping elastic activation
+        state per worker.
 
         Args:
             target: the target model served by every worker.
             drafter: the draft model (spot-trained EAGLE for full TLT,
                 the n-gram retrieval drafter for TLT-Base).
             num_workers: decode workers in the pool.
-            share_bandit: share one strategy selector across workers.
             strategy: static SD configuration; when set, per-worker
                 adaptive managers are NOT built and every cycle runs
                 this strategy (what byte-identity guarantees need —
@@ -105,8 +103,7 @@ class _AdaptiveSdSystem(RlSystem):
                 manager = AdaptiveSdManager(
                     replace(self.sd_config, selector=selector)
                 )
-                if share_bandit and selector is None:
-                    selector = manager.selector
+                selector = manager.selector
                 managers.append(manager)
         return ServingEngine(
             target,
@@ -224,34 +221,6 @@ class _AdaptiveSdSystem(RlSystem):
             signals=signals,
         )
 
-    def publish_drafter(
-        self,
-        frontend: Union[ServingEngine, FleetEngine],
-        spot_trainer: "SpotTrainer",
-    ) -> Drafter:
-        """Deploy the spot trainer's refreshed weights with zero downtime.
-
-        This is the paper's adaptive-drafter loop closed over a *live*
-        pool: the spot trainer has been improving the EAGLE drafter
-        inside long-tail bubbles; publishing snapshots its current
-        weights (training keeps mutating the original) and rolls the
-        snapshot across the front-end's workers one per tick via the
-        engine control plane — each worker swaps at a cycle boundary,
-        so no in-flight request anywhere is dropped or stalled.
-
-        A :class:`~repro.fleet.engine.FleetEngine` is accepted wherever
-        a pool is: the fleet rolls the snapshot across its replicas one
-        at a time (each replica rolling its own workers one per tick),
-        so a whole sharded tier upgrades with zero downtime.
-
-        Returns:
-            The published snapshot (the drafter instance now rolling
-            across the pool or fleet).
-        """
-        refreshed = spot_trainer.snapshot_drafter()
-        frontend.swap_drafter(refreshed)
-        return refreshed
-
     def colocated_system(
         self,
         policy: TinyLM,
@@ -324,7 +293,6 @@ class _AdaptiveSdSystem(RlSystem):
             rng=rl_rng,
         )
         return ColocatedLoop(
-            frontend,
             trainer,
             spot=spot_trainer,
             spot_updates_per_round=spot_updates_per_round,

@@ -148,7 +148,7 @@ class TestAdmissionPolicies:
     def test_prefix_aware_degrades_to_fifo(self):
         scheduler = ContinuousBatchScheduler(
             _requests(DISTINCT_PROMPTS), max_batch_size=3,
-            admission=PrefixAwareAdmission(min_shared=3),
+            admission=PrefixAwareAdmission(),
         )
         assert [
             s.request.request_id for s in scheduler.admit()
@@ -206,10 +206,6 @@ class TestAdmissionPolicies:
         admitted = [s.request.request_id for s in scheduler.admit()]
         assert admitted[0] == 2
         assert admitted == [2, 3]
-
-    def test_min_shared_validation(self):
-        with pytest.raises(SpecDecodeError):
-            PrefixAwareAdmission(min_shared=0)
 
 
 class TestEnginePrefixCache:

@@ -12,8 +12,8 @@ Covers the acceptance criteria of the control-plane redesign:
 * zero-downtime drafter hot-swap — a mid-rollout ``swap_drafter``
   completes with zero dropped or stalled requests, and the lifecycle
   event stream records the swap cycle;
-* the ``EngineControl`` protocol and its event stream;
-* the serving layer rebased on it: SLO-aware preemption, the rolling
+* the engine's lifecycle event stream;
+* the serving layer driving it: SLO-aware preemption, the rolling
   pool-wide swap, EXPIRED accounting, and the spot-trainer publication
   path.
 """
@@ -23,12 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.drafter import (
-    DrafterTrainer,
-    DrafterTrainingConfig,
-    EagleDrafter,
-    EagleDrafterConfig,
-)
+from repro.drafter import DrafterTrainer, DrafterTrainingConfig
 from repro.errors import SpecDecodeError
 from repro.serving import (
     BATCH,
@@ -42,7 +37,6 @@ from repro.serving import (
 from repro.specdec import (
     BatchedSpecDecodeEngine,
     ContinuousBatchScheduler,
-    EngineControl,
     RequestEventKind,
     RequestLifecycle,
     SdStrategy,
@@ -309,23 +303,8 @@ class TestDrafterHotSwap:
         with pytest.raises(SpecDecodeError):
             engine.swap_drafter("not a drafter")  # type: ignore[arg-type]
 
-        class _Pinned(EagleDrafter):
-            @property
-            def supports_hot_swap(self):
-                return False
-
-        pinned = _Pinned(
-            target, EagleDrafterConfig(), np.random.default_rng(3)
-        )
-        with pytest.raises(SpecDecodeError, match="hot swap"):
-            engine.swap_drafter(pinned)
-
 
 class TestEngineControlSurface:
-    def test_engine_satisfies_protocol(self, target, trained_drafter):
-        engine = _engine(target, trained_drafter)
-        assert isinstance(engine, EngineControl)
-
     def test_event_stream_subscribable_and_stamped(
         self, target, trained_drafter
     ):
@@ -663,16 +642,15 @@ class TestServingRollingSwap:
         self, target, trained_drafter, rollout_sequences
     ):
         from repro.drafter.training import collect_training_sequences
+        from repro.llm.vocab import Vocabulary
+        from repro.rl import RlConfig
+        from repro.workload import SuccessorChainTask
 
         system = TltSystem(
             get_model("Qwen2.5-7B"),
             ClusterSpec(
                 num_workers=2, gpus_per_worker=4, gpu=get_gpu("H100")
             ),
-        )
-        frontend = system.serving_frontend(
-            target, trained_drafter, num_workers=2, max_batch_size=4,
-            temperature=0.9,
         )
         trainer = DrafterTrainer(
             trained_drafter.clone(),
@@ -691,7 +669,17 @@ class TestServingRollingSwap:
         )
         spot.train_slice(2, np.random.default_rng(0))
 
-        published = system.publish_drafter(frontend, spot)
+        loop = system.colocated_system(
+            target, trained_drafter,
+            SuccessorChainTask(
+                vocab=Vocabulary(target.config.vocab_size)
+            ),
+            RlConfig(num_prompts=2, group_size=2, max_new_tokens=8,
+                     temperature=0.9),
+            spot_trainer=spot, num_workers=2,
+        )
+        frontend = loop.frontend
+        published = loop.publish_drafter()
         assert published is not spot.trainer.drafter  # a snapshot
         assert frontend.swap_in_progress
         frontend.run(())
@@ -766,10 +754,11 @@ class TestRolloutBackendSwap:
         self, target, trained_drafter, untrained_drafter
     ):
         from repro.rl import SpeculativeRollout
-        from repro.rollout import AdaptiveSdConfig
+        from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
 
         backend = SpeculativeRollout(
-            untrained_drafter, sd_config=AdaptiveSdConfig()
+            untrained_drafter,
+            manager=AdaptiveSdManager(AdaptiveSdConfig()),
         )
         backend.swap_drafter(trained_drafter)
         assert backend.drafter is trained_drafter

@@ -470,19 +470,14 @@ class TestSystemIntegration:
 
     def test_publish_drafter_rolls_the_fleet(self, target,
                                              trained_drafter):
-        """TltSystem.publish_drafter accepts a fleet wherever it
-        accepted a pool (the adaptive-drafter loop at fleet scale)."""
-
-        class _Spot:
-            def snapshot_drafter(self):
-                return trained_drafter.clone()
-
-        system = self._system()
-        fleet = system.fleet_frontend(
+        """A fleet takes a published snapshot wherever a pool does
+        (the adaptive-drafter loop at fleet scale)."""
+        fleet = self._system().fleet_frontend(
             target, trained_drafter, num_replicas=2, num_workers=2,
             strategy=STRATEGY, max_batch_size=2, temperature=0.9,
         )
-        published = system.publish_drafter(fleet, _Spot())
+        published = trained_drafter.clone()
+        fleet.swap_drafter(published)
         assert fleet.swap_in_progress
         fleet.run((), max_ticks=100)
         for replica in fleet.replicas:
@@ -694,12 +689,11 @@ class TestWarmSpill:
         owner = routing.ring.owner(prefix_key(prompt, 4))
         return routing, owner
 
-    def _stub(self, replica_id, backlog, warmth=None):
+    def _stub(self, replica_id, backlog, warmth):
         stub = type("Stub", (), {})()
         stub.replica_id = replica_id
         stub.backlog_tokens = backlog
-        if warmth is not None:
-            stub.prefix_match = lambda prompt, w=warmth: w
+        stub.prefix_match = lambda prompt: warmth
         return stub
 
     def test_choose_prefers_warmth_over_load(self):
@@ -707,7 +701,7 @@ class TestWarmSpill:
         routing, owner = self._routing_with_owner(prompt)
         others = [i for i in (0, 1, 2) if i != owner]
         # Owner overloaded; of the two cooler replicas the WARMER one
-        # (despite more load) should win under warm_spill.
+        # (despite more load) should win.
         stubs = {owner: self._stub(owner, backlog=100, warmth=4)}
         stubs[others[0]] = self._stub(others[0], backlog=10, warmth=0)
         stubs[others[1]] = self._stub(others[1], backlog=50, warmth=3)
@@ -719,29 +713,6 @@ class TestWarmSpill:
         index = routing.choose(request, replicas)
         assert replicas[index].replica_id == others[1]
         assert routing.spills == 1
-
-    def test_choose_without_warm_spill_is_least_loaded(self):
-        prompt = [5, 6, 7, 8]
-        routing = PrefixHashRouting(
-            prefix_len=4, spill_factor=1.0, spill_margin=0,
-            warm_spill=False,
-        )
-        for replica_id in (0, 1, 2):
-            routing.on_join(replica_id)
-        from repro.fleet.ring import prefix_key
-
-        owner = routing.ring.owner(prefix_key(prompt, 4))
-        others = [i for i in (0, 1, 2) if i != owner]
-        stubs = {owner: self._stub(owner, backlog=100, warmth=4)}
-        stubs[others[0]] = self._stub(others[0], backlog=10, warmth=0)
-        stubs[others[1]] = self._stub(others[1], backlog=50, warmth=3)
-        replicas = [stubs[i] for i in sorted(stubs)]
-        request = ServingRequest(
-            request_id=0, prompt=prompt, max_new_tokens=4,
-            arrival_time=0.0,
-        )
-        index = routing.choose(request, replicas)
-        assert replicas[index].replica_id == others[0]
 
     def test_no_spill_when_no_replica_is_cooler(self):
         """Spilling must shed load: when every other replica is at
@@ -759,24 +730,9 @@ class TestWarmSpill:
         assert replicas[index].replica_id == owner
         assert routing.spills == 0
 
-    def test_replicas_without_probe_count_as_cold(self):
-        prompt = [5, 6, 7, 8]
-        routing, owner = self._routing_with_owner(prompt)
-        others = [i for i in (0, 1, 2) if i != owner]
-        stubs = {owner: self._stub(owner, backlog=100)}
-        stubs[others[0]] = self._stub(others[0], backlog=50)
-        stubs[others[1]] = self._stub(others[1], backlog=10, warmth=2)
-        replicas = [stubs[i] for i in sorted(stubs)]
-        request = ServingRequest(
-            request_id=0, prompt=prompt, max_new_tokens=4,
-            arrival_time=0.0,
-        )
-        index = routing.choose(request, replicas)
-        assert replicas[index].replica_id == others[1]
-
-    def _hot_spot_run(self, target, trained_drafter, warm_spill):
+    def _hot_spot_run(self, target, trained_drafter, spill_factor):
         routing = PrefixHashRouting(
-            spill_factor=1.0, spill_margin=0, warm_spill=warm_spill
+            spill_factor=spill_factor, spill_margin=0
         )
         fleet = FleetEngine(
             [
@@ -799,19 +755,19 @@ class TestWarmSpill:
     def test_warm_spill_pays_fewer_cold_prefills(
         self, target, trained_drafter
     ):
-        """Under a hot-spot spill the warm-spill router concentrates
-        one family's overflow on one overflow replica (which pays its
-        cold prefill once); the load-only router scatters it and pays
-        the prefill on every cool replica it touches."""
-        warm_routing, warm = self._hot_spot_run(
-            target, trained_drafter, warm_spill=True
+        """Under a hot-spot spill the router piles one family's
+        overflow onto replicas already warm for it, so fewer replicas
+        than the fleet has pay the family's cold prefill (a load-only
+        spill scatters it over every cool replica: all four here)."""
+        routing, spilled = self._hot_spot_run(
+            target, trained_drafter, spill_factor=1.0
         )
-        cold_routing, cold = self._hot_spot_run(
-            target, trained_drafter, warm_spill=False
+        _, home = self._hot_spot_run(
+            target, trained_drafter, spill_factor=None
         )
-        assert warm_routing.spills > 0
-        assert cold_routing.spills > 0
-        assert warm.prefill_launches < cold.prefill_launches
+        assert routing.spills > 0
+        assert home.prefill_launches == 1  # pure affinity: one replica
+        assert 1 < spilled.prefill_launches < 4
         # Same family, same outputs: spill placement moves latency and
         # cache locality, never committed tokens.
-        assert _responses(warm) == _responses(cold)
+        assert _responses(spilled) == _responses(home)

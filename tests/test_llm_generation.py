@@ -26,18 +26,6 @@ class TestGenerate:
         )
         assert out.prompts[0][0] == BOS_ID
 
-    def test_no_bos_when_disabled(self, target):
-        rng = np.random.default_rng(0)
-        out = generate(
-            target,
-            [[5]],
-            max_new_tokens=3,
-            temperature=1.0,
-            rng=rng,
-            add_bos=False,
-        )
-        assert out.prompts[0] == [5]
-
     def test_finished_iff_eos(self, target):
         rng = np.random.default_rng(1)
         out = generate(

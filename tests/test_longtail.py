@@ -25,12 +25,13 @@ import pytest
 
 from repro.errors import ConfigError, SchedulingError, ServingError
 from repro.llm.vocab import BOS_ID, Vocabulary
+from repro.drafter import DrafterTrainer, DrafterTrainingConfig
 from repro.longtail import (
+    ColocatedLoop,
     DrafterZoo,
     LengthPredictor,
     RolloutScheduler,
     SchedulerMode,
-    run_pipelined_steps,
 )
 from repro.rl import RlConfig, RlTrainer
 from repro.serving import (
@@ -39,7 +40,7 @@ from repro.serving import (
     frontend as serving_frontend,
 )
 from repro.serving.metrics import ServingReport
-from repro.serving.request import SloClass
+from repro.spot import OnlineDataBuffer, SpotTrainer
 from repro.specdec.metrics import WorkerCounters
 from repro.workload import (
     LognormalLengths,
@@ -182,11 +183,8 @@ def _grpo_prompts(scenario, groups=2, group_size=2):
 
 
 class TestSchedulerValidation:
-    def test_rejects_deadlined_slo(self, scenario_factory):
+    def test_rejects_bad_group_size_and_max_ticks(self, scenario_factory):
         frontend = _frontend(scenario_factory(70))
-        deadlined = SloClass("rollout", 8.0, 96.0, deadline=10.0)
-        with pytest.raises(ConfigError):
-            RolloutScheduler(frontend, slo=deadlined)
         with pytest.raises(ConfigError):
             RolloutScheduler(frontend, group_size=0)
         with pytest.raises(ConfigError):
@@ -534,11 +532,11 @@ class TestTrainerSeam:
 
         policy_b = scenario.target.clone()
         view_b = _PoolScenario(scenario, policy_b)
-        trainer_b = _trainer(scenario, policy_b)
-        scheduler = RolloutScheduler(_frontend(view_b), mode=mode)
-        piped = run_pipelined_steps(
-            trainer_b, scheduler, num_steps=2, lookahead=0
+        trainer_b = _trainer(
+            scenario, policy_b,
+            backend=RolloutScheduler(_frontend(view_b), mode=mode),
         )
+        piped = ColocatedLoop(trainer_b).run(2, lookahead=0)
 
         for a, b in zip(inline, piped):
             assert a.step == b.step
@@ -556,11 +554,9 @@ class TestTrainerSeam:
         scenario = scenario_factory(82)
         policy = scenario.target.clone()
         view = _PoolScenario(scenario, policy)
-        trainer = _trainer(scenario, policy)
         scheduler = RolloutScheduler(_frontend(view))
-        reports = run_pipelined_steps(
-            trainer, scheduler, num_steps=3, lookahead=1
-        )
+        trainer = _trainer(scenario, policy, backend=scheduler)
+        reports = ColocatedLoop(trainer).run(3, lookahead=1)
         assert [r.step for r in reports] == [0, 1, 2]
         assert scheduler.stats.batches_collected == 3
         # Batch k+1 was staged while batch k was in flight.
@@ -570,14 +566,77 @@ class TestTrainerSeam:
         scenario = scenario_factory(83)
         policy = scenario.target.clone()
         view = _PoolScenario(scenario, policy)
-        trainer = _trainer(scenario, policy)
-        scheduler = RolloutScheduler(_frontend(view))
-        with pytest.raises(ConfigError):
-            run_pipelined_steps(trainer, scheduler, num_steps=0)
-        with pytest.raises(ConfigError):
-            run_pipelined_steps(
-                trainer, scheduler, num_steps=1, lookahead=-1
+        loop = ColocatedLoop(
+            _trainer(
+                scenario, policy,
+                backend=RolloutScheduler(_frontend(view)),
             )
+        )
+        with pytest.raises(ConfigError):
+            loop.run(0)
+        with pytest.raises(ConfigError):
+            loop.run(1, lookahead=-1)
+
+    def test_lookahead_with_spot_submits_the_same_requests(
+        self, scenario_factory, monkeypatch
+    ):
+        """With a spot trainer attached, lookahead moves *when* a batch
+        is submitted, never *what*: same ids, seeds and prompts; every
+        spot draw comes from ``spot_rng``, so ``trainer.rng`` ends where
+        the spot-less run leaves it."""
+        scenario = scenario_factory(84)
+
+        def run(lookahead, with_spot):
+            policy = scenario.target.clone()
+            view = _PoolScenario(scenario, policy)
+            view.drafter = scenario.drafter.clone()
+            pool = _frontend(view)
+            trainer = _trainer(
+                scenario, policy, backend=RolloutScheduler(pool)
+            )
+            spot = spot_rng = None
+            if with_spot:
+                spot = SpotTrainer(
+                    trainer=DrafterTrainer(
+                        view.drafter,
+                        DrafterTrainingConfig(learning_rate=5e-3),
+                    ),
+                    buffer=OnlineDataBuffer(capacity_tokens=50_000),
+                    batch_sequences=4,
+                    max_positions=64,
+                )
+                spot_rng = np.random.default_rng(7)
+                slice_rngs = []
+                train_slice = spot.train_slice
+
+                def recording(max_updates, rng):
+                    slice_rngs.append(rng)
+                    return train_slice(max_updates, rng)
+
+                monkeypatch.setattr(spot, "train_slice", recording)
+            loop = ColocatedLoop(
+                trainer, spot=spot, spot_updates_per_round=2,
+                spot_rng=spot_rng,
+            )
+            loop.run(3, lookahead=lookahead)
+            if with_spot:
+                assert len(loop.published) == 3
+                assert all(rng is spot_rng for rng in slice_rngs)
+                assert spot_rng.bit_generator.state != (
+                    np.random.default_rng(7).bit_generator.state
+                )
+            requests = [
+                (i, r.request.seed, r.request.prompt)
+                for i, r in sorted(pool.records.items())
+            ]
+            return requests, trainer.rng.bit_generator.state
+
+        sequential, rng_state = run(0, with_spot=True)
+        pipelined, piped_rng_state = run(1, with_spot=True)
+        assert len(sequential) == 12
+        assert pipelined == sequential
+        assert piped_rng_state == rng_state
+        assert run(0, with_spot=False) == (sequential, rng_state)
 
 
 # -- per-worker swaps ------------------------------------------------------

@@ -223,10 +223,35 @@ class TestBlockManager:
         assert cache.stats.hits == 0
 
 
+#: A block size at or above every key below: one block per key.
+WHOLE_KEY = 16
+
+
 class TestTieredEviction:
+    def test_block_size_at_key_length_is_whole_key_mode(self):
+        cache = KVCacheManager(
+            capacity_tokens=4, block_size=4, cold_capacity_tokens=8
+        )
+        cache.insert((1, 2, 3, 4), _handoff(1.0), cycle=0)
+        assert cache.num_entries == 1  # the whole key is one block
+        # No partial reuse: sharing 3 of 4 tokens skips nothing.
+        plan = cache.plan_admission((1, 2, 3, 9), cycle=1)
+        assert plan.compute_start == 0 and plan.reused_tokens == 0
+        assert cache.stats.partial_hits == 0
+        # The key demotes and promotes as one unit.
+        cache.insert((1, 2, 3, 9), _handoff(2.0), cycle=1)
+        assert cache.hot_tokens == 4 and cache.cold_tokens == 4
+        assert cache.stats.demotions == 1
+        assert np.array_equal(
+            cache.lookup((1, 2, 3, 4), cycle=2), _handoff(1.0)
+        )
+        assert cache.stats.promotions == 1
+        assert cache.stats.demotions == 2
+
     def test_demotion_and_promotion_on_retouch(self):
         cache = KVCacheManager(
-            capacity_tokens=4, block_size=None, cold_capacity_tokens=8
+            capacity_tokens=4, block_size=WHOLE_KEY,
+            cold_capacity_tokens=8,
         )
         cache.insert((1, 2, 3), _handoff(1.0), cycle=0)
         cache.insert((4, 5, 6), _handoff(2.0), cycle=1)
@@ -245,7 +270,8 @@ class TestTieredEviction:
 
     def test_cold_tier_eviction_when_budget_exhausted(self):
         cache = KVCacheManager(
-            capacity_tokens=4, block_size=None, cold_capacity_tokens=4
+            capacity_tokens=4, block_size=WHOLE_KEY,
+            cold_capacity_tokens=4,
         )
         cache.insert((1, 2, 3), _handoff(1.0), cycle=0)
         cache.insert((4, 5, 6), _handoff(2.0), cycle=1)
@@ -260,7 +286,7 @@ class TestTieredEviction:
         assert cache.contains((7, 8, 9))
 
     def test_zero_cold_budget_is_legacy_drop(self):
-        cache = KVCacheManager(capacity_tokens=4, block_size=None)
+        cache = KVCacheManager(capacity_tokens=4, block_size=WHOLE_KEY)
         cache.insert((1, 2, 3), _handoff(1.0), cycle=0)
         cache.insert((4, 5, 6), _handoff(2.0), cycle=1)
         assert cache.stats.demotions == 0
@@ -270,7 +296,8 @@ class TestTieredEviction:
 
     def test_pinned_blocks_never_demoted(self):
         cache = KVCacheManager(
-            capacity_tokens=4, block_size=None, cold_capacity_tokens=8
+            capacity_tokens=4, block_size=WHOLE_KEY,
+            cold_capacity_tokens=8,
         )
         cache.insert((1, 2, 3), _handoff(1.0), cycle=0)
         assert cache.acquire((1, 2, 3))
@@ -325,7 +352,7 @@ class TestBlockGranularPrefill:
         target, drafter = wide
         _, base = self._run(target, drafter, strategy, grouped_prompts)
         exact_cache = KVCacheManager(
-            capacity_tokens=256, block_size=None
+            capacity_tokens=256, block_size=WHOLE_KEY
         )
         exact_engine, exact = self._run(
             target, drafter, strategy, grouped_prompts,

@@ -219,8 +219,6 @@ class TestSpeculativeBackend:
         with pytest.raises(ConfigError):
             SpeculativeRollout(drafter)
         with pytest.raises(ConfigError):
-            SpeculativeRollout(drafter, self.STRATEGY, sd_config=config)
-        with pytest.raises(ConfigError):
             SpeculativeRollout(
                 drafter, self.STRATEGY,
                 manager=AdaptiveSdManager(config),

@@ -63,7 +63,7 @@ class TestStepSurface:
         # generate() draws one seed per request from the master rng;
         # replicate that so both runs share the request streams.
         rng = np.random.default_rng(42)
-        requests = engine._make_requests(PROMPTS, 24, rng, True)
+        requests = engine._make_requests(PROMPTS, 24, rng)
         engine.start(requests)
         steps = 0
         while engine.has_work:

@@ -80,13 +80,8 @@ class TestSchedulerAsBackend:
     def test_validates_slo_policy_and_temperature(
         self, scenario_factory, mode
     ):
-        from repro.serving.request import SloClass
-
         scenario = scenario_factory(40)
         frontend = _frontend(scenario)
-        deadlined = SloClass("rollout", 8.0, 96.0, deadline=10.0)
-        with pytest.raises(ConfigError):
-            RolloutScheduler(frontend, mode=mode, slo=deadlined)
         with pytest.raises(ConfigError):
             RolloutScheduler(frontend, mode=mode, max_ticks=0)
         backend = RolloutScheduler(frontend, mode=mode)
@@ -364,10 +359,7 @@ class TestColocatedLoop:
         assert metrics["published_drafters"] == 2.0
         assert "utilization_batch" in metrics
 
-    def test_loop_rejects_foreign_backend(self, scenario_factory,
-                                          target):
-        scenario = scenario_factory(51)
-        frontend = _frontend(scenario)
+    def test_loop_rejects_foreign_backend(self, target):
         vocab = Vocabulary(target.config.vocab_size)
         task = SuccessorChainTask(vocab=vocab)
         trainer = RlTrainer(
@@ -376,7 +368,7 @@ class TestColocatedLoop:
                      temperature=0.9),
         )
         with pytest.raises(ConfigError):
-            ColocatedLoop(frontend, trainer)
+            ColocatedLoop(trainer)
 
     def test_trainer_learns_through_the_pool(
         self, scenario_factory, target, mode

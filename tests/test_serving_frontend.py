@@ -354,13 +354,3 @@ class TestAdaptiveServing:
                 if cycle.sd_active:
                     assert cycle.live_batch <= 2
 
-    def test_private_bandits_when_unshared(self, target,
-                                           trained_drafter):
-        frontend = self._system().serving_frontend(
-            target, trained_drafter, num_workers=2,
-            share_bandit=False,
-        )
-        assert (
-            frontend.managers[0].selector
-            is not frontend.managers[1].selector
-        )

@@ -270,9 +270,11 @@ class TestAdaptiveIntegration:
     ):
         backend = SpeculativeRollout(
             trained_drafter,
-            sd_config=AdaptiveSdConfig(
-                strategies=[SdStrategy(3, 2, 6)],
-                activation_threshold=4,
+            manager=AdaptiveSdManager(
+                AdaptiveSdConfig(
+                    strategies=[SdStrategy(3, 2, 6)],
+                    activation_threshold=4,
+                )
             ),
         )
         for seed in (3, 4):
@@ -285,9 +287,11 @@ class TestAdaptiveIntegration:
     def test_adaptive_backend_stats(self, target, trained_drafter):
         backend = SpeculativeRollout(
             trained_drafter,
-            sd_config=AdaptiveSdConfig(
-                strategies=[SdStrategy(3, 2, 6)],
-                activation_threshold=4,
+            manager=AdaptiveSdManager(
+                AdaptiveSdConfig(
+                    strategies=[SdStrategy(3, 2, 6)],
+                    activation_threshold=4,
+                )
             ),
         )
         out = backend.generate(

@@ -56,13 +56,6 @@ class TestTrainSlice:
         report = spot.train_slice(3, np.random.default_rng(0))
         assert report.updates == 0
 
-    def test_deadline_preempts(self, spot):
-        report = spot.train_slice(
-            10_000, np.random.default_rng(0), deadline_s=0.05
-        )
-        assert report.preempted
-        assert report.updates < 10_000
-
     def test_loss_improves_across_slices(self, spot):
         first = spot.train_slice(10, np.random.default_rng(0))
         for _ in range(4):
