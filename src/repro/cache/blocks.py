@@ -1,8 +1,8 @@
 """Fixed-size KV blocks: the paged unit of prefix-cache storage.
 
-The :class:`~repro.cache.manager.KVCacheManager` used to cache one
-monolithic entry per exact prompt; this module gives it vLLM-style
-**paged** storage instead.  A cached prefix is split into fixed-size
+The :class:`~repro.cache.manager.KVCacheManager` stores prefixes in
+vLLM-style **pages** rather than one monolithic entry per exact
+prompt.  A cached prefix is split into fixed-size
 blocks, each *content-addressed* by the full token prefix up to its end
 — two prompts sharing a system prefix therefore share the underlying
 blocks by construction (copy-on-write for free: a diverging prompt

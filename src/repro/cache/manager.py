@@ -61,8 +61,7 @@ from repro.errors import CacheError
 class CacheStats:
     """Hit/miss/eviction/tier accounting (monotonic counters).
 
-    ``rejected`` used to be one ambiguous counter that mixed two
-    different conditions; it is now the sum of the split pair:
+    ``rejected`` is the sum of two distinct conditions:
 
     * ``rejected_pinned`` — inserts declined because pinned blocks
       alone left no room (evicting them would corrupt a live slot);
@@ -354,7 +353,7 @@ class KVCacheManager:
     def insert(
         self, tokens: Sequence[int], hidden: np.ndarray, cycle: int
     ) -> bool:
-        """Cache a key with its final hand-off (legacy single entry).
+        """Cache a key with its final hand-off only.
 
         Splits the key into blocks; interior boundaries carry no
         stored hand-off (they still license prefix reuse — recompute

@@ -46,8 +46,7 @@ def common_prefix_len(a: Sequence[int], b: Sequence[int]) -> int:
     """Length of the common prefix of two token runs.
 
     The one prefix comparison the whole subsystem shares — the radix
-    walk, the serving workers' affinity probes, and anything the
-    ROADMAP's block-granular reuse adds later must agree on it.
+    walk and the serving workers' affinity probes must agree on it.
     """
     bound = min(len(a), len(b))
     for i in range(bound):

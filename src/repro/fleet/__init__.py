@@ -1,8 +1,8 @@
 """The fleet tier: sharded multi-replica serving behind one router.
 
-PR 3 built one serving pool (N workers, one scheduler); PR 5 gave each
-worker a prefix cache; PR 6 batched tree drafting.  This package
-stacks the next layer: :class:`~repro.fleet.engine.FleetEngine` owns M
+A serving pool (:class:`~repro.serving.frontend.ServingEngine`) is N
+workers, each with its own scheduler and prefix cache.  This package
+is the layer above: :class:`~repro.fleet.engine.FleetEngine` owns M
 replicas (each a full pool) behind a pluggable
 :class:`~repro.fleet.router.RoutingPolicy`, headlined by prefix-aware
 consistent hashing (:mod:`repro.fleet.ring`) so shared-prefix traffic

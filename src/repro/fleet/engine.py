@@ -20,8 +20,8 @@ workers; a production tier is M such pools behind a router.
   refreshed drafter across replicas **one replica at a time**, each
   replica rolling its own workers one per tick, so at most one worker
   in the whole fleet is mid-swap on any tick: zero downtime, stacked
-  two levels deep.  :meth:`repro.systems.tlt.TltSystem.publish_drafter`
-  accepts a fleet wherever it accepted a pool.
+  two levels deep.  A published snapshot reaches a fleet the way it
+  reaches a pool: ``fleet.swap_drafter(snapshot)``.
 * **One id namespace** — all replicas share one
   :class:`~repro.serving.request.RequestIdAllocator`, so concurrent
   replicas can never mint colliding request ids.
@@ -43,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.drafter.base import Drafter
 from repro.errors import ConfigError, FleetError
@@ -205,8 +205,6 @@ class FleetEngine:
         #: (the autoscaler's signal aggregator) subscribe ONCE instead
         #: of chasing per-replica buses across membership changes.
         self.events = EventBus()
-        self._events: List[RequestEvent] = []
-        self.events.subscribe(self._events.append)
         #: Worker-ticks provisioned: each non-retired replica charges
         #: one cycle per worker per fleet tick, whether busy or idle —
         #: the COST side of the autoscaling scoreboard (an idle
@@ -221,7 +219,6 @@ class FleetEngine:
         #: request_id -> replica_id, the run's placement decisions
         #: (latest placement wins for migrated requests).
         self.placement: Dict[int, int] = {}
-        self._known: Set[int] = set()
         self.migrations = 0
         self.drains = 0
         self.drafter_rolls = 0
@@ -316,11 +313,10 @@ class FleetEngine:
 
     def submit(self, request: ServingRequest) -> None:
         """Register an online request (routed once its time comes)."""
-        if request.request_id in self._known:
+        if request.request_id in self._requests:
             raise FleetError(
                 f"duplicate request_id {request.request_id}"
             )
-        self._known.add(request.request_id)
         self._requests[request.request_id] = request
         self.id_allocator.observe(request.request_id)
         heapq.heappush(
@@ -330,9 +326,10 @@ class FleetEngine:
     def swap_drafter(self, drafter: Drafter) -> None:
         """Roll a new drafter across the fleet, one replica at a time.
 
-        Each replica rolls its own workers one per tick (the PR-3
-        zero-downtime pool roll); the fleet walks replicas serially, so
-        at most one worker fleet-wide is mid-swap on any tick.  Calling
+        Each replica rolls its own workers one per tick
+        (:meth:`~repro.serving.frontend.ServingEngine.swap_drafter`);
+        the fleet walks replicas serially, so at most one worker
+        fleet-wide is mid-swap on any tick.  Calling
         again mid-roll restarts the walk with the newest drafter
         (latest publication wins) — replicas already swapped simply
         swap again.
@@ -374,7 +371,7 @@ class FleetEngine:
         Every event carries its ``replica_id`` in addition to the
         worker/cycle/time stamps the pool-level trail already had.
         """
-        return list(self._events)
+        return self.events.events
 
     def snapshot_routing(self) -> StaticRouting:
         """Freeze the placements made so far as a replayable policy.

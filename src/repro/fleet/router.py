@@ -15,7 +15,7 @@ cache locality but never a committed token.
   keyed :class:`~repro.fleet.ring.ConsistentHashRing` with virtual
   nodes sends every request sharing a prompt prefix (system prompts,
   GRPO groups, few-shot templates) to the same replica, so the
-  replica's prefix cache (PR 5) and flat-tree batching (PR 6) amortise
+  replica's prefix cache and flat-tree batching amortise
   fleet-wide instead of once per replica.  A hot-spot **spill** path
   sheds load: when the hashed owner's backlog exceeds
   ``spill_factor ×`` the least-loaded replica's (plus a margin), the

@@ -181,7 +181,7 @@ class RlTrainer:
         Args:
             rollout: pre-computed rollout to train on (the scheduler
                 seam).  When omitted, the trainer samples prompts and
-                runs its backend in-line (the original closed loop).
+                runs its backend in-line.
                 Must be provided together with ``prompts`` — the
                 prompt batch the rollout was generated from.
             prompts: the :class:`~repro.workload.prompts.PromptBatch`

@@ -1,15 +1,12 @@
 """Adaptive SD Manager (paper §5.1, Figure 6).
 
-Couples three mechanisms:
+Couples two mechanisms:
 
 * **elastic activation** — SD engages only when the number of running
   requests drops to a configurable threshold (default 32), because at
   large batch the verification FLOPs would slow decoding down;
 * **strategy selection** — a :class:`~repro.tuner.StrategySelector`
-  (BEG-MAB by default) picks the SD configuration per live batch size;
-* **CUDAGraph routing** — the bucketed capture pool is consulted so only
-  strategies with captured graphs are eligible (and capturing is memory-
-  guarded).
+  (BEG-MAB by default) picks the SD configuration per live batch size.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.hardware.cudagraph import CudaGraphPool, bucketed_plan
 from repro.rollout.acceptance import AcceptanceModel, ParametricAcceptance
 from repro.specdec.strategy import SdStrategy, default_strategy_pool
 from repro.tuner.mab import BegMabSelector, StrategySelector
@@ -36,8 +32,6 @@ class AdaptiveSdConfig:
         acceptance: accept-length model for the simulator.
         selector: strategy selector; a BEG-MAB over the strategies is
             built when omitted.
-        model_free_fallback: use the model-free acceptance quality while
-            the learned drafter is unavailable (early RL steps).
     """
 
     strategies: Sequence[SdStrategy] = field(
@@ -49,7 +43,6 @@ class AdaptiveSdConfig:
         default_factory=ParametricAcceptance
     )
     selector: Optional[StrategySelector] = None
-    model_free_fallback: bool = True
 
     def __post_init__(self) -> None:
         if not self.strategies:
@@ -63,11 +56,7 @@ class AdaptiveSdConfig:
 class AdaptiveSdManager:
     """Runtime policy: when to use SD and with which strategy."""
 
-    def __init__(
-        self,
-        config: AdaptiveSdConfig,
-        graph_pool: Optional[CudaGraphPool] = None,
-    ) -> None:
+    def __init__(self, config: AdaptiveSdConfig) -> None:
         self.config = config
         if config.selector is not None:
             self.selector = config.selector
@@ -78,9 +67,6 @@ class AdaptiveSdManager:
             self.selector = BegMabSelector(
                 config.strategies, thresholds
             )
-        self.graph_pool = graph_pool
-        if graph_pool is not None:
-            graph_pool.capture_plan(bucketed_plan(list(config.strategies)))
         self._sd_active = False
         self.activations = 0
 

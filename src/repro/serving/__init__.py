@@ -1,8 +1,8 @@
 """Online serving front-end over the batched spec-decode engine.
 
-Opens the online-serving workload beyond RL training (ROADMAP item):
-requests arrive over discrete-event virtual time with SLO classes and
-per-request cancellation, an SLO-aware dispatcher routes them across N
+Opens the online-serving workload beyond RL training: requests arrive
+over discrete-event virtual time with SLO classes and per-request
+cancellation, an SLO-aware dispatcher routes them across N
 continuous-batching workers using predicted-length-aware policies with
 work stealing, and per-request latency/TTFT/SLO-attainment metrics close
 the loop back into the adaptive SD layer — each worker's

@@ -27,8 +27,8 @@ about:
   has the fewest remaining tokens, minimising what a park costs.
 
 :func:`steal_work` rebalances *queued* (not yet admitted) requests from
-backlogged workers onto workers with free slots between cycles — the
-ROADMAP's work-stealing item.  Stealing preserves determinism for the
+backlogged workers onto workers with free slots between cycles.
+Stealing preserves determinism for the
 same reason dispatch does: a waiting request's private stream has not
 been consumed yet, so it decodes identically wherever it lands.
 
@@ -161,10 +161,10 @@ class PrefixAffinityDispatch(DispatchPolicy):
     request) shares with the arriving prompt
     (:meth:`~repro.serving.frontend.ServingWorker.prefix_match`), and
     the arrival joins the best-matching worker — so its prefill is a
-    cache hit there instead of a cold recompute somewhere else.  This
-    extends PR 4's tag-only ``group_affinity`` to *true* prefix matches
-    from the interactive side: no group tag needed, repeated
-    system-prompt-style prefixes find their worker by content.
+    cache hit there instead of a cold recompute somewhere else.
+    Where the pool's ``group_affinity`` needs a group tag, this
+    matches on content: repeated system-prompt-style prefixes find
+    their worker with no tag at all.
 
     Matches shorter than ``min_match`` tokens fall through to the
     ``fallback`` policy (least-loaded when omitted) — a one-token
@@ -452,8 +452,8 @@ def steal_work(workers: Sequence) -> List[Tuple[int, int, int]]:
         stolen = donor.steal(1)
         if not stolen:
             break
-        request, predicted, waited = stolen[0]
-        receiver.enqueue(request, predicted, waited=waited)
+        request, waited = stolen[0]
+        receiver.enqueue(request, waited=waited)
         moves.append(
             (request.request_id, donor.worker_id, receiver.worker_id)
         )

@@ -28,7 +28,7 @@ one pool-wide trail (:meth:`ServingEngine.lifecycle_events`).  Two capabilities 
   every cycle), so no request is dropped or stalled and at most one
   worker is mid-swap at any time.  This is how the spot trainer's
   refreshed EAGLE weights reach a live pool
-  (:meth:`repro.systems.tlt.TltSystem.publish_drafter`).
+  (:meth:`repro.longtail.colocated.ColocatedLoop.publish_drafter`).
 
 One :meth:`ServingEngine.tick` is one discrete-event step:
 
@@ -125,18 +125,15 @@ class ServingWorker:
         resolve: maps a request id to its :class:`~repro.serving.
             request.ServingRequest` (wired to the front-end's
             records), so :meth:`park_cost` can reason about SLO
-            classes the engine-level requests don't carry.  None = no
-            serving-level information.
+            classes the engine-level requests don't carry.
     """
 
     def __init__(
         self,
         worker_id: int,
         engine: BatchedSpecDecodeEngine,
-        time_fn: Optional[Callable[[], float]] = None,
-        resolve: Optional[
-            Callable[[int], "ServingRequest"]
-        ] = None,
+        time_fn: Callable[[], float],
+        resolve: Callable[[int], "ServingRequest"],
     ) -> None:
         self.worker_id = worker_id
         self.engine = engine
@@ -144,7 +141,6 @@ class ServingWorker:
         engine.events.worker_id = worker_id
         engine.time_fn = time_fn
         self.resolve = resolve
-        self._predicted: Dict[int, int] = {}
 
     # -- load surface (read by dispatch policies) --------------------------
 
@@ -214,9 +210,7 @@ class ServingWorker:
             )
         )
         queued = sum(
-            self._predicted.get(
-                request.request_id, request.max_new_tokens
-            )
+            request.predicted_length or request.max_new_tokens
             for request in scheduler.waiting
         )
         return remaining + queued
@@ -224,12 +218,11 @@ class ServingWorker:
     def _live_pairs(self) -> List[Tuple["ServingRequest", int]]:
         """(serving request, remaining tokens) for every live slot.
 
-        Requires :attr:`resolve`; the same shape the front-end hands
+        The same shape the front-end hands
         :meth:`~repro.serving.dispatch.PreemptionPolicy.choose_victim`
         at preemption time, so dispatch-side cost probes and the real
         park see identical candidates.
         """
-        assert self.resolve is not None
         return [
             (
                 self.resolve(slot.request.request_id),
@@ -247,11 +240,8 @@ class ServingWorker:
         worker's live set, so a preemption-aware dispatcher routes on
         the cost of the park that would really happen — not a proxy
         that may name a victim the policy would never choose.  None
-        when the policy declines (no eligible victim) or the worker
-        has no serving-level resolver.
+        when the policy declines (no eligible victim).
         """
-        if self.resolve is None:
-            return None
         live = self._live_pairs()
         victim_id = policy.choose_victim(arrival, live)
         if victim_id is None:
@@ -295,44 +285,31 @@ class ServingWorker:
     def enqueue(
         self,
         request: SequenceRequest,
-        predicted: int,
         waited: int = 0,
         urgent: bool = False,
     ) -> None:
-        """Queue a request on this worker with its predicted length.
+        """Queue a request on this worker.
 
         ``waited`` carries cycles already spent queued on a donor worker
         (work stealing) so the admission-wait metrics accumulate;
         ``urgent`` routes the request into the scheduler's urgent
         admission lane (ahead of non-urgent backlog).
         """
-        self._predicted[request.request_id] = int(predicted)
         self.engine.scheduler.push(request, waited=waited, urgent=urgent)
 
     def steal(
         self, count: int = 1
-    ) -> List[Tuple[SequenceRequest, int, int]]:
-        """Give up to ``count`` queued requests (prediction + wait)."""
-        stolen = self.engine.scheduler.steal_waiting(count)
-        return [
-            (
-                request,
-                self._predicted.pop(
-                    request.request_id, request.max_new_tokens
-                ),
-                waited,
-            )
-            for request, waited in stolen
-        ]
+    ) -> List[Tuple[SequenceRequest, int]]:
+        """Give up to ``count`` queued requests as ``(request, waited)``
+        pairs (the length estimate travels on the request)."""
+        return self.engine.scheduler.steal_waiting(count)
 
     def cancel(self, request_id: int) -> Optional[SequenceSlot]:
         """Cancel a queued, parked, or live request at the boundary."""
-        self._predicted.pop(request_id, None)
         return self.engine.cancel(request_id)
 
     def expire(self, request_id: int) -> Optional[SequenceSlot]:
         """Retire a request as deadline-expired at the boundary."""
-        self._predicted.pop(request_id, None)
         return self.engine.expire(request_id)
 
     def park(
@@ -354,10 +331,7 @@ class ServingWorker:
         """Run one decode cycle; returns None when the worker is idle."""
         if not self.engine.has_work:
             return None
-        outcome = self.engine.step()
-        for slot in outcome.retired:
-            self._predicted.pop(slot.request.request_id, None)
-        return outcome
+        return self.engine.step()
 
 
 class ServingEngine:
@@ -381,7 +355,7 @@ class ServingEngine:
         dispatch: routing policy for arrivals (round-robin when omitted).
         preemption: optional policy parking live low-urgency requests
             when an urgent arrival would otherwise queue (None = never
-            preempt — PR 2 behaviour).
+            preempt).
         work_stealing: rebalance queued requests between cycles.
         group_affinity: route requests sharing a ``group`` tag to the
             worker the group's first member landed on (best effort —
@@ -389,8 +363,8 @@ class ServingEngine:
             rollouts share their prompt by construction, so co-locating
             a group is the admission-side hook for prefix-cache reuse.
         admission: pluggable per-worker admission policy
-            (:class:`~repro.specdec.control.FifoAdmission` — the
-            original behaviour — when omitted;
+            (:class:`~repro.specdec.control.FifoAdmission` when
+            omitted;
             :class:`~repro.specdec.control.PrefixAwareAdmission`
             co-admits shared-prefix requests so one prefill launch
             serves the whole group).
@@ -721,9 +695,7 @@ class ServingEngine:
                 withdrawn.append(record.request)
                 del self.records[record.request.request_id]
         for worker in self.workers:
-            for request, _predicted, _waited in worker.steal(
-                worker.num_waiting
-            ):
+            for request, _waited in worker.steal(worker.num_waiting):
                 record = self.records.pop(request.request_id)
                 self._note_group_resolved(record)
                 withdrawn.append(record.request)
@@ -934,8 +906,8 @@ class ServingEngine:
                     max_new_tokens=request.max_new_tokens,
                     seed=request.seed,
                     segment=request.segment,
+                    predicted_length=request.dispatch_length,
                 ),
-                predicted=request.dispatch_length,
                 urgent=(
                     self.preemption is not None
                     and self.preemption.is_urgent(request)

@@ -1,11 +1,10 @@
 """Batched continuous-batching speculative generation engine.
 
-This is the serving-shaped counterpart of the per-sequence loop that used
-to live in :mod:`repro.specdec.engine`: every cycle it drafts a candidate
-set for **each live sequence**, verifies all of them in **one** batched
-target forward (:func:`~repro.specdec.tree.verify_trees`), commits
-per-sequence, retires sequences on EOS or their length cap and admits
-waiting requests into the freed slots.  The target-launch count
+Every cycle the engine drafts a candidate set for **each live
+sequence**, verifies all of them in **one** batched target forward
+(:func:`~repro.specdec.tree.verify_trees`), commits per-sequence,
+retires sequences on EOS or their length cap and admits waiting
+requests into the freed slots.  The target-launch count
 therefore scales with the number of *cycles of the slowest sequence*,
 not with the sum of per-sequence cycles — the long-tail regime the paper
 analyzes.
@@ -173,8 +172,7 @@ class BatchedSpecDecodeEngine:
         sd_manager: optional adaptive SD manager driven by the real
             live-batch size each cycle.
         admission: pluggable admission policy on the scheduler's
-            WAITING -> LIVE edge (FIFO, the original behaviour, when
-            omitted).
+            WAITING -> LIVE edge (FIFO when omitted).
         kv_cache: optional per-worker prefix cache.  When attached, the
             prefill stage serves exact-prompt matches from cache,
             coalesces same-wave duplicates into one prefill row per
@@ -212,7 +210,7 @@ class BatchedSpecDecodeEngine:
             and getattr(kv_cache, "context_window", None) is None
         ):
             # Cache keys must match what the hand-off actually depends
-            # on: the target's effective context (the window bugfix).
+            # on: the target's effective context.
             kv_cache.context_window = target.config.context_window
         #: Lifecycle event stream.
         self.events = EventBus()
@@ -228,10 +226,6 @@ class BatchedSpecDecodeEngine:
         #: WorkerCounters`).
         self.counters = self._fresh_counters()
         self._reports: List[BatchCycleReport] = []
-        #: request_id -> cache key currently pinned by its live slot.
-        self._cache_keys: Dict[int, Tuple[int, ...]] = {}
-        #: request_id -> cache key released at park, awaiting resume.
-        self._parked_keys: Dict[int, Tuple[int, ...]] = {}
 
     # -- incremental session API -------------------------------------------
 
@@ -336,7 +330,7 @@ class BatchedSpecDecodeEngine:
         """
         slot = self.scheduler.cancel(request_id)
         if slot is not None:
-            self._drop_cache_ref(request_id)
+            self._unpin(slot)
             self._emit(RequestEventKind.CANCELLED, request_id)
         return slot
 
@@ -344,7 +338,7 @@ class BatchedSpecDecodeEngine:
         """Retire a request as deadline-expired (cancel's SLO sibling)."""
         slot = self.scheduler.expire(request_id)
         if slot is not None:
-            self._drop_cache_ref(request_id)
+            self._unpin(slot)
             self._emit(RequestEventKind.EXPIRED, request_id)
         return slot
 
@@ -365,12 +359,9 @@ class BatchedSpecDecodeEngine:
         """
         slot = self.scheduler.park(request_id)
         # A parked slot no longer pins its prefix-cache entry (the
-        # slot owns a private copy of its hand-off); the key is kept
-        # aside so resume re-acquires the ref if the entry survived.
-        key = self._cache_keys.pop(request_id, None)
-        if key is not None and self.kv_cache is not None:
-            self.kv_cache.release(key)
-            self._parked_keys[request_id] = key
+        # slot owns a private copy of its hand-off); it keeps the key
+        # so resume re-acquires the ref if the entry survived.
+        self._unpin(slot)
         self._emit(
             RequestEventKind.PREEMPTED
             if preempted
@@ -435,7 +426,8 @@ class BatchedSpecDecodeEngine:
         counters = self.counters
         counters.target_steps += self._prefill(admitted)
         for slot in resumed:
-            self._reacquire_cache_ref(slot.request.request_id)
+            if slot.cache_key is not None:
+                self._pin(slot, slot.cache_key)
             self._emit(
                 RequestEventKind.RESUMED, slot.request.request_id
             )
@@ -502,7 +494,7 @@ class BatchedSpecDecodeEngine:
             verify_rows = batch
         retired = scheduler.retire_finished()
         for slot in retired:
-            self._drop_cache_ref(slot.request.request_id)
+            self._unpin(slot)
             self._emit(
                 RequestEventKind.FINISHED, slot.request.request_id
             )
@@ -694,42 +686,38 @@ class BatchedSpecDecodeEngine:
                     hiddens[index] = leader_hidden.copy()
         for slot, key, hidden in zip(admitted, keys, hiddens):
             slot.hidden = hidden
-            if hidden is not None and cache.acquire(key):
-                self._cache_keys[slot.request.request_id] = key
+            if hidden is not None:
+                self._pin(slot, key)
         return int(bool(computing))
 
     # -- prefix-cache ref lifecycle ----------------------------------------
 
-    def _drop_cache_ref(self, request_id: int) -> None:
-        """Release a retired/cancelled request's cache pin (if any)."""
-        self._parked_keys.pop(request_id, None)
-        key = self._cache_keys.pop(request_id, None)
-        if key is not None and self.kv_cache is not None:
-            self.kv_cache.release(key)
+    def _pin(self, slot: SequenceSlot, key: Tuple[int, ...]) -> None:
+        """Pin ``key`` for a slot going live (first time or resumed).
 
-    def _reacquire_cache_ref(self, request_id: int) -> None:
-        """Re-pin a resumed request's entry (skipped when evicted).
-
-        A parked request's entry is unpinned and may be evicted under
-        capacity pressure; the slot still owns its private copy of the
-        hand-off, so a lost entry costs a future cache hit, never
+        The slot remembers the key only while the pin took: an entry
+        the cache rejected, or one evicted while the slot was parked
+        and unpinned, is not retried — the slot owns a private copy of
+        its hand-off, so a lost entry costs a future cache hit, never
         correctness.
         """
-        key = self._parked_keys.pop(request_id, None)
-        if (
-            key is not None
-            and self.kv_cache is not None
-            and self.kv_cache.acquire(key)
-        ):
-            self._cache_keys[request_id] = key
+        slot.cache_pinned = self.kv_cache.acquire(key)
+        slot.cache_key = key if slot.cache_pinned else None
+
+    def _unpin(self, slot: SequenceSlot) -> None:
+        """Release the slot's cache pin, if it holds one."""
+        if slot.cache_pinned:
+            self.kv_cache.release(slot.cache_key)
+            slot.cache_pinned = False
 
     def _release_all_cache_refs(self) -> None:
-        """Release every pin held by the (previous) session."""
-        if self.kv_cache is not None:
-            for key in self._cache_keys.values():
-                self.kv_cache.release(key)
-        self._cache_keys = {}
-        self._parked_keys = {}
+        """Release every pin held by the (previous) session.
+
+        Only live slots hold pins: parking releases, resuming re-takes.
+        """
+        if self._scheduler is not None:
+            for slot in self._scheduler.live:
+                self._unpin(slot)
 
     def _sd_cycle(
         self,
@@ -802,12 +790,15 @@ def make_serving_request(
     max_new_tokens: int,
     seed: int,
     segment: Optional[str] = None,
+    predicted_length: Optional[int] = None,
 ) -> SequenceRequest:
     """Build a :class:`SequenceRequest` with its own seeded stream.
 
     The serving front-end derives one of these per online request: the
     private stream makes the committed tokens independent of which worker
     decodes it, when it is admitted, and which neighbours it batches with.
+    ``predicted_length`` is the dispatcher's length estimate; it rides
+    on the request so it follows the request across a steal.
     """
     if max_new_tokens < 1:
         raise SpecDecodeError(
@@ -819,4 +810,5 @@ def make_serving_request(
         max_new_tokens=max_new_tokens,
         rng=np.random.default_rng(int(seed)),
         segment=segment,
+        predicted_length=predicted_length,
     )

@@ -1,11 +1,10 @@
 """The engine control plane: lifecycle events + admission policies.
 
-The batched engine's original surface (``start``/``admit``/``cancel``/
-``step``) was wide enough for the serving front-end's first iteration but
-too narrow for the paper's mid-rollout dynamics: an adaptively refreshed
-drafter must be deployed *without* stalling decode, and SLO-aware
-scheduling must be able to *pause* a long-tail request rather than kill
-it.  :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`
+The paper's mid-rollout dynamics need more than start / step / cancel:
+an adaptively refreshed drafter must be deployed *without* stalling
+decode, and SLO-aware scheduling must be able to *pause* a long-tail
+request rather than kill it.
+:class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`
 carries that lifecycle itself (``admit`` / ``cancel`` / ``expire`` /
 ``park`` / ``resume`` / ``swap_drafter``) and
 :class:`~repro.serving.frontend.ServingWorker` drives it directly; this
@@ -26,7 +25,7 @@ module holds what the two layers share:
   into one wave so the engine issues one prefill launch per shared
   prefix instead of one per group member.
 
-Park/resume semantics (the new lifecycle edge): parking stashes the live
+Park/resume semantics: parking stashes the live
 slot whole — its committed tokens, its exact target hidden hand-off and
 its private random stream — so a resumed sequence consumes randomness
 and hidden state exactly where it left off.  The remaining tokens of a
@@ -242,11 +241,10 @@ class AdmissionPolicy(abc.ABC):
 
 
 class FifoAdmission(AdmissionPolicy):
-    """Strict queue-order admission (the default; pre-policy behaviour).
+    """Strict queue-order admission (the default).
 
-    Byte-identical to the scheduler's original hard-coded loop: take
-    from the front while capacity remains.  The urgent lane is already
-    at the queue front, so urgent arrivals keep their priority.
+    Takes from the front while capacity remains.  The urgent lane is
+    already at the queue front, so urgent arrivals keep their priority.
     """
 
     name = "fifo"

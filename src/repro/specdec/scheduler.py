@@ -12,8 +12,8 @@ request.  This module owns that lifecycle so the decode engine
 WHICH waiting requests go live each wave is delegated to a pluggable
 :class:`~repro.specdec.control.AdmissionPolicy` (the WAITING -> LIVE
 edge made explicit): :class:`~repro.specdec.control.FifoAdmission`
-reproduces the original front-of-queue loop byte-for-byte and is the
-default; :class:`~repro.specdec.control.PrefixAwareAdmission` co-admits
+takes the front of the queue and is the default;
+:class:`~repro.specdec.control.PrefixAwareAdmission` co-admits
 requests sharing a cached or in-flight prompt prefix so the engine's
 prefill stage coalesces them into one launch per shared prefix.
 
@@ -24,6 +24,12 @@ is underway, :meth:`~ContinuousBatchScheduler.cancel`-led (mid-decode or
 while still waiting), and waiting requests can be
 :meth:`~ContinuousBatchScheduler.steal_waiting`-ed by another worker's
 scheduler for load balancing.
+
+A request has ONE record per scheduler — its :class:`SequenceSlot`,
+created at :meth:`~ContinuousBatchScheduler.push` and dropped only when
+the request is stolen.  Lifecycle state, queue stamps, the urgent flag
+and the engine's cache pin all live on it; the waiting / live / parked /
+resume containers only order the slots that are in those states.
 
 Every request walks an explicit state machine
 (:class:`RequestLifecycle`)::
@@ -127,6 +133,12 @@ _TRANSITIONS: Dict[RequestLifecycle, frozenset] = {
     RequestLifecycle.EXPIRED: frozenset(),
 }
 
+#: States nothing leaves (a tuple: ``in`` compares by identity, where
+#: a set would call ``Enum.__hash__`` once per live slot per cycle).
+_TERMINAL = tuple(
+    state for state, exits in _TRANSITIONS.items() if not exits
+)
+
 
 @dataclass
 class SequenceRequest:
@@ -140,6 +152,9 @@ class SequenceRequest:
         rng: this request's private random stream.
         segment: optional workload-segment tag; the engine counts
             accepted/drafted tokens per segment on its ledger.
+        predicted_length: optional response-length estimate the serving
+            layer's load accounting plans with (the engine never reads
+            it).
     """
 
     request_id: int
@@ -147,28 +162,38 @@ class SequenceRequest:
     max_new_tokens: int
     rng: np.random.Generator
     segment: Optional[str] = None
+    predicted_length: Optional[int] = None
 
 
 @dataclass
 class SequenceSlot:
-    """Live decoding state of one admitted request.
+    """Everything one worker knows about one request it owns.
+
+    Created when the request is pushed and kept until it is stolen;
+    the scheduler, the engine and the serving worker each write their
+    per-request facts here instead of in id-keyed tables of their own.
 
     Attributes:
-        request: the request occupying this slot.
+        request: the request this slot belongs to.
         sequence: prompt + committed tokens.
         response: committed response tokens (terminal EOS included).
         hidden: exact target hidden stack (num_layers, hidden_size) at the
             second-to-last position — the drafter hand-off.
         done: True once EOS was committed.
-        cancelled: True when the request was cancelled (the partial
-            response up to the cancellation boundary is retained).
-        expired: True when the request was retired by deadline expiry
-            (mechanically a cancellation; kept distinct for SLO
-            accounting).
+        state: the request's lifecycle state on this scheduler.
+        urgent: True while the request waits in the urgent admission
+            lane.
+        since: scheduler cycle the current WAITING or PARKED spell
+            began (net of cycles already waited on a donor scheduler).
         wait_cycles: scheduler cycles the request spent in the waiting
             queue before admission.
         parked_cycles: scheduler cycles the request spent parked
             (accumulated across park/resume rounds).
+        cache_key: prefix-cache key the engine pinned for this slot at
+            prefill (None when there was nothing to pin or the pin was
+            rejected).
+        cache_pinned: whether the slot holds a ref on ``cache_key``
+            right now (released while parked, re-taken at resume).
     """
 
     request: SequenceRequest
@@ -176,10 +201,13 @@ class SequenceSlot:
     response: List[int] = field(default_factory=list)
     hidden: Optional[np.ndarray] = None
     done: bool = False
-    cancelled: bool = False
-    expired: bool = False
+    state: RequestLifecycle = RequestLifecycle.WAITING
+    urgent: bool = False
+    since: int = 0
     wait_cycles: int = 0
     parked_cycles: int = 0
+    cache_key: Optional[Tuple[int, ...]] = None
+    cache_pinned: bool = False
 
     @property
     def rng(self) -> np.random.Generator:
@@ -187,14 +215,26 @@ class SequenceSlot:
         return self.request.rng
 
     @property
+    def cancelled(self) -> bool:
+        """Whether the request was cancelled (the partial response up
+        to the cancellation boundary is retained)."""
+        return self.state is RequestLifecycle.CANCELLED
+
+    @property
+    def expired(self) -> bool:
+        """Whether the request was retired by deadline expiry
+        (mechanically a cancellation; kept distinct for SLO
+        accounting)."""
+        return self.state is RequestLifecycle.EXPIRED
+
+    @property
     def finished(self) -> bool:
-        """Whether this slot should retire (EOS, cancellation, expiry,
-        or cap)."""
+        """Whether this slot should retire (EOS, cap, or already
+        terminal: cancelled / expired)."""
         return (
             self.done
-            or self.cancelled
-            or self.expired
             or len(self.response) >= self.request.max_new_tokens
+            or self.state in _TERMINAL
         )
 
     def commit(self, tokens: List[int], eos_id: int) -> int:
@@ -265,9 +305,8 @@ class ContinuousBatchScheduler:
             request decodes from cycle one; 1 = fully sequential).
         admission: the :class:`~repro.specdec.control.AdmissionPolicy`
             selecting WHICH waiting requests enter free slots each wave
-            (:class:`~repro.specdec.control.FifoAdmission` — the
-            original hard-coded behaviour, byte-identical — when
-            omitted).
+            (:class:`~repro.specdec.control.FifoAdmission`, the front
+            of the queue, when omitted).
         cache: optional per-worker prefix cache exposed to the
             admission policy through its view (the scheduler itself
             never touches it — prefill reuse lives in the engine).
@@ -294,16 +333,14 @@ class ContinuousBatchScheduler:
         self.max_batch_size = max_batch_size
         self.admission: AdmissionPolicy = admission or FifoAdmission()
         self.cache = cache
+        #: request_id -> the request's one record here, in submission
+        #: order.  The four containers below only ORDER the non-terminal
+        #: ones; every per-request fact lives on the slot.
+        self._slots: Dict[int, SequenceSlot] = {}
         self.waiting: Deque[SequenceRequest] = deque()
-        self._urgent: set = set()  # waiting ids in the urgent lane
         self.live: List[SequenceSlot] = []
         self.parked: Dict[int, SequenceSlot] = {}  # insertion = park order
         self._resuming: Deque[SequenceSlot] = deque()
-        self._parked_at: Dict[int, int] = {}
-        self._finished: Dict[int, SequenceSlot] = {}
-        self._order: List[int] = []
-        self._enqueued_cycle: Dict[int, int] = {}
-        self._lifecycle: Dict[int, RequestLifecycle] = {}
         self._cycle = 0
         for request in requests:
             self.push(request)
@@ -333,17 +370,20 @@ class ContinuousBatchScheduler:
     @property
     def num_finished(self) -> int:
         """Requests that retired (EOS, length cap, or cancellation)."""
-        return len(self._finished)
+        return sum(
+            1 for slot in self._slots.values()
+            if slot.state in _TERMINAL
+        )
 
     @property
     def num_cancelled(self) -> int:
         """Retired requests that were cancelled."""
-        return sum(1 for slot in self._finished.values() if slot.cancelled)
+        return sum(1 for slot in self._slots.values() if slot.cancelled)
 
     @property
     def num_expired(self) -> int:
         """Retired requests that hit their deadline."""
-        return sum(1 for slot in self._finished.values() if slot.expired)
+        return sum(1 for slot in self._slots.values() if slot.expired)
 
     @property
     def parked_ids(self) -> List[int]:
@@ -376,26 +416,41 @@ class ContinuousBatchScheduler:
         """The scheduler's cycle counter (advanced by :meth:`tick`)."""
         return self._cycle
 
-    def state(self, request_id: int) -> RequestLifecycle:
-        """The request's lifecycle state (raises for unknown ids)."""
+    def _slot(self, request_id: int) -> SequenceSlot:
         try:
-            return self._lifecycle[request_id]
+            return self._slots[request_id]
         except KeyError:
             raise SpecDecodeError(
                 f"unknown request_id {request_id}"
             ) from None
 
+    def state(self, request_id: int) -> RequestLifecycle:
+        """The request's lifecycle state (raises for unknown ids)."""
+        return self._slot(request_id).state
+
     def _transition(
-        self, request_id: int, to: RequestLifecycle
+        self, slot: SequenceSlot, to: RequestLifecycle
     ) -> None:
         """Apply a lifecycle transition, rejecting illegal edges."""
-        current = self.state(request_id)
-        if to not in _TRANSITIONS[current]:
+        if to not in _TRANSITIONS[slot.state]:
             raise SpecDecodeError(
-                f"illegal lifecycle transition {current.value} -> "
-                f"{to.value} for request {request_id}"
+                f"illegal lifecycle transition {slot.state.value} -> "
+                f"{to.value} for request {slot.request.request_id}"
             )
-        self._lifecycle[request_id] = to
+        slot.state = to
+
+    def _urgent_lane(self) -> List[int]:
+        """Ids of the waiting queue's leading urgent run.
+
+        Urgent requests are only ever inserted at the end of that run
+        and removals keep queue order, so the run IS the urgent lane.
+        """
+        lane: List[int] = []
+        for queued in self.waiting:
+            if not self._slots[queued.request_id].urgent:
+                break
+            lane.append(queued.request_id)
+        return lane
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -420,23 +475,20 @@ class ContinuousBatchScheduler:
                 batch decoding never does.
         """
         request_id = request.request_id
-        if request_id in self._lifecycle:
+        if request_id in self._slots:
             raise SpecDecodeError(
                 f"duplicate request_id {request_id} pushed to scheduler"
             )
         if urgent:
-            lane_end = 0
-            for queued in self.waiting:
-                if queued.request_id not in self._urgent:
-                    break
-                lane_end += 1
-            self.waiting.insert(lane_end, request)
-            self._urgent.add(request_id)
+            self.waiting.insert(len(self._urgent_lane()), request)
         else:
             self.waiting.append(request)
-        self._order.append(request_id)
-        self._enqueued_cycle[request_id] = self._cycle - int(waited)
-        self._lifecycle[request_id] = RequestLifecycle.WAITING
+        self._slots[request_id] = SequenceSlot(
+            request=request,
+            sequence=list(request.prompt),
+            urgent=urgent,
+            since=self._cycle - int(waited),
+        )
 
     def _capacity_free(self) -> bool:
         return (
@@ -457,11 +509,8 @@ class ContinuousBatchScheduler:
         readmitted: List[SequenceSlot] = []
         while self._resuming and self._capacity_free():
             slot = self._resuming.popleft()
-            request_id = slot.request.request_id
-            slot.parked_cycles += self._cycle - self._parked_at.pop(
-                request_id
-            )
-            self._transition(request_id, RequestLifecycle.LIVE)
+            slot.parked_cycles += self._cycle - slot.since
+            self._transition(slot, RequestLifecycle.LIVE)
             self.live.append(slot)
             readmitted.append(slot)
         return readmitted
@@ -470,10 +519,8 @@ class ContinuousBatchScheduler:
         """Move policy-selected waiting requests into free slots.
 
         The admission policy picks WHICH waiting requests go live this
-        wave (and in what order — :class:`~repro.specdec.control.
-        FifoAdmission` reproduces the original front-of-queue loop
-        byte-for-byte); this method owns the mechanics: capacity
-        accounting, slot creation, wait bookkeeping, and the lifecycle
+        wave and in what order; this method owns the mechanics:
+        capacity accounting, wait bookkeeping, and the lifecycle
         transition.
 
         Slots that a queued resume will take are NOT free to the
@@ -494,7 +541,7 @@ class ContinuousBatchScheduler:
             waiting=tuple(self.waiting),
             capacity=capacity,
             live=tuple(self.live),
-            urgent=frozenset(self._urgent),
+            urgent=frozenset(self._urgent_lane()),
             cache=self.cache,
             cycle=self._cycle,
         )
@@ -524,17 +571,10 @@ class ContinuousBatchScheduler:
         )
         admitted: List[SequenceSlot] = []
         for index in indices:
-            request = view.waiting[index]
-            self._urgent.discard(request.request_id)
-            slot = SequenceSlot(
-                request=request,
-                sequence=list(request.prompt),
-                wait_cycles=self._cycle
-                - self._enqueued_cycle.pop(request.request_id),
-            )
-            self._transition(
-                request.request_id, RequestLifecycle.LIVE
-            )
+            slot = self._slots[view.waiting[index].request_id]
+            slot.urgent = False
+            slot.wait_cycles = self._cycle - slot.since
+            self._transition(slot, RequestLifecycle.LIVE)
             self.live.append(slot)
             admitted.append(slot)
         return admitted
@@ -551,19 +591,17 @@ class ContinuousBatchScheduler:
         Returns:
             The parked slot (still owned by this scheduler).
         """
-        for slot in self.live:
-            if slot.request.request_id == request_id:
-                self._transition(request_id, RequestLifecycle.PARKED)
-                self.live.remove(slot)
-                self.parked[request_id] = slot
-                self._parked_at[request_id] = self._cycle
-                return slot
-        # Not live: raise with the actual state for a useful message.
-        state = self.state(request_id)
-        raise SpecDecodeError(
-            f"park() requires a LIVE request; {request_id} is "
-            f"{state.value}"
-        )
+        slot = self._slot(request_id)
+        if slot.state is not RequestLifecycle.LIVE:
+            raise SpecDecodeError(
+                f"park() requires a LIVE request; {request_id} is "
+                f"{slot.state.value}"
+            )
+        self._transition(slot, RequestLifecycle.PARKED)
+        self.live.remove(slot)
+        self.parked[request_id] = slot
+        slot.since = self._cycle
+        return slot
 
     def resume(self, request_id: int) -> None:
         """Queue a parked request for re-admission.
@@ -577,10 +615,7 @@ class ContinuousBatchScheduler:
             state = self.state(request_id)
             detail = (
                 "already resuming"
-                if any(
-                    s.request.request_id == request_id
-                    for s in self._resuming
-                )
+                if state is RequestLifecycle.PARKED
                 else state.value
             )
             raise SpecDecodeError(
@@ -599,10 +634,7 @@ class ContinuousBatchScheduler:
         if retired:
             self.live = [s for s in self.live if not s.finished]
             for slot in retired:
-                self._transition(
-                    slot.request.request_id, RequestLifecycle.FINISHED
-                )
-                self._finished[slot.request.request_id] = slot
+                self._transition(slot, RequestLifecycle.FINISHED)
         return retired
 
     def cancel(self, request_id: int) -> Optional[SequenceSlot]:
@@ -620,64 +652,34 @@ class ContinuousBatchScheduler:
             The cancelled slot, or None when the request is unknown or
             already finished.
         """
-        return self._terminate(request_id, expired=False)
+        return self._terminate(request_id, RequestLifecycle.CANCELLED)
 
     def expire(self, request_id: int) -> Optional[SequenceSlot]:
         """Retire a request as deadline-expired (cancel's SLO sibling).
 
-        Identical mechanics to :meth:`cancel`; the retired slot is
-        flagged ``expired`` and the lifecycle lands on EXPIRED, so SLO
-        accounting can distinguish a missed deadline from an operator
-        cancel.
+        Identical mechanics to :meth:`cancel`; the lifecycle lands on
+        EXPIRED, so SLO accounting can distinguish a missed deadline
+        from an operator cancel.
         """
-        return self._terminate(request_id, expired=True)
+        return self._terminate(request_id, RequestLifecycle.EXPIRED)
 
     def _terminate(
-        self, request_id: int, expired: bool
+        self, request_id: int, to: RequestLifecycle
     ) -> Optional[SequenceSlot]:
-        target = (
-            RequestLifecycle.EXPIRED if expired
-            else RequestLifecycle.CANCELLED
-        )
-
-        def _flag(slot: SequenceSlot) -> SequenceSlot:
-            if expired:
-                slot.expired = True
-            else:
-                slot.cancelled = True
-            self._transition(request_id, target)
-            self._finished[request_id] = slot
-            return slot
-
-        for slot in self.live:
-            if slot.request.request_id == request_id:
-                self.live.remove(slot)
-                return _flag(slot)
-        parked = self.parked.pop(request_id, None)
-        if parked is not None:
-            parked.parked_cycles += self._cycle - self._parked_at.pop(
-                request_id
-            )
-            return _flag(parked)
-        for slot in self._resuming:
-            if slot.request.request_id == request_id:
+        slot = self._slots.get(request_id)
+        if slot is None or slot.state in _TERMINAL:
+            return None
+        if slot.state is RequestLifecycle.WAITING:
+            self.waiting.remove(slot.request)
+            slot.urgent = False
+        elif slot.state is RequestLifecycle.LIVE:
+            self.live.remove(slot)
+        else:  # PARKED: in the stash or already queued to resume
+            if self.parked.pop(request_id, None) is None:
                 self._resuming.remove(slot)
-                slot.parked_cycles += (
-                    self._cycle - self._parked_at.pop(request_id)
-                )
-                return _flag(slot)
-        for request in self.waiting:
-            if request.request_id == request_id:
-                self.waiting.remove(request)
-                self._urgent.discard(request_id)
-                self._enqueued_cycle.pop(request_id, None)
-                return _flag(
-                    SequenceSlot(
-                        request=request,
-                        sequence=list(request.prompt),
-                    )
-                )
-        return None
+            slot.parked_cycles += self._cycle - slot.since
+        self._transition(slot, to)
+        return slot
 
     def steal_waiting(
         self, count: int = 1
@@ -686,9 +688,9 @@ class ContinuousBatchScheduler:
 
         Requests are taken from the *back* of the queue (most recently
         enqueued) so the FIFO order of long-waiting requests is preserved
-        on the donor.  Stolen requests are fully disowned: they disappear
-        from this scheduler's result order and must be ``push``-ed to the
-        stealing worker's scheduler.
+        on the donor.  Stolen requests are fully disowned: their slots
+        are dropped, they disappear from this scheduler's result order,
+        and they must be ``push``-ed to the stealing worker's scheduler.
 
         Returns:
             ``(request, waited)`` pairs — ``waited`` is the cycles the
@@ -700,21 +702,16 @@ class ContinuousBatchScheduler:
         stolen: List[Tuple[SequenceRequest, int]] = []
         while self.waiting and len(stolen) < count:
             request = self.waiting.pop()
-            self._urgent.discard(request.request_id)
-            self._order.remove(request.request_id)
-            self._lifecycle.pop(request.request_id, None)
-            enqueued = self._enqueued_cycle.pop(
-                request.request_id, self._cycle
-            )
-            stolen.append((request, self._cycle - enqueued))
+            slot = self._slots.pop(request.request_id)
+            stolen.append((request, self._cycle - slot.since))
         stolen.reverse()
         return stolen
 
     def results(self) -> List[SequenceSlot]:
         """Finished slots in submission order (call when work is drained).
 
-        Cancelled and expired requests appear in order with their flag
-        set and whatever partial response they had committed.  A parked
+        Cancelled and expired requests appear in order, in that state,
+        with whatever partial response they had committed.  A parked
         request is neither work nor a result — the caller must resume or
         cancel it first, so a forgotten parked request fails loudly here
         instead of silently vanishing from the output.
@@ -729,4 +726,4 @@ class ContinuousBatchScheduler:
                 "results() with requests still parked "
                 f"({sorted(self.parked)}); resume or cancel them first"
             )
-        return [self._finished[request_id] for request_id in self._order]
+        return list(self._slots.values())

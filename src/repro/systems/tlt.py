@@ -10,8 +10,8 @@ optimizer offloading the paper measures.
 Each system carries its rollout policy in two interchangeable forms: the
 roofline-calibrated cluster simulator (:meth:`~RlSystem.simulate_step`)
 and the *algorithmic* continuous-batching engine — serving pools built by
-:meth:`~_AdaptiveSdSystem.serving_frontend` (and the fleet / co-located
-builders on top of it) from the same
+:meth:`~_AdaptiveSdSystem.serving_frontend` (and the co-located
+builder on top of it) from the same
 :class:`~repro.rollout.adaptive.AdaptiveSdConfig`, so the elastic
 threshold and strategy pool that shape the simulated timeline also drive
 real batched token generation on the TinyLM substrate.
@@ -32,14 +32,9 @@ from repro.cluster.simulator import (
 from repro.drafter.base import Drafter
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.autoscale.controller import Autoscaler
-    from repro.autoscale.policy import ScalingPolicy
-    from repro.autoscale.signals import SignalAggregator
     from repro.rl.trainer import RlConfig
     from repro.spot.trainer import SpotTrainer
     from repro.workload.prompts import Task
-from repro.fleet.engine import FleetEngine
-from repro.fleet.router import RoutingPolicy
 from repro.hardware.gpus import ModelSpec
 from repro.llm.model import TinyLM
 from repro.longtail.colocated import ColocatedLoop
@@ -112,113 +107,6 @@ class _AdaptiveSdSystem(RlSystem):
             strategy=strategy,
             sd_managers=managers or None,
             **pool_kwargs,
-        )
-
-    def fleet_frontend(
-        self,
-        target: TinyLM,
-        drafter: Drafter,
-        num_replicas: int = 2,
-        num_workers: int = 2,
-        routing: Optional[RoutingPolicy] = None,
-        warmup_ticks: int = 0,
-        **pool_kwargs,
-    ) -> FleetEngine:
-        """A sharded fleet of :meth:`serving_frontend` replicas.
-
-        Builds ``num_replicas`` identical pools (each configured exactly
-        as :meth:`serving_frontend` would, with ``pool_kwargs`` passed
-        through) and puts them behind a fleet router — prefix-aware
-        consistent hashing with least-loaded spill when ``routing`` is
-        omitted.  All replicas share one
-        :class:`~repro.serving.request.RequestIdAllocator`, so ids are
-        fleet-unique by construction.
-
-        For the byte-identity determinism contract, pass a static
-        ``strategy=`` in ``pool_kwargs`` (adaptive managers legitimately
-        depend on the live batch each replica sees).
-
-        Args:
-            target: the target model served by every worker.
-            drafter: the draft model shared by every replica.
-            num_replicas: serving pools in the fleet.
-            num_workers: decode workers per pool.
-            routing: fleet routing policy (prefix-hash when omitted).
-            warmup_ticks: JOINING warm-up before a replica activates.
-            **pool_kwargs: forwarded to :meth:`serving_frontend` for
-                each replica.
-        """
-        replicas = [
-            self.serving_frontend(
-                target, drafter, num_workers=num_workers, **pool_kwargs
-            )
-            for _ in range(num_replicas)
-        ]
-        return FleetEngine(
-            replicas, routing=routing, warmup_ticks=warmup_ticks
-        )
-
-    def autoscaled_fleet(
-        self,
-        target: TinyLM,
-        drafter: Drafter,
-        num_replicas: int = 1,
-        num_workers: int = 2,
-        routing: Optional[RoutingPolicy] = None,
-        warmup_ticks: int = 2,
-        policy: Optional["ScalingPolicy"] = None,
-        signals: Optional["SignalAggregator"] = None,
-        **pool_kwargs,
-    ) -> "Autoscaler":
-        """An elastic fleet: :meth:`fleet_frontend` plus its autoscaler.
-
-        Builds the fleet exactly as :meth:`fleet_frontend` would, then
-        wires an :class:`~repro.autoscale.controller.Autoscaler` whose
-        ``replica_factory`` builds scale-out pools with the SAME
-        configuration (same model, drafter, worker count, and
-        ``pool_kwargs``) — an elastic fleet is homogeneous by
-        construction.  Drive it from the run loop::
-
-            scaler = system.autoscaled_fleet(target, drafter)
-            report = scaler.fleet.run(trace, on_tick=scaler.on_tick)
-
-        Args:
-            target: the target model served by every worker.
-            drafter: the draft model shared by every replica.
-            num_replicas: starting fleet size.
-            num_workers: decode workers per pool.
-            routing: fleet routing policy (prefix-hash when omitted).
-            warmup_ticks: JOINING warm-up before a replica activates
-                (scale-out capacity arrives after this many ticks).
-            policy: scaling policy (the autoscaler's default
-                :class:`~repro.autoscale.policy.HysteresisPolicy`
-                when omitted).
-            signals: signal aggregator (a default one when omitted).
-            **pool_kwargs: forwarded to :meth:`serving_frontend` for
-                every replica, initial and scaled-out alike.
-
-        Returns:
-            The :class:`~repro.autoscale.controller.Autoscaler`; its
-            ``fleet`` attribute is the engine to run.
-        """
-        from repro.autoscale.controller import Autoscaler
-
-        fleet = self.fleet_frontend(
-            target,
-            drafter,
-            num_replicas=num_replicas,
-            num_workers=num_workers,
-            routing=routing,
-            warmup_ticks=warmup_ticks,
-            **pool_kwargs,
-        )
-        return Autoscaler(
-            fleet,
-            replica_factory=lambda: self.serving_frontend(
-                target, drafter, num_workers=num_workers, **pool_kwargs
-            ),
-            policy=policy,
-            signals=signals,
         )
 
     def colocated_system(

@@ -374,7 +374,7 @@ def fleet_trace(
     GRPO-grouped BATCH rollouts whose groups share prompts by
     construction.  Prefix-hash routing sends each tenant — and each
     rollout group — to one replica, so the per-replica prefix caches
-    (PR 5) amortise fleet-wide; placement-oblivious routing scatters
+    amortise fleet-wide; placement-oblivious routing scatters
     every family across all replicas and pays the prefill again on each.
 
     Args:

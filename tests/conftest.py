@@ -2,11 +2,15 @@
 and the seeded decode-scenario generator the determinism/invariant
 suite is driven by.
 
-Session-scoped so the (modest) drafter training cost is paid once.
+Session-scoped so the (modest) drafter training cost is paid once —
+which makes the models shared state: an autouse guard fails any test
+that leaves ``target`` / ``trained_drafter`` / ``untrained_drafter``
+with different weights than it found (work on a ``.clone()``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -83,6 +87,44 @@ def untrained_drafter(target: TinyLM) -> EagleDrafter:
     return EagleDrafter(
         target, EagleDrafterConfig(), np.random.default_rng(77)
     )
+
+
+def _weights_digest(model) -> str:
+    digest = hashlib.sha256()
+    for name, array in model.params.items():
+        digest.update(name.encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def _shared_models_stay_frozen(request):
+    """Fail, by name, a test that mutates a session-scoped model.
+
+    Every later test in the session would otherwise decode with
+    different weights, so results would depend on file order.  Covers
+    whichever of the three models the test requested (directly or
+    through another fixture); bytes are compared, so an in-place
+    ``+= x`` / ``-= x`` that does not round-trip exactly is caught too.
+    """
+    watched = {
+        name: request.getfixturevalue(name)
+        for name in ("target", "trained_drafter", "untrained_drafter")
+        if name in request.fixturenames
+    }
+    before = {
+        name: _weights_digest(model) for name, model in watched.items()
+    }
+    yield
+    moved = [
+        name for name, model in watched.items()
+        if _weights_digest(model) != before[name]
+    ]
+    if moved:
+        pytest.fail(
+            f"{request.node.nodeid} mutated the session-scoped "
+            f"{', '.join(moved)} fixture; use a .clone()"
+        )
 
 
 # -- seeded decode scenarios (determinism/invariant suite) -----------------

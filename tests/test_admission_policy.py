@@ -467,8 +467,6 @@ class TestDispatchPolicies:
         }
         assert cost == live[1]          # the long victim gets parked
         assert cost > live[0]           # ...not the cheap slot
-        worker.resolve = None
-        assert worker.park_cost(policy, urgent) is None
 
     def test_prefix_affinity_routes_to_best_match(self):
         workers = [

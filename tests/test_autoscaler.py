@@ -651,40 +651,3 @@ class TestAutoscalerActuation:
         scaler.on_tick(fleet)  # 1 -> 5
         assert config.activation_threshold == 5
         assert [e.sd_threshold for e in scaler.events] == [2, 1, 5]
-
-
-class TestAutoscaledFleetBuilder:
-    def test_system_builder_rides_the_crowd(
-        self, target, trained_drafter
-    ):
-        from repro.cluster import ClusterSpec
-        from repro.hardware import get_gpu, get_model
-        from repro.systems import TltSystem
-
-        system = TltSystem(
-            get_model("Qwen2.5-7B"),
-            ClusterSpec(
-                num_workers=2, gpus_per_worker=4, gpu=get_gpu("H100")
-            ),
-        )
-        scaler = system.autoscaled_fleet(
-            target,
-            trained_drafter,
-            num_replicas=1,
-            num_workers=2,
-            warmup_ticks=2,
-            policy=HysteresisPolicy(
-                min_replicas=1, max_replicas=3,
-                out_cooldown=3, in_cooldown=12,
-            ),
-            max_batch_size=2,
-            strategy=STRATEGY,
-        )
-        trace = _crowd_trace(seed=11, num_base=12, num_crowd=30)
-        report = scaler.fleet.run(trace, on_tick=scaler.on_tick)
-        assert report.num_requests == len(trace)
-        assert any(
-            e.decision.action is ScaleAction.SCALE_OUT
-            for e in scaler.events
-        )
-        assert len(scaler.fleet.replicas) > 1

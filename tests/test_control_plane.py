@@ -171,7 +171,7 @@ class TestStateMachine:
         self, target, trained_drafter
     ):
         """Terminating a resume-queued slot must close out its park
-        interval (no leaked park stamps, parked_cycles counted)."""
+        interval (parked_cycles counted)."""
         engine = _engine(target, trained_drafter)
         engine.start(_requests())
         engine.step()
@@ -181,7 +181,6 @@ class TestStateMachine:
         slot = engine.cancel(1)
         assert slot is not None and slot.cancelled
         assert slot.parked_cycles > 0
-        assert not engine.scheduler._parked_at  # no leaked stamp
 
 
 class TestParkResumeDeterminism:
@@ -363,7 +362,8 @@ class TestStealWaitingEdgeCases:
         receiver = ContinuousBatchScheduler([], max_batch_size=1)
         receiver.push(request, waited=waited)
         # The donor fully disowned it: results() must not expect it...
-        assert request.request_id not in donor._order
+        with pytest.raises(SpecDecodeError, match="unknown"):
+            donor.state(request.request_id)
         # ...and cancelling on the receiver retires it there.
         slot = receiver.cancel(request.request_id)
         assert slot is not None and slot.cancelled

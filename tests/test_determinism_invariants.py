@@ -36,13 +36,11 @@ def _drain(engine):
 
 
 def _committed_now(engine):
-    """Per-request committed tokens at the current cycle boundary."""
-    out = {}
-    for slot in engine.scheduler.live:
-        out[slot.request.request_id] = list(slot.response)
-    for request_id, slot in engine.scheduler._finished.items():
-        out[request_id] = list(slot.response)
-    return [out[request_id] for request_id in sorted(out)]
+    """Per-request committed tokens at the current cycle boundary
+    (submission order; a still-waiting request has committed none)."""
+    return [
+        list(slot.response) for slot in engine.scheduler._slots.values()
+    ]
 
 
 def _responses(report):

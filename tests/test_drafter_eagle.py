@@ -68,6 +68,7 @@ class TestArchitecture:
 
     def test_head_is_tied_to_target(self, target):
         """RL updates to the target embedding flow to the drafter."""
+        target = target.clone()  # updated in place below
         drafter = EagleDrafter(
             target, EagleDrafterConfig(), np.random.default_rng(0)
         )
@@ -75,7 +76,6 @@ class TestArchitecture:
         before = drafter.head_logits(hidden).copy()
         target.params["embed"] += 0.5
         after = drafter.head_logits(hidden)
-        target.params["embed"] -= 0.5
         assert not np.allclose(before, after)
 
     def test_propose_is_distribution(self, target):

@@ -9,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec
 from repro.errors import ConfigError, FleetError, ServingError
 from repro.fleet import (
     FleetEngine,
@@ -20,7 +19,6 @@ from repro.fleet import (
     ReplicaState,
     StaticRouting,
 )
-from repro.hardware import get_gpu, get_model
 from repro.serving import (
     LeastLoadedDispatch,
     PrefixAffinityDispatch,
@@ -29,7 +27,6 @@ from repro.serving import (
     ServingRequest,
 )
 from repro.specdec import PrefixAwareAdmission, SdStrategy, WorkerCounters
-from repro.systems import TltSystem
 from repro.workload import fleet_trace
 
 STRATEGY = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
@@ -445,19 +442,10 @@ class TestFleetHotSwap:
 
 
 class TestSystemIntegration:
-    def _system(self):
-        return TltSystem(
-            get_model("Qwen2.5-7B"),
-            ClusterSpec(
-                num_workers=2, gpus_per_worker=4, gpu=get_gpu("H100")
-            ),
-        )
-
     def test_fleet_frontend_builds_and_serves(self, target,
                                               trained_drafter):
-        fleet = self._system().fleet_frontend(
-            target, trained_drafter, num_replicas=3, num_workers=2,
-            strategy=STRATEGY, max_batch_size=2, temperature=0.9,
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter) for _ in range(3)]
         )
         assert len(fleet.replicas) == 3
         allocators = {
@@ -472,9 +460,8 @@ class TestSystemIntegration:
                                              trained_drafter):
         """A fleet takes a published snapshot wherever a pool does
         (the adaptive-drafter loop at fleet scale)."""
-        fleet = self._system().fleet_frontend(
-            target, trained_drafter, num_replicas=2, num_workers=2,
-            strategy=STRATEGY, max_batch_size=2, temperature=0.9,
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter) for _ in range(2)]
         )
         published = trained_drafter.clone()
         fleet.swap_drafter(published)

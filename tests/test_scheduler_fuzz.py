@@ -19,6 +19,7 @@ graph — so drift in either direction is caught.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Set
 
 import numpy as np
@@ -111,6 +112,39 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
                 assert got is RequestLifecycle.PARKED
             else:
                 assert got is state
+    # One record per request: each slot sits in exactly the container
+    # its state names (terminal: none), as the same object...
+    homes = {  # the containers' ids equal the model's (checked above)
+        RequestLifecycle.WAITING: model.waiting,
+        RequestLifecycle.LIVE: model.live,
+        RequestLifecycle.PARKED: model.parked | model.resuming,
+    }
+    for request_id, slot in scheduler._slots.items():
+        for state, home in homes.items():
+            assert (request_id in home) == (slot.state is state)
+        assert slot.cancelled == (
+            slot.state is RequestLifecycle.CANCELLED
+        )
+        assert slot.expired == (slot.state is RequestLifecycle.EXPIRED)
+    for request in scheduler.waiting:
+        assert scheduler._slots[request.request_id].request is request
+    for slot in (
+        *scheduler.live, *scheduler.parked.values(), *scheduler._resuming
+    ):
+        assert scheduler._slots[slot.request.request_id] is slot
+    # ...the urgent flag marks only the queue's leading urgent run...
+    lane = [
+        scheduler._slots[r.request_id].urgent for r in scheduler.waiting
+    ]
+    assert lane == sorted(lane, reverse=True)
+    assert sum(lane) == sum(
+        slot.urgent for slot in scheduler._slots.values()
+    )
+    # ...and no id-keyed side table has come back beside the slots.
+    assert {
+        name for name, value in vars(scheduler).items()
+        if isinstance(value, (dict, list, set, deque))
+    } == {"_slots", "waiting", "live", "parked", "_resuming"}
 
 
 def _request(request_id: int, rng) -> SequenceRequest:

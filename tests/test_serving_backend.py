@@ -312,7 +312,9 @@ class TestColocatedLoop:
         scenario = scenario_factory(50)
         vocab = Vocabulary(target.config.vocab_size)
         task = SuccessorChainTask(vocab=vocab, target_pairs=4)
+        policy = target.clone()  # RL-trained in place by the loop
         drafter = trained_drafter.clone()
+        drafter.target = policy  # head tied to the model being trained
         spot = SpotTrainer(
             trainer=DrafterTrainer(
                 drafter, DrafterTrainingConfig(learning_rate=5e-3)
@@ -323,7 +325,7 @@ class TestColocatedLoop:
             max_positions=64,
         )
         loop = self._system().colocated_system(
-            target, drafter, task,
+            policy, drafter, task,
             RlConfig(
                 num_prompts=2, group_size=2, max_new_tokens=8,
                 temperature=0.9,

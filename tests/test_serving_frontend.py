@@ -19,8 +19,9 @@ from repro.serving import (
     SloClass,
     VirtualClock,
     poisson_trace,
+    steal_work,
 )
-from repro.specdec import SdStrategy
+from repro.specdec import SdStrategy, make_serving_request
 from repro.systems import TltSystem
 from repro.cluster import ClusterSpec
 from repro.hardware import get_gpu, get_model
@@ -225,6 +226,28 @@ class TestServingEngine:
         moved = [r for r in report.records if r.stolen > 0]
         assert moved
         assert all(r.finished for r in moved)
+
+    def test_stolen_request_is_charged_at_its_predicted_length(
+        self, target, trained_drafter
+    ):
+        donor, receiver = _frontend(
+            target, trained_drafter, workers=2, max_batch=1
+        ).workers
+        for request_id in (0, 1):
+            donor.enqueue(
+                make_serving_request(
+                    request_id, [5, 6, 7], max_new_tokens=40,
+                    seed=request_id, predicted_length=6,
+                )
+            )
+        donor.step()  # request 0 takes the only slot, request 1 queues
+        live = 40 - len(donor.engine.scheduler.live[0].response)
+        assert donor.backlog_tokens == live + 6
+        assert steal_work([donor, receiver]) == [(1, 0, 1)]
+        # The estimate moved with the request: not the 40-token cap
+        # on the receiver, nothing left behind on the donor.
+        assert receiver.backlog_tokens == 6
+        assert donor.backlog_tokens == live
 
     def test_explicit_cancellation_keeps_survivors_identical(
         self, target, trained_drafter
