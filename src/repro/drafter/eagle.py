@@ -190,15 +190,6 @@ class EagleDrafter(Drafter):
             feature = feature @ self.params["w_fuse"].T + self.params["b_fuse"]
         return feature
 
-    def cell(
-        self, state: np.ndarray, token_embed: np.ndarray
-    ) -> np.ndarray:
-        """One decoder-layer step: (..., d) state + (..., d) embedding."""
-        u = np.concatenate([state, token_embed], axis=-1)
-        z = u @ self.params["w_r"].T + self.params["b_r"]
-        a = np.tanh(z @ self.params["w_up"].T + self.params["b_up"])
-        return z + a @ self.params["w_down"].T
-
     def head_logits(self, hidden: np.ndarray) -> np.ndarray:
         """Tied LM head: (..., d) hidden -> (..., V) logits."""
         return hidden @ self.target.params["embed"].T
@@ -344,40 +335,58 @@ class EagleDrafter(Drafter):
         Returns:
             ``(hidden, cache)`` with hidden (N, d).
         """
-        embed = self.target.params["embed"][np.asarray(tokens)]
-        u = np.concatenate([states, embed], axis=-1)
-        z = u @ self.params["w_r"].T + self.params["b_r"]
-        a = np.tanh(z @ self.params["w_up"].T + self.params["b_up"])
-        hidden = z + a @ self.params["w_down"].T
-        cache = {"u": u, "z": z, "a": a}
-        return hidden, cache
+        return self.cell(
+            states, self.target.params["embed"][np.asarray(tokens)]
+        )
+
+    def cell(
+        self, states: np.ndarray, token_embeds: np.ndarray
+    ) -> Tuple[np.ndarray, dict]:
+        """:meth:`forward_cell_batch` over (N, d) token embeddings (the
+        trainer looks them up once per batch, not once per update)."""
+        # In place: a fresh (N, 4d) block costs more than the arithmetic.
+        u = np.concatenate([states, token_embeds], axis=-1)
+        z = u @ self.params["w_r"].T
+        z += self.params["b_r"]
+        a = z @ self.params["w_up"].T
+        a += self.params["b_up"]
+        np.tanh(a, out=a)
+        hidden = a @ self.params["w_down"].T
+        hidden += z
+        return hidden, {"u": u, "z": z, "a": a}
 
     def backward_cell_batch(
         self,
         cache: dict,
         dhidden: np.ndarray,
         grads: ParamSet,
-    ) -> np.ndarray:
-        """Backprop one cell step; accumulates into ``grads``.
+        input_grad: bool = True,
+    ) -> Optional[np.ndarray]:
+        """Backprop one cell step; accumulates into ``grads``, one
+        ``(out, N) x (N, in)`` GEMM per weight.
 
         Returns:
-            (N, d) gradient w.r.t. the input state (for unrolled BPTT).
+            (N, d) gradient w.r.t. the input state (for unrolled BPTT);
+            with ``input_grad`` false — nothing consumes it below the
+            first step of a frozen fusion — its GEMM is skipped and the
+            result is None.
         """
         a = cache["a"]
-        z = cache["z"]
-        u = cache["u"]
         # h = z + a W_down^T
-        grads["w_down"] += np.einsum("nd,nf->df", dhidden, a)
-        da = dhidden @ self.params["w_down"]
-        dpre = da * (1.0 - a * a)
-        grads["w_up"] += np.einsum("nf,nd->fd", dpre, z)
+        grads["w_down"] += dhidden.T @ a
+        dpre = a * a  # becomes da * (1 - a^2) in the one block
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= dhidden @ self.params["w_down"]
+        grads["w_up"] += dpre.T @ cache["z"]
         grads["b_up"] += dpre.sum(axis=0)
-        dz = dhidden + dpre @ self.params["w_up"]
-        grads["w_r"] += np.einsum("nd,ne->de", dz, u)
+        dz = dpre @ self.params["w_up"]
+        dz += dhidden
+        grads["w_r"] += dz.T @ cache["u"]
         grads["b_r"] += dz.sum(axis=0)
-        du = dz @ self.params["w_r"]
-        d = self.hidden_size
-        return du[:, :d]
+        if not input_grad:
+            return None
+        # u = [state; embed]: only the state half of W_r carries back.
+        return dz @ self.params["w_r"][:, : self.hidden_size]
 
     def backward_fuse(
         self,
@@ -393,7 +402,7 @@ class EagleDrafter(Drafter):
             for layer in self.config.fused_layers
         ]
         feature = np.concatenate(selected, axis=-1)
-        grads["w_fuse"] += np.einsum("nd,ne->de", dfused, feature)
+        grads["w_fuse"] += dfused.T @ feature
         grads["b_fuse"] += dfused.sum(axis=0)
 
     def state_dict(self) -> dict:
@@ -401,5 +410,9 @@ class EagleDrafter(Drafter):
         return self.params.state_dict()
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore trainable parameters."""
-        self.params.load_state_dict(state)
+        """Restore trainable parameters; dotted names (the ``optimizer.*``
+        / ``trainer.*`` entries of a ``DrafterTrainer`` checkpoint) are
+        not drafter weights and are skipped."""
+        self.params.load_state_dict(
+            {name: arr for name, arr in state.items() if "." not in name}
+        )

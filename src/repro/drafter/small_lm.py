@@ -19,15 +19,19 @@ hardware layer's cost model captures via the model spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.drafter.base import Drafter
 from repro.errors import DrafterError
-from repro.llm.model import TinyLM, contexts_from_sequences
+from repro.llm.model import (
+    TinyLM,
+    contexts_from_sequences,
+    pad_sequences,
+)
 from repro.llm.optim import Adam
-from repro.llm.sampler import log_softmax, softmax, temperature_probs
+from repro.llm.sampler import log_softmax, temperature_probs
 
 
 @dataclass(frozen=True)
@@ -141,48 +145,41 @@ class SmallLmDistiller:
         seqs = [list(map(int, s)) for s in sequences if len(s) >= 3]
         if not seqs:
             raise DrafterError("need sequences of length >= 3")
-        max_len = max(len(s) for s in seqs)
-        tokens = np.zeros((len(seqs), max_len), dtype=np.int64)
-        mask = np.zeros((len(seqs), max_len))
-        for row, seq in enumerate(seqs):
-            tokens[row, : len(seq)] = seq
-            # Position t predicts token t+1; valid while t+1 < len(seq).
-            mask[row, : len(seq) - 1] = 1.0
+        tokens, lengths = pad_sequences(seqs)
+        rows = np.arange(tokens.shape[0])[:, None]
+        cols = np.arange(tokens.shape[1])[None, :]
+        # Position t predicts token t+1; valid while t+1 < len(seq).
+        mask = (cols < lengths[:, None] - 1).astype(np.float64)
 
         model = self.drafter.model
         result = model.forward(tokens, keep_cache=True)
-        probs = softmax(result.logits)
+        logq = log_softmax(result.logits)
+        probs = np.exp(logq)
         total_positions = float(mask.sum())
         labels = np.roll(tokens, shift=-1, axis=1)
 
         if self.config.mode == "sft":
-            dlogits = probs.copy()
-            rows = np.arange(tokens.shape[0])[:, None]
-            cols = np.arange(max_len)[None, :]
-            dlogits[rows, cols, labels] -= 1.0
-            logq = log_softmax(result.logits)
             loss = -float(
                 np.sum(logq[rows, cols, labels] * mask) / total_positions
             )
+            dlogits = probs
+            dlogits[rows, cols, labels] -= 1.0
         else:
-            target_logits = self.target.forward(tokens).logits
-            p = softmax(target_logits)
-            logq = log_softmax(result.logits)
+            logp = log_softmax(self.target.forward(tokens).logits)
             if self.config.mode == "kd":
+                p = np.exp(logp)
                 dlogits = probs - p
                 loss = -float(
                     np.sum(p * logq * mask[:, :, None]) / total_positions
                 )
             else:  # reverse_kd
-                logp = log_softmax(target_logits)
                 diff = logq - logp
                 expected = np.sum(
                     probs * diff, axis=-1, keepdims=True
                 )
                 dlogits = probs * (diff - expected)
                 loss = float(
-                    np.sum(probs * diff * mask[:, :, None])
-                    / total_positions
+                    np.sum(expected * mask[:, :, None]) / total_positions
                 )
 
         dlogits = dlogits * mask[:, :, None] / total_positions

@@ -24,13 +24,13 @@ layer only (embedding/LM head stay frozen), and applies Adam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.drafter.eagle import EagleDrafter
 from repro.errors import DrafterError
-from repro.llm.model import TinyLM
+from repro.llm.model import TinyLM, pad_sequences
 from repro.llm.optim import Adam
 from repro.llm.sampler import log_softmax, softmax
 
@@ -141,23 +141,36 @@ def collect_training_sequences(
 ) -> List[TrainingSequence]:
     """Capture target hidden states for drafter training.
 
-    Mirrors the paper's data path: the RL inference stage already runs a
-    teacher-forced forward over prompt+response, so hidden states come for
-    free and are cached (host-memory DataBuffer) for the spot trainer.
+    Runs one teacher-forced target forward over the finished
+    prompt+response sequences, right-padded into a batch (the window is
+    causal, so padding cannot reach an earlier position), and slices the
+    per-layer hidden states back per sequence.  Sequences shorter than
+    3 tokens hold no training position and are skipped.
+
+    In the paper's engine this forward is not an extra cost: the RL
+    inference (prefilling) stage already scores prompt+response under
+    the policy, and its hidden states are copied to the host-memory
+    DataBuffer as a by-product.  Here the capture is its own pass over
+    the same tokens.
     """
-    out: List[TrainingSequence] = []
-    for seq in full_sequences:
-        tokens = np.asarray(list(map(int, seq)), dtype=np.int64)
-        if tokens.size < 3:
-            continue
-        result = target.forward(tokens[None, :])
-        stacks = np.stack([h[0] for h in result.hiddens], axis=1)
-        out.append(
-            TrainingSequence(
-                tokens=tokens, hidden_stacks=stacks, step_index=step_index
-            )
+    kept = [
+        np.asarray(list(map(int, seq)), dtype=np.int64)
+        for seq in full_sequences
+        if len(seq) >= 3
+    ]
+    if not kept:
+        return []
+    hiddens = target.forward(pad_sequences(kept)[0]).hiddens
+    return [
+        TrainingSequence(
+            tokens=tokens,
+            hidden_stacks=np.stack(
+                [h[row, : tokens.size] for h in hiddens], axis=1
+            ),
+            step_index=step_index,
         )
-    return out
+        for row, tokens in enumerate(kept)
+    ]
 
 
 @dataclass
@@ -209,43 +222,31 @@ def build_training_batch(
     Raises:
         DrafterError: when no sequence is long enough to contribute.
     """
-    fuse_stacks: List[np.ndarray] = []
-    tokens: List[np.ndarray] = []
-    labels: List[np.ndarray] = []
-    top_hiddens: List[np.ndarray] = []
-    for seq in sequences:
-        t_max = seq.length - 1 - unroll_steps
-        if t_max < 1:
-            continue
-        for t in range(1, t_max + 1):
-            js = np.arange(unroll_steps)
-            fuse_stacks.append(seq.hidden_stacks[t - 1])
-            tokens.append(seq.tokens[t + js])
-            labels.append(seq.tokens[t + js + 1])
-            top_hiddens.append(seq.hidden_stacks[t + js, -1, :])
-    if not fuse_stacks:
+    eligible = [s for s in sequences if s.length - 1 - unroll_steps >= 1]
+    if not eligible:
         raise DrafterError(
             "no sequence long enough for the requested unroll depth"
         )
-    batch = TrainingBatch(
-        fuse_stacks=np.stack(fuse_stacks),
-        tokens=np.stack(tokens),
-        labels=np.stack(labels),
-        top_hiddens=np.stack(top_hiddens),
+    # Base positions t = 1 .. length-1-J of every sequence, as indices
+    # into the sequences laid end to end.
+    lengths = np.array([seq.length for seq in eligible])
+    first = np.cumsum(lengths) - lengths + 1
+    base = np.concatenate(
+        [t1 + np.arange(n - 1 - unroll_steps) for t1, n in zip(first, lengths)]
     )
-    if max_positions is not None and batch.num_positions > max_positions:
+    if max_positions is not None and base.size > max_positions:
         if rng is None:
             raise DrafterError("max_positions subsampling requires rng")
-        keep = rng.choice(
-            batch.num_positions, size=max_positions, replace=False
-        )
-        batch = TrainingBatch(
-            fuse_stacks=batch.fuse_stacks[keep],
-            tokens=batch.tokens[keep],
-            labels=batch.labels[keep],
-            top_hiddens=batch.top_hiddens[keep],
-        )
-    return batch
+        base = base[rng.choice(base.size, size=max_positions, replace=False)]
+    all_tokens = np.concatenate([seq.tokens for seq in eligible])
+    all_stacks = np.concatenate([seq.hidden_stacks for seq in eligible])
+    unrolled = base[:, None] + np.arange(unroll_steps)
+    return TrainingBatch(
+        fuse_stacks=all_stacks[base - 1],
+        tokens=all_tokens[unrolled],
+        labels=all_tokens[unrolled + 1],
+        top_hiddens=all_stacks[unrolled, -1],
+    )
 
 
 @dataclass(frozen=True)
@@ -296,11 +297,16 @@ class DrafterTrainer:
         self.optimizer = Adam(lr=config.learning_rate)
         self.steps_done = 0
 
-    def train_step(self, batch: TrainingBatch) -> TrainStepReport:
-        """One full-batch forward/backward/Adam update.
+    def prepare(self, batch: TrainingBatch) -> tuple:
+        """What every update on ``batch`` shares while the target stays put.
 
-        The forward self-feeds for ``strategy.unroll_steps`` steps (HASS /
-        EAGLE-3 training-time test); gradients flow through the unroll.
+        Returns ``(state, token_embeds, teacher, rows)``: the (N, d) fused
+        input state (None when the fusion is trainable and has to be
+        re-run), the (N, J, d) frozen token embeddings, per unroll step
+        the target's (N, V) distribution (``soft``) or log-distribution
+        (``reverse_kd``; None for ``hard``), and ``arange(N)``.  The owner
+        of an update loop (:meth:`train_epochs`, a spot-trainer slice)
+        drops it on return, so a moved target is always re-read.
         """
         strategy = self.config.strategy
         drafter = self.drafter
@@ -309,70 +315,86 @@ class DrafterTrainer:
                 f"batch unroll depth {batch.unroll_steps} < strategy "
                 f"requirement {strategy.unroll_steps}"
             )
+        embed = drafter.target.params["embed"]
+        teacher = None
+        if strategy.ce_mode != "hard":
+            normalise = softmax if strategy.ce_mode == "soft" else log_softmax
+            teacher = [
+                normalise(batch.top_hiddens[:, j, :] @ embed.T)
+                for j in range(strategy.unroll_steps)
+            ]
+        frozen_fusion = "w_fuse" not in drafter.params
+        return (
+            drafter.fuse(batch.fuse_stacks) if frozen_fusion else None,
+            embed[batch.tokens], teacher, np.arange(batch.num_positions),
+        )
+
+    def train_step(
+        self, batch: TrainingBatch, prepared: Optional[tuple] = None
+    ) -> TrainStepReport:
+        """One full-batch forward/backward/Adam update.
+
+        The forward self-feeds for ``strategy.unroll_steps`` steps (HASS /
+        EAGLE-3 training-time test); gradients flow through the unroll.
+        ``prepared`` is ``self.prepare(batch)`` when the caller shares it
+        across the updates of one loop; it is computed here otherwise.
+        """
+        strategy = self.config.strategy
+        drafter = self.drafter
+        fused, token_embeds, teacher, rows = prepared or self.prepare(batch)
+        fuse_trains = fused is None
         steps = strategy.unroll_steps
         n = batch.num_positions
         embed = drafter.target.params["embed"]
         norm = 1.0 / (n * steps)
 
-        # Unrolled forward.
-        state = drafter.fuse(batch.fuse_stacks)
-        caches: List[dict] = []
-        hiddens: List[np.ndarray] = []
-        for j in range(steps):
-            hidden, cache = drafter.forward_cell_batch(
-                state, batch.tokens[:, j]
-            )
-            caches.append(cache)
-            hiddens.append(hidden)
-            state = hidden
-
-        # Losses and logits-space gradients per step.
+        # Unrolled forward with per-step losses and hidden-space gradients.
+        state = drafter.fuse(batch.fuse_stacks) if fuse_trains else fused
         ce_total = 0.0
         l1_total = 0.0
+        caches: List[dict] = []
         dhiddens: List[np.ndarray] = []
         for j in range(steps):
-            hidden = hiddens[j]
-            logits = hidden @ embed.T
-            q = softmax(logits)
-            labels_j = batch.labels[:, j]
-            top_j = batch.top_hiddens[:, j, :]
+            state, cache = drafter.cell(state, token_embeds[:, j, :])
+            caches.append(cache)
+            logq = log_softmax(state @ embed.T)
+            q = np.exp(logq)
             if strategy.ce_mode == "hard":
-                dlogits = q.copy()
-                dlogits[np.arange(n), labels_j] -= 1.0
-                logq = log_softmax(logits)
-                ce_total += -float(np.mean(logq[np.arange(n), labels_j]))
+                labels_j = batch.labels[:, j]
+                ce_total += -float(np.mean(logq[rows, labels_j]))
+                dlogits = q
+                dlogits[rows, labels_j] -= 1.0
             elif strategy.ce_mode == "soft":
-                target_logits = top_j @ embed.T
-                p = softmax(target_logits)
-                dlogits = q - p
-                logq = log_softmax(logits)
-                ce_total += -float(np.mean(np.sum(p * logq, axis=-1)))
+                ce_total += -float(
+                    np.mean(np.sum(teacher[j] * logq, axis=-1))
+                )
+                dlogits = q - teacher[j]
             else:  # reverse_kd
-                target_logits = top_j @ embed.T
-                logp = log_softmax(target_logits)
-                logq = log_softmax(logits)
-                diff = logq - logp
+                diff = logq - teacher[j]
                 expected = np.sum(q * diff, axis=-1, keepdims=True)
+                ce_total += float(np.mean(expected))
                 dlogits = q * (diff - expected)
-                ce_total += float(np.mean(np.sum(q * diff, axis=-1)))
             dhidden = (dlogits @ embed) * norm
             if strategy.l1_weight > 0:
-                delta = hidden - top_j
+                delta = state - batch.top_hiddens[:, j, :]
                 l1_total += strategy.l1_weight * float(
                     np.mean(np.abs(delta))
                 )
-                dhidden = dhidden + strategy.l1_weight * np.sign(delta) / (
-                    n * steps * delta.shape[-1]
+                dhidden += np.sign(delta) * (
+                    strategy.l1_weight / (n * steps * delta.shape[-1])
                 )
             dhiddens.append(dhidden)
 
         # Backward through the unroll (BPTT).
         grads = drafter.params.zeros_like()
-        dstate = np.zeros_like(hiddens[0])
+        dstate = None
         for j in range(steps - 1, -1, -1):
-            dh = dhiddens[j] + dstate
-            dstate = drafter.backward_cell_batch(caches[j], dh, grads)
-        drafter.backward_fuse(batch.fuse_stacks, dstate, grads)
+            dh = dhiddens[j] if dstate is None else dhiddens[j] + dstate
+            dstate = drafter.backward_cell_batch(
+                caches[j], dh, grads, input_grad=j > 0 or fuse_trains
+            )
+        if fuse_trains:
+            drafter.backward_fuse(batch.fuse_stacks, dstate, grads)
 
         grads.clip_global_norm(self.config.grad_clip)
         self.optimizer.step(drafter.params, grads)
@@ -388,7 +410,32 @@ class DrafterTrainer:
         self, batch: TrainingBatch, epochs: int
     ) -> List[TrainStepReport]:
         """Run several optimisation steps over the same batch."""
-        return [self.train_step(batch) for _ in range(epochs)]
+        prepared = self.prepare(batch)
+        return [self.train_step(batch, prepared) for _ in range(epochs)]
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Flat name -> array state a preempted trainer resumes from
+        exactly: the drafter's weights under their own names, Adam's
+        state under ``optimizer.*`` and ``trainer.steps_done`` (the
+        mapping :meth:`repro.spot.checkpoint.CheckpointManager.save`
+        takes)."""
+        state = dict(self.drafter.state_dict())
+        for name, array in self.optimizer.state_dict().items():
+            state[f"optimizer.{name}"] = array
+        state["trainer.steps_done"] = np.asarray(self.steps_done)
+        return state
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Restore weights, both Adam moments and the step counters."""
+        self.drafter.load_state_dict(state)
+        self.optimizer.load_state_dict(
+            {
+                name[len("optimizer.") :]: array
+                for name, array in state.items()
+                if name.startswith("optimizer.")
+            }
+        )
+        self.steps_done = int(state["trainer.steps_done"])
 
 
 def evaluate_topk_accuracy(
@@ -403,7 +450,6 @@ def evaluate_topk_accuracy(
     state = drafter.fuse(batch.fuse_stacks)
     hidden, _ = drafter.forward_cell_batch(state, batch.tokens[:, 0])
     logits = hidden @ drafter.target.params["embed"].T
-    n = batch.num_positions
     k = min(k, logits.shape[-1])
     top = np.argpartition(-logits, kth=k - 1, axis=-1)[:, :k]
     labels = batch.labels[:, 0]

@@ -19,7 +19,6 @@ from repro.llm.optim import Adam
 from repro.llm.params import ParamSet
 from repro.llm.sampler import (
     log_softmax,
-    sample_from_logits,
     sample_from_probs,
     softmax,
     temperature_probs,
@@ -37,7 +36,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "temperature_probs",
-    "sample_from_logits",
     "sample_from_probs",
     "generate",
     "GenerationOutput",

@@ -18,7 +18,7 @@ RL loop.  Manual forward/backward keeps the library dependency-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,7 +168,19 @@ class TinyLM:
                 f"tokens must be 2-D (batch, time), got shape {tokens.shape}"
             )
         windows = self._build_windows(tokens)
-        return self._forward_windows(windows, keep_cache=keep_cache)
+        # All B*T positions as rows of ONE sequence: one GEMM per layer.
+        flat = self._forward_windows(
+            windows.reshape(1, tokens.size, -1), keep_cache=keep_cache
+        )
+        shape = tokens.shape + (-1,)
+        hiddens = [h.reshape(shape) for h in flat.hiddens]
+        cache = flat.cache and ForwardCache(
+            windows=windows,
+            x=flat.cache.x.reshape(shape),
+            hiddens=hiddens,
+            block_acts=[a.reshape(shape) for a in flat.cache.block_acts],
+        )
+        return ForwardResult(flat.logits.reshape(shape), hiddens, cache)
 
     def step(self, context: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Single incremental decode step.
@@ -193,14 +205,6 @@ class TinyLM:
         logits = result.logits[:, 0, :]
         hiddens = [h[:, 0, :] for h in result.hiddens]
         return logits, hiddens
-
-    def logits_from_hidden(self, hidden: np.ndarray) -> np.ndarray:
-        """Apply the tied LM head to a hidden state of shape (..., d)."""
-        return hidden @ self.params["embed"].T
-
-    def embed_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        """Look up embeddings for an int array of token ids."""
-        return self.params["embed"][np.asarray(tokens)]
 
     # -- backward ------------------------------------------------------------
 
@@ -231,37 +235,40 @@ class TinyLM:
         if position_mask is not None:
             dlogits = dlogits * position_mask[:, :, None]
 
+        # Every product below is one 2-D GEMM over the (B*T, .) views.
+        d = self.config.hidden_size
+        dlogits = dlogits.reshape(-1, self.config.vocab_size)
         embed = self.params["embed"]
-        grads = self.params.zeros_like()
-        h_last = cache.hiddens[-1]
+        grads = self.params.zeros_like()  # fixes the parameter order
 
         # LM head (tied embedding): logits = h_last @ E^T.
-        grads["embed"] += np.einsum("btv,btd->vd", dlogits, h_last)
-        dh = dlogits @ embed  # (B, T, d)
+        grads["embed"] = dlogits.T @ cache.hiddens[-1].reshape(-1, d)
+        dh = dlogits @ embed  # (B*T, d)
 
         # Residual tanh blocks, reverse order.
         for i in range(self.config.num_layers - 1, 0, -1):
-            act = cache.block_acts[i - 1]
-            h_prev = cache.hiddens[i - 1]
+            act = cache.block_acts[i - 1].reshape(-1, d)
             dz = dh * (1.0 - act * act)
-            grads[f"w_{i}"] += np.einsum("btd,bte->de", dz, h_prev)
-            grads[f"b_{i}"] += dz.sum(axis=(0, 1))
-            dh = dh + dz @ self.params[f"w_{i}"]
+            grads[f"w_{i}"] = dz.T @ cache.hiddens[i - 1].reshape(-1, d)
+            grads[f"b_{i}"] = dz.sum(axis=0)
+            dh += dz @ self.params[f"w_{i}"]
 
         # Input projection: h_0 = tanh(W_in x + b_in).
-        h0 = cache.hiddens[0]
+        h0 = cache.hiddens[0].reshape(-1, d)
         dz0 = dh * (1.0 - h0 * h0)
-        grads["w_in"] += np.einsum("btd,bte->de", dz0, cache.x)
-        grads["b_in"] += dz0.sum(axis=(0, 1))
-        dx = dz0 @ self.params["w_in"]  # (B, T, k*d)
+        grads["w_in"] = dz0.T @ cache.x.reshape(dz0.shape[0], -1)
+        grads["b_in"] = dz0.sum(axis=0)
+        dx = dz0 @ self.params["w_in"]  # (B*T, k*d)
 
-        # Scatter input-embedding gradients back through the window lookup.
-        d = self.config.hidden_size
-        k = self.config.context_window
-        dx = dx.reshape(dx.shape[0], dx.shape[1], k, d)
-        flat_ids = cache.windows.reshape(-1)
-        flat_grad = dx.reshape(-1, d)
-        np.add.at(grads["embed"], flat_ids, flat_grad)
+        # Scatter input-embedding gradients back through the window
+        # lookup, one window column (one (B*T, d) block) at a time.
+        windows = cache.windows.reshape(dx.shape[0], -1)
+        for column in range(windows.shape[1]):
+            _segment_add(
+                grads["embed"],
+                windows[:, column],
+                dx[:, column * d : (column + 1) * d],
+            )
         return grads
 
     # -- internals -------------------------------------------------------------
@@ -308,6 +315,18 @@ class TinyLM:
         return ForwardResult(logits=logits, hiddens=hiddens, cache=cache)
 
 
+def _segment_add(
+    out: np.ndarray, ids: np.ndarray, rows: np.ndarray
+) -> None:
+    """``out[ids[i]] += rows[i]`` as a segmented sum: rows grouped by id
+    (stable sort), one ``np.add.reduceat`` over the groups, one add per
+    distinct id; the only temporary is the sorted copy of ``rows``."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+
+
 def contexts_from_sequences(
     sequences: Sequence[Sequence[int]], context_window: int
 ) -> np.ndarray:
@@ -322,3 +341,16 @@ def contexts_from_sequences(
         if tail:
             ctx[row, -len(tail) :] = tail
     return ctx
+
+
+def pad_sequences(
+    sequences: Sequence[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Right-pad ragged sequences with PAD: ``((B, T) tokens, lengths)``.
+    The window is causal, so a teacher-forced forward's real positions
+    never see the padding."""
+    lengths = np.array([len(seq) for seq in sequences])
+    tokens = np.full((len(sequences), lengths.max()), PAD_ID, dtype=np.int64)
+    for row, seq in enumerate(sequences):
+        tokens[row, : len(seq)] = seq
+    return tokens, lengths

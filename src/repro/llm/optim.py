@@ -7,7 +7,7 @@ the shared parameter container.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -72,10 +72,26 @@ class Adam:
             v_hat = v / bias2
             param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable optimizer state (moments and step count)."""
-        return {
-            "step_count": self._step_count,
-            "m": self._m.state_dict() if self._m is not None else None,
-            "v": self._v.state_dict() if self._v is not None else None,
-        }
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Flat name -> array state: ``step`` plus the moments as
+        ``m.<param>`` / ``v.<param>`` (absent before the first step)."""
+        state = {"step": np.asarray(self._step_count)}
+        for key, moment in (("m", self._m), ("v", self._v)):
+            for name, array in (moment or ParamSet()).items():
+                state[f"{key}.{name}"] = array.copy()
+        return state
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Restore what :meth:`state_dict` returned (arrays are copied)."""
+        self._step_count = int(state["step"])
+        self._m, self._v = (
+            ParamSet(
+                {
+                    name[2:]: np.array(array)
+                    for name, array in state.items()
+                    if name.startswith(prefix)
+                }
+            )
+            or None
+            for prefix in ("m.", "v.")
+        )

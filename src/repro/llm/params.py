@@ -64,10 +64,6 @@ class ParamSet:
             {name: np.zeros_like(arr) for name, arr in self.items()}
         )
 
-    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "ParamSet":
-        """Apply ``fn`` to every array, returning a new ParamSet."""
-        return ParamSet({name: fn(arr) for name, arr in self.items()})
-
     def filtered(self, predicate: Callable[[str], bool]) -> "ParamSet":
         """Keep only entries whose *name* satisfies ``predicate``."""
         return ParamSet(
@@ -120,10 +116,6 @@ class ParamSet:
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
         return sum(arr.size for arr in self._arrays.values())
-
-    def nbytes(self) -> int:
-        """Total bytes across all arrays."""
-        return sum(arr.nbytes for arr in self._arrays.values())
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of the underlying mapping (arrays copied)."""

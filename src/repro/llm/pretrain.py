@@ -18,9 +18,9 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.llm.model import TinyLM
+from repro.llm.model import TinyLM, pad_sequences
 from repro.llm.optim import Adam
-from repro.llm.sampler import log_softmax, softmax
+from repro.llm.sampler import log_softmax
 from repro.llm.vocab import BOS_ID, EOS_ID, NUM_SPECIAL_TOKENS
 
 
@@ -104,27 +104,23 @@ def pretrain_on_sequences(
         raise ConfigError("need sequences of length >= 2")
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    max_len = max(len(s) for s in seqs)
-    tokens = np.zeros((len(seqs), max_len), dtype=np.int64)
-    mask = np.zeros((len(seqs), max_len))
-    for row, seq in enumerate(seqs):
-        tokens[row, : len(seq)] = seq
-        mask[row, : len(seq) - 1] = 1.0
+    tokens, lengths = pad_sequences(seqs)
+    rows = np.arange(tokens.shape[0])[:, None]
+    cols = np.arange(tokens.shape[1])[None, :]
+    # Position t predicts token t+1; valid while t+1 < len(seq).
+    mask = (cols < lengths[:, None] - 1).astype(np.float64)
     labels = np.roll(tokens, shift=-1, axis=1)
     total = float(mask.sum())
 
     optimizer = Adam(lr=learning_rate)
     losses: List[float] = []
-    rows = np.arange(tokens.shape[0])[:, None]
-    cols = np.arange(max_len)[None, :]
     for _ in range(epochs):
         result = model.forward(tokens, keep_cache=True)
-        probs = softmax(result.logits)
-        dlogits = probs.copy()
-        dlogits[rows, cols, labels] -= 1.0
-        dlogits *= mask[:, :, None] / total
         logq = log_softmax(result.logits)
         loss = -float(np.sum(logq[rows, cols, labels] * mask) / total)
+        dlogits = np.exp(logq)
+        dlogits[rows, cols, labels] -= 1.0
+        dlogits *= mask[:, :, None] / total
         losses.append(loss)
         grads = model.backward(result.cache, dlogits)
         grads.clip_global_norm(grad_clip)

@@ -11,8 +11,6 @@ the lossless-acceptance property testable end to end.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import GenerationError
@@ -30,8 +28,8 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log-softmax along ``axis``."""
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return shifted - log_norm
+    shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted
 
 
 def temperature_probs(
@@ -85,54 +83,3 @@ def sample_from_probs(
     flat = probs.reshape(-1, probs.shape[-1])
     ids = tokens_at_uniforms(flat, rng.random(flat.shape[0]))
     return ids.reshape(probs.shape[:-1])
-
-
-def sample_from_logits(
-    logits: np.ndarray,
-    temperature: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Temperature-sample token ids from a (..., V) logits array."""
-    return sample_from_probs(temperature_probs(logits, temperature), rng)
-
-
-def top_k_mask(probs: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the ``k`` highest-probability entries per row.
-
-    Ties are broken by index order (lower index wins), matching the
-    deterministic tree construction in :mod:`repro.specdec.tree`.
-    """
-    if k <= 0:
-        raise GenerationError(f"k must be positive, got {k}")
-    probs = np.asarray(probs)
-    k = min(k, probs.shape[-1])
-    # argsort is stable; sort descending by negating.
-    order = np.argsort(-probs, axis=-1, kind="stable")
-    mask = np.zeros(probs.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
-    return mask
-
-
-def entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shannon entropy (nats) of a probability array along ``axis``."""
-    probs = np.asarray(probs, dtype=np.float64)
-    safe = np.where(probs > 0, probs, 1.0)
-    return -(probs * np.log(safe)).sum(axis=axis)
-
-
-def renormalize(probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Rescale a non-negative array to sum to one along ``axis``.
-
-    Raises :class:`GenerationError` when a slice sums to zero, which would
-    indicate an upstream bug (e.g. residual distribution collapsed).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    total = probs.sum(axis=axis, keepdims=True)
-    if np.any(total <= 0):
-        raise GenerationError("cannot renormalize a zero distribution")
-    return probs / total
-
-
-def greedy_token(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Argmax token ids along ``axis``."""
-    return np.asarray(logits).argmax(axis=axis)

@@ -17,15 +17,14 @@ defaults to the single on-policy epoch GRPO prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.llm.model import TinyLM
+from repro.llm.model import TinyLM, pad_sequences
 from repro.llm.optim import Adam
 from repro.llm.sampler import temperature_probs
-from repro.llm.vocab import PAD_ID
 from repro.rl.algorithms import AdvantageEstimator, GrpoAdvantages
 from repro.rl.kl import KL_ESTIMATORS, kl_estimate, kl_grad_coef
 from repro.rl.rollout_backends import (
@@ -266,94 +265,60 @@ class RlTrainer:
     ) -> tuple:
         """Token-level policy-gradient update; returns (pg_loss, kl)."""
         config = self.config
-        sequences = rollout.full_sequences
-        prompt_lengths = [len(p) for p in rollout.prompts]
-        batch_size = len(sequences)
-        max_len = max(len(s) for s in sequences)
-        tokens = np.full((batch_size, max_len), PAD_ID, dtype=np.int64)
-        for row, seq in enumerate(sequences):
-            tokens[row, : len(seq)] = seq
-
-        # Response-token bookkeeping: token y_t is predicted at t-1.
-        resp_pos: List[np.ndarray] = []
-        resp_tok: List[np.ndarray] = []
-        total_resp = 0
-        for row, seq in enumerate(sequences):
-            start, stop = prompt_lengths[row], len(seq)
-            positions = np.arange(start, stop)
-            resp_pos.append(positions - 1)
-            resp_tok.append(tokens[row, start:stop])
-            total_resp += stop - start
+        tokens, lengths = pad_sequences(rollout.full_sequences)
+        starts = np.array([len(p) for p in rollout.prompts])
+        total_resp = int((lengths - starts).sum())
         if total_resp == 0:
             return 0.0, 0.0
+
+        # Flat (row, position, token) indices of every response token of
+        # an unmasked row: token y_t is predicted at position t-1.
+        counts = np.where(mask != 0.0, lengths - starts, 0)
+        row_idx = np.repeat(np.arange(counts.size), counts)
+        first = np.cumsum(counts) - counts
+        tok_pos = np.arange(row_idx.size) + (starts - first)[row_idx]
+        pos_idx = tok_pos - 1
+        chosen = tokens[row_idx, tok_pos]
+        adv = advantages[row_idx]
+        scale = 1.0 / (total_resp * config.temperature)
 
         # Reference logprobs are fixed across inner epochs.
         ref_logits = self.reference.forward(tokens).logits
         ref_probs = temperature_probs(ref_logits, config.temperature)
+        logp_ref = np.log(
+            np.maximum(ref_probs[row_idx, pos_idx, chosen], 1e-300)
+        )
 
-        old_logp: Optional[List[np.ndarray]] = None
-        pg_loss_value = 0.0
-        kl_value = 0.0
-        for epoch in range(config.inner_epochs):
+        old_logp: Optional[np.ndarray] = None
+        for _ in range(config.inner_epochs):
             result = self.policy.forward(tokens, keep_cache=True)
             probs = temperature_probs(result.logits, config.temperature)
-            dlogits = np.zeros_like(result.logits)
-            pg_terms: List[float] = []
-            kl_terms: List[float] = []
+            logp = np.log(
+                np.maximum(probs[row_idx, pos_idx, chosen], 1e-300)
+            )
             if old_logp is None:
-                old_logp = []
-            scale = 1.0 / (total_resp * config.temperature)
-            for row in range(batch_size):
-                if mask[row] == 0.0:
-                    if epoch == 0:
-                        old_logp.append(np.zeros(0))
-                    continue
-                positions = resp_pos[row]
-                chosen = resp_tok[row]
-                if positions.size == 0:
-                    if epoch == 0:
-                        old_logp.append(np.zeros(0))
-                    continue
-                p_tok = probs[row, positions, chosen]
-                logp = np.log(np.maximum(p_tok, 1e-300))
-                ref_tok = ref_probs[row, positions, chosen]
-                logp_ref = np.log(np.maximum(ref_tok, 1e-300))
-                if epoch == 0:
-                    old_logp.append(logp.copy())
-                ratio = np.exp(
-                    np.clip(logp - old_logp[row], -30.0, 30.0)
-                )
-                adv = advantages[row]
-                if config.inner_epochs > 1:
-                    clipped_hi = (adv > 0) & (ratio > 1.0 + config.clip_eps)
-                    clipped_lo = (adv < 0) & (ratio < 1.0 - config.clip_eps)
-                    active = ~(clipped_hi | clipped_lo)
-                else:
-                    active = np.ones_like(ratio, dtype=bool)
-                pg_coef = -adv * ratio * active
-                kl_coef = config.kl_coef * kl_grad_coef(
-                    logp, logp_ref, config.kl_estimator
-                )
-                coef = (pg_coef + kl_coef) * scale
-                # dlogits += coef * (onehot - probs)
-                dlogits[row, positions, :] -= (
-                    coef[:, None] * probs[row, positions, :]
-                )
-                dlogits[row, positions, chosen] += coef
-                pg_terms.append(float(np.sum(-adv * ratio * logp)))
-                kl_terms.append(
-                    float(
-                        np.sum(
-                            kl_estimate(
-                                logp, logp_ref, config.kl_estimator
-                            )
-                        )
-                    )
-                )
+                old_logp = logp
+            ratio = np.exp(np.clip(logp - old_logp, -30.0, 30.0))
+            pg_coef = -adv * ratio
+            if config.inner_epochs > 1:
+                clipped_hi = (adv > 0) & (ratio > 1.0 + config.clip_eps)
+                clipped_lo = (adv < 0) & (ratio < 1.0 - config.clip_eps)
+                pg_coef = pg_coef * ~(clipped_hi | clipped_lo)
+            kl_coef = config.kl_coef * kl_grad_coef(
+                logp, logp_ref, config.kl_estimator
+            )
+            coef = (pg_coef + kl_coef) * scale
+            # dlogits = coef * (onehot - probs) at the response positions.
+            dlogits = np.zeros_like(result.logits)
+            dlogits[row_idx, pos_idx] = (
+                -coef[:, None] * probs[row_idx, pos_idx]
+            )
+            dlogits[row_idx, pos_idx, chosen] += coef
 
             grads = self.policy.backward(result.cache, dlogits)
             grads.clip_global_norm(config.grad_clip)
             self.optimizer.step(self.policy.params, grads)
-            pg_loss_value = sum(pg_terms) / total_resp
-            kl_value = sum(kl_terms) / total_resp
+            pg_loss_value = float(np.sum(-adv * ratio * logp)) / total_resp
+            kl = kl_estimate(logp, logp_ref, config.kl_estimator)
+            kl_value = float(np.sum(kl)) / total_resp
         return pg_loss_value, kl_value

@@ -11,7 +11,7 @@ preemption loses almost no progress.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,23 +101,14 @@ class SpotTrainer:
         if max_updates < 1:
             raise DrafterError("max_updates must be >= 1")
         try:
-            sequences = self.buffer.sample_sequences(
-                self.batch_sequences, rng
-            )
-        except DataBufferError:
-            return SpotTrainingReport(
-                updates=0, positions=0, ce_loss=float("nan"),
-                checkpoint_foreground_s=0.0,
-            )
-        strategy = self.trainer.config.strategy
-        try:
             batch = build_training_batch(
-                sequences,
-                unroll_steps=strategy.unroll_steps,
+                self.buffer.sample_sequences(self.batch_sequences, rng),
+                unroll_steps=self.trainer.config.strategy.unroll_steps,
                 max_positions=self.max_positions,
                 rng=rng,
             )
-        except DrafterError:
+        except (DataBufferError, DrafterError):
+            # Empty buffer, or nothing long enough to train on.
             return SpotTrainingReport(
                 updates=0, positions=0, ce_loss=float("nan"),
                 checkpoint_foreground_s=0.0,
@@ -125,8 +116,10 @@ class SpotTrainer:
 
         ckpt_foreground = 0.0
         ce_loss = float("nan")
+        # Dropped with the slice: the policy may move before the next.
+        prepared = self.trainer.prepare(batch)
         for _ in range(max_updates):
-            report = self.trainer.train_step(batch)
+            report = self.trainer.train_step(batch, prepared)
             ce_loss = report.ce_loss
             self._updates_total += 1
             if (
@@ -149,6 +142,15 @@ class SpotTrainer:
             return 0.0
         return self._checkpoint()
 
+    def restore(self, path: str) -> None:
+        """Resume from a checkpoint a slice or :meth:`preempt` wrote:
+        weights, Adam's moments and the step counts, so the next update
+        continues the run instead of restarting bias correction."""
+        if self.checkpoints is None:
+            raise DrafterError("restore needs a CheckpointManager")
+        self.checkpoints.wait_all()
+        self.trainer.load_state_dict(self.checkpoints.load(path))
+
     def snapshot_drafter(self):
         """Freeze the current drafter weights for publication.
 
@@ -158,14 +160,7 @@ class SpotTrainer:
         :meth:`repro.longtail.ColocatedLoop.publish_drafter` does): training
         continues mutating the original while the snapshot serves.
         """
-        drafter = self.trainer.drafter
-        clone = getattr(drafter, "clone", None)
-        if clone is None:
-            raise DrafterError(
-                f"drafter {type(drafter).__name__} has no clone(); "
-                "cannot snapshot for publication"
-            )
-        return clone()
+        return self.trainer.drafter.clone()
 
     @property
     def total_updates(self) -> int:
@@ -175,7 +170,7 @@ class SpotTrainer:
     def _checkpoint(self) -> float:
         assert self.checkpoints is not None
         result = self.checkpoints.save(
-            self.trainer.drafter.state_dict(),
+            self.trainer.state_dict(),
             step=self._updates_total,
             mode="selective_async",
         )

@@ -11,12 +11,10 @@ from hypothesis.extra import numpy as hnp
 from repro.errors import GenerationError
 from repro.llm import (
     log_softmax,
-    sample_from_logits,
     sample_from_probs,
     softmax,
     temperature_probs,
 )
-from repro.llm.sampler import entropy, greedy_token, renormalize, top_k_mask
 
 finite_logits = hnp.arrays(
     dtype=np.float64,
@@ -80,54 +78,7 @@ class TestSampling:
         draws = sample_from_probs(np.tile(probs, (100, 1)), rng)
         assert (draws == 1).all()
 
-    def test_sample_from_logits_greedy(self):
-        rng = np.random.default_rng(0)
-        token = sample_from_logits(np.array([0.0, 9.0, 1.0]), 0.0, rng)
-        assert int(token) == 1
-
     def test_batch_shape_preserved(self):
         rng = np.random.default_rng(0)
         probs = np.full((3, 4, 5), 0.2)
         assert sample_from_probs(probs, rng).shape == (3, 4)
-
-
-class TestTopKMask:
-    def test_basic(self):
-        mask = top_k_mask(np.array([0.1, 0.5, 0.4]), 2)
-        assert mask.tolist() == [False, True, True]
-
-    def test_k_larger_than_vocab(self):
-        mask = top_k_mask(np.array([0.3, 0.7]), 10)
-        assert mask.all()
-
-    def test_invalid_k(self):
-        with pytest.raises(GenerationError):
-            top_k_mask(np.ones(3), 0)
-
-    @given(finite_logits, st.integers(1, 8))
-    def test_property_count(self, logits, k):
-        probs = softmax(logits)
-        mask = top_k_mask(probs, k)
-        assert mask.sum() == min(k, probs.shape[-1])
-
-
-class TestMisc:
-    def test_entropy_uniform_is_log_v(self):
-        probs = np.full(8, 1 / 8)
-        assert entropy(probs) == pytest.approx(np.log(8))
-
-    def test_entropy_onehot_is_zero(self):
-        probs = np.zeros(5)
-        probs[2] = 1.0
-        assert entropy(probs) == pytest.approx(0.0)
-
-    def test_renormalize(self):
-        out = renormalize(np.array([1.0, 3.0]))
-        assert np.allclose(out, [0.25, 0.75])
-
-    def test_renormalize_zero_raises(self):
-        with pytest.raises(GenerationError):
-            renormalize(np.zeros(3))
-
-    def test_greedy_token(self):
-        assert int(greedy_token(np.array([0.0, 2.0, 1.0]))) == 1
