@@ -33,9 +33,18 @@ workers; a production tier is M such pools behind a router.
 One :meth:`FleetEngine.tick` is one discrete-event step across the
 whole fleet: JOINING replicas are promoted, the fleet-level drafter
 roll advances, due arrivals are routed and submitted, every non-retired
-replica runs one :meth:`~repro.serving.frontend.ServingEngine.tick`
-(all replica clocks advance in lock-step with the fleet clock), and
-drained DRAINING replicas retire.
+replica opens its tick
+(:meth:`~repro.serving.frontend.ServingEngine.open_tick`), the workers
+of ALL of them run their cycle as one lock-step batch
+(:func:`~repro.specdec.batch_engine.step_engines`: one drafter build
+and one target verify per shared drafter/target/strategy group), every
+replica closes its tick in order (all replica clocks advance in
+lock-step with the fleet clock), and drained DRAINING replicas retire.
+No replica runs its own ``tick()`` inside a fleet tick.  Replicas share
+no state a cycle writes, so outputs, tick metrics and every per-worker
+counter equal those of ticking the replicas one after another; only the
+order of events within a tick differs — every replica's pre-cycle and
+admission events, then every replica's FINISHED events.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from repro.fleet.router import (
 from repro.serving.clock import VirtualClock
 from repro.serving.frontend import ServingEngine
 from repro.serving.request import RequestIdAllocator, ServingRequest
+from repro.specdec.batch_engine import step_engines
 from repro.specdec.control import EventBus, RequestEvent
 
 
@@ -390,10 +400,17 @@ class FleetEngine:
         self._promote_joining(now)
         self._roll_swap()
         self._dispatch_arrivals(now)
-        for replica in self.replicas:
-            if replica.state is not ReplicaState.RETIRED:
-                self.worker_cycles += len(replica.frontend.workers)
-                replica.frontend.tick()
+        pools = [
+            replica.frontend for replica in self.replicas
+            if replica.state is not ReplicaState.RETIRED
+        ]
+        self.worker_cycles += sum(len(pool.workers) for pool in pools)
+        stepping = [pool.open_tick() for pool in pools]
+        outcomes = iter(step_engines(
+            [worker.engine for workers in stepping for worker in workers]
+        ))
+        for pool, workers in zip(pools, stepping):
+            pool.close_tick(workers, [next(outcomes) for _ in workers])
         for replica in self.replicas:
             if (
                 replica.state is ReplicaState.DRAINING

@@ -124,41 +124,3 @@ def generate(
         chosen_probs=probs_out if record_probs else [],
     )
 
-
-def sequence_logprobs(
-    model: TinyLM,
-    full_sequences: Sequence[Sequence[int]],
-    prompt_lengths: Sequence[int],
-    temperature: float = 1.0,
-) -> List[np.ndarray]:
-    """Log-probabilities of the response tokens under ``model``.
-
-    This is the RL *inference stage* computation: a teacher-forced forward
-    over prompt+response, reading off log pi(token_t | prefix) for every
-    response position.
-
-    Args:
-        model: the scoring model (target or reference).
-        full_sequences: prompt+response token lists.
-        prompt_lengths: number of leading prompt tokens per sequence.
-        temperature: sampling temperature the tokens were drawn with.
-
-    Returns:
-        One float array per sequence of length ``len(seq) - prompt_len``.
-    """
-    out: List[np.ndarray] = []
-    for seq, plen in zip(full_sequences, prompt_lengths):
-        seq = list(map(int, seq))
-        if plen < 1 or plen >= len(seq):
-            raise GenerationError(
-                f"prompt length {plen} invalid for sequence of {len(seq)}"
-            )
-        tokens = np.asarray([seq], dtype=np.int64)
-        result = model.forward(tokens)
-        probs = temperature_probs(result.logits[0], temperature)
-        # Position t-1 predicts token t.
-        response_positions = np.arange(plen, len(seq))
-        chosen = np.asarray(seq)[response_positions]
-        token_probs = probs[response_positions - 1, chosen]
-        out.append(np.log(np.maximum(token_probs, 1e-300)))
-    return out

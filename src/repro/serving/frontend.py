@@ -3,8 +3,8 @@
 :class:`ServingEngine` turns the closed-loop batched engine into an
 online system: requests arrive over virtual time with SLO classes, a
 dispatch policy routes them across N workers (each one
-:class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine` driven
-cycle-at-a-time through its incremental ``step()`` surface), queued
+:class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`, all of
+them advanced one cycle per tick as one batch), queued
 requests are work-stolen from backlogged workers, and requests can be
 cancelled mid-decode — explicitly or by SLO deadline — without
 perturbing a single committed token of any survivor.
@@ -39,14 +39,26 @@ One :meth:`ServingEngine.tick` is one discrete-event step:
    boundary;
 4. queued requests are rebalanced by work stealing (optional);
 5. parked requests are resumed on workers with capacity to spare;
-6. every worker with work runs exactly one decode cycle — all workers
-   advance in the same tick because real deployments run them on
-   separate accelerators in parallel;
+6. every worker with work runs exactly one decode cycle, and all of
+   them run it as ONE lock-step batch
+   (:func:`~repro.specdec.batch_engine.step_engines`): each worker's
+   cycle is opened in worker order, the live slots of every worker are
+   drafted by one drafter build and verified by one target forward per
+   shared drafter/strategy group, and each cycle is closed in worker
+   order — real deployments run the workers on separate accelerators in
+   parallel, and here the per-launch cost is paid once per tick;
 7. the clock advances by one tick.
 
-Determinism: requests carry private seeded streams, workers step in a
-fixed order, and every policy breaks ties by id — a fixed trace replays
-byte-identically, which is what the latency/SLO benchmarks rely on.
+Determinism: requests carry private seeded streams, the batched kernels
+are row-invariant, workers open and close their cycles in a fixed order,
+and every policy breaks ties by id — a fixed trace replays
+byte-identically, which is what the latency/SLO benchmarks rely on, and
+every output, tick stamp and per-worker counter equals stepping the
+workers one at a time.  Two orders follow from the batch.  Within a
+tick the event trail is phase-major: every worker's RESUMED / ADMITTED
+events, then every worker's FINISHED events.  Workers sharing one
+strategy selector all pick their strategy for a tick before any of them
+records that tick's feedback, as concurrent accelerators would.
 
 When per-worker :class:`~repro.rollout.adaptive.AdaptiveSdManager`\\ s are
 attached, each worker consults *its own* live-batch size every cycle —
@@ -96,6 +108,7 @@ from repro.specdec.batch_engine import (
     BatchedSpecDecodeEngine,
     EngineStep,
     make_serving_request,
+    step_engines,
 )
 from repro.specdec.control import (
     AdmissionPolicy,
@@ -111,15 +124,16 @@ from repro.specdec.tree import ChildMode
 class ServingWorker:
     """One decode worker: an incremental engine plus dispatch metadata.
 
-    The worker drives its engine's lifecycle methods and incremental
-    ``step()``, and reads ``engine.scheduler`` / ``.counters`` /
-    ``.kv_cache`` / ``.max_batch_size`` for the load surface below.
+    The worker drives its engine's lifecycle methods (the pool runs
+    its cycles, batched with every other worker's), and reads
+    ``engine.scheduler`` / ``.counters`` / ``.kv_cache`` /
+    ``.max_batch_size`` for the load surface below.
 
     Args:
         worker_id: stable index of this worker in the pool (stamped
             onto the engine's lifecycle events).
-        engine: the batched engine this worker drives cycle-at-a-time
-            (an incremental session is opened immediately).
+        engine: the worker's batched engine (an incremental session
+            is opened immediately).
         time_fn: virtual-time source wired into the engine's event
             stream (the pool's clock).
         resolve: maps a request id to its :class:`~repro.serving.
@@ -326,12 +340,6 @@ class ServingWorker:
     def swap_drafter(self, drafter: Drafter) -> None:
         """Swap this worker's drafter at its next cycle boundary."""
         self.engine.swap_drafter(drafter)
-
-    def step(self) -> Optional[EngineStep]:
-        """Run one decode cycle; returns None when the worker is idle."""
-        if not self.engine.has_work:
-            return None
-        return self.engine.step()
 
 
 class ServingEngine:
@@ -735,6 +743,17 @@ class ServingEngine:
 
     def tick(self) -> None:
         """Run one discrete-event step (see module docstring)."""
+        workers = self.open_tick()
+        self.close_tick(workers, step_engines([w.engine for w in workers]))
+
+    def open_tick(self) -> List[ServingWorker]:
+        """Steps 1-5 of a tick; returns the workers with a cycle to run.
+
+        :meth:`tick` hands their engines to one
+        :func:`~repro.specdec.batch_engine.step_engines` call and their
+        outcomes to :meth:`close_tick`; a fleet does the same with every
+        replica's workers in one batch.
+        """
         now = self.clock.now
         self._roll_swap()
         self._dispatch_arrivals(now)
@@ -747,11 +766,18 @@ class ServingEngine:
                 record.stolen += 1
             self.stolen += len(moves)
         self._resume_parked()
+        return [worker for worker in self.workers if worker.has_work]
+
+    def close_tick(
+        self,
+        workers: Sequence[ServingWorker],
+        outcomes: Sequence[EngineStep],
+    ) -> None:
+        """Record the cycles :meth:`open_tick`'s workers ran; advance
+        the clock (step 7)."""
+        now = self.clock.now
         completion = now + 1.0  # cycles complete at the end of the tick
-        for worker in self.workers:
-            outcome = worker.step()
-            if outcome is None:
-                continue
+        for worker, outcome in zip(workers, outcomes):
             for slot in outcome.admitted:
                 record = self.records[slot.request.request_id]
                 record.state = RequestState.RUNNING

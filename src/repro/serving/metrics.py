@@ -340,9 +340,10 @@ class ServingReport:
     def draft_launches_saved(self) -> int:
         """Drafter launches the pool avoided versus per-node drafting.
 
-        The flat lock-step tree build issues one batched call per tree
-        depth for a worker's whole live batch; this is the per-node
-        baseline's call count minus what was actually launched.
+        The flat lock-step tree build issues one batched call per round
+        for a worker's whole live batch; this is the per-node baseline's
+        call count minus those launches, each worker charged as if it
+        drafted alone (its rows ride one pool- or fleet-wide call).
         """
         return self.totals.draft_launches_saved
 

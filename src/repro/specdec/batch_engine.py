@@ -19,10 +19,13 @@ request set is mutated between cycles through
 :meth:`~BatchedSpecDecodeEngine.park` /
 :meth:`~BatchedSpecDecodeEngine.resume` /
 :meth:`~BatchedSpecDecodeEngine.swap_drafter`, with every lifecycle
-transition published on :attr:`~BatchedSpecDecodeEngine.events`.  The
-serving front-end (:mod:`repro.serving`) drives one engine per worker
-cycle-at-a-time this way; :meth:`~BatchedSpecDecodeEngine.generate` is
-the closed-loop batch wrapper (start, step until drained, collect).
+transition published on :attr:`~BatchedSpecDecodeEngine.events`.
+:func:`step_engines` runs one cycle of SEVERAL engines as one lock-step
+batch (``step()`` is it on one engine); the serving front-end and the
+fleet advance every worker of a tick that way, paying per-launch
+overhead once per tick, not once per worker.
+:meth:`~BatchedSpecDecodeEngine.generate` is the closed-loop batch
+wrapper (start, step until drained, collect).
 
 Parking stashes a live slot whole (tokens, hidden hand-off, random
 stream), so a resumed sequence's remaining tokens are byte-identical to
@@ -41,7 +44,8 @@ Two properties are load-bearing:
   decoding under a fixed seed in ``sample`` child mode.  The same
   argument covers cancellation: removing one slot between cycles leaves
   every survivor's stream and rows untouched, so survivors' outputs are
-  byte-identical to an uncancelled run.  (With an attached manager the
+  byte-identical to an uncancelled run, and :func:`step_engines` over
+  N engines to stepping each alone.  (With an attached manager the
   elastic SD/vanilla decision reads the live-batch size, so the slot
   capacity legitimately shapes the output.)
 * **Real batch dynamics** — when an
@@ -96,7 +100,10 @@ from repro.specdec.scheduler import (
     SequenceSlot,
 )
 from repro.specdec.strategy import SdStrategy
-from repro.specdec.tree import ChildMode, build_draft_trees, verify_trees
+from repro.specdec.tree import (
+    ChildMode, FlatDraftTree, TreeVerifyResult, build_draft_trees,
+    verify_trees,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.cache.manager import KVCacheManager
@@ -155,6 +162,23 @@ class EngineStep:
     admitted: List[SequenceSlot]
     retired: List[SequenceSlot]
     resumed: List[SequenceSlot] = field(default_factory=list)
+
+
+@dataclass
+class _Cycle:
+    """One engine's cycle between its open and close halves.
+
+    ``strategy`` is None when the cycle decodes vanilla; otherwise the
+    batch step hands it one tree and verify result per live slot.
+    """
+
+    engine: "BatchedSpecDecodeEngine"
+    admitted: List[SequenceSlot]
+    resumed: List[SequenceSlot]
+    live: List[SequenceSlot]
+    strategy: Optional[SdStrategy]
+    trees: Sequence[FlatDraftTree] = ()
+    results: Sequence[TreeVerifyResult] = ()
 
 
 class BatchedSpecDecodeEngine:
@@ -406,24 +430,24 @@ class BatchedSpecDecodeEngine:
         self._emit(RequestEventKind.SWAPPED, None)
 
     def step(self) -> EngineStep:
-        """Run exactly one admission + decode + retirement cycle."""
-        scheduler = self.scheduler
-        if not scheduler.has_work:
-            raise SpecDecodeError("step() called with no live or waiting work")
-        self._in_step = True
-        self.counters.busy_cycles += 1
-        try:
-            return self._step(scheduler)
-        finally:
-            self._in_step = False
+        """Run exactly one admission + decode + retirement cycle.
 
-    def _step(self, scheduler: ContinuousBatchScheduler) -> EngineStep:
+        The batch step :func:`step_engines` on a batch of this one
+        engine.
+        """
+        return step_engines([self])[0]
+
+    def _open(self) -> _Cycle:
+        """First half of a cycle: readmit, admit, prefill, SD decision."""
+        self._in_step = True
+        scheduler = self.scheduler
+        counters = self.counters
+        counters.busy_cycles += 1
         resumed = scheduler.readmit_parked()
         admitted = scheduler.admit()
         # Fresh admissions need the drafter hand-off computed; resumed
         # slots carry their stashed hidden state and must NOT be
         # re-prefilled (that is what keeps them byte-identical).
-        counters = self.counters
         counters.target_steps += self._prefill(admitted)
         for slot in resumed:
             if slot.cache_key is not None:
@@ -438,22 +462,44 @@ class BatchedSpecDecodeEngine:
         live = list(scheduler.live)
         batch = len(live)
         strategy = self.strategy
-        sd_active = True
         if self.sd_manager is not None:
             if self.sd_manager.should_use_sd(batch):
                 self.sd_manager.engage(batch)
                 strategy = self.sd_manager.select_strategy(batch)
             else:
-                sd_active = False
-        draft_launches_before = counters.draft_launches
-        draft_saved_before = counters.draft_launches_saved
-        if sd_active:
-            assert strategy is not None
-            cycle_stats = self._sd_cycle(live, strategy, self._metrics)
-            counters.target_steps += 1
-            # cycle_stats is parallel to `live`: charge each tagged
-            # request's segment its drafted/accepted tokens.
-            for slot, stats in zip(live, cycle_stats):
+                strategy = None
+        return _Cycle(self, admitted, resumed, live, strategy)
+
+    def _close(self, cycle: _Cycle) -> EngineStep:
+        """Second half: commit, feedback, retirement, events, report."""
+        scheduler = self.scheduler
+        counters = self.counters
+        counters.target_steps += 1
+        live, strategy, trees = cycle.live, cycle.strategy, cycle.trees
+        batch = len(live)
+        # Charged what its own trees cost as a batch of their own,
+        # whichever batch their rows rode: a worker is one accelerator.
+        launches = 1 + max(tree.rounds for tree in trees) if trees else 0
+        saved = max(0, sum(tree.draft_calls for tree in trees) - launches)
+        counters.draft_launches += launches
+        counters.draft_launches_saved += saved
+        if strategy is not None:
+            cycle_stats: List[SdCycleStats] = []
+            for slot, tree, result in zip(live, trees, cycle.results):
+                stats = SdCycleStats(
+                    accepted=result.accepted_node_count,
+                    committed=slot.commit(result.accepted_tokens, EOS_ID),
+                    drafted=tree.num_selected,
+                    draft_steps=tree.draft_steps,
+                    verify_batch=result.verify_batch,
+                )
+                self._metrics.profile.record(
+                    result.depth_attempts, result.depth_accepts
+                )
+                slot.hidden = result.next_hidden
+                self._metrics.add_cycle(stats)
+                cycle_stats.append(stats)
+                # Charge a tagged request's segment its tokens.
                 segment = slot.request.segment
                 if segment is None:
                     continue
@@ -488,27 +534,25 @@ class BatchedSpecDecodeEngine:
             verify_rows = sum(c.verify_batch for c in cycle_stats)
         else:
             self._vanilla_cycle(live)
-            counters.target_steps += 1
-            committed = batch
+            committed = verify_rows = batch
             drafted = 0
-            verify_rows = batch
         retired = scheduler.retire_finished()
         for slot in retired:
             self._unpin(slot)
             self._emit(
                 RequestEventKind.FINISHED, slot.request.request_id
             )
-        wait_cycles = [slot.wait_cycles for slot in admitted]
+        wait_cycles = [slot.wait_cycles for slot in cycle.admitted]
         for wait in wait_cycles:
             self._metrics.record_wait(wait)
         self._metrics.record_queue_depth(scheduler.num_waiting)
         report = BatchCycleReport(
             index=len(self._reports),
             live_batch=batch,
-            admitted=len(admitted),
+            admitted=len(cycle.admitted),
             retired=len(retired),
-            sd_active=sd_active,
-            strategy=strategy if sd_active else None,
+            sd_active=strategy is not None,
+            strategy=strategy,
             committed_tokens=committed,
             drafted_tokens=drafted,
             verify_rows=verify_rows,
@@ -516,19 +560,17 @@ class BatchedSpecDecodeEngine:
             mean_wait_cycles=(
                 sum(wait_cycles) / len(wait_cycles) if wait_cycles else 0.0
             ),
-            resumed=len(resumed),
-            draft_launches=counters.draft_launches - draft_launches_before,
-            draft_launches_saved=(
-                counters.draft_launches_saved - draft_saved_before
-            ),
+            resumed=len(cycle.resumed),
+            draft_launches=launches,
+            draft_launches_saved=saved,
         )
         self._reports.append(report)
         scheduler.tick()
         return EngineStep(
             report=report,
-            admitted=admitted,
+            admitted=cycle.admitted,
             retired=retired,
-            resumed=resumed,
+            resumed=cycle.resumed,
         )
 
     def result(self) -> BatchedGenerationResult:
@@ -719,50 +761,6 @@ class BatchedSpecDecodeEngine:
             for slot in self._scheduler.live:
                 self._unpin(slot)
 
-    def _sd_cycle(
-        self,
-        live: List[SequenceSlot],
-        strategy: SdStrategy,
-        metrics: SdRunMetrics,
-    ) -> List[SdCycleStats]:
-        """One draft/verify cycle across every live sequence."""
-        cycle_stats: List[SdCycleStats] = []
-        trees, launches = build_draft_trees(
-            self.drafter,
-            [slot.sequence for slot in live],
-            [slot.hidden for slot in live],
-            strategy,
-            self.temperature,
-            [slot.rng for slot in live],
-            child_mode=self.child_mode,
-        )
-        self.counters.draft_launches += launches
-        self.counters.draft_launches_saved += max(
-            0, sum(tree.draft_calls for tree in trees) - launches
-        )
-        results = verify_trees(
-            self.target,
-            trees,
-            [slot.sequence for slot in live],
-            self.temperature,
-            [slot.rng for slot in live],
-        )
-        for slot, tree, result in zip(live, trees, results):
-            stats = SdCycleStats(
-                accepted=result.accepted_node_count,
-                committed=slot.commit(result.accepted_tokens, EOS_ID),
-                drafted=tree.num_selected,
-                draft_steps=tree.draft_steps,
-                verify_batch=result.verify_batch,
-            )
-            metrics.profile.record(
-                result.depth_attempts, result.depth_accepts
-            )
-            slot.hidden = result.next_hidden
-            metrics.add_cycle(stats)
-            cycle_stats.append(stats)
-        return cycle_stats
-
     def _vanilla_cycle(self, live: List[SequenceSlot]) -> None:
         """Commit one vanilla-decoded token per live sequence.
 
@@ -782,6 +780,68 @@ class BatchedSpecDecodeEngine:
             token = int(sample_from_probs(probs[row][None, :], slot.rng)[0])
             slot.commit([token], EOS_ID)
             slot.hidden = stack[row].copy()
+
+
+def step_engines(
+    engines: Sequence[BatchedSpecDecodeEngine],
+) -> List[EngineStep]:
+    """Advance every engine by one cycle as ONE lock-step batch.
+
+    Each engine's cycle is opened in order (readmission, admission,
+    prefill, SD/vanilla decision); then all SD-active live slots whose
+    engines share a drafter, target, strategy, temperature and child
+    mode are drafted by ONE :func:`build_draft_trees` call and verified
+    by ONE :func:`verify_trees` call; then each cycle is closed in
+    order (commit or vanilla decode, retirement, events, report,
+    manager feedback).  Each request owns its random stream and every
+    kernel is row-invariant, so outputs, streams and per-engine counters
+    equal those of stepping each engine alone.  Commits start only once
+    every group has verified: an error raised while drafting or
+    verifying leaves no token committed, and no engine is left mid-step
+    whatever raises.
+
+    Returns one :class:`EngineStep` per engine, in order.
+    """
+    for engine in engines:
+        if not engine.scheduler.has_work:
+            raise SpecDecodeError("step() called with no live or waiting work")
+    try:
+        cycles = [engine._open() for engine in engines]
+        groups: Dict[tuple, List[_Cycle]] = {}
+        for cycle in cycles:
+            if cycle.strategy is not None:
+                engine = cycle.engine
+                key = (
+                    id(engine.drafter), id(engine.target), cycle.strategy,
+                    engine.temperature, engine.child_mode,
+                )
+                groups.setdefault(key, []).append(cycle)
+        for members in groups.values():
+            lead = members[0].engine
+            slots = [slot for cycle in members for slot in cycle.live]
+            sequences = [slot.sequence for slot in slots]
+            rngs = [slot.rng for slot in slots]
+            trees, _ = build_draft_trees(
+                lead.drafter,
+                sequences,
+                [slot.hidden for slot in slots],
+                members[0].strategy,
+                lead.temperature,
+                rngs,
+                child_mode=lead.child_mode,
+            )
+            results = verify_trees(
+                lead.target, trees, sequences, lead.temperature, rngs
+            )
+            start = 0
+            for cycle in members:
+                rows = slice(start, start + len(cycle.live))
+                cycle.trees, cycle.results = trees[rows], results[rows]
+                start = rows.stop
+        return [cycle.engine._close(cycle) for cycle in cycles]
+    finally:
+        for engine in engines:
+            engine._in_step = False
 
 
 def make_serving_request(

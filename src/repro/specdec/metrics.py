@@ -235,9 +235,11 @@ class WorkerCounters:
         prefill_tokens_saved: prompt tokens the prefill stage avoided:
             exact hits and same-wave duplicates save their whole
             effective context, partial block reuse the covered prefix.
-        draft_launches: batched drafter launches issued (one
-            ``begin_batch``, ``propose_batch`` or fused
-            ``extend_propose_batch`` call each count once).
+        draft_launches: batched drafter launches this worker's batch
+            issues (one ``begin_batch``, ``propose_batch`` or fused
+            ``extend_propose_batch`` call each count once) — charged as
+            if it drafted alone, even when its rows ride a pool- or
+            fleet-wide call: a worker models one accelerator.
         draft_launches_saved: drafter launches avoided versus per-node
             drafting (``sum(tree.draft_calls)`` minus the launches
             actually issued).

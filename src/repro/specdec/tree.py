@@ -161,6 +161,10 @@ class FlatDraftTree:
         draft_calls: drafter launches the per-node path would have issued
             for this tree (begin + proposes + extends) — the baseline the
             engine's ``draft_launches_saved`` counter is measured against.
+        rounds: batched launches after ``begin`` this tree took part in:
+            its root proposal plus one fused launch per round it grew.
+            It does not depend on what else shares the batch, and trees
+            built as a batch of their own cost ``1 + max(rounds)``.
     """
 
     tokens: np.ndarray
@@ -173,6 +177,7 @@ class FlatDraftTree:
     cand_dists: np.ndarray
     draft_steps: int
     draft_calls: int
+    rounds: int
 
     @property
     def num_nodes(self) -> int:
@@ -282,7 +287,8 @@ class _LockStepTrees:
         self._roots = drafter.pack_states(
             drafter.begin_batch(prefixes, last_hiddens)
         )
-        self.launches = 1
+        #: Launches each sequence took part in (the root proposal first).
+        self.rounds = np.ones(batch, dtype=np.int64)
         slots = capacity + 2
         self.scratch = capacity + 1
         self.next_slot = 1
@@ -306,7 +312,6 @@ class _LockStepTrees:
 
     def propose_roots(self) -> np.ndarray:
         """``(batch, V)`` proposals below every root (one launch)."""
-        self.launches += 1
         probs = np.array(
             self.drafter.propose_batch(self._roots, self.temperature)
         )
@@ -328,7 +333,8 @@ class _LockStepTrees:
             self.temperature,
         )
         self.states[seq, slot] = states
-        self.launches += 1
+        # Once per sequence: fancy ``+=`` does not accumulate repeats.
+        self.rounds[seq] += 1
         return probs
 
     def add_block(
@@ -407,6 +413,7 @@ class _LockStepTrees:
 
         draft_steps = self.made.sum(axis=1).tolist()
         proposes = self.proposes.tolist()
+        rounds = self.rounds.tolist()
         row_ends = offsets[ends].tolist()
         roots, ends = roots.tolist(), ends.tolist()
         trees: List[FlatDraftTree] = []
@@ -426,6 +433,7 @@ class _LockStepTrees:
                     cand_dists=cand_dists[cand_rows],
                     draft_steps=draft_steps[b],
                     draft_calls=1 + proposes[b] + draft_steps[b],
+                    rounds=rounds[b],
                 )
             )
         return trees
@@ -623,8 +631,10 @@ def build_draft_trees(
 
     Returns:
         ``(trees, launches)``: one :class:`FlatDraftTree` per sequence
-        and the number of batched drafter launches actually issued (the
-        per-node baseline is ``sum(tree.draft_calls for tree in trees)``).
+        and the number of batched drafter launches issued, ``1 +
+        max(tree.rounds)`` (the per-node baseline is ``sum(tree.draft_calls
+        for tree in trees)``).  Each tree is bitwise what any sub-batch
+        holding its sequence builds.
     """
     if not (len(prefixes) == len(last_hiddens) == len(rngs)):
         raise SpecDecodeError(
@@ -652,7 +662,8 @@ def build_draft_trees(
         keep = _select_top_connected(trees, strategy.tokens_to_verify)
     else:
         raise SpecDecodeError(f"unknown child mode {child_mode!r}")
-    return trees.emit(keep, strategy.draft_depth), trees.launches
+    flat = trees.emit(keep, strategy.draft_depth)
+    return flat, 1 + max(tree.rounds for tree in flat)
 
 
 @dataclass
@@ -806,11 +817,13 @@ def verify_trees(
     )
     logits, hiddens = target.step(contexts)
     probs = temperature_probs(logits, temperature)
-    hidden_stack = np.stack(hiddens, axis=1)  # (rows, L, d)
     walks = [
         _walk_acceptance(tree, probs[first : first + tree.num_nodes + 1], rng)
         for tree, first, rng in zip(trees, first_rows, rngs)
     ]
+    # Only each tree's hand-off row is kept: gather those, not every row.
+    handoff_rows = [first + walk.row for first, walk in zip(first_rows, walks)]
+    handoffs = np.stack([h[handoff_rows] for h in hiddens], axis=1)
     # Every walk drew its own bonus uniform; the lookups share one pass.
     bonus_tokens = tokens_at_uniforms(
         np.array([walk.bonus_dist for walk in walks]),
@@ -821,13 +834,13 @@ def verify_trees(
             accepted_tokens=walk.accepted + [bonus],
             accepted_node_count=len(walk.accepted),
             bonus_token=bonus,
-            next_hidden=hidden_stack[first + walk.row].copy(),
+            next_hidden=handoff.copy(),  # (L, d), owned by the slot
             verify_batch=tree.num_nodes + 1,
             depth_attempts=walk.depth_attempts,
             depth_accepts=walk.depth_accepts,
         )
-        for tree, first, walk, bonus in zip(
-            trees, first_rows, walks, bonus_tokens
+        for tree, handoff, walk, bonus in zip(
+            trees, handoffs, walks, bonus_tokens
         )
     ]
 

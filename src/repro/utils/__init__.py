@@ -1,11 +1,6 @@
-"""Shared utilities: seeded RNG management, statistics helpers, logging."""
+"""Shared utilities: process-stable seed digests and statistics helpers."""
 
-from repro.utils.rng import (
-    RngFactory,
-    as_generator,
-    spawn_generators,
-    stable_digest,
-)
+from repro.utils.rng import stable_digest
 from repro.utils.stats import (
     OnlineMeanVar,
     SlidingWindow,
@@ -16,9 +11,6 @@ from repro.utils.stats import (
 )
 
 __all__ = [
-    "RngFactory",
-    "as_generator",
-    "spawn_generators",
     "stable_digest",
     "OnlineMeanVar",
     "SlidingWindow",

@@ -76,6 +76,8 @@ class DraftTree:
         draft_steps: number of drafter ``extend`` calls performed.
         draft_proposes: number of drafter ``propose`` calls performed
             (including expansions then discarded for lack of budget).
+        rounds: growth rounds with a proposal from this tree — what
+            the lock-step builder's launch count is made of.
     """
 
     nodes: List[TreeNode]
@@ -85,6 +87,7 @@ class DraftTree:
     selected_indices: List[int]
     draft_steps: int
     draft_proposes: int
+    rounds: int
 
     @property
     def num_selected(self) -> int:
@@ -248,6 +251,7 @@ def _build_tree_sampled(
         selected_indices=selected,
         draft_steps=draft_steps,
         draft_proposes=draft_proposes,
+        rounds=draft_proposes,  # best-first: one expansion per round
     )
 
 
@@ -303,9 +307,12 @@ def _build_tree_topk(
         root_children[token] = index
         frontier.append(index)
 
+    rounds = 1  # the root proposal
     for _ in range(1, strategy.draft_depth):
         frontier.sort(key=lambda i: -nodes[i].path_prob)
         expanded = frontier[: strategy.topk]
+        # A level is one round when any of its beam is proposed below.
+        rounds += any(nodes[i].token != EOS_ID for i in expanded)
         candidates: List[Tuple[float, int, int, np.ndarray]] = []
         for parent_index in expanded:
             parent = nodes[parent_index]
@@ -357,6 +364,7 @@ def _build_tree_topk(
         selected_indices=selected,
         draft_steps=draft_steps,
         draft_proposes=draft_proposes,
+        rounds=rounds,
     )
 
 
@@ -416,6 +424,7 @@ def flatten(tree: DraftTree) -> FlatDraftTree:
         slot_child=slot_child,
         draft_steps=tree.draft_steps,
         draft_calls=1 + tree.draft_proposes + tree.draft_steps,
+        rounds=tree.rounds,
     )
 
 
@@ -431,6 +440,7 @@ def _assemble_flat(
     slot_child: List[Dict[int, int]],
     draft_steps: int,
     draft_calls: int,
+    rounds: int,
 ) -> FlatDraftTree:
     """Pack per-node build state into a :class:`FlatDraftTree`.
 
@@ -495,6 +505,7 @@ def _assemble_flat(
         cand_dists=cand_dists,
         draft_steps=draft_steps,
         draft_calls=draft_calls,
+        rounds=rounds,
     )
     # The flat layout derives this table from ``cand_child``; hold the
     # derivation to the row-by-row definition above.
@@ -555,6 +566,7 @@ def to_node_view(flat: FlatDraftTree) -> DraftTree:
         selected_indices=list(range(flat.num_nodes)),
         draft_steps=flat.draft_steps,
         draft_proposes=flat.draft_calls - 1 - flat.draft_steps,
+        rounds=flat.rounds,
     )
 
 

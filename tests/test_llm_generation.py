@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import GenerationError
 from repro.llm import generate
-from repro.llm.generation import sequence_logprobs
 from repro.llm.vocab import BOS_ID, EOS_ID
 
 
@@ -130,41 +129,3 @@ class TestGenerate:
         )
         assert out.total_response_tokens == sum(out.response_lengths)
 
-
-class TestSequenceLogprobs:
-    def test_logprobs_are_negative(self, target):
-        rng = np.random.default_rng(7)
-        out = generate(
-            target, [[5, 6]], max_new_tokens=6, temperature=1.0, rng=rng
-        )
-        lps = sequence_logprobs(
-            target,
-            out.full_sequences,
-            [len(p) for p in out.prompts],
-        )
-        assert (lps[0] <= 0).all()
-        assert len(lps[0]) == len(out.responses[0])
-
-    def test_matches_recorded_probs(self, target):
-        rng = np.random.default_rng(8)
-        out = generate(
-            target,
-            [[5, 6, 7]],
-            max_new_tokens=6,
-            temperature=0.9,
-            rng=rng,
-            record_probs=True,
-        )
-        lps = sequence_logprobs(
-            target,
-            out.full_sequences,
-            [len(p) for p in out.prompts],
-            temperature=0.9,
-        )
-        assert np.allclose(
-            np.exp(lps[0]), np.asarray(out.chosen_probs[0]), atol=1e-9
-        )
-
-    def test_invalid_prompt_length(self, target):
-        with pytest.raises(GenerationError):
-            sequence_logprobs(target, [[1, 2, 3]], [3])

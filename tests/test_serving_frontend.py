@@ -240,7 +240,7 @@ class TestServingEngine:
                     seed=request_id, predicted_length=6,
                 )
             )
-        donor.step()  # request 0 takes the only slot, request 1 queues
+        donor.engine.step()  # request 0 takes the only slot, 1 queues
         live = 40 - len(donor.engine.scheduler.live[0].response)
         assert donor.backlog_tokens == live + 6
         assert steal_work([donor, receiver]) == [(1, 0, 1)]
