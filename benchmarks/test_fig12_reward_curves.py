@@ -2,10 +2,10 @@
 
 Two GRPO runs on the successor-chain task from the same pretrained base
 policy: one with vanilla decoding (the VeRL analogue) and one with
-lossless speculative rollouts via a trained EAGLE drafter (the TLT
-analogue).  Because SD preserves the sampling distribution exactly, the
-two reward curves must overlap within seed noise — the paper's
-losslessness evidence.
+lossless speculative rollouts via a trained EAGLE drafter on a dedicated
+one-worker serving pool (the TLT analogue).  Because SD preserves the
+sampling distribution exactly, the two reward curves must overlap
+within seed noise — the paper's losslessness evidence.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from _common import (
     write_result,
 )
 from repro.llm.vocab import Vocabulary
-from repro.rl import RlConfig, RlTrainer, SpeculativeRollout, VanillaRollout
+from repro.longtail import RolloutScheduler
+from repro.rl import RlConfig, RlTrainer, VanillaRollout
+from repro.serving import ServingEngine
 from repro.specdec import SdStrategy
 from repro.workload import SuccessorChainTask
 
@@ -56,9 +58,14 @@ def test_fig12_reward_curves(benchmark):
                 policy, num_prompts=24, max_new_tokens=40, seed=3
             )
             drafter = train_eagle(policy, data, epochs=150)
-            return SpeculativeRollout(
-                drafter,
-                SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8),
+            return RolloutScheduler(
+                ServingEngine(
+                    policy, drafter, num_workers=1,
+                    strategy=SdStrategy(
+                        draft_depth=4, topk=2, tokens_to_verify=8
+                    ),
+                    temperature=1.0,
+                )
             )
 
         # Average over seeds: a single run's curve noise would swamp the

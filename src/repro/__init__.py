@@ -54,12 +54,7 @@ _EXPORTS = {
         "PrefixAwareAdmission",
     ),
     "repro.tuner": ("BegMabSelector",),
-    "repro.rl": (
-        "RlTrainer",
-        "RlConfig",
-        "VanillaRollout",
-        "SpeculativeRollout",
-    ),
+    "repro.rl": ("RlTrainer", "RlConfig", "VanillaRollout"),
     "repro.longtail": ("ColocatedLoop",),
     "repro.serving": (
         "ServingEngine",

@@ -128,11 +128,6 @@ class AdmissionPlan:
     compute_start: int
     reused_tokens: int
 
-    @property
-    def is_hit(self) -> bool:
-        """Whether the plan served an exact cached hand-off."""
-        return self.hidden is not None
-
 
 class KVCacheManager:
     """Bounded paged store of prefix blocks with chain pins and tiers.
@@ -224,13 +219,6 @@ class KVCacheManager:
         """Pin count of a key's chain (its tail block; 0 when absent)."""
         block = self._store.get(self._key(tokens))
         return 0 if block is None else block.refcount
-
-    def blocks(self) -> List[KVBlock]:
-        """Snapshot of resident blocks in creation order."""
-        return sorted(
-            self._store.blocks.values(),
-            key=lambda b: b.sequence_number,
-        )
 
     # -- keying ------------------------------------------------------------
 

@@ -37,7 +37,8 @@ replica opens its tick
 (:meth:`~repro.serving.frontend.ServingEngine.open_tick`), the workers
 of ALL of them run their cycle as one lock-step batch
 (:func:`~repro.specdec.batch_engine.step_engines`: one drafter build
-and one target verify per shared drafter/target/strategy group), every
+per shared drafter/target/strategy group, and one target verify per
+shared target and temperature that vanilla rows ride too), every
 replica closes its tick in order (all replica clocks advance in
 lock-step with the fleet clock), and drained DRAINING replicas retire.
 No replica runs its own ``tick()`` inside a fleet tick.  Replicas share

@@ -108,11 +108,6 @@ class FleetReport:
         return sum(len(r.records) for r in self.replica_reports)
 
     @property
-    def p50_latency(self) -> float:
-        """Fleet-wide median completion latency."""
-        return self.pooled().p50_latency
-
-    @property
     def p99_latency(self) -> float:
         """Fleet-wide tail completion latency."""
         return self.pooled().p99_latency

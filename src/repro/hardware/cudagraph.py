@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HardwareModelError, OutOfMemoryError
 from repro.hardware.gpus import GpuSpec, ModelSpec, drafter_spec
-from repro.hardware.memory import activation_bytes_per_token
 from repro.specdec.strategy import SdStrategy
 
 _GIB = 1024.0**3
@@ -202,16 +201,6 @@ class CudaGraphPool:
             )
         _, keys = min(candidates, key=lambda item: item[0])
         return keys
-
-
-def _bucket_for(batch_size: int, buckets: Sequence[int]) -> int:
-    """Smallest bucket covering ``batch_size``."""
-    for bucket in sorted(buckets):
-        if bucket >= batch_size:
-            return bucket
-    raise HardwareModelError(
-        f"batch {batch_size} exceeds the largest bucket {max(buckets)}"
-    )
 
 
 def single_strategy_plan(

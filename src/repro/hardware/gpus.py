@@ -69,11 +69,6 @@ class GpuSpec:
         """Achievable memory bandwidth (GB/s)."""
         return self.hbm_gbps * self.memory_efficiency
 
-    @property
-    def flops_per_byte_ridge(self) -> float:
-        """Roofline ridge point (FLOPs per byte at the crossover)."""
-        return (self.effective_tflops * 1e12) / (self.effective_gbps * 1e9)
-
 
 GPU_CATALOG: Dict[str, GpuSpec] = {
     "B200": GpuSpec(

@@ -31,19 +31,6 @@ def kv_cache_bytes(
     return model.kv_bytes_per_token * total_tokens / tensor_parallel
 
 
-def activation_bytes_per_token(
-    model: ModelSpec, act_factor: float = 8.0, dtype_bytes: float = 2.0
-) -> float:
-    """Activation workspace bytes per token held inside a captured graph.
-
-    ``act_factor`` folds attention intermediates, MLP expansion, and
-    framework workspace into one multiplier of ``hidden_size``  per layer.
-    """
-    if act_factor <= 0:
-        raise HardwareModelError("act_factor must be positive")
-    return model.hidden_size * model.num_layers * act_factor * dtype_bytes
-
-
 def total_device_memory(
     model: ModelSpec,
     gpu: GpuSpec,
@@ -73,8 +60,3 @@ def total_device_memory(
             f"{gpu.memory_gb:.1f} GiB available"
         )
     return used
-
-
-def bytes_to_gib(value: float) -> float:
-    """Convenience conversion for report rows."""
-    return value / _GIB

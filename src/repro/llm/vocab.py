@@ -39,21 +39,6 @@ class Vocabulary:
             )
 
     @property
-    def pad_id(self) -> int:
-        """Padding token id."""
-        return PAD_ID
-
-    @property
-    def bos_id(self) -> int:
-        """Beginning-of-sequence token id."""
-        return BOS_ID
-
-    @property
-    def eos_id(self) -> int:
-        """End-of-sequence token id."""
-        return EOS_ID
-
-    @property
     def num_regular(self) -> int:
         """Number of non-special token ids."""
         return self.size - NUM_SPECIAL_TOKENS

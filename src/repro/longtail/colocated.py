@@ -162,10 +162,6 @@ class ColocatedLoop:
                 self.publish_drafter()
         return reports
 
-    def round(self) -> "RlStepReport":
-        """One RL step + spot refresh + pool-wide publication."""
-        return self.run(1)[0]
-
     def drain(self) -> "ServingReport":
         """Serve remaining interactive traffic (and finish any swap).
 

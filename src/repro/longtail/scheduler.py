@@ -143,16 +143,6 @@ class SchedulerStats:
     pipelined_releases: int = 0
     collect_ticks: int = 0
 
-    def summary(self) -> Dict[str, float]:
-        """Flat dict for benchmark rows."""
-        return {
-            "batches_submitted": float(self.batches_submitted),
-            "batches_collected": float(self.batches_collected),
-            "requests_released": float(self.requests_released),
-            "pipelined_releases": float(self.pipelined_releases),
-            "collect_ticks": float(self.collect_ticks),
-        }
-
 
 class RolloutScheduler(RolloutBackend):
     """Tail-first, pipelined admission of GRPO rollouts to a pool.
@@ -162,15 +152,18 @@ class RolloutScheduler(RolloutBackend):
     :meth:`submit_batch` / :meth:`pump` / :meth:`collect` are the same
     path split open for pipelined callers.
 
+    A dedicated rollout engine is a one-worker pool
+    (``RolloutScheduler(ServingEngine(policy, drafter, num_workers=1,
+    ...))``): in FIFO mode its outputs and ``target_steps`` equal
+    :meth:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine.generate`
+    on the same prompts and seed.
+
     A note on launch accounting: a result's ``target_steps`` is the
     POOL-WIDE launch delta over the collect window — decode cycles
     spent on interactive neighbours or on another batch's stragglers
     are included, because they genuinely share the batched forwards
     the rollouts ride.  It is what the pool spent while the batch was
-    in flight, not a per-request attribution; do not compare it 1:1
-    against
-    :class:`~repro.rl.rollout_backends.SpeculativeRollout`, whose
-    private engine serves rollouts alone.  The prefill counters in
+    in flight, not a per-request attribution.  The prefill counters in
     ``stats`` have the same provenance.
 
     Args:
@@ -384,8 +377,10 @@ class RolloutScheduler(RolloutBackend):
         was cancelled or expired mid-batch fails the whole batch loudly
         instead of silently corrupting the GRPO group.  Observed
         response lengths are fed back to the predictor before
-        returning, so the next batch's staging uses them, and the
-        batch's book-keeping is dropped.
+        returning, so the next batch's staging uses them, the responses
+        feed the retrieval database of every distinct model-free
+        (non-trainable) drafter installed on the pool, once each, and
+        the batch's book-keeping is dropped.
         """
         if batch_id not in self._batches:
             raise SchedulingError(
@@ -424,6 +419,12 @@ class RolloutScheduler(RolloutBackend):
             [r.request.prompt for r in records],
             [max(1, len(r)) for r in responses],
         )
+        drafters = {
+            id(w.engine.drafter): w.engine.drafter for w in engine.workers
+        }
+        for drafter in drafters.values():
+            if not drafter.trainable:
+                drafter.observe_rollouts(responses)
         spent = self._pool_counters() - counters_before
         return RolloutResult(
             prompts=[[BOS_ID] + list(r.request.prompt) for r in records],

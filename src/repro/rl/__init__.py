@@ -3,50 +3,35 @@
 GRPO and its cousins share one training workflow — rollout, inference
 (policy + frozen reference logprobs, rule-based reward), policy update —
 differing only in advantage construction and KL regularisation.  This
-package implements that workflow over the TinyLM substrate with real
-policy-gradient updates:
+package implements that workflow for GRPO over the TinyLM substrate with
+real policy-gradient updates:
 
 * :mod:`repro.rl.kl` — the k1/k2/k3 KL estimators (Schulman);
-* :mod:`repro.rl.algorithms` — GRPO / RLOO / REINFORCE / REINFORCE++ /
-  DAPO advantage estimators;
+* :mod:`repro.rl.algorithms` — the GRPO advantage estimator;
 * :mod:`repro.rl.rollout_backends` — the :class:`RolloutBackend` seam
-  where TLT plugs in losslessly: vanilla vs speculative rollout on a
-  private engine (rollouts on a shared serving pool implement the same
-  seam one layer up, :class:`repro.longtail.RolloutScheduler`; this
-  package imports nothing from ``repro.serving`` or ``repro.longtail``);
+  and the vanilla baseline (speculative rollouts on a serving pool
+  implement the same seam one layer up,
+  :class:`repro.longtail.RolloutScheduler`; this package imports
+  nothing from ``repro.serving`` or ``repro.longtail``);
 * :mod:`repro.rl.trainer` — the end-to-end RL training loop.
 """
 
-from repro.rl.algorithms import (
-    AdvantageEstimator,
-    DapoAdvantages,
-    GrpoAdvantages,
-    ReinforceAdvantages,
-    ReinforcePlusPlusAdvantages,
-    RlooAdvantages,
-)
+from repro.rl.algorithms import GrpoAdvantages
 from repro.rl.kl import kl_estimate, kl_grad_coef
 from repro.rl.rollout_backends import (
     RolloutBackend,
     RolloutResult,
-    SpeculativeRollout,
     VanillaRollout,
 )
 from repro.rl.trainer import RlConfig, RlStepReport, RlTrainer
 
 __all__ = [
-    "AdvantageEstimator",
     "GrpoAdvantages",
-    "RlooAdvantages",
-    "ReinforceAdvantages",
-    "ReinforcePlusPlusAdvantages",
-    "DapoAdvantages",
     "kl_estimate",
     "kl_grad_coef",
     "RolloutBackend",
     "RolloutResult",
     "VanillaRollout",
-    "SpeculativeRollout",
     "RlConfig",
     "RlStepReport",
     "RlTrainer",

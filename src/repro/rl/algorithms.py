@@ -1,17 +1,12 @@
-"""Advantage estimators for GRPO-family RL algorithms (paper §7).
+"""The GRPO advantage estimator (paper §2.1, §7).
 
-The paper argues TLT is algorithm-agnostic because GRPO, RLOO, REINFORCE,
-REINFORCE++ and DAPO share the rollout/inference/training workflow and
-differ only in reward shaping.  Each estimator here maps a
-``(num_prompts, group_size)`` reward matrix to per-sequence advantages
-plus an inclusion mask (DAPO's dynamic sampling can drop whole groups).
+The paper argues TLT is algorithm-agnostic because the GRPO family
+shares the rollout/inference/training workflow and differs only in
+reward shaping; the trainer here runs GRPO.  The estimator maps a
+``(num_prompts, group_size)`` reward matrix to per-sequence advantages.
 """
 
 from __future__ import annotations
-
-import abc
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -20,28 +15,15 @@ from repro.errors import ConfigError
 _EPS = 1e-6
 
 
-class AdvantageEstimator(abc.ABC):
-    """Maps grouped rewards to per-sequence advantages."""
+class GrpoAdvantages:
+    """GRPO: group-mean baseline with group-std normalisation.
 
-    #: Identifier used in reports.
-    name: str = "base"
+    ``A_i = (r_i - mean(group)) / (std(group) + eps)``.
+    """
 
-    @abc.abstractmethod
-    def compute(
-        self, rewards: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compute advantages.
-
-        Args:
-            rewards: (num_prompts, group_size) reward matrix.
-
-        Returns:
-            ``(advantages, mask)`` of the same shape; masked-out entries
-            contribute no gradient.
-        """
-
-    @staticmethod
-    def _validate(rewards: np.ndarray) -> np.ndarray:
+    def compute(self, rewards: np.ndarray) -> np.ndarray:
+        """Advantages of a ``(num_prompts, group_size)`` reward matrix,
+        same shape."""
         rewards = np.asarray(rewards, dtype=np.float64)
         if rewards.ndim != 2:
             raise ConfigError(
@@ -49,114 +31,5 @@ class AdvantageEstimator(abc.ABC):
             )
         if rewards.shape[1] < 1:
             raise ConfigError("group_size must be >= 1")
-        return rewards
-
-
-@dataclass
-class GrpoAdvantages(AdvantageEstimator):
-    """GRPO: group-mean baseline with group-std normalisation.
-
-    ``A_i = (r_i - mean(group)) / (std(group) + eps)``.
-    """
-
-    name: str = "grpo"
-    normalize_std: bool = True
-
-    def compute(self, rewards: np.ndarray):
-        rewards = self._validate(rewards)
-        mean = rewards.mean(axis=1, keepdims=True)
-        adv = rewards - mean
-        if self.normalize_std:
-            std = rewards.std(axis=1, keepdims=True)
-            adv = adv / (std + _EPS)
-        return adv, np.ones_like(adv)
-
-
-@dataclass
-class RlooAdvantages(AdvantageEstimator):
-    """RLOO: leave-one-out baseline.
-
-    ``A_i = r_i - mean(r_j, j != i)``; requires group_size >= 2.
-    """
-
-    name: str = "rloo"
-
-    def compute(self, rewards: np.ndarray):
-        rewards = self._validate(rewards)
-        group = rewards.shape[1]
-        if group < 2:
-            raise ConfigError("RLOO requires group_size >= 2")
-        total = rewards.sum(axis=1, keepdims=True)
-        loo_mean = (total - rewards) / (group - 1)
-        adv = rewards - loo_mean
-        return adv, np.ones_like(adv)
-
-
-@dataclass
-class ReinforceAdvantages(AdvantageEstimator):
-    """REINFORCE with an exponential-moving-average baseline.
-
-    Stateful: the baseline tracks the running mean reward across steps.
-    """
-
-    name: str = "reinforce"
-    baseline_alpha: float = 0.1
-    _baseline: float = 0.0
-    _initialized: bool = False
-
-    def compute(self, rewards: np.ndarray):
-        rewards = self._validate(rewards)
-        if not self._initialized:
-            self._baseline = float(rewards.mean())
-            self._initialized = True
-        adv = rewards - self._baseline
-        self._baseline = (
-            (1 - self.baseline_alpha) * self._baseline
-            + self.baseline_alpha * float(rewards.mean())
-        )
-        return adv, np.ones_like(adv)
-
-
-@dataclass
-class ReinforcePlusPlusAdvantages(AdvantageEstimator):
-    """REINFORCE++: global batch whitening plus advantage clipping."""
-
-    name: str = "reinforce++"
-    clip: float = 3.0
-
-    def compute(self, rewards: np.ndarray):
-        rewards = self._validate(rewards)
-        mean = float(rewards.mean())
-        std = float(rewards.std())
-        adv = (rewards - mean) / (std + _EPS)
-        adv = np.clip(adv, -self.clip, self.clip)
-        return adv, np.ones_like(adv)
-
-
-@dataclass
-class DapoAdvantages(AdvantageEstimator):
-    """DAPO-style: GRPO advantages plus dynamic group filtering.
-
-    Groups whose rewards are (nearly) constant carry no learning signal;
-    DAPO drops them from the batch (dynamic sampling).  The mask reports
-    which sequences survived.
-    """
-
-    name: str = "dapo"
-    min_group_std: float = 1e-4
-
-    def compute(self, rewards: np.ndarray):
-        rewards = self._validate(rewards)
-        mean = rewards.mean(axis=1, keepdims=True)
-        std = rewards.std(axis=1, keepdims=True)
-        adv = (rewards - mean) / (std + _EPS)
-        mask = np.broadcast_to(
-            (std > self.min_group_std), rewards.shape
-        ).astype(np.float64)
-        return adv * mask, mask
-
-    def filtered_fraction(self, rewards: np.ndarray) -> float:
-        """Fraction of groups dropped by dynamic sampling."""
-        rewards = self._validate(rewards)
-        std = rewards.std(axis=1)
-        return float(np.mean(std <= self.min_group_std))
+        adv = rewards - rewards.mean(axis=1, keepdims=True)
+        return adv / (rewards.std(axis=1, keepdims=True) + _EPS)

@@ -25,7 +25,7 @@ from repro.errors import ConfigError
 from repro.llm.model import TinyLM, pad_sequences
 from repro.llm.optim import Adam
 from repro.llm.sampler import temperature_probs
-from repro.rl.algorithms import AdvantageEstimator, GrpoAdvantages
+from repro.rl.algorithms import GrpoAdvantages
 from repro.rl.kl import KL_ESTIMATORS, kl_estimate, kl_grad_coef
 from repro.rl.rollout_backends import (
     RolloutBackend,
@@ -98,8 +98,7 @@ class RlStepReport:
         kl_value: mean per-token KL estimate vs the reference model.
         mean_response_length / max_response_length: rollout length stats.
         target_steps: target-model forward launches in the rollout stage.
-        rollout_stats: backend extras (accept lengths etc.).
-        active_fraction: fraction of sequences surviving advantage masks.
+        rollout_stats: backend extras (pool ticks, preemptions etc.).
     """
 
     step: int
@@ -110,18 +109,19 @@ class RlStepReport:
     max_response_length: int
     target_steps: int
     rollout_stats: Dict[str, float] = field(default_factory=dict)
-    active_fraction: float = 1.0
 
 
 class RlTrainer:
-    """GRPO-family trainer over a TinyLM policy.
+    """GRPO trainer over a TinyLM policy.
 
     Args:
         policy: the model being trained (mutated in place).
         task: prompt generator + verifier.
         config: loop hyper-parameters.
-        algorithm: advantage estimator (defaults to GRPO).
-        backend: rollout backend (defaults to vanilla decoding).
+        backend: rollout backend (defaults to vanilla decoding; the TLT
+            integration point is a :class:`repro.longtail.
+            RolloutScheduler` over a serving pool — one worker for a
+            dedicated rollout).
         rng: generator for prompts and rollouts.
     """
 
@@ -130,14 +130,12 @@ class RlTrainer:
         policy: TinyLM,
         task: Task,
         config: RlConfig,
-        algorithm: Optional[AdvantageEstimator] = None,
         backend: Optional[RolloutBackend] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.policy = policy
         self.task = task
         self.config = config
-        self.algorithm = algorithm or GrpoAdvantages()
         self.backend = backend or VanillaRollout()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.reference = policy.clone()
@@ -213,12 +211,9 @@ class RlTrainer:
         reward_matrix = rewards.reshape(
             config.num_prompts, config.group_size
         )
-        advantages, mask = self.algorithm.compute(reward_matrix)
-        adv_flat = advantages.reshape(-1)
-        mask_flat = mask.reshape(-1)
-
+        advantages = GrpoAdvantages().compute(reward_matrix)
         pg_loss, kl_value = self._update_policy(
-            rollout, adv_flat, mask_flat
+            rollout, advantages.reshape(-1)
         )
 
         report = RlStepReport(
@@ -232,7 +227,6 @@ class RlTrainer:
             max_response_length=int(max(rollout.response_lengths)),
             target_steps=rollout.target_steps,
             rollout_stats=dict(rollout.stats),
-            active_fraction=float(mask_flat.mean()),
         )
         self.history.append(report)
         self.steps_done += 1
@@ -261,7 +255,6 @@ class RlTrainer:
         self,
         rollout: RolloutResult,
         advantages: np.ndarray,
-        mask: np.ndarray,
     ) -> tuple:
         """Token-level policy-gradient update; returns (pg_loss, kl)."""
         config = self.config
@@ -271,9 +264,9 @@ class RlTrainer:
         if total_resp == 0:
             return 0.0, 0.0
 
-        # Flat (row, position, token) indices of every response token of
-        # an unmasked row: token y_t is predicted at position t-1.
-        counts = np.where(mask != 0.0, lengths - starts, 0)
+        # Flat (row, position, token) indices of every response token:
+        # token y_t is predicted at position t-1.
+        counts = lengths - starts
         row_idx = np.repeat(np.arange(counts.size), counts)
         first = np.cumsum(counts) - counts
         tok_pos = np.arange(row_idx.size) + (starts - first)[row_idx]

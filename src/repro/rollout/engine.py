@@ -17,10 +17,8 @@ Figure 14 plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.hardware.gpus import ModelSpec, drafter_spec
@@ -67,13 +65,6 @@ class RolloutTimeline:
     vanilla_steps: float
     decode_time_s: float
     sd_time_s: float
-
-    @property
-    def tokens_per_second(self) -> float:
-        """Generated-token throughput of this rollout instance."""
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.total_tokens / self.total_time_s
 
 
 class RolloutEngine:

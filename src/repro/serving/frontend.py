@@ -43,10 +43,12 @@ One :meth:`ServingEngine.tick` is one discrete-event step:
    them run it as ONE lock-step batch
    (:func:`~repro.specdec.batch_engine.step_engines`): each worker's
    cycle is opened in worker order, the live slots of every worker are
-   drafted by one drafter build and verified by one target forward per
-   shared drafter/strategy group, and each cycle is closed in worker
-   order — real deployments run the workers on separate accelerators in
-   parallel, and here the per-launch cost is paid once per tick;
+   drafted by one drafter build per shared drafter/strategy group and
+   verified by one target forward per shared target and temperature —
+   a vanilla worker's rows are zero-node trees in that same forward —
+   and each cycle is closed in worker order; real deployments run the
+   workers on separate accelerators in parallel, and here the
+   per-launch cost is paid once per tick;
 7. the clock advances by one tick.
 
 Determinism: requests carry private seeded streams, the batched kernels
@@ -65,7 +67,9 @@ attached, each worker consults *its own* live-batch size every cycle —
 the serving layer is where the paper's elastic SD activation meets real
 multi-worker batch dynamics (workers drained by the dispatcher drop
 below the threshold and engage SD while busy neighbours keep decoding
-vanilla).
+vanilla, their rows verified in the SD workers' launch).  A one-worker
+pool is also the dedicated rollout engine:
+``RolloutScheduler(ServingEngine(policy, drafter, num_workers=1, ...))``.
 """
 
 from __future__ import annotations

@@ -27,10 +27,7 @@ from repro.specdec.control import (
     RequestEvent,
     RequestEventKind,
 )
-from repro.specdec.engine import (
-    SpeculativeGenerationOutput,
-    speculative_generate,
-)
+from repro.specdec.engine import speculative_generate
 from repro.specdec.metrics import (
     AcceptanceProfile,
     SdCycleStats,
@@ -49,7 +46,6 @@ from repro.specdec.tree import (
     FlatDraftTree,
     GrowMap,
     build_draft_trees,
-    verify_tree,
     verify_trees,
 )
 
@@ -61,10 +57,8 @@ __all__ = [
     "FlatDraftTree",
     "GrowMap",
     "build_draft_trees",
-    "verify_tree",
     "verify_trees",
     "speculative_generate",
-    "SpeculativeGenerationOutput",
     "BatchedSpecDecodeEngine",
     "BatchedGenerationResult",
     "EngineStep",

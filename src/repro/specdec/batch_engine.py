@@ -23,7 +23,12 @@ transition published on :attr:`~BatchedSpecDecodeEngine.events`.
 :func:`step_engines` runs one cycle of SEVERAL engines as one lock-step
 batch (``step()`` is it on one engine); the serving front-end and the
 fleet advance every worker of a tick that way, paying per-launch
-overhead once per tick, not once per worker.
+overhead once per tick, not once per worker.  There is one decode path:
+a cycle without an SD strategy (vanilla decoding) gives each live slot
+the zero-node :data:`~repro.specdec.tree.EMPTY_TREE`, whose verification
+samples one token from the target at the prefix row, so vanilla and
+speculative rows of every engine sharing a target and temperature ride
+ONE :func:`~repro.specdec.tree.verify_trees` launch per tick.
 :meth:`~BatchedSpecDecodeEngine.generate` is the closed-loop batch
 wrapper (start, step until drained, collect).
 
@@ -51,16 +56,17 @@ Two properties are load-bearing:
 * **Real batch dynamics** — when an
   :class:`~repro.rollout.adaptive.AdaptiveSdManager` is attached, each
   cycle consults it with the *actual* live-batch size: above the elastic
-  threshold the cycle decodes vanilla (one token per sequence in one
-  forward), below it the manager's BEG-MAB selector picks the strategy
-  and is fed the cycle's measured accept lengths against a deterministic
-  work-proxy cost (verification rows + drafter steps), so adaptive runs
-  stay seed-reproducible.
+  threshold the cycle decodes vanilla (one token per sequence, its rows
+  in the tick's verify launch), below it the manager's BEG-MAB selector
+  picks the strategy and is fed the cycle's measured accept lengths
+  against a deterministic work-proxy cost (verification rows + drafter
+  steps), so adaptive runs stay seed-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -75,8 +81,7 @@ import numpy as np
 
 from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
-from repro.llm.model import TinyLM, contexts_from_sequences
-from repro.llm.sampler import sample_from_probs, temperature_probs
+from repro.llm.model import TinyLM
 from repro.llm.vocab import BOS_ID, EOS_ID
 from repro.specdec.control import (
     AdmissionPolicy,
@@ -101,8 +106,8 @@ from repro.specdec.scheduler import (
 )
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import (
-    ChildMode, FlatDraftTree, TreeVerifyResult, build_draft_trees,
-    verify_trees,
+    EMPTY_TREE, ChildMode, FlatDraftTree, TreeVerifyResult,
+    build_draft_trees, verify_trees,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -112,7 +117,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 
 @dataclass
 class BatchedGenerationResult:
-    """Raw output of one :meth:`BatchedSpecDecodeEngine.generate` run.
+    """Output of one decode run (:meth:`BatchedSpecDecodeEngine.generate`,
+    :func:`~repro.specdec.engine.speculative_generate`).
 
     Attributes:
         slots: finished per-request decoding slots in request order
@@ -120,7 +126,8 @@ class BatchedGenerationResult:
         metrics: aggregate draft/accept statistics across all sequences.
         target_steps: batched target forward launches (prefill waves,
             SD verifications and vanilla steps each count once).
-        cycle_reports: per-cycle live-batch trail.
+        cycle_reports: per-cycle live-batch trail (admissions,
+            retirements, strategy, SD vs vanilla).
     """
 
     slots: List[SequenceSlot]
@@ -129,21 +136,24 @@ class BatchedGenerationResult:
     cycle_reports: List[BatchCycleReport]
 
     @property
-    def max_live_batch(self) -> int:
-        """Largest live batch observed across cycles."""
-        if not self.cycle_reports:
-            return 0
-        return max(r.live_batch for r in self.cycle_reports)
+    def prompts(self) -> List[List[int]]:
+        """Prompts as decoded (BOS prepended)."""
+        return [slot.request.prompt for slot in self.slots]
 
     @property
-    def sd_cycles(self) -> int:
-        """Cycles that ran speculative decoding."""
-        return sum(1 for r in self.cycle_reports if r.sd_active)
+    def responses(self) -> List[List[int]]:
+        """Committed response tokens (terminal EOS included)."""
+        return [slot.response for slot in self.slots]
 
     @property
-    def vanilla_cycles(self) -> int:
-        """Cycles that decoded vanilla (above the elastic threshold)."""
-        return sum(1 for r in self.cycle_reports if not r.sd_active)
+    def finished(self) -> List[bool]:
+        """True where EOS terminated the sequence."""
+        return [slot.done for slot in self.slots]
+
+    @property
+    def response_lengths(self) -> List[int]:
+        """Token count of each response."""
+        return [len(slot.response) for slot in self.slots]
 
 
 @dataclass
@@ -168,8 +178,9 @@ class EngineStep:
 class _Cycle:
     """One engine's cycle between its open and close halves.
 
-    ``strategy`` is None when the cycle decodes vanilla; otherwise the
-    batch step hands it one tree and verify result per live slot.
+    The batch step hands it one tree and verify result per live slot;
+    ``strategy`` is None when the cycle decodes vanilla, and its trees
+    are then all :data:`~repro.specdec.tree.EMPTY_TREE`.
     """
 
     engine: "BatchedSpecDecodeEngine"
@@ -477,40 +488,45 @@ class BatchedSpecDecodeEngine:
         counters.target_steps += 1
         live, strategy, trees = cycle.live, cycle.strategy, cycle.trees
         batch = len(live)
-        # Charged what its own trees cost as a batch of their own,
-        # whichever batch their rows rode: a worker is one accelerator.
-        launches = 1 + max(tree.rounds for tree in trees) if trees else 0
-        saved = max(0, sum(tree.draft_calls for tree in trees) - launches)
-        counters.draft_launches += launches
-        counters.draft_launches_saved += saved
+        committed = verify_rows = launches = saved = 0
+        cycle_stats: List[SdCycleStats] = []
+        for slot, tree, result in zip(live, trees, cycle.results):
+            count = slot.commit(result.accepted_tokens, EOS_ID)
+            slot.hidden = result.next_hidden
+            committed += count
+            verify_rows += result.verify_batch
+            if strategy is None:
+                continue  # a vanilla row: one token, nothing drafted
+            stats = SdCycleStats(
+                accepted=result.accepted_node_count,
+                committed=count,
+                drafted=tree.num_selected,
+                draft_steps=tree.draft_steps,
+                verify_batch=result.verify_batch,
+            )
+            self._metrics.profile.record(
+                result.depth_attempts, result.depth_accepts
+            )
+            self._metrics.add_cycle(stats)
+            cycle_stats.append(stats)
+            # Charge a tagged request's segment its tokens.
+            segment = slot.request.segment
+            if segment is None:
+                continue
+            counters.segment_accepted[segment] = (
+                counters.segment_accepted.get(segment, 0) + stats.accepted
+            )
+            counters.segment_drafted[segment] = (
+                counters.segment_drafted.get(segment, 0) + stats.drafted
+            )
         if strategy is not None:
-            cycle_stats: List[SdCycleStats] = []
-            for slot, tree, result in zip(live, trees, cycle.results):
-                stats = SdCycleStats(
-                    accepted=result.accepted_node_count,
-                    committed=slot.commit(result.accepted_tokens, EOS_ID),
-                    drafted=tree.num_selected,
-                    draft_steps=tree.draft_steps,
-                    verify_batch=result.verify_batch,
-                )
-                self._metrics.profile.record(
-                    result.depth_attempts, result.depth_accepts
-                )
-                slot.hidden = result.next_hidden
-                self._metrics.add_cycle(stats)
-                cycle_stats.append(stats)
-                # Charge a tagged request's segment its tokens.
-                segment = slot.request.segment
-                if segment is None:
-                    continue
-                counters.segment_accepted[segment] = (
-                    counters.segment_accepted.get(segment, 0)
-                    + stats.accepted
-                )
-                counters.segment_drafted[segment] = (
-                    counters.segment_drafted.get(segment, 0)
-                    + stats.drafted
-                )
+            # Charged what its own trees cost as a batch of their own,
+            # whichever batch their rows rode: a worker is one
+            # accelerator.
+            launches = 1 + max(tree.rounds for tree in trees) if trees else 0
+            saved = max(0, sum(tree.draft_calls for tree in trees) - launches)
+            counters.draft_launches += launches
+            counters.draft_launches_saved += saved
             if self.sd_manager is not None:
                 # Cost proxy: rows pushed through the target plus
                 # drafter steps.  Deterministic (unlike wall-clock,
@@ -529,13 +545,7 @@ class BatchedSpecDecodeEngine:
                     [float(c.accepted) for c in cycle_stats],
                     batch,
                 )
-            committed = sum(c.committed for c in cycle_stats)
-            drafted = sum(c.drafted for c in cycle_stats)
-            verify_rows = sum(c.verify_batch for c in cycle_stats)
-        else:
-            self._vanilla_cycle(live)
-            committed = verify_rows = batch
-            drafted = 0
+        drafted = sum(c.drafted for c in cycle_stats)
         retired = scheduler.retire_finished()
         for slot in retired:
             self._unpin(slot)
@@ -620,18 +630,10 @@ class BatchedSpecDecodeEngine:
         rng: np.random.Generator,
     ) -> List[SequenceRequest]:
         """Build requests with private per-request random streams."""
-        prompt_lists = [[BOS_ID] + list(map(int, p)) for p in prompts]
-        seeds = rng.integers(
-            0, np.iinfo(np.int64).max, size=len(prompt_lists)
-        )
+        seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
         return [
-            SequenceRequest(
-                request_id=i,
-                prompt=prompt,
-                max_new_tokens=max_new_tokens,
-                rng=np.random.default_rng(int(seed)),
-            )
-            for i, (prompt, seed) in enumerate(zip(prompt_lists, seeds))
+            make_serving_request(i, prompt, max_new_tokens, int(seed))
+            for i, (prompt, seed) in enumerate(zip(prompts, seeds))
         ]
 
     def _prefill(self, admitted: Sequence[SequenceSlot]) -> int:
@@ -761,26 +763,6 @@ class BatchedSpecDecodeEngine:
             for slot in self._scheduler.live:
                 self._unpin(slot)
 
-    def _vanilla_cycle(self, live: List[SequenceSlot]) -> None:
-        """Commit one vanilla-decoded token per live sequence.
-
-        The step's hidden states at the (pre-commit) last position become
-        each sequence's drafter hand-off — the second-to-last position of
-        the extended sequence — so a later switch to SD pays no extra
-        re-prefill forward.
-        """
-        contexts = contexts_from_sequences(
-            [slot.sequence for slot in live],
-            self.target.config.context_window,
-        )
-        logits, hiddens = self.target.step(contexts)
-        probs = temperature_probs(logits, self.temperature)
-        stack = np.stack(hiddens, axis=1)  # (rows, L, d)
-        for row, slot in enumerate(live):
-            token = int(sample_from_probs(probs[row][None, :], slot.rng)[0])
-            slot.commit([token], EOS_ID)
-            slot.hidden = stack[row].copy()
-
 
 def step_engines(
     engines: Sequence[BatchedSpecDecodeEngine],
@@ -788,17 +770,19 @@ def step_engines(
     """Advance every engine by one cycle as ONE lock-step batch.
 
     Each engine's cycle is opened in order (readmission, admission,
-    prefill, SD/vanilla decision); then all SD-active live slots whose
+    prefill, SD/vanilla decision).  All live slots of SD cycles whose
     engines share a drafter, target, strategy, temperature and child
-    mode are drafted by ONE :func:`build_draft_trees` call and verified
-    by ONE :func:`verify_trees` call; then each cycle is closed in
-    order (commit or vanilla decode, retirement, events, report,
-    manager feedback).  Each request owns its random stream and every
-    kernel is row-invariant, so outputs, streams and per-engine counters
-    equal those of stepping each engine alone.  Commits start only once
-    every group has verified: an error raised while drafting or
-    verifying leaves no token committed, and no engine is left mid-step
-    whatever raises.
+    mode are drafted by ONE :func:`build_draft_trees` call; a vanilla
+    cycle gives each live slot the zero-node :data:`EMPTY_TREE`.  Then
+    every tree of the engines sharing a target and temperature —
+    vanilla and SD rows alike — is verified by ONE :func:`verify_trees`
+    call, and each cycle is closed in order (commit, retirement,
+    events, report, manager feedback).  Each request owns its random
+    stream and every kernel is row-invariant, so outputs, streams and
+    per-engine counters equal those of stepping each engine alone.
+    Commits start only once every group has verified: an error raised
+    while drafting or verifying leaves no token committed, and no
+    engine is left mid-step whatever raises.
 
     Returns one :class:`EngineStep` per engine, in order.
     """
@@ -807,37 +791,49 @@ def step_engines(
             raise SpecDecodeError("step() called with no live or waiting work")
     try:
         cycles = [engine._open() for engine in engines]
-        groups: Dict[tuple, List[_Cycle]] = {}
+        drafts: Dict[tuple, List[_Cycle]] = {}
+        verifies: Dict[tuple, List[_Cycle]] = {}
         for cycle in cycles:
-            if cycle.strategy is not None:
-                engine = cycle.engine
+            engine = cycle.engine
+            if cycle.strategy is None:
+                cycle.trees = [EMPTY_TREE] * len(cycle.live)
+            else:
                 key = (
                     id(engine.drafter), id(engine.target), cycle.strategy,
                     engine.temperature, engine.child_mode,
                 )
-                groups.setdefault(key, []).append(cycle)
-        for members in groups.values():
+                drafts.setdefault(key, []).append(cycle)
+            key = (id(engine.target), engine.temperature)
+            verifies.setdefault(key, []).append(cycle)
+        for members in drafts.values():
             lead = members[0].engine
             slots = [slot for cycle in members for slot in cycle.live]
-            sequences = [slot.sequence for slot in slots]
-            rngs = [slot.rng for slot in slots]
             trees, _ = build_draft_trees(
                 lead.drafter,
-                sequences,
+                [slot.sequence for slot in slots],
                 [slot.hidden for slot in slots],
                 members[0].strategy,
                 lead.temperature,
-                rngs,
+                [slot.rng for slot in slots],
                 child_mode=lead.child_mode,
             )
-            results = verify_trees(
-                lead.target, trees, sequences, lead.temperature, rngs
-            )
-            start = 0
+            rows = iter(trees)
             for cycle in members:
-                rows = slice(start, start + len(cycle.live))
-                cycle.trees, cycle.results = trees[rows], results[rows]
-                start = rows.stop
+                cycle.trees = list(islice(rows, len(cycle.live)))
+        for members in verifies.values():
+            lead = members[0].engine
+            slots = [slot for cycle in members for slot in cycle.live]
+            rows = iter(
+                verify_trees(
+                    lead.target,
+                    [tree for cycle in members for tree in cycle.trees],
+                    [slot.sequence for slot in slots],
+                    lead.temperature,
+                    [slot.rng for slot in slots],
+                )
+            )
+            for cycle in members:
+                cycle.results = list(islice(rows, len(cycle.live)))
         return [cycle.engine._close(cycle) for cycle in cycles]
     finally:
         for engine in engines:

@@ -14,7 +14,8 @@ continuous-batching refactor it is a thin wrapper over
   candidate rows in one batched target forward
   (:func:`~repro.specdec.tree.verify_trees`), so target launches scale
   with the slowest sequence's cycle count rather than the sum over
-  sequences;
+  sequences (a vanilla cycle verifies zero-node trees through the same
+  launch);
 * each request owns a private random stream, making committed tokens
   independent of scheduling under a static strategy —
   ``max_batch_size=1`` (sequential) and full batching are then
@@ -32,50 +33,18 @@ replays these statistics through the roofline cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro.drafter.base import Drafter
 from repro.llm.model import TinyLM, contexts_from_sequences
-from repro.specdec.metrics import SdRunMetrics
-from repro.specdec.scheduler import BatchCycleReport
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.rollout.adaptive import AdaptiveSdManager
-
-
-@dataclass
-class SpeculativeGenerationOutput:
-    """Result of speculatively generating one batch of sequences.
-
-    Attributes:
-        prompts: input prompts (BOS prepended when requested).
-        responses: committed response tokens per sequence (terminal EOS
-            included when emitted).
-        finished: True when EOS terminated the sequence.
-        metrics: aggregate draft/accept statistics across all sequences.
-        target_steps: batched target forward launches (each verification
-            pass counts once; the vanilla-decoding equivalent is one per
-            generated token).
-        cycle_reports: per-cycle live-batch trail from the batched engine
-            (admissions, retirements, strategy, SD vs vanilla).
-    """
-
-    prompts: List[List[int]]
-    responses: List[List[int]]
-    finished: List[bool]
-    metrics: SdRunMetrics
-    target_steps: int
-    cycle_reports: List[BatchCycleReport] = field(default_factory=list)
-
-    @property
-    def response_lengths(self) -> List[int]:
-        """Token count of each response."""
-        return [len(r) for r in self.responses]
+    from repro.specdec.batch_engine import BatchedGenerationResult
 
 
 def initial_hiddens(
@@ -102,13 +71,6 @@ def initial_hiddens(
     for row, (i, _) in enumerate(need):
         out[i] = stack[row].copy()
     return out
-
-
-def _initial_hidden(
-    target: TinyLM, prefix: Sequence[int]
-) -> Optional[np.ndarray]:
-    """Single-sequence convenience wrapper over :func:`initial_hiddens`."""
-    return initial_hiddens(target, [prefix])[0]
 
 
 def suffix_prefill_hiddens(
@@ -167,7 +129,7 @@ def speculative_generate(
     child_mode: ChildMode = "sample",
     max_batch_size: Optional[int] = None,
     sd_manager: Optional["AdaptiveSdManager"] = None,
-) -> SpeculativeGenerationOutput:
+) -> "BatchedGenerationResult":
     """Generate responses with (batched) speculative decoding.
 
     Args:
@@ -191,7 +153,9 @@ def speculative_generate(
             live-batch size each cycle.
 
     Returns:
-        A :class:`SpeculativeGenerationOutput`.
+        The engine's :class:`~repro.specdec.batch_engine.
+        BatchedGenerationResult` (``prompts`` / ``responses`` /
+        ``finished`` / ``response_lengths`` in request order).
     """
     from repro.specdec.batch_engine import BatchedSpecDecodeEngine
 
@@ -204,12 +168,4 @@ def speculative_generate(
         max_batch_size=max_batch_size,
         sd_manager=sd_manager,
     )
-    result = engine.generate(prompts, max_new_tokens, rng)
-    return SpeculativeGenerationOutput(
-        prompts=[slot.request.prompt for slot in result.slots],
-        responses=[slot.response for slot in result.slots],
-        finished=[slot.done for slot in result.slots],
-        metrics=result.metrics,
-        target_steps=result.target_steps,
-        cycle_reports=result.cycle_reports,
-    )
+    return engine.generate(prompts, max_new_tokens, rng)

@@ -49,16 +49,6 @@ class SdStrategy:
                 f"({self.tokens_to_verify} < {self.topk})"
             )
 
-    @property
-    def max_tree_nodes(self) -> int:
-        """Upper bound on drafted nodes before top-N selection."""
-        total = 0
-        width = 1
-        for _ in range(self.draft_depth):
-            width *= self.topk
-            total += width
-        return min(total, self.tokens_to_verify * self.topk)
-
     def describe(self) -> str:
         """Compact human-readable form, e.g. ``D=10 K=8 V=48``."""
         return (

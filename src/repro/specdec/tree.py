@@ -33,6 +33,10 @@ Both modes commit tokens byte-identical to building each tree alone, node
 by node, under the same seeds (``tests/_tree_oracle.py`` is that
 reference).
 
+:func:`verify_trees` verifies any number of trees in one target
+forward.  The zero-node :data:`EMPTY_TREE` is how vanilla decoding rides
+the same launch: its walk samples one token at the prefix row.
+
 Expansion is *best-first* on cumulative draft confidence and
 **all-or-nothing per node**: once a node's candidates are drawn, every one
 of them is verified.  (Pruning an already-drawn candidate would condition
@@ -252,6 +256,28 @@ class FlatDraftTree:
                 mask[i] = mask[parent]
             mask[i, i] = True
         return mask
+
+
+_NO_NODES = np.zeros(0, dtype=np.int64)
+
+#: The zero-node tree: a vanilla decode step.  Its acceptance walk stops
+#: at the prefix row and draws one uniform, the same draw and inverse-CDF
+#: lookup as sampling that row alone, and its hand-off is the prefix
+#: row — the hidden stack at the pre-commit last position, so a later
+#: switch to SD pays no re-prefill.
+EMPTY_TREE = FlatDraftTree(
+    tokens=_NO_NODES,
+    parents=_NO_NODES,
+    depths=_NO_NODES,
+    path_probs=np.zeros(0),
+    cand_offsets=np.zeros(2, dtype=np.int64),
+    cand_tokens=_NO_NODES,
+    cand_child=_NO_NODES,
+    cand_dists=np.zeros((0, 0)),
+    draft_steps=0,
+    draft_calls=0,
+    rounds=0,
+)
 
 
 class _LockStepTrees:
@@ -701,7 +727,8 @@ def plan_verify_rows(
     fallback hand-off hidden); each node contributes one row holding its
     root-to-node path appended to the prefix.  Node ``i`` verifies on row
     ``i + 1`` because flat order IS verification order.
-    :func:`verify_trees` builds the same rows directly as context windows.
+    :func:`verify_trees` builds the same rows directly as context windows
+    (this per-tree layout is the reference its tests hold it to).
 
     Returns:
         ``(paths, row_of_node)`` where ``row_of_node`` maps a node index
@@ -714,30 +741,6 @@ def plan_verify_rows(
     for parent, token in zip(tree.parents.tolist(), tree.tokens.tolist()):
         paths.append(paths[parent + 1] + [token])
     return paths, {index: index + 1 for index in range(tree.num_nodes)}
-
-
-def verify_tree(
-    target: TinyLM,
-    tree: FlatDraftTree,
-    prefix_tokens: Sequence[int],
-    temperature: float,
-    rng: np.random.Generator,
-) -> TreeVerifyResult:
-    """Verify a draft tree in one batched target forward pass.
-
-    The batch contains one row for the committed prefix (providing the
-    root distribution and the fallback hand-off hidden) plus one row per
-    selected node (providing that node's next-token distribution and exact
-    hidden state).
-
-    Returns:
-        A :class:`TreeVerifyResult`; ``accepted_tokens`` always contains at
-        least one token (the bonus), preserving the target distribution
-        exactly in ``sample`` child mode.
-    """
-    return verify_trees(
-        target, [tree], [prefix_tokens], temperature, [rng]
-    )[0]
 
 
 def _verify_contexts(
@@ -789,11 +792,14 @@ def verify_trees(
     """Verify several sequences' draft trees in ONE target forward pass.
 
     This is the continuous-batching amortisation: every live sequence's
-    verification rows are concatenated into a single batched
+    verification rows — one for the committed prefix (the root
+    distribution and the fallback hand-off) plus one per selected node —
+    are concatenated into a single batched
     :meth:`~repro.llm.model.TinyLM.step` launch, then each sequence walks
     its own acceptance path with its own random stream.  Row results are
-    identical to per-sequence verification, so committed tokens match
-    :func:`verify_tree` exactly.
+    identical to verifying each tree alone, so committed tokens do not
+    depend on the batch.  A :data:`EMPTY_TREE` row is a vanilla decode
+    step.
 
     Args:
         target: the target model.
@@ -803,7 +809,10 @@ def verify_trees(
         rngs: per-sequence random streams (acceptance + bonus sampling).
 
     Returns:
-        One :class:`TreeVerifyResult` per input tree, in order.
+        One :class:`TreeVerifyResult` per input tree, in order;
+        ``accepted_tokens`` always holds at least the bonus token, which
+        preserves the target distribution exactly in ``sample`` child
+        mode.
     """
     if not (len(trees) == len(prefixes) == len(rngs)):
         raise SpecDecodeError(

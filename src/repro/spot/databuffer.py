@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -157,10 +157,6 @@ class OnlineDataBuffer:
             steps=sorted(self._by_step),
             current_step=self._current_step,
         )
-
-    def sequences_for_step(self, step: int) -> List[TrainingSequence]:
-        """All stored sequences for one RL step."""
-        return list(self._by_step.get(step, []))
 
     # -- internals -----------------------------------------------------------
 

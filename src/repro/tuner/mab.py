@@ -190,13 +190,6 @@ class BegMabSelector(StrategySelector):
 
     # -- introspection ---------------------------------------------------------
 
-    def median_reward(self, strategy: SdStrategy) -> Optional[float]:
-        """Window-median reward for ``strategy`` (None if unexplored)."""
-        arm = self._arms.get(strategy)
-        if arm is None or arm.rewards.is_empty:
-            return None
-        return arm.rewards.median()
-
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Summary of every arm (for logs / benchmark rows)."""
         out: Dict[str, Dict[str, float]] = {}

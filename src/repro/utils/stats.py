@@ -3,20 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Deque, List, Sequence
 
 import numpy as np
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of ``values`` at ``q`` in [0, 100]."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    return float(np.percentile(arr, q))
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -27,71 +16,6 @@ def geometric_mean(values: Sequence[float]) -> float:
     if np.any(arr <= 0):
         raise ValueError("geometric mean requires strictly positive values")
     return float(np.exp(np.mean(np.log(arr))))
-
-
-def exponential_moving_average(
-    values: Sequence[float], alpha: float
-) -> List[float]:
-    """EMA of ``values`` with smoothing factor ``alpha`` in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    out: List[float] = []
-    state: Optional[float] = None
-    for v in values:
-        state = v if state is None else alpha * v + (1.0 - alpha) * state
-        out.append(state)
-    return out
-
-
-def describe(values: Sequence[float]) -> Dict[str, float]:
-    """Summary statistics used by benchmark report rows."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("describe of empty sequence")
-    return {
-        "count": float(arr.size),
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-        "min": float(arr.min()),
-        "p50": float(np.percentile(arr, 50)),
-        "p75": float(np.percentile(arr, 75)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-    }
-
-
-@dataclass
-class OnlineMeanVar:
-    """Welford online mean/variance accumulator."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def update_many(self, values: Iterable[float]) -> None:
-        """Fold several observations into the running statistics."""
-        for v in values:
-            self.update(v)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count == 0:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the observations so far."""
-        return float(np.sqrt(self.variance))
 
 
 class SlidingWindow:
@@ -116,13 +40,6 @@ class SlidingWindow:
 
     def __iter__(self):
         return iter(self._window)
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained observations."""
-        maxlen = self._window.maxlen
-        assert maxlen is not None
-        return maxlen
 
     @property
     def is_empty(self) -> bool:

@@ -1,13 +1,17 @@
-"""Per-worker stepping: the order the lock-step tick is held to (oracle).
+"""Per-worker launches: what the lock-step tick is held to (oracle).
 
 :meth:`repro.serving.frontend.ServingEngine.tick` runs every worker's
 cycle as one lock-step batch, and :meth:`repro.fleet.engine.FleetEngine.
 tick` runs every replica's workers as one batch.  This module keeps the
-order they replaced, in which each engine is stepped alone, worker by
-worker, and a fleet ticks its replicas one after another, each running
-its whole pool tick before the next starts.  The equivalence suite runs
-the same traces both ways and requires equal outputs, random streams,
-tick stamps, counters and cycle reports.
+launches they replaced, in which each engine drafts and verifies alone,
+worker by worker, and a fleet ticks its replicas one after another,
+each running its whole pool tick before the next starts.  It also keeps
+the vanilla decode that vanilla rows replaced when they joined the
+tick's verify launch as zero-node trees: a vanilla cycle makes its own
+``TinyLM.step`` over its live rows and samples each row with
+``sample_from_probs``.  The equivalence suite runs the same traces both
+ways and requires equal outputs, random streams, tick stamps, counters
+and cycle reports.
 
 :func:`per_worker` and :func:`replica_by_replica` install these ticks
 on one pool or fleet object (an instance attribute shadows the method,
@@ -19,14 +23,95 @@ from __future__ import annotations
 
 import types
 
+import numpy as np
+
+from repro.errors import SpecDecodeError
 from repro.fleet import FleetEngine, ReplicaState
+from repro.llm.model import contexts_from_sequences
+from repro.llm.sampler import sample_from_probs, temperature_probs
 from repro.serving import ServingEngine
+from repro.specdec.tree import (
+    EMPTY_TREE,
+    TreeVerifyResult,
+    build_draft_trees,
+    verify_trees,
+)
+
+
+def vanilla_decode(engine, live):
+    """One token per live slot from the engine's own target forward.
+
+    The step's hidden stack at each row's (pre-commit) last position is
+    the slot's hand-off, as the verify of an empty tree hands off its
+    prefix row.
+    """
+    contexts = contexts_from_sequences(
+        [slot.sequence for slot in live], engine.target.config.context_window
+    )
+    logits, hiddens = engine.target.step(contexts)
+    probs = temperature_probs(logits, engine.temperature)
+    stack = np.stack(hiddens, axis=1)  # (rows, L, d)
+    results = []
+    for row, slot in enumerate(live):
+        token = int(sample_from_probs(probs[row][None, :], slot.rng)[0])
+        results.append(
+            TreeVerifyResult(
+                accepted_tokens=[token],
+                accepted_node_count=0,
+                bonus_token=token,
+                next_hidden=stack[row].copy(),
+                verify_batch=1,
+                depth_attempts=[],
+                depth_accepts=[],
+            )
+        )
+    return results
+
+
+def _launch_alone(cycle):
+    """Draft and verify one engine's cycle with launches of its own."""
+    engine, live = cycle.engine, cycle.live
+    if cycle.strategy is None:
+        cycle.trees = [EMPTY_TREE] * len(live)
+        cycle.results = vanilla_decode(engine, live) if live else []
+        return
+    sequences = [slot.sequence for slot in live]
+    rngs = [slot.rng for slot in live]
+    cycle.trees, _ = build_draft_trees(
+        engine.drafter, sequences, [slot.hidden for slot in live],
+        cycle.strategy, engine.temperature, rngs,
+        child_mode=engine.child_mode,
+    )
+    cycle.results = verify_trees(
+        engine.target, cycle.trees, sequences, engine.temperature, rngs
+    )
+
+
+def step_alone(engines):
+    """One cycle of every engine, each with launches of its own.
+
+    Cycles open in engine order, each engine then drafts and verifies
+    alone (a vanilla cycle decodes with its own target forward), and the
+    cycles close in order — so workers sharing a strategy selector pick
+    before any of them records, as in the batched tick.
+    """
+    for engine in engines:
+        if not engine.scheduler.has_work:
+            raise SpecDecodeError("step() called with no live or waiting work")
+    try:
+        cycles = [engine._open() for engine in engines]
+        for cycle in cycles:
+            _launch_alone(cycle)
+        return [cycle.engine._close(cycle) for cycle in cycles]
+    finally:
+        for engine in engines:
+            engine._in_step = False
 
 
 def pool_tick(pool: ServingEngine) -> None:
-    """One pool tick with every worker's engine stepped alone, in order."""
+    """One pool tick with every worker's engine launching alone."""
     workers = pool.open_tick()
-    pool.close_tick(workers, [worker.engine.step() for worker in workers])
+    pool.close_tick(workers, step_alone([w.engine for w in workers]))
 
 
 def fleet_tick(fleet: FleetEngine) -> None:

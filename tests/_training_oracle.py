@@ -187,7 +187,7 @@ def build_training_batch(
     return batch
 
 
-def update_policy(trainer, rollout, advantages, mask) -> tuple:
+def update_policy(trainer, rollout, advantages) -> tuple:
     """``RlTrainer._update_policy`` one rollout row at a time."""
     config = trainer.config
     sequences = rollout.full_sequences
@@ -228,10 +228,6 @@ def update_policy(trainer, rollout, advantages, mask) -> tuple:
             old_logp = []
         scale = 1.0 / (total_resp * config.temperature)
         for row in range(batch_size):
-            if mask[row] == 0.0:
-                if epoch == 0:
-                    old_logp.append(np.zeros(0))
-                continue
             positions = resp_pos[row]
             chosen = resp_tok[row]
             if positions.size == 0:

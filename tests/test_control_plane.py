@@ -753,16 +753,19 @@ class TestRolloutBackendSwap:
     def test_adaptive_backend_adopts_published_drafter(
         self, target, trained_drafter, untrained_drafter
     ):
-        from repro.rl import SpeculativeRollout
+        """A publication rolls onto the one-worker rollout pool and the
+        next rollout speculates with it."""
+        from repro.longtail import RolloutScheduler
         from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
 
-        backend = SpeculativeRollout(
-            untrained_drafter,
-            manager=AdaptiveSdManager(AdaptiveSdConfig()),
+        pool = ServingEngine(
+            target, untrained_drafter, num_workers=1,
+            sd_managers=[AdaptiveSdManager(AdaptiveSdConfig())],
+            temperature=0.9,
         )
-        backend.swap_drafter(trained_drafter)
-        assert backend.drafter is trained_drafter
-        out = backend.generate(
+        pool.swap_drafter(trained_drafter)
+        out = RolloutScheduler(pool).generate(
             target, PROMPTS[:2], 8, 0.9, np.random.default_rng(0)
         )
+        assert pool.workers[0].engine.drafter is trained_drafter
         assert len(out.responses) == 2

@@ -23,7 +23,7 @@ from repro.specdec.acceptance import (
     batched_inverse_cdf_draws,
     inverse_cdf_draws,
 )
-from repro.specdec.engine import _initial_hidden
+from repro.specdec.engine import initial_hiddens
 from repro.specdec.tree import _verify_contexts, plan_verify_rows
 
 import _tree_oracle
@@ -123,7 +123,7 @@ def test_fused_launch_equals_extend_then_propose(
         "ngram": "ngram_drafter",
     }[name]
     drafter = request.getfixturevalue(drafter)
-    hiddens = [_initial_hidden(target, prefix) for prefix in PREFIXES[:size]]
+    hiddens = initial_hiddens(target, PREFIXES[:size])
     states = drafter.pack_states(
         drafter.begin_batch(PREFIXES[:size], hiddens)
     )
@@ -216,7 +216,7 @@ def test_launch_bound_and_per_node_baseline(
     ``draft_calls`` still counts what the per-node path spends."""
     strategy = SdStrategy(draft_depth=4, topk=3, tokens_to_verify=8)
     prefixes = PREFIXES[:5]
-    hiddens = [_initial_hidden(target, prefix) for prefix in prefixes]
+    hiddens = initial_hiddens(target, prefixes)
 
     def rngs():
         return [np.random.default_rng(seed + i) for i in range(5)]
@@ -250,7 +250,7 @@ def test_verify_contexts_equal_the_token_paths(
     """Shifting the parent's context by one token gives the same rows as
     cutting the window out of every full prefix + path sequence."""
     prefixes = [[3, 5, 7, 2], [4], [1, 2]]
-    hiddens = [_initial_hidden(target, prefix) for prefix in prefixes]
+    hiddens = initial_hiddens(target, prefixes)
     trees, _ = build_draft_trees(
         trained_drafter, prefixes, hiddens,
         SdStrategy(draft_depth=5, topk=2, tokens_to_verify=9), 0.9,

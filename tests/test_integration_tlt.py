@@ -1,9 +1,10 @@
 """End-to-end integration: the full TLT pipeline over several RL steps.
 
 Wires every component together the way the paper's system does — GRPO
-with speculative rollouts, hidden-state capture into the DataBuffer,
-spot drafter training with selective async checkpointing, and n-gram
-fallback — and asserts cross-component invariants.
+with speculative rollouts on a one-worker serving pool, hidden-state
+capture into the DataBuffer, spot drafter training with selective async
+checkpointing, and n-gram fallback — and asserts cross-component
+invariants.
 """
 
 from __future__ import annotations
@@ -23,10 +24,31 @@ from repro.drafter.training import collect_training_sequences
 from repro.llm import TinyLMConfig
 from repro.llm.pretrain import pretrained_target
 from repro.llm.vocab import Vocabulary
-from repro.rl import RlConfig, RlTrainer, SpeculativeRollout
+from repro.longtail import RolloutScheduler
+from repro.rl import RlConfig, RlTrainer
+from repro.serving import ServingEngine
 from repro.specdec import SdStrategy
 from repro.spot import CheckpointManager, OnlineDataBuffer, SpotTrainer
 from repro.workload import SuccessorChainTask
+
+
+def _pool_backend(policy, drafter, strategy, temperature):
+    """A dedicated rollout engine: a one-worker serving pool."""
+    return RolloutScheduler(
+        ServingEngine(
+            policy, drafter, num_workers=1, strategy=strategy,
+            temperature=temperature,
+        )
+    )
+
+
+def _accept_length(backend, step):
+    """Mean committed tokens per SD cycle over what ``step()`` decoded."""
+    metrics = backend.engine.workers[0].engine.metrics
+    before = len(metrics.cycles)
+    report = step()
+    cycles = metrics.cycles[before:]
+    return report, sum(c.committed for c in cycles) / len(cycles)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +67,9 @@ def tlt_run(tmp_path_factory):
     drafter = EagleDrafter(
         policy, EagleDrafterConfig(), np.random.default_rng(1)
     )
-    backend = SpeculativeRollout(
-        drafter, SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8)
+    backend = _pool_backend(
+        policy, drafter, SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8),
+        1.0,
     )
     spot = SpotTrainer(
         trainer=DrafterTrainer(
@@ -70,11 +93,9 @@ def tlt_run(tmp_path_factory):
     accept_lengths = []
     for step in range(4):
         spot.begin_step(step)
-        report = trainer.step()
+        report, accept = _accept_length(backend, trainer.step)
         reports.append(report)
-        accept_lengths.append(
-            report.rollout_stats.get("accept_length", 0.0)
-        )
+        accept_lengths.append(accept)
         assert trainer.last_rollout is not None
         spot.ingest(
             collect_training_sequences(
@@ -153,9 +174,9 @@ class TestNgramFallbackPath:
         )
         task = SuccessorChainTask(vocab=Vocabulary(24), target_pairs=6)
         drafter = NgramDrafter(NgramDrafterConfig(vocab_size=24))
-        backend = SpeculativeRollout(
-            drafter,
-            SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6),
+        backend = _pool_backend(
+            policy, drafter,
+            SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6), 0.9,
         )
         trainer = RlTrainer(
             policy, task,
@@ -165,9 +186,9 @@ class TestNgramFallbackPath:
             backend=backend,
             rng=np.random.default_rng(5),
         )
-        first = trainer.step()
+        _, first = _accept_length(backend, trainer.step)
         # The database was fed by step 1's rollouts.
         assert drafter.num_contexts > 0
-        second = trainer.step()
-        assert second.rollout_stats["accept_length"] >= 1.0
-        assert first.rollout_stats["accept_length"] >= 1.0
+        _, second = _accept_length(backend, trainer.step)
+        assert second >= 1.0
+        assert first >= 1.0

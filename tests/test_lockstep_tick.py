@@ -6,10 +6,14 @@ and one target verify per shared drafter/target/strategy group), and a
 fleet tick does the same across replicas.  Each request owns its random
 stream and every kernel is row-invariant, so the batch must be
 invisible: the suite runs each trace through the batched tick and
-through ``tests/_tick_oracle.py`` (each engine stepped alone, replicas
-ticked one after another) and requires, for every worker, equal
-responses, final random-stream states, tick stamps, counters, cycle
-reports and per-request ``(kind, cycle, time)`` event subsequences.
+through ``tests/_tick_oracle.py`` (each engine launching alone, a
+vanilla cycle with its own target forward, replicas ticked one after
+another) and requires, for every worker, equal responses, final
+random-stream states, tick stamps, counters, cycle reports and
+per-request ``(kind, cycle, time)`` event subsequences — for static
+strategies and for adaptive pools and fleets whose workers cross the
+elastic threshold both ways, where vanilla rows are zero-node trees in
+the tick's one verify launch per target and temperature.
 
 Also here: the tree builder's partition property (a tree does not
 depend on its batch neighbours, and a sub-batch's launch count is
@@ -42,7 +46,7 @@ from repro.serving import (
 from repro.specdec import SdStrategy, build_draft_trees, verify_trees
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine, step_engines
 from repro.specdec.control import RequestEventKind
-from repro.specdec.engine import _initial_hidden
+from repro.specdec.engine import initial_hiddens
 from repro.tuner.mab import StrategySelector
 from repro.workload import fleet_trace
 
@@ -338,6 +342,171 @@ def test_tail_first_rollouts_with_spot_publish(
     assert pool.drafter_swaps == 1
 
 
+# -- adaptive pools: vanilla rows ride the verify launch ---------------------
+
+
+ARMS = [STRATEGY, SdStrategy(draft_depth=3, topk=2, tokens_to_verify=5)]
+
+
+def _managers(count, threshold):
+    """Per-worker managers over ONE shared BEG-MAB selector (the
+    ``TltSystem.serving_frontend`` default)."""
+    managers, selector = [], None
+    for _ in range(count):
+        manager = AdaptiveSdManager(
+            AdaptiveSdConfig(
+                strategies=ARMS, activation_threshold=threshold,
+                selector=selector,
+            )
+        )
+        selector = manager.selector
+        managers.append(manager)
+    return managers
+
+
+def _assert_crosses_both_ways(engines):
+    """Some worker went vanilla -> SD and SD -> vanilla; no vanilla
+    cycle drafted, and each verified one row per live slot."""
+    crossed = False
+    for engine in engines:
+        trail = [report.sd_active for report in engine.cycle_reports]
+        crossed |= {(False, True), (True, False)} <= set(
+            zip(trail, trail[1:])
+        )
+        for report in engine.cycle_reports:
+            if not report.sd_active:
+                assert report.strategy is None
+                assert report.draft_launches == report.drafted_tokens == 0
+                assert report.verify_rows == report.committed_tokens
+                assert report.verify_rows == report.live_batch
+    assert crossed
+
+
+@pytest.mark.parametrize("threshold", [2, 3])
+@pytest.mark.parametrize("child_mode", ["sample", "topk"])
+def test_adaptive_pool_equals_vanilla_decode_alone(
+    scenario_factory, recorded, child_mode, threshold
+):
+    """Above the threshold a worker's rows are zero-node trees in the
+    tick's one verify launch; they must decode exactly what each
+    engine's own vanilla forward decoded."""
+    scenario = scenario_factory(
+        2033, num_requests=30, max_new_tokens=14, ragged_caps=True,
+        temperature=0.8,
+    )
+
+    def run(oracle):
+        pool = _pool(
+            scenario, workers=3, max_batch=4, strategy=None,
+            child_mode=child_mode, sd_managers=_managers(3, threshold),
+            dispatch=LeastLoadedDispatch(),
+        )
+        if oracle:
+            _tick_oracle.per_worker(pool)
+        _drive(pool, scenario.serving_requests(arrival_gap=0.6))
+        return _observe([pool], pool.lifecycle_events(), recorded), pool
+
+    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    _assert_same(batched, oracle)
+    _assert_crosses_both_ways([worker.engine for worker in pool.workers])
+
+
+@pytest.mark.parametrize("child_mode", ["sample", "topk"])
+def test_adaptive_fleet_equals_replica_by_replica(
+    target, trained_drafter, recorded, child_mode
+):
+    trace = fleet_trace(
+        np.random.default_rng(14), target.config.vocab_size,
+        num_tenants=6, requests_per_tenant=5, num_batch=8,
+        batch_group_size=4, prefix_len=3, mean_interarrival=0.3,
+        batch_gap=2.0,
+    )
+
+    def run(oracle):
+        pools = [
+            ServingEngine(
+                target, trained_drafter, num_workers=2,
+                sd_managers=_managers(2, 2), temperature=0.8,
+                child_mode=child_mode, max_batch_size=3,
+                dispatch=LeastLoadedDispatch(),
+            )
+            for _ in range(3)
+        ]
+        fleet = FleetEngine(pools, routing=FleetRoundRobin())
+        if oracle:
+            _tick_oracle.replica_by_replica(fleet)
+        fleet.run(trace)
+        return _observe(pools, fleet.lifecycle_events(), recorded), pools
+
+    (batched, pools), (oracle, _) = _run_both(recorded, run)
+    _assert_same(batched, oracle)
+    _assert_crosses_both_ways(
+        [worker.engine for pool in pools for worker in pool.workers]
+    )
+
+
+def test_one_verify_launch_per_target_and_temperature(
+    scenario_factory, monkeypatch
+):
+    """Vanilla and SD engines on one (target, temperature) verify in
+    ONE target forward; another temperature is a second launch."""
+    scenario = scenario_factory(2034, num_requests=4, max_new_tokens=12)
+    target = scenario.target
+    vanilla = BatchedSpecDecodeEngine(
+        target, scenario.drafter, None, 0.8,
+        sd_manager=AdaptiveSdManager(
+            AdaptiveSdConfig(strategies=ARMS, activation_threshold=1)
+        ),
+    )
+    speculative = BatchedSpecDecodeEngine(
+        target, scenario.drafter, STRATEGY, 0.8
+    )
+    cooler = BatchedSpecDecodeEngine(target, scenario.drafter, STRATEGY, 0.5)
+    engines = [vanilla, speculative, cooler]
+    for engine in engines:
+        engine.start(scenario.requests())
+    step_engines(engines)  # the admission wave and its prefill
+    rows = []
+    step = type(target).step
+
+    def counting_step(self, context):
+        rows.append(len(context))
+        return step(self, context)
+
+    monkeypatch.setattr(type(target), "step", counting_step)
+    for _ in range(3):
+        del rows[:]
+        reports = [outcome.report for outcome in step_engines(engines)]
+        assert [r.sd_active for r in reports] == [False, True, True]
+        assert rows == [
+            reports[0].verify_rows + reports[1].verify_rows,
+            reports[2].verify_rows,
+        ]
+
+
+def test_vanilla_row_hands_off_its_prefix_row(scenario_factory):
+    """A vanilla row hands off the target's hidden stack at its
+    pre-commit last position — what prefilling the extended sequence
+    computes — so a later switch to SD needs no re-prefill."""
+    scenario = scenario_factory(2035, num_requests=4, max_new_tokens=8)
+    engine = BatchedSpecDecodeEngine(
+        scenario.target, scenario.drafter, None, 0.8,
+        sd_manager=AdaptiveSdManager(
+            AdaptiveSdConfig(strategies=ARMS, activation_threshold=1)
+        ),
+    )
+    engine.start(scenario.requests())
+    vanilla = 0
+    while engine.has_work:
+        if engine.step().report.sd_active:
+            continue
+        vanilla += 1
+        for slot in engine.scheduler.live:
+            handoff = initial_hiddens(scenario.target, [slot.sequence])[0]
+            assert np.array_equal(slot.hidden, handoff)
+    assert vanilla > 3
+
+
 # -- the tree builder's partition property ------------------------------------
 
 
@@ -365,7 +534,7 @@ def test_build_is_invariant_to_any_split(
     """A whole batch and any split of it build bitwise-equal trees, and
     each part's launches are ``1 + max(rounds)`` of its own trees —
     the count the per-node oracle's rounds give too."""
-    hiddens = [_initial_hidden(target, prefix) for prefix in PREFIXES]
+    hiddens = initial_hiddens(target, PREFIXES)
 
     def build(rows):
         return build_draft_trees(
@@ -400,7 +569,7 @@ def test_build_is_invariant_to_any_split(
 def test_verify_hands_off_one_owned_row_per_tree(target, trained_drafter):
     """Verify keeps each tree's hand-off row as the slot's own copy,
     never a view into the batch-wide hidden stack."""
-    hiddens = [_initial_hidden(target, prefix) for prefix in PREFIXES]
+    hiddens = initial_hiddens(target, PREFIXES)
     rngs = [np.random.default_rng(i) for i in range(len(PREFIXES))]
     trees, _ = build_draft_trees(
         trained_drafter, PREFIXES, hiddens, STRATEGY, 0.8, rngs

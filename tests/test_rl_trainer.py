@@ -1,4 +1,4 @@
-"""Tests for the RL training loop (GRPO and friends)."""
+"""Tests for the RL training loop (GRPO)."""
 
 from __future__ import annotations
 
@@ -13,15 +13,10 @@ from repro.errors import ConfigError
 from repro.drafter import EagleDrafter, EagleDrafterConfig
 from repro.llm import TinyLM, TinyLMConfig
 from repro.llm.vocab import Vocabulary
-from repro.rl import (
-    DapoAdvantages,
-    RlConfig,
-    RlTrainer,
-    RlooAdvantages,
-    SpeculativeRollout,
-    VanillaRollout,
-)
+from repro.longtail import RolloutScheduler, SchedulerMode
+from repro.rl import RlConfig, RlTrainer, VanillaRollout
 from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
+from repro.serving import ServingEngine
 from repro.specdec import SdStrategy, speculative_generate
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine
 from repro.workload import SuccessorChainTask
@@ -130,41 +125,9 @@ class TestTrainerMechanics:
         report = trainer.step()
         assert report.mean_reward >= 0.0
 
-    def test_rloo_runs(self):
-        trainer = RlTrainer(
-            make_policy(), make_task(), small_config(),
-            algorithm=RlooAdvantages(),
-            rng=np.random.default_rng(0),
-        )
-        trainer.run(2)
-
-    def test_dapo_active_fraction(self):
-        trainer = RlTrainer(
-            make_policy(), make_task(), small_config(),
-            algorithm=DapoAdvantages(),
-            rng=np.random.default_rng(0),
-        )
-        report = trainer.step()
-        assert 0.0 <= report.active_fraction <= 1.0
-
 
 class TestSpeculativeBackend:
-    def test_sd_backend_runs_and_reports(self):
-        policy = make_policy()
-        drafter = EagleDrafter(
-            policy, EagleDrafterConfig(), np.random.default_rng(3)
-        )
-        backend = SpeculativeRollout(
-            drafter,
-            SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6),
-        )
-        trainer = RlTrainer(
-            policy, make_task(), small_config(num_prompts=2, group_size=4),
-            backend=backend, rng=np.random.default_rng(0),
-        )
-        report = trainer.step()
-        assert "accept_length" in report.rollout_stats
-        assert report.rollout_stats["accept_length"] >= 1.0
+    """The speculative backend is a one-worker serving pool."""
 
     PROMPTS = [[5, 6, 7], [9, 10], [5, 6, 7], [11, 12, 13, 14]]
     STRATEGY = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
@@ -174,22 +137,54 @@ class TestSpeculativeBackend:
             policy, EagleDrafterConfig(), np.random.default_rng(3)
         )
 
+    def _backend(
+        self, policy, drafter, temperature,
+        mode=SchedulerMode.TAIL_FIRST, **pool,
+    ):
+        pool.setdefault("strategy", self.STRATEGY)
+        return RolloutScheduler(
+            ServingEngine(
+                policy, drafter, num_workers=1, temperature=temperature,
+                **pool,
+            ),
+            mode=mode,
+        )
+
+    def test_sd_backend_runs_and_reports(self):
+        policy = make_policy()
+        backend = self._backend(policy, self._drafter(policy), 1.0)
+        trainer = RlTrainer(
+            policy, make_task(), small_config(num_prompts=2, group_size=4),
+            backend=backend, rng=np.random.default_rng(0),
+        )
+        report = trainer.step()
+        assert report.target_steps > 0
+        assert report.rollout_stats["rollout_tokens"] == sum(
+            trainer.last_rollout.response_lengths
+        )
+        metrics = backend.engine.workers[0].engine.metrics
+        assert metrics.mean_accept_length >= 1.0
+
     def test_static_backend_is_speculative_generate(self):
+        """Both modes decode what speculative_generate decodes; FIFO
+        also spends the same target launches."""
         policy = make_policy()
         drafter = self._drafter(policy)
-        out = SpeculativeRollout(
-            drafter, strategy=self.STRATEGY, max_batch_size=2
-        ).generate(
-            policy, self.PROMPTS, 16, 0.9, np.random.default_rng(21)
-        )
         reference = speculative_generate(
             policy, drafter, self.PROMPTS, 16, 0.9,
             np.random.default_rng(21), self.STRATEGY, max_batch_size=2,
         )
-        assert out.responses == reference.responses
-        assert out.prompts == reference.prompts
-        assert out.finished == reference.finished
-        assert out.target_steps == reference.target_steps
+        for mode in SchedulerMode:
+            out = self._backend(
+                policy, drafter, 0.9, mode, max_batch_size=2
+            ).generate(
+                policy, self.PROMPTS, 16, 0.9, np.random.default_rng(21)
+            )
+            assert out.responses == reference.responses
+            assert out.prompts == reference.prompts
+            assert out.finished == reference.finished
+            if mode is SchedulerMode.FIFO:
+                assert out.target_steps == reference.target_steps
 
     def test_adaptive_backend_is_the_managed_engine(self):
         policy = make_policy()
@@ -197,32 +192,28 @@ class TestSpeculativeBackend:
         config = AdaptiveSdConfig(
             strategies=[self.STRATEGY], activation_threshold=3
         )
-        out = SpeculativeRollout(
-            drafter, manager=AdaptiveSdManager(config)
-        ).generate(
-            policy, self.PROMPTS, 16, 0.9, np.random.default_rng(22)
-        )
         reference = BatchedSpecDecodeEngine(
             policy, drafter, None, 0.9,
             sd_manager=AdaptiveSdManager(config),
         ).generate(self.PROMPTS, 16, np.random.default_rng(22))
-        assert out.responses == [s.response for s in reference.slots]
-        assert out.prompts == [s.request.prompt for s in reference.slots]
-        assert out.finished == [s.done for s in reference.slots]
-        assert out.target_steps == reference.target_steps
-        assert out.stats["sd_cycles"] == reference.sd_cycles
-        assert out.stats["vanilla_cycles"] == reference.vanilla_cycles > 0
-
-    def test_exactly_one_of_strategy_or_adaptive(self):
-        drafter = self._drafter(make_policy())
-        config = AdaptiveSdConfig(strategies=[self.STRATEGY])
-        with pytest.raises(ConfigError):
-            SpeculativeRollout(drafter)
-        with pytest.raises(ConfigError):
-            SpeculativeRollout(
-                drafter, self.STRATEGY,
-                manager=AdaptiveSdManager(config),
+        for mode in SchedulerMode:
+            backend = self._backend(
+                policy, drafter, 0.9, mode, strategy=None,
+                sd_managers=[AdaptiveSdManager(config)],
             )
+            out = backend.generate(
+                policy, self.PROMPTS, 16, 0.9, np.random.default_rng(22)
+            )
+            assert out.responses == reference.responses
+            assert out.prompts == reference.prompts
+            assert out.finished == reference.finished
+            if mode is SchedulerMode.FIFO:
+                assert out.target_steps == reference.target_steps
+                reports = backend.engine.workers[0].engine.cycle_reports
+                assert [r.sd_active for r in reports] == [
+                    r.sd_active for r in reference.cycle_reports
+                ]
+        assert not all(r.sd_active for r in reference.cycle_reports)
 
     def test_sd_and_vanilla_learning_curves_similar(self):
         """Figure 12's claim at miniature scale: same-seed prompt streams
@@ -245,10 +236,7 @@ class TestSpeculativeBackend:
             drafter = EagleDrafter(
                 policy, EagleDrafterConfig(), np.random.default_rng(5)
             )
-            return SpeculativeRollout(
-                drafter,
-                SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6),
-            )
+            return self._backend(policy, drafter, 1.0)
 
         sd_score = run(sd_backend, seed=11)
         assert abs(sd_score - vanilla_score) < 0.15

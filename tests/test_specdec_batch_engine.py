@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SpecDecodeError
-from repro.rl import SpeculativeRollout
+from repro.longtail import RolloutScheduler
 from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
+from repro.serving import ServingEngine
 from repro.specdec import (
     BatchedSpecDecodeEngine,
     ContinuousBatchScheduler,
@@ -268,39 +269,29 @@ class TestAdaptiveIntegration:
     def test_reused_manager_reports_per_rollout_activations(
         self, target, trained_drafter
     ):
-        backend = SpeculativeRollout(
-            trained_drafter,
-            manager=AdaptiveSdManager(
-                AdaptiveSdConfig(
-                    strategies=[SdStrategy(3, 2, 6)],
-                    activation_threshold=4,
-                )
-            ),
+        """``generate`` resets the manager per run: a reused manager
+        engages once per rollout."""
+        manager = self._manager(threshold=4)
+        engine = BatchedSpecDecodeEngine(
+            target, trained_drafter, None, 0.9, sd_manager=manager
         )
-        for seed in (3, 4):
-            out = backend.generate(
-                target, PROMPTS, 20, 0.9, np.random.default_rng(seed)
-            )
-            assert out.stats["sd_activations"] == 1.0
-        assert backend.manager.activations == 2
+        for runs, seed in enumerate((3, 4), start=1):
+            engine.generate(PROMPTS, 20, np.random.default_rng(seed))
+            assert manager.activations == runs
 
     def test_adaptive_backend_stats(self, target, trained_drafter):
-        backend = SpeculativeRollout(
-            trained_drafter,
-            manager=AdaptiveSdManager(
-                AdaptiveSdConfig(
-                    strategies=[SdStrategy(3, 2, 6)],
-                    activation_threshold=4,
-                )
-            ),
+        """The adaptive rollout backend is a one-worker pool whose
+        manager sees the whole batch live, then the shrinking tail."""
+        pool = ServingEngine(
+            target, trained_drafter, num_workers=1,
+            sd_managers=[self._manager(threshold=4)], temperature=0.9,
         )
-        out = backend.generate(
+        out = RolloutScheduler(pool).generate(
             target, PROMPTS, 30, 0.9, np.random.default_rng(9)
         )
         assert len(out.responses) == len(PROMPTS)
-        assert out.stats["sd_activations"] == 1.0
-        assert out.stats["max_live_batch"] == float(len(PROMPTS))
-        assert (
-            out.stats["sd_cycles"] + out.stats["vanilla_cycles"] > 0
-        )
+        reports = pool.workers[0].engine.cycle_reports
+        assert max(r.live_batch for r in reports) == len(PROMPTS)
+        assert {r.sd_active for r in reports} == {True, False}
+        assert pool.managers[0].activations == 1
         assert out.target_steps > 0

@@ -9,8 +9,8 @@ from repro.errors import ConfigError
 from repro.llm.model import contexts_from_sequences
 from repro.llm.sampler import temperature_probs
 from repro.specdec import SdStrategy
-from repro.specdec import verify_tree as verify_flat_tree
-from repro.specdec.engine import _initial_hidden
+from repro.specdec import verify_trees as verify_flat_trees
+from repro.specdec.engine import initial_hiddens
 
 from _tree_oracle import (
     build_draft_tree,
@@ -22,7 +22,9 @@ from _tree_oracle import (
 
 def verify_tree(target, tree, prefix, temperature, rng):
     """Verify a per-node oracle tree through the production flat path."""
-    return verify_flat_tree(target, flatten(tree), prefix, temperature, rng)
+    return verify_flat_trees(
+        target, [flatten(tree)], [prefix], temperature, [rng]
+    )[0]
 
 
 @pytest.fixture()
@@ -56,7 +58,7 @@ class TestBuildTree:
     def test_budget_respected(self, target, trained_drafter, prefix):
         rng = np.random.default_rng(0)
         strategy = SdStrategy(draft_depth=6, topk=3, tokens_to_verify=12)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng
         )
@@ -66,7 +68,7 @@ class TestBuildTree:
     def test_depth_respected(self, target, trained_drafter, prefix):
         rng = np.random.default_rng(1)
         strategy = SdStrategy(draft_depth=2, topk=2, tokens_to_verify=16)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng
         )
@@ -78,7 +80,7 @@ class TestBuildTree:
         """Losslessness invariant: no drawn candidate is ever pruned."""
         rng = np.random.default_rng(2)
         strategy = SdStrategy(draft_depth=4, topk=2, tokens_to_verify=10)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng
         )
@@ -94,7 +96,7 @@ class TestBuildTree:
     ):
         rng = np.random.default_rng(3)
         strategy = SdStrategy(draft_depth=5, topk=2, tokens_to_verify=14)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng
         )
@@ -108,7 +110,7 @@ class TestBuildTree:
     def test_path_prob_monotone(self, target, trained_drafter, prefix):
         rng = np.random.default_rng(4)
         strategy = SdStrategy(draft_depth=5, topk=2, tokens_to_verify=14)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng
         )
@@ -121,7 +123,7 @@ class TestBuildTree:
     ):
         rng = np.random.default_rng(5)
         strategy = SdStrategy(draft_depth=3, topk=3, tokens_to_verify=9)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng,
             child_mode="topk",
@@ -137,7 +139,7 @@ class TestVerifyTree:
     ):
         rng = np.random.default_rng(0)
         strategy = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         for _ in range(20):
             tree = build_draft_tree(
                 untrained_drafter, prefix, hidden, strategy, 0.9, rng
@@ -151,7 +153,7 @@ class TestVerifyTree:
     ):
         rng = np.random.default_rng(1)
         strategy = SdStrategy(draft_depth=4, topk=2, tokens_to_verify=10)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         for _ in range(20):
             tree = build_draft_tree(
                 trained_drafter, prefix, hidden, strategy, 0.9, rng
@@ -168,7 +170,7 @@ class TestVerifyTree:
     ):
         rng = np.random.default_rng(2)
         strategy = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=8)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng
         )
@@ -182,7 +184,7 @@ class TestVerifyTree:
         position before the bonus token."""
         rng = np.random.default_rng(3)
         strategy = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.9, rng
         )
@@ -201,7 +203,7 @@ class TestVerifyTree:
         """At temperature 0 the committed tokens equal greedy decoding."""
         rng = np.random.default_rng(4)
         strategy = SdStrategy(draft_depth=4, topk=2, tokens_to_verify=10)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         tree = build_draft_tree(
             trained_drafter, prefix, hidden, strategy, 0.0, rng,
             child_mode="topk",
@@ -229,7 +231,7 @@ class TestVerifyTree:
         p_true = temperature_probs(logits[0], temperature)
         rng = np.random.default_rng(5)
         strategy = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
-        hidden = _initial_hidden(target, prefix)
+        hidden = initial_hiddens(target, [prefix])[0]
         n = 6000
         counts = np.zeros(target.config.vocab_size)
         for _ in range(n):
@@ -259,7 +261,6 @@ from repro.specdec import (  # noqa: E402  (grouped with the flat tests)
     build_draft_trees,
     verify_trees,
 )
-from repro.specdec.engine import _initial_hidden as _hidden_of  # noqa: E402
 
 FLAT_STRATEGIES = [
     SdStrategy(draft_depth=2, topk=2, tokens_to_verify=4),
@@ -270,7 +271,7 @@ FLAT_STRATEGIES = [
 
 def _prefixes_and_hiddens(target):
     prefixes = [[3, 5, 7, 2], [4, 4, 9], [1, 2], [8, 6, 5, 3, 2]]
-    hiddens = [_hidden_of(target, p) for p in prefixes]
+    hiddens = initial_hiddens(target, prefixes)
     return prefixes, hiddens
 
 

@@ -656,8 +656,6 @@ class TestPolicyUpdate:
             target_steps=0,
         )
         advantages = rng.normal(size=12)
-        mask = np.ones(12)
-        mask[[2, 5]] = 0.0
 
         def trainer():
             policy = TinyLM(config, np.random.default_rng(1))
@@ -671,8 +669,8 @@ class TestPolicyUpdate:
             return made
 
         new, old = trainer(), trainer()
-        got = new._update_policy(rollout, advantages, mask)
-        want = oracle.update_policy(old, rollout, advantages, mask)
+        got = new._update_policy(rollout, advantages)
+        want = oracle.update_policy(old, rollout, advantages)
         assert got == pytest.approx(want, rel=1e-9)
         for name, arr in new.policy.params.items():
             # Adam divides by sqrt(v): rounding grows past the gradients'.
@@ -693,9 +691,7 @@ class TestPolicyUpdate:
             prompts=[[1, 5], [1, 6]], responses=[[], []],
             finished=[True, True], target_steps=0,
         )
-        assert trainer._update_policy(
-            rollout, np.zeros(2), np.ones(2)
-        ) == (0.0, 0.0)
+        assert trainer._update_policy(rollout, np.zeros(2)) == (0.0, 0.0)
         assert policy.params.max_abs_diff(before) == 0.0
 
 

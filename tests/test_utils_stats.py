@@ -2,37 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils import (
-    OnlineMeanVar,
-    SlidingWindow,
-    describe,
-    exponential_moving_average,
-    geometric_mean,
-    percentile,
-)
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1, 2, 3], 50) == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_extremes(self):
-        data = [5, 1, 9]
-        assert percentile(data, 0) == 1
-        assert percentile(data, 100) == 9
+from repro.utils import SlidingWindow, geometric_mean
 
 
 class TestGeometricMean:
@@ -51,56 +25,6 @@ class TestGeometricMean:
     def test_between_min_and_max(self, values):
         gm = geometric_mean(values)
         assert min(values) - 1e-9 <= gm <= max(values) + 1e-9
-
-
-class TestEma:
-    def test_first_value_passthrough(self):
-        assert exponential_moving_average([5.0, 5.0], 0.5) == [5.0, 5.0]
-
-    def test_alpha_one_is_identity(self):
-        values = [1.0, 7.0, 3.0]
-        assert exponential_moving_average(values, 1.0) == values
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            exponential_moving_average([1.0], 0.0)
-
-    def test_smoothing_reduces_jump(self):
-        out = exponential_moving_average([0.0, 10.0], 0.3)
-        assert out[1] == pytest.approx(3.0)
-
-
-class TestDescribe:
-    def test_keys_and_values(self):
-        summary = describe([1.0, 2.0, 3.0, 4.0])
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["min"] == 1.0
-        assert summary["max"] == 4.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            describe([])
-
-
-class TestOnlineMeanVar:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=100)
-        acc = OnlineMeanVar()
-        acc.update_many(data)
-        assert acc.mean == pytest.approx(float(np.mean(data)))
-        assert acc.variance == pytest.approx(float(np.var(data)))
-
-    def test_empty_variance_zero(self):
-        assert OnlineMeanVar().variance == 0.0
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50))
-    def test_property_matches_numpy(self, values):
-        acc = OnlineMeanVar()
-        acc.update_many(values)
-        assert acc.mean == pytest.approx(float(np.mean(values)), abs=1e-6)
-        assert acc.std == pytest.approx(float(np.std(values)), abs=1e-6)
 
 
 class TestSlidingWindow:
