@@ -6,14 +6,13 @@ prefill forward per request today.  This package owns the machinery
 that amortises it:
 
 * :class:`~repro.cache.prefix_index.PrefixIndex` — a path-compressed
-  radix tree over token sequences answering exact-membership,
-  longest-shared-prefix, and longest-stored-member queries in O(query
-  length);
+  radix tree over token sequences answering longest-shared-prefix
+  queries in O(query length);
 * :mod:`repro.cache.blocks` — fixed-size content-addressed KV blocks
   with per-boundary positional hand-offs and a token-budgeted two-tier
   (HOT/COLD) :class:`~repro.cache.blocks.BlockStore`;
 * :class:`~repro.cache.manager.KVCacheManager` — the per-worker facade:
-  effective-context keying, exact lookups, partial-prefix admission
+  effective-context keying, exact-hit and partial-prefix admission
   plans (:meth:`~repro.cache.manager.KVCacheManager.plan_admission`),
   chain-atomic pinning by live slots, and tiered eviction with
   hit/miss/partial/tier accounting.

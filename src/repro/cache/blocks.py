@@ -24,15 +24,28 @@ first — shallow blocks are prefixes of more prompts, and dropping
 deep-before-shallow means a chain can never be left with interior
 holes by capacity pressure.
 
+The order is kept incrementally, never sorted: each tier owns a heap
+of ``(last_touch, -len(prefix), sequence_number, version, block)``
+entries for its unpinned blocks.  Every change to a block's place in
+that order (touch, tier move, pin, drop) bumps its ``version`` and,
+while the block is unpinned and resident, pushes a fresh entry; a pop
+skips entries whose version is stale.  Each tier also keeps a tally of
+its pinned tokens, so the "can pinned state alone leave room?" check
+is O(1).  The victims and their order are exactly those of sorting the
+tier's unpinned blocks by the key above at the moment room is needed.
+
 Pinned blocks (``refcount > 0``) are never demoted or evicted in
 either tier: a live slot's source blocks must survive any pressure.
+Pins go through :meth:`BlockStore.pin` / :meth:`BlockStore.unpin`,
+which keep the tallies and heaps current.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,12 +76,14 @@ def effective_prefill_context(
     per-block positional hand-offs well-defined.
 
     Returns the empty tuple for prompts shorter than two tokens (no
-    hand-off exists for those).
+    hand-off exists for those).  Only the window is sliced out and
+    converted; the rest of the prompt is never copied.
     """
-    key = tuple(int(t) for t in sequence)[:-1] if len(sequence) else ()
+    end = len(sequence) - 1
+    start = 0
     if context_window is not None and context_window > 0:
-        key = key[-context_window:]
-    return key
+        start = max(0, end - context_window)
+    return tuple(map(int, sequence[start:end])) if end > 0 else ()
 
 
 def block_boundaries(length: int, block_size: int) -> List[int]:
@@ -103,6 +118,8 @@ class KVBlock:
         tier: HOT or COLD residency.
         last_touch: cache cycle of the most recent insert/hit/reuse.
         sequence_number: creation ordinal (deterministic LRU ties).
+        version: bumped whenever the block's victim-heap entry goes
+            stale (only the entry carrying the current version counts).
     """
 
     prefix: TokenSeq
@@ -112,11 +129,7 @@ class KVBlock:
     tier: BlockTier = BlockTier.HOT
     last_touch: int = 0
     sequence_number: int = 0
-
-    @property
-    def end(self) -> int:
-        """One past the last key position this block covers."""
-        return len(self.prefix)
+    version: int = 0
 
     @property
     def size_tokens(self) -> int:
@@ -124,9 +137,18 @@ class KVBlock:
         return len(self.prefix) - self.start
 
 
-def _victim_order(block: KVBlock) -> Tuple[int, int, int]:
-    """LRU first; at equal touch the deepest block of a chain first."""
-    return (block.last_touch, -len(block.prefix), block.sequence_number)
+class _Tier:
+    """One tier's token budget, resident and pinned tokens, and victim
+    heap of ``(last_touch, -len(prefix), sequence_number, version,
+    block)`` entries."""
+
+    __slots__ = ("capacity", "tokens", "pinned", "heap")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.tokens = 0
+        self.pinned = 0
+        self.heap: List[tuple] = []
 
 
 class BlockStore:
@@ -159,22 +181,27 @@ class BlockStore:
             raise CacheError(
                 f"cold_capacity must be >= 0, got {cold_capacity}"
             )
-        self.hot_capacity = hot_capacity
-        self.cold_capacity = cold_capacity
         self.stats = stats
         self._on_drop = on_drop
         self.blocks: Dict[TokenSeq, KVBlock] = {}
-        self.hot_tokens = 0
-        self.cold_tokens = 0
         self._next_sequence = 0
+        self._hot = _Tier(hot_capacity)
+        self._cold = _Tier(cold_capacity)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
+    @property
+    def hot_tokens(self) -> int:
+        """Tokens resident in the HOT tier."""
+        return self._hot.tokens
+
+    @property
+    def cold_tokens(self) -> int:
+        """Tokens resident in the COLD tier."""
+        return self._cold.tokens
 
     @property
     def cached_tokens(self) -> int:
         """Tokens resident across both tiers."""
-        return self.hot_tokens + self.cold_tokens
+        return self._hot.tokens + self._cold.tokens
 
     def get(self, prefix: TokenSeq) -> Optional[KVBlock]:
         """The block content-addressed by ``prefix`` (either tier)."""
@@ -188,6 +215,7 @@ class BlockStore:
         COLD (recency still refreshed) — resident either way.
         """
         block.last_touch = cycle
+        self._queue(block)
         if block.tier is BlockTier.COLD:
             self.stats.cold_hits += 1
             self._promote(block)
@@ -212,7 +240,7 @@ class BlockStore:
             raise CacheError(
                 f"block {prefix!r} already resident; touch it instead"
             )
-        if not self._make_room_hot(size):
+        if not self._make_room(self._hot, size):
             return None
         block = KVBlock(
             prefix=prefix,
@@ -226,97 +254,102 @@ class BlockStore:
         )
         self._next_sequence += 1
         self.blocks[prefix] = block
-        self.hot_tokens += size
+        self._hot.tokens += size
+        self._queue(block)
         return block
 
+    def pin(self, block: KVBlock) -> None:
+        """Take one pin on a block: it leaves its tier's victim order."""
+        block.refcount += 1
+        if block.refcount == 1:
+            self._tier(block).pinned += block.size_tokens
+            block.version += 1
+
+    def unpin(self, block: KVBlock) -> None:
+        """Drop one pin; the last one returns the block to the order."""
+        block.refcount -= 1
+        if block.refcount == 0:
+            self._tier(block).pinned -= block.size_tokens
+            self._queue(block)
+
     def drop(self, block: KVBlock) -> None:
-        """Remove a block from the store entirely (explicit eviction)."""
-        if block.tier is BlockTier.HOT:
-            self.hot_tokens -= block.size_tokens
-        else:
-            self.cold_tokens -= block.size_tokens
+        """Remove a block from the store entirely (an evicted victim)."""
+        self._tier(block).tokens -= block.size_tokens
+        if block.tier is BlockTier.COLD:
             self.stats.cold_evictions += 1
         del self.blocks[block.prefix]
+        block.version += 1
         self.stats.evictions += 1
         if self._on_drop is not None:
             self._on_drop(block)
 
     # -- internals ---------------------------------------------------------
 
-    def _tier_blocks(self, tier: BlockTier) -> List[KVBlock]:
-        return [b for b in self.blocks.values() if b.tier is tier]
+    def _tier(self, block: KVBlock) -> _Tier:
+        return self._hot if block.tier is BlockTier.HOT else self._cold
 
-    def _make_room_hot(self, size: int) -> bool:
-        if self.hot_tokens + size <= self.hot_capacity:
+    def _queue(self, block: KVBlock) -> None:
+        """Stale the block's heap entry; re-enter it if unpinned."""
+        block.version += 1
+        if block.refcount:
+            return
+        heap = self._tier(block).heap
+        heapq.heappush(heap, (
+            block.last_touch, -len(block.prefix), block.sequence_number,
+            block.version, block,
+        ))
+        if len(heap) > 2 * len(self.blocks) + 16:
+            # Drop stale entries so a tier that never fills stays small.
+            heap[:] = [entry for entry in heap if entry[3] == entry[4].version]
+            heapq.heapify(heap)
+
+    def _make_room(self, tier: _Tier, size: int) -> bool:
+        """Free ``size`` tokens of ``tier`` by its victim order.
+
+        HOT victims demote, COLD victims drop out.  False, touching
+        nothing, when pinned blocks alone leave no room.
+        """
+        if tier.tokens + size <= tier.capacity:
             return True
-        hot = self._tier_blocks(BlockTier.HOT)
-        pinned = sum(
-            b.size_tokens for b in hot if b.refcount > 0
-        )
-        if pinned + size > self.hot_capacity:
+        if tier.pinned + size > tier.capacity:
             return False
-        victims = sorted(
-            (b for b in hot if b.refcount == 0), key=_victim_order
-        )
-        for victim in victims:
-            self._demote(victim)
-            if self.hot_tokens + size <= self.hot_capacity:
-                return True
-        return self.hot_tokens + size <= self.hot_capacity
+        evict = self._demote if tier is self._hot else self.drop
+        while tier.tokens + size > tier.capacity:
+            entry = heapq.heappop(tier.heap)
+            if entry[3] == entry[4].version:  # else stale: skip it
+                evict(entry[4])
+        return True
 
     def _demote(self, block: KVBlock) -> None:
-        """Move a cold unpinned HOT block down a tier (or out)."""
-        self.hot_tokens -= block.size_tokens
-        if (
-            self.cold_capacity > 0
-            and self._make_room_cold(block.size_tokens)
-        ):
-            block.tier = BlockTier.COLD
-            self.cold_tokens += block.size_tokens
+        """Move an unpinned HOT block down a tier (or out)."""
+        if self._make_room(self._cold, block.size_tokens):
+            self._move(block, BlockTier.COLD)
             self.stats.demotions += 1
-            return
-        del self.blocks[block.prefix]
-        self.stats.evictions += 1
-        if self._on_drop is not None:
-            self._on_drop(block)
-
-    def _make_room_cold(self, size: int) -> bool:
-        if size > self.cold_capacity:
-            return False
-        if self.cold_tokens + size <= self.cold_capacity:
-            return True
-        cold = self._tier_blocks(BlockTier.COLD)
-        pinned = sum(
-            b.size_tokens for b in cold if b.refcount > 0
-        )
-        if pinned + size > self.cold_capacity:
-            return False
-        victims = sorted(
-            (b for b in cold if b.refcount == 0), key=_victim_order
-        )
-        for victim in victims:
-            self.cold_tokens -= victim.size_tokens
-            del self.blocks[victim.prefix]
-            self.stats.evictions += 1
-            self.stats.cold_evictions += 1
-            if self._on_drop is not None:
-                self._on_drop(victim)
-            if self.cold_tokens + size <= self.cold_capacity:
-                return True
-        return self.cold_tokens + size <= self.cold_capacity
+        else:
+            self.drop(block)
 
     def _promote(self, block: KVBlock) -> None:
         # Making HOT room can demote HOT blocks into COLD, and THAT
         # can evict COLD blocks — the promotee must not be one of
         # them, so it is pinned for the duration of the shuffle.
-        block.refcount += 1
+        self.pin(block)
         try:
-            promoted = self._make_room_hot(block.size_tokens)
+            promoted = self._make_room(self._hot, block.size_tokens)
         finally:
-            block.refcount -= 1
-        if not promoted:
-            return
-        self.cold_tokens -= block.size_tokens
-        block.tier = BlockTier.HOT
-        self.hot_tokens += block.size_tokens
-        self.stats.promotions += 1
+            self.unpin(block)
+        if promoted:
+            self._move(block, BlockTier.HOT)
+            self.stats.promotions += 1
+
+    def _move(self, block: KVBlock, tier: BlockTier) -> None:
+        """Re-tier a block, carrying its tokens and any pins along."""
+        size = block.size_tokens
+        source = self._tier(block)
+        block.tier = tier
+        target = self._tier(block)
+        source.tokens -= size
+        target.tokens += size
+        if block.refcount:
+            source.pinned -= size
+            target.pinned += size
+        self._queue(block)

@@ -28,13 +28,19 @@ Since the paged rework the manager is a facade over
   engine to prefill only the suffix beyond the last cached boundary.
 * **Ref-counting is chain-atomic** — :meth:`acquire`/:meth:`release`
   pin/unpin every block of a key's chain, so eviction can never touch
-  state a live slot was served from.
+  state a live slot was served from.  Every pin goes through
+  :meth:`~repro.cache.blocks.BlockStore.pin` /
+  :meth:`~repro.cache.blocks.BlockStore.unpin` (which keep each tier's
+  pinned-token tally and victim heap current), and
+  :meth:`insert_chain` also pins the blocks it has already walked for
+  the rest of the walk, so admitting a deeper block can never evict
+  the chain's own prefix.
 * **Eviction is tiered** — cold unpinned blocks demote into a budgeted
   second tier (promoted back on re-touch) before being dropped; see
   :mod:`repro.cache.blocks` for the victim order and tier mechanics.
 
-Accounting: :meth:`lookup`/:meth:`plan_admission` count exact hits and
-misses (partial reuse is tracked separately — ``partial_hits`` /
+Accounting: :meth:`plan_admission` counts exact hits and misses
+(partial reuse is tracked separately — ``partial_hits`` /
 ``reused_tokens`` — so the exact hit rate the reports surface keeps its
 meaning); probes (:meth:`longest_prefix`, :meth:`contains`,
 :meth:`covers_prompt`, :meth:`prompt_match`) never touch the counters.
@@ -43,7 +49,7 @@ meaning); probes (:meth:`longest_prefix`, :meth:`contains`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import AbstractSet, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +59,7 @@ from repro.cache.blocks import (
     block_boundaries,
     effective_prefill_context,
 )
-from repro.cache.prefix_index import PrefixIndex, TokenSeq
+from repro.cache.prefix_index import PrefixIndex, TokenSeq, as_key
 from repro.errors import CacheError
 
 
@@ -120,13 +126,10 @@ class AdmissionPlan:
             reusable boundary — capped at ``len(key) - 1`` so the
             final hand-off is always recomputed when it was not
             stored (the classic recompute-last-token rule).
-        reused_tokens: key positions the plan skipped (cache blocks
-            plus same-wave pending blocks).
     """
 
     hidden: Optional[np.ndarray]
     compute_start: int
-    reused_tokens: int
 
 
 class KVCacheManager:
@@ -187,13 +190,10 @@ class KVCacheManager:
 
     # -- state -------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     @property
     def num_entries(self) -> int:
         """Resident blocks across both tiers."""
-        return len(self._store)
+        return len(self._store.blocks)
 
     @property
     def cached_tokens(self) -> int:
@@ -210,14 +210,9 @@ class KVCacheManager:
         """Tokens resident in the COLD demotion tier."""
         return self._store.cold_tokens
 
-    @property
-    def hit_rate(self) -> float:
-        """Exact-lookup hit rate so far."""
-        return self.stats.hit_rate
-
     def refcount(self, tokens: Sequence[int]) -> int:
         """Pin count of a key's chain (its tail block; 0 when absent)."""
-        block = self._store.get(self._key(tokens))
+        block = self._store.get(as_key(tokens))
         return 0 if block is None else block.refcount
 
     # -- keying ------------------------------------------------------------
@@ -253,25 +248,6 @@ class KVCacheManager:
 
     # -- queries -----------------------------------------------------------
 
-    def lookup(
-        self, tokens: Sequence[int], cycle: int
-    ) -> Optional[np.ndarray]:
-        """Exact-match lookup on a raw key; counts a hit or a miss.
-
-        Returns a *copy* of the cached hand-off (callers own their
-        slot state; eviction must never reach into a live slot), or
-        None on miss.  A hit refreshes the whole chain's recency,
-        promoting any COLD blocks back to HOT.
-        """
-        key = self._key(tokens)
-        tail = self._store.get(key)
-        if tail is None or tail.handoff is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._touch_chain(key, cycle)
-        return tail.handoff.copy()
-
     def longest_prefix(self, tokens: Sequence[int]) -> int:
         """Leading tokens shared with any cached block (no accounting).
 
@@ -284,13 +260,13 @@ class KVCacheManager:
 
     def contains(self, tokens: Sequence[int]) -> bool:
         """Whether the exact key's tail block is resident (no accounting)."""
-        return self._store.get(self._key(tokens)) is not None
+        return self._store.get(as_key(tokens)) is not None
 
     def plan_admission(
         self,
         key: Sequence[int],
         cycle: int,
-        pending: Optional[frozenset] = None,
+        pending: Optional[AbstractSet[TokenSeq]] = None,
     ) -> AdmissionPlan:
         """Plan one prompt's prefill against the cache (accounting).
 
@@ -303,16 +279,17 @@ class KVCacheManager:
         touching cache statistics (same-wave coalescing is not a cache
         consultation).
         """
-        key = self._key(key)
+        key = as_key(key)
         if not key:
-            return AdmissionPlan(None, 0, 0)
+            return AdmissionPlan(None, 0)
         tail = self._store.get(key)
         if tail is not None and tail.handoff is not None:
             self.stats.hits += 1
-            self._touch_chain(key, cycle)
-            return AdmissionPlan(
-                tail.handoff.copy(), len(key), len(key)
-            )
+            for end in block_boundaries(len(key), self.block_size):
+                block = self._store.get(key[:end])
+                if block is not None:
+                    self._store.touch(block, cycle)
+            return AdmissionPlan(tail.handoff.copy(), len(key))
         self.stats.misses += 1
         shared = self._index.longest_prefix(key)
         reuse = 0
@@ -334,7 +311,7 @@ class KVCacheManager:
         if compute_start > 0:
             self.stats.partial_hits += 1
             self.stats.reused_tokens += compute_start
-        return AdmissionPlan(None, compute_start, compute_start)
+        return AdmissionPlan(None, compute_start)
 
     # -- mutation ----------------------------------------------------------
 
@@ -347,7 +324,7 @@ class KVCacheManager:
         stored hand-off (they still license prefix reuse — recompute
         is pure), the tail carries ``hidden``.
         """
-        key = self._key(tokens)
+        key = as_key(tokens)
         if not key:
             raise CacheError("cannot cache an empty token sequence")
         return self.insert_chain(key, {len(key): hidden}, cycle)
@@ -368,37 +345,50 @@ class KVCacheManager:
         inserting deeper blocks behind a hole would strand them — so a
         declined insert still leaves a reusable prefix behind.
 
+        Every block already walked stays pinned until the walk ends, so
+        making room for a deeper block can never evict the chain's own
+        prefix; when only that would make room, the walk stops with
+        ``rejected_pinned``.
+
         Returns True when the chain is resident through its tail block
         afterwards.
         """
-        key = self._key(key)
+        key = as_key(key)
         if not key:
             raise CacheError("cannot cache an empty token sequence")
         if len(key) > self.capacity_tokens:
             self.stats.rejected_oversize += 1
             return False
-        start = 0
-        for end in block_boundaries(len(key), self.block_size):
-            prefix = key[:end]
-            block = self._store.get(prefix)
-            if block is not None:
-                self._store.touch(block, cycle)
-                if block.handoff is None and end in handoffs:
-                    block.handoff = np.asarray(
-                        handoffs[end]
-                    ).copy()
-            else:
-                handoff = handoffs.get(end)
-                block = self._store.add(
-                    prefix, start, handoff, cycle
-                )
+        store = self._store
+        walked: List[KVBlock] = []
+        try:
+            start = 0
+            for end in block_boundaries(len(key), self.block_size):
+                prefix = key[:end]
+                block = store.get(prefix)
                 if block is None:
-                    self.stats.rejected_pinned += 1
-                    return False
-                self._index.insert(prefix)
-                self.stats.insertions += 1
-            start = end
-        return True
+                    block = store.add(
+                        prefix, start, handoffs.get(end), cycle
+                    )
+                    if block is None:
+                        self.stats.rejected_pinned += 1
+                        return False
+                    self._index.insert(prefix)
+                    self.stats.insertions += 1
+                    store.pin(block)
+                else:
+                    store.pin(block)  # before the touch: one heap entry
+                    store.touch(block, cycle)
+                    if block.handoff is None and end in handoffs:
+                        block.handoff = np.asarray(
+                            handoffs[end]
+                        ).copy()
+                walked.append(block)
+                start = end
+            return True
+        finally:
+            for block in walked:
+                store.unpin(block)
 
     def acquire(self, tokens: Sequence[int]) -> bool:
         """Pin every block of a key's chain (False unless ALL resident).
@@ -407,11 +397,11 @@ class KVCacheManager:
         all, so release can never underflow a block that was absent at
         acquire time.
         """
-        chain = self._chain(self._key(tokens))
+        chain = self._chain(as_key(tokens))
         if chain is None:
             return False
         for block in chain:
-            block.refcount += 1
+            self._store.pin(block)
         return True
 
     def release(self, tokens: Sequence[int]) -> bool:
@@ -420,7 +410,7 @@ class KVCacheManager:
         Releasing below zero raises — a double release is a lifecycle
         bug in the caller, not a condition to paper over.
         """
-        key = self._key(tokens)
+        key = as_key(tokens)
         chain = self._chain(key)
         if chain is None:
             return False
@@ -429,53 +419,22 @@ class KVCacheManager:
                 f"release() without a matching acquire() for {key!r}"
             )
         for block in chain:
-            block.refcount -= 1
-        return True
-
-    def evict(self, tokens: Sequence[int]) -> bool:
-        """Explicitly drop a key's tail block (refuses while pinned).
-
-        Interior blocks of the chain stay resident — they may be
-        shared with other keys and still license prefix reuse; unused
-        ones age out through the tiered LRU.
-        """
-        block = self._store.get(self._key(tokens))
-        if block is None:
-            return False
-        if block.refcount > 0:
-            raise CacheError(
-                f"cannot evict pinned entry {tuple(tokens)!r} "
-                f"(refcount {block.refcount})"
-            )
-        self._store.drop(block)
+            self._store.unpin(block)
         return True
 
     # -- internals ---------------------------------------------------------
-
-    @staticmethod
-    def _key(tokens: Sequence[int]) -> TokenSeq:
-        return tuple(int(t) for t in tokens)
-
-    def _boundaries(self, key: TokenSeq) -> List[int]:
-        return block_boundaries(len(key), self.block_size)
 
     def _chain(self, key: TokenSeq) -> Optional[List[KVBlock]]:
         """Every block of ``key``'s chain, or None unless all resident."""
         if not key:
             return None
         chain: List[KVBlock] = []
-        for end in self._boundaries(key):
+        for end in block_boundaries(len(key), self.block_size):
             block = self._store.get(key[:end])
             if block is None:
                 return None
             chain.append(block)
         return chain
-
-    def _touch_chain(self, key: TokenSeq, cycle: int) -> None:
-        for end in self._boundaries(key):
-            block = self._store.get(key[:end])
-            if block is not None:
-                self._store.touch(block, cycle)
 
     def _unindex(self, block: KVBlock) -> None:
         self._index.remove(block.prefix)

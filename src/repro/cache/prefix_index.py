@@ -1,21 +1,18 @@
 """Radix tree over token sequences (the prefix-matching core).
 
-A :class:`PrefixIndex` answers the two questions the prefix-cache
-subsystem keeps asking, in time proportional to the query length rather
-than the number of cached sequences:
-
-* *exact membership* — is this full token sequence cached?
-  (:meth:`PrefixIndex.contains`), and
-* *longest shared prefix* — how many leading tokens does this sequence
-  share with ANY cached sequence? (:meth:`PrefixIndex.longest_prefix`),
-  which is what cache-affinity dispatch and prefix-aware admission rank
-  candidates by.
+A :class:`PrefixIndex` answers the question the prefix-cache subsystem
+keeps asking — how many leading tokens does this sequence share with
+ANY cached sequence? (:meth:`PrefixIndex.longest_prefix`), which is
+what cache-affinity dispatch, prefix-aware admission and the admission
+plan's block walk rank by — in time proportional to the query length
+rather than the number of cached sequences.  Exact membership is the
+block store's dict, not the tree's.
 
 The tree is path-compressed: each edge carries a run of tokens, and an
 insert splits an edge only at the first divergence, so N cached
 sequences of length L cost O(N) nodes rather than O(N·L).  Sequences
-are stored as immutable tuples; the index never interprets token
-values, so any hashable token alphabet works.
+are stored as immutable tuples of token ids; a tuple is taken as the
+canonical key as it is (:func:`as_key`), so callers cut a key once.
 
 This module is deliberately dependency-free (no numpy, no engine
 imports): the :class:`~repro.cache.manager.KVCacheManager` builds on it,
@@ -24,7 +21,7 @@ and the admission/dispatch policies consult it through the manager.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CacheError
 
@@ -47,12 +44,23 @@ def common_prefix_len(a: Sequence[int], b: Sequence[int]) -> int:
 
     The one prefix comparison the whole subsystem shares — the radix
     walk and the serving workers' affinity probes must agree on it.
+    Runs of one type compare their shared span as one slice (in C)
+    first; only a mismatch falls back to searching for the divergence.
     """
     bound = min(len(a), len(b))
-    for i in range(bound):
-        if a[i] != b[i]:
+    if a[:bound] == b[:bound]:
+        return bound
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
             return i
     return bound
+
+
+def as_key(tokens: Sequence[int]) -> TokenSeq:
+    """A tuple passes through; anything else becomes a tuple of ints."""
+    if type(tokens) is tuple:
+        return tokens
+    return tuple(map(int, tokens))
 
 
 class PrefixIndex:
@@ -70,14 +78,11 @@ class PrefixIndex:
         """Number of distinct sequences stored."""
         return self._count
 
-    def __contains__(self, tokens: Sequence[int]) -> bool:
-        return self.contains(tokens)
-
     # -- mutation ----------------------------------------------------------
 
     def insert(self, tokens: Sequence[int]) -> bool:
         """Add a sequence; returns False when it was already present."""
-        key = tuple(int(t) for t in tokens)
+        key = as_key(tokens)
         if not key:
             raise CacheError("cannot index an empty token sequence")
         node = self._root
@@ -113,7 +118,7 @@ class PrefixIndex:
         single-child pass-through node re-merged with its child —
         removal therefore never leaves degenerate chains behind.
         """
-        key = tuple(int(t) for t in tokens)
+        key = as_key(tokens)
         if not key:
             raise CacheError("cannot remove an empty token sequence")
         path: List[Tuple[_Node, int]] = []  # (parent, first token of edge)
@@ -153,12 +158,6 @@ class PrefixIndex:
 
     # -- queries -----------------------------------------------------------
 
-    def contains(self, tokens: Sequence[int]) -> bool:
-        """Whether the exact sequence is stored."""
-        key = tuple(int(t) for t in tokens)
-        node = self._walk_exact(key)
-        return node is not None and node.terminal
-
     def longest_prefix(self, tokens: Sequence[int]) -> int:
         """Leading tokens shared with any stored sequence.
 
@@ -167,7 +166,7 @@ class PrefixIndex:
         a query can score higher than any cached sequence it diverges
         from mid-edge.
         """
-        key = tuple(int(t) for t in tokens)
+        key = as_key(tokens)
         node = self._root
         position = 0
         while position < len(key):
@@ -180,61 +179,3 @@ class PrefixIndex:
                 return position
             node = child
         return position
-
-    def longest_member(self, tokens: Sequence[int]) -> int:
-        """Length of the longest STORED sequence that prefixes ``tokens``.
-
-        Unlike :meth:`longest_prefix` — which credits partial edge
-        matches that correspond to no stored sequence — this only
-        counts terminal nodes, so the answer is always the length of an
-        actual member.  The block-granular cache uses it to bound the
-        boundary walk: every cached block's prefix is a member, so no
-        block deeper than this can exist for the query.  Returns 0 when
-        no member is a prefix of the query.
-        """
-        key = tuple(int(t) for t in tokens)
-        best = 0
-        node = self._root
-        position = 0
-        while position < len(key):
-            child = node.children.get(key[position])
-            if child is None:
-                return best
-            shared = common_prefix_len(child.edge, key[position:])
-            if shared < len(child.edge):
-                return best
-            position += shared
-            node = child
-            if node.terminal:
-                best = position
-        return best
-
-    def iter_sequences(self) -> Iterator[TokenSeq]:
-        """Yield every stored sequence (depth-first, token order)."""
-        stack: List[Tuple[_Node, TokenSeq]] = [(self._root, ())]
-        while stack:
-            node, prefix = stack.pop()
-            full = prefix + node.edge
-            if node.terminal:
-                yield full
-            for first in sorted(node.children, reverse=True):
-                stack.append((node.children[first], full))
-
-    # -- internals ---------------------------------------------------------
-
-    def _walk_exact(self, key: TokenSeq) -> Optional[_Node]:
-        """The node at exactly ``key``, or None."""
-        if not key:
-            return None
-        node = self._root
-        position = 0
-        while position < len(key):
-            child = node.children.get(key[position])
-            if child is None:
-                return None
-            shared = common_prefix_len(child.edge, key[position:])
-            if shared < len(child.edge):
-                return None
-            position += shared
-            node = child
-        return node

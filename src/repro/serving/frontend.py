@@ -277,10 +277,11 @@ class ServingWorker:
         every in-flight request's prompt — live, parked, resuming, and
         queued; a queued same-prefix request is a co-admission
         opportunity even before it prefills.  The client prompt is
-        lifted into the engine's token space (BOS applied) first.
+        lifted into the engine's token space (BOS applied) once, and
+        every probe below slices that one list.
         Non-accounting: dispatch probes never skew hit rates.
         """
-        tokens: List[int] = [BOS_ID] + [int(t) for t in prompt]
+        tokens: List[int] = [BOS_ID, *map(int, prompt)]
         best = 0
         cache = self.engine.kv_cache
         if cache is not None:

@@ -23,7 +23,11 @@ transition published on :attr:`~BatchedSpecDecodeEngine.events`.
 :func:`step_engines` runs one cycle of SEVERAL engines as one lock-step
 batch (``step()`` is it on one engine); the serving front-end and the
 fleet advance every worker of a tick that way, paying per-launch
-overhead once per tick, not once per worker.  There is one decode path:
+overhead once per tick, not once per worker.  The tick's phases are
+plan (admission and cache consultation, per engine), ONE prefill launch
+per target over the hand-off rows every engine keeps, finish (inserts,
+pins, events, SD decision, per engine), draft, verify and close; see
+:func:`step_engines`.  There is one decode path:
 a cycle without an SD strategy (vanilla decoding) gives each live slot
 the zero-node :data:`~repro.specdec.tree.EMPTY_TREE`, whose verification
 samples one token from the target at the prefix row, so vanilla and
@@ -92,7 +96,7 @@ from repro.cache.blocks import (
     block_boundaries,
     effective_prefill_context,
 )
-from repro.specdec.engine import initial_hiddens, suffix_prefill_hiddens
+from repro.specdec.engine import suffix_prefill_hiddens
 from repro.specdec.metrics import (
     SdCycleStats,
     SdRunMetrics,
@@ -176,18 +180,30 @@ class EngineStep:
 
 @dataclass
 class _Cycle:
-    """One engine's cycle between its open and close halves.
+    """One engine's cycle from its admission plan to its close.
 
-    The batch step hands it one tree and verify result per live slot;
-    ``strategy`` is None when the cycle decodes vanilla, and its trees
-    are then all :data:`~repro.specdec.tree.EMPTY_TREE`.
+    The plan half fills ``keys`` (each admitted slot's effective
+    context), ``leaders`` (the first slot of each key this wave),
+    ``hiddens`` (hand-offs served by the cache) and ``prefill`` (per
+    computed key: its slot index, compute start and the hand-off
+    positions to compute); the batch step answers ``prefill`` with
+    ``handoffs``, a position -> stack map per computed key.  The finish
+    half inserts their block-boundary rows and sets ``live`` and
+    ``strategy`` — None when the cycle decodes vanilla, its trees then
+    all :data:`~repro.specdec.tree.EMPTY_TREE` — and the batch step
+    hands it one tree and verify result per live slot.
     """
 
     engine: "BatchedSpecDecodeEngine"
     admitted: List[SequenceSlot]
     resumed: List[SequenceSlot]
-    live: List[SequenceSlot]
-    strategy: Optional[SdStrategy]
+    keys: List[Tuple[int, ...]] = field(default_factory=list)
+    leaders: Dict[Tuple[int, ...], int] = field(default_factory=dict)
+    hiddens: List[Optional[np.ndarray]] = field(default_factory=list)
+    prefill: List[Tuple[int, int, List[int]]] = field(default_factory=list)
+    handoffs: Sequence[Dict[int, np.ndarray]] = ()
+    live: List[SequenceSlot] = field(default_factory=list)
+    strategy: Optional[SdStrategy] = None
     trees: Sequence[FlatDraftTree] = ()
     results: Sequence[TreeVerifyResult] = ()
 
@@ -448,38 +464,123 @@ class BatchedSpecDecodeEngine:
         """
         return step_engines([self])[0]
 
-    def _open(self) -> _Cycle:
-        """First half of a cycle: readmit, admit, prefill, SD decision."""
+    def _open_plan(self) -> _Cycle:
+        """Plan half of opening a cycle: readmit, admit, plan prefill.
+
+        Every admitted slot is keyed by its effective context (see
+        :func:`~repro.cache.blocks.effective_prefill_context`); resumed
+        slots carry their stashed hand-off and are NOT re-prefilled
+        (that is what keeps them byte-identical).  With an attached
+        :class:`~repro.cache.manager.KVCacheManager` the plan consults
+        the cache **once per distinct key per wave** (same-wave
+        duplicates — a co-admitted GRPO group — ride their leader
+        without touching hit/miss counters): exact hits are served a
+        copy of the cached hand-off, misses get an
+        :class:`~repro.cache.manager.AdmissionPlan` that reuses every
+        whole cached block of the shared prefix — including blocks
+        another leader of this wave is already computing — and compute
+        only the hand-offs past it: one per block boundary at or beyond
+        the plan's compute start, the rows :meth:`_open_finish` inserts
+        with the chain.  Without a cache every key computes its final
+        hand-off.  Counters model a real prefill: a computed key is one
+        prefill launch of ``len(key) - compute_start`` tokens, whatever
+        rows the substrate evaluates.
+
+        Emits no event and makes no target launch: the batch step runs
+        every engine's plan, then ONE prefill launch per target, then
+        each engine's :meth:`_open_finish`.
+        """
         self._in_step = True
-        scheduler = self.scheduler
+        scheduler, cache = self.scheduler, self.kv_cache
         counters = self.counters
         counters.busy_cycles += 1
         resumed = scheduler.readmit_parked()
-        admitted = scheduler.admit()
-        # Fresh admissions need the drafter hand-off computed; resumed
-        # slots carry their stashed hidden state and must NOT be
-        # re-prefilled (that is what keeps them byte-identical).
-        counters.target_steps += self._prefill(admitted)
-        for slot in resumed:
+        cycle = _Cycle(self, scheduler.admit(), resumed)
+        window = self.target.config.context_window
+        cycle.keys = [
+            effective_prefill_context(slot.sequence, window)
+            if cache is None else cache.prefill_key(slot.sequence)
+            for slot in cycle.admitted
+        ]
+        cycle.hiddens = [None] * len(cycle.keys)
+        pending: set = set()  # block prefixes being computed this wave
+        for index, key in enumerate(cycle.keys):
+            if not key:
+                continue  # no hand-off exists for length-1 prefixes
+            start, block_size = 0, len(key)
+            if cache is not None:
+                if key in cycle.leaders:
+                    # Same-wave duplicate: rides the leader's row (not a
+                    # cache consultation — no hit/miss recorded, even
+                    # when the leader itself was a hit).
+                    counters.prefill_launches_saved += 1
+                    counters.prefill_tokens_saved += len(key)
+                    continue
+                cycle.leaders[key] = index
+                plan = cache.plan_admission(
+                    key, scheduler.cycle, pending=pending
+                )
+                if plan.hidden is not None:
+                    cycle.hiddens[index] = plan.hidden
+                    counters.prefill_launches_saved += 1
+                    counters.prefill_tokens_saved += len(key)
+                    continue
+                start, block_size = plan.compute_start, cache.block_size
+            ends = block_boundaries(len(key), block_size)
+            cycle.prefill.append(
+                (index, start, [end - 1 for end in ends if end > start])
+            )
+            counters.prefill_launches += 1
+            counters.prefill_tokens += len(key) - start
+            counters.prefill_tokens_saved += start
+            if cache is not None:
+                pending.update(key[:end] for end in ends)
+        return cycle
+
+    def _open_finish(self, cycle: _Cycle) -> None:
+        """Finish half: cache inserts, pins, events, SD decision."""
+        scheduler = self.scheduler
+        cache = self.kv_cache
+        hiddens = cycle.hiddens
+        if cycle.prefill:
+            self.counters.target_steps += 1
+        for (index, _, _), rows in zip(cycle.prefill, cycle.handoffs):
+            key = cycle.keys[index]
+            hiddens[index] = rows[len(key) - 1]
+            if cache is not None:  # the chain keeps its boundary rows
+                cache.insert_chain(
+                    key,
+                    {t + 1: row for t, row in rows.items()},
+                    scheduler.cycle,
+                )
+        for index, key in enumerate(cycle.keys):
+            leader = cycle.leaders.get(key)
+            if hiddens[index] is None and leader is not None:
+                # A same-wave duplicate owns a copy of its leader's row.
+                hiddens[index] = hiddens[leader].copy()
+        for slot, key, hidden in zip(cycle.admitted, cycle.keys, hiddens):
+            slot.hidden = hidden
+            if hidden is not None and cache is not None:
+                self._pin(slot, key)
+        for slot in cycle.resumed:
             if slot.cache_key is not None:
                 self._pin(slot, slot.cache_key)
             self._emit(
                 RequestEventKind.RESUMED, slot.request.request_id
             )
-        for slot in admitted:
+        for slot in cycle.admitted:
             self._emit(
                 RequestEventKind.ADMITTED, slot.request.request_id
             )
-        live = list(scheduler.live)
-        batch = len(live)
-        strategy = self.strategy
+        cycle.live = list(scheduler.live)
+        batch = len(cycle.live)
+        cycle.strategy = self.strategy
         if self.sd_manager is not None:
             if self.sd_manager.should_use_sd(batch):
                 self.sd_manager.engage(batch)
-                strategy = self.sd_manager.select_strategy(batch)
+                cycle.strategy = self.sd_manager.select_strategy(batch)
             else:
-                strategy = None
-        return _Cycle(self, admitted, resumed, live, strategy)
+                cycle.strategy = None
 
     def _close(self, cycle: _Cycle) -> EngineStep:
         """Second half: commit, feedback, retirement, events, report."""
@@ -636,104 +737,6 @@ class BatchedSpecDecodeEngine:
             for i, (prompt, seed) in enumerate(zip(prompts, seeds))
         ]
 
-    def _prefill(self, admitted: Sequence[SequenceSlot]) -> int:
-        """Hand the drafter its hidden state for newly admitted slots.
-
-        All computed suffix rows are pushed through ONE batched target
-        forward; returns the number of launches spent (0 or 1).
-
-        With an attached :class:`~repro.cache.manager.KVCacheManager`
-        the stage consults the cache **once per distinct effective
-        context per wave** (same-wave duplicates — a co-admitted GRPO
-        group — ride their leader without touching hit/miss counters):
-        exact hits are served a copy of the cached hand-off, misses get
-        an :class:`~repro.cache.manager.AdmissionPlan` that reuses every
-        whole cached block of the shared prefix — including blocks
-        another leader of this wave is already computing — and prefill
-        only their suffix via :func:`suffix_prefill_hiddens`.  The
-        hand-off is a pure function of the effective context, so every
-        path is byte-identical to recomputing from scratch.  Computed
-        chains are inserted with per-boundary hand-offs, and every slot
-        pins its chain so eviction can never reach live state.
-        """
-        if not admitted:
-            return 0
-        cache = self.kv_cache
-        counters = self.counters
-        if cache is None:
-            hiddens = initial_hiddens(
-                self.target, [slot.sequence for slot in admitted]
-            )
-            window = self.target.config.context_window
-            for slot, hidden in zip(admitted, hiddens):
-                slot.hidden = hidden
-                if hidden is not None:
-                    counters.prefill_tokens += len(
-                        effective_prefill_context(slot.sequence, window)
-                    )
-            counters.prefill_launches += sum(
-                1 for h in hiddens if h is not None
-            )
-            return int(any(h is not None for h in hiddens))
-        cycle = self.scheduler.cycle
-        keys = [cache.prefill_key(slot.sequence) for slot in admitted]
-        hiddens = [None] * len(admitted)  # type: List[Optional[np.ndarray]]
-        leaders: Dict[Tuple[int, ...], int] = {}
-        computing: List[Tuple[int, int]] = []  # (slot index, compute_start)
-        pending: set = set()  # block prefixes being computed this wave
-        for index, key in enumerate(keys):
-            if not key:
-                continue  # no hand-off exists for length-1 prefixes
-            if key in leaders:
-                # Same-wave duplicate: rides the leader's row (not a
-                # cache consultation — no hit/miss recorded, even when
-                # the leader itself was a hit).
-                counters.prefill_launches_saved += 1
-                counters.prefill_tokens_saved += len(key)
-                continue
-            leaders[key] = index
-            plan = cache.plan_admission(
-                key, cycle, pending=frozenset(pending)
-            )
-            if plan.hidden is not None:
-                hiddens[index] = plan.hidden
-                counters.prefill_launches_saved += 1
-                counters.prefill_tokens_saved += len(key)
-            else:
-                computing.append((index, plan.compute_start))
-                counters.prefill_launches += 1
-                counters.prefill_tokens += len(key) - plan.compute_start
-                counters.prefill_tokens_saved += plan.compute_start
-                for end in block_boundaries(len(key), cache.block_size):
-                    pending.add(key[:end])
-        if computing:
-            suffixes = suffix_prefill_hiddens(
-                self.target,
-                [keys[index] for index, _ in computing],
-                [start for _, start in computing],
-            )
-            for (index, _), positions in zip(computing, suffixes):
-                key = keys[index]
-                hiddens[index] = positions[len(key) - 1]
-                handoffs = {
-                    end: positions[end - 1]
-                    for end in block_boundaries(
-                        len(key), cache.block_size
-                    )
-                    if (end - 1) in positions
-                }
-                cache.insert_chain(key, handoffs, cycle)
-        for index, key in enumerate(keys):
-            if hiddens[index] is None and key in leaders:
-                leader_hidden = hiddens[leaders[key]]
-                if leaders[key] != index and leader_hidden is not None:
-                    hiddens[index] = leader_hidden.copy()
-        for slot, key, hidden in zip(admitted, keys, hiddens):
-            slot.hidden = hidden
-            if hidden is not None:
-                self._pin(slot, key)
-        return int(bool(computing))
-
     # -- prefix-cache ref lifecycle ----------------------------------------
 
     def _pin(self, slot: SequenceSlot, key: Tuple[int, ...]) -> None:
@@ -769,28 +772,50 @@ def step_engines(
 ) -> List[EngineStep]:
     """Advance every engine by one cycle as ONE lock-step batch.
 
-    Each engine's cycle is opened in order (readmission, admission,
-    prefill, SD/vanilla decision).  All live slots of SD cycles whose
-    engines share a drafter, target, strategy, temperature and child
-    mode are drafted by ONE :func:`build_draft_trees` call; a vanilla
-    cycle gives each live slot the zero-node :data:`EMPTY_TREE`.  Then
-    every tree of the engines sharing a target and temperature —
-    vanilla and SD rows alike — is verified by ONE :func:`verify_trees`
-    call, and each cycle is closed in order (commit, retirement,
-    events, report, manager feedback).  Each request owns its random
-    stream and every kernel is row-invariant, so outputs, streams and
-    per-engine counters equal those of stepping each engine alone.
-    Commits start only once every group has verified: an error raised
-    while drafting or verifying leaves no token committed, and no
-    engine is left mid-step whatever raises.
+    The tick runs in phases:
+
+    1. *plan*, per engine in order: readmission, admission and the
+       cache's admission plan (hits, same-wave leaders, pending blocks);
+       no event is emitted;
+    2. *prefill*: ONE :func:`suffix_prefill_hiddens` launch per target
+       over every engine's hand-off rows (cached and cache-less engines
+       alike);
+    3. *finish*, per engine in order: chain inserts, leader copies,
+       pins, RESUMED / ADMITTED events and the SD/vanilla decision;
+    4. *draft*: all live slots of SD cycles whose engines share a
+       drafter, target, strategy, temperature and child mode are drafted
+       by ONE :func:`build_draft_trees` call; a vanilla cycle gives each
+       live slot the zero-node :data:`EMPTY_TREE`;
+    5. *verify*: every tree of the engines sharing a target and
+       temperature — vanilla and SD rows alike — is verified by ONE
+       :func:`verify_trees` call;
+    6. *close*, per engine in order: commit, retirement, events, report,
+       manager feedback.
+
+    Within one engine the order of operations is that of stepping it
+    alone; across engines only the plans move ahead of the inserts, so
+    engines must not share a prefix cache (raised).  Each request owns
+    its random stream and every kernel is row-invariant, so outputs,
+    streams and per-engine counters equal those of stepping each engine
+    alone.  Commits start only once every group has verified: an error
+    raised while drafting or verifying leaves no token committed, and
+    no engine is left mid-step whatever raises.
 
     Returns one :class:`EngineStep` per engine, in order.
     """
+    caches = [id(e.kv_cache) for e in engines if e.kv_cache is not None]
+    if len(set(caches)) < len(caches):
+        # Every plan runs before any insert: engines sharing a cache
+        # would see different hits than stepping one after another.
+        raise SpecDecodeError("engines in one batch share a KVCacheManager")
     for engine in engines:
         if not engine.scheduler.has_work:
             raise SpecDecodeError("step() called with no live or waiting work")
     try:
-        cycles = [engine._open() for engine in engines]
+        cycles = [engine._open_plan() for engine in engines]
+        _prefill(cycles)
+        for cycle in cycles:
+            cycle.engine._open_finish(cycle)
         drafts: Dict[tuple, List[_Cycle]] = {}
         verifies: Dict[tuple, List[_Cycle]] = {}
         for cycle in cycles:
@@ -838,6 +863,29 @@ def step_engines(
     finally:
         for engine in engines:
             engine._in_step = False
+
+
+def _prefill(cycles: Sequence[_Cycle]) -> None:
+    """Answer every cycle's prefill plan with ONE launch per target."""
+    groups: Dict[int, List[_Cycle]] = {}
+    for cycle in cycles:
+        if cycle.prefill:
+            groups.setdefault(id(cycle.engine.target), []).append(cycle)
+    for members in groups.values():
+        wanted = [
+            (cycle.keys[index], positions)
+            for cycle in members
+            for index, _, positions in cycle.prefill
+        ]
+        rows = iter(
+            suffix_prefill_hiddens(
+                members[0].engine.target,
+                [key for key, _ in wanted],
+                [positions for _, positions in wanted],
+            )
+        )
+        for cycle in members:
+            cycle.handoffs = list(islice(rows, len(cycle.prefill)))
 
 
 def make_serving_request(

@@ -26,6 +26,15 @@ continuous-batching refactor it is a thin wrapper over
   consulted per cycle with the real live-batch size (elastic activation,
   BEG-MAB strategy selection fed by measured accept lengths).
 
+The prefill kernels live here too.  :func:`suffix_prefill_hiddens` is
+the one prefill launch of a tick: it takes effective prefill contexts
+and, per context, the positions whose hand-off the caller keeps (block
+boundaries at or past the cache plan's compute start; the context's end
+without a cache) and computes exactly those rows in one target forward.
+The target is windowed with no KV state, so each row equals
+:func:`initial_hiddens` of the prefix ending there — the reference the
+tests and the tracer keep.
+
 This is the algorithmic engine behind every accept-length experiment;
 wall-clock throughput modelling lives in :mod:`repro.rollout`, which
 replays these statistics through the roofline cost model.
@@ -33,7 +42,7 @@ replays these statistics through the roofline cost model.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -76,46 +85,47 @@ def initial_hiddens(
 def suffix_prefill_hiddens(
     target: TinyLM,
     contexts: Sequence[Sequence[int]],
-    starts: Sequence[int],
-) -> List[dict]:
-    """Target hidden stacks at every position of each context's suffix.
+    positions: Sequence[Sequence[int]],
+) -> List[Dict[int, np.ndarray]]:
+    """Target hidden stacks at chosen positions of each context.
 
-    The paged-cache counterpart of :func:`initial_hiddens`: each
-    ``contexts[i]`` is an *effective prefill context* (already windowed
-    — at most ``context_window`` tokens, so every position sees its
-    full history) and ``starts[i]`` is the first position that must be
-    computed; positions before it are covered by cached blocks.  All
-    suffix rows of all contexts share ONE batched target forward.
+    The prefill launch of a tick.  Each ``contexts[i]`` is an
+    *effective prefill context* (already windowed — at most
+    ``context_window`` tokens, so every position sees its full history)
+    and ``positions[i]`` lists the positions whose hand-off the caller
+    keeps: the engine asks for each block boundary at or past the
+    plan's compute start, the last of which is the context's end, and
+    a cache-less engine for that end alone.  Every row of every
+    context shares ONE batched target forward, and only the requested
+    rows are computed: :class:`~repro.llm.model.TinyLM` is windowed and
+    keeps no KV state, so a position's hand-off depends on its own
+    window alone.
 
-    Returns one dict per context mapping position ``t`` (``starts[i] <=
-    t < len(contexts[i])``) to the (num_layers, hidden_size) stack at
-    that position.  The final position's stack is byte-identical to
-    what :func:`initial_hiddens` computes for the corresponding prompt:
-    both run the target over the same trailing window.
+    Returns, per context, a map from each requested position ``t`` to
+    an owned (num_layers, hidden_size) stack, byte-identical to
+    :func:`initial_hiddens` of the prefix ``context[: t + 1]`` plus any
+    next token: both run the target over the same trailing window.
     """
-    if len(contexts) != len(starts):
+    if len(contexts) != len(positions):
         raise ValueError(
-            f"contexts/starts length mismatch: "
-            f"{len(contexts)} vs {len(starts)}"
+            f"contexts/positions length mismatch: "
+            f"{len(contexts)} vs {len(positions)}"
         )
-    rows: List[List[int]] = []
-    owners: List[tuple] = []  # (context index, position)
-    for i, (tokens, start) in enumerate(zip(contexts, starts)):
-        tokens = list(tokens)
-        for t in range(max(start, 0), len(tokens)):
-            rows.append(tokens[: t + 1])
-            owners.append((i, t))
-    out: List[dict] = [{} for _ in contexts]
+    rows = [
+        context[: t + 1]
+        for context, wanted in zip(contexts, positions)
+        for t in wanted
+    ]
     if not rows:
-        return out
-    row_contexts = contexts_from_sequences(
-        rows, target.config.context_window
+        return [{} for _ in contexts]
+    _, hiddens = target.step(
+        contexts_from_sequences(rows, target.config.context_window)
     )
-    _, hiddens = target.step(row_contexts)
     stack = np.stack(hiddens, axis=1)  # (rows, L, d)
-    for row, (i, t) in enumerate(owners):
-        out[i][t] = stack[row].copy()
-    return out
+    rows_of = iter(stack)
+    return [
+        {t: next(rows_of).copy() for t in wanted} for wanted in positions
+    ]
 
 
 def speculative_generate(

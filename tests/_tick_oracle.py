@@ -9,9 +9,13 @@ each running its whole pool tick before the next starts.  It also keeps
 the vanilla decode that vanilla rows replaced when they joined the
 tick's verify launch as zero-node trees: a vanilla cycle makes its own
 ``TinyLM.step`` over its live rows and samples each row with
-``sample_from_probs``.  The equivalence suite runs the same traces both
-ways and requires equal outputs, random streams, tick stamps, counters
-and cycle reports.
+``sample_from_probs``.  And it keeps the per-engine prefill that the
+tick's one prefill launch per target replaced: each engine computes its
+own planned hand-offs with :func:`~repro.specdec.engine.initial_hiddens`
+(the cache-less prefill) in a launch of its own, between its plan and
+its finish.  The equivalence suite runs the same traces both ways and
+requires equal outputs, random streams, tick stamps, counters, cache
+stats, events and cycle reports.
 
 :func:`per_worker` and :func:`replica_by_replica` install these ticks
 on one pool or fleet object (an instance attribute shadows the method,
@@ -30,6 +34,7 @@ from repro.fleet import FleetEngine, ReplicaState
 from repro.llm.model import contexts_from_sequences
 from repro.llm.sampler import sample_from_probs, temperature_probs
 from repro.serving import ServingEngine
+from repro.specdec.engine import initial_hiddens
 from repro.specdec.tree import (
     EMPTY_TREE,
     TreeVerifyResult,
@@ -68,6 +73,30 @@ def vanilla_decode(engine, live):
     return results
 
 
+def prefill_alone(cycle):
+    """Every position of each planned key's suffix, from a prefill
+    launch of the engine's own.
+
+    The reference ignores the plan's hand-off positions: it computes
+    each key from its compute start to its end, as the whole-suffix
+    prefill did, and the finish inserts the block-boundary rows among
+    them.  The hand-off at position ``t`` of a key is what
+    :func:`initial_hiddens` computes for the prompt ``key[: t + 1]``
+    plus one more token.
+    """
+    wanted = [
+        (cycle.keys[index], range(start, len(cycle.keys[index])))
+        for index, start, _ in cycle.prefill
+    ]
+    rows = iter(
+        initial_hiddens(
+            cycle.engine.target,
+            [list(key[: t + 1]) + [0] for key, span in wanted for t in span],
+        )
+    )
+    cycle.handoffs = [{t: next(rows) for t in span} for _, span in wanted]
+
+
 def _launch_alone(cycle):
     """Draft and verify one engine's cycle with launches of its own."""
     engine, live = cycle.engine, cycle.live
@@ -90,16 +119,23 @@ def _launch_alone(cycle):
 def step_alone(engines):
     """One cycle of every engine, each with launches of its own.
 
-    Cycles open in engine order, each engine then drafts and verifies
-    alone (a vanilla cycle decodes with its own target forward), and the
-    cycles close in order — so workers sharing a strategy selector pick
-    before any of them records, as in the batched tick.
+    Cycles open in engine order, each planning, prefilling alone and
+    finishing before the next engine plans; each engine then drafts and
+    verifies alone (a vanilla cycle decodes with its own target
+    forward), and the cycles close in order — so workers sharing a
+    strategy selector pick before any of them records, as in the
+    batched tick.
     """
     for engine in engines:
         if not engine.scheduler.has_work:
             raise SpecDecodeError("step() called with no live or waiting work")
     try:
-        cycles = [engine._open() for engine in engines]
+        cycles = []
+        for engine in engines:
+            cycle = engine._open_plan()
+            prefill_alone(cycle)
+            engine._open_finish(cycle)
+            cycles.append(cycle)
         for cycle in cycles:
             _launch_alone(cycle)
         return [cycle.engine._close(cycle) for cycle in cycles]

@@ -15,6 +15,14 @@ strategies and for adaptive pools and fleets whose workers cross the
 elastic threshold both ways, where vanilla rows are zero-node trees in
 the tick's one verify launch per target and temperature.
 
+The prefill half of the tick is held the same way: every engine's
+admission plan runs first, then ONE prefill launch per target computes
+only the hand-off rows the engines keep, and each engine finishes
+(inserts, pins, events) in order.  Pools and fleets mixing cached and
+cache-less engines, partial block hits, same-wave duplicates and
+resumed slots must match each engine prefilling alone — hand-off
+bytes, counters, cache stats and events included.
+
 Also here: the tree builder's partition property (a tree does not
 depend on its batch neighbours, and a sub-batch's launch count is
 ``1 + max(rounds)`` of its own trees), the shared-selector call order,
@@ -29,24 +37,35 @@ import copy
 import numpy as np
 import pytest
 
+from repro.cache import KVCacheManager
+from repro.drafter import EagleDrafter, EagleDrafterConfig
 from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
-from repro.fleet import FleetEngine, FleetRoundRobin
+from repro.fleet import FleetEngine, FleetRoundRobin, PrefixHashRouting
+from repro.llm import TinyLM, TinyLMConfig
 from repro.longtail import RolloutScheduler, SchedulerMode
 from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
 from repro.serving import (
     BATCH,
     INTERACTIVE,
     LeastLoadedDispatch,
+    PrefixAffinityDispatch,
     RequestState,
     ServingEngine,
+    ServingRequest,
     SloPreemption,
     frontend,
 )
-from repro.specdec import SdStrategy, build_draft_trees, verify_trees
+from repro.specdec import (
+    PrefixAwareAdmission,
+    SdStrategy,
+    build_draft_trees,
+    verify_trees,
+)
+from repro.specdec import batch_engine
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine, step_engines
 from repro.specdec.control import RequestEventKind
-from repro.specdec.engine import initial_hiddens
+from repro.specdec.engine import initial_hiddens, suffix_prefill_hiddens
 from repro.tuner.mab import StrategySelector
 from repro.workload import fleet_trace
 
@@ -505,6 +524,233 @@ def test_vanilla_row_hands_off_its_prefix_row(scenario_factory):
             handoff = initial_hiddens(scenario.target, [slot.sequence])[0]
             assert np.array_equal(slot.hidden, handoff)
     assert vanilla > 3
+
+
+# -- prefill: one launch per target, hand-off rows only -----------------------
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A window-12 target (keys span several 4-token blocks, so partial
+    block hits happen) and an untrained drafter — decoding is lossless
+    whatever the drafter, and these tests compare bytes, not accept
+    lengths."""
+    config = TinyLMConfig(
+        vocab_size=24, hidden_size=16, context_window=12, num_layers=2,
+        init_scale=1.5,
+    )
+    rng = np.random.default_rng(321)
+    target = TinyLM(config, rng)
+    return target, EagleDrafter(target, EagleDrafterConfig(), rng)
+
+
+@pytest.fixture
+def handoffs(monkeypatch):
+    """Every admitted slot's prefill hand-off bytes, by request id."""
+    seen = {}
+    finish = BatchedSpecDecodeEngine._open_finish
+
+    def recording(engine, cycle):
+        finish(engine, cycle)
+        for slot in cycle.admitted:
+            if slot.hidden is not None:
+                seen[slot.request.request_id] = slot.hidden.tobytes()
+
+    monkeypatch.setattr(BatchedSpecDecodeEngine, "_open_finish", recording)
+    return seen
+
+
+def _prefix_trace(target, seed):
+    """Tenants sharing prompt prefixes (partial block hits) over GRPO
+    groups (same-wave duplicates); INTERACTIVE arrivals preempt BATCH.
+    Later truncated repeats end exactly at an earlier key's interior
+    block boundary, so they hit only if its hand-off row was kept."""
+    trace = fleet_trace(
+        np.random.default_rng(seed), target.config.vocab_size,
+        num_tenants=3, requests_per_tenant=6, num_batch=12,
+        batch_group_size=4, prefix_len=6, suffix_len=3,
+        mean_interarrival=0.4, batch_gap=0.5,
+    )
+    repeats = [
+        ServingRequest(
+            request_id=len(trace) + i, prompt=request.prompt[:cut],
+            max_new_tokens=request.max_new_tokens,
+            arrival_time=request.arrival_time + 1.5, seed=request.seed + 1,
+        )
+        for i, (request, cut) in enumerate(zip(trace[::2], [4, 8] * 99))
+    ]
+    return sorted(trace + repeats, key=lambda r: r.arrival_time)
+
+
+def _prefill_pool(wide, kv_cache_tokens=64):
+    target, drafter = wide
+    return ServingEngine(
+        target, drafter, num_workers=2, strategy=STRATEGY, temperature=0.8,
+        max_batch_size=3, dispatch=PrefixAffinityDispatch(),
+        admission=PrefixAwareAdmission(), group_affinity=True,
+        preemption=SloPreemption(), kv_cache_tokens=kv_cache_tokens,
+        kv_cache_block_size=4, kv_cache_cold_tokens=24,
+    )
+
+
+def _assert_prefill_paths_ran(pools):
+    engines = [w.engine for pool in pools for w in pool.workers]
+    cached = [e for e in engines if e.kv_cache is not None]
+    assert sum(e.kv_cache.stats.partial_hits for e in cached) > 0
+    assert sum(e.kv_cache.stats.hits for e in cached) > 0
+    # Same-wave duplicates ride their leader without a consultation.
+    consultations = sum(e.kv_cache.stats.lookups for e in cached)
+    planned = sum(
+        e.counters.prefill_launches + e.counters.prefill_launches_saved
+        for e in cached
+    )
+    assert planned > consultations
+    assert any(
+        event.kind is RequestEventKind.RESUMED
+        for pool in pools for event in pool.lifecycle_events()
+    )
+
+
+def test_pool_prefill_equals_per_engine_prefill(
+    wide, recorded, handoffs
+):
+    trace = _prefix_trace(wide[0], 31)
+
+    def run(oracle):
+        handoffs.clear()
+        pool = _prefill_pool(wide)
+        if oracle:
+            _tick_oracle.per_worker(pool)
+        _drive(pool, trace)
+        observed = _observe([pool], pool.lifecycle_events(), recorded)
+        observed["handoffs"] = dict(handoffs)
+        return observed, pool
+
+    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    _assert_same(batched, oracle)
+    assert len(batched["handoffs"]) == len(trace)
+    _assert_prefill_paths_ran([pool])
+
+
+def test_fleet_mixing_cached_and_cacheless_replicas_equals_replica_by_replica(
+    wide, recorded, handoffs
+):
+    trace = _prefix_trace(wide[0], 31)
+
+    def run(oracle):
+        handoffs.clear()
+        pools = [_prefill_pool(wide), _prefill_pool(wide, None),
+                 _prefill_pool(wide)]
+        fleet = FleetEngine(pools, routing=PrefixHashRouting(prefix_len=2))
+        if oracle:
+            _tick_oracle.replica_by_replica(fleet)
+        fleet.run(trace)
+        observed = _observe(pools, fleet.lifecycle_events(), recorded)
+        observed["handoffs"] = dict(handoffs)
+        return observed, pools
+
+    (batched, pools), (oracle, _) = _run_both(recorded, run)
+    _assert_same(batched, oracle)
+    assert len(batched["handoffs"]) == len(trace)
+    _assert_prefill_paths_ran(pools)
+    cacheless = [w.engine for w in pools[1].workers]
+    assert sum(e.counters.prefill_launches for e in cacheless) > 0
+
+
+def test_one_prefill_launch_per_target_per_tick(
+    wide, scenario_factory, monkeypatch
+):
+    """However many engines admit, each target makes ONE prefill
+    launch per tick (cached and cache-less engines share it) next to its
+    one verify launch."""
+    scenario = scenario_factory(2036, num_requests=6, max_new_tokens=6)
+    wide_target, wide_drafter = wide
+    engines = [
+        BatchedSpecDecodeEngine(
+            target, drafter, STRATEGY, 0.8, max_batch_size=2,
+            kv_cache=KVCacheManager(64, block_size=2) if cached else None,
+        )
+        for target, drafter in (
+            (wide_target, wide_drafter), (scenario.target, scenario.drafter)
+        )
+        for cached in (True, False, True)
+    ]
+    for engine in engines:
+        engine.start(scenario.requests())
+    calls, prefills = [], []
+    step = TinyLM.step
+
+    def counting_step(self, context):
+        calls.append(id(self))
+        return step(self, context)
+
+    prefill = batch_engine.suffix_prefill_hiddens
+
+    def counting_prefill(target, contexts, positions):
+        before = len(calls)
+        out = prefill(target, contexts, positions)
+        prefills.append((id(target), calls[before:]))
+        return out
+
+    monkeypatch.setattr(TinyLM, "step", counting_step)
+    monkeypatch.setattr(
+        batch_engine, "suffix_prefill_hiddens", counting_prefill
+    )
+    targets = [id(wide_target), id(scenario.target)]
+    ticks = 0
+    while any(engine.has_work for engine in engines):
+        del calls[:], prefills[:]
+        step_engines([engine for engine in engines if engine.has_work])
+        if ticks == 0:  # every engine admits: one launch per target
+            assert sorted(target for target, _ in prefills) == sorted(targets)
+        assert sorted(target for target, _ in prefills) == sorted(
+            set(target for target, _ in prefills)
+        )
+        for target, launched in prefills:
+            assert launched == [target]
+        for target in targets:
+            assert calls.count(target) <= 2
+        ticks += 1
+    assert ticks > 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prefill_computes_each_handoff_like_initial_hiddens(wide, seed):
+    """Every hand-off the prefill launch returns is byte-equal to
+    :func:`initial_hiddens` of the prompt ending at that position,
+    whatever rows it shares the launch with."""
+    target = wide[0]
+    window = target.config.context_window
+    rng = np.random.default_rng(seed)
+    contexts, positions = [], []
+    for _ in range(6):
+        length = int(rng.integers(1, window + 1))
+        contexts.append(tuple(int(t) for t in rng.integers(3, 24, length)))
+        count = int(rng.integers(0, length + 1))
+        positions.append(sorted(rng.choice(length, count, replace=False)))
+    out = suffix_prefill_hiddens(target, contexts, positions)
+    assert [sorted(rows) for rows in out] == positions
+    for context, rows in zip(contexts, out):
+        for t, row in rows.items():
+            want = initial_hiddens(target, [list(context[: t + 1]) + [0]])[0]
+            assert row.tobytes() == want.tobytes()
+            assert row.base is None
+
+
+def test_engines_sharing_a_cache_cannot_batch(scenario_factory):
+    scenario = scenario_factory(2037, num_requests=2)
+    cache = KVCacheManager(64)
+    engines = [
+        BatchedSpecDecodeEngine(
+            scenario.target, scenario.drafter, STRATEGY, 0.8, kv_cache=cache
+        )
+        for _ in range(2)
+    ]
+    for engine in engines:
+        engine.start(scenario.requests())
+    with pytest.raises(SpecDecodeError, match="share a KVCacheManager"):
+        step_engines(engines)
+    assert all(e.counters.busy_cycles == 0 for e in engines)
 
 
 # -- the tree builder's partition property ------------------------------------

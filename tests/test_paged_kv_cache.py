@@ -11,7 +11,10 @@ Four layers are pinned here:
   prefix blocks between diverging keys, partial-prefix admission plans,
   and interior hand-off backfill;
 * tiered eviction — demotion under HOT pressure, promotion on
-  re-touch, COLD-tier eviction, and the per-tier counters;
+  re-touch, COLD-tier eviction, and the per-tier counters; the heap-
+  ordered victim selection against the sort-based store it replaced
+  (``tests/_cache_oracle.py``); a chain insert never evicting its own
+  prefix;
 * the engine's token-granular prefill accounting — block-granular
   admission prefills strictly fewer prompt tokens than exact-match
   caching on a shared-prefix wave, with outputs byte-identical to the
@@ -23,7 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import CacheStats, KVCacheManager
+from repro.cache import BlockTier, CacheStats, KVCacheManager
+from repro.cache.blocks import BlockStore
 from repro.drafter import EagleDrafter, EagleDrafterConfig
 from repro.errors import CacheError
 from repro.llm import TinyLM, TinyLMConfig
@@ -34,6 +38,8 @@ from repro.specdec import (
     WorkerCounters,
     make_serving_request,
 )
+
+from _cache_oracle import SortedBlockStore
 
 
 @pytest.fixture()
@@ -157,14 +163,13 @@ class TestBlockManager:
         assert cache.num_entries == 3
         assert cache.stats.insertions == 3
         assert cache.cached_tokens == 6
-        hit = cache.lookup(key, cycle=1)
+        hit = cache.plan_admission(key, cycle=1).hidden
         assert hit is not None and np.array_equal(hit, _handoff(1.0))
         # A diverging key reuses the two whole shared blocks and plans
         # to compute only from position 4.
         plan = cache.plan_admission((1, 2, 3, 4, 9, 9), cycle=2)
         assert plan.hidden is None
         assert plan.compute_start == 4
-        assert plan.reused_tokens == 4
         assert cache.stats.partial_hits == 1
         assert cache.stats.reused_tokens == 4
 
@@ -179,8 +184,8 @@ class TestBlockManager:
         assert cache.num_entries == 4
         assert cache.stats.insertions == 4
         assert cache.cached_tokens == 8  # 6 + 2, not 6 + 6
-        first = cache.lookup((1, 2, 3, 4, 5, 6), cycle=2)
-        second = cache.lookup((1, 2, 3, 4, 9, 9), cycle=2)
+        first = cache.plan_admission((1, 2, 3, 4, 5, 6), cycle=2).hidden
+        second = cache.plan_admission((1, 2, 3, 4, 9, 9), cycle=2).hidden
         assert np.array_equal(first, _handoff(1.0))
         assert np.array_equal(second, _handoff(2.0))
 
@@ -190,10 +195,10 @@ class TestBlockManager:
         # The interior block (1,2) was admitted without a hand-off: it
         # licenses prefix reuse but cannot serve an exact hit yet.
         assert cache.contains((1, 2))
-        assert cache.lookup((1, 2), cycle=1) is None
+        assert cache.plan_admission((1, 2), cycle=1).hidden is None
         assert cache.insert_chain((1, 2), {2: _handoff(3.0)}, cycle=2)
         assert np.array_equal(
-            cache.lookup((1, 2), cycle=3), _handoff(3.0)
+            cache.plan_admission((1, 2), cycle=3).hidden, _handoff(3.0)
         )
         # Backfill refreshed the block in place, no duplicate entry.
         assert cache.num_entries == 2
@@ -236,14 +241,14 @@ class TestTieredEviction:
         assert cache.num_entries == 1  # the whole key is one block
         # No partial reuse: sharing 3 of 4 tokens skips nothing.
         plan = cache.plan_admission((1, 2, 3, 9), cycle=1)
-        assert plan.compute_start == 0 and plan.reused_tokens == 0
+        assert plan.compute_start == 0
         assert cache.stats.partial_hits == 0
         # The key demotes and promotes as one unit.
         cache.insert((1, 2, 3, 9), _handoff(2.0), cycle=1)
         assert cache.hot_tokens == 4 and cache.cold_tokens == 4
         assert cache.stats.demotions == 1
         assert np.array_equal(
-            cache.lookup((1, 2, 3, 4), cycle=2), _handoff(1.0)
+            cache.plan_admission((1, 2, 3, 4), cycle=2).hidden, _handoff(1.0)
         )
         assert cache.stats.promotions == 1
         assert cache.stats.demotions == 2
@@ -261,7 +266,7 @@ class TestTieredEviction:
         assert cache.hot_tokens == 3 and cache.cold_tokens == 3
         assert cache.contains((1, 2, 3))
         # Re-touch promotes it back (demoting the other key down).
-        hit = cache.lookup((1, 2, 3), cycle=2)
+        hit = cache.plan_admission((1, 2, 3), cycle=2).hidden
         assert np.array_equal(hit, _handoff(1.0))
         assert cache.stats.cold_hits == 1
         assert cache.stats.promotions == 1
@@ -305,6 +310,96 @@ class TestTieredEviction:
         assert cache.stats.demotions == 0
         assert cache.stats.rejected_pinned == 1
         assert cache.hot_tokens == 3
+
+
+    def test_chain_insert_never_evicts_its_own_prefix(self):
+        # A pinned unrelated key leaves room for one more block; the
+        # chain's second block could only fit by evicting its first.
+        cache = KVCacheManager(capacity_tokens=16, block_size=8)
+        other = tuple(range(100, 108))
+        assert cache.insert(other, _handoff(1.0), cycle=0)
+        assert cache.acquire(other)
+        key = tuple(range(16))
+        inserted = cache.insert_chain(key, {16: _handoff(2.0)}, cycle=1)
+        # The walk stops at the block that cannot fit; what it reports
+        # is what a live slot can pin, and the prefix it walked stays.
+        assert inserted == cache.acquire(key)
+        assert not inserted
+        assert cache.stats.rejected_pinned == 1
+        assert cache.contains(key[:8]) and cache.contains(other)
+        assert cache.refcount(key[:8]) == 0  # the walk's pins are gone
+        assert cache.stats.evictions == 0
+
+
+def _store_state(store, dropped):
+    blocks = sorted(
+        (prefix, b.tier.value, b.refcount, b.last_touch, b.start,
+         b.sequence_number)
+        for prefix, b in store.blocks.items()
+    )
+    return blocks, store.hot_tokens, store.cold_tokens, list(dropped)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("hot, cold", [(10, 6), (9, 0), (12, 4)])
+def test_victim_order_matches_sorted_reference(seed, hot, cold):
+    """Random add / touch / pin / unpin / drop / promote sequences under
+    tight budgets: the heap-ordered store keeps exactly the residents,
+    tiers, drop order and counters of sorting each tier per call."""
+    rng = np.random.default_rng(seed)
+    stores, drops = [], []
+    for kind in (BlockStore, SortedBlockStore):
+        dropped = []
+        drops.append(dropped)
+        stores.append(kind(hot, cold, CacheStats(),
+                           on_drop=lambda b, d=dropped: d.append(b.prefix)))
+    now = 0
+    for _ in range(400):
+        now += int(rng.integers(0, 2))  # ties in last_touch are common
+        heap_store = stores[0]
+        resident = sorted(heap_store.blocks)
+        op = int(rng.integers(0, 6))
+        prefix = None
+        if resident:
+            prefix = resident[int(rng.integers(0, len(resident)))]
+        if op == 0 or prefix is None:
+            new = tuple(
+                int(t) for t in rng.integers(0, 3, size=rng.integers(1, 6))
+            )
+            if new in heap_store.blocks:
+                continue
+            start = int(rng.integers(0, len(new)))
+            added = [s.add(new, start, None, now) is None for s in stores]
+            assert added[0] == added[1]
+        elif op == 1:
+            # Sometimes back in time: the order must follow any touch.
+            cycle = now - int(rng.integers(0, 3))
+            for s in stores:
+                s.touch(s.get(prefix), cycle)
+        elif op == 2:
+            for s in stores:
+                s.pin(s.get(prefix))
+        elif op == 3:
+            if heap_store.get(prefix).refcount:
+                for s in stores:
+                    s.unpin(s.get(prefix))
+        elif op == 4:
+            if not heap_store.get(prefix).refcount:
+                for s in stores:
+                    s.drop(s.get(prefix))
+        else:
+            cold_blocks = [
+                p for p in resident
+                if heap_store.get(p).tier is BlockTier.COLD
+            ]
+            if cold_blocks:
+                target = cold_blocks[int(rng.integers(0, len(cold_blocks)))]
+                for s in stores:
+                    s.touch(s.get(target), now)
+        assert _store_state(stores[0], drops[0]) == _store_state(
+            stores[1], drops[1]
+        )
+        assert stores[0].stats == stores[1].stats
 
 
 class TestBlockGranularPrefill:
