@@ -67,7 +67,7 @@ from repro.errors import CacheError
 class CacheStats:
     """Hit/miss/eviction/tier accounting (monotonic counters).
 
-    ``rejected`` is the sum of two distinct conditions:
+    A declined insert counts under one of two distinct conditions:
 
     * ``rejected_pinned`` — inserts declined because pinned blocks
       alone left no room (evicting them would corrupt a live slot);
@@ -94,11 +94,6 @@ class CacheStats:
     cold_hits: int = 0
     #: Evictions that dropped a COLD-tier block out of the cache.
     cold_evictions: int = 0
-
-    @property
-    def rejected(self) -> int:
-        """Inserts declined for any reason (pinned + oversize)."""
-        return self.rejected_pinned + self.rejected_oversize
 
     @property
     def lookups(self) -> int:

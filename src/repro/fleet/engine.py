@@ -222,6 +222,9 @@ class FleetEngine:
         #: over-provisioned fleet burns worker-cycles; a drained
         #: replica stops charging).
         self.worker_cycles = 0
+        #: The latest drafter :meth:`swap_drafter` published; a replica
+        #: attached later starts on it instead of its factory's.
+        self._published: Optional[Drafter] = None
         self.replicas: List[FleetReplica] = []
         for frontend in replicas:
             self._attach(frontend)
@@ -254,6 +257,11 @@ class FleetEngine:
             )
 
         frontend.subscribe(forward)
+        if self._published is not None:
+            # A joining pool holds no work and has never ticked, so it
+            # takes the latest publication outright — no roll needed.
+            for worker in frontend.workers:
+                worker.swap_drafter(self._published)
         self.replicas.append(replica)
         return replica
 
@@ -262,7 +270,9 @@ class FleetEngine:
 
         The replica starts receiving arrivals once promoted to ACTIVE
         (after ``warmup_ticks``); promotion joins it to the routing
-        ring, moving only the minimal key arc.
+        ring, moving only the minimal key arc.  When a drafter was ever
+        published (:meth:`swap_drafter`, mid-roll included), every
+        worker of the pool starts on the latest one.
 
         Returns:
             The new replica's id.
@@ -349,7 +359,7 @@ class FleetEngine:
             raise FleetError(
                 f"swap_drafter() needs a Drafter, got {type(drafter)!r}"
             )
-        self._swap_drafter = drafter
+        self._swap_drafter = self._published = drafter
         self._swap_queue = deque(
             replica.replica_id
             for replica in self.replicas

@@ -67,7 +67,7 @@ from repro.llm.vocab import BOS_ID, EOS_ID
 from repro.longtail.predictor import LengthPredictor
 from repro.rl.rollout_backends import RolloutBackend, RolloutResult
 from repro.serving.frontend import ServingEngine
-from repro.serving.request import BATCH, RESOLVED_STATES, ServingRequest
+from repro.serving.request import BATCH, TERMINAL_STATES, ServingRequest
 from repro.specdec.metrics import WorkerCounters
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -471,7 +471,7 @@ class RolloutScheduler(RolloutBackend):
             return False
         records = self.engine.records
         return all(
-            records[i].state in RESOLVED_STATES
+            records[i].state in TERMINAL_STATES
             for i in self._batches[batch_id]
         )
 

@@ -56,6 +56,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.serving.request import ServingRequest
+from repro.specdec.scheduler import SequenceSlot
 
 
 class DispatchPolicy(abc.ABC):
@@ -416,7 +417,9 @@ class SloPreemption(PreemptionPolicy):
         return victim.request_id
 
 
-def steal_work(workers: Sequence) -> List[Tuple[int, int, int]]:
+def steal_work(
+    workers: Sequence,
+) -> List[Tuple[int, int, int, SequenceSlot]]:
     """Move queued requests from backlogged workers to free slots.
 
     One request moves per iteration: the donor is the worker with the
@@ -428,10 +431,11 @@ def steal_work(workers: Sequence) -> List[Tuple[int, int, int]]:
     when no such pair remains.
 
     Returns:
-        ``(request_id, donor_id, receiver_id)`` for each moved request —
-        the front-end uses these to re-point its records.
+        ``(request_id, donor_id, receiver_id, slot)`` for each moved
+        request, ``slot`` being its new slot on the receiver — the
+        front-end re-points its records with these.
     """
-    moves: List[Tuple[int, int, int]] = []
+    moves: List[Tuple[int, int, int, SequenceSlot]] = []
     while True:
         donors = [
             w for w in workers
@@ -453,8 +457,8 @@ def steal_work(workers: Sequence) -> List[Tuple[int, int, int]]:
         if not stolen:
             break
         request, waited = stolen[0]
-        receiver.enqueue(request, waited=waited)
+        slot = receiver.enqueue(request, waited=waited)
         moves.append(
-            (request.request_id, donor.worker_id, receiver.worker_id)
+            (request.request_id, donor.worker_id, receiver.worker_id, slot)
         )
     return moves

@@ -12,7 +12,11 @@ perturbing a single committed token of any survivor.
 Every lifecycle mutation — admit, cancel, expire, park, resume,
 drafter swap — is a method of the worker's engine, and every worker's
 lifecycle events (stamped with cycle and virtual time) are merged into
-one pool-wide trail (:meth:`ServingEngine.lifecycle_events`).  Two capabilities ride on it:
+one pool-wide trail (:meth:`ServingEngine.lifecycle_events`).  A
+request's :class:`~repro.serving.metrics.RequestRecord` is a view over
+the slot it was queued as: it reads the slot's state and tokens (a
+RUNNING record's ``response`` is the tokens committed so far) and only
+stamps times and counts of its own.  Two capabilities ride on it:
 
 * **SLO-aware preemption** — a
   :class:`~repro.serving.dispatch.PreemptionPolicy` parks the
@@ -103,7 +107,7 @@ from repro.serving.dispatch import (
 )
 from repro.serving.metrics import RequestRecord, ServingReport
 from repro.serving.request import (
-    RESOLVED_STATES,
+    TERMINAL_STATES,
     RequestIdAllocator,
     RequestState,
     ServingRequest,
@@ -306,15 +310,17 @@ class ServingWorker:
         request: SequenceRequest,
         waited: int = 0,
         urgent: bool = False,
-    ) -> None:
-        """Queue a request on this worker.
+    ) -> SequenceSlot:
+        """Queue a request on this worker, returning its new slot.
 
         ``waited`` carries cycles already spent queued on a donor worker
         (work stealing) so the admission-wait metrics accumulate;
         ``urgent`` routes the request into the scheduler's urgent
         admission lane (ahead of non-urgent backlog).
         """
-        self.engine.scheduler.push(request, waited=waited, urgent=urgent)
+        return self.engine.scheduler.push(
+            request, waited=waited, urgent=urgent
+        )
 
     def steal(
         self, count: int = 1
@@ -548,30 +554,17 @@ class ServingEngine:
         Pending requests — still in the arrival trace, not yet
         dispatched — are removed from the pending-arrival queue
         immediately; queued, parked, and live requests are cancelled at
-        the worker's next cycle boundary (partial responses are
-        retained on the record).  Survivors' committed tokens are
+        the worker's next cycle boundary (the record keeps reading the
+        slot's partial response).  Survivors' committed tokens are
         untouched.
 
         Returns:
             True when the request existed and was still cancellable.
         """
         record = self.records.get(request_id)
-        if record is None or record.state in RESOLVED_STATES:
+        if record is None or record.state in TERMINAL_STATES:
             return False
-        if record.state is RequestState.PENDING:
-            self._drop_arrival(request_id)
-            self.events.emit(
-                RequestEventKind.CANCELLED, request_id, 0,
-                self.clock.now,
-            )
-        else:
-            assert record.worker_id is not None
-            slot = self.workers[record.worker_id].cancel(request_id)
-            if slot is not None:
-                record.response = list(slot.response)
-        record.state = RequestState.CANCELLED
-        record.finish_time = self.clock.now
-        self._note_group_resolved(record)
+        self._terminate(record, RequestState.CANCELLED, self.clock.now)
         return True
 
     def park(self, request_id: int) -> bool:
@@ -765,9 +758,10 @@ class ServingEngine:
         self._expire_deadlines(now)
         if self.work_stealing and len(self.workers) > 1:
             moves = steal_work(self.workers)
-            for request_id, _donor, receiver in moves:
+            for request_id, _donor, receiver, slot in moves:
                 record = self.records[request_id]
                 record.worker_id = receiver
+                record.slot = slot
                 record.stolen += 1
             self.stolen += len(moves)
         self._resume_parked()
@@ -784,12 +778,7 @@ class ServingEngine:
         completion = now + 1.0  # cycles complete at the end of the tick
         for worker, outcome in zip(workers, outcomes):
             for slot in outcome.admitted:
-                record = self.records[slot.request.request_id]
-                record.state = RequestState.RUNNING
-                record.admit_time = now
-            for slot in outcome.resumed:
-                record = self.records[slot.request.request_id]
-                record.state = RequestState.RUNNING
+                self.records[slot.request.request_id].admit_time = now
             for slot in worker.engine.scheduler.live + outcome.retired:
                 record = self.records[slot.request.request_id]
                 if (
@@ -803,9 +792,7 @@ class ServingEngine:
                 )
             for slot in outcome.retired:
                 record = self.records[slot.request.request_id]
-                record.state = RequestState.FINISHED
                 record.finish_time = completion
-                record.response = list(slot.response)
                 self._note_group_resolved(record)
         self.clock.advance(1.0)
 
@@ -869,7 +856,7 @@ class ServingEngine:
         if any(w.has_work for w in self.workers):
             return True
         return any(
-            r.state not in RESOLVED_STATES
+            r.state not in TERMINAL_STATES
             for r in self.records.values()
         )
 
@@ -930,7 +917,7 @@ class ServingEngine:
                     self._group_pending.get(request.group, 0) + 1
                 )
             worker = self.workers[index]
-            worker.enqueue(
+            record.slot = worker.enqueue(
                 make_serving_request(
                     request_id=request.request_id,
                     prompt=request.prompt,
@@ -944,7 +931,6 @@ class ServingEngine:
                     and self.preemption.is_urgent(request)
                 ),
             )
-            record.state = RequestState.QUEUED
             record.worker_id = worker.worker_id
             record.dispatch_time = now
             self._maybe_preempt(request, worker)
@@ -1008,9 +994,7 @@ class ServingEngine:
         """Single park path for both policy preemption and explicit
         :meth:`park` — the record bookkeeping stays in one place."""
         worker.park(request_id, preempted=preempted)
-        record = self.records[request_id]
-        record.state = RequestState.PARKED
-        record.preemptions += 1
+        self.records[request_id].preemptions += 1
 
     def _drop_arrival(self, request_id: int) -> None:
         """Remove a not-yet-dispatched request from the arrival queue."""
@@ -1031,18 +1015,30 @@ class ServingEngine:
         while self._deadlines and self._deadlines[0][0] <= now:
             _, request_id = heapq.heappop(self._deadlines)
             record = self.records[request_id]
-            if record.state in RESOLVED_STATES:
-                continue
-            if record.state is RequestState.PENDING:
-                self._drop_arrival(request_id)
-                self.events.emit(
-                    RequestEventKind.EXPIRED, request_id, 0, now
-                )
-            else:
-                assert record.worker_id is not None
-                slot = self.workers[record.worker_id].expire(request_id)
-                if slot is not None:
-                    record.response = list(slot.response)
-            record.state = RequestState.EXPIRED
-            record.finish_time = now
-            self._note_group_resolved(record)
+            if record.state not in TERMINAL_STATES:
+                self._terminate(record, RequestState.EXPIRED, now)
+
+    def _terminate(
+        self, record: RequestRecord, to: RequestState, now: float
+    ) -> None:
+        """Single retire path of :meth:`cancel` and deadline expiry.
+
+        A pending request leaves the arrival queue and its terminal
+        event goes on the pool's own bus; a dispatched one is retired
+        by its worker, whose slot the record reads from then on.
+        """
+        request_id = record.request.request_id
+        expire = to is RequestState.EXPIRED
+        if record.slot is None:
+            self._drop_arrival(request_id)
+            record.pre_dispatch = to
+            self.events.emit(
+                RequestEventKind.EXPIRED if expire
+                else RequestEventKind.CANCELLED,
+                request_id, 0, now,
+            )
+        else:
+            worker = self.workers[record.worker_id]
+            (worker.expire if expire else worker.cancel)(request_id)
+        record.finish_time = now
+        self._note_group_resolved(record)

@@ -1,7 +1,8 @@
 """Per-request latency/TTFT/SLO accounting for the serving front-end.
 
-The front-end keeps one :class:`RequestRecord` per submitted request and
-stamps its lifecycle transitions with virtual-clock times; the final
+The front-end keeps one :class:`RequestRecord` per submitted request —
+a view over the request's scheduler slot for its state and tokens —
+and stamps its lifecycle transitions with virtual-clock times; the final
 :class:`ServingReport` aggregates them into the numbers an online system
 is judged by — p50/p99 completion latency, time-to-first-token, and SLO
 attainment per class — plus per-worker utilisation, which is the signal
@@ -19,18 +20,30 @@ import numpy as np
 
 from repro.serving.request import RequestState, ServingRequest
 from repro.specdec.metrics import WorkerCounters
+from repro.specdec.scheduler import SequenceSlot
 
 
 @dataclass
 class RequestRecord:
-    """Lifecycle trace of one online request.
+    """Lifecycle trace of one online request: a view over its slot.
+
+    Once dispatched, the record holds the worker's
+    :class:`~repro.specdec.scheduler.SequenceSlot` the request was
+    queued as (re-pointed when work stealing moves it) and reads its
+    ``state`` and ``response`` from there, so nothing copies the
+    scheduler's transitions or tokens.  Before dispatch it reads its
+    own ``pre_dispatch`` state.
 
     All times are virtual-clock ticks; ``None`` means the transition has
     not happened (yet).
 
     Attributes:
         request: the submitted request.
-        state: current lifecycle state.
+        pre_dispatch: the state while no worker holds the request —
+            PENDING, or CANCELLED / EXPIRED when it was retired before
+            dispatch.
+        slot: the worker slot the request is queued on (None before
+            dispatch).
         worker_id: worker the request was dispatched to (updated when
             work stealing moves it).
         dispatch_time: when the front-end routed it to a worker.
@@ -39,22 +52,35 @@ class RequestRecord:
             first response token.
         finish_time: completion time of its last cycle (finish or
             cancellation).
-        response: committed response tokens (partial when cancelled).
         stolen: times the request was moved by work stealing.
         preemptions: times the request was parked mid-decode (by the
             preemption policy or an explicit ``park``).
     """
 
     request: ServingRequest
-    state: RequestState = RequestState.PENDING
+    pre_dispatch: RequestState = RequestState.PENDING
+    slot: Optional[SequenceSlot] = field(
+        default=None, repr=False, compare=False
+    )
     worker_id: Optional[int] = None
     dispatch_time: Optional[float] = None
     admit_time: Optional[float] = None
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
-    response: List[int] = field(default_factory=list)
     stolen: int = 0
     preemptions: int = 0
+
+    @property
+    def state(self) -> RequestState:
+        """Current lifecycle state (the slot's, once dispatched)."""
+        return self.pre_dispatch if self.slot is None else self.slot.state
+
+    @property
+    def response(self) -> List[int]:
+        """Committed response tokens: the tokens so far while RUNNING
+        or PARKED, partial when cancelled, ``[]`` before dispatch.  The
+        slot's own list — copy it before mutating."""
+        return [] if self.slot is None else self.slot.response
 
     # -- derived -----------------------------------------------------------
 

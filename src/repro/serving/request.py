@@ -13,11 +13,16 @@ committed tokens independent of the dispatch policy, the worker the
 request lands on, admission timing, work stealing, and neighbours'
 cancellations — the serving-layer extension of the batched engine's
 losslessness guarantee.
+
+A request's lifecycle is :class:`~repro.specdec.scheduler.RequestState`,
+the one enum the scheduler's slots carry: a pool's record reads it
+through the slot its request was queued as, and holds a state of its
+own only before dispatch (PENDING, or CANCELLED / EXPIRED when the
+request was retired before reaching a worker).
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -25,6 +30,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, ServingError
+# The lifecycle enum is the scheduler's own, imported (not aliased) so
+# ``from repro.serving.request import RequestState`` keeps working.
+from repro.specdec.scheduler import RequestState, TERMINAL_STATES  # noqa: F401
 from repro.workload.lengths import LengthModel
 
 
@@ -108,37 +116,6 @@ INTERACTIVE = SloClass("interactive", ttft_target=4.0, latency_target=48.0)
 STANDARD = SloClass("standard", ttft_target=8.0, latency_target=96.0)
 #: Throughput-oriented background traffic (RL rollouts, evals).
 BATCH = SloClass("batch", ttft_target=32.0, latency_target=384.0)
-
-
-class RequestState(enum.Enum):
-    """Lifecycle of an online request.
-
-    The serving-level mirror of the scheduler's
-    :class:`~repro.specdec.scheduler.RequestLifecycle`: PENDING/QUEUED
-    split the scheduler's WAITING into before/after dispatch, PARKED
-    tracks a preempted live slot awaiting resume, and EXPIRED separates
-    deadline misses from operator cancels.
-    """
-
-    PENDING = "pending"      # submitted, arrival time not reached
-    QUEUED = "queued"        # dispatched to a worker, waiting for a slot
-    RUNNING = "running"      # decoding in a live slot
-    PARKED = "parked"        # preempted mid-decode, slot stashed
-    FINISHED = "finished"    # EOS or length cap
-    CANCELLED = "cancelled"  # explicit cancel
-    EXPIRED = "expired"      # SLO deadline passed
-
-
-#: Terminal serving states — nothing left to do for these requests.
-#: Shared by the front-end's event loop and the rollout scheduler's
-#: collect loop, so a future terminal state cannot desynchronize them.
-RESOLVED_STATES = frozenset(
-    {
-        RequestState.FINISHED,
-        RequestState.CANCELLED,
-        RequestState.EXPIRED,
-    }
-)
 
 
 @dataclass

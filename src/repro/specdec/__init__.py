@@ -37,7 +37,7 @@ from repro.specdec.metrics import (
 from repro.specdec.scheduler import (
     BatchCycleReport,
     ContinuousBatchScheduler,
-    RequestLifecycle,
+    RequestState,
     SequenceRequest,
     SequenceSlot,
 )
@@ -65,7 +65,7 @@ __all__ = [
     "make_serving_request",
     "BatchCycleReport",
     "ContinuousBatchScheduler",
-    "RequestLifecycle",
+    "RequestState",
     "SequenceRequest",
     "SequenceSlot",
     "EventBus",

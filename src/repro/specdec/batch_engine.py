@@ -223,7 +223,7 @@ class BatchedSpecDecodeEngine:
         sd_manager: optional adaptive SD manager driven by the real
             live-batch size each cycle.
         admission: pluggable admission policy on the scheduler's
-            WAITING -> LIVE edge (FIFO when omitted).
+            QUEUED -> RUNNING edge (FIFO when omitted).
         kv_cache: optional per-worker prefix cache.  When attached, the
             prefill stage serves exact-prompt matches from cache,
             coalesces same-wave duplicates into one prefill row per
@@ -403,7 +403,7 @@ class BatchedSpecDecodeEngine:
         continues its decode byte-identically to an uninterrupted run.
 
         Args:
-            request_id: the LIVE request to park (raises otherwise).
+            request_id: the RUNNING request to park (raises otherwise).
             preempted: emit a PREEMPTED event instead of PARKED (set by
                 scheduling policies so the trail distinguishes policy
                 preemption from an operator's explicit park).
@@ -601,7 +601,7 @@ class BatchedSpecDecodeEngine:
             stats = SdCycleStats(
                 accepted=result.accepted_node_count,
                 committed=count,
-                drafted=tree.num_selected,
+                drafted=tree.num_nodes,
                 draft_steps=tree.draft_steps,
                 verify_batch=result.verify_batch,
             )

@@ -17,7 +17,7 @@ module holds what the two layers share:
   serving layer, the virtual-time stamp — the observability surface the
   preemption benchmarks and the closed-loop RL <-> serving work build
   on.
-* :class:`AdmissionPolicy` — the pluggable WAITING -> LIVE edge,
+* :class:`AdmissionPolicy` — the pluggable QUEUED -> RUNNING edge,
   mirroring the serving layer's dispatch/preemption policies:
   :class:`FifoAdmission` is the byte-identical default,
   :class:`PrefixAwareAdmission` co-admits requests sharing a cached or
@@ -60,10 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only (import cycle guard:
 class RequestEventKind(enum.Enum):
     """What happened to a request (or, for SWAPPED, to the engine)."""
 
-    ADMITTED = "admitted"    # waiting -> live (first time)
-    PARKED = "parked"        # live -> parked (caller-initiated)
-    PREEMPTED = "preempted"  # live -> parked (policy-initiated)
-    RESUMED = "resumed"      # parked -> live (re-admitted)
+    ADMITTED = "admitted"    # queued -> running (first time)
+    PARKED = "parked"        # running -> parked (caller-initiated)
+    PREEMPTED = "preempted"  # running -> parked (policy-initiated)
+    RESUMED = "resumed"      # parked -> running (re-admitted)
     SWAPPED = "swapped"      # engine drafter replaced (request_id None)
     FINISHED = "finished"    # EOS or length cap
     CANCELLED = "cancelled"  # explicit cancellation
@@ -172,7 +172,7 @@ class EventBus:
         return len(self._events)
 
 
-# -- admission (the WAITING -> LIVE edge, made pluggable) ------------------
+# -- admission (the QUEUED -> RUNNING edge, made pluggable) --------------
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ class AdmissionView:
 class AdmissionPolicy(abc.ABC):
     """Chooses WHICH waiting requests enter live slots each wave.
 
-    The pluggable protocol on the scheduler's explicit WAITING -> LIVE
+    The pluggable protocol on the scheduler's explicit QUEUED -> RUNNING
     edge, mirroring the serving layer's
     :class:`~repro.serving.dispatch.DispatchPolicy` /
     :class:`~repro.serving.dispatch.PreemptionPolicy`: the scheduler

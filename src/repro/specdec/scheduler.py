@@ -10,7 +10,7 @@ request.  This module owns that lifecycle so the decode engine
 (:mod:`repro.specdec.batch_engine`) can focus on the per-cycle math.
 
 WHICH waiting requests go live each wave is delegated to a pluggable
-:class:`~repro.specdec.control.AdmissionPolicy` (the WAITING -> LIVE
+:class:`~repro.specdec.control.AdmissionPolicy` (the QUEUED -> RUNNING
 edge made explicit): :class:`~repro.specdec.control.FifoAdmission`
 takes the front of the queue and is the default;
 :class:`~repro.specdec.control.PrefixAwareAdmission` co-admits
@@ -31,17 +31,21 @@ the request is stolen.  Lifecycle state, queue stamps, the urgent flag
 and the engine's cache pin all live on it; the waiting / live / parked /
 resume containers only order the slots that are in those states.
 
-Every request walks an explicit state machine
-(:class:`RequestLifecycle`)::
+Every request walks one explicit state machine, :class:`RequestState`
+— the same enum a slot carries here and a serving pool's
+:class:`~repro.serving.metrics.RequestRecord` reads through its slot::
 
-    WAITING ──admit──▶ LIVE ──park──▶ PARKED
-                        ▲               │
-                        └────resume─────┘
-    {WAITING, LIVE, PARKED} ──▶ FINISHED | CANCELLED | EXPIRED
+    PENDING ──dispatch──▶ QUEUED ──admit──▶ RUNNING ──park──▶ PARKED
+                                               ▲                │
+                                               └─────resume─────┘
+    {PENDING, QUEUED, RUNNING, PARKED} ──▶ FINISHED | CANCELLED | EXPIRED
 
-Illegal transitions raise — :meth:`~ContinuousBatchScheduler.park` of a
-waiting request, :meth:`~ContinuousBatchScheduler.resume` of a live one,
-anything out of a terminal state.  Parking stashes the live slot whole
+PENDING belongs to the pool (submitted, not yet dispatched to any
+worker); a scheduler's slot is born QUEUED at :meth:`push`.  FINISHED
+is reached only from RUNNING.  Illegal transitions raise —
+:meth:`~ContinuousBatchScheduler.park` of a queued request,
+:meth:`~ContinuousBatchScheduler.resume` of a running one, anything out
+of a terminal state.  Parking stashes the live slot whole
 (committed tokens, target hidden hand-off, private random stream), so a
 resumed sequence's remaining tokens are byte-identical to an
 uninterrupted run; resumed slots re-enter ahead of the waiting FIFO at
@@ -93,11 +97,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.cache.manager import KVCacheManager
 
 
-class RequestLifecycle(enum.Enum):
-    """Scheduler-level lifecycle state of one request."""
+class RequestState(enum.Enum):
+    """Lifecycle state of one request: the one enum a slot, a pool's
+    record and every consumer read."""
 
-    WAITING = "waiting"      # queued, not yet admitted to a live slot
-    LIVE = "live"            # decoding in a live slot
+    PENDING = "pending"      # submitted to a pool, not yet dispatched
+    QUEUED = "queued"        # queued on a scheduler, not yet admitted
+    RUNNING = "running"      # decoding in a live slot
     PARKED = "parked"        # suspended mid-decode, slot stashed
     FINISHED = "finished"    # EOS or length cap
     CANCELLED = "cancelled"  # explicit cancellation
@@ -105,37 +111,33 @@ class RequestLifecycle(enum.Enum):
 
 
 #: Legal lifecycle transitions; anything else raises SpecDecodeError.
-_TRANSITIONS: Dict[RequestLifecycle, frozenset] = {
-    RequestLifecycle.WAITING: frozenset(
+#: PENDING is the pool's (a scheduler's slots start QUEUED).
+_TRANSITIONS: Dict[RequestState, frozenset] = {
+    RequestState.PENDING: frozenset(
+        {RequestState.QUEUED, RequestState.CANCELLED, RequestState.EXPIRED}
+    ),
+    RequestState.QUEUED: frozenset(
+        {RequestState.RUNNING, RequestState.CANCELLED, RequestState.EXPIRED}
+    ),
+    RequestState.RUNNING: frozenset(
         {
-            RequestLifecycle.LIVE,
-            RequestLifecycle.CANCELLED,
-            RequestLifecycle.EXPIRED,
+            RequestState.PARKED,
+            RequestState.FINISHED,
+            RequestState.CANCELLED,
+            RequestState.EXPIRED,
         }
     ),
-    RequestLifecycle.LIVE: frozenset(
-        {
-            RequestLifecycle.PARKED,
-            RequestLifecycle.FINISHED,
-            RequestLifecycle.CANCELLED,
-            RequestLifecycle.EXPIRED,
-        }
+    RequestState.PARKED: frozenset(
+        {RequestState.RUNNING, RequestState.CANCELLED, RequestState.EXPIRED}
     ),
-    RequestLifecycle.PARKED: frozenset(
-        {
-            RequestLifecycle.LIVE,
-            RequestLifecycle.CANCELLED,
-            RequestLifecycle.EXPIRED,
-        }
-    ),
-    RequestLifecycle.FINISHED: frozenset(),
-    RequestLifecycle.CANCELLED: frozenset(),
-    RequestLifecycle.EXPIRED: frozenset(),
+    RequestState.FINISHED: frozenset(),
+    RequestState.CANCELLED: frozenset(),
+    RequestState.EXPIRED: frozenset(),
 }
 
 #: States nothing leaves (a tuple: ``in`` compares by identity, where
 #: a set would call ``Enum.__hash__`` once per live slot per cycle).
-_TERMINAL = tuple(
+TERMINAL_STATES = tuple(
     state for state, exits in _TRANSITIONS.items() if not exits
 )
 
@@ -183,7 +185,7 @@ class SequenceSlot:
         state: the request's lifecycle state on this scheduler.
         urgent: True while the request waits in the urgent admission
             lane.
-        since: scheduler cycle the current WAITING or PARKED spell
+        since: scheduler cycle the current QUEUED or PARKED spell
             began (net of cycles already waited on a donor scheduler).
         wait_cycles: scheduler cycles the request spent in the waiting
             queue before admission.
@@ -201,7 +203,7 @@ class SequenceSlot:
     response: List[int] = field(default_factory=list)
     hidden: Optional[np.ndarray] = None
     done: bool = False
-    state: RequestLifecycle = RequestLifecycle.WAITING
+    state: RequestState = RequestState.QUEUED
     urgent: bool = False
     since: int = 0
     wait_cycles: int = 0
@@ -218,14 +220,14 @@ class SequenceSlot:
     def cancelled(self) -> bool:
         """Whether the request was cancelled (the partial response up
         to the cancellation boundary is retained)."""
-        return self.state is RequestLifecycle.CANCELLED
+        return self.state is RequestState.CANCELLED
 
     @property
     def expired(self) -> bool:
         """Whether the request was retired by deadline expiry
         (mechanically a cancellation; kept distinct for SLO
         accounting)."""
-        return self.state is RequestLifecycle.EXPIRED
+        return self.state is RequestState.EXPIRED
 
     @property
     def finished(self) -> bool:
@@ -234,7 +236,7 @@ class SequenceSlot:
         return (
             self.done
             or len(self.response) >= self.request.max_new_tokens
-            or self.state in _TERMINAL
+            or self.state in TERMINAL_STATES
         )
 
     def commit(self, tokens: List[int], eos_id: int) -> int:
@@ -368,24 +370,6 @@ class ContinuousBatchScheduler:
         return len(self._resuming)
 
     @property
-    def num_finished(self) -> int:
-        """Requests that retired (EOS, length cap, or cancellation)."""
-        return sum(
-            1 for slot in self._slots.values()
-            if slot.state in _TERMINAL
-        )
-
-    @property
-    def num_cancelled(self) -> int:
-        """Retired requests that were cancelled."""
-        return sum(1 for slot in self._slots.values() if slot.cancelled)
-
-    @property
-    def num_expired(self) -> int:
-        """Retired requests that hit their deadline."""
-        return sum(1 for slot in self._slots.values() if slot.expired)
-
-    @property
     def parked_ids(self) -> List[int]:
         """Parked request ids in park order (resume queue excluded)."""
         return list(self.parked)
@@ -424,12 +408,12 @@ class ContinuousBatchScheduler:
                 f"unknown request_id {request_id}"
             ) from None
 
-    def state(self, request_id: int) -> RequestLifecycle:
+    def state(self, request_id: int) -> RequestState:
         """The request's lifecycle state (raises for unknown ids)."""
         return self._slot(request_id).state
 
     def _transition(
-        self, slot: SequenceSlot, to: RequestLifecycle
+        self, slot: SequenceSlot, to: RequestState
     ) -> None:
         """Apply a lifecycle transition, rejecting illegal edges."""
         if to not in _TRANSITIONS[slot.state]:
@@ -459,7 +443,7 @@ class ContinuousBatchScheduler:
         request: SequenceRequest,
         waited: int = 0,
         urgent: bool = False,
-    ) -> None:
+    ) -> SequenceSlot:
         """Append a request to the waiting queue (online admission).
 
         Args:
@@ -473,6 +457,10 @@ class ContinuousBatchScheduler:
                 queues behind a BATCH backlog.  The serving layer sets
                 this from the preemption policy's urgency test; plain
                 batch decoding never does.
+
+        Returns:
+            The request's new QUEUED slot (a serving pool's record
+            reads its state and response through it).
         """
         request_id = request.request_id
         if request_id in self._slots:
@@ -483,12 +471,13 @@ class ContinuousBatchScheduler:
             self.waiting.insert(len(self._urgent_lane()), request)
         else:
             self.waiting.append(request)
-        self._slots[request_id] = SequenceSlot(
+        slot = self._slots[request_id] = SequenceSlot(
             request=request,
             sequence=list(request.prompt),
             urgent=urgent,
             since=self._cycle - int(waited),
         )
+        return slot
 
     def _capacity_free(self) -> bool:
         return (
@@ -510,7 +499,7 @@ class ContinuousBatchScheduler:
         while self._resuming and self._capacity_free():
             slot = self._resuming.popleft()
             slot.parked_cycles += self._cycle - slot.since
-            self._transition(slot, RequestLifecycle.LIVE)
+            self._transition(slot, RequestState.RUNNING)
             self.live.append(slot)
             readmitted.append(slot)
         return readmitted
@@ -574,7 +563,7 @@ class ContinuousBatchScheduler:
             slot = self._slots[view.waiting[index].request_id]
             slot.urgent = False
             slot.wait_cycles = self._cycle - slot.since
-            self._transition(slot, RequestLifecycle.LIVE)
+            self._transition(slot, RequestState.RUNNING)
             self.live.append(slot)
             admitted.append(slot)
         return admitted
@@ -585,19 +574,19 @@ class ContinuousBatchScheduler:
         The slot is stashed whole — committed tokens, the exact target
         hidden hand-off, and the request's private random stream — so a
         later :meth:`resume` continues decoding byte-identically to an
-        uninterrupted run.  Only LIVE requests can be parked; anything
+        uninterrupted run.  Only RUNNING requests can be parked; anything
         else raises (the state machine is explicit on purpose).
 
         Returns:
             The parked slot (still owned by this scheduler).
         """
         slot = self._slot(request_id)
-        if slot.state is not RequestLifecycle.LIVE:
+        if slot.state is not RequestState.RUNNING:
             raise SpecDecodeError(
-                f"park() requires a LIVE request; {request_id} is "
+                f"park() requires a RUNNING request; {request_id} is "
                 f"{slot.state.value}"
             )
-        self._transition(slot, RequestLifecycle.PARKED)
+        self._transition(slot, RequestState.PARKED)
         self.live.remove(slot)
         self.parked[request_id] = slot
         slot.since = self._cycle
@@ -615,7 +604,7 @@ class ContinuousBatchScheduler:
             state = self.state(request_id)
             detail = (
                 "already resuming"
-                if state is RequestLifecycle.PARKED
+                if state is RequestState.PARKED
                 else state.value
             )
             raise SpecDecodeError(
@@ -634,7 +623,7 @@ class ContinuousBatchScheduler:
         if retired:
             self.live = [s for s in self.live if not s.finished]
             for slot in retired:
-                self._transition(slot, RequestLifecycle.FINISHED)
+                self._transition(slot, RequestState.FINISHED)
         return retired
 
     def cancel(self, request_id: int) -> Optional[SequenceSlot]:
@@ -652,7 +641,7 @@ class ContinuousBatchScheduler:
             The cancelled slot, or None when the request is unknown or
             already finished.
         """
-        return self._terminate(request_id, RequestLifecycle.CANCELLED)
+        return self._terminate(request_id, RequestState.CANCELLED)
 
     def expire(self, request_id: int) -> Optional[SequenceSlot]:
         """Retire a request as deadline-expired (cancel's SLO sibling).
@@ -661,18 +650,18 @@ class ContinuousBatchScheduler:
         EXPIRED, so SLO accounting can distinguish a missed deadline
         from an operator cancel.
         """
-        return self._terminate(request_id, RequestLifecycle.EXPIRED)
+        return self._terminate(request_id, RequestState.EXPIRED)
 
     def _terminate(
-        self, request_id: int, to: RequestLifecycle
+        self, request_id: int, to: RequestState
     ) -> Optional[SequenceSlot]:
         slot = self._slots.get(request_id)
-        if slot is None or slot.state in _TERMINAL:
+        if slot is None or slot.state in TERMINAL_STATES:
             return None
-        if slot.state is RequestLifecycle.WAITING:
+        if slot.state is RequestState.QUEUED:
             self.waiting.remove(slot.request)
             slot.urgent = False
-        elif slot.state is RequestLifecycle.LIVE:
+        elif slot.state is RequestState.RUNNING:
             self.live.remove(slot)
         else:  # PARKED: in the stash or already queued to resume
             if self.parked.pop(request_id, None) is None:

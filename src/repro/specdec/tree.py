@@ -189,11 +189,6 @@ class FlatDraftTree:
         return int(self.tokens.shape[0])
 
     @property
-    def num_selected(self) -> int:
-        """Alias of :attr:`num_nodes` (every stored node is selected)."""
-        return self.num_nodes
-
-    @property
     def max_depth(self) -> int:
         """Deepest materialised level (0 for an empty tree)."""
         return int(self.depths[-1]) if self.num_nodes else 0

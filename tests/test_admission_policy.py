@@ -289,7 +289,11 @@ class TestEnginePrefixCache:
         assert [s.response for s in squeezed.slots] == [
             s.response for s in plain.slots
         ]
-        assert tiny.stats.evictions + tiny.stats.rejected > 0
+        assert (
+            tiny.stats.evictions
+            + tiny.stats.rejected_pinned
+            + tiny.stats.rejected_oversize
+        ) > 0
 
     def test_park_resume_releases_and_reacquires_ref(
         self, target, trained_drafter, strategy

@@ -153,7 +153,7 @@ class TestKVCacheManager:
         # With every remaining entry pinned, a new insert is declined.
         assert cache.acquire((3, 3, 3))
         assert not cache.insert((4, 4, 4), _hidden(4.0), cycle=3)
-        assert cache.stats.rejected == 1
+        assert cache.stats.rejected_pinned == 1
         assert cache.contains((1, 1, 1)) and cache.contains((3, 3, 3))
 
     def test_infeasible_insert_does_not_sweep_warm_entries(self):
@@ -169,13 +169,13 @@ class TestKVCacheManager:
         assert not cache.insert((4, 4, 4, 4), _hidden(4.0), cycle=2)
         assert cache.contains((3, 3, 3))
         assert cache.stats.evictions == 0
-        assert cache.stats.rejected == 1
+        assert cache.stats.rejected_pinned == 1
 
     def test_oversized_entry_rejected_outright(self):
         cache = KVCacheManager(capacity_tokens=2)
         assert not cache.insert((1, 2, 3), _hidden(1.0), cycle=0)
         assert cache.num_entries == 0
-        assert cache.stats.rejected == 1
+        assert cache.stats.rejected_oversize == 1
 
     def test_acquire_release_refcount(self):
         cache = KVCacheManager(capacity_tokens=8)

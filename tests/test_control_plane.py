@@ -38,7 +38,6 @@ from repro.specdec import (
     BatchedSpecDecodeEngine,
     ContinuousBatchScheduler,
     RequestEventKind,
-    RequestLifecycle,
     SdStrategy,
     make_serving_request,
 )
@@ -91,12 +90,12 @@ class TestStateMachine:
         engine = _engine(target, trained_drafter, max_batch_size=3)
         engine.start(_requests())
         scheduler = engine.scheduler
-        assert scheduler.state(0) is RequestLifecycle.WAITING
+        assert scheduler.state(0) is RequestState.QUEUED
         engine.step()
-        assert scheduler.state(0) is RequestLifecycle.LIVE
-        assert scheduler.state(5) is RequestLifecycle.WAITING
+        assert scheduler.state(0) is RequestState.RUNNING
+        assert scheduler.state(5) is RequestState.QUEUED
         engine.park(0)
-        assert scheduler.state(0) is RequestLifecycle.PARKED
+        assert scheduler.state(0) is RequestState.PARKED
         assert scheduler.num_parked == 1
         engine.resume(0)
         assert scheduler.num_resuming == 1
@@ -104,10 +103,10 @@ class TestStateMachine:
         # Re-admitted this cycle (it may also retire within it).
         assert 0 in [s.request.request_id for s in outcome.resumed]
         assert scheduler.state(0) in (
-            RequestLifecycle.LIVE, RequestLifecycle.FINISHED
+            RequestState.RUNNING, RequestState.FINISHED
         )
         _drain(engine)
-        assert scheduler.state(0) is RequestLifecycle.FINISHED
+        assert scheduler.state(0) is RequestState.FINISHED
 
     def test_illegal_transitions_raise(self, target, trained_drafter):
         engine = _engine(target, trained_drafter, max_batch_size=2)
@@ -134,9 +133,12 @@ class TestStateMachine:
         live_id = engine.scheduler.live[0].request.request_id
         slot = engine.expire(live_id)
         assert slot is not None and slot.expired and not slot.cancelled
-        assert engine.scheduler.state(live_id) is RequestLifecycle.EXPIRED
-        assert engine.scheduler.num_expired == 1
-        assert engine.scheduler.num_cancelled == 0
+        assert engine.scheduler.state(live_id) is RequestState.EXPIRED
+        assert [
+            s.request.request_id
+            for s in engine.scheduler._slots.values()
+            if s.expired or s.cancelled
+        ] == [live_id]
         assert engine.expire(live_id) is None  # already terminal
         kinds = [e.kind for e in engine.events.events]
         assert RequestEventKind.EXPIRED in kinds
@@ -197,7 +199,7 @@ class TestParkResumeDeterminism:
             engine.start(_requests(max_new_tokens=40))
             engine.step()
             engine.step()
-            if engine.scheduler.state(victim) is not RequestLifecycle.LIVE:
+            if engine.scheduler.state(victim) is not RequestState.RUNNING:
                 continue
             engine.park(victim)
             engine.step()
@@ -247,7 +249,7 @@ class TestParkResumeDeterminism:
         # The freed slot went to the resumed request, not the FIFO head.
         assert [s.request.request_id for s in outcome.resumed] == [victim]
         assert engine.scheduler.state(victim) in (
-            RequestLifecycle.LIVE, RequestLifecycle.FINISHED
+            RequestState.RUNNING, RequestState.FINISHED
         )
 
 
@@ -369,7 +371,7 @@ class TestStealWaitingEdgeCases:
         assert slot is not None and slot.cancelled
         assert receiver.state(
             request.request_id
-        ) is RequestLifecycle.CANCELLED
+        ) is RequestState.CANCELLED
         assert not receiver.has_work
         assert [
             s.request.request_id for s in receiver.results()

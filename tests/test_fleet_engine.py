@@ -440,6 +440,32 @@ class TestFleetHotSwap:
         with pytest.raises(FleetError):
             fleet.swap_drafter(object())
 
+    @pytest.mark.parametrize("mid_roll", [False, True])
+    def test_late_joiner_serves_the_published_drafter(
+        self, target, trained_drafter, mid_roll
+    ):
+        """A replica attached after (or during) a publication starts on
+        the published drafter, not the one its factory built."""
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter) for _ in range(2)]
+        )
+        fleet.tick()
+        published = trained_drafter.clone()
+        fleet.swap_drafter(published)
+        fleet.tick()
+        if not mid_roll:
+            while fleet.swap_in_progress:
+                fleet.tick()
+        assert fleet.swap_in_progress == mid_roll
+        joined = fleet.add_replica(_pool(target, trained_drafter))
+        for worker in fleet.replicas[joined].frontend.workers:
+            assert worker.engine.drafter is published
+        while fleet.swap_in_progress:
+            fleet.tick()
+        for replica in fleet.replicas:
+            for worker in replica.frontend.workers:
+                assert worker.engine.drafter is published
+
 
 class TestSystemIntegration:
     def test_fleet_frontend_builds_and_serves(self, target,

@@ -28,8 +28,9 @@ import pytest
 from repro.errors import SpecDecodeError
 from repro.specdec.scheduler import (
     ContinuousBatchScheduler,
-    RequestLifecycle,
+    RequestState,
     SequenceRequest,
+    TERMINAL_STATES,
 )
 
 MAX_BATCH = 3
@@ -40,11 +41,11 @@ class ReferenceModel:
     """Lifecycle bookkeeping the scheduler must agree with."""
 
     def __init__(self) -> None:
-        self.state: Dict[int, RequestLifecycle] = {}
+        self.state: Dict[int, RequestState] = {}
         self.resuming: Set[int] = set()  # PARKED ids queued to re-admit
         self.stolen: Set[int] = set()
 
-    def ids_in(self, *states: RequestLifecycle) -> Set[int]:
+    def ids_in(self, *states: RequestState) -> Set[int]:
         return {
             request_id
             for request_id, state in self.state.items()
@@ -53,25 +54,25 @@ class ReferenceModel:
 
     @property
     def live(self) -> Set[int]:
-        return self.ids_in(RequestLifecycle.LIVE)
+        return self.ids_in(RequestState.RUNNING)
 
     @property
     def waiting(self) -> Set[int]:
-        return self.ids_in(RequestLifecycle.WAITING)
+        return self.ids_in(RequestState.QUEUED)
 
     @property
     def parked(self) -> Set[int]:
         return {
-            i for i in self.ids_in(RequestLifecycle.PARKED)
+            i for i in self.ids_in(RequestState.PARKED)
             if i not in self.resuming
         }
 
     @property
     def finished(self) -> Set[int]:
         return self.ids_in(
-            RequestLifecycle.FINISHED,
-            RequestLifecycle.CANCELLED,
-            RequestLifecycle.EXPIRED,
+            RequestState.FINISHED,
+            RequestState.CANCELLED,
+            RequestState.EXPIRED,
         )
 
 
@@ -91,7 +92,10 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
     assert scheduler.num_waiting == len(model.waiting)
     assert scheduler.num_parked == len(model.parked)
     assert scheduler.num_resuming == len(model.resuming)
-    assert scheduler.num_finished == len(model.finished)
+    assert sum(
+        slot.state in TERMINAL_STATES
+        for slot in scheduler._slots.values()
+    ) == len(model.finished)
     assert scheduler.num_live <= MAX_BATCH
     # No request is ever in two places at once or lost.
     tracked = (
@@ -109,23 +113,23 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
         else:
             got = scheduler.state(request_id)
             if request_id in model.resuming:
-                assert got is RequestLifecycle.PARKED
+                assert got is RequestState.PARKED
             else:
                 assert got is state
     # One record per request: each slot sits in exactly the container
     # its state names (terminal: none), as the same object...
     homes = {  # the containers' ids equal the model's (checked above)
-        RequestLifecycle.WAITING: model.waiting,
-        RequestLifecycle.LIVE: model.live,
-        RequestLifecycle.PARKED: model.parked | model.resuming,
+        RequestState.QUEUED: model.waiting,
+        RequestState.RUNNING: model.live,
+        RequestState.PARKED: model.parked | model.resuming,
     }
     for request_id, slot in scheduler._slots.items():
         for state, home in homes.items():
             assert (request_id in home) == (slot.state is state)
         assert slot.cancelled == (
-            slot.state is RequestLifecycle.CANCELLED
+            slot.state is RequestState.CANCELLED
         )
-        assert slot.expired == (slot.state is RequestLifecycle.EXPIRED)
+        assert slot.expired == (slot.state is RequestState.EXPIRED)
     for request in scheduler.waiting:
         assert scheduler._slots[request.request_id].request is request
     for slot in (
@@ -187,7 +191,7 @@ def test_scheduler_state_machine_fuzz(seed):
                 _request(next_id, rng),
                 urgent=bool(rng.integers(0, 2)),
             )
-            model.state[next_id] = RequestLifecycle.WAITING
+            model.state[next_id] = RequestState.QUEUED
             next_id += 1
         elif op == "admit":
             admitted = scheduler.admit()
@@ -195,7 +199,7 @@ def test_scheduler_state_machine_fuzz(seed):
             assert len(admitted) == min(len(model.waiting), max(free, 0))
             for slot in admitted:
                 model.state[slot.request.request_id] = (
-                    RequestLifecycle.LIVE
+                    RequestState.RUNNING
                 )
         elif op == "readmit":
             readmitted = scheduler.readmit_parked()
@@ -203,14 +207,14 @@ def test_scheduler_state_machine_fuzz(seed):
                 request_id = slot.request.request_id
                 assert request_id in model.resuming
                 model.resuming.discard(request_id)
-                model.state[request_id] = RequestLifecycle.LIVE
+                model.state[request_id] = RequestState.RUNNING
         elif op == "park":
             if any_id is None:
                 continue
-            legal = model.state[any_id] is RequestLifecycle.LIVE
+            legal = model.state[any_id] is RequestState.RUNNING
             if legal:
                 scheduler.park(any_id)
-                model.state[any_id] = RequestLifecycle.PARKED
+                model.state[any_id] = RequestState.PARKED
             else:
                 with pytest.raises(SpecDecodeError):
                     scheduler.park(any_id)
@@ -219,7 +223,7 @@ def test_scheduler_state_machine_fuzz(seed):
             if any_id is None:
                 continue
             legal = (
-                model.state[any_id] is RequestLifecycle.PARKED
+                model.state[any_id] is RequestState.PARKED
                 and any_id not in model.resuming
             )
             if legal:
@@ -237,9 +241,9 @@ def test_scheduler_state_machine_fuzz(seed):
             )
             slot = terminate(any_id)
             if model.state[any_id] in (
-                RequestLifecycle.FINISHED,
-                RequestLifecycle.CANCELLED,
-                RequestLifecycle.EXPIRED,
+                RequestState.FINISHED,
+                RequestState.CANCELLED,
+                RequestState.EXPIRED,
             ):
                 assert slot is None  # unknown-or-finished contract
             else:
@@ -247,8 +251,8 @@ def test_scheduler_state_machine_fuzz(seed):
                 assert slot.cancelled if op == "cancel" else slot.expired
                 model.resuming.discard(any_id)
                 model.state[any_id] = (
-                    RequestLifecycle.CANCELLED if op == "cancel"
-                    else RequestLifecycle.EXPIRED
+                    RequestState.CANCELLED if op == "cancel"
+                    else RequestState.EXPIRED
                 )
         elif op == "finish":
             live = sorted(model.live)
@@ -268,7 +272,7 @@ def test_scheduler_state_machine_fuzz(seed):
             }
             for slot in retired:
                 model.state[slot.request.request_id] = (
-                    RequestLifecycle.FINISHED
+                    RequestState.FINISHED
                 )
         elif op == "tick":
             scheduler.tick()

@@ -243,7 +243,12 @@ class TestServingEngine:
         donor.engine.step()  # request 0 takes the only slot, 1 queues
         live = 40 - len(donor.engine.scheduler.live[0].response)
         assert donor.backlog_tokens == live + 6
-        assert steal_work([donor, receiver]) == [(1, 0, 1)]
+        [(request_id, from_id, to_id, slot)] = steal_work(
+            [donor, receiver]
+        )
+        assert (request_id, from_id, to_id) == (1, 0, 1)
+        # The move carries the receiver's new slot for the record.
+        assert slot is receiver.engine.scheduler._slots[1]
         # The estimate moved with the request: not the 40-token cap
         # on the receiver, nothing left behind on the donor.
         assert receiver.backlog_tokens == 6

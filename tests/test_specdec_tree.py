@@ -312,7 +312,7 @@ class TestFlatRoundTrip:
             )
             flat = flatten(tree)
             view = to_node_view(flat)
-            assert flat.num_selected == tree.num_selected
+            assert flat.num_nodes == tree.num_selected
             selected = tree.selected_indices
             for flat_i, legacy_i in enumerate(selected):
                 node = tree.nodes[legacy_i]
