@@ -127,7 +127,8 @@ class FleetReplica:
     def live_requests(self) -> int:
         """Requests decoding in live slots across this replica."""
         return sum(
-            worker.num_live for worker in self.frontend.workers
+            worker.engine.scheduler.num_live
+            for worker in self.frontend.workers
         )
 
     @property
@@ -135,9 +136,8 @@ class FleetReplica:
         """Total live slots this replica offers (workers when unbounded)."""
         total = 0
         for worker in self.frontend.workers:
-            total += (
-                1 if worker.capacity is None else worker.capacity
-            )
+            capacity = worker.engine.max_batch_size
+            total += 1 if capacity is None else capacity
         return total
 
     @property
@@ -261,7 +261,7 @@ class FleetEngine:
             # A joining pool holds no work and has never ticked, so it
             # takes the latest publication outright — no roll needed.
             for worker in frontend.workers:
-                worker.swap_drafter(self._published)
+                worker.engine.swap_drafter(self._published)
         self.replicas.append(replica)
         return replica
 
@@ -287,12 +287,23 @@ class FleetEngine:
         held is withdrawn and re-routed through the fleet policy to
         surviving replicas, and its live/parked requests finish in
         place.  The replica retires on the tick its last request
-        resolves — zero requests dropped, zero decoded twice.
+        resolves — zero requests dropped, zero decoded twice.  A
+        JOINING replica was never on the ring nor routed to, so it
+        retires at once (its pool must hold nothing).
 
         Returns:
             The number of requests migrated off the replica.
         """
         replica = self._replica(replica_id)
+        if replica.state is ReplicaState.JOINING:
+            if not replica.frontend.drained:
+                raise FleetError(
+                    f"replica {replica_id} is JOINING but its pool "
+                    f"holds unresolved requests"
+                )
+            replica.lifecycle.to(ReplicaState.RETIRED, self.clock.now)
+            self.drains += 1
+            return 0
         self.routing.on_leave(replica_id)
         replica.lifecycle.to(ReplicaState.DRAINING, self.clock.now)
         withdrawn = replica.frontend.withdraw_queued()

@@ -122,10 +122,13 @@ class FleetLeastLoaded(RoutingPolicy):
 class PrefixHashRouting(RoutingPolicy):
     """Prefix-keyed consistent hashing with least-loaded spill.
 
+    The ring places 64 virtual nodes per replica; an empty ring, or a
+    hashed owner that is not currently routable, falls back to
+    :class:`FleetLeastLoaded`.
+
     Args:
         prefix_len: leading prompt tokens forming the routing key —
             requests sharing this prefix land on one replica.
-        vnodes: virtual nodes per replica on the ring.
         spill_factor: hot-spot shedding threshold.  When the hashed
             owner's ``backlog_tokens`` exceeds ``spill_factor * min``
             (the least-loaded replica's backlog) ``+ spill_margin``,
@@ -140,8 +143,6 @@ class PrefixHashRouting(RoutingPolicy):
             each.  None disables spilling (pure affinity).
         spill_margin: absolute slack (tokens) before spilling can
             trigger, so near-idle fleets do not spill on noise.
-        fallback: policy used when the ring is empty or the hashed
-            owner is not currently routable (least-loaded by default).
         context_window: the served model's attention window.  When
             set, the routing key is the leading ``prefix_len`` tokens
             of the prompt's *effective prefill context*
@@ -163,10 +164,8 @@ class PrefixHashRouting(RoutingPolicy):
     def __init__(
         self,
         prefix_len: int = 4,
-        vnodes: int = 64,
         spill_factor: Optional[float] = 2.0,
         spill_margin: int = 32,
-        fallback: Optional[RoutingPolicy] = None,
         context_window: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -191,8 +190,8 @@ class PrefixHashRouting(RoutingPolicy):
         self.spill_factor = spill_factor
         self.spill_margin = spill_margin
         self.context_window = context_window
-        self.fallback = fallback or FleetLeastLoaded()
-        self.ring = ConsistentHashRing(vnodes=vnodes)
+        self.fallback = FleetLeastLoaded()
+        self.ring = ConsistentHashRing()
         #: Distinct keys routed so far — the audit set for measuring
         #: key movement across membership changes.
         self._routed_keys: Set[Tuple[int, ...]] = set()

@@ -188,10 +188,13 @@ class RolloutScheduler(RolloutBackend):
         segment_of: optional prompt -> segment labeller; tagged
             requests get per-segment acceptance counters and
             segment-affinity dispatch (the drafter-zoo hooks).
-        max_ticks: safety bound on pool ticks per collect.
+
+    A collect that has not drained within :attr:`max_ticks` pool ticks
+    raises (a safety bound, not a tuning knob).
     """
 
     name = "serving-pool"
+    max_ticks = 1_000_000
 
     def __init__(
         self,
@@ -202,22 +205,16 @@ class RolloutScheduler(RolloutBackend):
         segment_of: Optional[
             Callable[[Sequence[int]], Optional[str]]
         ] = None,
-        max_ticks: int = 1_000_000,
     ) -> None:
         if group_size is not None and group_size < 1:
             raise ConfigError(
                 f"group_size must be >= 1, got {group_size}"
-            )
-        if max_ticks < 1:
-            raise ConfigError(
-                f"max_ticks must be >= 1, got {max_ticks}"
             )
         self.engine = engine
         self.predictor = predictor or LengthPredictor()
         self.mode = mode
         self.group_size = group_size
         self.segment_of = segment_of
-        self.max_ticks = max_ticks
         self.stats = SchedulerStats()
         #: (batch id, request) pairs held back, in release order.
         self._staged: Deque[Tuple[int, ServingRequest]] = deque()

@@ -43,9 +43,11 @@ once capacity frees up.  Preemption therefore trades latency *across* SLO
 classes without touching a single committed token.
 
 Policies duck-type their ``workers`` argument against the serving
-front-end's :class:`~repro.serving.frontend.ServingWorker` surface
-(``num_live``, ``num_waiting``, ``free_slots``, ``backlog_tokens``,
-``steal``, ``enqueue``, ``prefix_match``, ``park_cost``).
+front-end's :class:`~repro.serving.frontend.ServingWorker` dispatch
+view (``num_waiting``, ``free_slots``, ``backlog_tokens``,
+``prefix_match``, ``park_cost``); :func:`steal_work` also reads
+``worker_id`` and moves requests through each worker's
+``engine.scheduler`` (``steal_waiting`` / ``push``).
 """
 
 from __future__ import annotations
@@ -115,35 +117,28 @@ class LongTailDispatch(DispatchPolicy):
     """Segregate predicted-long requests onto dedicated tail workers.
 
     Workers are split into a head group (short requests) and a tail
-    group (the last ``ceil(tail_fraction * N)`` workers).  Requests with
-    ``dispatch_length >= threshold`` go to the tail group, the rest to
-    the head group; within a group the least-backlogged worker wins.
-    With one worker both groups collapse onto it.
+    group (the last ``ceil(N / 2)`` workers, leaving at least one head
+    worker).  Requests with ``dispatch_length >= threshold`` go to the
+    tail group, the rest to the head group; within a group the
+    least-backlogged worker wins.  With one worker both groups collapse
+    onto it.
 
     Args:
         threshold: predicted length at which a request counts as tail.
-        tail_fraction: fraction of workers reserved for tail requests.
     """
 
     name = "long-tail"
 
-    def __init__(
-        self, threshold: int, tail_fraction: float = 0.5
-    ) -> None:
+    def __init__(self, threshold: int) -> None:
         if threshold < 1:
             raise ConfigError(f"threshold must be >= 1, got {threshold}")
-        if not 0.0 < tail_fraction < 1.0:
-            raise ConfigError(
-                f"tail_fraction must be in (0, 1), got {tail_fraction}"
-            )
         self.threshold = threshold
-        self.tail_fraction = tail_fraction
 
     def _groups(self, count: int) -> Tuple[range, range]:
         """(head, tail) worker-index ranges for a pool of ``count``."""
         if count == 1:
             return range(1), range(1)
-        tail = min(count - 1, max(1, math.ceil(self.tail_fraction * count)))
+        tail = min(count - 1, math.ceil(count / 2))
         return range(count - tail), range(count - tail, count)
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
@@ -216,8 +211,7 @@ class SegmentAffinityDispatch(DispatchPolicy):
     the ``segment_worker`` placement map this policy routes by (the
     mapping object is shared — the zoo mutates it, dispatch reads it).
     Requests whose segment has no home worker, and untagged requests,
-    fall through to the ``fallback`` policy (least-loaded when
-    omitted).
+    fall through to :class:`LeastLoadedDispatch`.
 
     Because every request carries its own seeded random stream and
     speculative decoding is lossless, segment routing — like every
@@ -228,18 +222,13 @@ class SegmentAffinityDispatch(DispatchPolicy):
         segment_worker: live segment -> worker-index map (shared with
             whoever maintains the placement, e.g.
             :class:`~repro.longtail.zoo.DrafterZoo`).
-        fallback: policy for unmapped or untagged arrivals.
     """
 
     name = "segment-affinity"
 
-    def __init__(
-        self,
-        segment_worker: dict,
-        fallback: Optional[DispatchPolicy] = None,
-    ) -> None:
+    def __init__(self, segment_worker: dict) -> None:
         self.segment_worker = segment_worker
-        self.fallback = fallback or LeastLoadedDispatch()
+        self.fallback = LeastLoadedDispatch()
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
         self._validate(workers)
@@ -453,11 +442,11 @@ def steal_work(
             receivers,
             key=lambda w: (w.num_waiting - w.free_slots, w.worker_id),
         )
-        stolen = donor.steal(1)
+        stolen = donor.engine.scheduler.steal_waiting(1)
         if not stolen:
             break
         request, waited = stolen[0]
-        slot = receiver.enqueue(request, waited=waited)
+        slot = receiver.engine.scheduler.push(request, waited=waited)
         moves.append(
             (request.request_id, donor.worker_id, receiver.worker_id, slot)
         )

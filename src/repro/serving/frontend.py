@@ -124,24 +124,26 @@ from repro.specdec.control import (
     RequestEvent,
     RequestEventKind,
 )
-from repro.specdec.scheduler import SequenceRequest, SequenceSlot
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode
 
 
 class ServingWorker:
-    """One decode worker: an incremental engine plus dispatch metadata.
+    """One decode worker: its engine plus the dispatch view of it.
 
-    The worker drives its engine's lifecycle methods (the pool runs
-    its cycles, batched with every other worker's), and reads
-    ``engine.scheduler`` / ``.counters`` / ``.kv_cache`` /
-    ``.max_batch_size`` for the load surface below.
+    The worker owns no lifecycle and no count of its own: the pool
+    calls ``worker.engine`` (``cancel`` / ``expire`` / ``park`` /
+    ``resume`` / ``swap_drafter``) and ``worker.engine.scheduler``
+    (``push``, ``steal_waiting``, the counts) directly.  What remains
+    here is the surface the dispatch policies — and their test stubs —
+    duck-type: :attr:`num_waiting`, :attr:`free_slots`,
+    :attr:`backlog_tokens`, :meth:`prefix_match` and :meth:`park_cost`.
 
     Args:
         worker_id: stable index of this worker in the pool (stamped
             onto the engine's lifecycle events).
-        engine: the worker's batched engine (an incremental session
-            is opened immediately).
+        engine: the worker's batched engine (it holds its session from
+            construction).
         time_fn: virtual-time source wired into the engine's event
             stream (the pool's clock).
         resolve: maps a request id to its :class:`~repro.serving.
@@ -159,7 +161,6 @@ class ServingWorker:
     ) -> None:
         self.worker_id = worker_id
         self.engine = engine
-        engine.start(())
         engine.events.worker_id = worker_id
         engine.time_fn = time_fn
         self.resolve = resolve
@@ -167,51 +168,16 @@ class ServingWorker:
     # -- load surface (read by dispatch policies) --------------------------
 
     @property
-    def num_live(self) -> int:
-        """Sequences currently decoding on this worker."""
-        return self.engine.num_live
-
-    @property
     def num_waiting(self) -> int:
         """Requests queued on this worker, not yet admitted."""
-        return self.engine.num_waiting
-
-    @property
-    def has_work(self) -> bool:
-        """Whether the worker has anything to decode."""
-        return self.engine.has_work
-
-    @property
-    def num_parked(self) -> int:
-        """Requests suspended mid-decode on this worker."""
-        return self.engine.num_parked
-
-    @property
-    def num_resuming(self) -> int:
-        """Parked requests queued for re-admission on this worker."""
-        return self.engine.num_resuming
-
-    @property
-    def parked_ids(self) -> List[int]:
-        """Parked request ids in park order."""
-        return self.engine.scheduler.parked_ids
-
-    @property
-    def capacity(self) -> Optional[int]:
-        """Live-slot capacity (None = unbounded)."""
-        return self.engine.max_batch_size
+        return self.engine.scheduler.num_waiting
 
     @property
     def free_slots(self) -> int:
-        """Live slots a NEWLY queued request could take next cycle.
-
-        Resume-queued slots are subtracted: they re-enter the live pool
-        ahead of the waiting FIFO at the next admission wave, so a slot
-        they will take is not free to anyone else.  Dispatch, work
-        stealing, and the preemption trigger all read this.
-        """
-        limit = 1_000_000 if self.capacity is None else self.capacity
-        return max(0, limit - self.num_live - self.num_resuming)
+        """Live slots a newly queued request could take next cycle
+        (:attr:`~repro.specdec.scheduler.ContinuousBatchScheduler.
+        free_slots`)."""
+        return self.engine.scheduler.free_slots
 
     @property
     def backlog_tokens(self) -> int:
@@ -302,55 +268,6 @@ class ServingWorker:
         for request in in_flight:
             best = max(best, common_prefix_len(tokens, request.prompt))
         return best
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def enqueue(
-        self,
-        request: SequenceRequest,
-        waited: int = 0,
-        urgent: bool = False,
-    ) -> SequenceSlot:
-        """Queue a request on this worker, returning its new slot.
-
-        ``waited`` carries cycles already spent queued on a donor worker
-        (work stealing) so the admission-wait metrics accumulate;
-        ``urgent`` routes the request into the scheduler's urgent
-        admission lane (ahead of non-urgent backlog).
-        """
-        return self.engine.scheduler.push(
-            request, waited=waited, urgent=urgent
-        )
-
-    def steal(
-        self, count: int = 1
-    ) -> List[Tuple[SequenceRequest, int]]:
-        """Give up to ``count`` queued requests as ``(request, waited)``
-        pairs (the length estimate travels on the request)."""
-        return self.engine.scheduler.steal_waiting(count)
-
-    def cancel(self, request_id: int) -> Optional[SequenceSlot]:
-        """Cancel a queued, parked, or live request at the boundary."""
-        return self.engine.cancel(request_id)
-
-    def expire(self, request_id: int) -> Optional[SequenceSlot]:
-        """Retire a request as deadline-expired at the boundary."""
-        return self.engine.expire(request_id)
-
-    def park(
-        self, request_id: int, preempted: bool = False
-    ) -> SequenceSlot:
-        """Suspend a live request (slot stashed for byte-identical
-        resume)."""
-        return self.engine.park(request_id, preempted=preempted)
-
-    def resume(self, request_id: int) -> None:
-        """Queue a parked request for re-admission."""
-        self.engine.resume(request_id)
-
-    def swap_drafter(self, drafter: Drafter) -> None:
-        """Swap this worker's drafter at its next cycle boundary."""
-        self.engine.swap_drafter(drafter)
 
 
 class ServingEngine:
@@ -602,9 +519,9 @@ class ServingEngine:
         if record is None or record.state is not RequestState.PARKED:
             return False
         assert record.worker_id is not None
-        worker = self.workers[record.worker_id]
-        if request_id in worker.parked_ids:
-            worker.resume(request_id)
+        engine = self.workers[record.worker_id].engine
+        if request_id in engine.scheduler.parked_ids:
+            engine.resume(request_id)
         # else: already resume-queued (e.g. by the automatic resume
         # pass) — the request IS coming back, which is what True means.
         return True
@@ -701,7 +618,10 @@ class ServingEngine:
                 withdrawn.append(record.request)
                 del self.records[record.request.request_id]
         for worker in self.workers:
-            for request, _waited in worker.steal(worker.num_waiting):
+            scheduler = worker.engine.scheduler
+            for request, _waited in scheduler.steal_waiting(
+                scheduler.num_waiting
+            ):
                 record = self.records.pop(request.request_id)
                 self._note_group_resolved(record)
                 withdrawn.append(record.request)
@@ -765,7 +685,10 @@ class ServingEngine:
                 record.stolen += 1
             self.stolen += len(moves)
         self._resume_parked()
-        return [worker for worker in self.workers if worker.has_work]
+        return [
+            worker for worker in self.workers
+            if worker.engine.scheduler.has_work
+        ]
 
     def close_tick(
         self,
@@ -830,7 +753,7 @@ class ServingEngine:
         Counters are not named here: each worker's ledger is copied
         whole, and the report's totals are sums over the copies.
         """
-        capacity = self.workers[0].capacity
+        capacity = self.workers[0].engine.max_batch_size
         return ServingReport(
             records=[
                 self.records[request_id]
@@ -853,7 +776,7 @@ class ServingEngine:
 
     def _unresolved(self) -> bool:
         """Whether any request is pending, queued, running, or parked."""
-        if any(w.has_work for w in self.workers):
+        if any(w.engine.scheduler.has_work for w in self.workers):
             return True
         return any(
             r.state not in TERMINAL_STATES
@@ -865,7 +788,7 @@ class ServingEngine:
         if not self._swap_queue:
             return
         worker_id, drafter, part_of_roll = self._swap_queue.popleft()
-        self.workers[worker_id].swap_drafter(drafter)
+        self.workers[worker_id].engine.swap_drafter(drafter)
         if part_of_roll:
             if not any(entry[2] for entry in self._swap_queue):
                 self.drafter_swaps += 1
@@ -882,13 +805,13 @@ class ServingEngine:
         traffic (the opposite of what preemption bought).
         """
         for worker in self.workers:
+            scheduler = worker.engine.scheduler
             # free_slots already nets out resume-queued slots, so each
             # resume shrinks it and the loop converges.
-            while worker.num_parked and (
-                worker.free_slots > worker.num_waiting
+            while scheduler.num_parked and (
+                scheduler.free_slots > scheduler.num_waiting
             ):
-                request_id = worker.parked_ids[0]
-                worker.resume(request_id)
+                worker.engine.resume(scheduler.parked_ids[0])
 
     def _dispatch_arrivals(self, now: float) -> None:
         """Route every request whose arrival time has come."""
@@ -917,7 +840,7 @@ class ServingEngine:
                     self._group_pending.get(request.group, 0) + 1
                 )
             worker = self.workers[index]
-            record.slot = worker.enqueue(
+            record.slot = worker.engine.scheduler.push(
                 make_serving_request(
                     request_id=request.request_id,
                     prompt=request.prompt,
@@ -993,7 +916,7 @@ class ServingEngine:
     ) -> None:
         """Single park path for both policy preemption and explicit
         :meth:`park` — the record bookkeeping stays in one place."""
-        worker.park(request_id, preempted=preempted)
+        worker.engine.park(request_id, preempted=preempted)
         self.records[request_id].preemptions += 1
 
     def _drop_arrival(self, request_id: int) -> None:
@@ -1038,7 +961,7 @@ class ServingEngine:
                 request_id, 0, now,
             )
         else:
-            worker = self.workers[record.worker_id]
-            (worker.expire if expire else worker.cancel)(request_id)
+            engine = self.workers[record.worker_id].engine
+            (engine.expire if expire else engine.cancel)(request_id)
         record.finish_time = now
         self._note_group_resolved(record)

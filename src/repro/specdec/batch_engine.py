@@ -9,11 +9,12 @@ therefore scales with the number of *cycles of the slowest sequence*,
 not with the sum of per-sequence cycles — the long-tail regime the paper
 analyzes.
 
-The engine is **incrementally drivable**: :meth:`BatchedSpecDecodeEngine.
-start` opens a decoding session, :meth:`~BatchedSpecDecodeEngine.step`
-runs exactly one admission + draft/verify + retirement cycle, and the
+The engine is **incrementally drivable** and always holds a session
+(built empty at construction; :meth:`BatchedSpecDecodeEngine.start`
+replaces it): :meth:`~BatchedSpecDecodeEngine.step` runs exactly one
+admission + draft/verify + retirement cycle, requests join through
+``engine.scheduler.push`` (its counts are read there too), and the
 request set is mutated between cycles through
-:meth:`~BatchedSpecDecodeEngine.admit` /
 :meth:`~BatchedSpecDecodeEngine.cancel` /
 :meth:`~BatchedSpecDecodeEngine.expire` /
 :meth:`~BatchedSpecDecodeEngine.park` /
@@ -270,29 +271,30 @@ class BatchedSpecDecodeEngine:
         self.time_fn: Optional[Callable[[], float]] = None
         self.drafter_swaps = 0
         self._in_step = False
-        self._scheduler: Optional[ContinuousBatchScheduler] = None
-        self._metrics = SdRunMetrics()
-        #: The open session's monotonic counts — the one place they
-        #: are written (see :class:`~repro.specdec.metrics.
-        #: WorkerCounters`).
-        self.counters = self._fresh_counters()
-        self._reports: List[BatchCycleReport] = []
+        self.start(())
 
     # -- incremental session API -------------------------------------------
 
     def start(self, requests: Sequence[SequenceRequest] = ()) -> None:
-        """Open an incremental decoding session.
+        """Open a fresh incremental decoding session.
 
-        Resets metrics, the launch counters, the cycle trail, and (when
-        attached) the adaptive manager's per-rollout activation state.
-        Cache *refs* held by the previous session are released, but the
-        cache's contents survive — a warm worker-lifetime cache is the
-        point, and serving cached hand-offs is byte-identical to
-        recomputing them.  Further requests can be :meth:`admit`-ted
-        between cycles.
+        The engine always holds a session (``__init__`` opens an empty
+        one); this replaces it.  Resets the scheduler, metrics, the
+        launch counters, the cycle trail, and (when attached) the
+        adaptive manager's per-rollout activation state.  Cache *refs*
+        held by the previous session are released, but the cache's
+        contents survive — a warm worker-lifetime cache is the point,
+        and serving cached hand-offs is byte-identical to recomputing
+        them.  Further requests can be ``scheduler.push``-ed between
+        cycles.
         """
-        self._release_all_cache_refs()
-        self._scheduler = ContinuousBatchScheduler(
+        if hasattr(self, "scheduler"):  # every session but __init__'s
+            # Only live slots hold pins: parking releases, resuming
+            # re-takes.
+            for slot in self.scheduler.live:
+                self._unpin(slot)
+        #: The open session's scheduler: its queues, slots and counts.
+        self.scheduler = ContinuousBatchScheduler(
             list(requests),
             self.max_batch_size,
             admission=self.admission,
@@ -301,8 +303,11 @@ class BatchedSpecDecodeEngine:
         if self.sd_manager is not None:
             self.sd_manager.reset()
         self._metrics = SdRunMetrics()
+        #: The open session's monotonic counts — the one place they
+        #: are written (see :class:`~repro.specdec.metrics.
+        #: WorkerCounters`).
         self.counters = self._fresh_counters()
-        self._reports = []
+        self._reports: List[BatchCycleReport] = []
         self.events.clear()
 
     def _fresh_counters(self) -> WorkerCounters:
@@ -310,42 +315,6 @@ class BatchedSpecDecodeEngine:
         if self.kv_cache is None:
             return WorkerCounters()
         return WorkerCounters(cache=self.kv_cache.stats)
-
-    @property
-    def scheduler(self) -> ContinuousBatchScheduler:
-        """The open session's scheduler (raises before :meth:`start`)."""
-        if self._scheduler is None:
-            raise SpecDecodeError(
-                "no decoding session open; call start() first"
-            )
-        return self._scheduler
-
-    @property
-    def has_work(self) -> bool:
-        """Whether any request is live or waiting in the open session."""
-        return self._scheduler is not None and self._scheduler.has_work
-
-    @property
-    def num_live(self) -> int:
-        """Live sequences in the open session (0 before start)."""
-        return 0 if self._scheduler is None else self._scheduler.num_live
-
-    @property
-    def num_waiting(self) -> int:
-        """Waiting requests in the open session (0 before start)."""
-        return 0 if self._scheduler is None else self._scheduler.num_waiting
-
-    @property
-    def num_parked(self) -> int:
-        """Parked requests in the open session (0 before start)."""
-        return 0 if self._scheduler is None else self._scheduler.num_parked
-
-    @property
-    def num_resuming(self) -> int:
-        """Resume-queued requests in the open session (0 before start)."""
-        return (
-            0 if self._scheduler is None else self._scheduler.num_resuming
-        )
 
     @property
     def metrics(self) -> SdRunMetrics:
@@ -361,15 +330,8 @@ class BatchedSpecDecodeEngine:
         self, kind: RequestEventKind, request_id: Optional[int]
     ) -> None:
         """Publish a lifecycle event stamped with cycle + virtual time."""
-        cycle = (
-            self._scheduler.cycle if self._scheduler is not None else 0
-        )
         time = self.time_fn() if self.time_fn is not None else None
-        self.events.emit(kind, request_id, cycle, time)
-
-    def admit(self, request: SequenceRequest) -> None:
-        """Enqueue a request into the open session's waiting queue."""
-        self.scheduler.push(request)
+        self.events.emit(kind, request_id, self.scheduler.cycle, time)
 
     def cancel(self, request_id: int) -> Optional[SequenceSlot]:
         """Cancel a waiting, parked, or live request at the cycle boundary.
@@ -718,7 +680,7 @@ class BatchedSpecDecodeEngine:
             )
         requests = self._make_requests(prompts, max_new_tokens, rng)
         self.start(requests)
-        while self.has_work:
+        while self.scheduler.has_work:
             self.step()
         return self.result()
 
@@ -756,15 +718,6 @@ class BatchedSpecDecodeEngine:
         if slot.cache_pinned:
             self.kv_cache.release(slot.cache_key)
             slot.cache_pinned = False
-
-    def _release_all_cache_refs(self) -> None:
-        """Release every pin held by the (previous) session.
-
-        Only live slots hold pins: parking releases, resuming re-takes.
-        """
-        if self._scheduler is not None:
-            for slot in self._scheduler.live:
-                self._unpin(slot)
 
 
 def step_engines(

@@ -5,10 +5,11 @@ an adaptively refreshed drafter must be deployed *without* stalling
 decode, and SLO-aware scheduling must be able to *pause* a long-tail
 request rather than kill it.
 :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`
-carries that lifecycle itself (``admit`` / ``cancel`` / ``expire`` /
-``park`` / ``resume`` / ``swap_drafter``) and
-:class:`~repro.serving.frontend.ServingWorker` drives it directly; this
-module holds what the two layers share:
+carries that lifecycle itself (``cancel`` / ``expire`` / ``park`` /
+``resume`` / ``swap_drafter``; requests join through its scheduler's
+``push``, and the engine always holds a session) and the serving pool
+drives each worker's engine directly; this module holds what the two
+layers share:
 
 * :class:`RequestEvent` / :class:`RequestEventKind` — the lifecycle
   event stream.  Every transition (admitted, parked, resumed,

@@ -385,6 +385,22 @@ class ContinuousBatchScheduler:
         return list(self._resuming)
 
     @property
+    def free_slots(self) -> int:
+        """Live slots a NEWLY queued request could take next cycle.
+
+        Resume-queued slots are subtracted: they re-enter the live pool
+        ahead of the waiting FIFO at the next admission wave, so a slot
+        they will take is not free to anyone else.  Admission, dispatch,
+        work stealing and the preemption trigger all read this (an
+        unbounded pool reports an effectively infinite 1 000 000).
+        """
+        limit = (
+            1_000_000 if self.max_batch_size is None
+            else self.max_batch_size
+        )
+        return max(0, limit - len(self.live) - len(self._resuming))
+
+    @property
     def has_work(self) -> bool:
         """Whether any request is live, waiting, or queued to resume.
 
@@ -513,18 +529,17 @@ class ContinuousBatchScheduler:
         transition.
 
         Slots that a queued resume will take are NOT free to the
-        waiting FIFO: resumed sequences re-enter ahead of fresh
-        admissions by contract, so admission reserves their capacity
-        even when :meth:`readmit_parked` has not run yet this cycle.
+        waiting FIFO (:attr:`free_slots`): resumed sequences re-enter
+        ahead of fresh admissions by contract, so admission reserves
+        their capacity even when :meth:`readmit_parked` has not run yet
+        this cycle.
         """
         if not self.waiting:
             return []
         capacity: Optional[int] = None
         if self.max_batch_size is not None:
-            capacity = self.max_batch_size - len(self.live) - len(
-                self._resuming
-            )
-            if capacity <= 0:
+            capacity = self.free_slots
+            if capacity == 0:
                 return []
         view = AdmissionView(
             waiting=tuple(self.waiting),

@@ -4,7 +4,9 @@ A :class:`~repro.serving.metrics.RequestRecord` holds no lifecycle state
 of its own once dispatched: it reads its slot's.  This check holds that
 view to the only independent witness of the lifecycle, the pool's event
 trail, and holds each live record's slot to the one its worker's
-scheduler owns (a steal must re-point the record).
+scheduler owns (a steal must re-point the record).  It also holds each
+worker's dispatch view (``free_slots``, ``backlog_tokens``), which reads
+the scheduler's ordering containers, to a recount from slot states.
 """
 
 from __future__ import annotations
@@ -32,8 +34,14 @@ def check_records(pool) -> None:
     * a record's ``state`` is what its last event implies; with no
       event it is QUEUED once dispatched and PENDING before;
     * an unresolved, dispatched record's slot is the one its worker's
-      scheduler holds for the request.
+      scheduler holds for the request;
+    * each worker's ``free_slots`` is its capacity minus its RUNNING and
+      resume-queued slots, and its ``backlog_tokens`` the remaining cap
+      of its RUNNING and PARKED slots plus the predicted length of its
+      QUEUED ones.
     """
+    for worker in pool.workers:
+        _check_dispatch_view(worker)
     last: Dict[int, RequestEventKind] = {}
     for event in pool.lifecycle_events():
         if event.request_id is not None:
@@ -57,3 +65,29 @@ def check_records(pool) -> None:
             f"request {request_id}'s record points at a slot worker "
             f"{record.worker_id} does not hold"
         )
+
+
+def _check_dispatch_view(worker) -> None:
+    """Recount a worker's dispatch view from its slots' states."""
+    scheduler = worker.engine.scheduler
+    capacity = worker.engine.max_batch_size
+    running = resuming = backlog = 0
+    for request_id, slot in scheduler._slots.items():
+        request = slot.request
+        if slot.state is RequestState.QUEUED:
+            backlog += request.predicted_length or request.max_new_tokens
+        elif slot.state in (RequestState.RUNNING, RequestState.PARKED):
+            backlog += request.max_new_tokens - len(slot.response)
+            if slot.state is RequestState.RUNNING:
+                running += 1
+            elif request_id not in scheduler.parked:
+                resuming += 1  # PARKED but out of the stash: resume-queued
+    limit = 1_000_000 if capacity is None else capacity
+    assert worker.free_slots == max(0, limit - running - resuming), (
+        f"worker {worker.worker_id}: free_slots {worker.free_slots}, "
+        f"slots say {limit} - {running} running - {resuming} resuming"
+    )
+    assert worker.backlog_tokens == backlog, (
+        f"worker {worker.worker_id}: backlog_tokens "
+        f"{worker.backlog_tokens}, slots say {backlog}"
+    )

@@ -218,7 +218,7 @@ class DecodeScenario:
         """Responses of an uninterrupted unbounded-batch run."""
         engine = self.engine()
         engine.start(self.requests())
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         return [list(s.response) for s in engine.result().slots]
 

@@ -217,7 +217,7 @@ class TestEnginePrefixCache:
 
     def _run(self, engine, prompts=GROUPED_PROMPTS, seed=7):
         engine.start(_requests(prompts, seed=seed))
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         return engine.result()
 
@@ -315,7 +315,7 @@ class TestEnginePrefixCache:
         assert cache.refcount(key) == 1  # re-acquired at readmission
         engine.step()
         assert cache.refcount(key) == 2
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         assert cache.refcount(key) == 0  # retirement released both
         assert cache.contains(key)       # ...but the entry survives
@@ -336,10 +336,10 @@ class TestEnginePrefixCache:
         )
         engine.step()
         engine.park(0)  # unpins (1,5,6,7); later waves may evict it
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         engine.resume(0)
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         result = engine.result()
         assert [s.response for s in result.slots] == [

@@ -71,7 +71,7 @@ def _engine(target, drafter, max_batch_size=None):
 
 
 def _drain(engine):
-    while engine.has_work:
+    while engine.scheduler.has_work:
         engine.step()
     return engine.result()
 
@@ -148,7 +148,7 @@ class TestStateMachine:
         engine.start(_requests())
         engine.step()
         engine.park(0)
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         with pytest.raises(SpecDecodeError, match="parked"):
             engine.result()
@@ -554,7 +554,7 @@ class TestServingPreemption:
         backlog_parked = worker.backlog_tokens
         assert worker.free_slots == 1
         assert frontend.resume(0)  # resume-queued, not yet live
-        assert worker.num_resuming == 1
+        assert worker.engine.scheduler.num_resuming == 1
         # The pending resume consumes the free slot and its remaining
         # tokens stay on the backlog.
         assert worker.free_slots == 0

@@ -30,7 +30,7 @@ from repro.serving import (
 
 
 def _drain(engine):
-    while engine.has_work:
+    while engine.scheduler.has_work:
         engine.step()
     return [list(s.response) for s in engine.result().slots]
 
@@ -50,7 +50,7 @@ def _responses(report):
 def _total_cycles(scenario):
     engine = scenario.engine()
     engine.start(scenario.requests())
-    while engine.has_work:
+    while engine.scheduler.has_work:
         engine.step()
     return len(engine.cycle_reports)
 
@@ -79,9 +79,9 @@ class TestBatchSizeInvariance:
         requests = scenario.requests()
         engine.start(requests[:1])
         pending = list(requests[1:])
-        while engine.has_work or pending:
+        while engine.scheduler.has_work or pending:
             if pending:
-                engine.admit(pending.pop(0))
+                engine.scheduler.push(pending.pop(0))
             engine.step()
         assert _drain(engine) == scenario.reference_responses()
 
@@ -111,7 +111,7 @@ def _run_with_park(scenario, park_cycle, victim, hold=2):
     cycle = 0
     parked = False
     resumed = False
-    while engine.has_work or engine.num_parked:
+    while engine.scheduler.has_work or engine.scheduler.num_parked:
         if not parked and cycle == park_cycle:
             live_ids = [
                 s.request.request_id for s in engine.scheduler.live
@@ -121,11 +121,11 @@ def _run_with_park(scenario, park_cycle, victim, hold=2):
                 parked = True
                 parked_at = cycle
         if parked and not resumed and (
-            cycle - parked_at >= hold or not engine.has_work
+            cycle - parked_at >= hold or not engine.scheduler.has_work
         ):
             engine.resume(victim)
             resumed = True
-        if engine.has_work:
+        if engine.scheduler.has_work:
             engine.step()
             cycle += 1
     return [list(s.response) for s in engine.result().slots], parked
@@ -159,10 +159,10 @@ class TestParkResume:
         engine.step()
         victim = engine.scheduler.live[0].request.request_id
         engine.park(victim)
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()  # everyone else runs to completion
         engine.resume(victim)
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         assert [
             list(s.response) for s in engine.result().slots
@@ -176,17 +176,17 @@ class TestParkResume:
         engine = scenario.engine()
         engine.start(scenario.requests())
         rounds = 0
-        while engine.has_work or engine.num_parked:
+        while engine.scheduler.has_work or engine.scheduler.num_parked:
             live_ids = [
                 s.request.request_id for s in engine.scheduler.live
             ]
             if 1 in live_ids and rounds < 3:
                 engine.park(1)
-                if engine.has_work:
+                if engine.scheduler.has_work:
                     engine.step()
                 engine.resume(1)
                 rounds += 1
-            if engine.has_work:
+            if engine.scheduler.has_work:
                 engine.step()
         assert rounds >= 2
         assert [
@@ -205,7 +205,7 @@ class TestParkResume:
         engine.park(1)
         engine.step()
         engine.cancel(1)
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         slots = engine.result().slots
         assert slots[1].cancelled
@@ -259,7 +259,7 @@ class TestDrafterHotSwap:
         reference = scenario.reference_responses()
         engine = scenario.engine()
         engine.start(scenario.requests())
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.swap_drafter(trained_drafter.clone())
             engine.step()
         assert [
@@ -279,7 +279,7 @@ class TestDrafterHotSwap:
             engine = scenario.engine()
             engine.start(scenario.requests())
             cycle = 0
-            while engine.has_work:
+            while engine.scheduler.has_work:
                 if cycle == 2:
                     engine.swap_drafter(untrained_drafter)
                 engine.step()
@@ -302,14 +302,14 @@ class TestDrafterHotSwap:
         swapped = scenario.engine()
         swapped.start(scenario.requests())
         for _ in range(3):
-            if plain.has_work:
+            if plain.scheduler.has_work:
                 plain.step()
-            if swapped.has_work:
+            if swapped.scheduler.has_work:
                 swapped.step()
         plain_at_boundary = _committed_now(plain)
         assert _committed_now(swapped) == plain_at_boundary
         swapped.swap_drafter(untrained_drafter)
-        while swapped.has_work:
+        while swapped.scheduler.has_work:
             swapped.step()
         final = [list(s.response) for s in swapped.result().slots]
         for prefix, full in zip(plain_at_boundary, final):

@@ -315,6 +315,42 @@ class TestDrain:
         assert fleet.drain(1) == 0
         assert fleet.replicas[1].state is ReplicaState.RETIRED
 
+    def test_drain_joining_replica_retires_it_unrouted(
+        self, target, trained_drafter
+    ):
+        """A replica drained before its promotion was never routable:
+        it retires at once (JOINING -> RETIRED), and the trace is served
+        by the survivor byte-identically to a single pool."""
+        trace = _trace()
+        reference = _responses(_pool(target, trained_drafter).run(trace))
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter) for _ in range(2)],
+            warmup_ticks=2,
+        )
+        assert fleet.replicas[1].state is ReplicaState.JOINING
+        assert fleet.drain(1) == 0
+        assert fleet.replicas[1].state is ReplicaState.RETIRED
+        report = fleet.run(trace, max_ticks=5000)
+        assert report.drains == 1 and report.migrations == 0
+        assert report.routed == [len(trace), 0]
+        assert report.replica_states == ["active", "retired"]
+        assert _responses(report) == reference
+
+    def test_drain_joining_replica_holding_work_rejected(
+        self, target, trained_drafter
+    ):
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter) for _ in range(2)],
+            warmup_ticks=2,
+        )
+        fleet.replicas[1].frontend.submit(ServingRequest(
+            request_id=0, prompt=[5, 6, 7], max_new_tokens=4,
+            arrival_time=0.0,
+        ))
+        with pytest.raises(FleetError, match="JOINING"):
+            fleet.drain(1)
+        assert fleet.replicas[1].state is ReplicaState.JOINING
+
     def test_double_drain_rejected(self, target, trained_drafter):
         fleet = FleetEngine(
             [_pool(target, trained_drafter) for _ in range(2)]

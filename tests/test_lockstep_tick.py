@@ -249,7 +249,8 @@ def test_pool_mid_roll_and_targeted_swap(
 
     def note_mixed(pool):
         drafters = {
-            id(w.engine.drafter) for w in pool.workers if w.has_work
+            id(w.engine.drafter)
+            for w in pool.workers if w.engine.scheduler.has_work
         }
         mixed_ticks.append(len(drafters) > 1)
 
@@ -516,7 +517,7 @@ def test_vanilla_row_hands_off_its_prefix_row(scenario_factory):
     )
     engine.start(scenario.requests())
     vanilla = 0
-    while engine.has_work:
+    while engine.scheduler.has_work:
         if engine.step().report.sd_active:
             continue
         vanilla += 1
@@ -698,9 +699,11 @@ def test_one_prefill_launch_per_target_per_tick(
     )
     targets = [id(wide_target), id(scenario.target)]
     ticks = 0
-    while any(engine.has_work for engine in engines):
+    while any(engine.scheduler.has_work for engine in engines):
         del calls[:], prefills[:]
-        step_engines([engine for engine in engines if engine.has_work])
+        step_engines([
+            engine for engine in engines if engine.scheduler.has_work
+        ])
         if ticks == 0:  # every engine admits: one launch per target
             assert sorted(target for target, _ in prefills) == sorted(targets)
         assert sorted(target for target, _ in prefills) == sorted(
@@ -861,14 +864,14 @@ def test_mixed_engines_batch_like_engines_alone(
         return built
 
     together, alone = engines(), engines()
-    while any(engine.has_work for engine in together):
-        busy = [e for e in together if e.has_work]
+    while any(engine.scheduler.has_work for engine in together):
+        busy = [e for e in together if e.scheduler.has_work]
         step_engines(busy)
         for engine in alone:
-            if engine.has_work:
+            if engine.scheduler.has_work:
                 engine.step()
     for left, right in zip(together, alone):
-        assert not right.has_work
+        assert not right.scheduler.has_work
         assert [list(s.response) for s in left.result().slots] == [
             list(s.response) for s in right.result().slots
         ]
@@ -885,7 +888,7 @@ def test_an_idle_engine_is_rejected_before_any_cycle_opens(
     idle.start(())
     with pytest.raises(SpecDecodeError, match="no live or waiting"):
         step_engines([busy, idle])
-    assert busy.counters.busy_cycles == 0 and busy.num_live == 0
+    assert busy.counters.busy_cycles == 0 and busy.scheduler.num_live == 0
 
 
 # -- the shared-selector order -------------------------------------------------

@@ -188,12 +188,10 @@ def _grpo_prompts(scenario, groups=2, group_size=2):
 
 
 class TestSchedulerValidation:
-    def test_rejects_bad_group_size_and_max_ticks(self, scenario_factory):
+    def test_rejects_bad_group_size(self, scenario_factory):
         frontend = _frontend(scenario_factory(70))
         with pytest.raises(ConfigError):
             RolloutScheduler(frontend, group_size=0)
-        with pytest.raises(ConfigError):
-            RolloutScheduler(frontend, max_ticks=0)
 
     def test_rejects_foreign_policy_and_temperature(
         self, scenario_factory

@@ -68,7 +68,7 @@ def _engine(target, drafter, strategy, **kwargs):
 
 
 def _drain(engine):
-    while engine.has_work:
+    while engine.scheduler.has_work:
         engine.step()
     return engine.result()
 

@@ -194,9 +194,14 @@ def test_scheduler_state_machine_fuzz(seed):
             model.state[next_id] = RequestState.QUEUED
             next_id += 1
         elif op == "admit":
-            admitted = scheduler.admit()
+            free_slots, waiting = (
+                scheduler.free_slots, scheduler.num_waiting
+            )
             free = MAX_BATCH - len(model.live | model.resuming)
-            assert len(admitted) == min(len(model.waiting), max(free, 0))
+            assert free_slots == max(free, 0)
+            admitted = scheduler.admit()
+            # A FIFO wave seats exactly what the free-slot view offers.
+            assert len(admitted) == min(free_slots, waiting)
             for slot in admitted:
                 model.state[slot.request.request_id] = (
                     RequestState.RUNNING

@@ -66,7 +66,7 @@ class TestStepSurface:
         requests = engine._make_requests(PROMPTS, 24, rng)
         engine.start(requests)
         steps = 0
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
             steps += 1
         result = engine.result()
@@ -81,8 +81,8 @@ class TestStepSurface:
         engine = _engine(target, trained_drafter, strategy)
         with pytest.raises(SpecDecodeError):
             engine.step()
-        assert not engine.has_work
-        assert engine.num_live == 0
+        assert not engine.scheduler.has_work
+        assert engine.scheduler.num_live == 0
 
     def test_step_with_no_work_raises(self, target, trained_drafter,
                                       strategy):
@@ -98,7 +98,7 @@ class TestStepSurface:
         requests = _requests()
         upfront = _engine(target, trained_drafter, strategy)
         upfront.start(requests)
-        while upfront.has_work:
+        while upfront.scheduler.has_work:
             upfront.step()
         reference = {
             s.request.request_id: s.response
@@ -111,8 +111,8 @@ class TestStepSurface:
         late.step()
         late.step()
         for request in fresh[4:]:
-            late.admit(request)
-        while late.has_work:
+            late.scheduler.push(request)
+        while late.scheduler.has_work:
             late.step()
         for slot in late.result().slots:
             assert slot.response == reference[slot.request.request_id]
@@ -120,7 +120,7 @@ class TestStepSurface:
 
 class TestCancellation:
     def _drain(self, engine):
-        while engine.has_work:
+        while engine.scheduler.has_work:
             engine.step()
         return engine.result()
 
@@ -174,7 +174,7 @@ class TestCancellation:
         engine = _engine(target, trained_drafter, strategy, 2)
         engine.start(_requests())
         engine.step()
-        assert engine.num_waiting > 0
+        assert engine.scheduler.num_waiting > 0
         waiting_id = engine.scheduler.waiting[0].request_id
         slot = engine.cancel(waiting_id)
         assert slot is not None and slot.cancelled
@@ -199,7 +199,7 @@ class TestCancellation:
         engine.step()
         for request_id in range(len(PROMPTS)):
             engine.cancel(request_id)
-        assert not engine.has_work
+        assert not engine.scheduler.has_work
         result = engine.result()
         assert all(s.cancelled for s in result.slots)
         assert len(result.slots) == len(PROMPTS)

@@ -82,8 +82,6 @@ class TestSchedulerAsBackend:
     ):
         scenario = scenario_factory(40)
         frontend = _frontend(scenario)
-        with pytest.raises(ConfigError):
-            RolloutScheduler(frontend, mode=mode, max_ticks=0)
         backend = RolloutScheduler(frontend, mode=mode)
         other_policy = scenario.target.clone()
         with pytest.raises(ConfigError):

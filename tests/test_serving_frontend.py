@@ -117,7 +117,6 @@ class TestRequests:
 class _FakeWorker:
     def __init__(self, worker_id, live, waiting, capacity, backlog):
         self.worker_id = worker_id
-        self.num_live = live
         self.num_waiting = waiting
         self.free_slots = max(0, capacity - live)
         self.backlog_tokens = backlog
@@ -162,8 +161,6 @@ class TestDispatchPolicies:
     def test_long_tail_validation(self):
         with pytest.raises(ConfigError):
             LongTailDispatch(threshold=0)
-        with pytest.raises(ConfigError):
-            LongTailDispatch(threshold=4, tail_fraction=1.0)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError):
@@ -234,7 +231,7 @@ class TestServingEngine:
             target, trained_drafter, workers=2, max_batch=1
         ).workers
         for request_id in (0, 1):
-            donor.enqueue(
+            donor.engine.scheduler.push(
                 make_serving_request(
                     request_id, [5, 6, 7], max_new_tokens=40,
                     seed=request_id, predicted_length=6,
