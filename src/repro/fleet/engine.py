@@ -20,8 +20,13 @@ workers; a production tier is M such pools behind a router.
   refreshed drafter across replicas **one replica at a time**, each
   replica rolling its own workers one per tick, so at most one worker
   in the whole fleet is mid-swap on any tick: zero downtime, stacked
-  two levels deep.  A published snapshot reaches a fleet the way it
-  reaches a pool: ``fleet.swap_drafter(snapshot)``.
+  two levels deep.  It is the pool's roll: one
+  :class:`~repro.serving.clock.TickDriver` queue whose children are
+  replicas, each done when its pool's roll is.  A re-publication
+  mid-roll drops every pending swap of the older drafter, the rolling
+  pool's included, so no worker swaps to a superseded drafter.  A
+  published snapshot reaches a fleet the way it reaches a pool:
+  ``fleet.swap_drafter(snapshot)``.
 * **One id namespace** — all replicas share one
   :class:`~repro.serving.request.RequestIdAllocator`, so concurrent
   replicas can never mint colliding request ids.
@@ -30,17 +35,19 @@ workers; a production tier is M such pools behind a router.
   static snapshot (and a static SD strategy) every request's output is
   byte-identical to the same request run on a single-pool reference.
 
-One :meth:`FleetEngine.tick` is one discrete-event step across the
-whole fleet: JOINING replicas are promoted, the fleet-level drafter
-roll advances, due arrivals are routed and submitted, every non-retired
-replica opens its tick
+The fleet is a :class:`~repro.serving.clock.TickDriver`, like each of
+its pools: there is ONE clock, the fleet's, which every attached pool
+is re-pointed at.  One :meth:`FleetEngine.tick` is one discrete-event
+step across the whole fleet: :meth:`FleetEngine.open_tick` promotes
+JOINING replicas, advances the fleet-level drafter roll and routes and
+submits due arrivals; every non-retired replica opens its tick
 (:meth:`~repro.serving.frontend.ServingEngine.open_tick`), the workers
 of ALL of them run their cycle as one lock-step batch
 (:func:`~repro.specdec.batch_engine.step_engines`: one drafter build
 per shared drafter/target/strategy group, and one target verify per
 shared target and temperature that vanilla rows ride too), every
-replica closes its tick in order (all replica clocks advance in
-lock-step with the fleet clock), and drained DRAINING replicas retire.
+replica closes its tick in order, :meth:`FleetEngine.close_tick`
+retires drained DRAINING replicas, and the clock advances once.
 No replica runs its own ``tick()`` inside a fleet tick.  Replicas share
 no state a cycle writes, so outputs, tick metrics and every per-worker
 counter equal those of ticking the replicas one after another; only the
@@ -51,9 +58,7 @@ admission events, then every replica's FINISHED events.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.drafter.base import Drafter
 from repro.errors import ConfigError, FleetError
@@ -64,11 +69,11 @@ from repro.fleet.router import (
     RoutingPolicy,
     StaticRouting,
 )
-from repro.serving.clock import VirtualClock
+from repro.serving.clock import TickDriver
 from repro.serving.frontend import ServingEngine
-from repro.serving.request import RequestIdAllocator, ServingRequest
+from repro.serving.request import ServingRequest
 from repro.specdec.batch_engine import step_engines
-from repro.specdec.control import EventBus, RequestEvent
+from repro.specdec.control import RequestEvent
 
 
 class FleetReplica:
@@ -77,8 +82,7 @@ class FleetReplica:
     Args:
         replica_id: stable id of this replica in the fleet (ring
             membership and routing snapshots key on it).
-        frontend: the replica's pool.  Must be freshly built — the
-            fleet syncs its clock to fleet time on attach.
+        frontend: the replica's pool (it reads the fleet's clock).
         now: fleet virtual time of attachment.
     """
 
@@ -94,15 +98,6 @@ class FleetReplica:
         self.joined_at = now
         #: Arrivals the router handed this replica (migrations included).
         self.routed = 0
-        if frontend.clock.now != 0.0:
-            raise FleetError(
-                f"replica {replica_id} frontend has already been "
-                f"ticked; fleets need freshly built pools"
-            )
-        if now > 0:
-            # Late joiners fast-forward to fleet time so latency and
-            # TTFT stamps stay in the fleet's frame.
-            frontend.clock.advance(now)
 
     @property
     def state(self) -> ReplicaState:
@@ -178,7 +173,7 @@ class FleetReplica:
         )
 
 
-class FleetEngine:
+class FleetEngine(TickDriver):
     """M serving replicas behind a pluggable routing policy.
 
     Args:
@@ -192,6 +187,8 @@ class FleetEngine:
             promotion to ACTIVE (0 = promoted on its first tick).
     """
 
+    error = FleetError
+
     def __init__(
         self,
         replicas: Sequence[ServingEngine],
@@ -204,18 +201,9 @@ class FleetEngine:
             raise ConfigError(
                 f"warmup_ticks must be >= 0, got {warmup_ticks}"
             )
-        self.clock = VirtualClock()
+        super().__init__()
         self.routing = routing or PrefixHashRouting()
-        #: The fleet's one request-id namespace: every replica's
-        #: ``allocate_request_ids`` is re-pointed at it, so no two
-        #: replicas can mint the same id.
-        self.id_allocator = RequestIdAllocator()
         self.warmup_ticks = warmup_ticks
-        #: Fleet-wide merged lifecycle stream: every replica's events
-        #: re-published with their ``replica_id`` stamped, so consumers
-        #: (the autoscaler's signal aggregator) subscribe ONCE instead
-        #: of chasing per-replica buses across membership changes.
-        self.events = EventBus()
         #: Worker-ticks provisioned: each non-retired replica charges
         #: one cycle per worker per fleet tick, whether busy or idle —
         #: the COST side of the autoscaling scoreboard (an idle
@@ -227,43 +215,15 @@ class FleetEngine:
         self._published: Optional[Drafter] = None
         self.replicas: List[FleetReplica] = []
         for frontend in replicas:
-            self._attach(frontend)
+            self.add_replica(frontend)
         self._requests: Dict[int, ServingRequest] = {}
-        self._arrivals: List = []  # heap of (arrival_time, request_id)
         #: request_id -> replica_id, the run's placement decisions
         #: (latest placement wins for migrated requests).
         self.placement: Dict[int, int] = {}
         self.migrations = 0
         self.drains = 0
-        self.drafter_rolls = 0
-        self._swap_drafter: Optional[Drafter] = None
-        self._swap_queue: Deque[int] = deque()
-        self._swap_active: Optional[int] = None
 
     # -- membership --------------------------------------------------------
-
-    def _attach(self, frontend: ServingEngine) -> FleetReplica:
-        replica = FleetReplica(
-            len(self.replicas), frontend, now=self.clock.now
-        )
-        frontend.id_allocator = self.id_allocator
-        replica_id = replica.replica_id
-
-        def forward(event: RequestEvent) -> None:
-            # Re-publish onto the fleet's merged stream, stamped with
-            # the emitting replica (worker/cycle/time stamps kept).
-            self.events.publish(
-                dataclasses.replace(event, replica_id=replica_id)
-            )
-
-        frontend.subscribe(forward)
-        if self._published is not None:
-            # A joining pool holds no work and has never ticked, so it
-            # takes the latest publication outright — no roll needed.
-            for worker in frontend.workers:
-                worker.engine.swap_drafter(self._published)
-        self.replicas.append(replica)
-        return replica
 
     def add_replica(self, frontend: ServingEngine) -> int:
         """Attach a freshly built pool as a JOINING replica.
@@ -277,7 +237,33 @@ class FleetEngine:
         Returns:
             The new replica's id.
         """
-        return self._attach(frontend).replica_id
+        replica_id = len(self.replicas)
+        if frontend.clock.now != 0.0:
+            raise FleetError(
+                f"replica {replica_id} frontend has already been "
+                f"ticked; fleets need freshly built pools"
+            )
+        replica = FleetReplica(replica_id, frontend, now=self.clock.now)
+        # One clock and one id namespace for the whole fleet.
+        frontend.clock = self.clock
+        frontend.id_allocator = self.id_allocator
+
+        def forward(event: RequestEvent) -> None:
+            # Re-publish onto the fleet's bus, stamped with the
+            # emitting replica (worker/cycle/time stamps kept): one
+            # subscription covers every replica, present and future.
+            self.events.publish(
+                dataclasses.replace(event, replica_id=replica_id)
+            )
+
+        frontend.subscribe(forward)
+        if self._published is not None:
+            # A joining pool holds no work and has never ticked, so it
+            # takes the latest publication outright — no roll needed.
+            for worker in frontend.workers:
+                worker.engine.swap_drafter(self._published)
+        self.replicas.append(replica)
+        return replica_id
 
     def drain(self, replica_id: int) -> int:
         """Drain a replica: stop arrivals, migrate queued work, retire.
@@ -311,10 +297,7 @@ class FleetEngine:
             # Already known to the fleet — requeue for re-routing at
             # the next dispatch pass (original arrival time kept, so
             # latency metrics charge the migration honestly).
-            heapq.heappush(
-                self._arrivals,
-                (request.arrival_time, request.request_id),
-            )
+            self._requeue(request)
         self.migrations += len(withdrawn)
         self.drains += 1
         if replica.frontend.drained and not (
@@ -329,81 +312,19 @@ class FleetEngine:
                 return replica
         raise FleetError(f"no replica with id {replica_id}")
 
-    def _routable(self) -> List[FleetReplica]:
-        """Replicas the router may choose (ACTIVE only)."""
-        return [
-            replica
-            for replica in self.replicas
-            if replica.state is ReplicaState.ACTIVE
-        ]
-
     # -- request API -------------------------------------------------------
-
-    def allocate_request_ids(self, count: int) -> range:
-        """Reserve fresh fleet-unique request ids."""
-        return self.id_allocator.allocate(count)
 
     def submit(self, request: ServingRequest) -> None:
         """Register an online request (routed once its time comes)."""
-        if request.request_id in self._requests:
-            raise FleetError(
-                f"duplicate request_id {request.request_id}"
-            )
+        self._enqueue(request, self._requests)
         self._requests[request.request_id] = request
-        self.id_allocator.observe(request.request_id)
-        heapq.heappush(
-            self._arrivals, (request.arrival_time, request.request_id)
-        )
 
     def swap_drafter(self, drafter: Drafter) -> None:
-        """Roll a new drafter across the fleet, one replica at a time.
-
-        Each replica rolls its own workers one per tick
-        (:meth:`~repro.serving.frontend.ServingEngine.swap_drafter`);
-        the fleet walks replicas serially, so at most one worker
-        fleet-wide is mid-swap on any tick.  Calling
-        again mid-roll restarts the walk with the newest drafter
-        (latest publication wins) — replicas already swapped simply
-        swap again.
-        """
-        if not isinstance(drafter, Drafter):
-            raise FleetError(
-                f"swap_drafter() needs a Drafter, got {type(drafter)!r}"
-            )
-        self._swap_drafter = self._published = drafter
-        self._swap_queue = deque(
-            replica.replica_id
-            for replica in self.replicas
-            if replica.state is not ReplicaState.RETIRED
-        )
-        self._swap_active = None
-
-    @property
-    def swap_in_progress(self) -> bool:
-        """Whether the fleet-wide drafter roll has work left."""
-        return self._swap_drafter is not None
-
-    def subscribe(
-        self, callback: Callable[[RequestEvent], None]
-    ) -> None:
-        """Observe every lifecycle event fleet-wide as it is emitted.
-
-        One subscription covers every replica — present AND future:
-        events are forwarded onto the fleet's merged bus stamped with
-        their ``replica_id``, and replicas attached later
-        (:meth:`add_replica`) forward onto the same bus.  Consumers
-        therefore never need per-replica subscriptions that would go
-        stale across membership changes.
-        """
-        self.events.subscribe(callback)
-
-    def lifecycle_events(self) -> List[RequestEvent]:
-        """Fleet-wide merged lifecycle trail (emission order).
-
-        Every event carries its ``replica_id`` in addition to the
-        worker/cycle/time stamps the pool-level trail already had.
-        """
-        return self.events.events
+        """Roll a new drafter across the fleet, one replica at a time
+        (see :meth:`~repro.serving.clock.TickDriver.swap_drafter`);
+        replicas already swapped to an older drafter swap again."""
+        super().swap_drafter(drafter)
+        self._published = drafter
 
     def snapshot_routing(self) -> StaticRouting:
         """Freeze the placements made so far as a replayable policy.
@@ -418,63 +339,47 @@ class FleetEngine:
 
     def tick(self) -> None:
         """Run one discrete-event step (see module docstring)."""
-        now = self.clock.now
-        self._promote_joining(now)
-        self._roll_swap()
-        self._dispatch_arrivals(now)
-        pools = [
-            replica.frontend for replica in self.replicas
-            if replica.state is not ReplicaState.RETIRED
-        ]
-        self.worker_cycles += sum(len(pool.workers) for pool in pools)
+        pools = self.open_tick()
         stepping = [pool.open_tick() for pool in pools]
         outcomes = iter(step_engines(
             [worker.engine for workers in stepping for worker in workers]
         ))
         for pool, workers in zip(pools, stepping):
             pool.close_tick(workers, [next(outcomes) for _ in workers])
+        self.close_tick()
+        self.clock.advance()
+
+    def open_tick(self) -> List[ServingEngine]:
+        """Promote warmed-up JOINING replicas, advance the drafter
+        roll, route due arrivals; returns the non-retired pools, each
+        of which opens and closes its own tick inside this one."""
+        now = self.clock.now
+        for replica in self.replicas:
+            if (
+                replica.state is ReplicaState.JOINING
+                and now >= replica.joined_at + self.warmup_ticks
+            ):
+                replica.lifecycle.to(ReplicaState.ACTIVE, now)
+                self.routing.on_join(replica.replica_id)
+        self._roll_step()
+        self._place_arrivals()
+        pools = self._subdrivers()
+        self.worker_cycles += sum(len(pool.workers) for pool in pools)
+        return pools
+
+    def close_tick(self) -> None:
+        """Retire drained DRAINING replicas and settle the swap roll
+        (the clock is the caller's to advance)."""
         for replica in self.replicas:
             if (
                 replica.state is ReplicaState.DRAINING
                 and replica.frontend.drained
                 and not replica.frontend.swap_in_progress
             ):
-                replica.lifecycle.to(ReplicaState.RETIRED, now + 1.0)
-        self._finalize_swap()
-        self.clock.advance(1.0)
-
-    def run(
-        self,
-        requests: Sequence[ServingRequest] = (),
-        max_ticks: int = 1_000_000,
-        on_tick: Optional[Callable[["FleetEngine"], None]] = None,
-    ) -> FleetReport:
-        """Serve ``requests`` (plus earlier submissions) to completion.
-
-        Args:
-            requests: trace to submit before starting.
-            max_ticks: safety bound on fleet virtual time.
-            on_tick: called after every tick with the fleet — the hook
-                mid-run drains and hot swaps are driven from.
-
-        Returns:
-            The run's :class:`~repro.fleet.report.FleetReport`.
-        """
-        for request in requests:
-            self.submit(request)
-        ticks = 0
-        while (
-            self._unresolved() or self.swap_in_progress
-        ) and ticks < max_ticks:
-            self.tick()
-            if on_tick is not None:
-                on_tick(self)
-            ticks += 1
-        if self._unresolved():
-            raise FleetError(
-                f"fleet run did not drain within {max_ticks} ticks"
-            )
-        return self.report()
+                replica.lifecycle.to(
+                    ReplicaState.RETIRED, self.clock.now + 1.0
+                )
+        self._settle_roll()
 
     def report(self) -> FleetReport:
         """Aggregate the fleet's current state into a report."""
@@ -497,89 +402,38 @@ class FleetEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _unresolved(self) -> bool:
-        if self._arrivals:
-            return True
-        return any(
-            replica.state is not ReplicaState.RETIRED
-            and not replica.frontend.drained
-            for replica in self.replicas
-        )
+    def _subdrivers(self) -> List[ServingEngine]:
+        return [
+            replica.frontend for replica in self.replicas
+            if replica.state is not ReplicaState.RETIRED
+        ]
 
-    def _promote_joining(self, now: float) -> None:
-        for replica in self.replicas:
-            if (
+    def _place(self, request_id: int) -> bool:
+        """Route one due arrival to an ACTIVE replica."""
+        routable = [
+            replica for replica in self.replicas
+            if replica.state is ReplicaState.ACTIVE
+        ]
+        if not routable:
+            if any(
                 replica.state is ReplicaState.JOINING
-                and now >= replica.joined_at + self.warmup_ticks
+                for replica in self.replicas
             ):
-                replica.lifecycle.to(ReplicaState.ACTIVE, now)
-                self.routing.on_join(replica.replica_id)
-
-    def _roll_swap(self) -> None:
-        """Advance the fleet-wide drafter roll by at most one replica.
-
-        The next replica's pool roll starts only once the previous
-        replica's roll has fully completed (its own one-worker-per-tick
-        walk), so the fleet never has two replicas mid-swap.
-        """
-        if self._swap_active is not None:
-            replica = self._replica(self._swap_active)
-            if (
-                replica.state is not ReplicaState.RETIRED
-                and replica.frontend.swap_in_progress
-            ):
-                return  # still rolling inside the current replica
-            self._swap_active = None
-        while self._swap_queue:
-            replica_id = self._swap_queue.popleft()
-            replica = self._replica(replica_id)
-            if replica.state is ReplicaState.RETIRED:
-                continue  # retired mid-roll: nothing to swap
-            replica.frontend.swap_drafter(self._swap_drafter)
-            self._swap_active = replica_id
-            return
-
-    def _finalize_swap(self) -> None:
-        """Mark the fleet roll done on the tick its last pool finishes
-        (the replica ticks above may have completed the final pool's
-        one-worker-per-tick walk)."""
-        if self._swap_drafter is None or self._swap_queue:
-            return
-        if self._swap_active is not None:
-            replica = self._replica(self._swap_active)
-            if (
-                replica.state is not ReplicaState.RETIRED
-                and replica.frontend.swap_in_progress
-            ):
-                return
-            self._swap_active = None
-        self._swap_drafter = None
-        self.drafter_rolls += 1
-
-    def _dispatch_arrivals(self, now: float) -> None:
-        while self._arrivals and self._arrivals[0][0] <= now:
-            routable = self._routable()
-            if not routable:
-                if any(
-                    replica.state is ReplicaState.JOINING
-                    for replica in self.replicas
-                ):
-                    # Replicas are warming up: arrivals wait their turn
-                    # (arrival stamps are kept, so latency is charged).
-                    return
-                raise FleetError(
-                    "an arrival is due but no replica is ACTIVE or "
-                    "JOINING"
-                )
-            _, request_id = heapq.heappop(self._arrivals)
-            request = self._requests[request_id]
-            index = self.routing.choose(request, routable)
-            if not 0 <= index < len(routable):
-                raise FleetError(
-                    f"routing policy {self.routing.name!r} chose "
-                    f"replica index {index} of {len(routable)}"
-                )
-            replica = routable[index]
-            replica.routed += 1
-            self.placement[request_id] = replica.replica_id
-            replica.frontend.submit(request)
+                # Replicas are warming up: arrivals wait their turn
+                # (arrival stamps are kept, so latency is charged).
+                return False
+            raise FleetError(
+                "an arrival is due but no replica is ACTIVE or JOINING"
+            )
+        request = self._requests[request_id]
+        index = self.routing.choose(request, routable)
+        if not 0 <= index < len(routable):
+            raise FleetError(
+                f"routing policy {self.routing.name!r} chose "
+                f"replica index {index} of {len(routable)}"
+            )
+        replica = routable[index]
+        replica.routed += 1
+        self.placement[request_id] = replica.replica_id
+        replica.frontend.submit(request)
+        return True

@@ -11,8 +11,8 @@ perturbing a single committed token of any survivor.
 
 Every lifecycle mutation — admit, cancel, expire, park, resume,
 drafter swap — is a method of the worker's engine, and every worker's
-lifecycle events (stamped with cycle and virtual time) are merged into
-one pool-wide trail (:meth:`ServingEngine.lifecycle_events`).  A
+lifecycle events (stamped with cycle and virtual time) publish onto the
+pool's one bus, its trail (:meth:`ServingEngine.lifecycle_events`).  A
 request's :class:`~repro.serving.metrics.RequestRecord` is a view over
 the slot it was queued as: it reads the slot's state and tokens (a
 RUNNING record's ``response`` is the tokens committed so far) and only
@@ -34,7 +34,10 @@ stamps times and counts of its own.  Two capabilities ride on it:
   refreshed EAGLE weights reach a live pool
   (:meth:`repro.longtail.colocated.ColocatedLoop.publish_drafter`).
 
-One :meth:`ServingEngine.tick` is one discrete-event step:
+The pool is a :class:`~repro.serving.clock.TickDriver`: the clock, the
+arrivals heap, the event bus, :meth:`~repro.serving.clock.TickDriver.run`
+and the swap roll are the driver's, shared with the fleet tier.  One
+:meth:`ServingEngine.tick` is one discrete-event step:
 
 1. an in-progress rolling drafter swap advances by one worker;
 2. arrivals whose time has come are dispatched to workers — preempting
@@ -52,8 +55,12 @@ One :meth:`ServingEngine.tick` is one discrete-event step:
    a vanilla worker's rows are zero-node trees in that same forward —
    and each cycle is closed in worker order; real deployments run the
    workers on separate accelerators in parallel, and here the
-   per-launch cost is paid once per tick;
-7. the clock advances by one tick.
+   per-launch cost is paid once per tick.
+
+Steps 1-5 are :meth:`ServingEngine.open_tick` and the records of step 6
+are :meth:`ServingEngine.close_tick`; then ``tick`` advances the clock.
+A pool inside a fleet reads the fleet's one clock, which only the fleet
+tick advances.
 
 Determinism: requests carry private seeded streams, the batched kernels
 are row-invariant, workers open and close their cycles in a fixed order,
@@ -83,11 +90,11 @@ import heapq
 from collections import deque
 from typing import (
     Callable,
-    Deque,
     Dict,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -98,7 +105,7 @@ from repro.errors import ConfigError, ServingError
 from repro.llm.model import TinyLM
 from repro.llm.vocab import BOS_ID
 from repro.rollout.adaptive import AdaptiveSdManager
-from repro.serving.clock import VirtualClock
+from repro.serving.clock import TickDriver
 from repro.serving.dispatch import (
     DispatchPolicy,
     PreemptionPolicy,
@@ -108,7 +115,6 @@ from repro.serving.dispatch import (
 from repro.serving.metrics import RequestRecord, ServingReport
 from repro.serving.request import (
     TERMINAL_STATES,
-    RequestIdAllocator,
     RequestState,
     ServingRequest,
 )
@@ -118,12 +124,7 @@ from repro.specdec.batch_engine import (
     make_serving_request,
     step_engines,
 )
-from repro.specdec.control import (
-    AdmissionPolicy,
-    EventBus,
-    RequestEvent,
-    RequestEventKind,
-)
+from repro.specdec.control import AdmissionPolicy, RequestEventKind
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode
 
@@ -270,7 +271,7 @@ class ServingWorker:
         return best
 
 
-class ServingEngine:
+class ServingEngine(TickDriver):
     """SLO-aware online serving over N batched spec-decode workers.
 
     Args:
@@ -317,6 +318,8 @@ class ServingEngine:
             tier (0 = evict outright, the classic single-tier LRU).
     """
 
+    error = ServingError
+
     def __init__(
         self,
         target: TinyLM,
@@ -359,19 +362,12 @@ class ServingEngine:
                 f"kv_cache_cold_tokens must be >= 0, "
                 f"got {kv_cache_cold_tokens}"
             )
-        self.clock = VirtualClock()
+        super().__init__()
         self.dispatch = dispatch or RoundRobinDispatch()
         self.preemption = preemption
         self.work_stealing = work_stealing
         self.managers = list(sd_managers) if sd_managers else []
         self.workers: List[ServingWorker] = []
-        self._events: List[RequestEvent] = []
-        #: Front-end-level bus for transitions that happen before a
-        #: request reaches any worker (PENDING cancel/expiry) — keeps
-        #: the pool-wide trail complete: every submitted request ends
-        #: in exactly one terminal event.
-        self.events = EventBus()
-        self.events.subscribe(self._events.append)
         for worker_id in range(num_workers):
             engine = BatchedSpecDecodeEngine(
                 target,
@@ -404,27 +400,20 @@ class ServingEngine:
                     self.records[request_id].request
                 ),
             )
-            engine.events.subscribe(self._events.append)
+            # Worker events publish onto the pool's bus, which also
+            # carries the terminations of requests that never reached a
+            # worker: every submitted request ends in one terminal event.
+            engine.events.subscribe(self.events.publish)
             self.workers.append(worker)
         self.records: Dict[int, RequestRecord] = {}
-        self._arrivals: List[Tuple[float, int]] = []  # heap
         self._deadlines: List[Tuple[float, int]] = []  # heap
         self.stolen = 0
-        #: Pending drafter swaps: (worker_id, drafter, part_of_roll).
-        #: One entry is applied per tick — at most one worker is
-        #: mid-swap at any time, whether the entries come from a
-        #: pool-wide roll or targeted per-worker publications.
-        self._swap_queue: Deque[Tuple[int, Drafter, bool]] = deque()
-        self.drafter_swaps = 0
         #: Targeted per-worker swaps applied (the drafter-zoo refresh
-        #: path), counted separately from pool-wide rolls.
+        #: path), counted apart from pool-wide rolls.
         self.worker_swaps = 0
         self.group_affinity = group_affinity
         self._group_worker: Dict[int, int] = {}
         self._group_pending: Dict[int, int] = {}
-        #: The request-id namespace this pool mints from (a fleet
-        #: points every replica at its one shared allocator).
-        self.id_allocator = RequestIdAllocator()
         #: Slot-cycles decoded per SLO class (one live slot decoding for
         #: one tick = one slot-cycle) — the per-class utilization the
         #: co-location benchmark reads reclaimed-bubble capacity from.
@@ -432,30 +421,10 @@ class ServingEngine:
 
     # -- request API -------------------------------------------------------
 
-    def allocate_request_ids(self, count: int) -> range:
-        """Reserve ``count`` fresh globally-unique request ids.
-
-        Programmatic clients sharing the pool with a trace (the RL
-        rollout backend) must not collide with trace-assigned ids; this
-        hands them a contiguous id block past everything seen so far.
-        The block comes from the pool's
-        :class:`~repro.serving.request.RequestIdAllocator` — replicas
-        of a fleet share one allocator, so no two pools can mint the
-        same id even when driven concurrently.
-        """
-        return self.id_allocator.allocate(count)
-
     def submit(self, request: ServingRequest) -> None:
         """Register an online request (dispatched once its time comes)."""
-        if request.request_id in self.records:
-            raise ServingError(
-                f"duplicate request_id {request.request_id}"
-            )
-        self.id_allocator.observe(request.request_id)
+        self._enqueue(request, self.records)
         self.records[request.request_id] = RequestRecord(request=request)
-        heapq.heappush(
-            self._arrivals, (request.arrival_time, request.request_id)
-        )
         if request.slo.deadline is not None:
             heapq.heappush(
                 self._deadlines,
@@ -526,25 +495,6 @@ class ServingEngine:
         # pass) — the request IS coming back, which is what True means.
         return True
 
-    def swap_drafter(self, drafter: Drafter) -> None:
-        """Roll a new drafter across the pool, one worker per tick.
-
-        Zero-downtime deployment of refreshed drafter weights: each
-        worker swaps at its own cycle boundary on a distinct tick, so
-        at most one worker is transitioning at any time and no request
-        anywhere in the pool is dropped or stalled.  Calling again
-        while a roll is in progress restarts the roll with the newest
-        drafter (latest publication wins).
-        """
-        self._validate_swap(drafter)
-        # A new pool-wide roll supersedes everything queued — including
-        # targeted per-worker swaps, which the roll's newer publication
-        # would overwrite anyway.
-        self._swap_queue = deque(
-            (worker_id, drafter, True)
-            for worker_id in range(len(self.workers))
-        )
-
     def swap_worker_drafter(
         self, worker_id: int, drafter: Drafter
     ) -> None:
@@ -556,43 +506,21 @@ class ServingEngine:
         rest of the pool.  Swaps queue behind any in-progress roll and
         apply one per tick (same zero-downtime guarantee as the pool
         roll); a second swap queued for the same worker before the
-        first applies replaces it (latest publication wins).
+        first applies replaces it (latest publication wins).  A later
+        :meth:`swap_drafter` supersedes it.
         """
-        self._validate_swap(drafter)
+        self._check_drafter(drafter)
         if not 0 <= worker_id < len(self.workers):
             raise ServingError(
                 f"worker_id {worker_id} out of range "
                 f"({len(self.workers)} workers)"
             )
-        self._swap_queue = deque(
-            entry for entry in self._swap_queue
-            if entry[2] or entry[0] != worker_id
+        worker = self.workers[worker_id]
+        self._roll = deque(
+            entry for entry in self._roll
+            if entry[2] or entry[0] is not worker
         )
-        self._swap_queue.append((worker_id, drafter, False))
-
-    def _validate_swap(self, drafter: Drafter) -> None:
-        # Fail fast at the call site: deferring validation to the per-
-        # tick roll would raise out of a later tick()/run(), stranding
-        # live requests mid-trace.
-        if not isinstance(drafter, Drafter):
-            raise ServingError(
-                f"swap_drafter() needs a Drafter, got {type(drafter)!r}"
-            )
-
-    @property
-    def swap_in_progress(self) -> bool:
-        """Whether a rolling drafter swap has workers left to visit."""
-        return bool(self._swap_queue)
-
-    @property
-    def drained(self) -> bool:
-        """No submitted request is unresolved (the fleet's retire gate).
-
-        A draining replica keeps ticking until this flips true — every
-        live, parked, queued, and pending request has reached a
-        terminal state — and only then retires.
-        """
-        return not self._unresolved()
+        self._roll.append((worker, drafter, False))
 
     def withdraw_queued(self) -> List[ServingRequest]:
         """Withdraw every request that has not started decoding.
@@ -627,35 +555,9 @@ class ServingEngine:
                 withdrawn.append(record.request)
         gone = {request.request_id for request in withdrawn}
         if gone:
-            self._arrivals = [
-                entry for entry in self._arrivals if entry[1] not in gone
-            ]
-            heapq.heapify(self._arrivals)
-            self._deadlines = [
-                entry for entry in self._deadlines if entry[1] not in gone
-            ]
-            heapq.heapify(self._deadlines)
+            self._arrivals = _without(self._arrivals, gone)
+            self._deadlines = _without(self._deadlines, gone)
         return sorted(withdrawn, key=lambda r: r.request_id)
-
-    def subscribe(
-        self, callback: Callable[[RequestEvent], None]
-    ) -> None:
-        """Observe every lifecycle event as it is emitted.
-
-        Covers all worker engines plus the front-end's own bus (which
-        carries terminations of requests that never reached a worker).
-        """
-        self.events.subscribe(callback)
-        for worker in self.workers:
-            worker.engine.events.subscribe(callback)
-
-    def lifecycle_events(self) -> List[RequestEvent]:
-        """Pool-wide lifecycle event trail (emission order).
-
-        Events carry their worker id, engine cycle, and virtual-time
-        stamp; emission order is deterministic under a fixed seed.
-        """
-        return list(self._events)
 
     # -- event loop --------------------------------------------------------
 
@@ -663,6 +565,7 @@ class ServingEngine:
         """Run one discrete-event step (see module docstring)."""
         workers = self.open_tick()
         self.close_tick(workers, step_engines([w.engine for w in workers]))
+        self.clock.advance()
 
     def open_tick(self) -> List[ServingWorker]:
         """Steps 1-5 of a tick; returns the workers with a cycle to run.
@@ -673,8 +576,8 @@ class ServingEngine:
         replica's workers in one batch.
         """
         now = self.clock.now
-        self._roll_swap()
-        self._dispatch_arrivals(now)
+        self._roll_step()
+        self._place_arrivals()
         self._expire_deadlines(now)
         if self.work_stealing and len(self.workers) > 1:
             moves = steal_work(self.workers)
@@ -695,8 +598,8 @@ class ServingEngine:
         workers: Sequence[ServingWorker],
         outcomes: Sequence[EngineStep],
     ) -> None:
-        """Record the cycles :meth:`open_tick`'s workers ran; advance
-        the clock (step 7)."""
+        """Record the cycles :meth:`open_tick`'s workers ran and settle
+        the swap roll (the clock is the caller's to advance)."""
         now = self.clock.now
         completion = now + 1.0  # cycles complete at the end of the tick
         for worker, outcome in zip(workers, outcomes):
@@ -717,35 +620,7 @@ class ServingEngine:
                 record = self.records[slot.request.request_id]
                 record.finish_time = completion
                 self._note_group_resolved(record)
-        self.clock.advance(1.0)
-
-    def run(
-        self,
-        requests: Sequence[ServingRequest] = (),
-        max_ticks: int = 1_000_000,
-    ) -> ServingReport:
-        """Serve ``requests`` (plus earlier submissions) to completion.
-
-        Args:
-            requests: trace to submit before starting.
-            max_ticks: safety bound on virtual time.
-
-        Returns:
-            The run's :class:`~repro.serving.metrics.ServingReport`.
-        """
-        for request in requests:
-            self.submit(request)
-        ticks = 0
-        while (
-            self._unresolved() or self.swap_in_progress
-        ) and ticks < max_ticks:
-            self.tick()
-            ticks += 1
-        if self._unresolved():
-            raise ServingError(
-                f"serving run did not drain within {max_ticks} ticks"
-            )
-        return self.report()
+        self._settle_roll()
 
     def report(self) -> ServingReport:
         """Aggregate the current records into a report.
@@ -774,7 +649,7 @@ class ServingEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _unresolved(self) -> bool:
+    def _busy(self) -> bool:
         """Whether any request is pending, queued, running, or parked."""
         if any(w.engine.scheduler.has_work for w in self.workers):
             return True
@@ -783,17 +658,16 @@ class ServingEngine:
             for r in self.records.values()
         )
 
-    def _roll_swap(self) -> None:
-        """Apply one pending drafter swap (pool roll or targeted)."""
-        if not self._swap_queue:
-            return
-        worker_id, drafter, part_of_roll = self._swap_queue.popleft()
-        self.workers[worker_id].engine.swap_drafter(drafter)
-        if part_of_roll:
-            if not any(entry[2] for entry in self._swap_queue):
-                self.drafter_swaps += 1
-        else:
+    def _roll_children(self) -> List[ServingWorker]:
+        return self.workers
+
+    def _swap_child(
+        self, worker: ServingWorker, drafter: Drafter, part_of_roll: bool
+    ) -> bool:
+        worker.engine.swap_drafter(drafter)
+        if not part_of_roll:
             self.worker_swaps += 1
+        return True
 
     def _resume_parked(self) -> None:
         """Resume parked requests on workers with capacity to spare.
@@ -813,50 +687,49 @@ class ServingEngine:
             ):
                 worker.engine.resume(scheduler.parked_ids[0])
 
-    def _dispatch_arrivals(self, now: float) -> None:
-        """Route every request whose arrival time has come."""
-        while self._arrivals and self._arrivals[0][0] <= now:
-            _, request_id = heapq.heappop(self._arrivals)
-            record = self.records[request_id]
-            if record.state is not RequestState.PENDING:
-                continue  # cancelled before arrival
-            request = record.request
-            if (
-                self.group_affinity
-                and request.group is not None
-                and request.group in self._group_worker
-            ):
-                index = self._group_worker[request.group]
-            else:
-                index = self.dispatch.choose(request, self.workers)
-            if not 0 <= index < len(self.workers):
-                raise ServingError(
-                    f"dispatch policy {self.dispatch.name!r} chose "
-                    f"worker {index} of {len(self.workers)}"
-                )
-            if self.group_affinity and request.group is not None:
-                self._group_worker.setdefault(request.group, index)
-                self._group_pending[request.group] = (
-                    self._group_pending.get(request.group, 0) + 1
-                )
-            worker = self.workers[index]
-            record.slot = worker.engine.scheduler.push(
-                make_serving_request(
-                    request_id=request.request_id,
-                    prompt=request.prompt,
-                    max_new_tokens=request.max_new_tokens,
-                    seed=request.seed,
-                    segment=request.segment,
-                    predicted_length=request.dispatch_length,
-                ),
-                urgent=(
-                    self.preemption is not None
-                    and self.preemption.is_urgent(request)
-                ),
+    def _place(self, request_id: int) -> bool:
+        """Dispatch one due arrival to a worker (a pool never waits)."""
+        record = self.records[request_id]
+        if record.state is not RequestState.PENDING:
+            return True  # cancelled before arrival
+        request = record.request
+        if (
+            self.group_affinity
+            and request.group is not None
+            and request.group in self._group_worker
+        ):
+            index = self._group_worker[request.group]
+        else:
+            index = self.dispatch.choose(request, self.workers)
+        if not 0 <= index < len(self.workers):
+            raise ServingError(
+                f"dispatch policy {self.dispatch.name!r} chose "
+                f"worker {index} of {len(self.workers)}"
             )
-            record.worker_id = worker.worker_id
-            record.dispatch_time = now
-            self._maybe_preempt(request, worker)
+        if self.group_affinity and request.group is not None:
+            self._group_worker.setdefault(request.group, index)
+            self._group_pending[request.group] = (
+                self._group_pending.get(request.group, 0) + 1
+            )
+        worker = self.workers[index]
+        record.slot = worker.engine.scheduler.push(
+            make_serving_request(
+                request_id=request.request_id,
+                prompt=request.prompt,
+                max_new_tokens=request.max_new_tokens,
+                seed=request.seed,
+                segment=request.segment,
+                predicted_length=request.dispatch_length,
+            ),
+            urgent=(
+                self.preemption is not None
+                and self.preemption.is_urgent(request)
+            ),
+        )
+        record.worker_id = worker.worker_id
+        record.dispatch_time = self.clock.now
+        self._maybe_preempt(request, worker)
+        return True
 
     def _maybe_preempt(
         self, request: ServingRequest, worker: ServingWorker
@@ -919,13 +792,6 @@ class ServingEngine:
         worker.engine.park(request_id, preempted=preempted)
         self.records[request_id].preemptions += 1
 
-    def _drop_arrival(self, request_id: int) -> None:
-        """Remove a not-yet-dispatched request from the arrival queue."""
-        self._arrivals = [
-            entry for entry in self._arrivals if entry[1] != request_id
-        ]
-        heapq.heapify(self._arrivals)
-
     def _expire_deadlines(self, now: float) -> None:
         """Expire unfinished requests whose SLO deadline has passed.
 
@@ -953,7 +819,7 @@ class ServingEngine:
         request_id = record.request.request_id
         expire = to is RequestState.EXPIRED
         if record.slot is None:
-            self._drop_arrival(request_id)
+            self._arrivals = _without(self._arrivals, {request_id})
             record.pre_dispatch = to
             self.events.emit(
                 RequestEventKind.EXPIRED if expire
@@ -965,3 +831,12 @@ class ServingEngine:
             (engine.expire if expire else engine.cancel)(request_id)
         record.finish_time = now
         self._note_group_resolved(record)
+
+
+def _without(
+    heap: List[Tuple[float, int]], gone: Set[int]
+) -> List[Tuple[float, int]]:
+    """``heap`` with every entry of a request id in ``gone`` removed."""
+    kept = [entry for entry in heap if entry[1] not in gone]
+    heapq.heapify(kept)
+    return kept

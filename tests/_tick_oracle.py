@@ -30,7 +30,7 @@ import types
 import numpy as np
 
 from repro.errors import SpecDecodeError
-from repro.fleet import FleetEngine, ReplicaState
+from repro.fleet import FleetEngine
 from repro.llm.model import contexts_from_sequences
 from repro.llm.sampler import sample_from_probs, temperature_probs
 from repro.serving import ServingEngine
@@ -144,32 +144,27 @@ def step_alone(engines):
             engine._in_step = False
 
 
-def pool_tick(pool: ServingEngine) -> None:
-    """One pool tick with every worker's engine launching alone."""
+def pool_cycle(pool: ServingEngine) -> None:
+    """One pool's open, cycles and close, every worker's engine
+    launching alone (the clock is left to the caller)."""
     workers = pool.open_tick()
     pool.close_tick(workers, step_alone([w.engine for w in workers]))
 
 
+def pool_tick(pool: ServingEngine) -> None:
+    """One pool tick with every worker's engine launching alone."""
+    pool_cycle(pool)
+    pool.clock.advance()
+
+
 def fleet_tick(fleet: FleetEngine) -> None:
-    """One fleet tick in which each replica runs its whole pool tick in
-    turn (the retire / roll bookkeeping is the fleet's own)."""
-    now = fleet.clock.now
-    fleet._promote_joining(now)
-    fleet._roll_swap()
-    fleet._dispatch_arrivals(now)
-    for replica in fleet.replicas:
-        if replica.state is not ReplicaState.RETIRED:
-            fleet.worker_cycles += len(replica.frontend.workers)
-            pool_tick(replica.frontend)
-    for replica in fleet.replicas:
-        if (
-            replica.state is ReplicaState.DRAINING
-            and replica.frontend.drained
-            and not replica.frontend.swap_in_progress
-        ):
-            replica.lifecycle.to(ReplicaState.RETIRED, now + 1.0)
-    fleet._finalize_swap()
-    fleet.clock.advance(1.0)
+    """One fleet tick in which each replica runs its whole pool cycle
+    before the next replica opens (the fleet's own open and close
+    bracket them)."""
+    for pool in fleet.open_tick():
+        pool_cycle(pool)
+    fleet.close_tick()
+    fleet.clock.advance()
 
 
 def per_worker(pool: ServingEngine) -> ServingEngine:

@@ -444,7 +444,7 @@ class TestServingPreemption:
             frontend.submit(request)
         saw_parked = False
         for _ in range(200):
-            if not frontend._unresolved():
+            if frontend.drained:
                 break
             frontend.tick()
             saw_parked = saw_parked or any(
@@ -614,7 +614,7 @@ class TestServingRollingSwap:
         assert frontend.swap_in_progress
         report = frontend.run()
         assert not frontend.swap_in_progress
-        assert frontend.drafter_swaps == 1
+        assert frontend.drafter_rolls == 1
         # Zero dropped or stalled requests across the swap.
         assert all(r.finished for r in report.records)
         # Equal weights -> byte-identical to the unswapped run.
@@ -638,7 +638,7 @@ class TestServingRollingSwap:
         frontend.swap_drafter(trained_drafter.clone())
         frontend.run(())  # no requests: the run still finishes the roll
         assert not frontend.swap_in_progress
-        assert frontend.drafter_swaps == 1
+        assert frontend.drafter_rolls == 1
 
     def test_publish_drafter_rolls_spot_snapshot(
         self, target, trained_drafter, rollout_sequences
@@ -685,7 +685,7 @@ class TestServingRollingSwap:
         assert published is not spot.trainer.drafter  # a snapshot
         assert frontend.swap_in_progress
         frontend.run(())
-        assert frontend.drafter_swaps == 1
+        assert frontend.drafter_rolls == 1
         for worker in frontend.workers:
             assert worker.engine.drafter is published
 
@@ -706,8 +706,8 @@ class TestServingCancelPending:
         frontend.submit(now)
         assert frontend.cancel(0)
         # Eagerly removed from the pending-arrival queue, not lazily
-        # skipped at t=50: the run drains as soon as request 1 is done.
-        assert all(rid != 0 for _, rid in frontend._arrivals)
+        # skipped at t=50: the pool is drained (no arrival waits) as
+        # soon as request 1 is done.
         report = frontend.run()
         assert report.ticks < 50
         assert report.records[0].cancelled

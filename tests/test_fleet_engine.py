@@ -435,7 +435,7 @@ class TestFleetHotSwap:
         assert not fleet.swap_in_progress
         assert report.drafter_rolls == 1
         for replica in fleet.replicas:
-            assert replica.frontend.drafter_swaps == 1
+            assert replica.frontend.drafter_rolls == 1
             for worker in replica.frontend.workers:
                 assert worker.engine.drafter is fresh
         assert _responses(report) == reference
@@ -458,8 +458,46 @@ class TestFleetHotSwap:
             assert in_flight <= 1
             fleet.tick()
         assert all(
-            r.frontend.drafter_swaps == 1 for r in fleet.replicas
+            r.frontend.drafter_rolls == 1 for r in fleet.replicas
         )
+
+    @pytest.mark.parametrize("shape", ["pool", "fleet"])
+    def test_republication_mid_roll(self, target, trained_drafter,
+                                    shape):
+        """Publishing d2 four ticks into d1's roll: every tick swaps at
+        most one worker, none swaps to the superseded d1 after d2 is
+        out, and every worker ends on d2 (9 workers either way)."""
+        if shape == "pool":
+            driver = _pool(target, trained_drafter, workers=9)
+            workers = driver.workers
+        else:
+            driver = FleetEngine(
+                [_pool(target, trained_drafter, workers=3)
+                 for _ in range(3)]
+            )
+            workers = [
+                worker for replica in driver.replicas
+                for worker in replica.frontend.workers
+            ]
+        d1, d2 = trained_drafter.clone(), trained_drafter.clone()
+        driver.swap_drafter(d1)
+        for ticks in range(100):
+            if ticks == 4:
+                driver.swap_drafter(d2)
+            elif ticks > 4 and not driver.swap_in_progress:
+                break
+            before = [worker.engine.drafter for worker in workers]
+            driver.tick()
+            swapped = [
+                worker.engine.drafter for worker, old
+                in zip(workers, before)
+                if worker.engine.drafter is not old
+            ]
+            assert len(swapped) <= 1
+            if ticks >= 4:
+                assert d1 not in swapped
+        assert all(worker.engine.drafter is d2 for worker in workers)
+        assert driver.drafter_rolls == 1
 
     def test_swap_completes_over_idle_fleet(self, target,
                                             trained_drafter):

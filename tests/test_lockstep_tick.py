@@ -272,7 +272,7 @@ def test_pool_mid_roll_and_targeted_swap(
 
     (batched, pool), (oracle, _) = _run_both(recorded, run)
     _assert_same(batched, oracle)
-    assert pool.drafter_swaps == 1 and pool.worker_swaps == 1
+    assert pool.drafter_rolls == 1 and pool.worker_swaps == 1
     assert all(mixed_ticks)
 
 
@@ -359,7 +359,7 @@ def test_tail_first_rollouts_with_spot_publish(
 
     (batched, pool), (oracle, _) = _run_both(recorded, run)
     _assert_same(batched, oracle)
-    assert pool.drafter_swaps == 1
+    assert pool.drafter_rolls == 1
 
 
 # -- adaptive pools: vanilla rows ride the verify launch ---------------------

@@ -692,7 +692,7 @@ class TestWorkerSwap:
         assert engine.workers[1].engine.drafter is untrained_drafter
         assert engine.workers[0].engine.drafter is before
         assert engine.worker_swaps == 1
-        assert engine.drafter_swaps == 0
+        assert engine.drafter_rolls == 0
         assert not engine.swap_in_progress
 
     def test_latest_targeted_swap_wins(
@@ -718,7 +718,7 @@ class TestWorkerSwap:
         engine.tick()
         for worker in engine.workers:
             assert worker.engine.drafter is trained_drafter
-        assert engine.drafter_swaps == 1
+        assert engine.drafter_rolls == 1
         assert engine.worker_swaps == 0
 
     def test_swap_validation(

@@ -347,7 +347,7 @@ class TestColocatedLoop:
         # Each round published a refreshed drafter pool-wide.
         assert len(loop.published) == 2
         final = loop.drain()
-        assert loop.frontend.drafter_swaps == 2
+        assert loop.frontend.drafter_rolls == 2
         for worker in loop.frontend.workers:
             assert worker.engine.drafter is loop.published[-1]
         assert all(r.finished for r in final.records)
