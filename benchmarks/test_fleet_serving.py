@@ -26,12 +26,13 @@ import numpy as np
 
 from repro.fleet import (
     FleetEngine,
-    FleetRoundRobin,
     PrefixHashRouting,
+    RoutingPolicy,
 )
 from repro.serving import (
     LeastLoadedDispatch,
     PrefixAffinityDispatch,
+    RoundRobinDispatch,
     ServingEngine,
 )
 from repro.specdec import PrefixAwareAdmission, SdStrategy
@@ -112,7 +113,7 @@ def test_fleet_serving(benchmark):
         measure(
             "fleet-rr",
             lambda: _fleet(
-                target, drafter, FleetRoundRobin()
+                target, drafter, RoutingPolicy(RoundRobinDispatch())
             ).run(trace),
         )
         # Spilling is load-shedding insurance for sustained hot spots;

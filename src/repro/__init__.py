@@ -68,8 +68,6 @@ _EXPORTS = {
         "FleetEngine",
         "FleetReport",
         "RoutingPolicy",
-        "FleetRoundRobin",
-        "FleetLeastLoaded",
         "PrefixHashRouting",
         "StaticRouting",
         "ConsistentHashRing",

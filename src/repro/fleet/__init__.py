@@ -17,8 +17,6 @@ from repro.fleet.lifecycle import ReplicaLifecycle, ReplicaState
 from repro.fleet.report import FleetReport
 from repro.fleet.ring import ConsistentHashRing, prefix_key
 from repro.fleet.router import (
-    FleetLeastLoaded,
-    FleetRoundRobin,
     PrefixHashRouting,
     RoutingPolicy,
     StaticRouting,
@@ -27,10 +25,8 @@ from repro.fleet.router import (
 __all__ = [
     "ConsistentHashRing",
     "FleetEngine",
-    "FleetLeastLoaded",
     "FleetReplica",
     "FleetReport",
-    "FleetRoundRobin",
     "PrefixHashRouting",
     "ReplicaLifecycle",
     "ReplicaState",

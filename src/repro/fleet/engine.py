@@ -6,9 +6,11 @@ workers; a production tier is M such pools behind a router.
 
 * **Routing** — arrivals are handed to a replica by a pluggable
   :class:`~repro.fleet.router.RoutingPolicy` (prefix-aware consistent
-  hashing by default), then the replica's own dispatch policy picks a
-  worker.  Requests carry private seeded streams, so routing moves
-  latency and cache locality, never committed tokens.
+  hashing by default, or any pool dispatch policy), then the replica's
+  own dispatch policy picks a worker, both through the one checked
+  pick, :meth:`~repro.serving.clock.TickDriver._choose`.  Requests
+  carry private seeded streams, so routing moves latency and cache
+  locality, never committed tokens.
 * **Lifecycle** — every replica walks JOINING → ACTIVE → DRAINING →
   RETIRED (:mod:`repro.fleet.lifecycle`).  :meth:`FleetEngine.drain`
   takes a replica off the ring, migrates its queued and pending
@@ -74,6 +76,7 @@ from repro.serving.frontend import ServingEngine
 from repro.serving.request import ServingRequest
 from repro.specdec.batch_engine import step_engines
 from repro.specdec.control import RequestEvent
+from repro.specdec.scheduler import RequestState
 
 
 class FleetReplica:
@@ -158,13 +161,8 @@ class FleetReplica:
         router's spill path consults before shedding an arrival here.
         Non-accounting: probes never skew hit rates.
         """
-        return max(
-            (
-                worker.prefix_match(prompt)
-                for worker in self.frontend.workers
-            ),
-            default=0,
-        )
+        workers = self.frontend.workers  # a pool has at least one
+        return max(worker.prefix_match(prompt) for worker in workers)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
@@ -277,10 +275,26 @@ class FleetEngine(TickDriver):
         JOINING replica was never on the ring nor routed to, so it
         retires at once (its pool must hold nothing).
 
+        Raises (changing nothing) if no other replica is ACTIVE or
+        JOINING to place the replica's queued work or the fleet's arrivals.
+
         Returns:
             The number of requests migrated off the replica.
         """
         replica = self._replica(replica_id)
+        unplaced = self._arrivals or replica.queued_requests or any(
+            record.state is RequestState.PENDING
+            for record in replica.frontend.records.values()
+        )
+        if unplaced and not any(
+            other is not replica
+            and other.state in (ReplicaState.ACTIVE, ReplicaState.JOINING)
+            for other in self.replicas
+        ):
+            raise FleetError(
+                f"draining replica {replica_id} would strand requests: "
+                f"no other replica is ACTIVE or JOINING"
+            )
         if replica.state is ReplicaState.JOINING:
             if not replica.frontend.drained:
                 raise FleetError(
@@ -426,13 +440,7 @@ class FleetEngine(TickDriver):
                 "an arrival is due but no replica is ACTIVE or JOINING"
             )
         request = self._requests[request_id]
-        index = self.routing.choose(request, routable)
-        if not 0 <= index < len(routable):
-            raise FleetError(
-                f"routing policy {self.routing.name!r} chose "
-                f"replica index {index} of {len(routable)}"
-            )
-        replica = routable[index]
+        replica = self._choose(self.routing, request, routable)
         replica.routed += 1
         self.placement[request_id] = replica.replica_id
         replica.frontend.submit(request)

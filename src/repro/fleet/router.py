@@ -7,10 +7,9 @@ handed to.  Because every request carries a private seeded random
 stream, replica routing — like worker dispatch — changes latency and
 cache locality but never a committed token.
 
-* :class:`FleetRoundRobin` — cyclic over active replicas; the
-  placement-oblivious baseline the benchmarks beat.
-* :class:`FleetLeastLoaded` — join the replica with the smallest
-  predicted outstanding token backlog (summed over its workers).
+* :class:`RoutingPolicy` — routes with any pool dispatch policy, a
+  routable replica being a dispatch view: least-loaded by default,
+  ``RoutingPolicy(RoundRobinDispatch())`` the oblivious baseline.
 * :class:`PrefixHashRouting` — the headline policy: a token-prefix-
   keyed :class:`~repro.fleet.ring.ConsistentHashRing` with virtual
   nodes sends every request sharing a prompt prefix (system prompts,
@@ -20,57 +19,69 @@ cache locality but never a committed token.
   sheds load: when the hashed owner's backlog exceeds
   ``spill_factor ×`` the least-loaded replica's (plus a margin), the
   arrival spills to the *second-warmest* replica for its prefix —
-  cooler than the owner, warmest cache first — so one hot family's
-  overflow lands on one overflow replica and pays its cold prefill
-  once.  For windowed models, ``context_window`` keys the ring on the
-  prompt's *effective prefill context* rather than its raw head, so
-  window-equivalent prompts co-locate (see the class docstring).  Ring
-  membership follows the replica lifecycle via :meth:`RoutingPolicy.on_join` / :meth:`on_leave`, and
-  every membership change audits how many previously-routed keys moved
-  owner (the report's ``ring_moves`` counter — consistent hashing's
-  minimal-movement claim, measured).
+  :func:`~repro.serving.dispatch.warmest` among those cooler than the
+  owner — so one hot family's overflow lands on one overflow replica
+  and pays its cold prefill once.  For windowed models,
+  ``context_window`` keys the ring on the prompt's *effective prefill
+  context* rather than its raw head, so window-equivalent prompts
+  co-locate (see the class docstring).  Ring membership follows the
+  replica lifecycle via :meth:`RoutingPolicy.on_join` /
+  :meth:`on_leave`, and every membership change audits how many
+  previously-routed keys moved owner (the report's ``ring_moves``
+  counter — consistent hashing's minimal-movement claim, measured).
 * :class:`StaticRouting` — replays a frozen ``request_id → replica``
   placement.  This is the **static routing snapshot** of the
   determinism contract: replaying a snapshot pins every placement, and
   outputs are then byte-identical to a single-pool reference run.
+
+``RoutingPolicy`` and ``DispatchPolicy`` stay unrelated class trees:
+the tracer books a ``choose`` by the root it subclasses.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cache.blocks import effective_prefill_context
 from repro.errors import ConfigError, FleetError
 from repro.fleet.ring import ConsistentHashRing, prefix_key
+from repro.serving.dispatch import (
+    DispatchPolicy,
+    LeastLoadedDispatch,
+    warmest,
+)
 from repro.serving.request import ServingRequest
 
 
-class RoutingPolicy(abc.ABC):
+class RoutingPolicy:
     """Chooses the replica an arriving request is handed to.
 
-    ``replicas`` is the sequence of *routable* (ACTIVE) replicas, each
-    exposing ``replica_id``, ``backlog_tokens`` and ``prefix_match``;
-    the returned index is into that sequence.  Policies are notified
+    ``replicas`` is the id-ordered sequence of *routable* (ACTIVE)
+    replicas (``replica_id``, ``backlog_tokens``, ``prefix_match``); the
+    returned index is into it, and ``placement`` (a pool dispatch
+    policy, least-loaded when omitted) picks it.  Policies are notified
     of membership changes (:meth:`on_join` / :meth:`on_leave`) so
     stateful routing — the hash ring — tracks the lifecycle exactly.
     """
 
-    #: Label used in reports and benchmark tables.
-    name: str = "routing"
-
-    def __init__(self) -> None:
+    def __init__(self, placement: Optional[DispatchPolicy] = None) -> None:
+        self.placement = placement or LeastLoadedDispatch()
         #: Arrivals shed off their hashed owner by the spill path.
         self.spills = 0
         #: Previously-routed keys that changed owner across membership
         #: changes (0 for ring-less policies).
         self.ring_moves = 0
 
-    @abc.abstractmethod
+    @property
+    def name(self) -> str:
+        """Label used in reports and benchmark tables."""
+        return f"fleet-{self.placement.name}"
+
     def choose(
         self, request: ServingRequest, replicas: Sequence
     ) -> int:
         """Return the index of the replica ``request`` should join."""
+        return self.placement.choose(request, replicas)
 
     def on_join(self, replica_id: int) -> None:
         """A replica became ACTIVE (routable)."""
@@ -78,53 +89,13 @@ class RoutingPolicy(abc.ABC):
     def on_leave(self, replica_id: int) -> None:
         """A replica left the routable set (draining or failed)."""
 
-    def _validate(self, replicas: Sequence) -> None:
-        if not replicas:
-            raise FleetError("routing requires at least one replica")
-
-
-class FleetRoundRobin(RoutingPolicy):
-    """Cyclic placement over active replicas (the baseline)."""
-
-    name = "fleet-round-robin"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._next = 0
-
-    def choose(
-        self, request: ServingRequest, replicas: Sequence
-    ) -> int:
-        self._validate(replicas)
-        index = self._next % len(replicas)
-        self._next += 1
-        return index
-
-
-class FleetLeastLoaded(RoutingPolicy):
-    """Join the replica with the least predicted outstanding work."""
-
-    name = "fleet-least-loaded"
-
-    def choose(
-        self, request: ServingRequest, replicas: Sequence
-    ) -> int:
-        self._validate(replicas)
-        return min(
-            range(len(replicas)),
-            key=lambda i: (
-                replicas[i].backlog_tokens,
-                replicas[i].replica_id,
-            ),
-        )
-
 
 class PrefixHashRouting(RoutingPolicy):
     """Prefix-keyed consistent hashing with least-loaded spill.
 
     The ring places 64 virtual nodes per replica; an empty ring, or a
-    hashed owner that is not currently routable, falls back to
-    :class:`FleetLeastLoaded`.
+    hashed owner that is not currently routable, falls back to the
+    ``placement`` policy (least-loaded).
 
     Args:
         prefix_len: leading prompt tokens forming the routing key —
@@ -133,14 +104,13 @@ class PrefixHashRouting(RoutingPolicy):
             owner's ``backlog_tokens`` exceeds ``spill_factor * min``
             (the least-loaded replica's backlog) ``+ spill_margin``,
             the arrival spills to the *second-warmest* replica for its
-            prefix — the replica (excluding the overloaded owner, and
-            only among replicas strictly cooler than it) whose caches
-            or in-flight requests hold the longest match for the
-            request's prompt.  Successive spills of one hot family then
-            pile onto the SAME overflow replica, which pays the
-            family's cold prefill once; a load-only spill would scatter
-            the family across every cool replica and pay the prefill on
-            each.  None disables spilling (pure affinity).
+            prefix: :func:`~repro.serving.dispatch.warmest` of the
+            replicas strictly cooler than the owner, if any (a spill
+            sheds load, never moves a hot spot).  Successive spills of
+            one hot family then pile onto the SAME overflow replica,
+            which pays the family's cold prefill once; a load-only spill
+            would scatter the family across every cool replica and pay
+            the prefill on each.  None disables spilling (pure affinity).
         spill_margin: absolute slack (tokens) before spilling can
             trigger, so near-idle fleets do not spill on noise.
         context_window: the served model's attention window.  When
@@ -190,7 +160,6 @@ class PrefixHashRouting(RoutingPolicy):
         self.spill_factor = spill_factor
         self.spill_margin = spill_margin
         self.context_window = context_window
-        self.fallback = FleetLeastLoaded()
         self.ring = ConsistentHashRing()
         #: Distinct keys routed so far — the audit set for measuring
         #: key movement across membership changes.
@@ -245,9 +214,8 @@ class PrefixHashRouting(RoutingPolicy):
     def choose(
         self, request: ServingRequest, replicas: Sequence
     ) -> int:
-        self._validate(replicas)
         if not len(self.ring):
-            return self.fallback.choose(request, replicas)
+            return self.placement.choose(request, replicas)
         key = self.routing_key(request.prompt)
         self._routed_keys.add(key)
         owner = self.ring.owner(key)
@@ -257,53 +225,20 @@ class PrefixHashRouting(RoutingPolicy):
         if owner not in by_id:
             # Ring briefly ahead of the routable set (e.g. an owner
             # mid-promotion); fall back rather than misroute.
-            return self.fallback.choose(request, replicas)
+            return self.placement.choose(request, replicas)
         index = by_id[owner]
         if self.spill_factor is not None and len(replicas) > 1:
             loads = [replica.backlog_tokens for replica in replicas]
-            coolest = min(loads)
             if loads[index] > (
-                self.spill_factor * coolest + self.spill_margin
+                self.spill_factor * min(loads) + self.spill_margin
             ):
-                spilled = self._spill_target(
-                    request, replicas, loads, index
-                )
-                if spilled is not None:
+                cooler = [
+                    i for i, load in enumerate(loads) if load < loads[index]
+                ]
+                if cooler:
                     self.spills += 1
-                    return spilled
+                    return warmest(request.prompt, replicas, cooler)[0]
         return index
-
-    def _spill_target(
-        self,
-        request: ServingRequest,
-        replicas: Sequence,
-        loads: Sequence[int],
-        owner_index: int,
-    ) -> Optional[int]:
-        """Where an arrival shed off its hot owner should land.
-
-        Only replicas strictly cooler than the owner are candidates —
-        spilling must shed load, never trade one hot spot for another.
-        The warmest candidate for the request's prompt wins (the
-        *second-warmest* replica overall, the owner being the
-        warmest), ties broken by load then id.  None when no replica
-        is cooler than the owner.
-        """
-        candidates = [
-            i
-            for i in range(len(replicas))
-            if i != owner_index and loads[i] < loads[owner_index]
-        ]
-        if not candidates:
-            return None
-        return max(
-            candidates,
-            key=lambda i: (
-                replicas[i].prefix_match(request.prompt),
-                -loads[i],
-                -replicas[i].replica_id,
-            ),
-        )
 
 
 class StaticRouting(RoutingPolicy):
@@ -321,13 +256,12 @@ class StaticRouting(RoutingPolicy):
 
     def __init__(self, placement: Mapping[int, int]) -> None:
         super().__init__()
-        self.placement: Dict[int, int] = dict(placement)
+        self.snapshot: Dict[int, int] = dict(placement)
 
     def choose(
         self, request: ServingRequest, replicas: Sequence
     ) -> int:
-        self._validate(replicas)
-        replica_id = self.placement.get(request.request_id)
+        replica_id = self.snapshot.get(request.request_id)
         if replica_id is None:
             raise FleetError(
                 f"request {request.request_id} is not in the routing "

@@ -54,10 +54,10 @@ class TickDriver:
     :func:`~repro.specdec.batch_engine.step_engines` call →
     ``close_tick`` → ``clock.advance()``), ``report``, and
     ``_place(request_id) -> bool``, which places one due arrival (False:
-    it and every later arrival wait for a later tick).  A fleet's
-    children are its live pools (:meth:`_subdrivers`), drivers in turn;
-    a pool, whose children are its workers, overrides the hooks that
-    default to sub-drivers.
+    it and every later arrival wait for a later tick) through the one
+    checked pick, :meth:`_choose`.  A fleet's children are its live
+    pools (:meth:`_subdrivers`), drivers in turn; a pool, whose children
+    are its workers, overrides the hooks that default to sub-drivers.
 
     The swap roll is one queue of ``(child, drafter, part_of_roll)``
     entries, a roll's entries ahead of any targeted one.  A child's swap
@@ -126,6 +126,13 @@ class TickDriver:
         heapq.heappush(
             self._arrivals, (request.arrival_time, request.request_id)
         )
+
+    def _choose(self, policy, request: ServingRequest, views: Sequence):
+        """The view ``policy`` picks; :attr:`error` if out of range."""
+        index = policy.choose(request, views)
+        if not 0 <= index < len(views):
+            raise self.error(f"{policy.name!r} chose {index} of {len(views)}")
+        return views[index]
 
     def _place_arrivals(self) -> None:
         """Place every request whose arrival time has come."""

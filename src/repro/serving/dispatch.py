@@ -42,19 +42,22 @@ request takes the freed slot, and the victim resumes byte-identically
 once capacity frees up.  Preemption therefore trades latency *across* SLO
 classes without touching a single committed token.
 
-Policies duck-type their ``workers`` argument against the serving
-front-end's :class:`~repro.serving.frontend.ServingWorker` dispatch
-view (``num_waiting``, ``free_slots``, ``backlog_tokens``,
-``prefix_match``, ``park_cost``); :func:`steal_work` also reads
-``worker_id`` and moves requests through each worker's
-``engine.scheduler`` (``steal_waiting`` / ``push``).
+Policies return a position in a non-empty, id-ordered sequence of
+*views* (``backlog_tokens``, ``prefix_match(prompt)``): a pool's
+:class:`~repro.serving.frontend.ServingWorker` list or a fleet's
+routable replicas (:class:`~repro.fleet.router.RoutingPolicy`), so a
+tie to the lowest position is a tie to the lowest id.  :func:`warmest`
+is the one warmest-view ranking.  Preemption-aware dispatch also reads
+``num_waiting``, ``free_slots`` and ``park_cost`` (workers only);
+:func:`steal_work` reads ``worker_id`` and moves requests through each
+worker's ``engine.scheduler`` (``steal_waiting`` / ``push``).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.serving.request import ServingRequest
@@ -73,9 +76,23 @@ class DispatchPolicy(abc.ABC):
     ) -> int:
         """Return the index of the worker ``request`` should join."""
 
-    def _validate(self, workers: Sequence) -> None:
-        if not workers:
-            raise ConfigError("dispatch requires at least one worker")
+
+def warmest(
+    prompt: Sequence[int], views: Sequence, candidates: Iterable[int]
+) -> Tuple[int, int]:
+    """The candidate view holding the longest prefix of ``prompt``.
+
+    Probes each candidate's ``prefix_match`` once; among the best
+    matches the least-backlogged wins, ties to the lowest position.
+    Returns ``(index, match)``; ``candidates`` must not be empty.
+    """
+    matches = {i: views[i].prefix_match(prompt) for i in candidates}
+    best = max(matches.values())
+    index = min(
+        (i for i, match in matches.items() if match == best),
+        key=lambda i: (views[i].backlog_tokens, i),
+    )
+    return index, best
 
 
 class RoundRobinDispatch(DispatchPolicy):
@@ -87,7 +104,6 @@ class RoundRobinDispatch(DispatchPolicy):
         self._next = 0
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
-        self._validate(workers)
         index = self._next % len(workers)
         self._next += 1
         return index
@@ -106,7 +122,6 @@ class LeastLoadedDispatch(DispatchPolicy):
     name = "least-loaded"
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
-        self._validate(workers)
         return min(
             range(len(workers)),
             key=lambda i: (workers[i].backlog_tokens, i),
@@ -142,7 +157,6 @@ class LongTailDispatch(DispatchPolicy):
         return range(count - tail), range(count - tail, count)
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
-        self._validate(workers)
         head, tail = self._groups(len(workers))
         group = tail if request.dispatch_length >= self.threshold else head
         return min(group, key=lambda i: (workers[i].backlog_tokens, i))
@@ -166,8 +180,9 @@ class PrefixAffinityDispatch(DispatchPolicy):
     ``fallback`` policy (least-loaded when omitted) — a one-token
     coincidence is not affinity, and with BOS applied every prompt
     trivially shares its first token.  Among equally matched workers
-    the least-backlogged wins (ties to the lowest id), so affinity
-    cannot pile every request onto one hot worker when matches tie.
+    the least-backlogged wins (ties to the lowest id: :func:`warmest`),
+    so affinity cannot pile every request onto one hot worker when
+    matches tie.
 
     Args:
         fallback: policy for arrivals with no sufficient match.
@@ -190,17 +205,12 @@ class PrefixAffinityDispatch(DispatchPolicy):
         self.min_match = min_match
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
-        self._validate(workers)
-        matches = [
-            worker.prefix_match(request.prompt) for worker in workers
-        ]
-        best = max(matches)
-        if best < self.min_match:
-            return self.fallback.choose(request, workers)
-        return min(
-            (i for i, match in enumerate(matches) if match == best),
-            key=lambda i: (workers[i].backlog_tokens, i),
+        index, match = warmest(
+            request.prompt, workers, range(len(workers))
         )
+        if match < self.min_match:
+            return self.fallback.choose(request, workers)
+        return index
 
 
 class SegmentAffinityDispatch(DispatchPolicy):
@@ -231,7 +241,6 @@ class SegmentAffinityDispatch(DispatchPolicy):
         self.fallback = LeastLoadedDispatch()
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
-        self._validate(workers)
         segment = getattr(request, "segment", None)
         if segment is not None:
             index = self.segment_worker.get(segment)
@@ -279,7 +288,6 @@ class PreemptionAwareDispatch(DispatchPolicy):
         self.policy = policy or SloPreemption()
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
-        self._validate(workers)
         if not self.policy.is_urgent(request) or any(
             worker.free_slots > 0 for worker in workers
         ):

@@ -412,7 +412,7 @@ class ServingEngine(TickDriver):
         #: path), counted apart from pool-wide rolls.
         self.worker_swaps = 0
         self.group_affinity = group_affinity
-        self._group_worker: Dict[int, int] = {}
+        self._group_worker: Dict[int, ServingWorker] = {}
         self._group_pending: Dict[int, int] = {}
         #: Slot-cycles decoded per SLO class (one live slot decoding for
         #: one tick = one slot-cycle) — the per-class utilization the
@@ -693,25 +693,13 @@ class ServingEngine(TickDriver):
         if record.state is not RequestState.PENDING:
             return True  # cancelled before arrival
         request = record.request
-        if (
-            self.group_affinity
-            and request.group is not None
-            and request.group in self._group_worker
-        ):
-            index = self._group_worker[request.group]
-        else:
-            index = self.dispatch.choose(request, self.workers)
-        if not 0 <= index < len(self.workers):
-            raise ServingError(
-                f"dispatch policy {self.dispatch.name!r} chose "
-                f"worker {index} of {len(self.workers)}"
-            )
-        if self.group_affinity and request.group is not None:
-            self._group_worker.setdefault(request.group, index)
-            self._group_pending[request.group] = (
-                self._group_pending.get(request.group, 0) + 1
-            )
-        worker = self.workers[index]
+        group = request.group if self.group_affinity else None
+        worker = self._group_worker.get(group)  # sticky group first
+        if worker is None:
+            worker = self._choose(self.dispatch, request, self.workers)
+        if group is not None:
+            self._group_worker.setdefault(group, worker)
+            self._group_pending[group] = self._group_pending.get(group, 0) + 1
         record.slot = worker.engine.scheduler.push(
             make_serving_request(
                 request_id=request.request_id,

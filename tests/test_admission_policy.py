@@ -503,8 +503,6 @@ class TestDispatchPolicies:
     def test_validation(self):
         with pytest.raises(ConfigError):
             PrefixAffinityDispatch(min_match=0)
-        with pytest.raises(ConfigError):
-            PrefixAffinityDispatch().choose(_arrival(), [])
 
 
 class TestServingIntegration:

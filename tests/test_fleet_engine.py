@@ -12,17 +12,17 @@ import pytest
 from repro.errors import ConfigError, FleetError, ServingError
 from repro.fleet import (
     FleetEngine,
-    FleetLeastLoaded,
-    FleetRoundRobin,
     PrefixHashRouting,
     ReplicaLifecycle,
     ReplicaState,
+    RoutingPolicy,
     StaticRouting,
 )
 from repro.serving import (
     LeastLoadedDispatch,
     PrefixAffinityDispatch,
     RequestIdAllocator,
+    RoundRobinDispatch,
     ServingEngine,
     ServingRequest,
 )
@@ -176,7 +176,7 @@ class TestRoutingPolicies:
     def test_round_robin_cycles(self, target, trained_drafter):
         fleet = FleetEngine(
             [_pool(target, trained_drafter) for _ in range(3)],
-            routing=FleetRoundRobin(),
+            routing=RoutingPolicy(RoundRobinDispatch()),
         )
         report = fleet.run(_trace(num_batch=0), max_ticks=5000)
         assert max(report.routed) - min(report.routed) <= 1
@@ -243,7 +243,9 @@ class TestDeterminismContract:
         same trace through one reference pool."""
         trace = _trace()
         reference = _responses(_pool(target, trained_drafter).run(trace))
-        for routing in (FleetRoundRobin(), PrefixHashRouting()):
+        for routing in (
+            RoutingPolicy(RoundRobinDispatch()), PrefixHashRouting()
+        ):
             fleet = FleetEngine(
                 [_pool(target, trained_drafter) for _ in range(3)],
                 routing=routing,
@@ -294,7 +296,7 @@ class TestDrain:
             # Tiny replicas so the drained one holds queued work.
             [_pool(target, trained_drafter, workers=1, max_batch=1)
              for _ in range(3)],
-            routing=FleetRoundRobin(),
+            routing=RoutingPolicy(RoundRobinDispatch()),
         )
         report = fleet.run(trace, on_tick=on_tick, max_ticks=10000)
         assert state["migrated"] is not None and state["migrated"] > 0
@@ -359,6 +361,34 @@ class TestDrain:
         fleet.drain(1)
         with pytest.raises(FleetError):
             fleet.drain(1)
+
+    @pytest.mark.parametrize(
+        "arrivals", [(0.0, 0.0, 0.0), (0.0, 5.0)], ids=["queued", "due"]
+    )
+    def test_drain_that_would_strand_unplaced_requests_rejected(
+        self, target, trained_drafter, arrivals
+    ):
+        """Draining the last replica that could take a request still to
+        be placed (queued on it, or not yet arrived) would wedge the
+        fleet; it raises at the call site and changes nothing."""
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter, workers=1, max_batch=1)]
+        )
+        for request_id, arrival in enumerate(arrivals):
+            fleet.submit(ServingRequest(
+                request_id=request_id, prompt=[5, 6, 7],
+                max_new_tokens=4, arrival_time=arrival,
+            ))
+        fleet.tick()
+        queued = fleet.replicas[0].queued_requests
+        with pytest.raises(FleetError, match="strand"):
+            fleet.drain(0)
+        assert fleet.replicas[0].state is ReplicaState.ACTIVE
+        assert 0 in fleet.routing.ring
+        assert fleet.replicas[0].queued_requests == queued
+        assert fleet.drains == 0 and fleet.migrations == 0
+        report = fleet.run(max_ticks=500)
+        assert len(_responses(report)) == len(arrivals)
 
     def test_arrival_with_no_active_replica_raises(self, target,
                                                    trained_drafter):

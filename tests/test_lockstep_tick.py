@@ -41,7 +41,7 @@ from repro.cache import KVCacheManager
 from repro.drafter import EagleDrafter, EagleDrafterConfig
 from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
-from repro.fleet import FleetEngine, FleetRoundRobin, PrefixHashRouting
+from repro.fleet import FleetEngine, PrefixHashRouting, RoutingPolicy
 from repro.llm import TinyLM, TinyLMConfig
 from repro.longtail import RolloutScheduler, SchedulerMode
 from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
@@ -51,6 +51,7 @@ from repro.serving import (
     LeastLoadedDispatch,
     PrefixAffinityDispatch,
     RequestState,
+    RoundRobinDispatch,
     ServingEngine,
     ServingRequest,
     SloPreemption,
@@ -308,7 +309,9 @@ def test_fleet_with_drain_and_publication(
             )
             for _ in range(4)
         ]
-        fleet = FleetEngine(pools, routing=FleetRoundRobin())
+        fleet = FleetEngine(
+            pools, routing=RoutingPolicy(RoundRobinDispatch())
+        )
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         report = fleet.run(trace, on_tick=on_tick)
@@ -452,7 +455,9 @@ def test_adaptive_fleet_equals_replica_by_replica(
             )
             for _ in range(3)
         ]
-        fleet = FleetEngine(pools, routing=FleetRoundRobin())
+        fleet = FleetEngine(
+            pools, routing=RoutingPolicy(RoundRobinDispatch())
+        )
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         fleet.run(trace)

@@ -14,10 +14,11 @@ from collections import Counter
 import numpy as np
 
 from _lifecycle_check import check_records
-from repro.fleet import FleetEngine, FleetRoundRobin
+from repro.fleet import FleetEngine, RoutingPolicy
 from repro.serving import (
     BATCH,
     INTERACTIVE,
+    RoundRobinDispatch,
     ServingEngine,
     ServingRequest,
     SloPreemption,
@@ -123,7 +124,7 @@ class TestRecordsAgreeWithTrailAndSlot:
         )
         fleet = FleetEngine(
             [_pool(target, trained_drafter, 2, 1) for _ in range(2)],
-            routing=FleetRoundRobin(),
+            routing=RoutingPolicy(RoundRobinDispatch()),
         )
         migrated = []
 

@@ -155,10 +155,6 @@ class TestDispatchPolicies:
         with pytest.raises(ConfigError):
             LongTailDispatch(threshold=0)
 
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ConfigError):
-            RoundRobinDispatch().choose(_request(0, 4), [])
-
 
 class TestServingEngine:
     def test_all_requests_finish(self, target, trained_drafter):
