@@ -7,7 +7,7 @@ replaces the silicon with a calibrated roofline model:
   B200, RTX 3090/4090/5090, H20; Qwen/Llama/DeepSeek analogues),
 * :mod:`repro.hardware.roofline` — memory-bound vs compute-bound step
   latencies for decode / speculative verify / drafting / prefill / train,
-* :mod:`repro.hardware.memory` — weights/KV/activation footprints,
+* :mod:`repro.hardware.memory` — per-GPU weight and KV footprints,
 * :mod:`repro.hardware.cudagraph` — the bucketed CUDAGraph capture pool
   and its memory accounting (Figure 10, Table 5).
 
@@ -33,11 +33,7 @@ from repro.hardware.gpus import (
     get_gpu,
     get_model,
 )
-from repro.hardware.memory import (
-    kv_cache_bytes,
-    model_memory_bytes,
-    total_device_memory,
-)
+from repro.hardware.memory import kv_cache_bytes, model_memory_bytes
 from repro.hardware.roofline import RooflineModel, StepCost
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "StepCost",
     "model_memory_bytes",
     "kv_cache_bytes",
-    "total_device_memory",
     "CudaGraphPool",
     "CaptureKey",
     "CapturePlan",

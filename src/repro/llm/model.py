@@ -64,16 +64,18 @@ class TinyLMConfig:
 class ForwardCache:
     """Intermediate activations retained for backpropagation.
 
+    Holds only what :meth:`TinyLM.backward` reads: the input embeddings
+    are re-gathered from ``windows`` there, not kept.  ``backward``
+    consumes the cache (it empties both lists as it goes).
+
     Attributes:
         windows: (B, T, k) int token windows per position.
-        x: (B, T, k*d) concatenated input embeddings.
         hiddens: list of (B, T, d) per-layer hidden states h_0..h_{L-1}.
         block_acts: list of (B, T, d) tanh block outputs a_1..a_{L-1}
             (empty when num_layers == 1).
     """
 
     windows: np.ndarray
-    x: np.ndarray
     hiddens: List[np.ndarray]
     block_acts: List[np.ndarray]
 
@@ -84,7 +86,9 @@ class ForwardResult:
 
     Attributes:
         logits: (B, T, V) next-token logits at every position.
-        hiddens: list of per-layer hidden states, each (B, T, d).
+        hiddens: list of per-layer hidden states, each (B, T, d).  With
+            a cache it is the same list as ``cache.hiddens``: do not
+            read it after :meth:`TinyLM.backward` has consumed the cache.
         cache: activations for :meth:`TinyLM.backward`, or None.
     """
 
@@ -176,7 +180,6 @@ class TinyLM:
         hiddens = [h.reshape(shape) for h in flat.hiddens]
         cache = flat.cache and ForwardCache(
             windows=windows,
-            x=flat.cache.x.reshape(shape),
             hiddens=hiddens,
             block_acts=[a.reshape(shape) for a in flat.cache.block_acts],
         )
@@ -216,6 +219,12 @@ class TinyLM:
     ) -> ParamSet:
         """Backpropagate a logits-space gradient to parameter gradients.
 
+        Consumes ``cache``: each activation is released once its last
+        reader is done, so the input embeddings (re-gathered here from
+        ``cache.windows``; the weights have not moved since the forward)
+        and their gradient never coexist with the full cache.  A cache
+        is good for one call.
+
         Args:
             cache: activations from ``forward(..., keep_cache=True)``.
             dlogits: (B, T, V) gradient of the scalar loss w.r.t. logits.
@@ -225,14 +234,22 @@ class TinyLM:
         Returns:
             A :class:`ParamSet` of gradients matching :attr:`params`.
         """
+        hiddens, block_acts = cache.hiddens, cache.block_acts
+        if not hiddens:
+            raise GenerationError("cache already consumed by a backward")
+        positions = hiddens[-1].shape[:2]
         dlogits = np.asarray(dlogits, dtype=np.float64)
-        if dlogits.shape != cache.hiddens[-1].shape[:2] + (
-            self.config.vocab_size,
-        ):
+        if dlogits.shape != positions + (self.config.vocab_size,):
             raise GenerationError(
                 f"dlogits shape {dlogits.shape} inconsistent with cache"
             )
         if position_mask is not None:
+            position_mask = np.asarray(position_mask)
+            if position_mask.shape != positions:
+                raise GenerationError(
+                    f"position_mask shape {position_mask.shape} is not "
+                    f"(batch, time) = {positions}"
+                )
             dlogits = dlogits * position_mask[:, :, None]
 
         # Every product below is one 2-D GEMM over the (B*T, .) views.
@@ -241,28 +258,35 @@ class TinyLM:
         embed = self.params["embed"]
         grads = self.params.zeros_like()  # fixes the parameter order
 
+        def top() -> np.ndarray:
+            """The top hidden as rows, released unless it is h_0 (the
+            input projection reads h_0 last)."""
+            h = hiddens.pop() if len(hiddens) > 1 else hiddens[0]
+            return h.reshape(-1, d)
+
         # LM head (tied embedding): logits = h_last @ E^T.
-        grads["embed"] = dlogits.T @ cache.hiddens[-1].reshape(-1, d)
+        grads["embed"] = dlogits.T @ top()
         dh = dlogits @ embed  # (B*T, d)
 
-        # Residual tanh blocks, reverse order.
+        # Residual tanh blocks, reverse order; hiddens is h_0..h_{i-1}.
         for i in range(self.config.num_layers - 1, 0, -1):
-            act = cache.block_acts[i - 1].reshape(-1, d)
-            dz = dh * (1.0 - act * act)
-            grads[f"w_{i}"] = dz.T @ cache.hiddens[i - 1].reshape(-1, d)
+            dz = dh * _tanh_grad(block_acts.pop().reshape(-1, d))
+            grads[f"w_{i}"] = dz.T @ top()
             grads[f"b_{i}"] = dz.sum(axis=0)
             dh += dz @ self.params[f"w_{i}"]
 
         # Input projection: h_0 = tanh(W_in x + b_in).
-        h0 = cache.hiddens[0].reshape(-1, d)
-        dz0 = dh * (1.0 - h0 * h0)
-        grads["w_in"] = dz0.T @ cache.x.reshape(dz0.shape[0], -1)
-        grads["b_in"] = dz0.sum(axis=0)
-        dx = dz0 @ self.params["w_in"]  # (B*T, k*d)
+        dz = dh * _tanh_grad(hiddens.pop().reshape(-1, d))
+        del dh
+        windows = cache.windows.reshape(dz.shape[0], -1)
+        x = embed[windows].reshape(dz.shape[0], -1)  # (B*T, k*d)
+        grads["w_in"] = dz.T @ x
+        del x
+        grads["b_in"] = dz.sum(axis=0)
+        dx = dz @ self.params["w_in"]  # (B*T, k*d)
 
         # Scatter input-embedding gradients back through the window
         # lookup, one window column (one (B*T, d) block) at a time.
-        windows = cache.windows.reshape(dx.shape[0], -1)
         for column in range(windows.shape[1]):
             _segment_add(
                 grads["embed"],
@@ -294,11 +318,11 @@ class TinyLM:
         batch, length, k = windows.shape
         d = self.config.hidden_size
         x = embed[windows].reshape(batch, length, k * d)
-
-        hiddens: List[np.ndarray] = []
-        block_acts: List[np.ndarray] = []
         h = np.tanh(x @ self.params["w_in"].T + self.params["b_in"])
-        hiddens.append(h)
+        del x  # backward re-gathers it from the windows
+
+        hiddens: List[np.ndarray] = [h]
+        block_acts: List[np.ndarray] = []
         for i in range(1, self.config.num_layers):
             act = np.tanh(h @ self.params[f"w_{i}"].T + self.params[f"b_{i}"])
             block_acts.append(act)
@@ -307,12 +331,17 @@ class TinyLM:
         logits = h @ embed.T
         cache = (
             ForwardCache(
-                windows=windows, x=x, hiddens=hiddens, block_acts=block_acts
+                windows=windows, hiddens=hiddens, block_acts=block_acts
             )
             if keep_cache
             else None
         )
         return ForwardResult(logits=logits, hiddens=hiddens, cache=cache)
+
+
+def _tanh_grad(act: np.ndarray) -> np.ndarray:
+    """``d tanh(z) / dz`` from the activation ``tanh(z)``."""
+    return 1.0 - act * act
 
 
 def _segment_add(

@@ -10,7 +10,7 @@ is the mechanism behind the paper's "selective asynchronous checkpointing".
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -64,19 +64,7 @@ class ParamSet:
             {name: np.zeros_like(arr) for name, arr in self.items()}
         )
 
-    def filtered(self, predicate: Callable[[str], bool]) -> "ParamSet":
-        """Keep only entries whose *name* satisfies ``predicate``."""
-        return ParamSet(
-            {name: arr.copy() for name, arr in self.items() if predicate(name)}
-        )
-
     # -- arithmetic ---------------------------------------------------------
-
-    def add_scaled(self, other: "ParamSet", scale: float) -> None:
-        """In-place ``self += scale * other`` (shapes must match)."""
-        self._check_compatible(other)
-        for name, arr in self.items():
-            arr += scale * other[name]
 
     def scale(self, factor: float) -> None:
         """In-place multiply every array by ``factor``."""

@@ -275,20 +275,25 @@ class RlTrainer:
         adv = advantages[row_idx]
         scale = 1.0 / (total_resp * config.temperature)
 
+        resp = np.arange(row_idx.size)
+
+        def response_probs(model, keep_cache=False):
+            """``(cache, (N, V) probs at the response positions)``; the
+            (B, T, V) logits and probs die here."""
+            result = model.forward(tokens, keep_cache=keep_cache)
+            probs = temperature_probs(result.logits, config.temperature)
+            return result.cache, probs[row_idx, pos_idx]
+
+        def chosen_logp(probs):
+            return np.log(np.maximum(probs[resp, chosen], 1e-300))
+
         # Reference logprobs are fixed across inner epochs.
-        ref_logits = self.reference.forward(tokens).logits
-        ref_probs = temperature_probs(ref_logits, config.temperature)
-        logp_ref = np.log(
-            np.maximum(ref_probs[row_idx, pos_idx, chosen], 1e-300)
-        )
+        logp_ref = chosen_logp(response_probs(self.reference)[1])
 
         old_logp: Optional[np.ndarray] = None
         for _ in range(config.inner_epochs):
-            result = self.policy.forward(tokens, keep_cache=True)
-            probs = temperature_probs(result.logits, config.temperature)
-            logp = np.log(
-                np.maximum(probs[row_idx, pos_idx, chosen], 1e-300)
-            )
+            cache, probs = response_probs(self.policy, keep_cache=True)
+            logp = chosen_logp(probs)
             if old_logp is None:
                 old_logp = logp
             ratio = np.exp(np.clip(logp - old_logp, -30.0, 30.0))
@@ -302,13 +307,11 @@ class RlTrainer:
             )
             coef = (pg_coef + kl_coef) * scale
             # dlogits = coef * (onehot - probs) at the response positions.
-            dlogits = np.zeros_like(result.logits)
-            dlogits[row_idx, pos_idx] = (
-                -coef[:, None] * probs[row_idx, pos_idx]
-            )
+            dlogits = np.zeros(tokens.shape + (probs.shape[1],))
+            dlogits[row_idx, pos_idx] = -coef[:, None] * probs
             dlogits[row_idx, pos_idx, chosen] += coef
 
-            grads = self.policy.backward(result.cache, dlogits)
+            grads = self.policy.backward(cache, dlogits)
             grads.clip_global_norm(config.grad_clip)
             self.optimizer.step(self.policy.params, grads)
             pg_loss_value = float(np.sum(-adv * ratio * logp)) / total_resp

@@ -65,7 +65,8 @@ def tinylm_backward(
     # Input projection: h_0 = tanh(W_in x + b_in).
     h0 = cache.hiddens[0]
     dz0 = dh * (1.0 - h0 * h0)
-    grads["w_in"] += np.einsum("btd,bte->de", dz0, cache.x)
+    x = embed[cache.windows].reshape(dz0.shape[:2] + (-1,))  # (B, T, k*d)
+    grads["w_in"] += np.einsum("btd,bte->de", dz0, x)
     grads["b_in"] += dz0.sum(axis=(0, 1))
     dx = dz0 @ model.params["w_in"]  # (B, T, k*d)
 

@@ -16,11 +16,7 @@ from repro.hardware import (
     get_gpu,
     get_model,
 )
-from repro.hardware.memory import (
-    kv_cache_bytes,
-    model_memory_bytes,
-    total_device_memory,
-)
+from repro.hardware.memory import kv_cache_bytes, model_memory_bytes
 
 
 @pytest.fixture()
@@ -182,19 +178,3 @@ class TestMemory:
     def test_kv_monotone(self):
         model = get_model("Qwen2.5-7B")
         assert kv_cache_bytes(model, 2000) > kv_cache_bytes(model, 1000)
-
-    def test_oom_raised(self):
-        from repro.errors import OutOfMemoryError
-
-        model = get_model("Llama-3.3-70B")
-        gpu = get_gpu("RTX3090")
-        with pytest.raises(OutOfMemoryError):
-            total_device_memory(model, gpu, kv_tokens=0)
-
-    def test_fits_when_sharded(self):
-        model = get_model("Qwen2.5-7B")
-        gpu = get_gpu("H100")
-        used = total_device_memory(
-            model, gpu, kv_tokens=100_000, tensor_parallel=1
-        )
-        assert used > 0

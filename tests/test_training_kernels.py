@@ -10,6 +10,8 @@ gathers, and everything that runs the same code twice, is held exactly.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from repro.rl import RlConfig, RlTrainer
 from repro.rl.rollout_backends import RolloutResult
 from repro.spot import CheckpointManager, OnlineDataBuffer, SpotTrainer
 from repro.spot.checkpoint import default_frozen_filter
-from repro.workload import SuccessorChainTask
+from repro.workload import PromptBatch, SuccessorChainTask
 
 REL = 1e-12
 
@@ -84,19 +86,22 @@ class TestTinyLmKernels:
         mask = None
         if masked:
             mask = (rng.random(tokens.shape) < 0.6).astype(np.float64)
+        # The oracle reads the cache; the production backward consumes it.
+        want = oracle.tinylm_backward(model, result.cache, dlogits, mask)
         assert_grads_close(
-            model.backward(result.cache, dlogits, position_mask=mask),
-            oracle.tinylm_backward(model, result.cache, dlogits, mask),
+            model.backward(result.cache, dlogits, position_mask=mask), want
         )
 
     def test_forward_rows_match_per_sequence_forward(self, model):
         tokens = np.random.default_rng(5).integers(0, 20, size=(6, 13))
         batched = model.forward(tokens, keep_cache=True)
         assert batched.logits.shape == (6, 13, 20)
-        assert batched.cache.x.shape == (6, 13, 4 * 12)
         assert batched.cache.windows.shape == (6, 13, 4)
         for row in range(6):
-            single = model.forward(tokens[row : row + 1])
+            single = model.forward(tokens[row : row + 1], keep_cache=True)
+            assert np.array_equal(
+                batched.cache.windows[row], single.cache.windows[0]
+            )
             assert_close(batched.logits[row], single.logits[0], "logits")
             for got, want in zip(batched.hiddens, single.hiddens):
                 assert got.shape == (6, 13, 12)
@@ -677,6 +682,46 @@ class TestPolicyUpdate:
             assert np.allclose(
                 arr, old.policy.params[name], rtol=1e-9, atol=1e-12
             ), name
+
+    def test_step_holds_one_activation_set(self):
+        """One step's traced peak stays under the policy's cache plus two
+        (B*T, k*d) input blocks (the forward's embedding gather and the
+        backward's re-gather and its gradient, never alive together):
+        the reference pass and the (B, T, V) logits and probs are
+        reduced to response rows before the backward runs."""
+        vocab, d, k, layers = 32, 32, 4, 3
+        rng = np.random.default_rng(3)
+        trainer = RlTrainer(
+            TinyLM(
+                TinyLMConfig(
+                    vocab_size=vocab, hidden_size=d, context_window=k,
+                    num_layers=layers,
+                ),
+                np.random.default_rng(1),
+            ),
+            SuccessorChainTask(vocab=Vocabulary(vocab), target_pairs=4),
+            RlConfig(num_prompts=4, group_size=4, max_new_tokens=96),
+        )
+        batch = PromptBatch(
+            [list(rng.integers(4, vocab, size=6)) for _ in range(4)], 4
+        )
+        rollout = RolloutResult(
+            prompts=batch.expanded,
+            responses=[
+                list(rng.integers(4, vocab, size=96)) for _ in range(16)
+            ],
+            finished=[True] * 16,
+            target_steps=0,
+        )
+        rows = 16 * (6 + 96)  # B*T
+        cache = (2 * layers - 1) * rows * d * 8  # hiddens + block outputs
+        tracemalloc.start()
+        try:
+            trainer.step(rollout=rollout, prompts=batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cache + 2 * rows * k * d * 8
 
     def test_no_response_tokens_is_a_no_op(self):
         config = TinyLMConfig(vocab_size=24, hidden_size=8)
