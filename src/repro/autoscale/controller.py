@@ -34,7 +34,7 @@ the ring" even though the ring pays lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import AutoscaleError
 from repro.autoscale.policy import (
@@ -291,15 +291,3 @@ class Autoscaler:
             if event.decision.action
             in (ScaleAction.SCALE_OUT, ScaleAction.SCALE_IN)
         )
-
-    def audit(self) -> List[Tuple[float, str, int, str]]:
-        """Compact trail: ``(time, action, magnitude, reason)`` rows."""
-        return [
-            (
-                event.time,
-                event.decision.action.value,
-                event.decision.magnitude,
-                event.decision.reason,
-            )
-            for event in self.events
-        ]

@@ -18,7 +18,7 @@ and the token throughput metric used across the evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,9 @@ TRAIN_GLOBAL_MICROBATCH = 8.0
 #: Usable fraction of device memory for training state (the rest holds
 #: the colocated rollout engine's weights, KV cache and CUDA graphs).
 TRAIN_MEMORY_HEADROOM = 0.6
+
+#: Tokens per drafter optimisation step on an idle worker.
+DRAFTER_STEP_TOKENS = 8192
 _GIB = 1024.0**3
 
 
@@ -187,7 +190,6 @@ class RlStepSimulator:
             resharding, KV flush).
         extra_overhead_fraction: small multiplicative step overhead (the
             paper's TLT bookkeeping, < 1%).
-        drafter_update_tokens: tokens per drafter optimisation step.
         check_training_memory: raise OOM when optimizer states exceed
             device memory (Table 3's OOM entries).
     """
@@ -200,7 +202,6 @@ class RlStepSimulator:
         spot_training: bool = False,
         transition_overhead_s: float = 10.0,
         extra_overhead_fraction: float = 0.0,
-        drafter_update_tokens: int = 8192,
         check_training_memory: bool = True,
     ) -> None:
         if transition_overhead_s < 0 or extra_overhead_fraction < 0:
@@ -211,7 +212,6 @@ class RlStepSimulator:
         self.spot_training = spot_training
         self.transition_overhead_s = transition_overhead_s
         self.extra_overhead_fraction = extra_overhead_fraction
-        self.drafter_update_tokens = drafter_update_tokens
         self.check_training_memory = check_training_memory
         self.roofline = RooflineModel(
             model=model,
@@ -348,7 +348,7 @@ class RlStepSimulator:
             gpu=self.cluster.gpu,
             tensor_parallel=self.cluster.gpus_per_worker,
         )
-        return drafter_roofline.train_step_s(self.drafter_update_tokens)
+        return drafter_roofline.train_step_s(DRAFTER_STEP_TOKENS)
 
     def _check_memory(self, workload: StepWorkload) -> None:
         """Training-stage memory must fit the cluster (Table 3's OOMs).

@@ -32,6 +32,10 @@ from repro.llm.model import TinyLM
 from repro.llm.params import ParamSet
 from repro.llm.sampler import temperature_probs
 
+#: Feed-forward expansion of the single decoder layer (transformer
+#: blocks typically use 4x).
+FFN_EXPANSION = 4
+
 
 @dataclass(frozen=True)
 class EagleDrafterConfig:
@@ -41,20 +45,15 @@ class EagleDrafterConfig:
         fused_layers: indices into the target's hidden stack that form the
             input feature.  ``(-1,)`` is EAGLE (top layer only);
             ``(0, mid, -1)`` is the EAGLE-3 fusion.
-        ffn_multiplier: feed-forward expansion of the single decoder
-            layer (transformer blocks typically use 4x).
         init_scale: weight-initialisation scale.
     """
 
     fused_layers: Tuple[int, ...] = (-1,)
-    ffn_multiplier: int = 4
     init_scale: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.fused_layers:
             raise DrafterError("fused_layers must be non-empty")
-        if self.ffn_multiplier < 1:
-            raise DrafterError("ffn_multiplier must be >= 1")
         if self.init_scale <= 0:
             raise DrafterError("init_scale must be positive")
 
@@ -95,7 +94,7 @@ class EagleDrafter(Drafter):
                     f"{target.num_layers}-layer target"
                 )
         scale = config.init_scale
-        f = config.ffn_multiplier * d
+        f = FFN_EXPANSION * d
         params = ParamSet()
         if n_fused > 1:
             params["w_fuse"] = rng.normal(

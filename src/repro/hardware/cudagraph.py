@@ -28,8 +28,8 @@ from repro.specdec.strategy import SdStrategy
 
 _GIB = 1024.0**3
 
-#: Default batch-size buckets captured by the rollout engine.
-DEFAULT_BATCH_BUCKETS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+#: Batch-size buckets every capture plan covers, ascending.
+BATCH_BUCKETS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
 #: Fixed per-graph bookkeeping bytes (graph topology, cuBLAS workspaces,
 #: stream state).  Calibrated with the activation factors below so the
@@ -205,12 +205,11 @@ class CudaGraphPool:
 
 def single_strategy_plan(
     strategy: SdStrategy,
-    buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
 ) -> CapturePlan:
     """Figure 10(a): one strategy, graphs for every batch bucket."""
     keys: List[CaptureKey] = []
     routing = {}
-    for bucket in buckets:
+    for bucket in BATCH_BUCKETS:
         target_key = CaptureKey("target", bucket, strategy.tokens_to_verify + 1)
         draft_key = CaptureKey("draft", bucket, strategy.topk)
         keys.extend([target_key, draft_key])
@@ -220,7 +219,6 @@ def single_strategy_plan(
 
 def vanilla_multi_plan(
     strategies: Sequence[SdStrategy],
-    buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
 ) -> CapturePlan:
     """Figure 10(b): every strategy captures every bucket independently.
 
@@ -231,7 +229,7 @@ def vanilla_multi_plan(
     routing = {}
     for strategy in strategies:
         tag = strategy.describe()
-        for bucket in buckets:
+        for bucket in BATCH_BUCKETS:
             target_key = CaptureKey(
                 "target", bucket, strategy.tokens_to_verify + 1, tag=tag
             )
@@ -243,7 +241,6 @@ def vanilla_multi_plan(
 
 def bucketed_plan(
     strategies: Sequence[SdStrategy],
-    buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
 ) -> CapturePlan:
     """Figure 10(c): the paper's memory-efficient capture.
 
@@ -257,8 +254,7 @@ def bucketed_plan(
     ordered = sorted(
         strategies, key=lambda s: -s.tokens_to_verify
     )
-    sorted_buckets = sorted(buckets)
-    slices = _split_buckets(sorted_buckets, len(ordered))
+    slices = _split_buckets(BATCH_BUCKETS, len(ordered))
     # Boundary overlap: each strategy also covers the first bucket of the
     # next slice, so the MAB has >= 2 candidates at bucket boundaries and
     # batch-size drift across a threshold never forces a re-capture.
@@ -288,10 +284,6 @@ def _split_buckets(
     buckets: Sequence[int], parts: int
 ) -> List[List[int]]:
     """Partition buckets into ``parts`` contiguous groups, small first."""
-    if parts < 1:
-        raise HardwareModelError("parts must be >= 1")
-    if not buckets:
-        raise HardwareModelError("buckets must be non-empty")
     out: List[List[int]] = []
     n = len(buckets)
     base, extra = divmod(n, parts)

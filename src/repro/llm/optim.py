@@ -16,29 +16,20 @@ from repro.llm.params import ParamSet
 
 
 class Adam:
-    """Adam optimizer (Kingma & Ba, 2015) over a ParamSet."""
+    """Adam optimizer (Kingma & Ba, 2015) over a ParamSet.
 
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    Only the learning rate is set per caller; the moment decays and
+    ``eps`` are the defaults of Kingma & Ba, with no weight decay.
+    """
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float = 1e-3) -> None:
         if lr <= 0:
             raise ConfigError(f"lr must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError("betas must be in [0, 1)")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
-        if weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         self._m: Optional[ParamSet] = None
         self._v: Optional[ParamSet] = None
@@ -60,8 +51,6 @@ class Adam:
         bias2 = 1.0 - self.beta2**t
         for name, param in params.items():
             grad = grads[name]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param
             m = self._m[name]
             v = self._v[name]
             m *= self.beta1

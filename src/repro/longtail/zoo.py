@@ -24,11 +24,7 @@ Deployment rides the serving pool's existing machinery end to end:
   (``segment_accepted`` / ``segment_drafted`` of the report's
   :attr:`~repro.serving.metrics.ServingReport.totals` ledger),
   observed as *deltas* so the bandit scores what happened since its
-  last look, not the run's whole history;
-* **continual refresh**: a spot trainer's newest snapshot replaces an
-  arm in place (:meth:`DrafterZoo.refresh_arm`) and is republished to
-  every segment currently hosting that arm — the zoo's analogue of
-  the fleet-wide drafter roll.
+  last look, not the run's whole history.
 
 Speculative decoding is *distribution*-lossless: whichever arm is
 hosted, every committed token is a faithful sample from the target
@@ -42,7 +38,7 @@ byte-identical because the drafter never changes under it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -62,14 +58,9 @@ class _SegmentBandit:
     current_arm: Optional[str] = None
     selections: int = 0
 
-    def explored(self) -> List[str]:
-        return [
-            name for name, w in self.windows.items() if not w.is_empty
-        ]
-
 
 class DrafterZoo:
-    """Per-segment drafter selection, publication, and refresh.
+    """Per-segment drafter selection and publication.
 
     Args:
         arms: name -> drafter candidates.  Include the shared
@@ -129,7 +120,6 @@ class DrafterZoo:
         self.segment_worker: Dict[str, int] = {}
         #: The pool's ledger at the last observe (deltas subtract it).
         self._seen = WorkerCounters()
-        self.refreshes = 0
         self.publications = 0
 
     # -- placement ---------------------------------------------------------
@@ -222,41 +212,6 @@ class DrafterZoo:
             bandit.windows[bandit.current_arm].append(
                 delta.segment_accepted.get(segment, 0) / d_drafted
             )
-
-    # -- continual refresh -------------------------------------------------
-
-    def refresh_arm(
-        self,
-        engine: ServingEngine,
-        name: str,
-        drafter: Drafter,
-    ) -> None:
-        """Replace an arm with refreshed weights and republish it.
-
-        The continual path: a spot trainer's newest snapshot lands
-        here, the arm's window is cleared (old scores described the
-        old weights), and every segment currently hosting the arm gets
-        the new drafter through its home worker's rolling swap slot.
-        """
-        if name not in self.arms:
-            raise DrafterError(f"unknown arm {name!r}")
-        if not isinstance(drafter, Drafter):
-            raise ConfigError(
-                f"refresh needs a Drafter, got {type(drafter)!r}"
-            )
-        self.arms[name] = drafter
-        self.refreshes += 1
-        for segment in self.segments:
-            bandit = self._bandit(segment)
-            bandit.windows[name] = SlidingWindow(self.window)
-            if (
-                bandit.current_arm == name
-                and segment in self.segment_worker
-            ):
-                engine.swap_worker_drafter(
-                    self.home_worker(segment), drafter
-                )
-                self.publications += 1
 
     # -- introspection -----------------------------------------------------
 

@@ -236,19 +236,6 @@ class RlTrainer:
         """Run several steps; returns their reports."""
         return [self.step() for _ in range(num_steps)]
 
-    def evaluate(self, num_prompts: int, rng: np.random.Generator) -> float:
-        """Mean reward on fresh prompts (the paper's periodic eval)."""
-        batch = make_prompt_batch(self.task, num_prompts, 1, rng)
-        rollout = VanillaRollout().generate(
-            self.policy,
-            batch.expanded,
-            self.config.max_new_tokens,
-            self.config.temperature,
-            rng,
-        )
-        rewards = self.task.reward_batch(batch.expanded, rollout.responses)
-        return float(rewards.mean())
-
     # -- update ---------------------------------------------------------------
 
     def _update_policy(

@@ -14,7 +14,6 @@ model to simulate continuous-batching rollouts:
 
 from repro.rollout.acceptance import (
     AcceptanceModel,
-    ConstantAcceptance,
     MeasuredAcceptance,
     ParametricAcceptance,
 )
@@ -27,7 +26,6 @@ from repro.rollout.engine import (
 
 __all__ = [
     "AcceptanceModel",
-    "ConstantAcceptance",
     "ParametricAcceptance",
     "MeasuredAcceptance",
     "AdaptiveSdConfig",

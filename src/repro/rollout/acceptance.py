@@ -7,7 +7,9 @@ calibrated to the paper's Figure 13(a) saturation curve (accept length
 rises with draft depth and saturates near 8.7 for a fresh EAGLE drafter
 at V=64) and exposes a ``drafter_quality`` scale so the same curve family
 covers the model-free n-gram drafter (~0.35), a stale drafter (~0.6) and
-the continuously adapted drafter (1.0).
+the continuously adapted drafter (1.0).  The other model,
+:class:`MeasuredAcceptance`, is a table of accept lengths measured on
+the TinyLM engine.
 """
 
 from __future__ import annotations
@@ -30,20 +32,6 @@ class AcceptanceModel(abc.ABC):
         self, strategy: SdStrategy, batch_size: int
     ) -> float:
         """Expected committed tokens per draft/verify cycle (>= 1)."""
-
-
-@dataclass(frozen=True)
-class ConstantAcceptance(AcceptanceModel):
-    """A fixed accept length regardless of strategy (simplest baseline)."""
-
-    value: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.value < 1.0:
-            raise ConfigError("accept length must be >= 1")
-
-    def accept_length(self, strategy, batch_size):
-        return min(self.value, strategy.tokens_to_verify + 1.0)
 
 
 @dataclass(frozen=True)
@@ -84,17 +72,6 @@ class ParametricAcceptance(AcceptanceModel):
         peak = self.e_max * self.drafter_quality
         accept = 1.0 + max(peak - 1.0, 0.0) * depth_part * verify_part * topk_part
         return float(np.clip(accept, 1.0, strategy.tokens_to_verify + 1.0))
-
-    def with_quality(self, quality: float) -> "ParametricAcceptance":
-        """Same curve at a different drafter quality."""
-        return ParametricAcceptance(
-            e_max=self.e_max,
-            rate=self.rate,
-            v_ref=self.v_ref,
-            v_exp=self.v_exp,
-            topk_exp=self.topk_exp,
-            drafter_quality=quality,
-        )
 
 
 class MeasuredAcceptance(AcceptanceModel):

@@ -234,6 +234,10 @@ class TickDriver:
 
         Returns:
             The run's report.
+
+        Raises:
+            ``self.error`` when ``max_ticks`` pass with a request
+            unresolved or, drained, with a drafter roll unfinished.
         """
         for request in requests:
             self.submit(request)
@@ -247,4 +251,8 @@ class TickDriver:
             ticks += 1
         if not self.drained:
             raise self.error(f"run did not drain within {max_ticks} ticks")
+        if self.swap_in_progress:
+            raise self.error(
+                f"run left a drafter roll unfinished after {max_ticks} ticks"
+            )
         return self.report()

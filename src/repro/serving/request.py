@@ -195,8 +195,7 @@ def poisson_trace(
     Arrivals are a Poisson process (exponential inter-arrival times with
     the given mean); each request's response cap is drawn from
     ``length_model`` — use a heavy-tailed model
-    (:class:`~repro.workload.lengths.LognormalLengths` /
-    :class:`~repro.workload.lengths.ParetoLengths`) to reproduce the
+    (:class:`~repro.workload.lengths.LognormalLengths`) to reproduce the
     paper's rollout length distribution as an *online* workload.
 
     Args:

@@ -618,7 +618,6 @@ class BatchedSpecDecodeEngine:
         wait_cycles = [slot.wait_cycles for slot in cycle.admitted]
         for wait in wait_cycles:
             self._metrics.record_wait(wait)
-        self._metrics.record_queue_depth(scheduler.num_waiting)
         report = BatchCycleReport(
             index=len(self._reports),
             live_batch=batch,

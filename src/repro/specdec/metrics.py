@@ -13,8 +13,6 @@ import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Dict, List, Sequence
 
-import numpy as np
-
 from repro.cache.manager import CacheStats
 
 
@@ -81,24 +79,17 @@ class SdRunMetrics:
     Attributes:
         cycles: per-cycle statistics in execution order.
         profile: per-position acceptance profile.
-        queue_depths: waiting-queue depth observed after each engine
-            cycle's admission wave.
         wait_cycles: per-request cycles spent waiting before admission,
             in admission order.
     """
 
     cycles: List[SdCycleStats] = field(default_factory=list)
     profile: AcceptanceProfile = field(default_factory=AcceptanceProfile)
-    queue_depths: List[int] = field(default_factory=list)
     wait_cycles: List[int] = field(default_factory=list)
 
     def add_cycle(self, stats: SdCycleStats) -> None:
         """Record one cycle."""
         self.cycles.append(stats)
-
-    def record_queue_depth(self, depth: int) -> None:
-        """Record the waiting-queue depth after one cycle's admission."""
-        self.queue_depths.append(int(depth))
 
     def record_wait(self, cycles: int) -> None:
         """Record one admitted request's waiting time in cycles."""
@@ -127,35 +118,6 @@ class SdRunMetrics:
         return self.total_committed / len(self.cycles)
 
     @property
-    def mean_accepted(self) -> float:
-        """Average accepted draft tokens per cycle (bonus excluded)."""
-        if not self.cycles:
-            return 0.0
-        return sum(c.accepted for c in self.cycles) / len(self.cycles)
-
-    @property
-    def draft_efficiency(self) -> float:
-        """Accepted draft tokens / drafted tokens (0 when nothing drafted)."""
-        drafted = self.total_drafted
-        if drafted == 0:
-            return 0.0
-        return sum(c.accepted for c in self.cycles) / drafted
-
-    @property
-    def mean_queue_depth(self) -> float:
-        """Average waiting-queue depth per cycle (0 when unrecorded)."""
-        if not self.queue_depths:
-            return 0.0
-        return sum(self.queue_depths) / len(self.queue_depths)
-
-    @property
-    def max_queue_depth(self) -> int:
-        """Deepest waiting queue observed (0 when unrecorded)."""
-        if not self.queue_depths:
-            return 0
-        return max(self.queue_depths)
-
-    @property
     def mean_wait_cycles(self) -> float:
         """Average per-request admission wait in cycles."""
         if not self.wait_cycles:
@@ -166,24 +128,11 @@ class SdRunMetrics:
         """Combine two metric sets (e.g. across sequences)."""
         merged = SdRunMetrics(
             cycles=self.cycles + other.cycles,
-            queue_depths=self.queue_depths + other.queue_depths,
             wait_cycles=self.wait_cycles + other.wait_cycles,
         )
         merged.profile.record(other.profile.attempts, other.profile.accepts)
         merged.profile.record(self.profile.attempts, self.profile.accepts)
         return merged
-
-    def summary(self) -> Dict[str, float]:
-        """Dict summary used by benchmark rows."""
-        return {
-            "cycles": float(self.num_cycles),
-            "accept_length": self.mean_accept_length,
-            "accepted_per_cycle": self.mean_accepted,
-            "draft_efficiency": self.draft_efficiency,
-            "total_committed": float(self.total_committed),
-            "mean_queue_depth": self.mean_queue_depth,
-            "mean_wait_cycles": self.mean_wait_cycles,
-        }
 
 
 def _leafwise(left, right, op: Callable[[int, int], int]):

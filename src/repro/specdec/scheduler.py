@@ -65,7 +65,10 @@ The per-cycle :class:`BatchCycleReport` trail is the engine's contact
 surface with the adaptive layer: it records the live-batch size the
 :class:`~repro.rollout.adaptive.AdaptiveSdManager` saw, which strategy ran
 and what it committed, plus the queue depth and admission waiting times
-that the serving layer's dispatch policies act on.
+that the serving layer's dispatch policies act on.  A cycle's queue
+depth is recorded there only (``BatchCycleReport.queue_depth``); the
+run-wide :class:`~repro.specdec.metrics.SdRunMetrics` keeps the cycle
+stats and each admitted request's wait.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from repro.spot.packing import (
     first_fit_decreasing,
     pack_sequences,
     packing_efficiency,
-    segment_attention_mask,
 )
 from repro.spot.trainer import SpotTrainer, SpotTrainingReport
 
@@ -43,7 +42,6 @@ __all__ = [
     "first_fit_decreasing",
     "pack_sequences",
     "packing_efficiency",
-    "segment_attention_mask",
     "SpotTrainer",
     "SpotTrainingReport",
 ]

@@ -2,9 +2,10 @@
 
 Variable-length training sequences padded to a uniform length waste
 compute on padding tokens.  Packing concatenates several sequences into
-one fixed-capacity row and uses a block-diagonal attention mask to keep
-them independent.  :func:`first_fit_decreasing` is the bin-packing
-heuristic; :func:`pack_sequences` materialises the packed rows; and
+one fixed-capacity row; its ``segment_ids`` number the sequences, so a
+block-diagonal attention mask built from them keeps them independent.
+:func:`first_fit_decreasing` is the bin-packing heuristic;
+:func:`pack_sequences` materialises the packed rows; and
 :func:`packing_efficiency` quantifies the throughput gain the paper
 reports (~2.2x).
 """
@@ -130,20 +131,6 @@ def pack_sequences(
         source_indices=sources,
         capacity=capacity,
     )
-
-
-def segment_attention_mask(segment_ids_row: np.ndarray) -> np.ndarray:
-    """Block-diagonal causal attention mask for one packed row.
-
-    ``mask[i, j]`` is True when position ``i`` may attend to ``j``:
-    same (non-padding) segment and ``j <= i``.
-    """
-    seg = np.asarray(segment_ids_row)
-    if seg.ndim != 1:
-        raise ConfigError("segment_ids_row must be 1-D")
-    same = (seg[:, None] == seg[None, :]) & (seg[:, None] > 0)
-    causal = np.tril(np.ones((seg.size, seg.size), dtype=bool))
-    return same & causal
 
 
 def packing_efficiency(

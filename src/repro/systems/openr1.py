@@ -21,6 +21,9 @@ from repro.errors import ConfigError
 from repro.hardware.gpus import ModelSpec
 from repro.systems.base import RlSystem, SystemStepReport
 
+#: Share of the roofline rollout speed the TRL + vLLM stack reaches.
+ROLLOUT_EFFICIENCY = 0.75
+
 
 class OpenR1System(RlSystem):
     """Disaggregated serving/training with wave-coupled rollouts."""
@@ -32,20 +35,16 @@ class OpenR1System(RlSystem):
         model: ModelSpec,
         cluster: ClusterSpec,
         rollout_waves: int = 4,
-        framework_efficiency: float = 0.75,
         transition_overhead_s: float = 20.0,
     ) -> None:
         super().__init__(model, cluster)
         if rollout_waves < 1:
             raise ConfigError("rollout_waves must be >= 1")
-        if not 0.0 < framework_efficiency <= 1.0:
-            raise ConfigError("framework_efficiency must be in (0, 1]")
         if cluster.num_workers < 2:
             raise ConfigError(
                 "Open-R1 needs >= 2 workers (separate placement)"
             )
         self.rollout_waves = rollout_waves
-        self.framework_efficiency = framework_efficiency
         serving_workers = cluster.num_workers // 2
         training_workers = cluster.num_workers - serving_workers
         self._serving_cluster = ClusterSpec(
@@ -91,7 +90,7 @@ class OpenR1System(RlSystem):
             )
             result = self._serving_sim.simulate_step(wave_load)
             rollout_s += result.rollout_s
-        rollout_s /= self.framework_efficiency
+        rollout_s /= ROLLOUT_EFFICIENCY
 
         # Inference + training run on the training half only.
         train_result = self._training_sim.simulate_step(workload)

@@ -15,14 +15,11 @@ reproduced here:
 """
 
 from repro.workload.lengths import (
-    EmpiricalLengths,
     LengthModel,
     LognormalLengths,
-    ParetoLengths,
     length_statistics,
 )
 from repro.workload.prompts import (
-    AnswerTask,
     PatternCopyTask,
     PromptBatch,
     SuccessorChainTask,
@@ -50,12 +47,9 @@ from repro.workload.traces import (
 __all__ = [
     "LengthModel",
     "LognormalLengths",
-    "ParetoLengths",
-    "EmpiricalLengths",
     "length_statistics",
     "Task",
     "SuccessorChainTask",
-    "AnswerTask",
     "PatternCopyTask",
     "PromptBatch",
     "make_prompt_batch",

@@ -2,9 +2,11 @@
 
 Reasoning-RL rollouts exhibit a persistent long tail: most responses are
 short, a few run to the configured maximum.  The cluster simulator and the
-rollout engine sample per-request lengths from the models here.  All
-models cap at ``max_length`` (the paper's "customized max length"), which
+rollout engine sample per-request lengths from :class:`LognormalLengths`,
+the paper's observed shape, behind the :class:`LengthModel` interface.
+It caps at ``max_length`` (the paper's "customized max length"), which
 produces the PDF spike at the cap seen in Figure 1(a).
+:func:`length_statistics` computes the per-step series of Figure 2.
 """
 
 from __future__ import annotations
@@ -66,63 +68,6 @@ class LognormalLengths(LengthModel):
         return np.clip(np.ceil(raw), 1, self.cap).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class ParetoLengths(LengthModel):
-    """Pareto (power-law) tail — the heaviest-tailed alternative.
-
-    Attributes:
-        minimum: smallest response length.
-        alpha: tail index (smaller = heavier tail; 1.2–2 is realistic).
-        cap: maximum generation length.
-    """
-
-    minimum: float = 200.0
-    alpha: float = 1.5
-    cap: int = 30_000
-
-    def __post_init__(self) -> None:
-        if self.minimum <= 0:
-            raise ConfigError("minimum must be positive")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if self.cap < 1:
-            raise ConfigError("cap must be >= 1")
-
-    @property
-    def max_length(self) -> int:
-        return self.cap
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if count < 0:
-            raise ConfigError(f"count must be non-negative, got {count}")
-        raw = self.minimum * (1.0 + rng.pareto(self.alpha, size=count))
-        return np.clip(np.ceil(raw), 1, self.cap).astype(np.int64)
-
-
-class EmpiricalLengths(LengthModel):
-    """Resamples from observed lengths (trace replay)."""
-
-    def __init__(self, observed: Sequence[int], cap: int) -> None:
-        lengths = np.asarray(list(observed), dtype=np.int64)
-        if lengths.size == 0:
-            raise ConfigError("observed lengths must be non-empty")
-        if cap < 1:
-            raise ConfigError("cap must be >= 1")
-        if (lengths < 1).any():
-            raise ConfigError("observed lengths must be >= 1")
-        self._lengths = np.clip(lengths, 1, cap)
-        self._cap = cap
-
-    @property
-    def max_length(self) -> int:
-        return self._cap
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if count < 0:
-            raise ConfigError(f"count must be non-negative, got {count}")
-        return rng.choice(self._lengths, size=count, replace=True)
-
-
 def length_statistics(lengths: Sequence[int]) -> Dict[str, float]:
     """The per-step statistics Figure 2 plots: max / p75 / p50 and the
     under-utilisation gap between p75 and max."""
@@ -139,17 +84,3 @@ def length_statistics(lengths: Sequence[int]) -> Dict[str, float]:
         "q3_max_gap": longest - p75,
         "mean": float(arr.mean()),
     }
-
-
-def tail_fraction(lengths: Sequence[int], threshold_ratio: float = 0.5
-                  ) -> float:
-    """Fraction of requests longer than ``threshold_ratio * max``.
-
-    A compact long-tail indicator used by the simulator's reports.
-    """
-    arr = np.asarray(list(lengths), dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigError("lengths must be non-empty")
-    if not 0.0 < threshold_ratio <= 1.0:
-        raise ConfigError("threshold_ratio must be in (0, 1]")
-    return float(np.mean(arr > threshold_ratio * arr.max()))

@@ -3,14 +3,12 @@
 The paper trains on math/code problems with rule-based verifiers.  The
 essential properties for reproducing its system behaviour are (a) rewards
 computable from the response alone by a deterministic rule, and (b) tasks
-a small policy can genuinely improve on with GRPO.  Three task families:
+a small policy can genuinely improve on with GRPO.  Two task families:
 
 * :class:`SuccessorChainTask` — reward is the fraction of adjacent token
   pairs forming successor steps (a "show your chain of work" analogue);
   smoothly learnable by a windowed policy, used for the reward-curve
   experiments (Figure 12).
-* :class:`AnswerTask` — prompt encodes two operands; full reward requires
-  the correct answer token to appear (sparse, verifier-style).
 * :class:`PatternCopyTask` — reward for reproducing the prompt tokens;
   maximises cross-rollout similarity, the regime motivating the
   model-free n-gram drafter (§5.3).
@@ -19,7 +17,7 @@ a small policy can genuinely improve on with GRPO.  Three task families:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -130,50 +128,6 @@ class SuccessorChainTask(Task):
 
 
 @dataclass(frozen=True)
-class AnswerTask(Task):
-    """Sparse verifier task: the correct answer token must appear.
-
-    The prompt is two operand tokens; the answer is their wrapped modular
-    sum mapped back into the regular range — a stand-in for "the boxed
-    LaTeX answer matches".  Reward 1.0 when the answer appears in the
-    response, plus a small format credit for clean termination.
-
-    Attributes:
-        vocab: the shared vocabulary.
-        format_credit: partial reward for terminating with EOS.
-    """
-
-    vocab: Vocabulary
-    format_credit: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.format_credit < 1.0:
-            raise ConfigError("format_credit must be in [0, 1)")
-
-    def generate_prompt(self, rng: np.random.Generator) -> List[int]:
-        return self.vocab.random_regular_tokens(rng, 2).tolist()
-
-    def answer_token(self, prompt: Sequence[int]) -> int:
-        """The unique correct answer token for ``prompt``."""
-        if len(prompt) < 2:
-            raise ConfigError("AnswerTask prompts need two operand tokens")
-        lo = NUM_SPECIAL_TOKENS
-        span = self.vocab.num_regular
-        a, b = int(prompt[0]) - lo, int(prompt[1]) - lo
-        return lo + (a + b) % span
-
-    def reward(self, prompt: Sequence[int], response: Sequence[int]) -> float:
-        body = _strip(response)
-        terminated = len(body) < len(response)
-        score = 0.0
-        if self.answer_token(prompt) in body:
-            score = 1.0 - self.format_credit
-        if terminated:
-            score += self.format_credit
-        return float(score)
-
-
-@dataclass(frozen=True)
 class PatternCopyTask(Task):
     """Reward for reproducing the prompt's tokens in order.
 
@@ -236,13 +190,6 @@ class PromptBatch:
     def num_sequences(self) -> int:
         """Total rollout sequences in the batch."""
         return len(self.unique_prompts) * self.group_size
-
-    def group_slices(self) -> List[slice]:
-        """Index slices of each group within :attr:`expanded`."""
-        return [
-            slice(i * self.group_size, (i + 1) * self.group_size)
-            for i in range(len(self.unique_prompts))
-        ]
 
 
 def make_prompt_batch(

@@ -202,7 +202,6 @@ def flash_crowd_trace(
     num_base: int,
     num_crowd: int,
     base_interarrival: float = 4.0,
-    crowd_start: Optional[float] = None,
     crowd_interarrival: float = 0.25,
     base_families: int = 4,
     crowd_families: int = 6,
@@ -215,8 +214,8 @@ def flash_crowd_trace(
     """A calm baseline shattered by a sudden crowd.
 
     ``num_base`` requests arrive as a slow Poisson stream over
-    ``base_families`` tenant prefixes; at ``crowd_start`` (the middle
-    of the base stream when omitted) ``num_crowd`` requests slam in at
+    ``base_families`` tenant prefixes; from the middle of the base
+    stream's horizon ``num_crowd`` requests slam in at
     ``crowd_interarrival`` spread over ``crowd_families`` *fresh*
     prefix families — a viral link, not hot-spotting of an existing
     tenant, so scale-out capacity actually receives ring arcs instead
@@ -228,8 +227,6 @@ def flash_crowd_trace(
         num_base: baseline arrivals.
         num_crowd: crowd arrivals inside the burst window.
         base_interarrival: mean ticks between baseline arrivals.
-        crowd_start: burst onset (midpoint of the baseline horizon
-            when omitted).
         crowd_interarrival: mean ticks between crowd arrivals.
         base_families / crowd_families: tenant prefix families per
             stream (the crowd's are freshly drawn — all cold).
@@ -254,12 +251,7 @@ def flash_crowd_trace(
 
     base_gaps = rng.exponential(base_interarrival, size=num_base)
     base_arrivals = np.cumsum(base_gaps) - base_gaps[0]
-    if crowd_start is None:
-        crowd_start = float(base_arrivals[-1]) / 2.0
-    if crowd_start < 0:
-        raise ConfigError(
-            f"crowd_start must be >= 0, got {crowd_start}"
-        )
+    crowd_start = float(base_arrivals[-1]) / 2.0
     crowd_gaps = rng.exponential(crowd_interarrival, size=num_crowd)
     crowd_arrivals = crowd_start + np.cumsum(crowd_gaps)
 
@@ -300,7 +292,6 @@ def adversarial_longtail_trace(
     prefix_len: int = 4,
     suffix_len: int = 0,
     lengths: Optional[LengthModel] = None,
-    longtail_lengths: Optional[LengthModel] = None,
     slo: Optional["SloClass"] = None,
     start_id: int = 0,
 ) -> List["ServingRequest"]:
@@ -312,9 +303,9 @@ def adversarial_longtail_trace(
     hysteresis band scales out on every burst and in on every lull,
     paying ring movement and cold prefills each time.  Underneath,
     ``num_longtail`` BATCH-class stragglers with long-tailed response
-    lengths (the paper's long-tail rollouts) keep the fleet's backlog
-    from ever reaching zero, tempting premature scale-in mid-burst
-    shadow.
+    lengths (a heavy lognormal: the paper's long-tail rollouts) keep
+    the fleet's backlog from ever reaching zero, tempting premature
+    scale-in mid-burst shadow.
 
     Args:
         rng: master generator (one seed fixes the whole trace).
@@ -327,8 +318,6 @@ def adversarial_longtail_trace(
         num_families: tenant prefix families the bursts draw from.
         prefix_len / suffix_len: shared-prefix shape per request.
         lengths: burst response-length model (short lognormal when
-            omitted).
-        longtail_lengths: straggler length model (heavy lognormal when
             omitted).
         slo: SLO class of burst requests (STANDARD when omitted).
         start_id: first request id (bursts first, then stragglers).
@@ -380,9 +369,6 @@ def adversarial_longtail_trace(
 
     stragglers: List["ServingRequest"] = []
     if num_longtail:
-        longtail_lengths = longtail_lengths or LognormalLengths(
-            median=40.0, sigma=0.9, cap=160
-        )
         tail_arrivals = sorted(
             float(t) for t in rng.uniform(0.0, horizon, num_longtail)
         )
@@ -392,7 +378,7 @@ def adversarial_longtail_trace(
             tail_arrivals,
             families,
             suffix_len,
-            longtail_lengths,
+            LognormalLengths(median=40.0, sigma=0.9, cap=160),
             BATCH,
             start_id + len(bursts),
         )

@@ -51,6 +51,17 @@ from repro.workload.lengths import (
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.serving.request import ServingRequest, SloClass
 
+#: Modelled wall-clock minutes per RL step, and per periodic evaluation
+#: (one every ``EVAL_EVERY`` steps) — the paper's 385 steps over 11 days.
+STEP_MINUTES = 40.0
+EVAL_EVERY = 5
+EVAL_MINUTES = 20.0
+
+#: Median response length at a synthesized trace's first / last step:
+#: training lengthens reasoning.
+START_MEDIAN = 1200.0
+END_MEDIAN = 4500.0
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -71,16 +82,10 @@ class TrainingTrace:
     Attributes:
         steps: per-step statistics.
         cap: the configured maximum generation length.
-        step_minutes: modelled wall-clock minutes per RL step.
-        eval_every: periodic-evaluation cadence in steps.
-        eval_minutes: wall-clock minutes per evaluation.
     """
 
     steps: List[TraceStep]
     cap: int
-    step_minutes: float = 40.0
-    eval_every: int = 5
-    eval_minutes: float = 20.0
 
     @property
     def num_steps(self) -> int:
@@ -97,8 +102,8 @@ class TrainingTrace:
     @property
     def total_days(self) -> float:
         """Modelled total wall-clock days (training + periodic evals)."""
-        evals = self.num_steps // self.eval_every if self.eval_every else 0
-        minutes = self.num_steps * self.step_minutes + evals * self.eval_minutes
+        evals = self.num_steps // EVAL_EVERY
+        minutes = self.num_steps * STEP_MINUTES + evals * EVAL_MINUTES
         return minutes / (60.0 * 24.0)
 
     def series(self, key: str) -> np.ndarray:
@@ -114,8 +119,6 @@ def synthesize_trace(
     rng: np.random.Generator,
     cap: int = 20_480,
     requests_per_step: int = 512,
-    start_median: float = 1200.0,
-    end_median: float = 4500.0,
     sigma: float = 1.05,
 ) -> TrainingTrace:
     """Synthesize a ByteDance-like RL training trace.
@@ -125,8 +128,6 @@ def synthesize_trace(
         rng: random generator.
         cap: maximum generation length (paper: 20,480).
         requests_per_step: rollout responses sampled per step.
-        start_median / end_median: median response length at the first /
-            last step — training lengthens reasoning.
         sigma: lognormal spread (controls the tail thickness).
 
     Returns:
@@ -137,13 +138,11 @@ def synthesize_trace(
         raise ConfigError("num_steps must be >= 1")
     if requests_per_step < 4:
         raise ConfigError("requests_per_step must be >= 4")
-    if not 0 < start_median <= end_median:
-        raise ConfigError("need 0 < start_median <= end_median")
     steps: List[TraceStep] = []
     for step in range(num_steps):
         progress = step / max(num_steps - 1, 1)
         # Smooth growth plus mild multiplicative jitter step to step.
-        median = start_median + (end_median - start_median) * progress
+        median = START_MEDIAN + (END_MEDIAN - START_MEDIAN) * progress
         median *= float(np.exp(rng.normal(0.0, 0.08)))
         model = LognormalLengths(median=median, sigma=sigma, cap=cap)
         lengths = model.sample(rng, requests_per_step)
@@ -166,9 +165,7 @@ def mixed_serving_trace(
     vocab_size: int,
     num_interactive: int,
     num_batch: int,
-    interactive_gap: float = 2.5,
     batch_gap: float = 1.0,
-    interactive_lengths: Optional[LengthModel] = None,
     batch_lengths: Optional[LengthModel] = None,
     prompt_len: int = 4,
     predictor_noise: float = 0.0,
@@ -189,10 +186,11 @@ def mixed_serving_trace(
         vocab_size: prompt token ids drawn from ``[3, vocab_size)``.
         num_interactive: interactive requests in the stream.
         num_batch: BATCH-class background requests in the floor.
-        interactive_gap / batch_gap: mean inter-arrival ticks per class.
-        interactive_lengths / batch_lengths: response-length models
-            (defaults: a short lognormal for interactive, a long-tailed
-            lognormal for batch — the paper's rollout distribution).
+        batch_gap: mean inter-arrival ticks of the BATCH floor (the
+            interactive stream's is 2.5).
+        batch_lengths: BATCH response-length model (default: a
+            long-tailed lognormal — the paper's rollout distribution;
+            interactive requests draw from a short lognormal).
         prompt_len: prompt length in tokens.
         predictor_noise: lognormal sigma of the multiplicative noise on
             ``predicted_length`` (0.0 = oracle predictor).
@@ -219,9 +217,6 @@ def mixed_serving_trace(
         )
     if batch_group_size is not None and batch_group_size < 1:
         raise ConfigError("batch_group_size must be >= 1 when set")
-    interactive_lengths = interactive_lengths or LognormalLengths(
-        median=5.0, sigma=0.4, cap=12
-    )
     batch_lengths = batch_lengths or LognormalLengths(
         median=60.0, sigma=0.8, cap=240
     )
@@ -244,8 +239,8 @@ def mixed_serving_trace(
     stream = poisson_trace(
         rng,
         num_requests=num_interactive,
-        mean_interarrival=interactive_gap,
-        length_model=interactive_lengths,
+        mean_interarrival=2.5,
+        length_model=LognormalLengths(median=5.0, sigma=0.4, cap=12),
         vocab_size=vocab_size,
         prompt_len=prompt_len,
         slo_mix=((INTERACTIVE, 1.0),),

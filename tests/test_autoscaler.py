@@ -536,18 +536,6 @@ class TestAutoscalerFlashCrowd:
         assert charged == fleet.routing.ring_moves
         assert charged > 0
 
-    def test_audit_rows_mirror_events(self, crowd_run):
-        _, _, scaler, _ = crowd_run
-        rows = scaler.audit()
-        assert len(rows) == len(scaler.events)
-        for row, event in zip(rows, scaler.events):
-            assert row == (
-                event.time,
-                event.decision.action.value,
-                event.decision.magnitude,
-                event.decision.reason,
-            )
-
     def test_outputs_match_single_pool_reference(
         self, crowd_run, target, trained_drafter
     ):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.drafter import DrafterTrainer, DrafterTrainingConfig
-from repro.errors import SpecDecodeError
+from repro.errors import ServingError, SpecDecodeError
 from repro.serving import (
     BATCH,
     INTERACTIVE,
@@ -638,6 +638,22 @@ class TestServingRollingSwap:
         frontend.swap_drafter(trained_drafter.clone())
         frontend.run(())  # no requests: the run still finishes the roll
         assert not frontend.swap_in_progress
+        assert frontend.drafter_rolls == 1
+
+    def test_run_bound_raises_with_the_roll_open(self, target,
+                                                 trained_drafter):
+        """A tick bound that ends mid-roll is an error, not a report:
+        run() promises no swap roll is left when it returns."""
+        frontend = ServingEngine(
+            target, trained_drafter, num_workers=4, strategy=STRATEGY,
+            temperature=0.9, max_batch_size=2,
+        )
+        frontend.swap_drafter(trained_drafter.clone())
+        with pytest.raises(ServingError, match="drafter roll unfinished"):
+            frontend.run([], max_ticks=2)
+        assert frontend.swap_in_progress
+        assert frontend.drafter_rolls == 0
+        frontend.run(())  # the roll resumes where the bound cut it
         assert frontend.drafter_rolls == 1
 
     def test_publish_drafter_rolls_spot_snapshot(

@@ -544,6 +544,20 @@ class TestFleetHotSwap:
         with pytest.raises(FleetError):
             fleet.swap_drafter(object())
 
+    def test_run_bound_raises_with_the_roll_open(
+        self, target, trained_drafter
+    ):
+        fleet = FleetEngine(
+            [_pool(target, trained_drafter) for _ in range(2)]
+        )
+        fleet.swap_drafter(trained_drafter.clone())
+        with pytest.raises(FleetError, match="drafter roll unfinished"):
+            fleet.run((), max_ticks=2)
+        assert fleet.swap_in_progress
+        assert fleet.drafter_rolls == 0
+        fleet.run(())
+        assert fleet.drafter_rolls == 1
+
     @pytest.mark.parametrize("mid_roll", [False, True])
     def test_late_joiner_serves_the_published_drafter(
         self, target, trained_drafter, mid_roll

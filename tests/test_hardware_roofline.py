@@ -16,7 +16,6 @@ from repro.hardware import (
     get_gpu,
     get_model,
 )
-from repro.hardware.memory import kv_cache_bytes, model_memory_bytes
 
 
 @pytest.fixture()
@@ -166,15 +165,3 @@ class TestRoofline:
             model=get_model("Qwen2.5-7B"), gpu=get_gpu("A100")
         )
         assert rl.forward_cost(batch, tokens).total_s > 0
-
-
-class TestMemory:
-    def test_weight_bytes_tp_sharding(self):
-        model = get_model("Qwen2.5-7B")
-        assert model_memory_bytes(model, 2) == pytest.approx(
-            model.weight_bytes / 2
-        )
-
-    def test_kv_monotone(self):
-        model = get_model("Qwen2.5-7B")
-        assert kv_cache_bytes(model, 2000) > kv_cache_bytes(model, 1000)

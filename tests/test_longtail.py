@@ -893,37 +893,6 @@ class TestDrafterZoo:
         engine.tick()
         assert engine.worker_swaps == before
 
-    def test_refresh_arm_clears_and_republishes(
-        self, scenario_factory, trained_drafter, untrained_drafter
-    ):
-        scenario = scenario_factory(93)
-        engine = _frontend(scenario)
-        zoo = self._zoo(trained_drafter, untrained_drafter)
-        zoo.place(engine)
-        for _ in range(2):
-            engine.tick()
-        hosted = {
-            seg: zoo._bandits[seg].current_arm
-            for seg in zoo.segments
-        }
-        zoo._bandits["seg0"].windows[hosted["seg0"]].append(0.4)
-        fresh = scenario.drafter  # any hot-swappable drafter object
-        zoo.refresh_arm(engine, hosted["seg0"], fresh)
-        assert zoo.refreshes == 1
-        assert zoo.arms[hosted["seg0"]] is fresh
-        # Old scores described the old weights.
-        for seg in zoo.segments:
-            assert zoo._bandits[seg].windows[
-                hosted["seg0"]
-            ].is_empty
-        # Republished to the hosting worker.
-        engine.tick()
-        engine.tick()
-        home = zoo.home_worker("seg0")
-        assert engine.workers[home].engine.drafter is fresh
-        with pytest.raises(Exception):
-            zoo.refresh_arm(engine, "unknown", fresh)
-
     def test_snapshot_shape(
         self, trained_drafter, untrained_drafter
     ):

@@ -108,14 +108,6 @@ class TestTrainerMechanics:
         assert reports[0].kl_value == pytest.approx(0.0, abs=1e-6)
         assert reports[-1].kl_value > 0.0
 
-    def test_evaluate(self):
-        trainer = RlTrainer(
-            make_policy(), make_task(), small_config(),
-            rng=np.random.default_rng(0),
-        )
-        score = trainer.evaluate(8, np.random.default_rng(5))
-        assert 0.0 <= score <= 1.0
-
     def test_inner_epochs_with_clipping(self):
         trainer = RlTrainer(
             make_policy(), make_task(),

@@ -10,7 +10,6 @@ from repro.hardware import RooflineModel, get_gpu, get_model
 from repro.rollout import (
     AdaptiveSdConfig,
     AdaptiveSdManager,
-    ConstantAcceptance,
     MeasuredAcceptance,
     ParametricAcceptance,
     RolloutEngine,
@@ -64,7 +63,7 @@ class TestAcceptanceModels:
     def test_quality_scales_acceptance(self):
         strategy = SdStrategy(draft_depth=8, topk=8, tokens_to_verify=48)
         fresh = ParametricAcceptance(drafter_quality=1.0)
-        stale = fresh.with_quality(0.5)
+        stale = ParametricAcceptance(drafter_quality=0.5)
         assert (
             stale.accept_length(strategy, 1)
             < fresh.accept_length(strategy, 1)
@@ -74,11 +73,6 @@ class TestAcceptanceModels:
         model = ParametricAcceptance(e_max=100.0)
         strategy = SdStrategy(draft_depth=30, topk=2, tokens_to_verify=4)
         assert model.accept_length(strategy, 1) <= 5.0
-
-    def test_constant_model(self):
-        model = ConstantAcceptance(3.0)
-        strategy = SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8)
-        assert model.accept_length(strategy, 1) == 3.0
 
     def test_measured_lookup_and_default(self):
         strategy = SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8)
@@ -183,7 +177,7 @@ class TestRolloutEngine:
         manager = AdaptiveSdManager(
             AdaptiveSdConfig(
                 activation_threshold=100,
-                acceptance=ConstantAcceptance(1.0),
+                acceptance=MeasuredAcceptance({}, default=1.0),
             )
         )
         guarded = RolloutEngine(
@@ -279,7 +273,7 @@ class TestSimulatorBugfixes:
         manager = AdaptiveSdManager(
             AdaptiveSdConfig(
                 activation_threshold=100,
-                acceptance=ConstantAcceptance(1.0),
+                acceptance=MeasuredAcceptance({}, default=1.0),
             )
         )
         timeline = RolloutEngine(

@@ -12,7 +12,6 @@ from repro.spot import (
     first_fit_decreasing,
     pack_sequences,
     packing_efficiency,
-    segment_attention_mask,
 )
 
 
@@ -94,34 +93,6 @@ class TestPackSequences:
     def test_empty_raises(self):
         with pytest.raises(ConfigError):
             pack_sequences([], capacity=4)
-
-
-class TestAttentionMask:
-    def test_no_cross_contamination(self):
-        """The paper's §4.2 requirement: packed sequences never attend to
-        each other."""
-        packed = pack_sequences([[5, 6], [7, 8, 9]], capacity=5)
-        row = 0
-        mask = segment_attention_mask(packed.segment_ids[row])
-        seg = packed.segment_ids[row]
-        for i in range(len(seg)):
-            for j in range(len(seg)):
-                if mask[i, j]:
-                    assert seg[i] == seg[j] != 0
-                    assert j <= i
-
-    def test_causal_within_segment(self):
-        mask = segment_attention_mask(np.array([1, 1, 1]))
-        assert mask[2, 0] and mask[2, 1] and mask[2, 2]
-        assert not mask[0, 1]
-
-    def test_padding_attends_nothing(self):
-        mask = segment_attention_mask(np.array([1, 1, 0]))
-        assert not mask[2].any()
-
-    def test_requires_1d(self):
-        with pytest.raises(ConfigError):
-            segment_attention_mask(np.zeros((2, 2)))
 
 
 class TestEfficiency:

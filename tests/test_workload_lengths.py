@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.workload import (
-    EmpiricalLengths,
     LognormalLengths,
-    ParetoLengths,
     PromptFamily,
     length_statistics,
     segment_families,
     segmented_grpo_trace,
     synthesize_trace,
 )
-from repro.workload.lengths import tail_fraction
 
 
 class TestLognormal:
@@ -54,63 +51,6 @@ class TestLognormal:
             model.sample(np.random.default_rng(0), -1)
 
 
-class TestPareto:
-    def test_bounds(self):
-        model = ParetoLengths(minimum=100, alpha=1.5, cap=10_000)
-        lengths = model.sample(np.random.default_rng(0), 2000)
-        assert lengths.min() >= 100
-        assert lengths.max() <= 10_000
-
-    def test_heavier_tail_than_lognormal(self):
-        rng = np.random.default_rng(0)
-        pareto = ParetoLengths(minimum=500, alpha=1.2, cap=10**7)
-        sample = pareto.sample(rng, 5000)
-        # Pareto(1.2): p99/p50 is large.
-        assert np.percentile(sample, 99) / np.percentile(sample, 50) > 10
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ParetoLengths(minimum=0)
-
-
-class TestEmpirical:
-    def test_resamples_observed(self):
-        model = EmpiricalLengths([5, 10, 20], cap=100)
-        sample = model.sample(np.random.default_rng(0), 100)
-        assert set(np.unique(sample)).issubset({5, 10, 20})
-
-    def test_empty_raises(self):
-        with pytest.raises(ConfigError):
-            EmpiricalLengths([], cap=10)
-
-    def test_cap_applied(self):
-        model = EmpiricalLengths([5, 500], cap=100)
-        sample = model.sample(np.random.default_rng(0), 50)
-        assert sample.max() <= 100
-
-    def test_single_observation_is_degenerate(self):
-        """One observed length resamples to exactly that length —
-        the edge a trace replay hits on a one-request trace."""
-        model = EmpiricalLengths([7], cap=100)
-        sample = model.sample(np.random.default_rng(0), 64)
-        assert sample.shape == (64,)
-        assert set(np.unique(sample)) == {7}
-        assert model.max_length == 100
-
-    def test_single_observation_clipped_by_cap(self):
-        model = EmpiricalLengths([500], cap=100)
-        sample = model.sample(np.random.default_rng(0), 16)
-        assert set(np.unique(sample)) == {100}
-
-    def test_zero_length_observation_raises(self):
-        with pytest.raises(ConfigError):
-            EmpiricalLengths([5, 0], cap=10)
-
-    def test_zero_count_sample(self):
-        model = EmpiricalLengths([5], cap=10)
-        assert model.sample(np.random.default_rng(0), 0).size == 0
-
-
 class TestStatistics:
     def test_keys(self):
         stats = length_statistics([1, 2, 3, 100])
@@ -121,36 +61,16 @@ class TestStatistics:
         with pytest.raises(ConfigError):
             length_statistics([])
 
-    def test_tail_fraction(self):
-        assert tail_fraction([1, 1, 1, 10], 0.5) == pytest.approx(0.25)
-
-    def test_tail_fraction_validation(self):
-        with pytest.raises(ConfigError):
-            tail_fraction([1], 0.0)
-        with pytest.raises(ConfigError):
-            tail_fraction([1], 1.5)
-
-    def test_tail_fraction_empty_raises(self):
-        with pytest.raises(ConfigError):
-            tail_fraction([])
-
     def test_constant_lengths(self):
-        """Constant input: no spread, no gap.  Every request clears a
-        fractional threshold (all are "the max"), and the strict `>`
-        means none clears threshold_ratio=1.0 — the tail indicator's
-        two degenerate readings."""
+        """Constant input: no spread, no gap."""
         stats = length_statistics([8, 8, 8, 8])
         assert stats["max"] == stats["p50"] == stats["mean"] == 8.0
         assert stats["q3_max_gap"] == 0.0
-        assert tail_fraction([8, 8, 8, 8], 0.5) == 1.0
-        assert tail_fraction([8, 8, 8, 8], 1.0) == 0.0
 
     def test_single_length(self):
         stats = length_statistics([42])
         assert stats["max"] == 42.0
         assert stats["q3_max_gap"] == 0.0
-        assert tail_fraction([42], 0.5) == 1.0
-        assert tail_fraction([42], 1.0) == 0.0
 
 
 class TestTrace:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.llm.vocab import EOS_ID, NUM_SPECIAL_TOKENS, Vocabulary
 from repro.workload import (
-    AnswerTask,
     PatternCopyTask,
     SuccessorChainTask,
     make_prompt_batch,
@@ -72,36 +71,6 @@ class TestSuccessorChain:
         assert all(t >= NUM_SPECIAL_TOKENS for t in prompt)
 
 
-class TestAnswerTask:
-    def test_answer_found_rewarded(self, vocab):
-        task = AnswerTask(vocab=vocab)
-        prompt = [5, 7]
-        answer = task.answer_token(prompt)
-        assert task.reward(prompt, [answer, EOS_ID]) == pytest.approx(1.0)
-
-    def test_answer_missing(self, vocab):
-        task = AnswerTask(vocab=vocab)
-        prompt = [5, 7]
-        answer = task.answer_token(prompt)
-        wrong = answer + 1 if answer + 1 < vocab.size else answer - 1
-        assert task.reward(prompt, [wrong, EOS_ID]) == pytest.approx(
-            task.format_credit
-        )
-
-    def test_answer_in_range(self, vocab):
-        task = AnswerTask(vocab=vocab)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            prompt = task.generate_prompt(rng)
-            answer = task.answer_token(prompt)
-            assert NUM_SPECIAL_TOKENS <= answer < vocab.size
-
-    def test_short_prompt_raises(self, vocab):
-        task = AnswerTask(vocab=vocab)
-        with pytest.raises(ConfigError):
-            task.answer_token([5])
-
-
 class TestPatternCopy:
     def test_exact_copy_full_reward(self, vocab):
         task = PatternCopyTask(vocab=vocab, prompt_length=3, repeats=2)
@@ -131,15 +100,6 @@ class TestPromptBatch:
         assert len(expanded) == 12
         assert expanded[0] == expanded[3]
         assert batch.num_sequences == 12
-
-    def test_group_slices(self, vocab):
-        task = SuccessorChainTask(vocab=vocab)
-        batch = make_prompt_batch(
-            task, num_prompts=2, group_size=3, rng=np.random.default_rng(0)
-        )
-        slices = batch.group_slices()
-        assert slices[0] == slice(0, 3)
-        assert slices[1] == slice(3, 6)
 
     def test_reward_batch_length_check(self, vocab):
         task = SuccessorChainTask(vocab=vocab)
