@@ -63,7 +63,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import ConfigError, SchedulingError, ServingError
-from repro.llm.vocab import BOS_ID, EOS_ID
+from repro.llm.vocab import EOS_ID
 from repro.longtail.predictor import LengthPredictor
 from repro.rl.rollout_backends import RolloutBackend, RolloutResult
 from repro.serving.frontend import ServingEngine
@@ -424,7 +424,7 @@ class RolloutScheduler(RolloutBackend):
                 drafter.observe_rollouts(responses)
         spent = self._pool_counters() - counters_before
         return RolloutResult(
-            prompts=[[BOS_ID] + list(r.request.prompt) for r in records],
+            prompts=[list(r.slot.prompt) for r in records],
             responses=responses,
             # EOS is only ever committed as the final token, so the
             # tail token is exactly the engine's slot.done flag.

@@ -121,7 +121,6 @@ from repro.serving.request import (
 from repro.specdec.batch_engine import (
     BatchedSpecDecodeEngine,
     EngineStep,
-    make_serving_request,
     step_engines,
 )
 from repro.specdec.control import AdmissionPolicy, RequestEventKind
@@ -139,6 +138,10 @@ class ServingWorker:
     here is the surface the dispatch policies — and their test stubs —
     duck-type: :attr:`num_waiting`, :attr:`free_slots`,
     :attr:`backlog_tokens`, :meth:`prefix_match` and :meth:`park_cost`.
+    Each reads the scheduler's slots, and a slot carries the pool's
+    own :class:`~repro.serving.request.ServingRequest` (SLO class and
+    length estimate included), so the worker needs no path back into
+    the pool's records.
 
     Args:
         worker_id: stable index of this worker in the pool (stamped
@@ -147,10 +150,6 @@ class ServingWorker:
             construction).
         time_fn: virtual-time source wired into the engine's event
             stream (the pool's clock).
-        resolve: maps a request id to its :class:`~repro.serving.
-            request.ServingRequest` (wired to the front-end's
-            records), so :meth:`park_cost` can reason about SLO
-            classes the engine-level requests don't carry.
     """
 
     def __init__(
@@ -158,13 +157,11 @@ class ServingWorker:
         worker_id: int,
         engine: BatchedSpecDecodeEngine,
         time_fn: Callable[[], float],
-        resolve: Callable[[int], "ServingRequest"],
     ) -> None:
         self.worker_id = worker_id
         self.engine = engine
         engine.events.worker_id = worker_id
         engine.time_fn = time_fn
-        self.resolve = resolve
 
     # -- load surface (read by dispatch policies) --------------------------
 
@@ -199,12 +196,11 @@ class ServingWorker:
             )
         )
         queued = sum(
-            request.predicted_length or request.max_new_tokens
-            for request in scheduler.waiting
+            slot.request.dispatch_length for slot in scheduler.waiting
         )
         return remaining + queued
 
-    def _live_pairs(self) -> List[Tuple["ServingRequest", int]]:
+    def _live_pairs(self) -> List[Tuple[ServingRequest, int]]:
         """(serving request, remaining tokens) for every live slot.
 
         The same shape the front-end hands
@@ -213,15 +209,12 @@ class ServingWorker:
         park see identical candidates.
         """
         return [
-            (
-                self.resolve(slot.request.request_id),
-                slot.request.max_new_tokens - len(slot.response),
-            )
+            (slot.request, slot.request.max_new_tokens - len(slot.response))
             for slot in self.engine.scheduler.live
         ]
 
     def park_cost(
-        self, policy, arrival: "ServingRequest"
+        self, policy, arrival: ServingRequest
     ) -> Optional[int]:
         """Remaining tokens of the victim ``policy`` would park here.
 
@@ -248,26 +241,25 @@ class ServingWorker:
         every in-flight request's prompt — live, parked, resuming, and
         queued; a queued same-prefix request is a co-admission
         opportunity even before it prefills.  The client prompt is
-        lifted into the engine's token space (BOS applied) once, and
-        every probe below slices that one list.
+        lifted into the engine's token space (BOS applied) once, as a
+        tuple like every slot's ``prompt``, so each probe compares one
+        slice.
         Non-accounting: dispatch probes never skew hit rates.
         """
-        tokens: List[int] = [BOS_ID, *map(int, prompt)]
+        tokens = (BOS_ID, *map(int, prompt))
         best = 0
         cache = self.engine.kv_cache
         if cache is not None:
             best = cache.prompt_match(tokens)
         scheduler = self.engine.scheduler
-        in_flight = [slot.request for slot in scheduler.live]
-        in_flight.extend(
-            slot.request for slot in scheduler.parked.values()
-        )
-        in_flight.extend(
-            slot.request for slot in scheduler.resuming_slots
-        )
-        in_flight.extend(scheduler.waiting)
-        for request in in_flight:
-            best = max(best, common_prefix_len(tokens, request.prompt))
+        for slots in (
+            scheduler.live,
+            scheduler.parked.values(),
+            scheduler.resuming_slots,
+            scheduler.waiting,
+        ):
+            for slot in slots:
+                best = max(best, common_prefix_len(tokens, slot.prompt))
         return best
 
 
@@ -395,10 +387,6 @@ class ServingEngine(TickDriver):
                 worker_id,
                 engine,
                 time_fn=lambda: self.clock.now,
-                resolve=(
-                    lambda request_id:
-                    self.records[request_id].request
-                ),
             )
             # Worker events publish onto the pool's bus, which also
             # carries the terminations of requests that never reached a
@@ -701,14 +689,7 @@ class ServingEngine(TickDriver):
             self._group_worker.setdefault(group, worker)
             self._group_pending[group] = self._group_pending.get(group, 0) + 1
         record.slot = worker.engine.scheduler.push(
-            make_serving_request(
-                request_id=request.request_id,
-                prompt=request.prompt,
-                max_new_tokens=request.max_new_tokens,
-                seed=request.seed,
-                segment=request.segment,
-                predicted_length=request.dispatch_length,
-            ),
+            request,
             urgent=(
                 self.preemption is not None
                 and self.preemption.is_urgent(request)
@@ -744,10 +725,7 @@ class ServingEngine(TickDriver):
         effective = worker.free_slots
         if effective >= worker.num_waiting:
             return  # request will be seated next cycle anyway
-        waiting = list(worker.engine.scheduler.waiting)
-        beneficiary = self.records[
-            waiting[effective].request_id
-        ].request
+        beneficiary = worker.engine.scheduler.waiting[effective].request
         live = worker._live_pairs()
         victim_id = self.preemption.choose_victim(beneficiary, live)
         if victim_id is None:

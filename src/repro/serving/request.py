@@ -1,38 +1,49 @@
-"""Online serving requests: arrivals, SLO classes, and trace synthesis.
+"""Online serving requests: id allocation and trace synthesis.
 
 A :class:`ServingRequest` is what a client submits to the front-end: a
 prompt, a response-length cap, an arrival time, an SLO class, and an
 optional *predicted* response length that the dispatcher's distribution-
 aware policies act on (the paper's long-tail argument is exactly that
 knowing — even approximately — which requests will run long changes
-where they should be scheduled).
+where they should be scheduled).  The class, the SLO classes
+(:class:`SloClass`, ``INTERACTIVE`` / ``STANDARD`` / ``BATCH``) and the
+lifecycle enum :class:`RequestState` live in
+:mod:`repro.specdec.scheduler` and are re-exported here: the request a
+pool records is the request its worker's slot decodes.
 
-Every request carries its own RNG ``seed``.  The worker engine derives
-the request's private random stream from it, which is what makes the
-committed tokens independent of the dispatch policy, the worker the
-request lands on, admission timing, work stealing, and neighbours'
-cancellations — the serving-layer extension of the batched engine's
-losslessness guarantee.
+Every request carries its own RNG ``seed``.  The slot a worker queues
+it as derives the request's private random stream from it, which is
+what makes the committed tokens independent of the dispatch policy, the
+worker the request lands on, admission timing, work stealing, and
+neighbours' cancellations — the serving-layer extension of the batched
+engine's losslessness guarantee.
 
-A request's lifecycle is :class:`~repro.specdec.scheduler.RequestState`,
-the one enum the scheduler's slots carry: a pool's record reads it
-through the slot its request was queued as, and holds a state of its
-own only before dispatch (PENDING, or CANCELLED / EXPIRED when the
-request was retired before reaching a worker).
+A pool's record reads the request's lifecycle through the slot its
+request was queued as, and holds a state of its own only before
+dispatch (PENDING, or CANCELLED / EXPIRED when the request was retired
+before reaching a worker).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, ServingError
-# The lifecycle enum is the scheduler's own, imported (not aliased) so
-# ``from repro.serving.request import RequestState`` keeps working.
-from repro.specdec.scheduler import RequestState, TERMINAL_STATES  # noqa: F401
+# The request type, its SLO classes and the lifecycle enum are the
+# scheduler's own, imported (not aliased) so
+# ``from repro.serving.request import ServingRequest`` keeps working.
+from repro.specdec.scheduler import (  # noqa: F401
+    BATCH,
+    INTERACTIVE,
+    STANDARD,
+    TERMINAL_STATES,
+    RequestState,
+    ServingRequest,
+    SloClass,
+)
 from repro.workload.lengths import LengthModel
 
 
@@ -76,107 +87,6 @@ class RequestIdAllocator:
         """Advance the namespace past an externally-assigned id."""
         with self._lock:
             self._next = max(self._next, int(request_id) + 1)
-
-
-@dataclass(frozen=True)
-class SloClass:
-    """A service-level objective class.
-
-    Targets are in virtual-clock ticks (decode cycles — see
-    :mod:`repro.serving.clock`).
-
-    Attributes:
-        name: class label used in reports.
-        ttft_target: time-to-first-token target.
-        latency_target: end-to-end completion-latency target.
-        deadline: optional hard deadline after arrival; the front-end
-            cancels the request once it is this old and still unfinished
-            (None = never auto-cancel).
-    """
-
-    name: str
-    ttft_target: float
-    latency_target: float
-    deadline: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("SLO class name must be non-empty")
-        if self.ttft_target <= 0:
-            raise ConfigError("ttft_target must be positive")
-        if self.latency_target <= 0:
-            raise ConfigError("latency_target must be positive")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ConfigError("deadline must be positive when set")
-
-
-#: Latency-critical traffic (chat-style): tight TTFT and completion.
-INTERACTIVE = SloClass("interactive", ttft_target=4.0, latency_target=48.0)
-#: Default traffic class.
-STANDARD = SloClass("standard", ttft_target=8.0, latency_target=96.0)
-#: Throughput-oriented background traffic (RL rollouts, evals).
-BATCH = SloClass("batch", ttft_target=32.0, latency_target=384.0)
-
-
-@dataclass
-class ServingRequest:
-    """One online generation request.
-
-    Attributes:
-        request_id: globally unique id.
-        prompt: prompt token ids (BOS applied by the front-end).
-        max_new_tokens: response-length cap.
-        arrival_time: virtual time at which the request arrives.
-        slo: the request's SLO class.
-        predicted_length: predicted response length for dispatch (the
-            cap is used when None — a perfect-oracle predictor).
-        seed: seed of the request's private random stream.
-        group: optional group tag.  GRPO rollout groups share one tag so
-            the front-end can route a whole group to one worker
-            (``group_affinity``) — grouped rollouts share their prompt
-            by construction, which is what
-            :class:`~repro.specdec.control.PrefixAwareAdmission` turns
-            into one prefill launch per group.  None means ungrouped
-            (ordinary traffic).
-        segment: optional workload-segment label (length/prompt family).
-            Segment-tagged requests get per-segment acceptance counters
-            on :class:`~repro.serving.metrics.ServingReport`, and
-            segment-affinity dispatch can route them to the worker
-            hosting the drafter specialized for the segment (the
-            drafter-zoo path).  None means unsegmented.
-    """
-
-    request_id: int
-    prompt: List[int]
-    max_new_tokens: int
-    arrival_time: float
-    slo: SloClass = STANDARD
-    predicted_length: Optional[int] = None
-    seed: int = 0
-    group: Optional[int] = None
-    segment: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise ConfigError(
-                f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
-            )
-        if self.arrival_time < 0:
-            raise ConfigError(
-                f"arrival_time must be >= 0, got {self.arrival_time}"
-            )
-        if (
-            self.predicted_length is not None
-            and self.predicted_length < 1
-        ):
-            raise ConfigError("predicted_length must be >= 1 when set")
-
-    @property
-    def dispatch_length(self) -> int:
-        """Length estimate the dispatcher plans with."""
-        if self.predicted_length is not None:
-            return self.predicted_length
-        return self.max_new_tokens
 
 
 def poisson_trace(
@@ -250,9 +160,10 @@ def poisson_trace(
         requests.append(
             ServingRequest(
                 request_id=start_id + i,
-                prompt=list(
-                    rng.integers(3, vocab_size, size=prompt_len)
-                ),
+                prompt=[
+                    int(t)
+                    for t in rng.integers(3, vocab_size, size=prompt_len)
+                ],
                 max_new_tokens=length,
                 arrival_time=float(arrivals[i]),
                 slo=slos[int(slo_picks[i])],

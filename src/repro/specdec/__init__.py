@@ -16,7 +16,6 @@ from repro.specdec.batch_engine import (
     BatchedGenerationResult,
     BatchedSpecDecodeEngine,
     EngineStep,
-    make_serving_request,
 )
 from repro.specdec.control import (
     AdmissionPolicy,
@@ -38,7 +37,6 @@ from repro.specdec.scheduler import (
     BatchCycleReport,
     ContinuousBatchScheduler,
     RequestState,
-    SequenceRequest,
     SequenceSlot,
 )
 from repro.specdec.strategy import SdStrategy, default_strategy_pool
@@ -62,11 +60,9 @@ __all__ = [
     "BatchedSpecDecodeEngine",
     "BatchedGenerationResult",
     "EngineStep",
-    "make_serving_request",
     "BatchCycleReport",
     "ContinuousBatchScheduler",
     "RequestState",
-    "SequenceRequest",
     "SequenceSlot",
     "EventBus",
     "RequestEvent",

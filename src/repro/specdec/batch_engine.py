@@ -87,7 +87,7 @@ import numpy as np
 from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
 from repro.llm.model import TinyLM
-from repro.llm.vocab import BOS_ID, EOS_ID
+from repro.llm.vocab import EOS_ID
 from repro.specdec.control import (
     AdmissionPolicy,
     EventBus,
@@ -106,8 +106,8 @@ from repro.specdec.metrics import (
 from repro.specdec.scheduler import (
     BatchCycleReport,
     ContinuousBatchScheduler,
-    SequenceRequest,
     SequenceSlot,
+    ServingRequest,
 )
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import (
@@ -127,7 +127,11 @@ class BatchedGenerationResult:
 
     Attributes:
         slots: finished per-request decoding slots in request order
-            (cancelled requests included, flagged ``cancelled``).
+            (cancelled requests included, flagged ``cancelled``); each
+            holds its :class:`~repro.specdec.scheduler.ServingRequest`
+            (``generate`` builds them at arrival time 0, one seed per
+            prompt drawn from the master generator) and the BOS-prefixed
+            ``prompt`` the views below read.
         metrics: aggregate draft/accept statistics across all sequences.
         target_steps: batched target forward launches (prefill waves,
             SD verifications and vanilla steps each count once).
@@ -142,8 +146,8 @@ class BatchedGenerationResult:
 
     @property
     def prompts(self) -> List[List[int]]:
-        """Prompts as decoded (BOS prepended)."""
-        return [slot.request.prompt for slot in self.slots]
+        """Prompts as decoded (the slots' BOS-prefixed prompts)."""
+        return [list(slot.prompt) for slot in self.slots]
 
     @property
     def responses(self) -> List[List[int]]:
@@ -275,7 +279,7 @@ class BatchedSpecDecodeEngine:
 
     # -- incremental session API -------------------------------------------
 
-    def start(self, requests: Sequence[SequenceRequest] = ()) -> None:
+    def start(self, requests: Sequence[ServingRequest] = ()) -> None:
         """Open a fresh incremental decoding session.
 
         The engine always holds a session (``__init__`` opens an empty
@@ -690,11 +694,17 @@ class BatchedSpecDecodeEngine:
         prompts: Sequence[Sequence[int]],
         max_new_tokens: int,
         rng: np.random.Generator,
-    ) -> List[SequenceRequest]:
-        """Build requests with private per-request random streams."""
+    ) -> List[ServingRequest]:
+        """Build requests, each seeding its own private random stream."""
         seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
         return [
-            make_serving_request(i, prompt, max_new_tokens, int(seed))
+            ServingRequest(
+                request_id=i,
+                prompt=list(prompt),
+                max_new_tokens=max_new_tokens,
+                arrival_time=0.0,
+                seed=int(seed),
+            )
             for i, (prompt, seed) in enumerate(zip(prompts, seeds))
         ]
 
@@ -838,33 +848,3 @@ def _prefill(cycles: Sequence[_Cycle]) -> None:
         )
         for cycle in members:
             cycle.handoffs = list(islice(rows, len(cycle.prefill)))
-
-
-def make_serving_request(
-    request_id: int,
-    prompt: Sequence[int],
-    max_new_tokens: int,
-    seed: int,
-    segment: Optional[str] = None,
-    predicted_length: Optional[int] = None,
-) -> SequenceRequest:
-    """Build a :class:`SequenceRequest` with its own seeded stream.
-
-    The serving front-end derives one of these per online request: the
-    private stream makes the committed tokens independent of which worker
-    decodes it, when it is admitted, and which neighbours it batches with.
-    ``predicted_length`` is the dispatcher's length estimate; it rides
-    on the request so it follows the request across a steal.
-    """
-    if max_new_tokens < 1:
-        raise SpecDecodeError(
-            f"max_new_tokens must be >= 1, got {max_new_tokens}"
-        )
-    return SequenceRequest(
-        request_id=request_id,
-        prompt=[BOS_ID] + [int(t) for t in prompt],
-        max_new_tokens=max_new_tokens,
-        rng=np.random.default_rng(int(seed)),
-        segment=segment,
-        predicted_length=predicted_length,
-    )

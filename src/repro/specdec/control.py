@@ -55,7 +55,7 @@ from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - types only (import cycle guard:
     # the scheduler imports the admission surface defined below)
     from repro.cache.manager import KVCacheManager
-    from repro.specdec.scheduler import SequenceRequest, SequenceSlot
+    from repro.specdec.scheduler import SequenceSlot
 
 
 class RequestEventKind(enum.Enum):
@@ -181,23 +181,22 @@ class AdmissionView:
     """Read-only snapshot the scheduler hands an admission policy.
 
     Attributes:
-        waiting: the waiting queue in FIFO order (urgent lane first —
-            the scheduler maintains that invariant at push time).
+        waiting: the QUEUED slots in FIFO order (urgent lane first —
+            the scheduler maintains that invariant at push time; a
+            slot in the lane has ``urgent`` set).
         capacity: free live slots this wave (resume-queued slots
             already subtracted); None means unbounded.
-        live: live slots currently decoding (their ``request.prompt``
-            is the in-flight prefix set).
-        urgent: request ids in the urgent admission lane.
+        live: live slots currently decoding (their ``prompt`` tuples
+            are the in-flight prefix set).
         cache: the engine's prefix cache, when one is attached (probe
             with ``covers_prompt``/``prompt_match`` — non-accounting,
             and keyed on the prompt's effective context).
         cycle: the scheduler's cycle counter.
     """
 
-    waiting: Tuple["SequenceRequest", ...]
+    waiting: Tuple["SequenceSlot", ...]
     capacity: Optional[int]
     live: Tuple["SequenceSlot", ...]
-    urgent: frozenset = frozenset()
     cache: Optional["KVCacheManager"] = None
     cycle: int = 0
 
@@ -238,7 +237,7 @@ class AdmissionPolicy(abc.ABC):
 
     @abc.abstractmethod
     def select(self, view: AdmissionView) -> List[int]:
-        """Indices of the waiting requests to admit, in order."""
+        """Indices of the waiting slots to admit, in order."""
 
 
 class FifoAdmission(AdmissionPolicy):
@@ -288,20 +287,20 @@ class PrefixAwareAdmission(AdmissionPolicy):
         if not limit:
             return []
         waiting = view.waiting
-        prompts = [tuple(request.prompt) for request in waiting]
+        prompts = [slot.prompt for slot in waiting]
         selected: List[int] = []
         remaining = list(range(len(waiting)))
         # 1) Urgent lane first, strictly FIFO (it sits at the front).
         while (
             remaining
             and len(selected) < limit
-            and waiting[remaining[0]].request_id in view.urgent
+            and waiting[remaining[0]].urgent
         ):
             selected.append(remaining.pop(0))
         # 2) Anchors: this wave's picks + in-flight prompts; the cache
         #    is probed directly (it already indexes its own prefixes).
         anchors = [prompts[index] for index in selected]
-        anchors.extend(tuple(slot.request.prompt) for slot in view.live)
+        anchors.extend(slot.prompt for slot in view.live)
 
         def shares(prompt: Tuple[int, ...]) -> bool:
             if view.cache is not None and view.cache.covers_prompt(prompt):

@@ -53,13 +53,19 @@ the next admission wave, capacity permitting.  EXPIRED is the
 deadline-driven sibling of CANCELLED: same mechanics, kept distinct so
 SLO accounting can tell an operator's cancel from a missed deadline.
 
-Each request carries its *own* random generator stream (derived from the
-caller's master generator).  That is what makes the committed tokens
+Each request carries its *own* random generator stream: the slot derives
+it from ``request.seed`` at :meth:`~ContinuousBatchScheduler.push`
+(batch runs draw the seeds from the caller's master generator).  That is
+what makes the committed tokens
 independent of scheduling: a sequence draws the same randomness whether it
 decodes alone (``max_batch_size=1``) or interleaved with an arbitrary set
 of neighbours, so batched and sequential execution are token-for-token
 identical under a fixed seed.  The same property makes cancellation
 non-perturbing: retiring one slot never touches any survivor's stream.
+
+There is one request type, the serving pool's :class:`ServingRequest`
+(defined here, next to :class:`RequestState`): the object a pool's
+record holds is the object its slot holds.
 
 The per-cycle :class:`BatchCycleReport` trail is the engine's contact
 surface with the adaptive layer: it records the live-batch size the
@@ -88,7 +94,8 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import SpecDecodeError
+from repro.errors import ConfigError, SpecDecodeError
+from repro.llm.vocab import BOS_ID
 from repro.specdec.control import (
     AdmissionPolicy,
     AdmissionView,
@@ -145,29 +152,107 @@ TERMINAL_STATES = tuple(
 )
 
 
-@dataclass
-class SequenceRequest:
-    """One generation request submitted to the batched engine.
+@dataclass(frozen=True)
+class SloClass:
+    """A service-level objective class.
+
+    Targets are in virtual-clock ticks (decode cycles — see
+    :mod:`repro.serving.clock`).
 
     Attributes:
-        request_id: unique id; the caller's prompt-list position for batch
-            runs, a globally unique id for serving-front-end requests.
-        prompt: full prompt token ids (BOS already applied).
-        max_new_tokens: response-length cap for this request.
-        rng: this request's private random stream.
-        segment: optional workload-segment tag; the engine counts
-            accepted/drafted tokens per segment on its ledger.
-        predicted_length: optional response-length estimate the serving
-            layer's load accounting plans with (the engine never reads
-            it).
+        name: class label used in reports.
+        ttft_target: time-to-first-token target.
+        latency_target: end-to-end completion-latency target.
+        deadline: optional hard deadline after arrival; the front-end
+            cancels the request once it is this old and still unfinished
+            (None = never auto-cancel).
+    """
+
+    name: str
+    ttft_target: float
+    latency_target: float
+    deadline: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigError("SLO class name must be non-empty")
+        if self.ttft_target <= 0:
+            raise ConfigError("ttft_target must be positive")
+        if self.latency_target <= 0:
+            raise ConfigError("latency_target must be positive")
+        if self.deadline is not None and self.deadline <= 0:
+            raise ConfigError("deadline must be positive when set")
+
+
+#: Latency-critical traffic (chat-style): tight TTFT and completion.
+INTERACTIVE = SloClass("interactive", ttft_target=4.0, latency_target=48.0)
+#: Default traffic class.
+STANDARD = SloClass("standard", ttft_target=8.0, latency_target=96.0)
+#: Throughput-oriented background traffic (RL rollouts, evals).
+BATCH = SloClass("batch", ttft_target=32.0, latency_target=384.0)
+
+
+@dataclass
+class ServingRequest:
+    """One generation request, from a pool's records down to the slot
+    that decodes it (batch runs build them too, at arrival time 0).
+
+    Attributes:
+        request_id: unique id; the caller's prompt-list position for
+            batch runs, a globally unique id for online requests.
+        prompt: prompt token ids (no BOS: the slot prepends it).
+        max_new_tokens: response-length cap.
+        arrival_time: virtual time at which the request arrives.
+        slo: the request's SLO class.
+        predicted_length: predicted response length for dispatch (the
+            cap is used when None — a perfect-oracle predictor).
+        seed: seed of the request's private random stream.
+        group: optional group tag.  GRPO rollout groups share one tag so
+            the front-end can route a whole group to one worker
+            (``group_affinity``) — grouped rollouts share their prompt
+            by construction, which is what
+            :class:`~repro.specdec.control.PrefixAwareAdmission` turns
+            into one prefill launch per group.  None means ungrouped
+            (ordinary traffic).
+        segment: optional workload-segment label (length/prompt family).
+            The engine counts a tagged request's accepted/drafted tokens
+            per segment on its ledger, and segment-affinity dispatch
+            can route it to the worker hosting the drafter specialized
+            for the segment (the drafter-zoo path).  None means
+            unsegmented.
     """
 
     request_id: int
     prompt: List[int]
     max_new_tokens: int
-    rng: np.random.Generator
-    segment: Optional[str] = None
+    arrival_time: float
+    slo: SloClass = STANDARD
     predicted_length: Optional[int] = None
+    seed: int = 0
+    group: Optional[int] = None
+    segment: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.max_new_tokens < 1:
+            raise ConfigError(
+                f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
+            )
+        if self.arrival_time < 0:
+            raise ConfigError(
+                f"arrival_time must be >= 0, got {self.arrival_time}"
+            )
+        if (
+            self.predicted_length is not None
+            and self.predicted_length < 1
+        ):
+            raise ConfigError("predicted_length must be >= 1 when set")
+
+    @property
+    def dispatch_length(self) -> int:
+        """Length estimate the dispatcher plans with."""
+        if self.predicted_length is not None:
+            return self.predicted_length
+        return self.max_new_tokens
 
 
 @dataclass
@@ -177,10 +262,16 @@ class SequenceSlot:
     Created when the request is pushed and kept until it is stolen;
     the scheduler, the engine and the serving worker each write their
     per-request facts here instead of in id-keyed tables of their own.
+    At creation the slot derives what decoding needs from the request:
+    the BOS-prefixed prompt and the private stream
+    ``default_rng(request.seed)``.
 
     Attributes:
-        request: the request this slot belongs to.
+        request: the request this slot belongs to (a pool's record
+            holds the same object).
+        prompt: BOS + the request's prompt tokens (set at creation).
         sequence: prompt + committed tokens.
+        rng: the request's private random stream (set at creation).
         response: committed response tokens (terminal EOS included).
         hidden: exact target hidden stack (num_layers, hidden_size) at the
             second-to-last position — the drafter hand-off.
@@ -201,8 +292,7 @@ class SequenceSlot:
             right now (released while parked, re-taken at resume).
     """
 
-    request: SequenceRequest
-    sequence: List[int]
+    request: ServingRequest
     response: List[int] = field(default_factory=list)
     hidden: Optional[np.ndarray] = None
     done: bool = False
@@ -213,11 +303,14 @@ class SequenceSlot:
     parked_cycles: int = 0
     cache_key: Optional[Tuple[int, ...]] = None
     cache_pinned: bool = False
+    prompt: Tuple[int, ...] = field(init=False)
+    sequence: List[int] = field(init=False)
+    rng: np.random.Generator = field(init=False)
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The request's private random stream."""
-        return self.request.rng
+    def __post_init__(self) -> None:
+        self.prompt = (BOS_ID, *map(int, self.request.prompt))
+        self.sequence = list(self.prompt)
+        self.rng = np.random.default_rng(self.request.seed)
 
     @property
     def cancelled(self) -> bool:
@@ -319,7 +412,7 @@ class ContinuousBatchScheduler:
 
     def __init__(
         self,
-        requests: Sequence[SequenceRequest] = (),
+        requests: Sequence[ServingRequest] = (),
         max_batch_size: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
         cache: Optional["KVCacheManager"] = None,
@@ -342,7 +435,7 @@ class ContinuousBatchScheduler:
         #: order.  The four containers below only ORDER the non-terminal
         #: ones; every per-request fact lives on the slot.
         self._slots: Dict[int, SequenceSlot] = {}
-        self.waiting: Deque[SequenceRequest] = deque()
+        self.waiting: Deque[SequenceSlot] = deque()
         self.live: List[SequenceSlot] = []
         self.parked: Dict[int, SequenceSlot] = {}  # insertion = park order
         self._resuming: Deque[SequenceSlot] = deque()
@@ -442,24 +535,24 @@ class ContinuousBatchScheduler:
             )
         slot.state = to
 
-    def _urgent_lane(self) -> List[int]:
-        """Ids of the waiting queue's leading urgent run.
+    def _urgent_lane(self) -> int:
+        """Length of the waiting queue's leading urgent run.
 
         Urgent requests are only ever inserted at the end of that run
         and removals keep queue order, so the run IS the urgent lane.
         """
-        lane: List[int] = []
-        for queued in self.waiting:
-            if not self._slots[queued.request_id].urgent:
+        count = 0
+        for slot in self.waiting:
+            if not slot.urgent:
                 break
-            lane.append(queued.request_id)
-        return lane
+            count += 1
+        return count
 
     # -- lifecycle ---------------------------------------------------------
 
     def push(
         self,
-        request: SequenceRequest,
+        request: ServingRequest,
         waited: int = 0,
         urgent: bool = False,
     ) -> SequenceSlot:
@@ -486,16 +579,15 @@ class ContinuousBatchScheduler:
             raise SpecDecodeError(
                 f"duplicate request_id {request_id} pushed to scheduler"
             )
-        if urgent:
-            self.waiting.insert(len(self._urgent_lane()), request)
-        else:
-            self.waiting.append(request)
         slot = self._slots[request_id] = SequenceSlot(
             request=request,
-            sequence=list(request.prompt),
             urgent=urgent,
             since=self._cycle - int(waited),
         )
+        if urgent:
+            self.waiting.insert(self._urgent_lane(), slot)
+        else:
+            self.waiting.append(slot)
         return slot
 
     def _capacity_free(self) -> bool:
@@ -548,7 +640,6 @@ class ContinuousBatchScheduler:
             waiting=tuple(self.waiting),
             capacity=capacity,
             live=tuple(self.live),
-            urgent=frozenset(self._urgent_lane()),
             cache=self.cache,
             cycle=self._cycle,
         )
@@ -572,13 +663,13 @@ class ContinuousBatchScheduler:
                 f"{len(indices)} requests for {capacity} free slots"
             )
         self.waiting = deque(
-            request
-            for index, request in enumerate(view.waiting)
+            slot
+            for index, slot in enumerate(view.waiting)
             if index not in chosen
         )
         admitted: List[SequenceSlot] = []
         for index in indices:
-            slot = self._slots[view.waiting[index].request_id]
+            slot = view.waiting[index]
             slot.urgent = False
             slot.wait_cycles = self._cycle - slot.since
             self._transition(slot, RequestState.RUNNING)
@@ -677,7 +768,7 @@ class ContinuousBatchScheduler:
         if slot is None or slot.state in TERMINAL_STATES:
             return None
         if slot.state is RequestState.QUEUED:
-            self.waiting.remove(slot.request)
+            self.waiting.remove(slot)
             slot.urgent = False
         elif slot.state is RequestState.RUNNING:
             self.live.remove(slot)
@@ -690,7 +781,7 @@ class ContinuousBatchScheduler:
 
     def steal_waiting(
         self, count: int = 1
-    ) -> List[Tuple[SequenceRequest, int]]:
+    ) -> List[Tuple[ServingRequest, int]]:
         """Give up to ``count`` waiting requests to another scheduler.
 
         Requests are taken from the *back* of the queue (most recently
@@ -698,6 +789,8 @@ class ContinuousBatchScheduler:
         on the donor.  Stolen requests are fully disowned: their slots
         are dropped, they disappear from this scheduler's result order,
         and they must be ``push``-ed to the stealing worker's scheduler.
+        A queued request has drawn nothing from its stream, so the
+        receiver's new slot derives an identical one.
 
         Returns:
             ``(request, waited)`` pairs — ``waited`` is the cycles the
@@ -706,11 +799,11 @@ class ContinuousBatchScheduler:
         """
         if count < 0:
             raise SpecDecodeError(f"count must be >= 0, got {count}")
-        stolen: List[Tuple[SequenceRequest, int]] = []
+        stolen: List[Tuple[ServingRequest, int]] = []
         while self.waiting and len(stolen) < count:
-            request = self.waiting.pop()
-            slot = self._slots.pop(request.request_id)
-            stolen.append((request, self._cycle - slot.since))
+            slot = self.waiting.pop()
+            del self._slots[slot.request.request_id]
+            stolen.append((slot.request, self._cycle - slot.since))
         stolen.reverse()
         return stolen
 

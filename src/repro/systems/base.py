@@ -1,15 +1,15 @@
-"""Common interface for end-to-end system models."""
+"""Common interface for end-to-end system models: most systems are one
+configured :class:`~repro.cluster.simulator.RlStepSimulator`, whose step
+:meth:`RlSystem.simulate_step` reports (OpenR1 overrides it)."""
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.cluster.simulator import (
     ClusterSpec,
     RlStepSimulator,
-    StepResult,
     StepWorkload,
 )
 from repro.hardware.gpus import ModelSpec
@@ -25,7 +25,6 @@ class SystemStepReport:
         throughput_tps: (prompt+response tokens) / step time.
         phases: phase-duration breakdown.
         drafter_updates: spot-trainer updates harvested (TLT only).
-        detail: extra system-specific metrics.
     """
 
     system: str
@@ -33,28 +32,23 @@ class SystemStepReport:
     throughput_tps: float
     phases: Dict[str, float]
     drafter_updates: int = 0
-    detail: Dict[str, float] = field(default_factory=dict)
 
 
-class RlSystem(abc.ABC):
+class RlSystem:
     """An RL training system: placement + rollout acceleration policy."""
 
     name: str = "system"
+    _simulator: RlStepSimulator
 
     def __init__(self, model: ModelSpec, cluster: ClusterSpec) -> None:
         self.model = model
         self.cluster = cluster
 
-    @abc.abstractmethod
     def simulate_step(self, workload: StepWorkload) -> SystemStepReport:
         """Simulate one RL step of this system on ``workload``."""
-
-    @staticmethod
-    def _report_from(
-        name: str, result: StepResult, extra: Optional[Dict[str, float]] = None
-    ) -> SystemStepReport:
+        result = self._simulator.simulate_step(workload)
         return SystemStepReport(
-            system=name,
+            system=self.name,
             step_time_s=result.step_time_s,
             throughput_tps=result.throughput_tps,
             phases={
@@ -64,5 +58,4 @@ class RlSystem(abc.ABC):
                 "transition": result.transition_s,
             },
             drafter_updates=result.drafter_updates,
-            detail=extra or {},
         )

@@ -111,10 +111,4 @@ class OpenR1System(RlSystem):
                 "training": train_result.training_s,
                 "transition": train_result.transition_s,
             },
-            detail={
-                "rollout_waves": float(self.rollout_waves),
-                "serving_workers": float(
-                    self._serving_cluster.num_workers
-                ),
-            },
         )

@@ -24,11 +24,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.simulator import (
-    ClusterSpec,
-    RlStepSimulator,
-    StepWorkload,
-)
+from repro.cluster.simulator import ClusterSpec, RlStepSimulator
 from repro.drafter.base import Drafter
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -44,7 +40,7 @@ from repro.rollout.acceptance import ParametricAcceptance
 from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
 from repro.serving.frontend import ServingEngine
 from repro.specdec.strategy import SdStrategy
-from repro.systems.base import RlSystem, SystemStepReport
+from repro.systems.base import RlSystem
 
 #: Calibrated drafter qualities (fractions of the fresh-drafter accept
 #: asymptote): the n-gram retrieval drafter (lookahead-style accept
@@ -215,14 +211,6 @@ class TltBaseSystem(_AdaptiveSdSystem):
             transition_overhead_s=transition_overhead_s,
         )
 
-    def simulate_step(self, workload: StepWorkload) -> SystemStepReport:
-        result = self._simulator.simulate_step(workload)
-        return self._report_from(
-            self.name,
-            result,
-            extra={"idle_gpu_s": result.idle_gpu_s},
-        )
-
 
 class TltSystem(_AdaptiveSdSystem):
     """Full TLT: adaptive learned drafter + spot training in bubbles."""
@@ -252,15 +240,4 @@ class TltSystem(_AdaptiveSdSystem):
             spot_training=True,
             transition_overhead_s=transition_overhead_s,
             extra_overhead_fraction=extra_overhead_fraction,
-        )
-
-    def simulate_step(self, workload: StepWorkload) -> SystemStepReport:
-        result = self._simulator.simulate_step(workload)
-        return self._report_from(
-            self.name,
-            result,
-            extra={
-                "idle_gpu_s": result.idle_gpu_s,
-                "drafter_train_gpu_s": result.drafter_train_gpu_s,
-            },
         )

@@ -8,9 +8,9 @@ early-finishing workers idle.
 
 from __future__ import annotations
 
-from repro.cluster.simulator import ClusterSpec, RlStepSimulator, StepWorkload
+from repro.cluster.simulator import ClusterSpec, RlStepSimulator
 from repro.hardware.gpus import ModelSpec
-from repro.systems.base import RlSystem, SystemStepReport
+from repro.systems.base import RlSystem
 
 
 class VerlSystem(RlSystem):
@@ -31,12 +31,4 @@ class VerlSystem(RlSystem):
             sd_config=None,
             spot_training=False,
             transition_overhead_s=transition_overhead_s,
-        )
-
-    def simulate_step(self, workload: StepWorkload) -> SystemStepReport:
-        result = self._simulator.simulate_step(workload)
-        return self._report_from(
-            self.name,
-            result,
-            extra={"idle_gpu_s": result.idle_gpu_s},
         )

@@ -31,65 +31,19 @@ each other by concatenation with shifted ids.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.workload.lengths import LengthModel, LognormalLengths
+from repro.workload.traces import (
+    _prefix_families,
+    _requests_from_arrivals,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.serving.request import ServingRequest, SloClass
-
-
-def _prefix_families(
-    rng: np.random.Generator,
-    vocab_size: int,
-    count: int,
-    prefix_len: int,
-) -> List[List[int]]:
-    """Draw ``count`` distinct prompt-prefix families."""
-    return [
-        [int(t) for t in rng.integers(3, vocab_size, size=prefix_len)]
-        for _ in range(count)
-    ]
-
-
-def _requests_from_arrivals(
-    rng: np.random.Generator,
-    vocab_size: int,
-    arrivals: Sequence[float],
-    families: Sequence[Sequence[int]],
-    suffix_len: int,
-    lengths: LengthModel,
-    slo: "SloClass",
-    start_id: int,
-) -> List["ServingRequest"]:
-    """Materialise requests for given arrival times over prefix families."""
-    from repro.serving.request import ServingRequest
-
-    picks = rng.integers(0, len(families), size=len(arrivals))
-    caps = lengths.sample(rng, len(arrivals))
-    requests: List["ServingRequest"] = []
-    for i, arrival in enumerate(arrivals):
-        prompt = list(families[int(picks[i])])
-        if suffix_len:
-            prompt.extend(
-                int(t)
-                for t in rng.integers(3, vocab_size, size=suffix_len)
-            )
-        requests.append(
-            ServingRequest(
-                request_id=start_id + i,
-                prompt=prompt,
-                max_new_tokens=int(caps[i]),
-                arrival_time=float(arrival),
-                slo=slo,
-                predicted_length=int(caps[i]),
-                seed=int(rng.integers(0, np.iinfo(np.int64).max)),
-            )
-        )
-    return requests
 
 
 def _thinned_arrivals(

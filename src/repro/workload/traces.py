@@ -36,7 +36,7 @@ signal the :class:`~repro.longtail.zoo.DrafterZoo` exploits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -160,6 +160,70 @@ def synthesize_trace(
     return TrainingTrace(steps=steps, cap=cap)
 
 
+def _prefix_families(
+    rng: np.random.Generator,
+    vocab_size: int,
+    count: int,
+    prefix_len: int,
+) -> List[List[int]]:
+    """Draw ``count`` distinct prompt-prefix families."""
+    return [
+        [int(t) for t in rng.integers(3, vocab_size, size=prefix_len)]
+        for _ in range(count)
+    ]
+
+
+def _requests_from_arrivals(
+    rng: np.random.Generator,
+    vocab_size: int,
+    arrivals: Sequence[float],
+    families: Sequence[Sequence[int]],
+    suffix_len: int,
+    lengths: LengthModel,
+    slo: "SloClass",
+    start_id: int,
+) -> List["ServingRequest"]:
+    """Materialise requests for given arrival times over prefix families."""
+    from repro.serving.request import ServingRequest
+
+    picks = rng.integers(0, len(families), size=len(arrivals))
+    caps = lengths.sample(rng, len(arrivals))
+    requests: List["ServingRequest"] = []
+    for i, arrival in enumerate(arrivals):
+        prompt = list(families[int(picks[i])])
+        if suffix_len:
+            prompt.extend(
+                int(t)
+                for t in rng.integers(3, vocab_size, size=suffix_len)
+            )
+        requests.append(
+            ServingRequest(
+                request_id=start_id + i,
+                prompt=prompt,
+                max_new_tokens=int(caps[i]),
+                arrival_time=float(arrival),
+                slo=slo,
+                predicted_length=int(caps[i]),
+                seed=int(rng.integers(0, np.iinfo(np.int64).max)),
+            )
+        )
+    return requests
+
+
+def _tag_groups(
+    floor: List["ServingRequest"], size: int, first_tag: int
+) -> None:
+    """Tag a BATCH floor into GRPO groups of ``size`` in place.
+
+    Request *i* joins group ``first_tag + i // size`` and takes a copy
+    of its group's first request's prompt, as grouped rollouts share
+    their prompt by construction.
+    """
+    for i, request in enumerate(floor):
+        request.group = first_tag + i // size
+        request.prompt = list(floor[i - i % size].prompt)
+
+
 def mixed_serving_trace(
     rng: np.random.Generator,
     vocab_size: int,
@@ -232,10 +296,7 @@ def mixed_serving_trace(
         start_id=start_id,
     )
     if batch_group_size is not None:
-        for i, request in enumerate(floor):
-            request.group = start_id + i // batch_group_size
-            leader = floor[(i // batch_group_size) * batch_group_size]
-            request.prompt = list(leader.prompt)
+        _tag_groups(floor, batch_group_size, start_id)
     stream = poisson_trace(
         rng,
         num_requests=num_interactive,
@@ -294,7 +355,7 @@ def shared_prefix_trace(
     Returns:
         Requests sorted by arrival time.
     """
-    from repro.serving.request import INTERACTIVE, ServingRequest
+    from repro.serving.request import INTERACTIVE
 
     if num_requests < 1:
         raise ConfigError(
@@ -315,35 +376,19 @@ def shared_prefix_trace(
     lengths = max_new_tokens or LognormalLengths(
         median=5.0, sigma=0.4, cap=12
     )
-    slo = slo or INTERACTIVE
-    prefixes = [
-        [int(t) for t in rng.integers(3, vocab_size, size=prefix_len)]
-        for _ in range(num_prefixes)
-    ]
+    families = _prefix_families(rng, vocab_size, num_prefixes, prefix_len)
     gaps = rng.exponential(mean_interarrival, size=num_requests)
     arrivals = np.cumsum(gaps) - gaps[0]
-    picks = rng.integers(0, num_prefixes, size=num_requests)
-    caps = lengths.sample(rng, num_requests)
-    requests: List["ServingRequest"] = []
-    for i in range(num_requests):
-        prompt = list(prefixes[int(picks[i])])
-        if suffix_len:
-            prompt.extend(
-                int(t)
-                for t in rng.integers(3, vocab_size, size=suffix_len)
-            )
-        requests.append(
-            ServingRequest(
-                request_id=start_id + i,
-                prompt=prompt,
-                max_new_tokens=int(caps[i]),
-                arrival_time=float(arrivals[i]),
-                slo=slo,
-                predicted_length=int(caps[i]),
-                seed=int(rng.integers(0, np.iinfo(np.int64).max)),
-            )
-        )
-    return requests
+    return _requests_from_arrivals(
+        rng,
+        vocab_size,
+        arrivals,
+        families,
+        suffix_len,
+        lengths,
+        slo or INTERACTIVE,
+        start_id,
+    )
 
 
 def fleet_trace(
@@ -432,12 +477,7 @@ def fleet_trace(
             slo_mix=((BATCH, 1.0),),
             start_id=start_id + len(stream),
         )
-        for i, request in enumerate(floor):
-            group = i // batch_group_size
-            request.group = start_id + len(stream) + group
-            request.prompt = list(
-                floor[group * batch_group_size].prompt
-            )
+        _tag_groups(floor, batch_group_size, start_id + len(stream))
     return sorted(
         stream + floor,
         key=lambda r: (r.arrival_time, r.request_id),

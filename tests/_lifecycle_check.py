@@ -58,7 +58,13 @@ def check_records(pool) -> None:
             f"request {request_id} reads {record.state.value}, its trail "
             f"says {implied.value}"
         )
-        if record.slot is None or record.state in TERMINAL_STATES:
+        if record.slot is None:
+            continue
+        assert record.slot.request is record.request, (
+            f"request {request_id}'s slot decodes a different request "
+            f"object than its record holds"
+        )
+        if record.state in TERMINAL_STATES:
             continue
         held = pool.workers[record.worker_id].engine.scheduler._slots
         assert held.get(request_id) is record.slot, (

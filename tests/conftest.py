@@ -31,11 +31,7 @@ from repro.drafter.training import (
 )
 from repro.llm import TinyLM, TinyLMConfig, generate
 from repro.serving.request import ServingRequest, SloClass, STANDARD
-from repro.specdec.batch_engine import (
-    BatchedSpecDecodeEngine,
-    make_serving_request,
-)
-from repro.specdec.scheduler import SequenceRequest
+from repro.specdec.batch_engine import BatchedSpecDecodeEngine
 from repro.specdec.strategy import SdStrategy
 
 
@@ -138,8 +134,8 @@ class DecodeScenario:
     same per-request seeds, same caps — through different schedules
     (batch sizes, park/resume points, drafter swaps, dispatch and
     stealing choices) and asserts byte-identical committed tokens.
-    Because the random streams are rebuilt from ``seeds`` on every
-    :meth:`requests` call, each replay starts from an untouched stream;
+    Because every slot derives its random stream from the request's
+    seed when it is pushed, each replay starts from an untouched stream;
     any engine grown later inherits the suite by accepting the same
     request objects.
 
@@ -166,26 +162,13 @@ class DecodeScenario:
     def num_requests(self) -> int:
         return len(self.prompts)
 
-    def requests(self) -> List[SequenceRequest]:
-        """Fresh engine requests (private streams rebuilt from seeds)."""
-        return [
-            make_serving_request(
-                request_id=i,
-                prompt=prompt,
-                max_new_tokens=cap,
-                seed=seed,
-            )
-            for i, (prompt, seed, cap) in enumerate(
-                zip(self.prompts, self.seeds, self.caps)
-            )
-        ]
-
-    def serving_requests(
+    def requests(
         self,
         arrival_gap: float = 0.0,
         slos: Optional[Sequence[SloClass]] = None,
     ) -> List[ServingRequest]:
-        """The same workload as front-end requests (same seeds)."""
+        """Fresh requests: an engine's slots derive their private
+        streams from the seeds, a pool submits them as they are."""
         return [
             ServingRequest(
                 request_id=i,

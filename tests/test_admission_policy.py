@@ -39,7 +39,6 @@ from repro.specdec import (
     FifoAdmission,
     PrefixAwareAdmission,
     SdStrategy,
-    make_serving_request,
 )
 from repro.specdec.scheduler import ContinuousBatchScheduler
 from repro.workload import shared_prefix_trace
@@ -54,10 +53,11 @@ def _requests(prompts, seed=42, max_new_tokens=24, start_id=0):
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
     return [
-        make_serving_request(
+        ServingRequest(
             request_id=start_id + i,
-            prompt=prompt,
+            prompt=list(prompt),
             max_new_tokens=max_new_tokens,
+            arrival_time=0.0,
             seed=int(seeds[i]),
         )
         for i, prompt in enumerate(prompts)
@@ -86,7 +86,7 @@ class TestAdmissionPolicies:
         first = [s.request.request_id for s in default.admit()]
         second = [s.request.request_id for s in explicit.admit()]
         assert first == second == [0, 1, 2]
-        assert [r.request_id for r in default.waiting] == list(
+        assert [s.request.request_id for s in default.waiting] == list(
             range(3, 8)
         )
 
@@ -137,7 +137,7 @@ class TestAdmissionPolicies:
         )
         admitted = scheduler.admit()
         assert [s.request.request_id for s in admitted] == [0, 2, 4]
-        assert [r.request_id for r in scheduler.waiting] == [1, 3]
+        assert [s.request.request_id for s in scheduler.waiting] == [1, 3]
         # Next wave co-admits the B group.
         for request_id in (0, 2, 4):
             scheduler.cancel(request_id)

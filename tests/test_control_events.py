@@ -102,7 +102,7 @@ def _mixed_run(scenario_factory):
         SloClass("deadline", 4.0, 6.0, deadline=3.0),
         BATCH, BATCH,
     ]
-    requests = scenario.serving_requests(arrival_gap=1.0, slos=slos)
+    requests = scenario.requests(arrival_gap=1.0, slos=slos)
     requests[3].max_new_tokens = 50  # can't finish inside its deadline
     requests[5].arrival_time = 40.0  # cancelled while still pending
     frontend = ServingEngine(
@@ -229,7 +229,7 @@ class TestPoolTrail:
         )
         seen = []
         frontend.subscribe(seen.append)
-        requests = scenario.serving_requests(arrival_gap=0.0)
+        requests = scenario.requests(arrival_gap=0.0)
         requests[1].arrival_time = 30.0
         for request in requests:
             frontend.submit(request)

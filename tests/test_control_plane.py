@@ -39,7 +39,6 @@ from repro.specdec import (
     ContinuousBatchScheduler,
     RequestEventKind,
     SdStrategy,
-    make_serving_request,
 )
 from repro.spot import OnlineDataBuffer, SpotTrainer
 from repro.systems import TltSystem
@@ -55,9 +54,9 @@ def _requests(seed=42, max_new_tokens=30, prompts=PROMPTS):
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
     return [
-        make_serving_request(
-            request_id=i, prompt=prompt, max_new_tokens=max_new_tokens,
-            seed=int(seeds[i]),
+        ServingRequest(
+            request_id=i, prompt=list(prompt), max_new_tokens=max_new_tokens,
+            arrival_time=0.0, seed=int(seeds[i]),
         )
         for i, prompt in enumerate(prompts)
     ]
@@ -112,7 +111,7 @@ class TestStateMachine:
         engine = _engine(target, trained_drafter, max_batch_size=2)
         engine.start(_requests())
         engine.step()
-        waiting_id = engine.scheduler.waiting[0].request_id
+        waiting_id = engine.scheduler.waiting[0].request.request_id
         with pytest.raises(SpecDecodeError):
             engine.park(waiting_id)  # park of a WAITING request
         live_id = engine.scheduler.live[0].request.request_id

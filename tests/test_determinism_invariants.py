@@ -222,13 +222,13 @@ class TestParkResume:
             strategy=scenario.strategy,
             temperature=scenario.temperature, max_batch_size=3,
         )
-        base = baseline.run(scenario.serving_requests())
+        base = baseline.run(scenario.requests())
         frontend = ServingEngine(
             scenario.target, scenario.drafter, num_workers=1,
             strategy=scenario.strategy,
             temperature=scenario.temperature, max_batch_size=3,
         )
-        for request in scenario.serving_requests():
+        for request in scenario.requests():
             frontend.submit(request)
         frontend.tick()
         assert frontend.park(0)
@@ -341,7 +341,7 @@ class TestDrafterHotSwap:
                 temperature=scenario.temperature, max_batch_size=1,
                 preemption=SloPreemption(),
             )
-            for request in scenario.serving_requests(
+            for request in scenario.requests(
                 arrival_gap=1.0, slos=slos
             ):
                 frontend.submit(request)
@@ -361,7 +361,7 @@ class TestDrafterHotSwap:
 
 class TestServingScheduleInvariance:
     def _trace(self, scenario, caps=(24, 4, 10, 4, 10)):
-        requests = scenario.serving_requests(arrival_gap=0.5)
+        requests = scenario.requests(arrival_gap=0.5)
         for request, cap in zip(requests, caps):
             request.max_new_tokens = cap
             request.predicted_length = cap
@@ -412,7 +412,7 @@ class TestServingScheduleInvariance:
                 preemption=preemption,
             )
             return frontend.run(
-                scenario.serving_requests(arrival_gap=1.0, slos=slos)
+                scenario.requests(arrival_gap=1.0, slos=slos)
             )
 
         base = run(None)

@@ -16,7 +16,6 @@ from repro.drafter.ngram import NgramDrafter, NgramDrafterConfig
 from repro.drafter.small_lm import SmallLmDrafter
 from repro.llm.model import TinyLM, TinyLMConfig, contexts_from_sequences
 from repro.llm.vocab import EOS_ID
-from repro.serving import frontend
 from repro.serving.frontend import ServingEngine
 from repro.specdec import SdStrategy, batch_engine, build_draft_trees
 from repro.specdec.acceptance import (
@@ -269,16 +268,7 @@ def test_verify_contexts_equal_the_token_paths(
 
 def _serve(monkeypatch, scenario, child_mode, builder):
     """Run the scenario through a 2-worker pool; returns what must match."""
-    created = {}
-    make_request = frontend.make_serving_request
-
-    def recording(**kwargs):
-        request = make_request(**kwargs)
-        created[request.request_id] = request
-        return request
-
     with monkeypatch.context() as patch:
-        patch.setattr(frontend, "make_serving_request", recording)
         patch.setattr(batch_engine, "build_draft_trees", builder)
         report = ServingEngine(
             scenario.target,
@@ -288,10 +278,10 @@ def _serve(monkeypatch, scenario, child_mode, builder):
             temperature=scenario.temperature,
             child_mode=child_mode,
             max_batch_size=4,
-        ).run(scenario.serving_requests(arrival_gap=0.3))
+        ).run(scenario.requests(arrival_gap=0.3))
     responses = [record.response for record in report.records]
     streams = [
-        created[i].rng.bit_generator.state for i in sorted(created)
+        record.slot.rng.bit_generator.state for record in report.records
     ]
     return responses, streams, report.ticks
 

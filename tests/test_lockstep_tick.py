@@ -55,7 +55,6 @@ from repro.serving import (
     ServingEngine,
     ServingRequest,
     SloPreemption,
-    frontend,
 )
 from repro.specdec import (
     PrefixAwareAdmission,
@@ -98,7 +97,7 @@ def _drive(pool, trace, hooks=None):
         tick += 1
 
 
-def _observe(pools, events, requests):
+def _observe(pools, events):
     """What per-worker stepping and the batched tick must agree on."""
     workers = [worker for pool in pools for worker in pool.workers]
     trails = {}
@@ -116,9 +115,11 @@ def _observe(pools, events, requests):
             for pool in pools
             for request_id, record in pool.records.items()
         },
-        "streams": {
-            request_id: request.rng.bit_generator.state
-            for request_id, request in requests.items()
+        "streams": {  # each dispatched request's decoding slot
+            request_id: record.slot.rng.bit_generator.state
+            for pool in pools
+            for request_id, record in pool.records.items()
+            if record.slot is not None
         },
         "ticks": [pool.clock.now for pool in pools],
         "counters": [copy.deepcopy(w.engine.counters) for w in workers],
@@ -127,35 +128,15 @@ def _observe(pools, events, requests):
     }
 
 
-@pytest.fixture
-def recorded(monkeypatch):
-    """Every engine request the pools mint, by id (latest wins, so a
-    migrated request is the copy that decoded)."""
-    requests = {}
-    make_request = frontend.make_serving_request
-
-    def recording(**kwargs):
-        request = make_request(**kwargs)
-        requests[request.request_id] = request
-        return request
-
-    monkeypatch.setattr(frontend, "make_serving_request", recording)
-    return requests
-
-
 def _assert_same(batched, oracle):
     assert any(batched["responses"].values())
     for key in batched:
         assert batched[key] == oracle[key], key
 
 
-def _run_both(recorded, run):
+def _run_both(run):
     """``run(oracle)`` twice, batched first; returns both observations."""
-    observed = []
-    for oracle in (False, True):
-        recorded.clear()
-        observed.append(run(oracle))
-    return observed
+    return [run(oracle) for oracle in (False, True)]
 
 
 # -- pools ---------------------------------------------------------------------
@@ -163,7 +144,7 @@ def _run_both(recorded, run):
 
 @pytest.mark.parametrize("child_mode", ["sample", "topk"])
 def test_static_pool_equals_per_worker_stepping(
-    scenario_factory, recorded, child_mode
+    scenario_factory, child_mode
 ):
     scenario = scenario_factory(
         2025, num_requests=32, max_new_tokens=16, ragged_caps=True,
@@ -176,10 +157,10 @@ def test_static_pool_equals_per_worker_stepping(
         )
         if oracle:
             _tick_oracle.per_worker(pool)
-        _drive(pool, scenario.serving_requests(arrival_gap=0.25))
-        return _observe([pool], pool.lifecycle_events(), recorded), pool
+        _drive(pool, scenario.requests(arrival_gap=0.25))
+        return _observe([pool], pool.lifecycle_events()), pool
 
-    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     assert all(batched["responses"].values())
     # Several workers really shared ticks.
@@ -197,7 +178,7 @@ def test_static_pool_equals_per_worker_stepping(
 
 
 def test_pool_with_cancel_park_resume_and_preemption(
-    scenario_factory, recorded
+    scenario_factory
 ):
     scenario = scenario_factory(
         2026, num_requests=24, max_new_tokens=16, ragged_caps=True
@@ -226,12 +207,12 @@ def test_pool_with_cancel_park_resume_and_preemption(
         if oracle:
             _tick_oracle.per_worker(pool)
         _drive(
-            pool, scenario.serving_requests(arrival_gap=0.3, slos=slos),
+            pool, scenario.requests(arrival_gap=0.3, slos=slos),
             hooks,
         )
-        return _observe([pool], pool.lifecycle_events(), recorded), pool
+        return _observe([pool], pool.lifecycle_events()), pool
 
-    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     report = pool.report()
     assert report.preemptions > 1  # one explicit park plus the policy's
@@ -240,7 +221,7 @@ def test_pool_with_cancel_park_resume_and_preemption(
 
 
 def test_pool_mid_roll_and_targeted_swap(
-    scenario_factory, recorded, untrained_drafter
+    scenario_factory, untrained_drafter
 ):
     """Mid-roll two drafters serve one tick: two groups in one batch."""
     scenario = scenario_factory(
@@ -268,10 +249,10 @@ def test_pool_mid_roll_and_targeted_swap(
         pool = _pool(scenario, workers=3, max_batch=3)
         if oracle:
             _tick_oracle.per_worker(pool)
-        _drive(pool, scenario.serving_requests(arrival_gap=0.3), hooks)
-        return _observe([pool], pool.lifecycle_events(), recorded), pool
+        _drive(pool, scenario.requests(arrival_gap=0.3), hooks)
+        return _observe([pool], pool.lifecycle_events()), pool
 
-    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     assert pool.drafter_rolls == 1 and pool.worker_swaps == 1
     assert all(mixed_ticks)
@@ -281,7 +262,7 @@ def test_pool_mid_roll_and_targeted_swap(
 
 
 def test_fleet_with_drain_and_publication(
-    target, trained_drafter, untrained_drafter, recorded
+    target, trained_drafter, untrained_drafter
 ):
     # Dense arrivals into small replicas: the drained one is sure to
     # hold queued work at drain time.
@@ -315,14 +296,14 @@ def test_fleet_with_drain_and_publication(
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         report = fleet.run(trace, on_tick=on_tick)
-        observed = _observe(pools, fleet.lifecycle_events(), recorded)
+        observed = _observe(pools, fleet.lifecycle_events())
         observed["fleet"] = (
             report.ticks, report.worker_cycles, report.migrations,
             report.drafter_rolls, report.replica_states,
         )
         return observed, report
 
-    (batched, report), (oracle, _) = _run_both(recorded, run)
+    (batched, report), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     assert len(batched["responses"]) == len(trace)
     assert state["migrated"] > 0 and report.drafter_rolls == 1
@@ -333,7 +314,7 @@ def test_fleet_with_drain_and_publication(
 
 
 def test_tail_first_rollouts_with_spot_publish(
-    scenario_factory, recorded, untrained_drafter
+    scenario_factory, untrained_drafter
 ):
     scenario = scenario_factory(
         2028, num_requests=6, max_new_tokens=12, ragged_caps=True
@@ -356,11 +337,11 @@ def test_tail_first_rollouts_with_spot_publish(
                 scenario.target, prompts, 12, scenario.temperature, rng
             )
             results.append(scheduler.collect(batch_id).responses)
-        observed = _observe([pool], pool.lifecycle_events(), recorded)
+        observed = _observe([pool], pool.lifecycle_events())
         observed["results"] = results
         return observed, pool
 
-    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     assert pool.drafter_rolls == 1
 
@@ -408,7 +389,7 @@ def _assert_crosses_both_ways(engines):
 @pytest.mark.parametrize("threshold", [2, 3])
 @pytest.mark.parametrize("child_mode", ["sample", "topk"])
 def test_adaptive_pool_equals_vanilla_decode_alone(
-    scenario_factory, recorded, child_mode, threshold
+    scenario_factory, child_mode, threshold
 ):
     """Above the threshold a worker's rows are zero-node trees in the
     tick's one verify launch; they must decode exactly what each
@@ -426,17 +407,17 @@ def test_adaptive_pool_equals_vanilla_decode_alone(
         )
         if oracle:
             _tick_oracle.per_worker(pool)
-        _drive(pool, scenario.serving_requests(arrival_gap=0.6))
-        return _observe([pool], pool.lifecycle_events(), recorded), pool
+        _drive(pool, scenario.requests(arrival_gap=0.6))
+        return _observe([pool], pool.lifecycle_events()), pool
 
-    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     _assert_crosses_both_ways([worker.engine for worker in pool.workers])
 
 
 @pytest.mark.parametrize("child_mode", ["sample", "topk"])
 def test_adaptive_fleet_equals_replica_by_replica(
-    target, trained_drafter, recorded, child_mode
+    target, trained_drafter, child_mode
 ):
     trace = fleet_trace(
         np.random.default_rng(14), target.config.vocab_size,
@@ -461,9 +442,9 @@ def test_adaptive_fleet_equals_replica_by_replica(
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         fleet.run(trace)
-        return _observe(pools, fleet.lifecycle_events(), recorded), pools
+        return _observe(pools, fleet.lifecycle_events()), pools
 
-    (batched, pools), (oracle, _) = _run_both(recorded, run)
+    (batched, pools), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     _assert_crosses_both_ways(
         [worker.engine for pool in pools for worker in pool.workers]
@@ -618,7 +599,7 @@ def _assert_prefill_paths_ran(pools):
 
 
 def test_pool_prefill_equals_per_engine_prefill(
-    wide, recorded, handoffs
+    wide, handoffs
 ):
     trace = _prefix_trace(wide[0], 31)
 
@@ -628,18 +609,18 @@ def test_pool_prefill_equals_per_engine_prefill(
         if oracle:
             _tick_oracle.per_worker(pool)
         _drive(pool, trace)
-        observed = _observe([pool], pool.lifecycle_events(), recorded)
+        observed = _observe([pool], pool.lifecycle_events())
         observed["handoffs"] = dict(handoffs)
         return observed, pool
 
-    (batched, pool), (oracle, _) = _run_both(recorded, run)
+    (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     assert len(batched["handoffs"]) == len(trace)
     _assert_prefill_paths_ran([pool])
 
 
 def test_fleet_mixing_cached_and_cacheless_replicas_equals_replica_by_replica(
-    wide, recorded, handoffs
+    wide, handoffs
 ):
     trace = _prefix_trace(wide[0], 31)
 
@@ -651,11 +632,11 @@ def test_fleet_mixing_cached_and_cacheless_replicas_equals_replica_by_replica(
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         fleet.run(trace)
-        observed = _observe(pools, fleet.lifecycle_events(), recorded)
+        observed = _observe(pools, fleet.lifecycle_events())
         observed["handoffs"] = dict(handoffs)
         return observed, pools
 
-    (batched, pools), (oracle, _) = _run_both(recorded, run)
+    (batched, pools), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
     assert len(batched["handoffs"]) == len(trace)
     _assert_prefill_paths_ran(pools)
@@ -928,7 +909,7 @@ def test_shared_selector_picks_before_any_feedback(scenario_factory):
         for worker in range(2)
     ]
     pool = _pool(scenario, workers=2, strategy=None, sd_managers=managers)
-    for request in scenario.serving_requests():
+    for request in scenario.requests():
         pool.submit(request)
     both = 0
     while not pool.drained:
@@ -1018,7 +999,7 @@ def test_pool_tick_raise_leaves_no_engine_mid_step(scenario_factory):
         scenario.target, failing, num_workers=3, strategy=STRATEGY,
         temperature=0.8, max_batch_size=2,
     )
-    for request in scenario.serving_requests(arrival_gap=0.2):
+    for request in scenario.requests(arrival_gap=0.2):
         pool.submit(request)
     before = _tick_until_raise(pool.tick, [pool])
     _assert_clean_failure([pool], before, scenario.drafter)

@@ -39,11 +39,7 @@ from repro.longtail import (
     SchedulerMode,
 )
 from repro.rl import RlConfig, RlTrainer
-from repro.serving import (
-    SegmentAffinityDispatch,
-    ServingEngine,
-    frontend as serving_frontend,
-)
+from repro.serving import SegmentAffinityDispatch, ServingEngine
 from repro.serving.metrics import ServingReport
 from repro.spot import OnlineDataBuffer, SpotTrainer
 from repro.specdec.metrics import WorkerCounters
@@ -237,18 +233,7 @@ class TestGenerateIsSubmitThenCollect:
     request's private stream in the same state, and take the same
     number of pool ticks."""
 
-    def _run(self, monkeypatch, scenario, mode, split):
-        streams = {}
-        make_request = serving_frontend.make_serving_request
-
-        def recording(**kwargs):
-            request = make_request(**kwargs)
-            streams[request.request_id] = request.rng
-            return request
-
-        monkeypatch.setattr(
-            serving_frontend, "make_serving_request", recording
-        )
+    def _run(self, scenario, mode, split):
         engine = _frontend(scenario)
         scheduler = RolloutScheduler(engine, mode=mode)
         args = (
@@ -265,20 +250,23 @@ class TestGenerateIsSubmitThenCollect:
         return (
             result,
             sorted(engine.records),
-            [streams[i].bit_generator.state for i in sorted(streams)],
+            [
+                engine.records[i].slot.rng.bit_generator.state
+                for i in sorted(engine.records)
+            ],
             engine.report().ticks,
         )
 
     @pytest.mark.parametrize(
         "mode", list(SchedulerMode), ids=lambda m: m.value
     )
-    def test_twin_pools(self, scenario_factory, monkeypatch, mode):
+    def test_twin_pools(self, scenario_factory, mode):
         scenario = scenario_factory(73)
         whole, whole_ids, whole_streams, whole_ticks = self._run(
-            monkeypatch, scenario, mode, split=False
+            scenario, mode, split=False
         )
         split, split_ids, split_streams, split_ticks = self._run(
-            monkeypatch, scenario, mode, split=True
+            scenario, mode, split=True
         )
         assert whole_ids == split_ids == list(range(6))
         assert whole.responses == split.responses

@@ -31,12 +31,12 @@ from repro.cache.blocks import BlockStore
 from repro.drafter import EagleDrafter, EagleDrafterConfig
 from repro.errors import CacheError
 from repro.llm import TinyLM, TinyLMConfig
+from repro.serving import ServingRequest
 from repro.serving.metrics import ServingReport
 from repro.specdec import (
     BatchedSpecDecodeEngine,
     SdStrategy,
     WorkerCounters,
-    make_serving_request,
 )
 
 from _cache_oracle import SortedBlockStore
@@ -51,10 +51,11 @@ def _requests(prompts, seed=42, max_new_tokens=24, start_id=0):
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
     return [
-        make_serving_request(
+        ServingRequest(
             request_id=start_id + i,
-            prompt=prompt,
+            prompt=list(prompt),
             max_new_tokens=max_new_tokens,
+            arrival_time=0.0,
             seed=int(seeds[i]),
         )
         for i, prompt in enumerate(prompts)

@@ -29,7 +29,8 @@ from repro.errors import SpecDecodeError
 from repro.specdec.scheduler import (
     ContinuousBatchScheduler,
     RequestState,
-    SequenceRequest,
+    SequenceSlot,
+    ServingRequest,
     TERMINAL_STATES,
 )
 
@@ -82,7 +83,7 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
         s.request.request_id for s in scheduler.live
     } == model.live
     assert {
-        r.request_id for r in scheduler.waiting
+        s.request.request_id for s in scheduler.waiting
     } == model.waiting
     assert set(scheduler.parked) == model.parked
     assert {
@@ -130,16 +131,14 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
             slot.state is RequestState.CANCELLED
         )
         assert slot.expired == (slot.state is RequestState.EXPIRED)
-    for request in scheduler.waiting:
-        assert scheduler._slots[request.request_id].request is request
     for slot in (
-        *scheduler.live, *scheduler.parked.values(), *scheduler._resuming
+        *scheduler.waiting, *scheduler.live, *scheduler.parked.values(),
+        *scheduler._resuming,
     ):
+        assert isinstance(slot, SequenceSlot)
         assert scheduler._slots[slot.request.request_id] is slot
     # ...the urgent flag marks only the queue's leading urgent run...
-    lane = [
-        scheduler._slots[r.request_id].urgent for r in scheduler.waiting
-    ]
+    lane = [slot.urgent for slot in scheduler.waiting]
     assert lane == sorted(lane, reverse=True)
     assert sum(lane) == sum(
         slot.urgent for slot in scheduler._slots.values()
@@ -151,12 +150,13 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
     } == {"_slots", "waiting", "live", "parked", "_resuming"}
 
 
-def _request(request_id: int, rng) -> SequenceRequest:
-    return SequenceRequest(
+def _request(request_id: int, rng) -> ServingRequest:
+    return ServingRequest(
         request_id=request_id,
         prompt=[3, 4, int(rng.integers(3, 20))],
         max_new_tokens=int(rng.integers(1, 4)),
-        rng=np.random.default_rng(request_id),
+        arrival_time=0.0,
+        seed=request_id,
     )
 
 
@@ -310,7 +310,7 @@ def test_results_guard_rails():
     """results() fails loudly while work or parked requests remain."""
     scheduler = ContinuousBatchScheduler(max_batch_size=2)
     scheduler.push(
-        SequenceRequest(0, [3, 4], 2, np.random.default_rng(0))
+        ServingRequest(0, [3, 4], 2, arrival_time=0.0)
     )
     with pytest.raises(SpecDecodeError):
         scheduler.results()  # still waiting
@@ -333,6 +333,8 @@ def test_urgent_lane_ordering():
         scheduler.push(_request(i, rng))
     scheduler.push(_request(3, rng), urgent=True)
     scheduler.push(_request(4, rng), urgent=True)
-    assert [r.request_id for r in scheduler.waiting] == [3, 4, 0, 1, 2]
+    assert [
+        s.request.request_id for s in scheduler.waiting
+    ] == [3, 4, 0, 1, 2]
     admitted = scheduler.admit()
     assert [s.request.request_id for s in admitted] == [3, 4, 0, 1, 2]

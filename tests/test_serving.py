@@ -15,10 +15,10 @@ import pytest
 
 from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
+from repro.serving import ServingRequest
 from repro.specdec import (
     BatchedSpecDecodeEngine,
     SdStrategy,
-    make_serving_request,
     speculative_generate,
 )
 
@@ -42,9 +42,9 @@ def _requests(seed=42, max_new_tokens=24, prompts=PROMPTS):
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
     return [
-        make_serving_request(
-            request_id=i, prompt=prompt, max_new_tokens=max_new_tokens,
-            seed=int(seeds[i]),
+        ServingRequest(
+            request_id=i, prompt=list(prompt), max_new_tokens=max_new_tokens,
+            arrival_time=0.0, seed=int(seeds[i]),
         )
         for i, prompt in enumerate(prompts)
     ]
@@ -175,7 +175,7 @@ class TestCancellation:
         engine.start(_requests())
         engine.step()
         assert engine.scheduler.num_waiting > 0
-        waiting_id = engine.scheduler.waiting[0].request_id
+        waiting_id = engine.scheduler.waiting[0].request.request_id
         slot = engine.cancel(waiting_id)
         assert slot is not None and slot.cancelled
         assert slot.response == []

@@ -155,7 +155,7 @@ class TestSchedulerAsBackend:
         frontend = _frontend(
             scenario, preemption=SloPreemption(),
         )
-        inter = scenario.serving_requests(
+        inter = scenario.requests(
             arrival_gap=1.0,
             slos=[INTERACTIVE] * scenario.num_requests,
         )
@@ -335,7 +335,7 @@ class TestColocatedLoop:
             spot_rng=np.random.default_rng(2),
         )
         # Interactive traffic rides the same pool across rounds.
-        inter = scenario.serving_requests(
+        inter = scenario.requests(
             arrival_gap=2.0,
             slos=[INTERACTIVE] * scenario.num_requests,
         )

@@ -21,11 +21,20 @@ from repro.serving import (
     poisson_trace,
     steal_work,
 )
-from repro.specdec import SdStrategy, make_serving_request
+from repro.llm.vocab import BOS_ID
+from repro.specdec import SdStrategy, SequenceSlot
 from repro.systems import TltSystem
 from repro.cluster import ClusterSpec
 from repro.hardware import get_gpu, get_model
-from repro.workload import LognormalLengths
+from repro.workload import (
+    LognormalLengths,
+    adversarial_longtail_trace,
+    diurnal_trace,
+    fleet_trace,
+    flash_crowd_trace,
+    mixed_serving_trace,
+    shared_prefix_trace,
+)
 
 STRATEGY = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
 
@@ -95,6 +104,35 @@ class TestRequests:
         arrivals = [r.arrival_time for r in first]
         assert arrivals == sorted(arrivals)
         assert arrivals[0] == 0.0
+
+    @pytest.mark.parametrize("generator", [
+        "poisson", "mixed", "shared_prefix", "fleet", "diurnal",
+        "flash_crowd", "adversarial",
+    ])
+    def test_trace_prompts_hold_python_ints(self, generator):
+        """``ServingRequest.prompt`` is ``List[int]`` whichever trace
+        generator built it — no numpy scalar leaks into a prompt."""
+        rng = np.random.default_rng(11)
+        lengths = LognormalLengths(median=8.0, sigma=1.0, cap=30)
+        trace = {
+            "poisson": lambda: poisson_trace(rng, 6, 1.0, lengths, 24),
+            "mixed": lambda: mixed_serving_trace(
+                rng, 24, 4, 6, batch_group_size=2
+            ),
+            "shared_prefix": lambda: shared_prefix_trace(
+                rng, 24, 6, 2, suffix_len=2
+            ),
+            "fleet": lambda: fleet_trace(rng, 24, 2, 3, num_batch=6),
+            "diurnal": lambda: diurnal_trace(rng, 24, 6, suffix_len=1),
+            "flash_crowd": lambda: flash_crowd_trace(rng, 24, 4, 4),
+            "adversarial": lambda: adversarial_longtail_trace(
+                rng, 24, num_bursts=2, burst_requests=3
+            ),
+        }[generator]()
+        assert trace
+        for request in trace:
+            assert request.prompt
+            assert all(type(t) is int for t in request.prompt)
 
     def test_poisson_trace_predictor_noise(self):
         noisy = _trace(seed=5, predictor_noise=0.5)
@@ -213,6 +251,32 @@ class TestServingEngine:
         assert moved
         assert all(r.finished for r in moved)
 
+    def test_record_and_slot_hold_one_request(
+        self, target, trained_drafter
+    ):
+        """The request a pool records is the object its slot decodes,
+        and a worker's waiting queue orders slots."""
+        pool = _frontend(target, trained_drafter, workers=2, max_batch=1)
+        for request in _trace(num=8, mean_gap=0.2):
+            pool.submit(request)
+        queued = 0
+        while not pool.drained:
+            pool.tick()
+            for worker in pool.workers:
+                waiting = worker.engine.scheduler.waiting
+                assert all(isinstance(s, SequenceSlot) for s in waiting)
+                queued += len(waiting)
+            for record in pool.records.values():
+                if record.slot is None:
+                    continue
+                slot = record.slot
+                assert slot.request is record.request
+                assert slot.prompt == (BOS_ID, *record.request.prompt)
+                assert slot.sequence[: len(slot.prompt)] == list(
+                    slot.prompt
+                )
+        assert queued > 0
+
     def test_stolen_request_is_charged_at_its_predicted_length(
         self, target, trained_drafter
     ):
@@ -221,9 +285,9 @@ class TestServingEngine:
         ).workers
         for request_id in (0, 1):
             donor.engine.scheduler.push(
-                make_serving_request(
+                ServingRequest(
                     request_id, [5, 6, 7], max_new_tokens=40,
-                    seed=request_id, predicted_length=6,
+                    arrival_time=0.0, seed=request_id, predicted_length=6,
                 )
             )
         donor.engine.step()  # request 0 takes the only slot, 1 queues

@@ -8,12 +8,11 @@ import pytest
 from repro.errors import SpecDecodeError
 from repro.longtail import RolloutScheduler
 from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
-from repro.serving import ServingEngine
+from repro.serving import ServingEngine, ServingRequest
 from repro.specdec import (
     BatchedSpecDecodeEngine,
     ContinuousBatchScheduler,
     SdStrategy,
-    SequenceRequest,
     speculative_generate,
 )
 
@@ -99,9 +98,9 @@ class TestBatchedSequentialEquivalence:
 class TestScheduler:
     def _requests(self, n):
         return [
-            SequenceRequest(
-                request_id=i, prompt=[1, 5 + i], max_new_tokens=4,
-                rng=np.random.default_rng(i),
+            ServingRequest(
+                request_id=i, prompt=[5 + i], max_new_tokens=4,
+                arrival_time=0.0, seed=i,
             )
             for i in range(n)
         ]
@@ -147,9 +146,8 @@ class TestScheduler:
         assert all(s.done for s in results)
 
     def test_commit_truncates_at_eos_and_cap(self):
-        request = SequenceRequest(
-            request_id=0, prompt=[1], max_new_tokens=3,
-            rng=np.random.default_rng(0),
+        request = ServingRequest(
+            request_id=0, prompt=[], max_new_tokens=3, arrival_time=0.0,
         )
         slot = ContinuousBatchScheduler([request]).admit()[0]
         assert slot.commit([5, 2, 9], eos_id=2) == 2
