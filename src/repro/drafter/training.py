@@ -141,11 +141,14 @@ def collect_training_sequences(
 ) -> List[TrainingSequence]:
     """Capture target hidden states for drafter training.
 
-    Runs one teacher-forced target forward over the finished
-    prompt+response sequences, right-padded into a batch (the window is
-    causal, so padding cannot reach an earlier position), and slices the
-    per-layer hidden states back per sequence.  Sequences shorter than
-    3 tokens hold no training position and are skipped.
+    Runs one teacher-forced target forward over the real positions of
+    the finished prompt+response sequences: they are right-padded into
+    a grid (the window is causal, so padding cannot reach an earlier
+    position) and only the cells inside each sequence are computed.
+    Each sequence's (T, num_layers, d) stack is then copied straight
+    out of the per-layer hidden rows, so it owns its memory and no
+    batch-wide stack exists.  Sequences shorter than 3 tokens hold no
+    training position and are skipped.
 
     In the paper's engine this forward is not an extra cost: the RL
     inference (prefilling) stage already scores prompt+response under
@@ -160,16 +163,19 @@ def collect_training_sequences(
     ]
     if not kept:
         return []
-    hiddens = target.forward(pad_sequences(kept)[0]).hiddens
+    tokens, lengths = pad_sequences(kept)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    cells = (rows, np.arange(rows.size) - starts[rows])
+    hiddens = [h[0] for h in target.forward(tokens, cells=cells).hiddens]
     return [
         TrainingSequence(
-            tokens=tokens,
-            hidden_stacks=np.stack(
-                [h[row, : tokens.size] for h in hiddens], axis=1
-            ),
+            tokens=seq,
+            hidden_stacks=np.stack([h[start:end] for h in hiddens], axis=1),
             step_index=step_index,
         )
-        for row, tokens in enumerate(kept)
+        for seq, start, end in zip(kept, starts.tolist(), ends.tolist())
     ]
 
 

@@ -66,7 +66,9 @@ class ForwardCache:
 
     Holds only what :meth:`TinyLM.backward` reads: the input embeddings
     are re-gathered from ``windows`` there, not kept.  ``backward``
-    consumes the cache (it empties both lists as it goes).
+    consumes the cache (it empties both lists as it goes).  Its grid
+    (B, T) below is the forward's: the whole token grid, or (1, N) for
+    N selected cells, so a cell the caller does not read holds no row.
 
     Attributes:
         windows: (B, T, k) int token windows per position.
@@ -85,10 +87,12 @@ class ForwardResult:
     """Output of a teacher-forced forward pass.
 
     Attributes:
-        logits: (B, T, V) next-token logits at every position.
-        hiddens: list of per-layer hidden states, each (B, T, d).  With
-            a cache it is the same list as ``cache.hiddens``: do not
-            read it after :meth:`TinyLM.backward` has consumed the cache.
+        logits: (B, T, V) next-token logits at every position, or
+            (1, N, V) at N selected cells.
+        hiddens: list of per-layer hidden states, each (B, T, d) or
+            (1, N, d).  With a cache it is the same list as
+            ``cache.hiddens``: do not read it after
+            :meth:`TinyLM.backward` has consumed the cache.
         cache: activations for :meth:`TinyLM.backward`, or None.
     """
 
@@ -153,7 +157,10 @@ class TinyLM:
     # -- forward -------------------------------------------------------------
 
     def forward(
-        self, tokens: np.ndarray, keep_cache: bool = False
+        self,
+        tokens: np.ndarray,
+        keep_cache: bool = False,
+        cells: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> ForwardResult:
         """Teacher-forced forward pass.
 
@@ -161,10 +168,18 @@ class TinyLM:
             tokens: (B, T) int array; position ``t`` sees the window ending
                 at ``t`` and produces the distribution of token ``t+1``.
             keep_cache: retain activations for :meth:`backward`.
+            cells: optional ``(rows, positions)`` int arrays naming N
+                cells of the grid.  Only those cells run, as one (1, N)
+                sequence in the given order; the rest of the grid (the
+                padding of a ragged batch, say) is never computed.  A
+                cell's window is the grid's, so its row is the grid
+                forward's row.
 
         Returns:
             :class:`ForwardResult` with logits (B, T, V) and per-layer
-            hidden states.
+            hidden states (B, T, d) — (1, N, V) and (1, N, d) with
+            ``cells`` — and a cache of the same grid, which
+            :meth:`backward` takes as it is.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -172,11 +187,29 @@ class TinyLM:
                 f"tokens must be 2-D (batch, time), got shape {tokens.shape}"
             )
         windows = self._build_windows(tokens)
-        # All B*T positions as rows of ONE sequence: one GEMM per layer.
+        if cells is None:
+            windows = np.ascontiguousarray(windows)
+        else:
+            rows, positions = map(np.asarray, cells)
+            if rows.ndim != 1 or rows.shape != positions.shape or (
+                rows.size
+                and (
+                    min(rows.min(), positions.min()) < 0
+                    or rows.max() >= tokens.shape[0]
+                    or positions.max() >= tokens.shape[1]
+                )
+            ):
+                raise GenerationError(
+                    "cells must be two equal-length 1-D index arrays "
+                    f"inside the {tokens.shape} token grid"
+                )
+            windows = windows[rows, positions][None]
+        # Every row of the grid as rows of ONE sequence: one GEMM per layer.
+        grid = windows.shape[:2]
         flat = self._forward_windows(
-            windows.reshape(1, tokens.size, -1), keep_cache=keep_cache
+            windows.reshape(1, -1, windows.shape[2]), keep_cache=keep_cache
         )
-        shape = tokens.shape + (-1,)
+        shape = grid + (-1,)
         hiddens = [h.reshape(shape) for h in flat.hiddens]
         cache = flat.cache and ForwardCache(
             windows=windows,
@@ -211,12 +244,7 @@ class TinyLM:
 
     # -- backward ------------------------------------------------------------
 
-    def backward(
-        self,
-        cache: ForwardCache,
-        dlogits: np.ndarray,
-        position_mask: Optional[np.ndarray] = None,
-    ) -> ParamSet:
+    def backward(self, cache: ForwardCache, dlogits: np.ndarray) -> ParamSet:
         """Backpropagate a logits-space gradient to parameter gradients.
 
         Consumes ``cache``: each activation is released once its last
@@ -227,9 +255,10 @@ class TinyLM:
 
         Args:
             cache: activations from ``forward(..., keep_cache=True)``.
-            dlogits: (B, T, V) gradient of the scalar loss w.r.t. logits.
-            position_mask: optional (B, T) {0,1} mask; masked-out positions
-                contribute no gradient (used to skip padding).
+            dlogits: gradient of the scalar loss w.r.t. the forward's
+                logits, on its grid: (B, T, V), or (1, N, V) after a
+                forward over N selected cells (a cell with no gradient
+                is simply not selected).
 
         Returns:
             A :class:`ParamSet` of gradients matching :attr:`params`.
@@ -243,16 +272,8 @@ class TinyLM:
             raise GenerationError(
                 f"dlogits shape {dlogits.shape} inconsistent with cache"
             )
-        if position_mask is not None:
-            position_mask = np.asarray(position_mask)
-            if position_mask.shape != positions:
-                raise GenerationError(
-                    f"position_mask shape {position_mask.shape} is not "
-                    f"(batch, time) = {positions}"
-                )
-            dlogits = dlogits * position_mask[:, :, None]
 
-        # Every product below is one 2-D GEMM over the (B*T, .) views.
+        # Every product below is one 2-D GEMM over the (rows, .) views.
         d = self.config.hidden_size
         dlogits = dlogits.reshape(-1, self.config.vocab_size)
         embed = self.params["embed"]
@@ -266,7 +287,7 @@ class TinyLM:
 
         # LM head (tied embedding): logits = h_last @ E^T.
         grads["embed"] = dlogits.T @ top()
-        dh = dlogits @ embed  # (B*T, d)
+        dh = dlogits @ embed  # (rows, d)
 
         # Residual tanh blocks, reverse order; hiddens is h_0..h_{i-1}.
         for i in range(self.config.num_layers - 1, 0, -1):
@@ -279,14 +300,14 @@ class TinyLM:
         dz = dh * _tanh_grad(hiddens.pop().reshape(-1, d))
         del dh
         windows = cache.windows.reshape(dz.shape[0], -1)
-        x = embed[windows].reshape(dz.shape[0], -1)  # (B*T, k*d)
+        x = embed[windows].reshape(dz.shape[0], -1)  # (rows, k*d)
         grads["w_in"] = dz.T @ x
         del x
         grads["b_in"] = dz.sum(axis=0)
-        dx = dz @ self.params["w_in"]  # (B*T, k*d)
+        dx = dz @ self.params["w_in"]  # (rows, k*d)
 
         # Scatter input-embedding gradients back through the window
-        # lookup, one window column (one (B*T, d) block) at a time.
+        # lookup, one window column (one (rows, d) block) at a time.
         for column in range(windows.shape[1]):
             _segment_add(
                 grads["embed"],
@@ -298,18 +319,18 @@ class TinyLM:
     # -- internals -------------------------------------------------------------
 
     def _build_windows(self, tokens: np.ndarray) -> np.ndarray:
-        """(B, T) tokens → (B, T, k) trailing windows, PAD on the left."""
+        """(B, T) tokens → (B, T, k) trailing windows, PAD on the left,
+        as a strided view (copy it, or gather the cells you need)."""
         batch, length = tokens.shape
         k = self.config.context_window
         padded = np.full((batch, length + k - 1), PAD_ID, dtype=np.int64)
         padded[:, k - 1 :] = tokens
         stride_b, stride_t = padded.strides
-        windows = np.lib.stride_tricks.as_strided(
+        return np.lib.stride_tricks.as_strided(
             padded,
             shape=(batch, length, k),
             strides=(stride_b, stride_t, stride_t),
         )
-        return np.ascontiguousarray(windows)
 
     def _forward_windows(
         self, windows: np.ndarray, keep_cache: bool

@@ -251,13 +251,14 @@ class RlTrainer:
         if total_resp == 0:
             return 0.0, 0.0
 
-        # Flat (row, position, token) indices of every response token:
-        # token y_t is predicted at position t-1.
+        # The (row, position) cell and token of every response token:
+        # token y_t is predicted at position t-1.  Only these N cells
+        # of the padded grid are computed, forwards and backward alike.
         counts = lengths - starts
         row_idx = np.repeat(np.arange(counts.size), counts)
         first = np.cumsum(counts) - counts
         tok_pos = np.arange(row_idx.size) + (starts - first)[row_idx]
-        pos_idx = tok_pos - 1
+        cells = (row_idx, tok_pos - 1)
         chosen = tokens[row_idx, tok_pos]
         adv = advantages[row_idx]
         scale = 1.0 / (total_resp * config.temperature)
@@ -265,11 +266,10 @@ class RlTrainer:
         resp = np.arange(row_idx.size)
 
         def response_probs(model, keep_cache=False):
-            """``(cache, (N, V) probs at the response positions)``; the
-            (B, T, V) logits and probs die here."""
-            result = model.forward(tokens, keep_cache=keep_cache)
-            probs = temperature_probs(result.logits, config.temperature)
-            return result.cache, probs[row_idx, pos_idx]
+            """``(cache, (N, V) probs)`` over the response cells."""
+            result = model.forward(tokens, keep_cache, cells)
+            probs = temperature_probs(result.logits[0], config.temperature)
+            return result.cache, probs
 
         def chosen_logp(probs):
             return np.log(np.maximum(probs[resp, chosen], 1e-300))
@@ -293,12 +293,11 @@ class RlTrainer:
                 logp, logp_ref, config.kl_estimator
             )
             coef = (pg_coef + kl_coef) * scale
-            # dlogits = coef * (onehot - probs) at the response positions.
-            dlogits = np.zeros(tokens.shape + (probs.shape[1],))
-            dlogits[row_idx, pos_idx] = -coef[:, None] * probs
-            dlogits[row_idx, pos_idx, chosen] += coef
+            # dlogits = coef * (onehot - probs), one row per cell.
+            dlogits = -coef[:, None] * probs
+            dlogits[resp, chosen] += coef
 
-            grads = self.policy.backward(cache, dlogits)
+            grads = self.policy.backward(cache, dlogits[None])
             grads.clip_global_norm(config.grad_clip)
             self.optimizer.step(self.policy.params, grads)
             pg_loss_value = float(np.sum(-adv * ratio * logp)) / total_resp

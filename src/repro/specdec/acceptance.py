@@ -20,7 +20,7 @@ accept lengths EAGLE-2-style systems report; greedy verification
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,29 +93,14 @@ def multi_round_accept(
     return None, current
 
 
-def inverse_cdf_draws(
-    probs: np.ndarray, uniforms: Sequence[float]
-) -> List[int]:
-    """Map uniform draws through the inverse CDF of ``probs``.
-
-    The candidate-sampling primitive: :func:`sequential_residual_draws`
-    uses it directly and :func:`batched_inverse_cdf_draws` (the tree
-    builder's form) matches it row by row.  The cumulative distribution
-    is clamped to end exactly at 1.0 (guarding cumulative rounding) and
-    each draw is clamped into the support, so a uniform of exactly 1.0
-    can never index past the last token.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, uniforms, side="right")
-    return np.minimum(draws, probs.shape[0] - 1).tolist()
-
-
 def batched_inverse_cdf_draws(
     probs: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
-    """:func:`inverse_cdf_draws` for a whole block of distributions.
+    """Map each row's uniforms through the inverse CDF of its row.
+
+    The candidate-sampling primitive of the tree builder
+    (``tests/_tree_oracle.py`` keeps the per-distribution form it
+    matches row by row).
 
     Args:
         probs: ``(rows, V)`` distributions.
@@ -133,21 +118,3 @@ def batched_inverse_cdf_draws(
     """
     cdf = probs.cumsum(axis=1)
     return (cdf[:, None, :-1] <= uniforms[:, :, None]).sum(axis=2)
-
-
-def sequential_residual_draws(
-    probs: np.ndarray, count: int, rng: np.random.Generator
-) -> Tuple[List[int], List[np.ndarray]]:
-    """Draw ``count`` candidates i.i.d. from ``probs``.
-
-    Returns the tokens and, for each, the distribution it was drawn from
-    (all equal to ``probs``), in the format :func:`multi_round_accept`
-    expects.  Duplicate tokens are allowed — the multi-round rule handles
-    them (a duplicate of a rejected token auto-rejects because its residual
-    mass is zero).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if count < 1:
-        raise SpecDecodeError(f"count must be >= 1, got {count}")
-    tokens = inverse_cdf_draws(probs, rng.random(count))
-    return tokens, [probs for _ in tokens]

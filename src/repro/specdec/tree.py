@@ -9,8 +9,9 @@ with the multi-round rule.
 
 A finished tree is a :class:`FlatDraftTree`: contiguous, level-ordered
 per-node arrays (tokens, parent indices, depths, cumulative draft
-confidences) plus a CSR candidate table and an ancestor/tree-attention
-mask helper.  Node ``i``'s verification row is simply row ``i + 1``.
+confidences) plus a CSR candidate table.  Node ``i``'s verification
+row is simply row ``i + 1``; ``tests/_tree_oracle.py`` keeps the views
+derived from it (levels, children, the tree-attention mask, token paths).
 
 :func:`build_draft_trees` grows EVERY live sequence's tree in lock-step
 inside one set of ``(batch, slots)`` tables (:class:`_LockStepTrees`):
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Dict,
     List,
     Literal,
     NamedTuple,
@@ -192,65 +192,6 @@ class FlatDraftTree:
     def max_depth(self) -> int:
         """Deepest materialised level (0 for an empty tree)."""
         return int(self.depths[-1]) if self.num_nodes else 0
-
-    @property
-    def node_dist_row(self) -> np.ndarray:
-        """``(N,)`` candidate row each node's token was first drawn from.
-
-        Node ``i``'s draft distribution is ``cand_dists[node_dist_row[i]]``.
-        """
-        # Assign in reverse so the earliest row naming a node sticks.
-        named = np.flatnonzero(self.cand_child >= 0)[::-1]
-        rows = np.full(self.num_nodes, -1, dtype=np.int64)
-        rows[self.cand_child[named]] = named
-        return rows
-
-    @property
-    def level_offsets(self) -> np.ndarray:
-        """``(max_depth + 1,)`` cumulative node counts per level.
-
-        Depth-``d`` nodes occupy ``level_offsets[d - 1]:level_offsets[d]``.
-        """
-        return np.searchsorted(
-            self.depths, np.arange(self.max_depth + 1), side="right"
-        )
-
-    def level_slice(self, depth: int) -> slice:
-        """Contiguous flat-index range of the nodes at ``depth``."""
-        if not 1 <= depth <= self.max_depth:
-            raise SpecDecodeError(
-                f"depth must be in [1, {self.max_depth}], got {depth}"
-            )
-        offsets = self.level_offsets
-        return slice(int(offsets[depth - 1]), int(offsets[depth]))
-
-    def children_of(self, index: int) -> List[int]:
-        """Flat indices of ``index``'s materialised children (-1 = root)."""
-        slot = index + 1
-        start = int(self.cand_offsets[slot])
-        end = int(self.cand_offsets[slot + 1])
-        children: List[int] = []
-        for row in range(start, end):
-            child = int(self.cand_child[row])
-            if child >= 0 and child not in children:
-                children.append(child)
-        return children
-
-    def ancestor_matrix(self) -> np.ndarray:
-        """Self-inclusive ancestor mask ``A[i, j] = j is an ancestor of i``.
-
-        This is the tree-attention mask of the flat layout: row ``i`` marks
-        exactly the nodes on ``i``'s root-to-node path.  One forward pass
-        suffices because parents precede children in flat order.
-        """
-        n = self.num_nodes
-        mask = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            parent = int(self.parents[i])
-            if parent >= 0:
-                mask[i] = mask[parent]
-            mask[i, i] = True
-        return mask
 
 
 _NO_NODES = np.zeros(0, dtype=np.int64)
@@ -711,31 +652,6 @@ class TreeVerifyResult:
     verify_batch: int
     depth_attempts: List[int]
     depth_accepts: List[int]
-
-
-def plan_verify_rows(
-    tree: FlatDraftTree, prefix_tokens: Sequence[int]
-) -> Tuple[List[List[int]], Dict[int, int]]:
-    """Lay out the verification rows for one tree as token paths.
-
-    Row 0 is the committed prefix (providing the root distribution and the
-    fallback hand-off hidden); each node contributes one row holding its
-    root-to-node path appended to the prefix.  Node ``i`` verifies on row
-    ``i + 1`` because flat order IS verification order.
-    :func:`verify_trees` builds the same rows directly as context windows
-    (this per-tree layout is the reference its tests hold it to).
-
-    Returns:
-        ``(paths, row_of_node)`` where ``row_of_node`` maps a node index
-        to its row in ``paths``.
-    """
-    prefix = [int(t) for t in prefix_tokens]
-    if not prefix:
-        raise SpecDecodeError("prefix must be non-empty")
-    paths: List[List[int]] = [prefix]
-    for parent, token in zip(tree.parents.tolist(), tree.tokens.tolist()):
-        paths.append(paths[parent + 1] + [token])
-    return paths, {index: index + 1 for index in range(tree.num_nodes)}
 
 
 def _verify_contexts(

@@ -35,15 +35,10 @@ from repro.rl.kl import kl_estimate, kl_grad_coef
 
 
 def tinylm_backward(
-    model: TinyLM,
-    cache: ForwardCache,
-    dlogits: np.ndarray,
-    position_mask: Optional[np.ndarray] = None,
+    model: TinyLM, cache: ForwardCache, dlogits: np.ndarray
 ) -> ParamSet:
     """``TinyLM.backward`` with per-term einsums and an ``add.at`` scatter."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if position_mask is not None:
-        dlogits = dlogits * position_mask[:, :, None]
 
     embed = model.params["embed"]
     grads = model.params.zeros_like()

@@ -10,7 +10,10 @@ and require identical flat arrays, identical RNG consumption and
 identical committed tokens.
 
 It also keeps the per-node object view (:class:`DraftTree`) and its
-round trip to the flat layout (:func:`flatten`, :func:`to_node_view`).
+round trip to the flat layout (:func:`flatten`, :func:`to_node_view`),
+the views a reader derives from a :class:`FlatDraftTree` (levels,
+children, the tree-attention mask, verification token paths), and the
+one-distribution draw primitives the builder's batched draws match.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from repro.drafter.base import Drafter, DrafterState
 from repro.errors import SpecDecodeError
 from repro.llm.vocab import EOS_ID
-from repro.specdec.acceptance import inverse_cdf_draws
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode, FlatDraftTree, GrowMap
 
@@ -467,7 +469,7 @@ def _assemble_flat(
     cand_tokens_list: List[int] = []
     cand_child_list: List[int] = []
     cand_dist_rows: List[np.ndarray] = []
-    node_dist_row = np.full(n, -1, dtype=np.int64)
+    dist_rows = np.full(n, -1, dtype=np.int64)
     row = 0
     flat_slots = [0] + [j + 1 for j in order]
     for s, created_slot in enumerate(flat_slots):
@@ -479,8 +481,8 @@ def _assemble_flat(
             child = child_map.get(token)
             if child is not None and child in selected_set:
                 flat_child = flat_of[child]
-                if node_dist_row[flat_child] < 0:
-                    node_dist_row[flat_child] = row
+                if dist_rows[flat_child] < 0:
+                    dist_rows[flat_child] = row
             else:
                 flat_child = -1
             cand_tokens_list.append(int(token))
@@ -509,7 +511,7 @@ def _assemble_flat(
     )
     # The flat layout derives this table from ``cand_child``; hold the
     # derivation to the row-by-row definition above.
-    assert np.array_equal(flat.node_dist_row, node_dist_row)
+    assert np.array_equal(node_dist_row(flat), dist_rows)
     return flat
 
 
@@ -521,6 +523,7 @@ def to_node_view(flat: FlatDraftTree) -> DraftTree:
     was pruned reappear as never-materialised candidates (the
     acceptance walk treats both identically).
     """
+    dist_rows = node_dist_row(flat)
     nodes: List[TreeNode] = []
     for i in range(flat.num_nodes):
         nodes.append(
@@ -529,7 +532,7 @@ def to_node_view(flat: FlatDraftTree) -> DraftTree:
                 parent=int(flat.parents[i]),
                 depth=int(flat.depths[i]),
                 path_prob=float(flat.path_probs[i]),
-                draft_dist=flat.cand_dists[int(flat.node_dist_row[i])],
+                draft_dist=flat.cand_dists[int(dist_rows[i])],
                 state=None,
                 selected=True,
             )
@@ -620,3 +623,130 @@ def plan_verify_rows(
         row_of_node[index] = len(paths)
         paths.append(path)
     return paths, row_of_node
+
+
+# -- views of the flat layout -------------------------------------------------
+# Production indexes the FlatDraftTree arrays directly; these derived
+# views are how tests read a tree.
+
+
+def node_dist_row(flat: FlatDraftTree) -> np.ndarray:
+    """``(N,)`` candidate row each node's token was first drawn from.
+
+    Node ``i``'s draft distribution is
+    ``flat.cand_dists[node_dist_row(flat)[i]]``.
+    """
+    # Assign in reverse so the earliest row naming a node sticks.
+    named = np.flatnonzero(flat.cand_child >= 0)[::-1]
+    rows = np.full(flat.num_nodes, -1, dtype=np.int64)
+    rows[flat.cand_child[named]] = named
+    return rows
+
+
+def level_offsets(flat: FlatDraftTree) -> np.ndarray:
+    """``(max_depth + 1,)`` cumulative node counts per level.
+
+    Depth-``d`` nodes occupy ``level_offsets[d - 1]:level_offsets[d]``.
+    """
+    return np.searchsorted(
+        flat.depths, np.arange(flat.max_depth + 1), side="right"
+    )
+
+
+def level_slice(flat: FlatDraftTree, depth: int) -> slice:
+    """Contiguous flat-index range of the nodes at ``depth``."""
+    if not 1 <= depth <= flat.max_depth:
+        raise SpecDecodeError(
+            f"depth must be in [1, {flat.max_depth}], got {depth}"
+        )
+    offsets = level_offsets(flat)
+    return slice(int(offsets[depth - 1]), int(offsets[depth]))
+
+
+def children_of(flat: FlatDraftTree, index: int) -> List[int]:
+    """Flat indices of ``index``'s materialised children (-1 = root)."""
+    slot = index + 1
+    start = int(flat.cand_offsets[slot])
+    end = int(flat.cand_offsets[slot + 1])
+    children: List[int] = []
+    for row in range(start, end):
+        child = int(flat.cand_child[row])
+        if child >= 0 and child not in children:
+            children.append(child)
+    return children
+
+
+def ancestor_matrix(flat: FlatDraftTree) -> np.ndarray:
+    """Self-inclusive ancestor mask ``A[i, j] = j is an ancestor of i``.
+
+    This is the tree-attention mask of the flat layout: row ``i`` marks
+    exactly the nodes on ``i``'s root-to-node path.  One forward pass
+    suffices because parents precede children in flat order.
+    """
+    n = flat.num_nodes
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        parent = int(flat.parents[i])
+        if parent >= 0:
+            mask[i] = mask[parent]
+        mask[i, i] = True
+    return mask
+
+
+def flat_verify_rows(
+    flat: FlatDraftTree, prefix_tokens: Sequence[int]
+) -> Tuple[List[List[int]], Dict[int, int]]:
+    """Verification rows of a flat tree as token paths.
+
+    Row 0 is the committed prefix; node ``i`` verifies on row ``i + 1``
+    (flat order IS verification order), holding its root-to-node path
+    appended to the prefix.  ``repro.specdec.tree.verify_trees`` builds
+    the same rows directly as context windows.
+    """
+    prefix = [int(t) for t in prefix_tokens]
+    if not prefix:
+        raise SpecDecodeError("prefix must be non-empty")
+    paths: List[List[int]] = [prefix]
+    for parent, token in zip(flat.parents.tolist(), flat.tokens.tolist()):
+        paths.append(paths[parent + 1] + [token])
+    return paths, {index: index + 1 for index in range(flat.num_nodes)}
+
+
+# -- one-distribution draws ---------------------------------------------------
+
+
+def inverse_cdf_draws(
+    probs: np.ndarray, uniforms: Sequence[float]
+) -> List[int]:
+    """Map uniform draws through the inverse CDF of ``probs``.
+
+    ``repro.specdec.acceptance.batched_inverse_cdf_draws`` (the tree
+    builder's form) matches it row by row.  The cumulative distribution
+    is clamped to end exactly at 1.0 (guarding cumulative rounding) and
+    each draw is clamped into the support, so a uniform of exactly 1.0
+    can never index past the last token.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, uniforms, side="right")
+    return np.minimum(draws, probs.shape[0] - 1).tolist()
+
+
+def sequential_residual_draws(
+    probs: np.ndarray, count: int, rng: np.random.Generator
+) -> Tuple[List[int], List[np.ndarray]]:
+    """Draw ``count`` candidates i.i.d. from ``probs``.
+
+    Returns the tokens and, for each, the distribution it was drawn from
+    (all equal to ``probs``), in the format
+    :func:`repro.specdec.acceptance.multi_round_accept` expects.
+    Duplicate tokens are allowed — the multi-round rule handles them (a
+    duplicate of a rejected token auto-rejects because its residual mass
+    is zero).
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if count < 1:
+        raise SpecDecodeError(f"count must be >= 1, got {count}")
+    tokens = inverse_cdf_draws(probs, rng.random(count))
+    return tokens, [probs for _ in tokens]

@@ -10,6 +10,14 @@ with different weights than it found (work on a ``.clone()``).
 
 from __future__ import annotations
 
+import os
+
+# One BLAS/OMP thread, set before numpy loads, as the perf harness
+# (benchmarks/perf/run.py) runs: tier-1 then exercises the benchmark's
+# kernels, and a second thread on a small box only adds scheduling noise.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence

@@ -18,14 +18,12 @@ from repro.llm.model import TinyLM, TinyLMConfig, contexts_from_sequences
 from repro.llm.vocab import EOS_ID
 from repro.serving.frontend import ServingEngine
 from repro.specdec import SdStrategy, batch_engine, build_draft_trees
-from repro.specdec.acceptance import (
-    batched_inverse_cdf_draws,
-    inverse_cdf_draws,
-)
+from repro.specdec.acceptance import batched_inverse_cdf_draws
 from repro.specdec.engine import initial_hiddens
-from repro.specdec.tree import _verify_contexts, plan_verify_rows
+from repro.specdec.tree import _verify_contexts
 
 import _tree_oracle
+from _tree_oracle import children_of, flat_verify_rows, inverse_cdf_draws
 
 
 # -- (i) batched inverse-CDF draws == the scalar primitive -------------------
@@ -182,7 +180,7 @@ class TestFrontierTieBreak:
             ):
                 continue  # a duplicate or unexpandable draw: no tie to break
             assert tree.path_probs[0] == tree.path_probs[1]
-            assert tree.children_of(0) and not tree.children_of(1)
+            assert children_of(tree, 0) and not children_of(tree, 1)
             expanded_first += 1
         assert expanded_first >= 10
 
@@ -259,7 +257,7 @@ def test_verify_contexts_equal_the_token_paths(
     paths = []
     for tree, prefix in zip(trees, prefixes):
         assert first_rows.pop(0) == len(paths)
-        paths.extend(plan_verify_rows(tree, prefix)[0])
+        paths.extend(flat_verify_rows(tree, prefix)[0])
     assert np.array_equal(contexts, contexts_from_sequences(paths, window))
 
 

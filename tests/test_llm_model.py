@@ -133,29 +133,11 @@ class TestBackward:
                     numeric, rel=1e-4, abs=1e-7
                 ), name
 
-    def test_position_mask_zeroes_gradient(self, model):
-        tokens = np.zeros((1, 4), dtype=int)
-        result = model.forward(tokens, keep_cache=True)
-        dlogits = np.ones_like(result.logits)
-        mask = np.zeros((1, 4))
-        grads = model.backward(result.cache, dlogits, position_mask=mask)
-        assert grads.l2_norm() == 0.0
-
     def test_dlogits_shape_validated(self, model):
         tokens = np.zeros((1, 4), dtype=int)
         result = model.forward(tokens, keep_cache=True)
         with pytest.raises(GenerationError):
             model.backward(result.cache, np.zeros((1, 4, 99)))
-
-    @pytest.mark.parametrize("shape", [(1, 5), (3, 1), (5,), (3, 6)])
-    def test_position_mask_must_be_batch_by_time(self, model, shape):
-        """A (1, T) or (B, 1) mask would broadcast over the whole batch
-        or sequence; every shape but (B, T) is refused."""
-        result = model.forward(np.zeros((3, 5), dtype=int), keep_cache=True)
-        with pytest.raises(GenerationError, match="position_mask"):
-            model.backward(
-                result.cache, np.ones_like(result.logits), np.ones(shape)
-            )
 
     def test_backward_consumes_its_cache(self, model):
         result = model.forward(np.zeros((2, 4), dtype=int), keep_cache=True)

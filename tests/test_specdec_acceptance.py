@@ -20,7 +20,8 @@ from repro.specdec import (
     multi_round_accept,
     residual_distribution,
 )
-from repro.specdec.acceptance import sequential_residual_draws
+
+from _tree_oracle import sequential_residual_draws
 
 
 def _random_dist(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -13,8 +13,14 @@ from repro.specdec import verify_trees as verify_flat_trees
 from repro.specdec.engine import initial_hiddens
 
 from _tree_oracle import (
+    ancestor_matrix,
     build_draft_tree,
+    children_of,
+    flat_verify_rows,
     flatten,
+    level_offsets,
+    level_slice,
+    node_dist_row,
     plan_verify_rows as plan_verify_rows_ref,
     to_node_view,
 )
@@ -327,8 +333,7 @@ class TestFlatRoundTrip:
                 else:
                     assert selected[back.parent] == legacy_parent
             legacy_paths, legacy_rows = plan_verify_rows_ref(tree, prefix)
-            from repro.specdec.tree import plan_verify_rows
-            flat_paths, flat_rows = plan_verify_rows(flat, prefix)
+            flat_paths, flat_rows = flat_verify_rows(flat, prefix)
             assert flat_paths == legacy_paths
             assert list(flat_rows.values()) == sorted(flat_rows.values())
             # Round-trip again: the node view flattens back identically.
@@ -384,7 +389,7 @@ class TestFlatRoundTrip:
             )
             assert np.array_equal(reference.cand_dists, flat.cand_dists)
             assert np.array_equal(
-                reference.node_dist_row, flat.node_dist_row
+                node_dist_row(reference), node_dist_row(flat)
             )
             assert reference.draft_steps == flat.draft_steps
         # The two builds consumed each rng stream identically.
@@ -426,13 +431,13 @@ class TestFlatLayoutInvariants:
         for i in range(flat.num_nodes):
             assert int(flat.parents[i]) < i
         for depth in range(1, flat.max_depth + 1):
-            rows = flat.level_slice(depth)
+            rows = level_slice(flat, depth)
             assert all(int(d) == depth for d in flat.depths[rows])
-        assert int(flat.level_offsets[0]) == 0
-        assert int(flat.level_offsets[-1]) == flat.num_nodes
+        assert int(level_offsets(flat)[0]) == 0
+        assert int(level_offsets(flat)[-1]) == flat.num_nodes
 
     def test_ancestor_matrix(self, flat):
-        mask = flat.ancestor_matrix()
+        mask = ancestor_matrix(flat)
         assert mask.shape == (flat.num_nodes, flat.num_nodes)
         for i in range(flat.num_nodes):
             # Row i marks exactly the root-to-i path.
@@ -447,18 +452,18 @@ class TestFlatLayoutInvariants:
 
     def test_children_and_dist_rows(self, flat):
         for i in range(flat.num_nodes):
-            for child in flat.children_of(i):
+            for child in children_of(flat, i):
                 assert int(flat.parents[child]) == i
-            dist_row = int(flat.node_dist_row[i])
+            dist_row = int(node_dist_row(flat)[i])
             assert int(flat.cand_tokens[dist_row]) == int(flat.tokens[i])
             assert int(flat.cand_child[dist_row]) == i
 
     def test_level_slice_bounds(self, flat):
         from repro.errors import SpecDecodeError
         with pytest.raises(SpecDecodeError):
-            flat.level_slice(0)
+            level_slice(flat, 0)
         with pytest.raises(SpecDecodeError):
-            flat.level_slice(flat.max_depth + 1)
+            level_slice(flat, flat.max_depth + 1)
 
     def test_build_draft_trees_validates_lengths(self, trained_drafter):
         from repro.errors import SpecDecodeError

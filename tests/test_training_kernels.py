@@ -27,7 +27,7 @@ from repro.drafter.training import (
     build_training_batch,
     collect_training_sequences,
 )
-from repro.errors import DrafterError
+from repro.errors import DrafterError, GenerationError
 from repro.llm import Adam, ParamSet, TinyLM, TinyLMConfig, softmax
 from repro.llm.sampler import log_softmax
 from repro.llm.vocab import PAD_ID, Vocabulary
@@ -77,20 +77,67 @@ def _token_cases(rng: np.random.Generator):
 
 class TestTinyLmKernels:
     @pytest.mark.parametrize("case", ["random", "pad_heavy", "one_id"])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_backward_matches_oracle(self, model, case, masked):
+    @pytest.mark.parametrize("selected", [False, True])
+    def test_backward_matches_oracle(self, model, case, selected):
+        """Selected: the backward of a forward over some cells is the
+        grid's backward with no gradient at the other cells."""
         rng = np.random.default_rng(3)
         tokens = _token_cases(rng)[case]
-        result = model.forward(tokens, keep_cache=True)
-        dlogits = rng.normal(size=result.logits.shape)
-        mask = None
-        if masked:
-            mask = (rng.random(tokens.shape) < 0.6).astype(np.float64)
+        grid = model.forward(tokens, keep_cache=True)
+        dlogits = rng.normal(size=grid.logits.shape)
+        result, got_dlogits = grid, dlogits
+        if selected:
+            keep = rng.random(tokens.shape) < 0.6
+            dlogits *= keep[:, :, None]
+            cells = np.nonzero(keep)
+            result = model.forward(tokens, keep_cache=True, cells=cells)
+            got_dlogits = dlogits[cells][None]
         # The oracle reads the cache; the production backward consumes it.
-        want = oracle.tinylm_backward(model, result.cache, dlogits, mask)
-        assert_grads_close(
-            model.backward(result.cache, dlogits, position_mask=mask), want
+        want = oracle.tinylm_backward(model, grid.cache, dlogits)
+        assert_grads_close(model.backward(result.cache, got_dlogits), want)
+
+    @pytest.mark.parametrize(
+        "shape", [(128, 69), (3, 5)], ids=["rl_step", "tiny"]
+    )
+    def test_selected_cells_are_the_grid_rows(self, shape):
+        """A selected cell's logits, hiddens and cache rows are the grid
+        forward's: bitwise at ``rl_step``'s grid, and to rounding on a
+        tiny one, where BLAS may pick another kernel for each GEMM."""
+        model = TinyLM(
+            TinyLMConfig(
+                vocab_size=32, hidden_size=32, context_window=4,
+                num_layers=4, init_scale=0.8,
+            ),
+            np.random.default_rng(4),
         )
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(1, shape[1] + 1, size=shape[0])
+        lengths[0] = shape[1]
+        tokens = rng.integers(3, 32, size=shape)
+        tokens[np.arange(shape[1]) >= lengths[:, None]] = PAD_ID
+        cells = np.nonzero(np.arange(shape[1]) < lengths[:, None])
+        grid = model.forward(tokens, keep_cache=True)
+        picked = model.forward(tokens, keep_cache=True, cells=cells)
+        assert picked.logits.shape == (1, lengths.sum(), 32)
+        assert np.array_equal(
+            picked.cache.windows[0], grid.cache.windows[cells]
+        )
+        pairs = [(picked.logits, grid.logits)]
+        pairs += zip(picked.hiddens, grid.hiddens)
+        pairs += zip(picked.cache.block_acts, grid.cache.block_acts)
+        for got, want in pairs:
+            if shape == (128, 69):
+                assert np.array_equal(got[0], want[cells])
+            else:
+                assert_close(got[0], want[cells], "row")
+
+    def test_cells_outside_the_grid_are_refused(self, model):
+        tokens = np.zeros((2, 3), dtype=np.int64)
+        outside, negative = ([0, 2], [0, 0]), ([0], [-1])
+        ragged, two_d = ([0, 1], [0]), ([[0]], [[0]])
+        for cells in (outside, negative, ragged, two_d):
+            with pytest.raises(GenerationError, match="cells"):
+                model.forward(tokens, cells=cells)
 
     def test_forward_rows_match_per_sequence_forward(self, model):
         tokens = np.random.default_rng(5).integers(0, 20, size=(6, 13))
@@ -404,17 +451,45 @@ class TestCollectTrainingSequences:
         monkeypatch.setattr(
             TinyLM,
             "forward",
-            lambda self, tokens, keep_cache=False: (
-                calls.append(np.asarray(tokens).shape),
-                forward(self, tokens, keep_cache),
+            lambda self, tokens, keep_cache=False, cells=None: (
+                calls.append(forward(self, tokens, keep_cache, cells)),
+                calls[-1],
             )[1],
         )
         got = collect_training_sequences(target, raw)
-        assert calls == [(3, 30)]
         assert [s.length for s in got] == [9, 30, 4]
+        # Of the padded (3, 30) grid only the 9 + 30 + 4 real rows run.
+        assert [call.logits.shape[:2] for call in calls] == [(1, 43)]
 
     def test_nothing_to_collect(self, target):
         assert collect_training_sequences(target, [[3, 4], []]) == []
+
+    def test_capture_holds_the_real_rows_only(self):
+        """The traced peak stays under the R real rows' owned stacks, the
+        forward's hiddens they are copied from and one (R, k*d) input
+        block: on a long-tailed batch the padded grid is 2.9x R."""
+        vocab, d, k, layers = 32, 32, 4, 3
+        model = TinyLM(
+            TinyLMConfig(
+                vocab_size=vocab, hidden_size=d, context_window=k,
+                num_layers=layers,
+            ),
+            np.random.default_rng(1),
+        )
+        rng = np.random.default_rng(3)
+        raw = [
+            list(rng.integers(4, vocab, size=n)) for n in [103] + [31] * 15
+        ]
+        rows = sum(map(len, raw))
+        tracemalloc.start()
+        try:
+            got = collect_training_sequences(model, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stacks = rows * layers * d * 8
+        assert sum(s.hidden_stacks.nbytes for s in got) == stacks
+        assert peak < 2 * stacks + rows * k * d * 8
 
 
 # -- per-slice constants ----------------------------------------------------------
@@ -685,10 +760,11 @@ class TestPolicyUpdate:
 
     def test_step_holds_one_activation_set(self):
         """One step's traced peak stays under the policy's cache plus two
-        (B*T, k*d) input blocks (the forward's embedding gather and the
-        backward's re-gather and its gradient, never alive together):
-        the reference pass and the (B, T, V) logits and probs are
-        reduced to response rows before the backward runs."""
+        (N, k*d) input blocks over the N response rows (the forward's
+        embedding gather and the backward's re-gather and its gradient,
+        never alive together).  The batch is long-tailed, so its padded
+        (B, T) grid holds 3.6x its response rows: no pass may compute a
+        prompt or padding cell."""
         vocab, d, k, layers = 32, 32, 4, 3
         rng = np.random.default_rng(3)
         trainer = RlTrainer(
@@ -705,15 +781,14 @@ class TestPolicyUpdate:
         batch = PromptBatch(
             [list(rng.integers(4, vocab, size=6)) for _ in range(4)], 4
         )
+        lengths = [96] + [24] * 15
         rollout = RolloutResult(
             prompts=batch.expanded,
-            responses=[
-                list(rng.integers(4, vocab, size=96)) for _ in range(16)
-            ],
+            responses=[list(rng.integers(4, vocab, size=n)) for n in lengths],
             finished=[True] * 16,
             target_steps=0,
         )
-        rows = 16 * (6 + 96)  # B*T
+        rows = sum(lengths)  # N; the grid is 16 * (6 + 96)
         cache = (2 * layers - 1) * rows * d * 8  # hiddens + block outputs
         tracemalloc.start()
         try:
