@@ -11,31 +11,31 @@ analyzes.
 
 The engine is **incrementally drivable** and always holds a session
 (built empty at construction; :meth:`BatchedSpecDecodeEngine.start`
-replaces it): :meth:`~BatchedSpecDecodeEngine.step` runs exactly one
-admission + draft/verify + retirement cycle, requests join through
-``engine.scheduler.push`` (its counts are read there too), and the
-request set is mutated between cycles through
-:meth:`~BatchedSpecDecodeEngine.cancel` /
+replaces it): requests join through ``engine.scheduler.push`` (its
+counts are read there too), and the request set is mutated between
+cycles through :meth:`~BatchedSpecDecodeEngine.cancel` /
 :meth:`~BatchedSpecDecodeEngine.expire` /
 :meth:`~BatchedSpecDecodeEngine.park` /
 :meth:`~BatchedSpecDecodeEngine.resume` /
 :meth:`~BatchedSpecDecodeEngine.swap_drafter`, with every lifecycle
 transition published on :attr:`~BatchedSpecDecodeEngine.events`.
-:func:`step_engines` runs one cycle of SEVERAL engines as one lock-step
-batch (``step()`` is it on one engine); the serving front-end and the
-fleet advance every worker of a tick that way, paying per-launch
-overhead once per tick, not once per worker.  The tick's phases are
-plan (admission and cache consultation, per engine), ONE prefill launch
-per target over the hand-off rows every engine keeps, finish (inserts,
-pins, events, SD decision, per engine), draft, verify and close; see
-:func:`step_engines`.  There is one decode path:
-a cycle without an SD strategy (vanilla decoding) gives each live slot
-the zero-node :data:`~repro.specdec.tree.EMPTY_TREE`, whose verification
-samples one token from the target at the prefix row, so vanilla and
-speculative rows of every engine sharing a target and temperature ride
-ONE :func:`~repro.specdec.tree.verify_trees` launch per tick.
-:meth:`~BatchedSpecDecodeEngine.generate` is the closed-loop batch
-wrapper (start, step until drained, collect).
+There is one decode loop: :func:`step_engines` runs one cycle of
+SEVERAL engines as one lock-step batch (``step_engines([engine])`` is
+one engine's cycle).  The serving front-end and the fleet advance every
+worker of a tick that way, paying per-launch overhead once per tick,
+not once per worker, and a closed batch decode
+(:func:`~repro.specdec.engine.speculative_generate`) is a one-worker
+pool.  The tick's phases are plan (admission and cache consultation,
+per engine), ONE prefill launch per target over the hand-off rows every
+engine keeps, finish (inserts, pins, events, SD decision, per engine),
+draft, verify and close; see :func:`step_engines`.  There is one decode
+path: a cycle without an SD strategy (vanilla decoding — an engine with
+no strategy and no manager decodes every cycle that way, and needs no
+drafter) gives each live slot the zero-node
+:data:`~repro.specdec.tree.EMPTY_TREE`, whose verification samples one
+token from the target at the prefix row, so vanilla and speculative
+rows of every engine sharing a target and temperature ride ONE
+:func:`~repro.specdec.tree.verify_trees` launch per tick.
 
 Parking stashes a live slot whole (tokens, hidden hand-off, random
 stream), so a resumed sequence's remaining tokens are byte-identical to
@@ -122,16 +122,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 
 @dataclass
 class BatchedGenerationResult:
-    """Output of one decode run (:meth:`BatchedSpecDecodeEngine.generate`,
-    :func:`~repro.specdec.engine.speculative_generate`).
+    """One engine session's output (:meth:`BatchedSpecDecodeEngine.
+    result`; :func:`~repro.specdec.engine.speculative_generate` returns
+    its one worker's).
 
     Attributes:
         slots: finished per-request decoding slots in request order
             (cancelled requests included, flagged ``cancelled``); each
             holds its :class:`~repro.specdec.scheduler.ServingRequest`
-            (``generate`` builds them at arrival time 0, one seed per
-            prompt drawn from the master generator) and the BOS-prefixed
-            ``prompt`` the views below read.
+            and the BOS-prefixed ``prompt`` the views below read.
         metrics: aggregate draft/accept statistics across all sequences.
         target_steps: batched target forward launches (prefill waves,
             SD verifications and vanilla steps each count once).
@@ -167,7 +166,7 @@ class BatchedGenerationResult:
 
 @dataclass
 class EngineStep:
-    """Outcome of one incremental :meth:`BatchedSpecDecodeEngine.step`.
+    """Outcome of one engine's cycle in a :func:`step_engines` call.
 
     Attributes:
         report: the cycle's :class:`~repro.specdec.scheduler.
@@ -391,7 +390,7 @@ class BatchedSpecDecodeEngine:
         """Queue a parked request for re-admission.
 
         The slot re-enters the live pool ahead of the waiting FIFO at
-        the next :meth:`step`, capacity permitting; the RESUMED event is
+        the next cycle, capacity permitting; the RESUMED event is
         emitted when it actually goes live.
         """
         self.scheduler.resume(request_id)
@@ -399,7 +398,7 @@ class BatchedSpecDecodeEngine:
     def swap_drafter(self, drafter: Drafter) -> None:
         """Replace the drafter at a cycle boundary (zero downtime).
 
-        Legal only between :meth:`step` calls: per-slot draft state is
+        Legal only between cycles: per-slot draft state is
         rebuilt from each sequence's target hidden hand-off at the start
         of every cycle (:meth:`~repro.drafter.base.Drafter.begin`), so
         no live request carries drafter-internal state across the swap —
@@ -421,14 +420,6 @@ class BatchedSpecDecodeEngine:
         self.drafter = drafter
         self.drafter_swaps += 1
         self._emit(RequestEventKind.SWAPPED, None)
-
-    def step(self) -> EngineStep:
-        """Run exactly one admission + decode + retirement cycle.
-
-        The batch step :func:`step_engines` on a batch of this one
-        engine.
-        """
-        return step_engines([self])[0]
 
     def _open_plan(self) -> _Cycle:
         """Plan half of opening a cycle: readmit, admit, plan prefill.
@@ -658,56 +649,6 @@ class BatchedSpecDecodeEngine:
             cycle_reports=list(self._reports),
         )
 
-    # -- closed-loop batch API ---------------------------------------------
-
-    def generate(
-        self,
-        prompts: Sequence[Sequence[int]],
-        max_new_tokens: int,
-        rng: np.random.Generator,
-    ) -> BatchedGenerationResult:
-        """Decode ``prompts`` to completion under continuous batching.
-
-        Args:
-            prompts: token-id prompts in request order.
-            max_new_tokens: per-sequence response-length cap.
-            rng: master generator; one seed per request is drawn up front
-                so scheduling never changes any sequence's randomness.
-
-        Returns:
-            A :class:`BatchedGenerationResult` (request order preserved).
-        """
-        if max_new_tokens < 1:
-            raise SpecDecodeError(
-                f"max_new_tokens must be >= 1, got {max_new_tokens}"
-            )
-        requests = self._make_requests(prompts, max_new_tokens, rng)
-        self.start(requests)
-        while self.scheduler.has_work:
-            self.step()
-        return self.result()
-
-    # -- cycle stages ------------------------------------------------------
-
-    def _make_requests(
-        self,
-        prompts: Sequence[Sequence[int]],
-        max_new_tokens: int,
-        rng: np.random.Generator,
-    ) -> List[ServingRequest]:
-        """Build requests, each seeding its own private random stream."""
-        seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
-        return [
-            ServingRequest(
-                request_id=i,
-                prompt=list(prompt),
-                max_new_tokens=max_new_tokens,
-                arrival_time=0.0,
-                seed=int(seed),
-            )
-            for i, (prompt, seed) in enumerate(zip(prompts, seeds))
-        ]
-
     # -- prefix-cache ref lifecycle ----------------------------------------
 
     def _pin(self, slot: SequenceSlot, key: Tuple[int, ...]) -> None:
@@ -772,7 +713,10 @@ def step_engines(
         raise SpecDecodeError("engines in one batch share a KVCacheManager")
     for engine in engines:
         if not engine.scheduler.has_work:
-            raise SpecDecodeError("step() called with no live or waiting work")
+            raise SpecDecodeError(
+                "step_engines() called on an engine with no live or "
+                "waiting work"
+            )
     try:
         cycles = [engine._open_plan() for engine in engines]
         _prefill(cycles)

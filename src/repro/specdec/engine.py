@@ -1,10 +1,12 @@
-"""End-to-end speculative generation (front door of the batched engine).
+"""End-to-end speculative generation (a closed batch on a one-worker pool).
 
 :func:`speculative_generate` drives repeated draft/verify cycles until EOS
 or the length cap, committing tokens whose joint distribution matches
-vanilla decoding exactly (in ``sample`` child mode).  Since the
-continuous-batching refactor it is a thin wrapper over
-:class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`:
+vanilla decoding exactly (in ``sample`` child mode).  It is not a decode
+loop of its own: the prompts become requests of a one-worker
+:class:`~repro.serving.frontend.ServingEngine`, all arriving at tick 0,
+and the pool's tick (:func:`~repro.specdec.batch_engine.step_engines`)
+decodes them:
 
 * requests are admitted into a bounded pool of live slots by the
   :class:`~repro.specdec.scheduler.ContinuousBatchScheduler` and retire
@@ -16,12 +18,14 @@ continuous-batching refactor it is a thin wrapper over
   with the slowest sequence's cycle count rather than the sum over
   sequences (a vanilla cycle verifies zero-node trees through the same
   launch);
-* each request owns a private random stream, making committed tokens
-  independent of scheduling under a static strategy —
-  ``max_batch_size=1`` (sequential) and full batching are then
-  token-for-token identical under a fixed seed (with an ``sd_manager``
-  the elastic SD/vanilla decision itself depends on the live-batch
-  size, so capacity legitimately shapes the output);
+* each request owns a private random stream, one seed per prompt drawn
+  from the master generator in prompt order (as
+  :meth:`~repro.longtail.scheduler.RolloutScheduler.submit_batch` draws
+  them), making committed tokens independent of scheduling under a
+  static strategy — ``max_batch_size=1`` (sequential) and full batching
+  are then token-for-token identical under a fixed seed (with an
+  ``sd_manager`` the elastic SD/vanilla decision itself depends on the
+  live-batch size, so capacity legitimately shapes the output);
 * an optional :class:`~repro.rollout.adaptive.AdaptiveSdManager` is
   consulted per cycle with the real live-batch size (elastic activation,
   BEG-MAB strategy selection fed by measured accept lengths).
@@ -47,7 +51,9 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.drafter.base import Drafter
+from repro.errors import SpecDecodeError
 from repro.llm.model import TinyLM, contexts_from_sequences
+from repro.specdec.scheduler import ServingRequest
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode
 
@@ -148,8 +154,8 @@ def speculative_generate(
         prompts: token-id prompts.
         max_new_tokens: per-sequence response-length cap.
         temperature: sampling temperature (shared by drafter and target).
-        rng: master random generator; per-request streams are derived from
-            it so results do not depend on ``max_batch_size``.
+        rng: master random generator; one seed per prompt is drawn from
+            it up front, so results do not depend on ``max_batch_size``.
         strategy: SD configuration tuple (optional when ``sd_manager``
             selects strategies per cycle).
         child_mode: tree child expansion mode (``sample`` is lossless).
@@ -163,19 +169,37 @@ def speculative_generate(
             live-batch size each cycle.
 
     Returns:
-        The engine's :class:`~repro.specdec.batch_engine.
+        The one worker's :class:`~repro.specdec.batch_engine.
         BatchedGenerationResult` (``prompts`` / ``responses`` /
         ``finished`` / ``response_lengths`` in request order).
     """
-    from repro.specdec.batch_engine import BatchedSpecDecodeEngine
+    # The pool sits a layer up (it is built from this package).
+    from repro.serving.frontend import ServingEngine
 
-    engine = BatchedSpecDecodeEngine(
+    if max_new_tokens < 1:
+        raise SpecDecodeError(
+            f"max_new_tokens must be >= 1, got {max_new_tokens}"
+        )
+    seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
+    pool = ServingEngine(
         target,
         drafter,
-        strategy,
-        temperature,
+        strategy=strategy,
+        sd_managers=None if sd_manager is None else [sd_manager],
+        temperature=temperature,
         child_mode=child_mode,
         max_batch_size=max_batch_size,
-        sd_manager=sd_manager,
     )
-    return engine.generate(prompts, max_new_tokens, rng)
+    pool.run(
+        [
+            ServingRequest(
+                request_id=i,
+                prompt=list(prompt),
+                max_new_tokens=max_new_tokens,
+                arrival_time=0.0,
+                seed=int(seed),
+            )
+            for i, (prompt, seed) in enumerate(zip(prompts, seeds))
+        ]
+    )
+    return pool.workers[0].engine.result()

@@ -39,7 +39,11 @@ from repro.drafter.training import (
 )
 from repro.llm import TinyLM, TinyLMConfig, generate
 from repro.serving.request import ServingRequest, SloClass, STANDARD
-from repro.specdec.batch_engine import BatchedSpecDecodeEngine
+from repro.specdec.batch_engine import (
+    BatchedGenerationResult,
+    BatchedSpecDecodeEngine,
+    step_engines,
+)
 from repro.specdec.strategy import SdStrategy
 
 
@@ -131,6 +135,47 @@ def _shared_models_stay_frozen(request):
         )
 
 
+# -- a bare engine as an independent reference -----------------------------
+
+
+def seeded_requests(
+    prompts: Sequence[Sequence[int]],
+    max_new_tokens: int,
+    rng: np.random.Generator,
+) -> List[ServingRequest]:
+    """Requests at arrival 0, one seed per prompt drawn from ``rng`` in
+    prompt order (as ``speculative_generate`` and
+    ``RolloutScheduler.submit_batch`` draw them)."""
+    seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
+    return [
+        ServingRequest(
+            request_id=i,
+            prompt=list(prompt),
+            max_new_tokens=max_new_tokens,
+            arrival_time=0.0,
+            seed=int(seed),
+        )
+        for i, (prompt, seed) in enumerate(zip(prompts, seeds))
+    ]
+
+
+def drain(
+    engine: BatchedSpecDecodeEngine,
+    requests: Optional[Sequence[ServingRequest]] = None,
+) -> BatchedGenerationResult:
+    """Step a bare engine through ``step_engines`` until it has no work.
+
+    With ``requests`` a fresh session over them is started first.  No
+    pool, dispatcher or clock is involved, so a pool's output compared
+    with this one is checked against an independent decode.
+    """
+    if requests is not None:
+        engine.start(requests)
+    while engine.scheduler.has_work:
+        step_engines([engine])
+    return engine.result()
+
+
 # -- seeded decode scenarios (determinism/invariant suite) -----------------
 
 
@@ -207,11 +252,7 @@ class DecodeScenario:
 
     def reference_responses(self) -> List[List[int]]:
         """Responses of an uninterrupted unbounded-batch run."""
-        engine = self.engine()
-        engine.start(self.requests())
-        while engine.scheduler.has_work:
-            engine.step()
-        return [list(s.response) for s in engine.result().slots]
+        return drain(self.engine(), self.requests()).responses
 
 
 @pytest.fixture(scope="session")

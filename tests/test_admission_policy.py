@@ -41,6 +41,7 @@ from repro.specdec import (
     SdStrategy,
 )
 from repro.specdec.scheduler import ContinuousBatchScheduler
+from repro.specdec.batch_engine import step_engines
 from repro.workload import shared_prefix_trace
 
 
@@ -218,7 +219,7 @@ class TestEnginePrefixCache:
     def _run(self, engine, prompts=GROUPED_PROMPTS, seed=7):
         engine.start(_requests(prompts, seed=seed))
         while engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
         return engine.result()
 
     def test_cache_and_cold_runs_byte_identical(
@@ -306,17 +307,17 @@ class TestEnginePrefixCache:
         # seed=1 keeps both requests live across the park/resume walk
         # (neither hits EOS before the refcounts are asserted).
         engine.start(_requests(prompts, seed=1, max_new_tokens=64))
-        engine.step()
+        step_engines([engine])
         key = (1, 5, 6)  # effective context of BOS + prompt
         assert cache.refcount(key) == 2
         engine.park(0)
         assert cache.refcount(key) == 1
         engine.resume(0)
         assert cache.refcount(key) == 1  # re-acquired at readmission
-        engine.step()
+        step_engines([engine])
         assert cache.refcount(key) == 2
         while engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
         assert cache.refcount(key) == 0  # retirement released both
         assert cache.contains(key)       # ...but the entry survives
 
@@ -334,13 +335,13 @@ class TestEnginePrefixCache:
         engine.start(
             _requests(DISTINCT_PROMPTS[:4], seed=7, max_new_tokens=24)
         )
-        engine.step()
+        step_engines([engine])
         engine.park(0)  # unpins (1,5,6,7); later waves may evict it
         while engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
         engine.resume(0)
         while engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
         result = engine.result()
         assert [s.response for s in result.slots] == [
             s.response for s in plain.slots
@@ -354,7 +355,7 @@ class TestEnginePrefixCache:
             target, trained_drafter, strategy, kv_cache=cache,
         )
         engine.start(_requests([[5, 6, 7]], max_new_tokens=64))
-        engine.step()
+        step_engines([engine])
         assert cache.refcount((1, 5, 6)) == 1
         engine.cancel(0)
         assert cache.refcount((1, 5, 6)) == 0

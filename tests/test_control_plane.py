@@ -40,10 +40,13 @@ from repro.specdec import (
     RequestEventKind,
     SdStrategy,
 )
+from repro.specdec.batch_engine import step_engines
 from repro.spot import OnlineDataBuffer, SpotTrainer
 from repro.systems import TltSystem
 from repro.cluster import ClusterSpec
 from repro.hardware import get_gpu, get_model
+
+from conftest import drain
 
 PROMPTS = [[5, 6, 7], [9, 10, 11], [4, 8, 12], [13, 14, 15],
            [6, 9, 13], [7, 11, 5]]
@@ -69,18 +72,12 @@ def _engine(target, drafter, max_batch_size=None):
     )
 
 
-def _drain(engine):
-    while engine.scheduler.has_work:
-        engine.step()
-    return engine.result()
-
-
 def _baseline(target, drafter, **kwargs):
     engine = _engine(target, drafter)
     engine.start(_requests(**kwargs))
     return {
         s.request.request_id: list(s.response)
-        for s in _drain(engine).slots
+        for s in drain(engine).slots
     }
 
 
@@ -90,7 +87,7 @@ class TestStateMachine:
         engine.start(_requests())
         scheduler = engine.scheduler
         assert scheduler.state(0) is RequestState.QUEUED
-        engine.step()
+        step_engines([engine])
         assert scheduler.state(0) is RequestState.RUNNING
         assert scheduler.state(5) is RequestState.QUEUED
         engine.park(0)
@@ -98,19 +95,19 @@ class TestStateMachine:
         assert scheduler.num_parked == 1
         engine.resume(0)
         assert scheduler.num_resuming == 1
-        outcome = engine.step()
+        outcome = step_engines([engine])[0]
         # Re-admitted this cycle (it may also retire within it).
         assert 0 in [s.request.request_id for s in outcome.resumed]
         assert scheduler.state(0) in (
             RequestState.RUNNING, RequestState.FINISHED
         )
-        _drain(engine)
+        drain(engine)
         assert scheduler.state(0) is RequestState.FINISHED
 
     def test_illegal_transitions_raise(self, target, trained_drafter):
         engine = _engine(target, trained_drafter, max_batch_size=2)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         waiting_id = engine.scheduler.waiting[0].request.request_id
         with pytest.raises(SpecDecodeError):
             engine.park(waiting_id)  # park of a WAITING request
@@ -128,7 +125,7 @@ class TestStateMachine:
                                               trained_drafter):
         engine = _engine(target, trained_drafter, max_batch_size=2)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         live_id = engine.scheduler.live[0].request.request_id
         slot = engine.expire(live_id)
         assert slot is not None and slot.expired and not slot.cancelled
@@ -145,10 +142,10 @@ class TestStateMachine:
     def test_results_raise_while_parked(self, target, trained_drafter):
         engine = _engine(target, trained_drafter)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         engine.park(0)
         while engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
         with pytest.raises(SpecDecodeError, match="parked"):
             engine.result()
         engine.cancel(0)
@@ -159,8 +156,8 @@ class TestStateMachine:
                                                   trained_drafter):
         engine = _engine(target, trained_drafter)
         engine.start(_requests())
-        engine.step()
-        engine.step()
+        step_engines([engine])
+        step_engines([engine])
         parked = engine.park(1)
         committed = list(parked.response)
         assert committed  # decoded at least one cycle before parking
@@ -175,9 +172,9 @@ class TestStateMachine:
         interval (parked_cycles counted)."""
         engine = _engine(target, trained_drafter)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         engine.park(1)
-        engine.step()
+        step_engines([engine])
         engine.resume(1)  # now in the resume queue, not yet live
         slot = engine.cancel(1)
         assert slot is not None and slot.cancelled
@@ -196,15 +193,15 @@ class TestParkResumeDeterminism:
         for victim in (0, 2, 5):
             engine = _engine(target, trained_drafter)
             engine.start(_requests(max_new_tokens=40))
-            engine.step()
-            engine.step()
+            step_engines([engine])
+            step_engines([engine])
             if engine.scheduler.state(victim) is not RequestState.RUNNING:
                 continue
             engine.park(victim)
-            engine.step()
-            engine.step()
+            step_engines([engine])
+            step_engines([engine])
             engine.resume(victim)
-            result = _drain(engine)
+            result = drain(engine)
             for slot in result.slots:
                 assert not slot.cancelled
                 assert slot.response == reference[
@@ -219,13 +216,13 @@ class TestParkResumeDeterminism:
         reference = _baseline(target, trained_drafter)
         engine = _engine(target, trained_drafter, max_batch_size=2)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         victim = engine.scheduler.live[0].request.request_id
         engine.park(victim)
-        engine.step()
+        step_engines([engine])
         engine.resume(victim)
         assert engine.scheduler.num_live <= 2
-        result = _drain(engine)
+        result = drain(engine)
         assert all(
             s.response == reference[s.request.request_id]
             for s in result.slots
@@ -240,11 +237,11 @@ class TestParkResumeDeterminism:
                                                trained_drafter):
         engine = _engine(target, trained_drafter, max_batch_size=2)
         engine.start(_requests(max_new_tokens=40))
-        engine.step()
+        step_engines([engine])
         victim = engine.scheduler.live[0].request.request_id
         engine.park(victim)
         engine.resume(victim)
-        outcome = engine.step()
+        outcome = step_engines([engine])[0]
         # The freed slot went to the resumed request, not the FIFO head.
         assert [s.request.request_id for s in outcome.resumed] == [victim]
         assert engine.scheduler.state(victim) in (
@@ -261,8 +258,8 @@ class TestDrafterHotSwap:
         the swap cycle."""
         engine = _engine(target, trained_drafter, max_batch_size=3)
         engine.start(_requests())
-        engine.step()
-        engine.step()
+        step_engines([engine])
+        step_engines([engine])
         live_before = {
             s.request.request_id for s in engine.scheduler.live
         }
@@ -270,7 +267,7 @@ class TestDrafterHotSwap:
         engine.swap_drafter(untrained_drafter)
         assert engine.drafter is untrained_drafter
         assert engine.drafter_swaps == 1
-        result = _drain(engine)
+        result = drain(engine)
         assert len(result.slots) == len(PROMPTS)
         assert all(not s.cancelled for s in result.slots)
         assert live_before <= {
@@ -290,9 +287,9 @@ class TestDrafterHotSwap:
         reference = _baseline(target, trained_drafter)
         engine = _engine(target, trained_drafter)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         engine.swap_drafter(trained_drafter.clone())
-        result = _drain(engine)
+        result = drain(engine)
         assert {
             s.request.request_id: list(s.response)
             for s in result.slots
@@ -313,9 +310,9 @@ class TestEngineControlSurface:
         seen = []
         engine.events.subscribe(seen.append)
         engine.start(_requests(max_new_tokens=6))
-        engine.step()
+        step_engines([engine])
         engine.cancel(engine.scheduler.live[0].request.request_id)
-        _drain(engine)
+        drain(engine)
         assert seen == engine.events.events
         kinds = [e.kind for e in seen]
         assert kinds.count(RequestEventKind.ADMITTED) == len(PROMPTS)
@@ -328,7 +325,7 @@ class TestEngineControlSurface:
     def test_events_reset_on_start(self, target, trained_drafter):
         engine = _engine(target, trained_drafter)
         engine.start(_requests(max_new_tokens=4))
-        _drain(engine)
+        drain(engine)
         assert len(engine.events) > 0
         engine.start(())
         assert len(engine.events) == 0

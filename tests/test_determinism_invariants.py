@@ -27,11 +27,12 @@ from repro.serving import (
     ServingEngine,
     SloPreemption,
 )
+from repro.specdec.batch_engine import step_engines
 
 
 def _drain(engine):
     while engine.scheduler.has_work:
-        engine.step()
+        step_engines([engine])
     return [list(s.response) for s in engine.result().slots]
 
 
@@ -51,7 +52,7 @@ def _total_cycles(scenario):
     engine = scenario.engine()
     engine.start(scenario.requests())
     while engine.scheduler.has_work:
-        engine.step()
+        step_engines([engine])
     return len(engine.cycle_reports)
 
 
@@ -82,7 +83,7 @@ class TestBatchSizeInvariance:
         while engine.scheduler.has_work or pending:
             if pending:
                 engine.scheduler.push(pending.pop(0))
-            engine.step()
+            step_engines([engine])
         assert _drain(engine) == scenario.reference_responses()
 
     def test_neighbour_set_irrelevant(self, scenario_factory):
@@ -126,7 +127,7 @@ def _run_with_park(scenario, park_cycle, victim, hold=2):
             engine.resume(victim)
             resumed = True
         if engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
             cycle += 1
     return [list(s.response) for s in engine.result().slots], parked
 
@@ -156,14 +157,14 @@ class TestParkResume:
         reference = scenario.reference_responses()
         engine = scenario.engine()
         engine.start(scenario.requests())
-        engine.step()
+        step_engines([engine])
         victim = engine.scheduler.live[0].request.request_id
         engine.park(victim)
         while engine.scheduler.has_work:
-            engine.step()  # everyone else runs to completion
+            step_engines([engine])  # everyone else runs to completion
         engine.resume(victim)
         while engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
         assert [
             list(s.response) for s in engine.result().slots
         ] == reference
@@ -183,11 +184,11 @@ class TestParkResume:
             if 1 in live_ids and rounds < 3:
                 engine.park(1)
                 if engine.scheduler.has_work:
-                    engine.step()
+                    step_engines([engine])
                 engine.resume(1)
                 rounds += 1
             if engine.scheduler.has_work:
-                engine.step()
+                step_engines([engine])
         assert rounds >= 2
         assert [
             list(s.response) for s in engine.result().slots
@@ -201,12 +202,12 @@ class TestParkResume:
         reference = scenario.reference_responses()
         engine = scenario.engine()
         engine.start(scenario.requests())
-        engine.step()
+        step_engines([engine])
         engine.park(1)
-        engine.step()
+        step_engines([engine])
         engine.cancel(1)
         while engine.scheduler.has_work:
-            engine.step()
+            step_engines([engine])
         slots = engine.result().slots
         assert slots[1].cancelled
         assert [list(slots[0].response), list(slots[2].response)] == [
@@ -261,7 +262,7 @@ class TestDrafterHotSwap:
         engine.start(scenario.requests())
         while engine.scheduler.has_work:
             engine.swap_drafter(trained_drafter.clone())
-            engine.step()
+            step_engines([engine])
         assert [
             list(s.response) for s in engine.result().slots
         ] == reference
@@ -282,7 +283,7 @@ class TestDrafterHotSwap:
             while engine.scheduler.has_work:
                 if cycle == 2:
                     engine.swap_drafter(untrained_drafter)
-                engine.step()
+                step_engines([engine])
                 cycle += 1
             return [list(s.response) for s in engine.result().slots]
 
@@ -303,14 +304,14 @@ class TestDrafterHotSwap:
         swapped.start(scenario.requests())
         for _ in range(3):
             if plain.scheduler.has_work:
-                plain.step()
+                step_engines([plain])
             if swapped.scheduler.has_work:
-                swapped.step()
+                step_engines([swapped])
         plain_at_boundary = _committed_now(plain)
         assert _committed_now(swapped) == plain_at_boundary
         swapped.swap_drafter(untrained_drafter)
         while swapped.scheduler.has_work:
-            swapped.step()
+            step_engines([swapped])
         final = [list(s.response) for s in swapped.result().slots]
         for prefix, full in zip(plain_at_boundary, final):
             assert full[: len(prefix)] == prefix

@@ -504,7 +504,7 @@ def test_vanilla_row_hands_off_its_prefix_row(scenario_factory):
     engine.start(scenario.requests())
     vanilla = 0
     while engine.scheduler.has_work:
-        if engine.step().report.sd_active:
+        if step_engines([engine])[0].report.sd_active:
             continue
         vanilla += 1
         for slot in engine.scheduler.live:
@@ -855,7 +855,7 @@ def test_mixed_engines_batch_like_engines_alone(
         step_engines(busy)
         for engine in alone:
             if engine.scheduler.has_work:
-                engine.step()
+                step_engines([engine])
     for left, right in zip(together, alone):
         assert not right.scheduler.has_work
         assert [list(s.response) for s in left.result().slots] == [

@@ -38,6 +38,9 @@ from repro.specdec import (
     SdStrategy,
     WorkerCounters,
 )
+from repro.specdec.batch_engine import step_engines
+
+from conftest import drain
 
 from _cache_oracle import SortedBlockStore
 
@@ -68,12 +71,6 @@ def _engine(target, drafter, strategy, **kwargs):
     )
 
 
-def _drain(engine):
-    while engine.scheduler.has_work:
-        engine.step()
-    return engine.result()
-
-
 def _handoff(fill=0.0, shape=(3, 16)):
     return np.full(shape, fill)
 
@@ -90,12 +87,12 @@ class TestAccountingBugfixes:
             target, trained_drafter, strategy, kv_cache=cache
         )
         engine.start(_requests([[5, 6, 7]]))
-        _drain(engine)
+        drain(engine)
         assert cache.stats.misses == 1  # the warming run
         assert cache.stats.hits == 0
         # Warm wave: a whole GRPO group of the cached prompt.
         engine.start(_requests([[5, 6, 7]] * 3))
-        engine.step()
+        step_engines([engine])
         # ONE consultation for the wave (the leader's hit); the two
         # duplicates ride it without touching hit/miss counters.
         assert cache.stats.hits == 1
@@ -114,19 +111,19 @@ class TestAccountingBugfixes:
         p2 = [9, 10, 11, 20, 21, 22, 23, 13]
         reference = _engine(target, trained_drafter, strategy)
         reference.start(_requests([p1], seed=7))
-        ref1 = _drain(reference)
+        ref1 = drain(reference)
         reference.start(_requests([p2], seed=8))
-        ref2 = _drain(reference)
+        ref2 = drain(reference)
         cache = KVCacheManager(capacity_tokens=64)
         engine = _engine(
             target, trained_drafter, strategy, kv_cache=cache
         )
         assert cache.context_window == target.config.context_window
         engine.start(_requests([p1], seed=7))
-        out1 = _drain(engine)
+        out1 = drain(engine)
         assert cache.stats.misses == 1
         engine.start(_requests([p2], seed=8))
-        out2 = _drain(engine)
+        out2 = drain(engine)
         assert cache.stats.hits == 1  # cross-prompt effective-key hit
         assert [s.response for s in out1.slots] == [
             s.response for s in ref1.slots
@@ -438,7 +435,7 @@ class TestBlockGranularPrefill:
     def _run(self, target, drafter, strategy, prompts, **kwargs):
         engine = _engine(target, drafter, strategy, **kwargs)
         engine.start(_requests(prompts, max_new_tokens=8))
-        return engine, _drain(engine)
+        return engine, drain(engine)
 
     def test_paged_prefills_fewer_tokens_than_exact(
         self, wide, grouped_prompts, strategy
@@ -488,7 +485,7 @@ class TestBlockGranularPrefill:
             target, drafter, strategy, grouped_prompts, kv_cache=cache
         )
         engine.start(_requests(grouped_prompts, max_new_tokens=8))
-        warm = _drain(engine)
+        warm = drain(engine)
         assert engine.counters.prefill_tokens == 0
         assert engine.counters.prefill_launches == 0
         assert cache.stats.hits == 4

@@ -21,6 +21,8 @@ from repro.specdec import SdStrategy, speculative_generate
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine
 from repro.workload import SuccessorChainTask
 
+from conftest import drain, seeded_requests
+
 
 def make_policy(seed=0):
     cfg = TinyLMConfig(
@@ -158,14 +160,21 @@ class TestSpeculativeBackend:
         assert metrics.mean_accept_length >= 1.0
 
     def test_static_backend_is_speculative_generate(self):
-        """Both modes decode what speculative_generate decodes; FIFO
-        also spends the same target launches."""
+        """Both modes decode what a bare engine stepped alone decodes
+        (speculative_generate's one-worker pool does too); FIFO also
+        spends the same target launches."""
         policy = make_policy()
         drafter = self._drafter(policy)
-        reference = speculative_generate(
+        reference = drain(
+            BatchedSpecDecodeEngine(
+                policy, drafter, self.STRATEGY, 0.9, max_batch_size=2
+            ),
+            seeded_requests(self.PROMPTS, 16, np.random.default_rng(21)),
+        )
+        assert speculative_generate(
             policy, drafter, self.PROMPTS, 16, 0.9,
             np.random.default_rng(21), self.STRATEGY, max_batch_size=2,
-        )
+        ).responses == reference.responses
         for mode in SchedulerMode:
             out = self._backend(
                 policy, drafter, 0.9, mode, max_batch_size=2
@@ -184,10 +193,13 @@ class TestSpeculativeBackend:
         config = AdaptiveSdConfig(
             strategies=[self.STRATEGY], activation_threshold=3
         )
-        reference = BatchedSpecDecodeEngine(
-            policy, drafter, None, 0.9,
-            sd_manager=AdaptiveSdManager(config),
-        ).generate(self.PROMPTS, 16, np.random.default_rng(22))
+        reference = drain(
+            BatchedSpecDecodeEngine(
+                policy, drafter, None, 0.9,
+                sd_manager=AdaptiveSdManager(config),
+            ),
+            seeded_requests(self.PROMPTS, 16, np.random.default_rng(22)),
+        )
         for mode in SchedulerMode:
             backend = self._backend(
                 policy, drafter, 0.9, mode, strategy=None,

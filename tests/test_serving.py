@@ -1,8 +1,9 @@
 """Tests for the engine's incremental step surface and cancellation.
 
 The serving front-end depends on three properties of the refactored
-batched engine: driving it cycle-at-a-time through ``start``/``step``
-reproduces ``generate`` exactly; requests can be admitted and cancelled
+batched engine: driving it cycle-at-a-time through ``start`` /
+``step_engines`` reproduces ``speculative_generate`` (a one-worker pool)
+exactly; requests can be admitted and cancelled
 between cycles without perturbing any survivor's committed tokens (the
 per-request RNG streams make this checkable token-for-token); and the
 scheduler reports queue depth and admission waiting time.
@@ -15,12 +16,14 @@ import pytest
 
 from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
-from repro.serving import ServingRequest
 from repro.specdec import (
     BatchedSpecDecodeEngine,
     SdStrategy,
     speculative_generate,
 )
+from repro.specdec.batch_engine import step_engines
+
+from conftest import drain, seeded_requests
 
 PROMPTS = [[5, 6, 7], [9, 10, 11], [4, 8, 12], [13, 14, 15],
            [6, 9, 13], [7, 11, 5], [12, 4, 9], [15, 13, 6]]
@@ -39,48 +42,37 @@ def _engine(target, drafter, strategy, max_batch_size=None, **kwargs):
 
 
 def _requests(seed=42, max_new_tokens=24, prompts=PROMPTS):
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(prompts))
-    return [
-        ServingRequest(
-            request_id=i, prompt=list(prompt), max_new_tokens=max_new_tokens,
-            arrival_time=0.0, seed=int(seeds[i]),
-        )
-        for i, prompt in enumerate(prompts)
-    ]
+    return seeded_requests(
+        prompts, max_new_tokens, np.random.default_rng(seed)
+    )
 
 
 class TestStepSurface:
     def test_stepwise_equals_generate(self, target, trained_drafter,
                                       strategy):
-        """start + step-until-drained is exactly generate."""
-        closed = _engine(target, trained_drafter, strategy, 3)
-        reference = closed.generate(
-            PROMPTS, 24, np.random.default_rng(42)
+        """start + step-until-drained is exactly speculative_generate
+        (a one-worker pool over the same seed draws)."""
+        reference = speculative_generate(
+            target, trained_drafter, PROMPTS, max_new_tokens=24,
+            temperature=0.9, rng=np.random.default_rng(42),
+            strategy=strategy, max_batch_size=3,
         )
 
         engine = _engine(target, trained_drafter, strategy, 3)
-        # generate() draws one seed per request from the master rng;
-        # replicate that so both runs share the request streams.
-        rng = np.random.default_rng(42)
-        requests = engine._make_requests(PROMPTS, 24, rng)
-        engine.start(requests)
-        steps = 0
-        while engine.scheduler.has_work:
-            engine.step()
-            steps += 1
-        result = engine.result()
+        result = drain(
+            engine, seeded_requests(PROMPTS, 24, np.random.default_rng(42))
+        )
         assert [s.response for s in result.slots] == [
             s.response for s in reference.slots
         ]
         assert result.target_steps == reference.target_steps
-        assert steps == len(reference.cycle_reports)
+        assert result.cycle_reports == reference.cycle_reports
 
     def test_step_without_session_raises(self, target, trained_drafter,
                                          strategy):
         engine = _engine(target, trained_drafter, strategy)
         with pytest.raises(SpecDecodeError):
-            engine.step()
+            step_engines([engine])
         assert not engine.scheduler.has_work
         assert engine.scheduler.num_live == 0
 
@@ -89,7 +81,7 @@ class TestStepSurface:
         engine = _engine(target, trained_drafter, strategy)
         engine.start(())
         with pytest.raises(SpecDecodeError):
-            engine.step()
+            step_engines([engine])
 
     def test_late_admission_tokens_identical(self, target,
                                              trained_drafter, strategy):
@@ -99,7 +91,7 @@ class TestStepSurface:
         upfront = _engine(target, trained_drafter, strategy)
         upfront.start(requests)
         while upfront.scheduler.has_work:
-            upfront.step()
+            step_engines([upfront])
         reference = {
             s.request.request_id: s.response
             for s in upfront.result().slots
@@ -108,22 +100,17 @@ class TestStepSurface:
         late = _engine(target, trained_drafter, strategy)
         fresh = _requests()
         late.start(fresh[:4])
-        late.step()
-        late.step()
+        step_engines([late])
+        step_engines([late])
         for request in fresh[4:]:
             late.scheduler.push(request)
         while late.scheduler.has_work:
-            late.step()
+            step_engines([late])
         for slot in late.result().slots:
             assert slot.response == reference[slot.request.request_id]
 
 
 class TestCancellation:
-    def _drain(self, engine):
-        while engine.scheduler.has_work:
-            engine.step()
-        return engine.result()
-
     def test_cancel_live_leaves_survivors_byte_identical(
         self, target, trained_drafter, strategy
     ):
@@ -133,13 +120,13 @@ class TestCancellation:
         baseline.start(_requests(max_new_tokens=40))
         reference = {
             s.request.request_id: s.response
-            for s in self._drain(baseline).slots
+            for s in drain(baseline).slots
         }
 
         probe = _engine(target, trained_drafter, strategy)
         probe.start(_requests(max_new_tokens=40))
-        probe.step()
-        probe.step()
+        step_engines([probe])
+        step_engines([probe])
         victims = [
             s.request.request_id for s in probe.scheduler.live
         ][:3]
@@ -148,11 +135,11 @@ class TestCancellation:
         for victim in victims:
             engine = _engine(target, trained_drafter, strategy)
             engine.start(_requests(max_new_tokens=40))
-            engine.step()
-            engine.step()
+            step_engines([engine])
+            step_engines([engine])
             slot = engine.cancel(victim)
             assert slot is not None and slot.cancelled
-            result = self._drain(engine)
+            result = drain(engine)
             for finished in result.slots:
                 rid = finished.request.request_id
                 if rid == victim:
@@ -173,13 +160,13 @@ class TestCancellation:
                                     strategy):
         engine = _engine(target, trained_drafter, strategy, 2)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         assert engine.scheduler.num_waiting > 0
         waiting_id = engine.scheduler.waiting[0].request.request_id
         slot = engine.cancel(waiting_id)
         assert slot is not None and slot.cancelled
         assert slot.response == []
-        result = self._drain(engine)
+        result = drain(engine)
         cancelled = [s for s in result.slots if s.cancelled]
         assert [s.request.request_id for s in cancelled] == [waiting_id]
 
@@ -189,14 +176,14 @@ class TestCancellation:
         engine = _engine(target, trained_drafter, strategy)
         engine.start(_requests(max_new_tokens=4))
         assert engine.cancel(99) is None
-        self._drain(engine)
+        drain(engine)
         assert engine.cancel(0) is None
 
     def test_cancel_everything_drains(self, target, trained_drafter,
                                       strategy):
         engine = _engine(target, trained_drafter, strategy, 2)
         engine.start(_requests())
-        engine.step()
+        step_engines([engine])
         for request_id in range(len(PROMPTS)):
             engine.cancel(request_id)
         assert not engine.scheduler.has_work

@@ -23,6 +23,7 @@ from repro.serving import (
 )
 from repro.llm.vocab import BOS_ID
 from repro.specdec import SdStrategy, SequenceSlot
+from repro.specdec.batch_engine import step_engines
 from repro.systems import TltSystem
 from repro.cluster import ClusterSpec
 from repro.hardware import get_gpu, get_model
@@ -290,7 +291,7 @@ class TestServingEngine:
                     arrival_time=0.0, seed=request_id, predicted_length=6,
                 )
             )
-        donor.engine.step()  # request 0 takes the only slot, 1 queues
+        step_engines([donor.engine])  # request 0 takes the only slot, 1 queues
         live = 40 - len(donor.engine.scheduler.live[0].response)
         assert donor.backlog_tokens == live + 6
         [(request_id, from_id, to_id, slot)] = steal_work(

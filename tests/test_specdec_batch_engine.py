@@ -16,6 +16,8 @@ from repro.specdec import (
     speculative_generate,
 )
 
+from conftest import drain, seeded_requests
+
 PROMPTS = [[5, 6, 7], [9, 10, 11], [4, 8, 12], [13, 14, 15],
            [6, 9, 13], [7, 11, 5], [12, 4, 9], [15, 13, 6]]
 
@@ -267,14 +269,17 @@ class TestAdaptiveIntegration:
     def test_reused_manager_reports_per_rollout_activations(
         self, target, trained_drafter
     ):
-        """``generate`` resets the manager per run: a reused manager
-        engages once per rollout."""
+        """A new session resets the manager: a reused manager engages
+        once per rollout."""
         manager = self._manager(threshold=4)
         engine = BatchedSpecDecodeEngine(
             target, trained_drafter, None, 0.9, sd_manager=manager
         )
         for runs, seed in enumerate((3, 4), start=1):
-            engine.generate(PROMPTS, 20, np.random.default_rng(seed))
+            drain(
+                engine,
+                seeded_requests(PROMPTS, 20, np.random.default_rng(seed)),
+            )
             assert manager.activations == runs
 
     def test_adaptive_backend_stats(self, target, trained_drafter):
