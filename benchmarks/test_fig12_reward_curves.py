@@ -1,11 +1,13 @@
 """Figure 12: end-to-end reward curves — VeRL vs TLT rollouts.
 
 Two GRPO runs on the successor-chain task from the same pretrained base
-policy: one with vanilla decoding (the VeRL analogue) and one with
-lossless speculative rollouts via a trained EAGLE drafter on a dedicated
-one-worker serving pool (the TLT analogue).  Because SD preserves the
-sampling distribution exactly, the two reward curves must overlap
-within seed noise — the paper's losslessness evidence.
+policy, both on a dedicated one-worker serving pool: one with SD off
+(vanilla decoding, the VeRL analogue) and one with lossless speculative
+rollouts via a trained EAGLE drafter (the TLT analogue).  Both arms draw
+one seed per request from the trainer's generator, so at a given seed
+they see the same prompt stream.  Because SD preserves the sampling
+distribution exactly, the two reward curves must overlap within seed
+noise — the paper's losslessness evidence.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from _common import (
 )
 from repro.llm.vocab import Vocabulary
 from repro.longtail import RolloutScheduler
-from repro.rl import RlConfig, RlTrainer, VanillaRollout
+from repro.rl import RlConfig, RlTrainer
 from repro.serving import ServingEngine
 from repro.specdec import SdStrategy
 from repro.workload import SuccessorChainTask
@@ -51,6 +53,11 @@ def _run(backend_factory, seed: int):
 SEEDS = (21, 22)
 
 
+def _vanilla_backend(policy):
+    """The SD-off pool: no drafter, no strategy, every cycle vanilla."""
+    return RolloutScheduler(ServingEngine(policy, None, temperature=1.0))
+
+
 def test_fig12_reward_curves(benchmark):
     def run_both():
         def sd_backend(policy):
@@ -71,8 +78,7 @@ def test_fig12_reward_curves(benchmark):
         # Average over seeds: a single run's curve noise would swamp the
         # (zero, by losslessness) systematic difference.
         vanilla = np.mean(
-            [_run(lambda policy: VanillaRollout(), seed=s)
-             for s in SEEDS],
+            [_run(_vanilla_backend, seed=s) for s in SEEDS],
             axis=0,
         )
         tlt = np.mean([_run(sd_backend, seed=s) for s in SEEDS], axis=0)

@@ -23,7 +23,9 @@ from repro.drafter.training import (
     collect_training_sequences,
 )
 from repro.llm.vocab import Vocabulary
+from repro.longtail import RolloutScheduler
 from repro.rl import RlConfig, RlTrainer
+from repro.serving import ServingEngine
 from repro.spot import OnlineDataBuffer, SpotTrainer
 from repro.workload import SuccessorChainTask
 
@@ -43,6 +45,9 @@ def test_fig15_drafter_accuracy(benchmark):
             RlConfig(num_prompts=6, group_size=6, max_new_tokens=32,
                      temperature=0.9, learning_rate=8e-3,
                      kl_coef=0.002),
+            backend=RolloutScheduler(
+                ServingEngine(policy, None, temperature=0.9)
+            ),
             rng=np.random.default_rng(31),
         )
         drafter = EagleDrafter(

@@ -26,7 +26,9 @@ from repro.drafter.training import (
     collect_training_sequences,
 )
 from repro.llm.vocab import Vocabulary
+from repro.longtail import RolloutScheduler
 from repro.rl import RlConfig, RlTrainer
+from repro.serving import ServingEngine
 from repro.specdec import SdRunMetrics, SdStrategy, speculative_generate
 from repro.workload import PatternCopyTask, SuccessorChainTask
 
@@ -73,6 +75,9 @@ def test_tab6_adaptive_drafter(benchmark):
             RlConfig(num_prompts=6, group_size=6, max_new_tokens=32,
                      temperature=0.9, learning_rate=8e-3,
                      kl_coef=0.002),
+            backend=RolloutScheduler(
+                ServingEngine(policy, None, temperature=0.9)
+            ),
             rng=np.random.default_rng(43),
         )
         rl.run(8)

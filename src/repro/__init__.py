@@ -54,7 +54,7 @@ _EXPORTS = {
         "PrefixAwareAdmission",
     ),
     "repro.tuner": ("BegMabSelector",),
-    "repro.rl": ("RlTrainer", "RlConfig", "VanillaRollout"),
+    "repro.rl": ("RlTrainer", "RlConfig"),
     "repro.longtail": ("ColocatedLoop",),
     "repro.serving": (
         "ServingEngine",

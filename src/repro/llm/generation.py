@@ -1,8 +1,10 @@
-"""Batched autoregressive generation for :class:`~repro.llm.model.TinyLM`.
+"""Batched autoregressive sampling: the training-corpus builder.
 
-This is the *vanilla decoding* path (Figure 5a of the paper): one target
-forward per generated token.  Speculative decoding lives in
-:mod:`repro.specdec` and is measured against the step counts produced here.
+One target forward per token over a batch sharing one generator.  It
+builds the corpora drafters and substrates are trained on; rollouts,
+vanilla included, decode on a serving pool
+(:class:`~repro.serving.frontend.ServingEngine`, SD off with no drafter
+or strategy), whose requests draw from private seeded streams instead.
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ from repro.errors import GenerationError
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax along ``axis``."""
+    """Stable softmax along ``axis``, in place on one new array."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    probs = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=axis, keepdims=True)
+    return probs
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -3,7 +3,7 @@
 The layer where RL meets serving: an online :class:`LengthPredictor`
 estimates each prompt family's response length from observed rollouts,
 a :class:`RolloutScheduler` — the one path a GRPO batch takes onto a
-pool, and the trainer's :class:`~repro.rl.RolloutBackend` for it —
+pool, and the trainer's one backend —
 decomposes GRPO groups and admits members tail-first, pipelining the
 next batch's short requests into slots the current batch's stragglers
 free while delivering every batch group-complete with byte-identical

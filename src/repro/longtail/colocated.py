@@ -20,7 +20,6 @@ import numpy as np
 from repro.drafter.base import Drafter
 from repro.drafter.training import collect_training_sequences
 from repro.errors import ConfigError
-from repro.longtail.scheduler import RolloutScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.rl.trainer import RlStepReport, RlTrainer
@@ -61,10 +60,10 @@ class ColocatedLoop:
         spot_updates_per_round: int = 20,
         spot_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if not isinstance(trainer.backend, RolloutScheduler):
+        if trainer.backend is None:
             raise ConfigError(
                 "ColocatedLoop needs a trainer whose backend rides the "
-                f"shared pool; got {type(trainer.backend).__name__}"
+                "shared pool; this trainer has no backend"
             )
         if spot_updates_per_round < 1:
             raise ConfigError("spot_updates_per_round must be >= 1")

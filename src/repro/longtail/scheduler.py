@@ -4,10 +4,10 @@
 :class:`~repro.serving.frontend.ServingEngine`: prompts become seeded,
 group-tagged BATCH-class requests on the *same* workers that serve
 online traffic, the pool is ticked until they resolve, and the batch
-comes back group-complete.  It is a
-:class:`~repro.rl.rollout_backends.RolloutBackend`
-(``RlTrainer(backend=RolloutScheduler(pool))``), and the same object
-splits into :meth:`~RolloutScheduler.submit_batch` /
+comes back group-complete.  It is the trainer's one backend
+(``RlTrainer(backend=RolloutScheduler(pool))``), SD on or off as the
+pool is built, and the same object splits into
+:meth:`~RolloutScheduler.submit_batch` /
 :meth:`~RolloutScheduler.collect` for callers that pipeline batches.
 
 Submitted whole (:attr:`SchedulerMode.FIFO`), every member arrives at
@@ -65,7 +65,7 @@ import numpy as np
 from repro.errors import ConfigError, SchedulingError, ServingError
 from repro.llm.vocab import EOS_ID
 from repro.longtail.predictor import LengthPredictor
-from repro.rl.rollout_backends import RolloutBackend, RolloutResult
+from repro.rl.rollout_backends import RolloutResult
 from repro.serving.frontend import ServingEngine
 from repro.serving.request import BATCH, TERMINAL_STATES, ServingRequest
 from repro.specdec.metrics import WorkerCounters
@@ -144,19 +144,20 @@ class SchedulerStats:
     collect_ticks: int = 0
 
 
-class RolloutScheduler(RolloutBackend):
+class RolloutScheduler:
     """Tail-first, pipelined admission of GRPO rollouts to a pool.
 
     The one rollout path onto a shared pool: :meth:`generate` makes it
-    the trainer's :class:`~repro.rl.rollout_backends.RolloutBackend`,
-    :meth:`submit_batch` / :meth:`pump` / :meth:`collect` are the same
-    path split open for pipelined callers.
+    the trainer's backend, :meth:`submit_batch` / :meth:`pump` /
+    :meth:`collect` are the same path split open for pipelined callers.
 
     A dedicated rollout engine is a one-worker pool
     (``RolloutScheduler(ServingEngine(policy, drafter, num_workers=1,
     ...))``): in FIFO mode its outputs and ``target_steps`` equal
-    :meth:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine.generate`
-    on the same prompts and seed.
+    :func:`~repro.specdec.engine.speculative_generate` on the same
+    prompts and seed, which is that pool drained at once.  A vanilla
+    rollout is the same pool with SD off
+    (``ServingEngine(policy, None, temperature=...)``).
 
     A note on launch accounting: a result's ``target_steps`` is the
     POOL-WIDE launch delta over the collect window — decode cycles
@@ -417,7 +418,9 @@ class RolloutScheduler(RolloutBackend):
             [max(1, len(r)) for r in responses],
         )
         drafters = {
-            id(w.engine.drafter): w.engine.drafter for w in engine.workers
+            id(w.engine.drafter): w.engine.drafter
+            for w in engine.workers
+            if w.engine.drafter is not None  # an SD-off worker
         }
         for drafter in drafters.values():
             if not drafter.trainable:

@@ -2,7 +2,7 @@
 
 One :meth:`RlTrainer.step` is one Figure 4 step:
 
-1. **Rollout** — the backend (vanilla or speculative) samples
+1. **Rollout** — the backend (a serving pool, SD on or off) samples
    ``group_size`` responses per prompt from the current policy.
 2. **Inference** — teacher-forced forwards score every response token
    under the policy and the frozen reference model; rule-based rewards
@@ -17,7 +17,7 @@ defaults to the single on-policy epoch GRPO prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -27,12 +27,11 @@ from repro.llm.optim import Adam
 from repro.llm.sampler import temperature_probs
 from repro.rl.algorithms import GrpoAdvantages
 from repro.rl.kl import KL_ESTIMATORS, kl_estimate, kl_grad_coef
-from repro.rl.rollout_backends import (
-    RolloutBackend,
-    RolloutResult,
-    VanillaRollout,
-)
+from repro.rl.rollout_backends import RolloutResult
 from repro.workload.prompts import PromptBatch, Task, make_prompt_batch
+
+if TYPE_CHECKING:  # pragma: no cover - types only (the pool is a layer up)
+    from repro.longtail.scheduler import RolloutScheduler
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,11 @@ class RlTrainer:
         policy: the model being trained (mutated in place).
         task: prompt generator + verifier.
         config: loop hyper-parameters.
-        backend: rollout backend (defaults to vanilla decoding; the TLT
-            integration point is a :class:`repro.longtail.
-            RolloutScheduler` over a serving pool — one worker for a
-            dedicated rollout).
+        backend: the :class:`repro.longtail.RolloutScheduler` whose pool
+            decodes the rollouts (``ServingEngine(policy, None,
+            temperature=...)`` for vanilla decoding).  No default: this
+            package sits below the pool.  Without one every rollout is
+            injected (``step(rollout=..., prompts=...)``).
         rng: generator for prompts and rollouts.
     """
 
@@ -130,13 +130,13 @@ class RlTrainer:
         policy: TinyLM,
         task: Task,
         config: RlConfig,
-        backend: Optional[RolloutBackend] = None,
+        backend: Optional["RolloutScheduler"] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.policy = policy
         self.task = task
         self.config = config
-        self.backend = backend or VanillaRollout()
+        self.backend = backend
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.reference = policy.clone()
         self.optimizer = Adam(lr=config.learning_rate)
@@ -178,7 +178,7 @@ class RlTrainer:
         Args:
             rollout: pre-computed rollout to train on (the scheduler
                 seam).  When omitted, the trainer samples prompts and
-                runs its backend in-line.
+                runs its backend in-line (raises without one).
                 Must be provided together with ``prompts`` — the
                 prompt batch the rollout was generated from.
             prompts: the :class:`~repro.workload.prompts.PromptBatch`
@@ -190,6 +190,11 @@ class RlTrainer:
                 "step() needs rollout and prompts together (or neither)"
             )
         if rollout is None:
+            if self.backend is None:
+                raise ConfigError(
+                    "step() without a rollout needs a backend: build the "
+                    "trainer over a RolloutScheduler"
+                )
             batch = self.sample_prompts()
             rollout = self.backend.generate(
                 self.policy,

@@ -1,8 +1,8 @@
 """The serving front-end: async request API over batched spec decode.
 
-:class:`ServingEngine` turns the closed-loop batched engine into an
-online system: requests arrive over virtual time with SLO classes, a
-dispatch policy routes them across N workers (each one
+:class:`ServingEngine` turns the batched engine into an online system:
+requests arrive over virtual time with SLO classes, a dispatch policy
+routes them across N workers (each one
 :class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`, all of
 them advanced one cycle per tick as one batch), queued
 requests are work-stolen from backlogged workers, and requests can be
@@ -80,7 +80,9 @@ multi-worker batch dynamics (workers drained by the dispatcher drop
 below the threshold and engage SD while busy neighbours keep decoding
 vanilla, their rows verified in the SD workers' launch).  A one-worker
 pool is also the dedicated rollout engine:
-``RolloutScheduler(ServingEngine(policy, drafter, num_workers=1, ...))``.
+``RolloutScheduler(ServingEngine(policy, drafter, num_workers=1, ...))``,
+and with no drafter, strategy or managers the vanilla one:
+``RolloutScheduler(ServingEngine(policy, None, temperature=...))``.
 """
 
 from __future__ import annotations
@@ -270,10 +272,14 @@ class ServingEngine(TickDriver):
         target: the target model (shared across workers — one replica
             each in a real deployment; the algorithmic layer shares the
             weights object).
-        drafter: the draft model (shared likewise).
+        drafter: the draft model (shared likewise); None for a pool
+            with SD off (no strategy and no managers).
         num_workers: decode workers in the pool.
-        strategy: static SD configuration (omit when managers drive the
-            per-cycle choice).
+        strategy: static SD configuration.  Omit it when managers drive
+            the per-cycle choice; omit both and SD is off: every cycle
+            decodes vanilla (each live slot a zero-node tree in the
+            tick's verify launch) — the VeRL-style baseline rides the
+            same tick as the speculative pool.
         sd_managers: optional per-worker adaptive managers (exactly one
             per worker); each sees its own worker's live-batch size.
         temperature: sampling temperature.
@@ -315,7 +321,7 @@ class ServingEngine(TickDriver):
     def __init__(
         self,
         target: TinyLM,
-        drafter: Drafter,
+        drafter: Optional[Drafter],
         num_workers: int = 1,
         strategy: Optional[SdStrategy] = None,
         sd_managers: Optional[Sequence[AdaptiveSdManager]] = None,

@@ -217,9 +217,11 @@ class BatchedSpecDecodeEngine:
 
     Args:
         target: the target model.
-        drafter: the draft model.
-        strategy: static SD configuration (may be None when a manager is
-            attached — the manager then selects the strategy per cycle).
+        drafter: the draft model (None for an engine that never
+            speculates: no strategy and no manager).
+        strategy: static SD configuration.  None with a manager: the
+            manager selects the strategy per cycle; None without one:
+            every cycle decodes vanilla.
         temperature: sampling temperature shared by drafter and target.
         child_mode: tree child expansion mode (``sample`` is lossless).
         max_batch_size: live-slot capacity (None = all prompts live at
@@ -238,7 +240,7 @@ class BatchedSpecDecodeEngine:
     def __init__(
         self,
         target: TinyLM,
-        drafter: Drafter,
+        drafter: Optional[Drafter],
         strategy: Optional[SdStrategy],
         temperature: float,
         child_mode: ChildMode = "sample",
@@ -247,9 +249,11 @@ class BatchedSpecDecodeEngine:
         admission: Optional[AdmissionPolicy] = None,
         kv_cache: Optional["KVCacheManager"] = None,
     ) -> None:
-        if strategy is None and sd_manager is None:
+        if drafter is None and (
+            strategy is not None or sd_manager is not None
+        ):
             raise SpecDecodeError(
-                "either a static strategy or an sd_manager is required"
+                "a strategy or an sd_manager needs a drafter to draft with"
             )
         self.target = target
         self.drafter = drafter

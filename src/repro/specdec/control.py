@@ -37,7 +37,7 @@ wise: it trades latency across requests without touching any output.
 Hot-swap semantics: per-slot draft state is rebuilt from the target
 hidden hand-off at the start of every cycle (``Drafter.begin``), so a
 drafter carried no cross-cycle state the engine needs to migrate —
-swapping between ``step()`` calls is cycle-boundary safe by
+swapping between cycles is cycle-boundary safe by
 construction, and every live request simply continues under the new
 drafter.  Committed-token *distribution* is unchanged (speculative
 decoding is lossless w.r.t. the target); the realized tokens may differ

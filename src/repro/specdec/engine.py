@@ -1,34 +1,18 @@
-"""End-to-end speculative generation (a closed batch on a one-worker pool).
+"""End-to-end speculative generation, and the prefill kernels.
 
-:func:`speculative_generate` drives repeated draft/verify cycles until EOS
+:func:`speculative_generate` decodes a closed batch of prompts until EOS
 or the length cap, committing tokens whose joint distribution matches
 vanilla decoding exactly (in ``sample`` child mode).  It is not a decode
 loop of its own: the prompts become requests of a one-worker
-:class:`~repro.serving.frontend.ServingEngine`, all arriving at tick 0,
+:class:`~repro.serving.frontend.ServingEngine`, all arriving at tick 0
+and seeded from the master generator in prompt order (the draw
+:meth:`~repro.longtail.scheduler.RolloutScheduler.submit_batch` makes),
 and the pool's tick (:func:`~repro.specdec.batch_engine.step_engines`)
-decodes them:
-
-* requests are admitted into a bounded pool of live slots by the
-  :class:`~repro.specdec.scheduler.ContinuousBatchScheduler` and retire
-  individually on EOS or their length cap, freeing slots for waiting
-  requests (continuous batching);
-* every cycle drafts per live sequence and verifies ALL live sequences'
-  candidate rows in one batched target forward
-  (:func:`~repro.specdec.tree.verify_trees`), so target launches scale
-  with the slowest sequence's cycle count rather than the sum over
-  sequences (a vanilla cycle verifies zero-node trees through the same
-  launch);
-* each request owns a private random stream, one seed per prompt drawn
-  from the master generator in prompt order (as
-  :meth:`~repro.longtail.scheduler.RolloutScheduler.submit_batch` draws
-  them), making committed tokens independent of scheduling under a
-  static strategy — ``max_batch_size=1`` (sequential) and full batching
-  are then token-for-token identical under a fixed seed (with an
-  ``sd_manager`` the elastic SD/vanilla decision itself depends on the
-  live-batch size, so capacity legitimately shapes the output);
-* an optional :class:`~repro.rollout.adaptive.AdaptiveSdManager` is
-  consulted per cycle with the real live-batch size (elastic activation,
-  BEG-MAB strategy selection fed by measured accept lengths).
+decodes them: continuous batching, one verify launch per cycle, and an
+optional :class:`~repro.rollout.adaptive.AdaptiveSdManager` consulted
+with the real live-batch size.  Private streams make the tokens
+independent of ``max_batch_size`` under a static strategy; a manager's
+elastic rule reads the live batch, so there capacity shapes the output.
 
 The prefill kernels live here too.  :func:`suffix_prefill_hiddens` is
 the one prefill launch of a tick: it takes effective prefill contexts
@@ -154,17 +138,13 @@ def speculative_generate(
         prompts: token-id prompts.
         max_new_tokens: per-sequence response-length cap.
         temperature: sampling temperature (shared by drafter and target).
-        rng: master random generator; one seed per prompt is drawn from
-            it up front, so results do not depend on ``max_batch_size``.
+        rng: master random generator (one seed per prompt, drawn up
+            front).
         strategy: SD configuration tuple (optional when ``sd_manager``
             selects strategies per cycle).
         child_mode: tree child expansion mode (``sample`` is lossless).
-        max_batch_size: live-slot capacity of the continuous-batching
-            scheduler (None = all prompts decode together, 1 = fully
-            sequential decoding; with a static ``strategy`` every
-            capacity commits identical tokens — an ``sd_manager``'s
-            elastic rule reads the live-batch size, so there capacity
-            shapes the output by design).
+        max_batch_size: live-slot capacity (None = all prompts decode
+            together, 1 = fully sequential decoding).
         sd_manager: optional adaptive SD manager driven by the real
             live-batch size each cycle.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,23 @@ class TestTemperature:
     def test_batched_shapes(self):
         logits = np.zeros((4, 5, 7))
         assert temperature_probs(logits, 1.0).shape == (4, 5, 7)
+
+    def test_rows_hold_two_copies_and_match_the_textbook_form(self):
+        """An (N, V) call holds the tempered logits and one output
+        array, never the shift, the exponential and the quotient side
+        by side, and every probability is bitwise the textbook form."""
+        logits = np.random.default_rng(0).normal(size=(512, 256)) * 4
+        size = logits.nbytes
+        tracemalloc.start()
+        try:
+            probs = temperature_probs(logits, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size
+        shifted = logits / 0.7 - (logits / 0.7).max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        assert np.array_equal(probs, exp / exp.sum(axis=-1, keepdims=True))
 
 
 class TestSampling:

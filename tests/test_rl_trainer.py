@@ -14,7 +14,7 @@ from repro.drafter import EagleDrafter, EagleDrafterConfig
 from repro.llm import TinyLM, TinyLMConfig
 from repro.llm.vocab import Vocabulary
 from repro.longtail import RolloutScheduler, SchedulerMode
-from repro.rl import RlConfig, RlTrainer, VanillaRollout
+from repro.rl import RlConfig, RlTrainer
 from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
 from repro.serving import ServingEngine
 from repro.specdec import SdStrategy, speculative_generate
@@ -34,6 +34,21 @@ def make_policy(seed=0):
 
 def make_task():
     return SuccessorChainTask(vocab=Vocabulary(24), target_pairs=8)
+
+
+def vanilla(policy, temperature=1.0):
+    """The SD-off pool: every cycle decodes vanilla, no drafter."""
+    return RolloutScheduler(
+        ServingEngine(policy, None, temperature=temperature)
+    )
+
+
+def vanilla_trainer(policy, config, seed):
+    return RlTrainer(
+        policy, make_task(), config,
+        backend=vanilla(policy, config.temperature),
+        rng=np.random.default_rng(seed),
+    )
 
 
 def small_config(**overrides):
@@ -66,10 +81,7 @@ class TestConfigValidation:
 
 class TestTrainerMechanics:
     def test_step_report_fields(self):
-        trainer = RlTrainer(
-            make_policy(), make_task(), small_config(),
-            rng=np.random.default_rng(0),
-        )
+        trainer = vanilla_trainer(make_policy(), small_config(), 0)
         report = trainer.step()
         assert 0.0 <= report.mean_reward <= 1.0
         assert report.max_response_length <= 20
@@ -77,10 +89,7 @@ class TestTrainerMechanics:
         assert trainer.steps_done == 1
 
     def test_reference_model_frozen(self):
-        trainer = RlTrainer(
-            make_policy(), make_task(), small_config(),
-            rng=np.random.default_rng(0),
-        )
+        trainer = vanilla_trainer(make_policy(), small_config(), 0)
         ref_before = trainer.reference.params.copy()
         trainer.run(3)
         assert trainer.reference.params.max_abs_diff(ref_before) == 0.0
@@ -90,11 +99,11 @@ class TestTrainerMechanics:
 
     def test_learning_improves_reward(self):
         """GRPO must genuinely learn the successor-chain task."""
-        trainer = RlTrainer(
-            make_policy(), make_task(),
+        trainer = vanilla_trainer(
+            make_policy(),
             small_config(num_prompts=8, group_size=8,
                          max_new_tokens=28, learning_rate=6e-3),
-            rng=np.random.default_rng(1),
+            1,
         )
         reports = trainer.run(120)
         first = np.mean([r.mean_reward for r in reports[:10]])
@@ -102,22 +111,31 @@ class TestTrainerMechanics:
         assert last > first + 0.05
 
     def test_kl_grows_from_zero(self):
-        trainer = RlTrainer(
-            make_policy(), make_task(), small_config(),
-            rng=np.random.default_rng(0),
-        )
+        trainer = vanilla_trainer(make_policy(), small_config(), 0)
         reports = trainer.run(5)
         assert reports[0].kl_value == pytest.approx(0.0, abs=1e-6)
         assert reports[-1].kl_value > 0.0
 
     def test_inner_epochs_with_clipping(self):
-        trainer = RlTrainer(
-            make_policy(), make_task(),
-            small_config(inner_epochs=2, clip_eps=0.2),
-            rng=np.random.default_rng(0),
+        trainer = vanilla_trainer(
+            make_policy(), small_config(inner_epochs=2, clip_eps=0.2), 0
         )
         report = trainer.step()
         assert report.mean_reward >= 0.0
+
+    def test_step_without_backend_or_rollout_raises(self):
+        """The trainer builds no pool of its own: with no backend, a
+        rollout must be injected, and the RNG is left undrawn."""
+        trainer = RlTrainer(
+            make_policy(), make_task(), small_config(),
+            rng=np.random.default_rng(0),
+        )
+        with pytest.raises(ConfigError):
+            trainer.step()
+        with pytest.raises(ConfigError):
+            trainer.run(1)
+        assert trainer.steps_done == 0
+        assert trainer.rng.random() == np.random.default_rng(0).random()
 
 
 class TestSpeculativeBackend:
@@ -234,7 +252,7 @@ class TestSpeculativeBackend:
             reports = trainer.run(25)
             return np.mean([r.mean_reward for r in reports[-5:]])
 
-        vanilla_score = run(lambda p: VanillaRollout(), seed=11)
+        vanilla_score = run(vanilla, seed=11)
 
         def sd_backend(policy):
             drafter = EagleDrafter(
@@ -248,8 +266,8 @@ class TestSpeculativeBackend:
 
 def test_rl_package_does_not_load_the_serving_stack():
     """Layering: ``repro.rl`` sits below ``repro.serving`` and
-    ``repro.longtail`` (rollouts on a pool implement RolloutBackend up
-    there), so importing it alone must load neither."""
+    ``repro.longtail`` (rollouts ride a pool up there, so the trainer
+    has no default backend), so importing it alone must load neither."""
     probe = (
         "import sys, repro.rl; "
         "print([m for m in sys.modules if m.startswith("

@@ -360,6 +360,7 @@ class TestColocatedLoop:
         assert "utilization_batch" in metrics
 
     def test_loop_rejects_foreign_backend(self, target):
+        """A trainer with no backend has no pool for the loop to run."""
         vocab = Vocabulary(target.config.vocab_size)
         task = SuccessorChainTask(vocab=vocab)
         trainer = RlTrainer(

@@ -200,11 +200,65 @@ class TestAdaptiveIntegration:
             )
         )
 
-    def test_requires_strategy_or_manager(self, target, trained_drafter):
+    @pytest.mark.parametrize("speculates", ["strategy", "manager"])
+    def test_drafterless_engine_refuses_to_speculate(
+        self, target, speculates
+    ):
+        """SD off needs no drafter; a strategy or manager without one
+        is refused at construction, not at the first draft."""
         with pytest.raises(SpecDecodeError):
             BatchedSpecDecodeEngine(
-                target, trained_drafter, strategy=None, temperature=0.9
+                target, None,
+                SdStrategy(3, 2, 6) if speculates == "strategy" else None,
+                0.9,
+                sd_manager=(
+                    self._manager(threshold=4)
+                    if speculates == "manager" else None
+                ),
             )
+        with pytest.raises(SpecDecodeError):
+            ServingEngine(
+                target, None, strategy=SdStrategy(3, 2, 6),
+                temperature=0.9,
+            )
+
+    def test_sd_off_pool_is_a_manager_that_never_engages(
+        self, target, trained_drafter
+    ):
+        """A pool with no drafter, strategy or manager decodes every
+        cycle vanilla: byte-identical, launch for launch, to a managed
+        pool whose elastic rule never turns SD on."""
+
+        class NeverEngages(AdaptiveSdManager):
+            def should_use_sd(self, running_requests):
+                return False
+
+        def run(pool):
+            report = pool.run(
+                seeded_requests(PROMPTS, 20, np.random.default_rng(8))
+            )
+            return [r.response for r in report.records], report
+
+        off, off_report = run(
+            ServingEngine(target, None, num_workers=2, temperature=0.9,
+                          max_batch_size=3)
+        )
+        managed, managed_report = run(
+            ServingEngine(
+                target, trained_drafter, num_workers=2, temperature=0.9,
+                max_batch_size=3,
+                sd_managers=[
+                    NeverEngages(self._manager(4).config) for _ in range(2)
+                ],
+            )
+        )
+        assert off == managed
+        assert len(off) == len(PROMPTS) and all(off)
+        assert off_report.totals.target_steps == (
+            managed_report.totals.target_steps
+        )
+        assert off_report.ticks == managed_report.ticks
+        assert off_report.totals.draft_launches == 0
 
     def test_elastic_activation_on_real_batch(
         self, target, trained_drafter
