@@ -206,20 +206,16 @@ class TestAdaptiveIntegration:
     ):
         """SD off needs no drafter; a strategy or manager without one
         is refused at construction, not at the first draft."""
+        strategy = SdStrategy(3, 2, 6) if speculates == "strategy" else None
+        manager = self._manager(4) if speculates == "manager" else None
         with pytest.raises(SpecDecodeError):
             BatchedSpecDecodeEngine(
-                target, None,
-                SdStrategy(3, 2, 6) if speculates == "strategy" else None,
-                0.9,
-                sd_manager=(
-                    self._manager(threshold=4)
-                    if speculates == "manager" else None
-                ),
+                target, None, strategy, 0.9, sd_manager=manager
             )
         with pytest.raises(SpecDecodeError):
             ServingEngine(
-                target, None, strategy=SdStrategy(3, 2, 6),
-                temperature=0.9,
+                target, None, strategy=strategy, temperature=0.9,
+                sd_managers=None if manager is None else [manager],
             )
 
     def test_sd_off_pool_is_a_manager_that_never_engages(
