@@ -93,6 +93,12 @@ class EagleDrafter(Drafter):
                     f"fused layer {layer} out of range for "
                     f"{target.num_layers}-layer target"
                 )
+        #: The fused layers as offsets from the top of the stack (-1 =
+        #: top), so a full stack and any suffix holding them read alike.
+        self.layer_offsets = tuple(
+            layer - target.num_layers if layer >= 0 else layer
+            for layer in config.fused_layers
+        )
         scale = config.init_scale
         f = FFN_EXPANSION * d
         params = ParamSet()
@@ -146,9 +152,9 @@ class EagleDrafter(Drafter):
         return np.einsum("ne,fe->nf", x, w)
 
     def _fuse_rows(self, hidden_stacks: np.ndarray) -> np.ndarray:
-        """Row-stable :meth:`fuse` over (n, num_layers, d) stacks."""
+        """Row-stable :meth:`fuse` over (n, layers, d) stacks."""
         selected = [hidden_stacks[:, layer, :]
-                    for layer in self.config.fused_layers]
+                    for layer in self.layer_offsets]
         feature = np.concatenate(selected, axis=-1)
         if "w_fuse" in self.params:
             feature = (
@@ -175,15 +181,21 @@ class EagleDrafter(Drafter):
     def fuse(self, hidden_stack: np.ndarray) -> np.ndarray:
         """Project a target hidden stack to the drafter's input feature.
 
+        Layers are read by :attr:`layer_offsets`, counted from the top,
+        so the stack may be the full ``num_layers`` or any suffix of it
+        that holds the lowest fused layer — what the DataBuffer keeps
+        (:meth:`repro.spot.SpotTrainer.ingest`).
+
         Args:
-            hidden_stack: (..., num_layers, d) per-layer target hiddens.
+            hidden_stack: (..., layers, d) target hiddens, the top
+                ``layers`` of the stack (``layers <= num_layers``).
 
         Returns:
             (..., d) fused feature.
         """
         hidden_stack = np.asarray(hidden_stack, dtype=np.float64)
         selected = [hidden_stack[..., layer, :]
-                    for layer in self.config.fused_layers]
+                    for layer in self.layer_offsets]
         feature = np.concatenate(selected, axis=-1)
         if "w_fuse" in self.params:
             feature = feature @ self.params["w_fuse"].T + self.params["b_fuse"]
@@ -398,7 +410,7 @@ class EagleDrafter(Drafter):
             return
         selected = [
             np.asarray(hidden_stacks)[..., layer, :]
-            for layer in self.config.fused_layers
+            for layer in self.layer_offsets
         ]
         feature = np.concatenate(selected, axis=-1)
         grads["w_fuse"] += dfused.T @ feature

@@ -107,8 +107,12 @@ class TrainingSequence:
 
     Attributes:
         tokens: (T,) token ids (prompt + response).
-        hidden_stacks: (T, num_layers, d) target hidden states at every
-            position, captured during the RL inference stage.
+        hidden_stacks: (T, layers, d) target hidden states at every
+            position, captured during the RL inference stage: the full
+            stack (``layers = num_layers``) as captured, or the top
+            ``layers`` of it as the DataBuffer keeps them
+            (:meth:`repro.spot.SpotTrainer.ingest`).  Readers index
+            layers from the top (the top hidden is ``[:, -1]``).
         step_index: RL step the sequence was generated at (used by the
             one-step-offset DataBuffer sampling).
     """
@@ -188,7 +192,8 @@ class TrainingBatch:
     hidden with the target's top hidden at ``t+j-1``.
 
     Attributes:
-        fuse_stacks: (N, num_layers, d) target stacks at position ``t-1``.
+        fuse_stacks: (N, layers, d) target stacks at position ``t-1``
+            (as many top layers as the sequences carry).
         tokens: (N, J) consumed tokens per unroll step.
         labels: (N, J) ground-truth next tokens per unroll step.
         top_hiddens: (N, J, d) target top hiddens per unroll step.

@@ -298,11 +298,12 @@ class RlTrainer:
                 logp, logp_ref, config.kl_estimator
             )
             coef = (pg_coef + kl_coef) * scale
-            # dlogits = coef * (onehot - probs), one row per cell.
-            dlogits = -coef[:, None] * probs
-            dlogits[resp, chosen] += coef
+            # dlogits = coef * (onehot - probs), one row per cell, built
+            # in place: probs is not read after logp.
+            probs *= -coef[:, None]
+            probs[resp, chosen] += coef
 
-            grads = self.policy.backward(cache, dlogits[None])
+            grads = self.policy.backward(cache, probs[None])
             grads.clip_global_norm(config.grad_clip)
             self.optimizer.step(self.policy.params, grads)
             pg_loss_value = float(np.sum(-adv * ratio * logp)) / total_resp

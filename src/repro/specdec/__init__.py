@@ -8,10 +8,6 @@ the end-to-end speculative generation loop used by every accept-length and
 speedup experiment.
 """
 
-from repro.specdec.acceptance import (
-    multi_round_accept,
-    residual_distribution,
-)
 from repro.specdec.batch_engine import (
     BatchedGenerationResult,
     BatchedSpecDecodeEngine,
@@ -50,8 +46,6 @@ from repro.specdec.tree import (
 __all__ = [
     "SdStrategy",
     "default_strategy_pool",
-    "multi_round_accept",
-    "residual_distribution",
     "FlatDraftTree",
     "GrowMap",
     "build_draft_trees",

@@ -566,9 +566,7 @@ class BatchedSpecDecodeEngine:
                 draft_steps=tree.draft_steps,
                 verify_batch=result.verify_batch,
             )
-            self._metrics.profile.record(
-                result.depth_attempts, result.depth_accepts
-            )
+            self._metrics.profile.record(stats.accepted, result.attempted)
             self._metrics.add_cycle(stats)
             cycle_stats.append(stats)
             # Charge a tagged request's segment its tokens.

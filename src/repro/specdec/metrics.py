@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Dict, List, Sequence
+from itertools import zip_longest
+from typing import Callable, Dict, List
 
 from repro.cache.manager import CacheStats
 
@@ -46,16 +47,14 @@ class AcceptanceProfile:
     attempts: List[int] = field(default_factory=list)
     accepts: List[int] = field(default_factory=list)
 
-    def record(
-        self, depth_attempts: Sequence[int], depth_accepts: Sequence[int]
-    ) -> None:
-        """Fold one cycle's per-depth counters into the profile."""
-        for depth, count in enumerate(depth_attempts):
-            self._grow(depth + 1)
-            self.attempts[depth] += count
-        for depth, count in enumerate(depth_accepts):
-            self._grow(depth + 1)
-            self.accepts[depth] += count
+    def record(self, accepted: int, attempted: int) -> None:
+        """Fold one cycle in: rounds ran at draft positions
+        ``1..attempted`` and the first ``accepted`` of them succeeded."""
+        self._grow(attempted)
+        for depth in range(attempted):
+            self.attempts[depth] += 1
+        for depth in range(accepted):
+            self.accepts[depth] += 1
 
     def rates(self) -> List[float]:
         """Acceptance rate per draft position (positions with attempts)."""
@@ -126,13 +125,19 @@ class SdRunMetrics:
 
     def merged(self, other: "SdRunMetrics") -> "SdRunMetrics":
         """Combine two metric sets (e.g. across sequences)."""
-        merged = SdRunMetrics(
+        return SdRunMetrics(
             cycles=self.cycles + other.cycles,
+            profile=AcceptanceProfile(
+                _add_lists(self.profile.attempts, other.profile.attempts),
+                _add_lists(self.profile.accepts, other.profile.accepts),
+            ),
             wait_cycles=self.wait_cycles + other.wait_cycles,
         )
-        merged.profile.record(other.profile.attempts, other.profile.accepts)
-        merged.profile.record(self.profile.attempts, self.profile.accepts)
-        return merged
+
+
+def _add_lists(left: List[int], right: List[int]) -> List[int]:
+    """Element-wise sum, the shorter list padded with zeros."""
+    return [a + b for a, b in zip_longest(left, right, fillvalue=0)]
 
 
 def _leafwise(left, right, op: Callable[[int, int], int]):

@@ -9,9 +9,10 @@ with the multi-round rule.
 
 A finished tree is a :class:`FlatDraftTree`: contiguous, level-ordered
 per-node arrays (tokens, parent indices, depths, cumulative draft
-confidences) plus a CSR candidate table.  Node ``i``'s verification
-row is simply row ``i + 1``; ``tests/_tree_oracle.py`` keeps the views
-derived from it (levels, children, the tree-attention mask, token paths).
+confidences) plus a CSR candidate table and one draft distribution per
+candidate slot.  Node ``i``'s verification row is simply row ``i + 1``;
+``tests/_tree_oracle.py`` keeps the views derived from it (levels,
+children, the tree-attention mask, token paths).
 
 :func:`build_draft_trees` grows EVERY live sequence's tree in lock-step
 inside one set of ``(batch, slots)`` tables (:class:`_LockStepTrees`):
@@ -49,8 +50,9 @@ candidates are kept.)
 Two child-expansion modes are supported:
 
 * ``"sample"`` (default) — children are i.i.d. draws from the drafter's
-  distribution; combined with :func:`~repro.specdec.acceptance.
-  multi_round_accept` this is *provably lossless* for any temperature.
+  distribution; combined with the multi-round acceptance rule
+  (:mod:`repro.specdec.acceptance`) this is *provably lossless* for any
+  temperature.
   Expansion is best-first and all-or-nothing under the verification
   budget (see above).
 * ``"topk"`` — EAGLE-2-style deterministic build: level-wise beam
@@ -81,8 +83,8 @@ from repro.llm.model import TinyLM
 from repro.llm.sampler import temperature_probs, tokens_at_uniforms
 from repro.llm.vocab import EOS_ID, PAD_ID
 from repro.specdec.acceptance import (
+    RESIDUAL_EPS,
     batched_inverse_cdf_draws,
-    multi_round_accept,
 )
 from repro.specdec.strategy import SdStrategy
 
@@ -147,7 +149,10 @@ class FlatDraftTree:
 
     Candidate slots are CSR-packed: slot 0 holds the root's candidate
     list and slot ``i + 1`` holds node ``i``'s, so slot ``s`` spans rows
-    ``cand_offsets[s]:cand_offsets[s + 1]``.
+    ``cand_offsets[s]:cand_offsets[s + 1]``.  Every candidate of a slot
+    was drawn from the one distribution its node proposed (i.i.d. draws
+    in ``sample`` mode, a top-k cut in ``topk`` mode), so the tree keeps
+    that distribution once per slot, not once per candidate row.
 
     Attributes:
         tokens: ``(N,)`` drafted token per node.
@@ -159,7 +164,10 @@ class FlatDraftTree:
         cand_child: ``(C,)`` flat index of the materialised selected child
             for each candidate row, or -1 (duplicate draws share the first
             occurrence's child, as the multi-round rule requires).
-        cand_dists: ``(C, V)`` draft distribution per candidate row.
+        node_dists: ``(N + 1, V)``: row ``s`` is the draft distribution
+            slot ``s``'s candidates were drawn from (zeros for a slot
+            with no candidates).  Node ``i``'s own token was drawn from
+            row ``parents[i] + 1``.
         draft_steps: nodes drafted for this tree before selection (one
             ``extend`` each on the per-node path).
         draft_calls: drafter launches the per-node path would have issued
@@ -178,7 +186,7 @@ class FlatDraftTree:
     cand_offsets: np.ndarray
     cand_tokens: np.ndarray
     cand_child: np.ndarray
-    cand_dists: np.ndarray
+    node_dists: np.ndarray
     draft_steps: int
     draft_calls: int
     rounds: int
@@ -209,7 +217,7 @@ EMPTY_TREE = FlatDraftTree(
     cand_offsets=np.zeros(2, dtype=np.int64),
     cand_tokens=_NO_NODES,
     cand_child=_NO_NODES,
-    cand_dists=np.zeros((0, 0)),
+    node_dists=np.zeros((1, 0)),
     draft_steps=0,
     draft_calls=0,
     rounds=0,
@@ -270,14 +278,15 @@ class _LockStepTrees:
         #: a child) marks a candidate without one.
         self.cand_child = np.zeros((batch, slots, width), dtype=np.int64)
         self.cand_count = np.zeros((batch, slots), dtype=np.int64)
-        self.cand_dists: Optional[np.ndarray] = None
+        #: The distribution each slot's candidates were drawn from.
+        self.node_dists: Optional[np.ndarray] = None
 
     def propose_roots(self) -> np.ndarray:
         """``(batch, V)`` proposals below every root (one launch)."""
         probs = np.array(
             self.drafter.propose_batch(self._roots, self.temperature)
         )
-        self.cand_dists = np.empty(
+        self.node_dists = np.empty(
             self.cand_count.shape + probs.shape[1:], dtype=np.float64
         )
         return probs
@@ -334,7 +343,7 @@ class _LockStepTrees:
         self.cand_tokens[seq, slot] = tokens
         self.cand_child[seq, slot] = children
         self.cand_count[seq, slot] = counts
-        self.cand_dists[seq, slot] = dists
+        self.node_dists[seq, slot] = dists
 
     def emit(self, keep: np.ndarray, max_depth: int) -> List[FlatDraftTree]:
         """Cut the kept nodes out of the tables as flat trees.
@@ -371,7 +380,9 @@ class _LockStepTrees:
         cand_child = flat_of[
             row_seq, self.cand_child[row_seq, row_slot, column]
         ]
-        cand_dists = self.cand_dists[row_seq, row_slot]
+        # One row per kept slot; a slot that drew nothing reads zeros.
+        node_dists = self.node_dists[seq, slot]
+        node_dists[counts == 0] = 0.0
 
         draft_steps = self.made.sum(axis=1).tolist()
         proposes = self.proposes.tolist()
@@ -392,7 +403,7 @@ class _LockStepTrees:
                     cand_offsets=offsets[root : end + 1] - row_start,
                     cand_tokens=cand_tokens[cand_rows],
                     cand_child=cand_child[cand_rows],
-                    cand_dists=cand_dists[cand_rows],
+                    node_dists=node_dists[root:end],
                     draft_steps=draft_steps[b],
                     draft_calls=1 + proposes[b] + draft_steps[b],
                     rounds=rounds[b],
@@ -641,8 +652,8 @@ class TreeVerifyResult:
             the position *before* the bonus token — the drafter hand-off
             for the next cycle.
         verify_batch: rows in the batched verification forward.
-        depth_attempts: per-depth count of acceptance rounds attempted.
-        depth_accepts: per-depth count of successful acceptances.
+        attempted: draft depths at which an acceptance round ran; the
+            first ``accepted_node_count`` of them succeeded.
     """
 
     accepted_tokens: List[int]
@@ -650,8 +661,7 @@ class TreeVerifyResult:
     bonus_token: int
     next_hidden: np.ndarray
     verify_batch: int
-    depth_attempts: List[int]
-    depth_accepts: List[int]
+    attempted: int
 
 
 def _verify_contexts(
@@ -756,8 +766,7 @@ def verify_trees(
             bonus_token=bonus,
             next_hidden=handoff.copy(),  # (L, d), owned by the slot
             verify_batch=tree.num_nodes + 1,
-            depth_attempts=walk.depth_attempts,
-            depth_accepts=walk.depth_accepts,
+            attempted=walk.attempted,
         )
         for tree, handoff, walk, bonus in zip(
             trees, handoffs, walks, bonus_tokens
@@ -772,8 +781,7 @@ class _Walk(NamedTuple):
     row: int
     bonus_dist: np.ndarray
     bonus_uniform: float
-    depth_attempts: List[int]
-    depth_accepts: List[int]
+    attempted: int
 
 
 def _walk_acceptance(
@@ -784,44 +792,58 @@ def _walk_acceptance(
     ``probs`` is this tree's slice of the batched target forward; row 0
     is the prefix row and node ``i`` sits on row ``i + 1`` by
     construction, so the walk needs no row map and a node's row is also
-    its candidate slot.  Candidate rows with ``cand_child == -1`` (pruned
-    or never-materialised children) are skipped; duplicate draws stay in
-    (sharing the first occurrence's child), as the multi-round rule
-    requires.  The walk ends by drawing the uniform that picks the bonus
-    token from the full target distribution (at a leaf) or from the
-    final residual (after a rejection).
+    its candidate slot.  At each level the slot's candidates are tried
+    in order against the one draft distribution ``q`` they were drawn
+    from (:mod:`repro.specdec.acceptance` states the rule): candidate
+    ``x`` is accepted with probability ``min(1, p(x) / q(x))``, and only
+    a rejection forms the residual ``norm(max(p - q, 0))`` that the next
+    candidate is tried against.  Candidates with ``cand_child == -1``
+    (pruned or never materialised) and candidates with ``q(x) = 0`` are
+    skipped without a draw; duplicate draws stay in (sharing the first
+    occurrence's child), as the multi-round rule requires.  The walk
+    ends by drawing the uniform that picks the bonus token from the
+    full target distribution (at a leaf) or from the final residual
+    (after every candidate was rejected).  An :data:`EMPTY_TREE` row
+    draws that uniform and nothing else.
     """
+    if tree is EMPTY_TREE:
+        return _Walk([], 0, probs[0], rng.random(), 0)
     offsets = tree.cand_offsets.tolist()
     children = tree.cand_child.tolist()
     cand_tokens = tree.cand_tokens.tolist()
-    depth_attempts: List[int] = []
-    depth_accepts: List[int] = []
     accepted: List[int] = []
-
+    attempted = 0
     row = 0
     while True:
-        bonus_dist = probs[row]
+        current = probs[row]
         start, end = offsets[row], offsets[row + 1]
         if start == end:
             break
-        depth_attempts.append(1)
-        depth_accepts.append(0)
-        live = [c for c in range(start, end) if children[c] >= 0]
-        if not live:
+        attempted += 1
+        q = tree.node_dists[row]
+        chosen = -1
+        for c in range(start, end):
+            if children[c] < 0:
+                continue
+            token = cand_tokens[c]
+            q_tok = float(q[token])
+            if q_tok <= 0.0:
+                continue  # no draft mass: nothing to test or subtract
+            if rng.random() < min(1.0, float(current[token]) / q_tok):
+                chosen = c
+                break
+            residual = current - q
+            np.maximum(residual, 0.0, out=residual)
+            total = residual.sum()
+            if total <= RESIDUAL_EPS:
+                # Only p == q empties the residual, and then a rejection
+                # has probability zero; under rounding keep the target.
+                current = current / current.sum()
+            else:
+                residual /= total
+                current = residual
+        if chosen < 0:
             break
-        chosen, residual = multi_round_accept(
-            bonus_dist,
-            [cand_tokens[c] for c in live],
-            tree.cand_dists[live],
-            rng,
-        )
-        if chosen is None:
-            bonus_dist = residual
-            break
-        depth_accepts[-1] = 1
-        accepted.append(cand_tokens[live[chosen]])
-        row = children[live[chosen]] + 1
-    return _Walk(
-        accepted, row, bonus_dist, rng.random(), depth_attempts,
-        depth_accepts,
-    )
+        accepted.append(cand_tokens[chosen])
+        row = children[chosen] + 1
+    return _Walk(accepted, row, current, rng.random(), attempted)

@@ -78,8 +78,26 @@ class SpotTrainer:
         self.buffer.begin_step(step)
 
     def ingest(self, sequences: Sequence[TrainingSequence]) -> None:
-        """Add finished rollout sequences (partial set) to the buffer."""
-        self.buffer.add(sequences)
+        """Add finished rollout sequences (partial set) to the buffer.
+
+        The buffer keeps only the layers the drafter reads: each
+        sequence's stack is cut to the suffix that starts at the lowest
+        fused layer (``(T, 1, d)`` for EAGLE's top layer, the full stack
+        for EAGLE-3's bottom/middle/top), as an owned copy, so the
+        caller's full stacks are freed once it drops them.  The drafter
+        counts its layers from the top, so it reads the suffix exactly
+        as it read the full stack.
+        """
+        lo = min(self.trainer.drafter.layer_offsets)
+        self.buffer.add(
+            [
+                TrainingSequence(
+                    seq.tokens, seq.hidden_stacks[:, lo:].copy(),
+                    seq.step_index,
+                )
+                for seq in sequences
+            ]
+        )
 
     # -- training ------------------------------------------------------------
 

@@ -66,8 +66,7 @@ def vanilla_decode(engine, live):
                 bonus_token=token,
                 next_hidden=stack[row].copy(),
                 verify_batch=1,
-                depth_attempts=[],
-                depth_accepts=[],
+                attempted=0,
             )
         )
     return results

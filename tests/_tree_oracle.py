@@ -12,8 +12,11 @@ identical committed tokens.
 It also keeps the per-node object view (:class:`DraftTree`) and its
 round trip to the flat layout (:func:`flatten`, :func:`to_node_view`),
 the views a reader derives from a :class:`FlatDraftTree` (levels,
-children, the tree-attention mask, verification token paths), and the
-one-distribution draw primitives the builder's batched draws match.
+children, the tree-attention mask, verification token paths), the
+one-distribution draw primitives the builder's batched draws match, and
+the per-trial acceptance rule (:func:`multi_round_accept`,
+:func:`residual_distribution`) with the per-candidate walk
+(:func:`walk_acceptance`) the production walk is held to.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from repro.drafter.base import Drafter, DrafterState
 from repro.errors import SpecDecodeError
 from repro.llm.vocab import EOS_ID
+from repro.specdec.acceptance import RESIDUAL_EPS
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode, FlatDraftTree, GrowMap
 
@@ -468,16 +472,20 @@ def _assemble_flat(
     cand_offsets = np.zeros(n + 2, dtype=np.int64)
     cand_tokens_list: List[int] = []
     cand_child_list: List[int] = []
-    cand_dist_rows: List[np.ndarray] = []
+    slot_dist: List[Optional[np.ndarray]] = []
     dist_rows = np.full(n, -1, dtype=np.int64)
     row = 0
     flat_slots = [0] + [j + 1 for j in order]
     for s, created_slot in enumerate(flat_slots):
         cand_offsets[s] = row
         child_map = slot_child[created_slot]
-        for token, dist in zip(
-            slot_tokens[created_slot], slot_dists[created_slot]
-        ):
+        dists = slot_dists[created_slot]
+        # Every candidate of a slot was drawn from its node's one
+        # proposal, which is what lets the flat layout keep one row.
+        for dist in dists[1:]:
+            assert np.array_equal(dist, dists[0]), "two dists in a slot"
+        slot_dist.append(dists[0] if dists else None)
+        for token in slot_tokens[created_slot]:
             child = child_map.get(token)
             if child is not None and child in selected_set:
                 flat_child = flat_of[child]
@@ -487,15 +495,14 @@ def _assemble_flat(
                 flat_child = -1
             cand_tokens_list.append(int(token))
             cand_child_list.append(flat_child)
-            cand_dist_rows.append(dist)
             row += 1
     cand_offsets[n + 1] = row
 
-    cand_dists = (
-        np.array(cand_dist_rows, dtype=np.float64)
-        if cand_dist_rows
-        else np.zeros((0, 0))
-    )
+    vocab = next((d.shape[0] for d in slot_dist if d is not None), 0)
+    node_dists = np.array(
+        [np.zeros(vocab) if d is None else d for d in slot_dist],
+        dtype=np.float64,
+    ).reshape(n + 1, vocab)
     flat = FlatDraftTree(
         tokens=f_tokens,
         parents=f_parents,
@@ -504,7 +511,7 @@ def _assemble_flat(
         cand_offsets=cand_offsets,
         cand_tokens=np.array(cand_tokens_list, dtype=np.int64),
         cand_child=np.array(cand_child_list, dtype=np.int64),
-        cand_dists=cand_dists,
+        node_dists=node_dists,
         draft_steps=draft_steps,
         draft_calls=draft_calls,
         rounds=rounds,
@@ -523,7 +530,6 @@ def to_node_view(flat: FlatDraftTree) -> DraftTree:
     was pruned reappear as never-materialised candidates (the
     acceptance walk treats both identically).
     """
-    dist_rows = node_dist_row(flat)
     nodes: List[TreeNode] = []
     for i in range(flat.num_nodes):
         nodes.append(
@@ -532,7 +538,7 @@ def to_node_view(flat: FlatDraftTree) -> DraftTree:
                 parent=int(flat.parents[i]),
                 depth=int(flat.depths[i]),
                 path_prob=float(flat.path_probs[i]),
-                draft_dist=flat.cand_dists[int(dist_rows[i])],
+                draft_dist=flat.node_dists[int(flat.parents[i]) + 1],
                 state=None,
                 selected=True,
             )
@@ -557,7 +563,7 @@ def to_node_view(flat: FlatDraftTree) -> DraftTree:
         for row in range(start, end):
             token = int(flat.cand_tokens[row])
             cand_list.append(token)
-            dist_list.append(flat.cand_dists[row])
+            dist_list.append(flat.node_dists[slot])
             child = int(flat.cand_child[row])
             if child >= 0 and token not in child_map:
                 child_map[token] = child
@@ -631,10 +637,10 @@ def plan_verify_rows(
 
 
 def node_dist_row(flat: FlatDraftTree) -> np.ndarray:
-    """``(N,)`` candidate row each node's token was first drawn from.
+    """``(N,)`` candidate row that first names each node.
 
-    Node ``i``'s draft distribution is
-    ``flat.cand_dists[node_dist_row(flat)[i]]``.
+    That row lies in the parent's slot, so node ``i``'s draft
+    distribution is ``flat.node_dists[flat.parents[i] + 1]``.
     """
     # Assign in reverse so the earliest row naming a node sticks.
     named = np.flatnonzero(flat.cand_child >= 0)[::-1]
@@ -739,8 +745,8 @@ def sequential_residual_draws(
     """Draw ``count`` candidates i.i.d. from ``probs``.
 
     Returns the tokens and, for each, the distribution it was drawn from
-    (all equal to ``probs``), in the format
-    :func:`repro.specdec.acceptance.multi_round_accept` expects.
+    (all equal to ``probs``), in the format :func:`multi_round_accept`
+    expects.
     Duplicate tokens are allowed — the multi-round rule handles them (a
     duplicate of a rejected token auto-rejects because its residual mass
     is zero).
@@ -750,3 +756,125 @@ def sequential_residual_draws(
         raise SpecDecodeError(f"count must be >= 1, got {count}")
     tokens = inverse_cdf_draws(probs, rng.random(count))
     return tokens, [probs for _ in tokens]
+
+
+# -- the per-trial acceptance rule ---------------------------------------------
+
+
+def residual_distribution(
+    target_probs: np.ndarray, draft_probs: np.ndarray
+) -> np.ndarray:
+    """``norm(max(p - q, 0))`` with a numeric fallback.
+
+    Mathematically the residual can only be all-zero when ``p == q``, in
+    which case rejection has probability zero; under floating point we fall
+    back to the target distribution itself rather than raising.
+    """
+    target_probs = np.asarray(target_probs, dtype=np.float64)
+    draft_probs = np.asarray(draft_probs, dtype=np.float64)
+    if target_probs.shape != draft_probs.shape:
+        raise SpecDecodeError(
+            "target/draft distribution shape mismatch: "
+            f"{target_probs.shape} vs {draft_probs.shape}"
+        )
+    residual = np.maximum(target_probs - draft_probs, 0.0)
+    total = residual.sum()
+    if total <= RESIDUAL_EPS:
+        return target_probs / target_probs.sum()
+    return residual / total
+
+
+def multi_round_accept(
+    target_probs: np.ndarray,
+    candidates: Sequence[int],
+    draft_prob_dists: Sequence[np.ndarray],
+    rng: np.random.Generator,
+) -> Tuple[Optional[int], np.ndarray]:
+    """SpecInfer multi-round speculative sampling over sibling candidates.
+
+    Args:
+        target_probs: target distribution ``p`` at the parent position.
+        candidates: sibling token ids, tried in order.
+        draft_prob_dists: the draft distribution each candidate was sampled
+            from (one per candidate).
+        rng: random generator (one uniform per rejection trial).
+
+    Returns:
+        ``(index, residual)`` where ``index`` is the position of the first
+        accepted candidate in ``candidates`` (or ``None`` if all rejected)
+        and ``residual`` is the distribution to sample a correction token
+        from when nothing was accepted.
+    """
+    if len(candidates) != len(draft_prob_dists):
+        raise SpecDecodeError(
+            "candidates and draft distributions length mismatch: "
+            f"{len(candidates)} vs {len(draft_prob_dists)}"
+        )
+    current = np.asarray(target_probs, dtype=np.float64)
+    for index, (token, q) in enumerate(zip(candidates, draft_prob_dists)):
+        q_tok = q[token]
+        if q_tok <= 0.0:
+            # The candidate has zero draft mass under its recorded
+            # distribution — treat as an automatic rejection with no
+            # residual update (it carried no probability to subtract).
+            continue
+        if rng.random() < min(1.0, current[token] / q_tok):
+            return index, current
+        current = residual_distribution(current, q)
+    return None, current
+
+
+@dataclass
+class OracleWalk:
+    """Where the per-candidate walk ended (bonus token still to pick)."""
+
+    accepted: List[int]
+    row: int
+    bonus_dist: np.ndarray
+    bonus_uniform: float
+    depth_attempts: List[int]
+    depth_accepts: List[int]
+
+
+def walk_acceptance(
+    flat: FlatDraftTree, probs: np.ndarray, rng: np.random.Generator
+) -> OracleWalk:
+    """The acceptance walk with one distribution per candidate row.
+
+    Each level hands :func:`multi_round_accept` the slot's live
+    candidates (``cand_child >= 0``) and one copy of the slot's draft
+    distribution per candidate, and records the level as a per-depth
+    attempt / accept pair — the layout the production walk replaced.
+    ``probs`` is the tree's ``(N + 1, V)`` slice of the verify forward.
+    """
+    depth_attempts: List[int] = []
+    depth_accepts: List[int] = []
+    accepted: List[int] = []
+    row = 0
+    while True:
+        bonus_dist = probs[row]
+        start = int(flat.cand_offsets[row])
+        end = int(flat.cand_offsets[row + 1])
+        if start == end:
+            break
+        depth_attempts.append(1)
+        depth_accepts.append(0)
+        live = [c for c in range(start, end) if flat.cand_child[c] >= 0]
+        if not live:
+            break
+        chosen, residual = multi_round_accept(
+            bonus_dist,
+            [int(flat.cand_tokens[c]) for c in live],
+            [flat.node_dists[row].copy() for _ in live],
+            rng,
+        )
+        if chosen is None:
+            bonus_dist = residual
+            break
+        depth_accepts[-1] = 1
+        accepted.append(int(flat.cand_tokens[live[chosen]]))
+        row = int(flat.cand_child[live[chosen]]) + 1
+    return OracleWalk(
+        accepted, row, bonus_dist, rng.random(), depth_attempts,
+        depth_accepts,
+    )

@@ -66,6 +66,31 @@ class TestArchitecture:
         )
         assert np.allclose(drafter.fuse(stack), stack[-1])
 
+    def test_suffix_stack_reads_like_full_stack(self):
+        """Fused layers count from the top, so the suffix that starts at
+        the lowest fused layer fuses, and backpropagates, bitwise like
+        the full stack (here layers 1 and 3 of 4: a 3-layer suffix)."""
+        target = TinyLM(
+            TinyLMConfig(vocab_size=24, hidden_size=16, num_layers=4),
+            np.random.default_rng(2),
+        )
+        drafter = EagleDrafter(
+            target, EagleDrafterConfig(fused_layers=(1, -1)),
+            np.random.default_rng(0),
+        )
+        assert drafter.layer_offsets == (-3, -1)
+        full = np.random.default_rng(1).normal(size=(5, 4, 16))
+        suffix = full[:, 1:].copy()
+        assert np.array_equal(drafter.fuse(suffix), drafter.fuse(full))
+        assert np.array_equal(
+            drafter._fuse_rows(suffix), drafter._fuse_rows(full)
+        )
+        dfused = np.random.default_rng(3).normal(size=(5, 16))
+        grads = [drafter.params.zeros_like() for _ in range(2)]
+        drafter.backward_fuse(full, dfused, grads[0])
+        drafter.backward_fuse(suffix, dfused, grads[1])
+        assert grads[0].max_abs_diff(grads[1]) == 0.0
+
     def test_head_is_tied_to_target(self, target):
         """RL updates to the target embedding flow to the drafter."""
         target = target.clone()  # updated in place below

@@ -153,7 +153,7 @@ def _arrays_equal(left, right):
         np.array_equal(getattr(left, name), getattr(right, name))
         for name in (
             "tokens", "parents", "depths", "path_probs", "cand_offsets",
-            "cand_tokens", "cand_child", "cand_dists",
+            "cand_tokens", "cand_child", "node_dists",
         )
     )
 

@@ -756,7 +756,7 @@ def _tree_fields(tree):
         tree.tokens.tolist(), tree.parents.tolist(), tree.depths.tolist(),
         tree.path_probs.tobytes(), tree.cand_offsets.tolist(),
         tree.cand_tokens.tolist(), tree.cand_child.tolist(),
-        tree.cand_dists.tobytes(), tree.draft_steps, tree.draft_calls,
+        tree.node_dists.tobytes(), tree.draft_steps, tree.draft_calls,
         tree.rounds,
     )
 

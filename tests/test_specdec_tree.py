@@ -344,6 +344,28 @@ class TestFlatRoundTrip:
             assert np.array_equal(again.cand_child, flat.cand_child)
             assert np.array_equal(again.cand_offsets, flat.cand_offsets)
 
+    def test_flatten_keeps_one_distribution_per_slot(
+        self, target, trained_drafter
+    ):
+        """A node's candidates share its one proposal, so the flat tree
+        keeps one distribution per slot; a slot whose candidates name
+        two distributions cannot be flattened."""
+        prefixes, hiddens = _prefixes_and_hiddens(target)
+        tree = build_draft_tree(
+            trained_drafter, prefixes[0], hiddens[0],
+            SdStrategy(draft_depth=3, topk=3, tokens_to_verify=8), 0.9,
+            np.random.default_rng(0),
+        )
+        flat = flatten(tree)
+        assert flat.node_dists.shape == (
+            flat.num_nodes + 1, target.config.vocab_size
+        )
+        assert np.array_equal(flat.node_dists[0], tree.root_dists[0])
+        assert len(tree.root_dists) > 1
+        tree.root_dists[-1] = tree.root_dists[-1] * 0.5
+        with pytest.raises(AssertionError, match="two dists in a slot"):
+            flatten(tree)
+
     @pytest.mark.parametrize("child_mode", ["sample", "topk"])
     @pytest.mark.parametrize("seed", [3, 42])
     def test_batched_build_bitwise_equals_per_node(
@@ -387,7 +409,7 @@ class TestFlatRoundTrip:
             assert np.array_equal(
                 reference.cand_offsets, flat.cand_offsets
             )
-            assert np.array_equal(reference.cand_dists, flat.cand_dists)
+            assert np.array_equal(reference.node_dists, flat.node_dists)
             assert np.array_equal(
                 node_dist_row(reference), node_dist_row(flat)
             )
@@ -406,8 +428,7 @@ class TestFlatRoundTrip:
         for a, b in zip(verify_a, verify_b):
             assert a.accepted_tokens == b.accepted_tokens
             assert np.array_equal(a.next_hidden, b.next_hidden)
-            assert a.depth_attempts == b.depth_attempts
-            assert a.depth_accepts == b.depth_accepts
+            assert a.attempted == b.attempted
 
 
 class TestFlatLayoutInvariants:

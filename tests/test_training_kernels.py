@@ -759,12 +759,13 @@ class TestPolicyUpdate:
             ), name
 
     def test_step_holds_one_activation_set(self):
-        """One step's traced peak stays under the policy's cache plus two
-        (N, k*d) input blocks over the N response rows (the forward's
-        embedding gather and the backward's re-gather and its gradient,
-        never alive together).  The batch is long-tailed, so its padded
-        (B, T) grid holds 3.6x its response rows: no pass may compute a
-        prompt or padding cell."""
+        """One step's traced peak stays under the policy's cache plus one
+        (N, k*d) input block and one (N, V) array over the N response
+        rows: the backward's embedding re-gather beside ``dlogits``,
+        which is built in place on the policy's probabilities (a second
+        (N, V) array would break the bound).  The batch is long-tailed,
+        so its padded (B, T) grid holds 3.6x its response rows: no pass
+        may compute a prompt or padding cell."""
         vocab, d, k, layers = 32, 32, 4, 3
         rng = np.random.default_rng(3)
         trainer = RlTrainer(
@@ -796,7 +797,7 @@ class TestPolicyUpdate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cache + 2 * rows * k * d * 8
+        assert peak < cache + rows * (k * d + vocab) * 8
 
     def test_no_response_tokens_is_a_no_op(self):
         config = TinyLMConfig(vocab_size=24, hidden_size=8)
