@@ -31,13 +31,15 @@ scoreboard prints next to its makespan wins.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.utils.stats import SlidingWindow
 from repro.workload.lengths import LengthModel
 
 #: A prompt family: the leading tokens shared by the prompts it covers.
@@ -49,12 +51,14 @@ class FamilyEstimate:
     """Per-family online length state.
 
     Attributes:
-        window: recent observed response lengths (quantile source).
+        window: recent observed response lengths, oldest first.
+        ordered: the same lengths, sorted (the quantile's source).
         ewma: exponentially-weighted mean length (thin-window smoother).
         observations: total lengths absorbed (not capped by the window).
     """
 
-    window: SlidingWindow
+    window: Deque[float]
+    ordered: List[float] = field(default_factory=list)
     ewma: float = 0.0
     observations: int = 0
 
@@ -266,9 +270,12 @@ class LengthPredictor:
                 self.calibration.within_factor += 1
         state = self.families.get(key)
         if state is None:
-            state = FamilyEstimate(window=SlidingWindow(self.window))
+            state = FamilyEstimate(deque(maxlen=self.window))
             self.families[key] = state
+        if len(state.window) == self.window:  # the oldest slides out
+            del state.ordered[bisect_left(state.ordered, state.window[0])]
         state.window.append(float(length))
+        insort(state.ordered, float(length))
         state.ewma = (
             float(length)
             if state.observations == 0
@@ -298,8 +305,7 @@ class LengthPredictor:
         state = self.families.get(key)
         if state is None or state.observations == 0:
             return None
-        values = np.asarray(list(state.window), dtype=np.float64)
-        quant = float(np.percentile(values, self.quantile))
+        quant = percentile_of_sorted(state.ordered, self.quantile)
         count = len(state.window)
         if count >= self.min_window:
             return quant
@@ -307,3 +313,16 @@ class LengthPredictor:
         # a single early outlier cannot own the family's estimate.
         weight = count / self.min_window
         return weight * quant + (1.0 - weight) * state.ewma
+
+
+def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` of an ascending sequence, bit for
+    bit: numpy's linear virtual index ``(n - 1) * q / 100`` and its
+    ``_lerp`` (``a + d*t`` below ``t = 0.5``, else ``b - d*(1 - t)``)."""
+    position = (len(ordered) - 1) * (q / 100.0)
+    below = math.floor(position)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t, d = position - below, b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)

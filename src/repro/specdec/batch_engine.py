@@ -350,17 +350,21 @@ class BatchedSpecDecodeEngine:
         """
         slot = self.scheduler.cancel(request_id)
         if slot is not None:
-            self._unpin(slot)
-            self._emit(RequestEventKind.CANCELLED, request_id)
+            self._retire(slot, RequestEventKind.CANCELLED)
         return slot
 
     def expire(self, request_id: int) -> Optional[SequenceSlot]:
         """Retire a request as deadline-expired (cancel's SLO sibling)."""
         slot = self.scheduler.expire(request_id)
         if slot is not None:
-            self._unpin(slot)
-            self._emit(RequestEventKind.EXPIRED, request_id)
+            self._retire(slot, RequestEventKind.EXPIRED)
         return slot
+
+    def _retire(self, slot: SequenceSlot, kind: RequestEventKind) -> None:
+        """Unpin, publish ``kind``, then release the slot's decode state."""
+        self._unpin(slot)
+        self._emit(kind, slot.request.request_id)
+        slot.release()
 
     def park(
         self, request_id: int, preempted: bool = False
@@ -608,10 +612,7 @@ class BatchedSpecDecodeEngine:
         drafted = sum(c.drafted for c in cycle_stats)
         retired = scheduler.retire_finished()
         for slot in retired:
-            self._unpin(slot)
-            self._emit(
-                RequestEventKind.FINISHED, slot.request.request_id
-            )
+            self._retire(slot, RequestEventKind.FINISHED)
         wait_cycles = [slot.wait_cycles for slot in cycle.admitted]
         for wait in wait_cycles:
             self._metrics.record_wait(wait)

@@ -264,7 +264,10 @@ class SequenceSlot:
     per-request facts here instead of in id-keyed tables of their own.
     At creation the slot derives what decoding needs from the request:
     the BOS-prefixed prompt and the private stream
-    ``default_rng(request.seed)``.
+    ``default_rng(request.seed)``.  Once the slot is terminal and its
+    terminal event is out, :meth:`release` sets ``sequence``, ``rng``,
+    ``hidden`` and ``cache_key`` to None; what stays is what records,
+    results and the rollout scheduler read.
 
     Attributes:
         request: the request this slot belongs to (a pool's record
@@ -304,26 +307,18 @@ class SequenceSlot:
     cache_key: Optional[Tuple[int, ...]] = None
     cache_pinned: bool = False
     prompt: Tuple[int, ...] = field(init=False)
-    sequence: List[int] = field(init=False)
-    rng: np.random.Generator = field(init=False)
+    sequence: Optional[List[int]] = field(init=False)
+    rng: Optional[np.random.Generator] = field(init=False)
 
     def __post_init__(self) -> None:
         self.prompt = (BOS_ID, *map(int, self.request.prompt))
         self.sequence = list(self.prompt)
         self.rng = np.random.default_rng(self.request.seed)
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether the request was cancelled (the partial response up
-        to the cancellation boundary is retained)."""
-        return self.state is RequestState.CANCELLED
-
-    @property
-    def expired(self) -> bool:
-        """Whether the request was retired by deadline expiry
-        (mechanically a cancellation; kept distinct for SLO
-        accounting)."""
-        return self.state is RequestState.EXPIRED
+    def release(self) -> None:
+        """Drop the decode-time state no reader touches once the slot
+        is terminal (the engine calls it after the terminal event)."""
+        self.sequence = self.rng = self.hidden = self.cache_key = None
 
     @property
     def finished(self) -> bool:
@@ -459,11 +454,6 @@ class ContinuousBatchScheduler:
     def num_parked(self) -> int:
         """Requests suspended mid-decode (resume queue excluded)."""
         return len(self.parked)
-
-    @property
-    def num_resuming(self) -> int:
-        """Parked requests queued for re-admission."""
-        return len(self._resuming)
 
     @property
     def parked_ids(self) -> List[int]:

@@ -15,7 +15,9 @@ own planned hand-offs with :func:`~repro.specdec.engine.initial_hiddens`
 (the cache-less prefill) in a launch of its own, between its plan and
 its finish.  The equivalence suite runs the same traces both ways and
 requires equal outputs, random streams, tick stamps, counters, cache
-stats, events and cycle reports.
+stats, events and cycle reports.  A slot releases its random stream
+once its terminal event is out, so the suite reads each request's final
+stream state in a subscriber to that event (:func:`terminal_streams`).
 
 :func:`per_worker` and :func:`replica_by_replica` install these ticks
 on one pool or fleet object (an instance attribute shadows the method,
@@ -34,6 +36,7 @@ from repro.fleet import FleetEngine
 from repro.llm.model import contexts_from_sequences
 from repro.llm.sampler import sample_from_probs, temperature_probs
 from repro.serving import ServingEngine
+from repro.specdec.control import RequestEventKind
 from repro.specdec.engine import initial_hiddens
 from repro.specdec.tree import (
     EMPTY_TREE,
@@ -41,6 +44,34 @@ from repro.specdec.tree import (
     build_draft_trees,
     verify_trees,
 )
+
+
+TERMINAL_KINDS = (
+    RequestEventKind.FINISHED,
+    RequestEventKind.CANCELLED,
+    RequestEventKind.EXPIRED,
+)
+
+
+def terminal_streams(pools):
+    """Each dispatched request's final random-stream state, by id.
+
+    Subscribes to every pool (a fleet's replicas included) before it
+    runs and, at each terminal event, reads the full
+    ``bit_generator.state`` of the slot's stream — the last moment the
+    slot holds one.  Returns the dict the events fill in.
+    """
+    streams = {}
+
+    def snapshot(event, pool):
+        if event.kind in TERMINAL_KINDS:
+            slot = pool.records[event.request_id].slot
+            if slot is not None:  # a cancel or expiry before dispatch
+                streams[event.request_id] = slot.rng.bit_generator.state
+
+    for pool in pools:
+        pool.subscribe(lambda event, pool=pool: snapshot(event, pool))
+    return streams
 
 
 def vanilla_decode(engine, live):

@@ -22,6 +22,7 @@ from repro.specdec.acceptance import batched_inverse_cdf_draws
 from repro.specdec.engine import initial_hiddens
 from repro.specdec.tree import _verify_contexts
 
+import _tick_oracle
 import _tree_oracle
 from _tree_oracle import children_of, flat_verify_rows, inverse_cdf_draws
 
@@ -268,7 +269,7 @@ def _serve(monkeypatch, scenario, child_mode, builder):
     """Run the scenario through a 2-worker pool; returns what must match."""
     with monkeypatch.context() as patch:
         patch.setattr(batch_engine, "build_draft_trees", builder)
-        report = ServingEngine(
+        pool = ServingEngine(
             scenario.target,
             scenario.drafter,
             num_workers=2,
@@ -276,11 +277,11 @@ def _serve(monkeypatch, scenario, child_mode, builder):
             temperature=scenario.temperature,
             child_mode=child_mode,
             max_batch_size=4,
-        ).run(scenario.requests(arrival_gap=0.3))
+        )
+        final = _tick_oracle.terminal_streams([pool])
+        report = pool.run(scenario.requests(arrival_gap=0.3))
     responses = [record.response for record in report.records]
-    streams = [
-        record.slot.rng.bit_generator.state for record in report.records
-    ]
+    streams = [final[record.request.request_id] for record in report.records]
     return responses, streams, report.ticks
 
 

@@ -97,8 +97,9 @@ def _drive(pool, trace, hooks=None):
         tick += 1
 
 
-def _observe(pools, events):
-    """What per-worker stepping and the batched tick must agree on."""
+def _observe(pools, events, streams):
+    """What per-worker stepping and the batched tick must agree on
+    (``streams``: :func:`_tick_oracle.terminal_streams` of ``pools``)."""
     workers = [worker for pool in pools for worker in pool.workers]
     trails = {}
     for event in events:
@@ -115,12 +116,7 @@ def _observe(pools, events):
             for pool in pools
             for request_id, record in pool.records.items()
         },
-        "streams": {  # each dispatched request's decoding slot
-            request_id: record.slot.rng.bit_generator.state
-            for pool in pools
-            for request_id, record in pool.records.items()
-            if record.slot is not None
-        },
+        "streams": streams,  # each dispatched request's decoding slot
         "ticks": [pool.clock.now for pool in pools],
         "counters": [copy.deepcopy(w.engine.counters) for w in workers],
         "cycle_reports": [list(w.engine.cycle_reports) for w in workers],
@@ -155,10 +151,11 @@ def test_static_pool_equals_per_worker_stepping(
         pool = _pool(
             scenario, child_mode=child_mode, dispatch=LeastLoadedDispatch()
         )
+        streams = _tick_oracle.terminal_streams([pool])
         if oracle:
             _tick_oracle.per_worker(pool)
         _drive(pool, scenario.requests(arrival_gap=0.25))
-        return _observe([pool], pool.lifecycle_events()), pool
+        return _observe([pool], pool.lifecycle_events(), streams), pool
 
     (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
@@ -204,13 +201,14 @@ def test_pool_with_cancel_park_resume_and_preemption(
         pool = _pool(
             scenario, workers=3, max_batch=2, preemption=SloPreemption()
         )
+        streams = _tick_oracle.terminal_streams([pool])
         if oracle:
             _tick_oracle.per_worker(pool)
         _drive(
             pool, scenario.requests(arrival_gap=0.3, slos=slos),
             hooks,
         )
-        return _observe([pool], pool.lifecycle_events()), pool
+        return _observe([pool], pool.lifecycle_events(), streams), pool
 
     (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
@@ -247,10 +245,11 @@ def test_pool_mid_roll_and_targeted_swap(
 
     def run(oracle):
         pool = _pool(scenario, workers=3, max_batch=3)
+        streams = _tick_oracle.terminal_streams([pool])
         if oracle:
             _tick_oracle.per_worker(pool)
         _drive(pool, scenario.requests(arrival_gap=0.3), hooks)
-        return _observe([pool], pool.lifecycle_events()), pool
+        return _observe([pool], pool.lifecycle_events(), streams), pool
 
     (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
@@ -293,10 +292,11 @@ def test_fleet_with_drain_and_publication(
         fleet = FleetEngine(
             pools, routing=RoutingPolicy(RoundRobinDispatch())
         )
+        streams = _tick_oracle.terminal_streams(pools)
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         report = fleet.run(trace, on_tick=on_tick)
-        observed = _observe(pools, fleet.lifecycle_events())
+        observed = _observe(pools, fleet.lifecycle_events(), streams)
         observed["fleet"] = (
             report.ticks, report.worker_cycles, report.migrations,
             report.drafter_rolls, report.replica_states,
@@ -323,6 +323,7 @@ def test_tail_first_rollouts_with_spot_publish(
 
     def run(oracle):
         pool = _pool(scenario, workers=2, max_batch=3, group_affinity=True)
+        streams = _tick_oracle.terminal_streams([pool])
         if oracle:
             _tick_oracle.per_worker(pool)
         scheduler = RolloutScheduler(
@@ -337,7 +338,7 @@ def test_tail_first_rollouts_with_spot_publish(
                 scenario.target, prompts, 12, scenario.temperature, rng
             )
             results.append(scheduler.collect(batch_id).responses)
-        observed = _observe([pool], pool.lifecycle_events())
+        observed = _observe([pool], pool.lifecycle_events(), streams)
         observed["results"] = results
         return observed, pool
 
@@ -405,10 +406,11 @@ def test_adaptive_pool_equals_vanilla_decode_alone(
             child_mode=child_mode, sd_managers=_managers(3, threshold),
             dispatch=LeastLoadedDispatch(),
         )
+        streams = _tick_oracle.terminal_streams([pool])
         if oracle:
             _tick_oracle.per_worker(pool)
         _drive(pool, scenario.requests(arrival_gap=0.6))
-        return _observe([pool], pool.lifecycle_events()), pool
+        return _observe([pool], pool.lifecycle_events(), streams), pool
 
     (batched, pool), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
@@ -439,10 +441,11 @@ def test_adaptive_fleet_equals_replica_by_replica(
         fleet = FleetEngine(
             pools, routing=RoutingPolicy(RoundRobinDispatch())
         )
+        streams = _tick_oracle.terminal_streams(pools)
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         fleet.run(trace)
-        return _observe(pools, fleet.lifecycle_events()), pools
+        return _observe(pools, fleet.lifecycle_events(), streams), pools
 
     (batched, pools), (oracle, _) = _run_both(run)
     _assert_same(batched, oracle)
@@ -606,10 +609,11 @@ def test_pool_prefill_equals_per_engine_prefill(
     def run(oracle):
         handoffs.clear()
         pool = _prefill_pool(wide)
+        streams = _tick_oracle.terminal_streams([pool])
         if oracle:
             _tick_oracle.per_worker(pool)
         _drive(pool, trace)
-        observed = _observe([pool], pool.lifecycle_events())
+        observed = _observe([pool], pool.lifecycle_events(), streams)
         observed["handoffs"] = dict(handoffs)
         return observed, pool
 
@@ -629,10 +633,11 @@ def test_fleet_mixing_cached_and_cacheless_replicas_equals_replica_by_replica(
         pools = [_prefill_pool(wide), _prefill_pool(wide, None),
                  _prefill_pool(wide)]
         fleet = FleetEngine(pools, routing=PrefixHashRouting(prefix_len=2))
+        streams = _tick_oracle.terminal_streams(pools)
         if oracle:
             _tick_oracle.replica_by_replica(fleet)
         fleet.run(trace)
-        observed = _observe(pools, fleet.lifecycle_events())
+        observed = _observe(pools, fleet.lifecycle_events(), streams)
         observed["handoffs"] = dict(handoffs)
         return observed, pools
 

@@ -38,6 +38,7 @@ from repro.longtail import (
     RolloutScheduler,
     SchedulerMode,
 )
+from repro.longtail.predictor import percentile_of_sorted
 from repro.rl import RlConfig, RlTrainer
 from repro.serving import SegmentAffinityDispatch, ServingEngine
 from repro.serving.metrics import ServingReport
@@ -48,6 +49,8 @@ from repro.workload import (
     SuccessorChainTask,
     segmented_grpo_trace,
 )
+
+import _tick_oracle
 
 
 def _frontend(scenario, num_workers=2, max_batch_size=2, **kwargs):
@@ -169,6 +172,34 @@ class TestLengthPredictor:
             "hit_rate",
         }
 
+    @pytest.mark.parametrize("quantile", [50.0, 75.0, 90.0, 100.0])
+    def test_percentile_of_sorted_is_numpys_bit_for_bit(self, quantile):
+        rng = np.random.default_rng(int(quantile))
+        for _ in range(300):
+            pool = rng.lognormal(3.0, 1.0, size=6)  # few values: duplicates
+            values = rng.choice(pool, size=int(rng.integers(1, 40)))
+            assert percentile_of_sorted(
+                sorted(values.tolist()), quantile
+            ) == float(np.percentile(values, quantile))
+
+    @pytest.mark.parametrize("quantile", [50.0, 75.0, 90.0, 100.0])
+    def test_sliding_sorted_window_matches_numpy(self, quantile):
+        """The family's sorted copy follows the window through evictions,
+        and the estimate is ``np.percentile`` of the window, bitwise."""
+        rng = np.random.default_rng(100 + int(quantile))
+        predictor = LengthPredictor(quantile=quantile, min_window=1, window=16)
+        prompt, window = [9, 9, 9, 9], []
+        for step in range(300):
+            high = 400 if step % 5 == 0 else 8  # mostly duplicates
+            length = int(rng.integers(1, high))
+            predictor.observe(prompt, length)
+            window = (window + [float(length)])[-16:]
+            state = predictor.families[predictor.family_of(prompt)]
+            assert state.ordered == sorted(window)
+            assert predictor._estimate(predictor.family_of(prompt)) == (
+                float(np.percentile(window, quantile))
+            )
+
 
 # -- the scheduler ---------------------------------------------------------
 
@@ -235,6 +266,7 @@ class TestGenerateIsSubmitThenCollect:
 
     def _run(self, scenario, mode, split):
         engine = _frontend(scenario)
+        streams = _tick_oracle.terminal_streams([engine])
         scheduler = RolloutScheduler(engine, mode=mode)
         args = (
             scenario.target,
@@ -250,10 +282,7 @@ class TestGenerateIsSubmitThenCollect:
         return (
             result,
             sorted(engine.records),
-            [
-                engine.records[i].slot.rng.bit_generator.state
-                for i in sorted(engine.records)
-            ],
+            [streams[i] for i in sorted(engine.records)],
             engine.report().ticks,
         )
 
@@ -847,7 +876,7 @@ class TestDrafterZoo:
             _report({"seg0": 5, "seg1": 0}, {"seg0": 10, "seg1": 0})
         )
         window = zoo._bandits["seg0"].windows[current]
-        assert list(window) == [0.5]
+        assert window.values() == [0.5]
         # seg1 had no drafted tokens: no evidence, no score.
         seg1_arm = zoo._bandits["seg1"].current_arm
         assert zoo._bandits["seg1"].windows[seg1_arm].is_empty
@@ -855,10 +884,8 @@ class TestDrafterZoo:
         zoo.observe_report(
             _report({"seg0": 14, "seg1": 2}, {"seg0": 20, "seg1": 2})
         )
-        assert list(window) == [0.5, 0.9]
-        assert list(
-            zoo._bandits["seg1"].windows[seg1_arm]
-        ) == [1.0]
+        assert window.values() == [0.5, 0.9]
+        assert zoo._bandits["seg1"].windows[seg1_arm].values() == [1.0]
 
     def test_publish_skips_noop_swaps(
         self, scenario_factory, trained_drafter, untrained_drafter

@@ -23,6 +23,7 @@ from repro.serving import (
 )
 from repro.llm.vocab import BOS_ID
 from repro.specdec import SdStrategy, SequenceSlot
+from repro.specdec.scheduler import TERMINAL_STATES
 from repro.specdec.batch_engine import step_engines
 from repro.systems import TltSystem
 from repro.cluster import ClusterSpec
@@ -273,6 +274,9 @@ class TestServingEngine:
                 slot = record.slot
                 assert slot.request is record.request
                 assert slot.prompt == (BOS_ID, *record.request.prompt)
+                if slot.state in TERMINAL_STATES:  # released at retirement
+                    assert slot.sequence is None
+                    continue
                 assert slot.sequence[: len(slot.prompt)] == list(
                     slot.prompt
                 )
@@ -387,8 +391,6 @@ class TestServingEngine:
             assert stats["finished"] + stats["cancelled"] <= (
                 stats["requests"]
             )
-        assert len(report.utilization) == 2
-        assert all(0.0 <= u <= 1.0 for u in report.utilization)
 
 
 class TestAdaptiveServing:
