@@ -31,7 +31,6 @@ scoreboard prints next to its makespan wins.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -320,9 +319,7 @@ def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
     bit: numpy's linear virtual index ``(n - 1) * q / 100`` and its
     ``_lerp`` (``a + d*t`` below ``t = 0.5``, else ``b - d*(1 - t)``)."""
     position = (len(ordered) - 1) * (q / 100.0)
-    below = math.floor(position)
-    if below >= len(ordered) - 1:
-        return ordered[-1]
-    a, b = ordered[below], ordered[below + 1]
+    below = int(position)
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
     t, d = position - below, b - a
     return a + d * t if t < 0.5 else b - d * (1 - t)

@@ -261,6 +261,13 @@ class ServingReport:
         return sum(self.worker_counters, WorkerCounters())
 
     @property
+    def utilization(self) -> List[float]:
+        """Busy fraction per worker (cycles executed / elapsed ticks)."""
+        if self.ticks <= 0:
+            return [0.0 for _ in self.worker_counters]
+        return [w.busy_cycles / self.ticks for w in self.worker_counters]
+
+    @property
     def prefix_hit_rate(self) -> float:
         """Pool-wide exact prefix-cache hit rate (0.0 with no lookups).
 

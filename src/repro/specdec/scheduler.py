@@ -321,6 +321,19 @@ class SequenceSlot:
         self.sequence = self.rng = self.hidden = self.cache_key = None
 
     @property
+    def cancelled(self) -> bool:
+        """Whether the request was cancelled (the partial response up
+        to the cancellation boundary is retained)."""
+        return self.state is RequestState.CANCELLED
+
+    @property
+    def expired(self) -> bool:
+        """Whether the request was retired by deadline expiry
+        (mechanically a cancellation; kept distinct for SLO
+        accounting)."""
+        return self.state is RequestState.EXPIRED
+
+    @property
     def finished(self) -> bool:
         """Whether this slot should retire (EOS, cap, or already
         terminal: cancelled / expired)."""
@@ -454,6 +467,11 @@ class ContinuousBatchScheduler:
     def num_parked(self) -> int:
         """Requests suspended mid-decode (resume queue excluded)."""
         return len(self.parked)
+
+    @property
+    def num_resuming(self) -> int:
+        """Parked requests queued for re-admission."""
+        return len(self._resuming)
 
     @property
     def parked_ids(self) -> List[int]:

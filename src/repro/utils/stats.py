@@ -38,6 +38,9 @@ class SlidingWindow:
     def __len__(self) -> int:
         return len(self._window)
 
+    def __iter__(self):
+        return iter(self._window)
+
     @property
     def is_empty(self) -> bool:
         """Whether no observation has been recorded yet."""

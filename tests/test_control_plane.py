@@ -94,7 +94,7 @@ class TestStateMachine:
         assert scheduler.state(0) is RequestState.PARKED
         assert scheduler.num_parked == 1
         engine.resume(0)
-        assert len(scheduler.resuming_slots) == 1
+        assert scheduler.num_resuming == 1
         outcome = step_engines([engine])[0]
         # Re-admitted this cycle (it may also retire within it).
         assert 0 in [s.request.request_id for s in outcome.resumed]
@@ -128,12 +128,12 @@ class TestStateMachine:
         step_engines([engine])
         live_id = engine.scheduler.live[0].request.request_id
         slot = engine.expire(live_id)
-        assert slot is not None and slot.state is RequestState.EXPIRED
+        assert slot is not None and slot.expired and not slot.cancelled
         assert engine.scheduler.state(live_id) is RequestState.EXPIRED
         assert [
             s.request.request_id
             for s in engine.scheduler._slots.values()
-            if s.state in (RequestState.EXPIRED, RequestState.CANCELLED)
+            if s.expired or s.cancelled
         ] == [live_id]
         assert engine.expire(live_id) is None  # already terminal
         kinds = [e.kind for e in engine.events.events]
@@ -150,7 +150,7 @@ class TestStateMachine:
             engine.result()
         engine.cancel(0)
         result = engine.result()
-        assert result.slots[0].state is RequestState.CANCELLED
+        assert result.slots[0].cancelled
 
     def test_cancel_parked_keeps_partial_response(self, target,
                                                   trained_drafter):
@@ -162,7 +162,7 @@ class TestStateMachine:
         committed = list(parked.response)
         assert committed  # decoded at least one cycle before parking
         slot = engine.cancel(1)
-        assert slot is not None and slot.state is RequestState.CANCELLED
+        assert slot is not None and slot.cancelled
         assert slot.response == committed
 
     def test_cancel_while_resume_queued_accounts_park_time(
@@ -177,7 +177,7 @@ class TestStateMachine:
         step_engines([engine])
         engine.resume(1)  # now in the resume queue, not yet live
         slot = engine.cancel(1)
-        assert slot is not None and slot.state is RequestState.CANCELLED
+        assert slot is not None and slot.cancelled
         assert slot.parked_cycles > 0
 
 
@@ -203,7 +203,7 @@ class TestParkResumeDeterminism:
             engine.resume(victim)
             result = drain(engine)
             for slot in result.slots:
-                assert slot.state is not RequestState.CANCELLED
+                assert not slot.cancelled
                 assert slot.response == reference[
                     slot.request.request_id
                 ], f"request {slot.request.request_id} perturbed by "\
@@ -269,7 +269,7 @@ class TestDrafterHotSwap:
         assert engine.drafter_swaps == 1
         result = drain(engine)
         assert len(result.slots) == len(PROMPTS)
-        assert all(s.state is not RequestState.CANCELLED for s in result.slots)
+        assert all(not s.cancelled for s in result.slots)
         assert live_before <= {
             s.request.request_id for s in result.slots
         }
@@ -364,7 +364,7 @@ class TestStealWaitingEdgeCases:
             donor.state(request.request_id)
         # ...and cancelling on the receiver retires it there.
         slot = receiver.cancel(request.request_id)
-        assert slot is not None and slot.state is RequestState.CANCELLED
+        assert slot is not None and slot.cancelled
         assert receiver.state(
             request.request_id
         ) is RequestState.CANCELLED
@@ -550,7 +550,7 @@ class TestServingPreemption:
         backlog_parked = worker.backlog_tokens
         assert worker.free_slots == 1
         assert frontend.resume(0)  # resume-queued, not yet live
-        assert len(worker.engine.scheduler.resuming_slots) == 1
+        assert worker.engine.scheduler.num_resuming == 1
         # The pending resume consumes the free slot and its remaining
         # tokens stay on the backlog.
         assert worker.free_slots == 0

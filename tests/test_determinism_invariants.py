@@ -209,7 +209,7 @@ class TestParkResume:
         while engine.scheduler.has_work:
             step_engines([engine])
         slots = engine.result().slots
-        assert slots[1].state is RequestState.CANCELLED
+        assert slots[1].cancelled
         assert [list(slots[0].response), list(slots[2].response)] == [
             reference[0], reference[2]
         ]

@@ -876,7 +876,7 @@ class TestDrafterZoo:
             _report({"seg0": 5, "seg1": 0}, {"seg0": 10, "seg1": 0})
         )
         window = zoo._bandits["seg0"].windows[current]
-        assert window.values() == [0.5]
+        assert list(window) == [0.5]
         # seg1 had no drafted tokens: no evidence, no score.
         seg1_arm = zoo._bandits["seg1"].current_arm
         assert zoo._bandits["seg1"].windows[seg1_arm].is_empty
@@ -884,8 +884,10 @@ class TestDrafterZoo:
         zoo.observe_report(
             _report({"seg0": 14, "seg1": 2}, {"seg0": 20, "seg1": 2})
         )
-        assert window.values() == [0.5, 0.9]
-        assert zoo._bandits["seg1"].windows[seg1_arm].values() == [1.0]
+        assert list(window) == [0.5, 0.9]
+        assert list(
+            zoo._bandits["seg1"].windows[seg1_arm]
+        ) == [1.0]
 
     def test_publish_skips_noop_swaps(
         self, scenario_factory, trained_drafter, untrained_drafter

@@ -92,7 +92,7 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
     assert scheduler.num_live == len(model.live)
     assert scheduler.num_waiting == len(model.waiting)
     assert scheduler.num_parked == len(model.parked)
-    assert len(scheduler.resuming_slots) == len(model.resuming)
+    assert scheduler.num_resuming == len(model.resuming)
     assert sum(
         slot.state in TERMINAL_STATES
         for slot in scheduler._slots.values()
@@ -127,6 +127,10 @@ def _check(scheduler: ContinuousBatchScheduler, model: ReferenceModel):
     for request_id, slot in scheduler._slots.items():
         for state, home in homes.items():
             assert (request_id in home) == (slot.state is state)
+        assert slot.cancelled == (
+            slot.state is RequestState.CANCELLED
+        )
+        assert slot.expired == (slot.state is RequestState.EXPIRED)
     for slot in (
         *scheduler.waiting, *scheduler.live, *scheduler.parked.values(),
         *scheduler._resuming,
@@ -249,10 +253,7 @@ def test_scheduler_state_machine_fuzz(seed):
                 assert slot is None  # unknown-or-finished contract
             else:
                 assert slot is not None
-                assert slot.state is (
-                    RequestState.CANCELLED if op == "cancel"
-                    else RequestState.EXPIRED
-                )
+                assert slot.cancelled if op == "cancel" else slot.expired
                 model.resuming.discard(any_id)
                 model.state[any_id] = (
                     RequestState.CANCELLED if op == "cancel"

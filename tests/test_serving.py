@@ -18,7 +18,6 @@ from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
 from repro.specdec import (
     BatchedSpecDecodeEngine,
-    RequestState,
     SdStrategy,
     speculative_generate,
 )
@@ -139,19 +138,19 @@ class TestCancellation:
             step_engines([engine])
             step_engines([engine])
             slot = engine.cancel(victim)
-            assert slot is not None and slot.state is RequestState.CANCELLED
+            assert slot is not None and slot.cancelled
             result = drain(engine)
             for finished in result.slots:
                 rid = finished.request.request_id
                 if rid == victim:
-                    assert finished.state is RequestState.CANCELLED
+                    assert finished.cancelled
                     # Partial response is a prefix of the full one.
                     assert (
                         reference[rid][: len(finished.response)]
                         == finished.response
                     )
                 else:
-                    assert finished.state is not RequestState.CANCELLED
+                    assert not finished.cancelled
                     assert finished.response == reference[rid], (
                         f"survivor {rid} perturbed by cancelling "
                         f"{victim}"
@@ -165,12 +164,10 @@ class TestCancellation:
         assert engine.scheduler.num_waiting > 0
         waiting_id = engine.scheduler.waiting[0].request.request_id
         slot = engine.cancel(waiting_id)
-        assert slot is not None and slot.state is RequestState.CANCELLED
+        assert slot is not None and slot.cancelled
         assert slot.response == []
         result = drain(engine)
-        cancelled = [
-            s for s in result.slots if s.state is RequestState.CANCELLED
-        ]
+        cancelled = [s for s in result.slots if s.cancelled]
         assert [s.request.request_id for s in cancelled] == [waiting_id]
 
     def test_cancel_unknown_or_finished_returns_none(
@@ -191,7 +188,7 @@ class TestCancellation:
             engine.cancel(request_id)
         assert not engine.scheduler.has_work
         result = engine.result()
-        assert all(s.state is RequestState.CANCELLED for s in result.slots)
+        assert all(s.cancelled for s in result.slots)
         assert len(result.slots) == len(PROMPTS)
 
 

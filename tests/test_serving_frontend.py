@@ -391,6 +391,8 @@ class TestServingEngine:
             assert stats["finished"] + stats["cancelled"] <= (
                 stats["requests"]
             )
+        assert len(report.utilization) == 2
+        assert all(0.0 <= u <= 1.0 for u in report.utilization)
 
 
 class TestAdaptiveServing:

@@ -10,7 +10,7 @@ block stays pinned.  The terminal event still sees the slot whole.
 The ratchet drains one trace shape at N and at 2N requests and bounds
 what a served request leaves behind per request (tracemalloc): the
 bound sits between this layout (about 1.7 KB) and the one that kept
-every slot's decode state (about 3.3 KB).  The guard below it drops a
+every slot's decode state (about 3.5 KB).  The guard below it drops a
 drained pool and one closed-loop RL step and requires the traced
 memory to come back to where it started.
 """

@@ -53,7 +53,7 @@ class TestSlidingWindow:
         win.append(1.0)
         win.append(2.0)
         assert len(win) == 2
-        assert win.values() == [1.0, 2.0]
+        assert list(win) == [1.0, 2.0]
 
     def test_is_empty(self):
         win = SlidingWindow(2)
