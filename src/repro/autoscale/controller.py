@@ -95,11 +95,12 @@ class Autoscaler:
         policy: scaling policy (a default
             :class:`~repro.autoscale.policy.HysteresisPolicy` bounded
             by the fleet's starting size when omitted).
-        signals: signal aggregator (a default one when omitted).
-        sd_step: elastic-SD threshold change per nudge.
-        min_sd_threshold / max_sd_threshold: clamp for nudged
-            activation thresholds.
     """
+
+    #: Elastic-SD threshold change per nudge.
+    SD_STEP = 4
+    #: Clamp for nudged activation thresholds.
+    MIN_SD_THRESHOLD, MAX_SD_THRESHOLD = 1, 64
 
     def __init__(
         self,
@@ -108,31 +109,15 @@ class Autoscaler:
             Callable[[], ServingEngine]
         ] = None,
         policy: Optional[ScalingPolicy] = None,
-        signals: Optional[SignalAggregator] = None,
-        sd_step: int = 4,
-        min_sd_threshold: int = 1,
-        max_sd_threshold: int = 64,
     ) -> None:
-        if sd_step < 1:
-            raise AutoscaleError(
-                f"sd_step must be >= 1, got {sd_step}"
-            )
-        if not 1 <= min_sd_threshold <= max_sd_threshold:
-            raise AutoscaleError(
-                f"need 1 <= min_sd_threshold <= max_sd_threshold, got "
-                f"{min_sd_threshold}..{max_sd_threshold}"
-            )
         self.fleet = fleet
         self.replica_factory = replica_factory
         self.policy = policy or HysteresisPolicy(
             min_replicas=1,
             max_replicas=max(len(fleet.replicas), 1) * 4,
         )
-        self.signals = signals or SignalAggregator()
+        self.signals = SignalAggregator()
         self.signals.attach(fleet)
-        self.sd_step = sd_step
-        self.min_sd_threshold = min_sd_threshold
-        self.max_sd_threshold = max_sd_threshold
         #: Every executed decision, in execution order (the audit log).
         self.events: List[ScaleEvent] = []
         self._ring_moves_seen = fleet.routing.ring_moves
@@ -232,9 +217,9 @@ class Autoscaler:
         self, event: ScaleEvent, decision: ScaleDecision
     ) -> None:
         delta = (
-            self.sd_step
+            self.SD_STEP
             if decision.action is ScaleAction.NUDGE_SD_UP
-            else -self.sd_step
+            else -self.SD_STEP
         )
         threshold: Optional[int] = None
         seen = set()
@@ -244,9 +229,9 @@ class Autoscaler:
                 continue  # workers may share one config object
             seen.add(id(config))
             config.activation_threshold = max(
-                self.min_sd_threshold,
+                self.MIN_SD_THRESHOLD,
                 min(
-                    self.max_sd_threshold,
+                    self.MAX_SD_THRESHOLD,
                     config.activation_threshold + delta,
                 ),
             )

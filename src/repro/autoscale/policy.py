@@ -108,11 +108,11 @@ class HysteresisPolicy(ScalingPolicy):
         surge_factor: pressure beyond ``surge_factor × high_watermark``
             scales out by up to ``max_step`` at once (a flash crowd
             should not be answered one replica per cooldown).
-        nudge_cooldown: ticks between SD-threshold nudges at the
-            bounds.
     """
 
     name = "hysteresis"
+    #: Ticks between SD-threshold nudges at the bounds.
+    NUDGE_COOLDOWN = 8
 
     def __init__(
         self,
@@ -124,7 +124,6 @@ class HysteresisPolicy(ScalingPolicy):
         in_cooldown: int = 12,
         max_step: int = 2,
         surge_factor: float = 2.0,
-        nudge_cooldown: int = 8,
     ) -> None:
         if not 0.0 <= low_watermark < high_watermark:
             raise ConfigError(
@@ -140,7 +139,7 @@ class HysteresisPolicy(ScalingPolicy):
                 f"max_replicas ({max_replicas}) must be >= "
                 f"min_replicas ({min_replicas})"
             )
-        if out_cooldown < 0 or in_cooldown < 0 or nudge_cooldown < 0:
+        if out_cooldown < 0 or in_cooldown < 0:
             raise ConfigError("cooldowns must be >= 0")
         if max_step < 1:
             raise ConfigError(f"max_step must be >= 1, got {max_step}")
@@ -156,7 +155,6 @@ class HysteresisPolicy(ScalingPolicy):
         self.in_cooldown = in_cooldown
         self.max_step = max_step
         self.surge_factor = surge_factor
-        self.nudge_cooldown = nudge_cooldown
         self._tick = -1
         self._last_scale: int = -(10**9)
         self._last_nudge: int = -(10**9)
@@ -231,7 +229,7 @@ class HysteresisPolicy(ScalingPolicy):
     def _nudge(
         self, action: ScaleAction, reason: str
     ) -> ScaleDecision:
-        if self._tick - self._last_nudge < self.nudge_cooldown:
+        if self._tick - self._last_nudge < self.NUDGE_COOLDOWN:
             return HOLD
         self._last_nudge = self._tick
         return ScaleDecision(action, 1, reason)

@@ -94,29 +94,21 @@ class SignalAggregator:
     sensor blind.  Call :meth:`observe` once per fleet tick (the
     autoscaler's ``on_tick`` does) to fold that tick's event counts
     and load readings into a new :class:`PressureSnapshot`.
-
-    Args:
-        alpha: EWMA smoothing factor in ``(0, 1]`` — the weight of the
-            newest sample (1.0 = no smoothing).
-        window: sliding-window length in ticks for the backlog slope.
     """
 
-    def __init__(self, alpha: float = 0.5, window: int = 8) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(
-                f"alpha must be in (0, 1], got {alpha}"
-            )
-        if window < 2:
-            raise ConfigError(f"window must be >= 2, got {window}")
-        self.alpha = alpha
-        self.window = window
+    #: EWMA smoothing factor: the weight of the newest sample.
+    ALPHA = 0.5
+    #: Sliding-window length in ticks for the backlog slope.
+    WINDOW = 8
+
+    def __init__(self) -> None:
         self._fleet: Optional[FleetEngine] = None
         self._preemptions_pending = 0
         self._spills_seen = 0
         self._queue_ewma = 0.0
         self._preemption_ewma = 0.0
         self._spill_ewma = 0.0
-        self._backlog_window: Deque[int] = deque(maxlen=window)
+        self._backlog_window: Deque[int] = deque(maxlen=self.WINDOW)
         #: Snapshot history in observation order (the audit trail
         #: scale events reference by value).
         self.snapshots: list = []
@@ -182,7 +174,7 @@ class SignalAggregator:
         spills = fleet.routing.spills - self._spills_seen
         self._spills_seen = fleet.routing.spills
 
-        a = self.alpha
+        a = self.ALPHA
         self._queue_ewma += a * (queue_depth - self._queue_ewma)
         self._preemption_ewma += a * (
             preemptions - self._preemption_ewma

@@ -7,7 +7,7 @@ placement function with three properties:
 * **deterministic across processes and runs** — Python's builtin
   ``hash`` is salted per process, so points come from BLAKE2b over the
   key bytes instead;
-* **balanced** — each replica owns ``vnodes`` points on the ring, so
+* **balanced** — each replica owns ``VNODES`` points on the ring, so
   expected load spreads evenly even with a handful of replicas;
 * **minimal movement** — adding or removing one replica of *M* remaps
   only the keys falling into the arcs its virtual nodes owned
@@ -27,7 +27,7 @@ import bisect
 import hashlib
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.errors import ConfigError, FleetError
+from repro.errors import FleetError
 
 
 def _point(data: bytes) -> int:
@@ -43,26 +43,18 @@ def prefix_key(prompt: Sequence[int], prefix_len: int) -> Tuple[int, ...]:
 
 
 class ConsistentHashRing:
-    """Token-prefix-keyed consistent hashing over replica ids.
+    """Token-prefix-keyed consistent hashing over replica ids; starts
+    empty, members join with :meth:`add`."""
 
-    Args:
-        replicas: initial members.
-        vnodes: virtual nodes per replica (more = smoother balance,
-            slightly larger membership-change cost).
-    """
+    #: Virtual nodes per replica (more = smoother balance, slightly
+    #: larger membership-change cost).
+    VNODES = 64
 
-    def __init__(
-        self, replicas: Iterable[int] = (), vnodes: int = 64
-    ) -> None:
-        if vnodes < 1:
-            raise ConfigError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self) -> None:
         #: Sorted ring points, parallel to :attr:`_owners`.
         self._points: List[int] = []
         self._owners: List[int] = []
         self._members: Dict[int, List[int]] = {}
-        for replica_id in replicas:
-            self.add(replica_id)
 
     # -- membership --------------------------------------------------------
 
@@ -84,7 +76,7 @@ class ConsistentHashRing:
                 f"replica {replica_id} is already on the ring"
             )
         points = []
-        for vnode in range(self.vnodes):
+        for vnode in range(self.VNODES):
             point = _point(f"replica:{replica_id}:vnode:{vnode}".encode())
             # Collisions across 64-bit points are practically
             # impossible; refuse rather than silently shadow an owner.
@@ -139,7 +131,4 @@ class ConsistentHashRing:
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return (
-            f"ConsistentHashRing(members={self.members}, "
-            f"vnodes={self.vnodes})"
-        )
+        return f"ConsistentHashRing(members={self.members})"

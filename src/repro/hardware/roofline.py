@@ -86,7 +86,6 @@ class RooflineModel:
         batch_size: int,
         tokens_per_sequence: int,
         context_tokens: float = 0.0,
-        overhead_s: float | None = None,
     ) -> StepCost:
         """Cost of one batched forward step.
 
@@ -97,8 +96,8 @@ class RooflineModel:
                 prompt length = prefill).
             context_tokens: average KV-cache tokens per sequence that must
                 be streamed.
-            overhead_s: override the fixed overhead (defaults to the GPU's
-                full-model step overhead).
+
+        The fixed overhead is the GPU's full-model step overhead.
         """
         if batch_size < 1 or tokens_per_sequence < 1:
             raise HardwareModelError(
@@ -118,13 +117,10 @@ class RooflineModel:
         memory_s = (self._shard_bytes() + kv_bytes) / (
             self.gpu.effective_gbps * 1e9
         )
-        base_overhead = (
-            self.gpu.step_overhead_s if overhead_s is None else overhead_s
-        )
         return StepCost(
             compute_s=compute_s * self._sync_factor(),
             memory_s=memory_s * self._sync_factor(),
-            overhead_s=base_overhead,
+            overhead_s=self.gpu.step_overhead_s,
             tokens=tokens,
         )
 

@@ -9,7 +9,7 @@ or strategy), whose requests draw from private seeded streams instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -33,15 +33,12 @@ class GenerationOutput:
         model_steps: number of target-model forward steps executed (the
             vanilla-decoding cost measure; each step serves every unfinished
             sequence in the batch).
-        chosen_probs: per-sequence probability of each sampled token under
-            the post-temperature distribution (same length as responses).
     """
 
     prompts: List[List[int]]
     responses: List[List[int]]
     finished: List[bool]
     model_steps: int
-    chosen_probs: List[List[float]] = field(default_factory=list)
 
     @property
     def full_sequences(self) -> List[List[int]]:
@@ -65,7 +62,6 @@ def generate(
     max_new_tokens: int,
     temperature: float,
     rng: np.random.Generator,
-    record_probs: bool = False,
 ) -> GenerationOutput:
     """Vanilla batched autoregressive generation.
 
@@ -76,7 +72,6 @@ def generate(
         temperature: sampling temperature (0 = greedy).
         rng: random generator consumed one uniform per active sequence per
             step.
-        record_probs: also return the sampled tokens' probabilities.
 
     Returns:
         A :class:`GenerationOutput`.
@@ -91,7 +86,6 @@ def generate(
     batch = len(prompt_lists)
     sequences = [list(p) for p in prompt_lists]
     responses: List[List[int]] = [[] for _ in range(batch)]
-    probs_out: List[List[float]] = [[] for _ in range(batch)]
     active = np.ones(batch, dtype=bool)
     context = contexts_from_sequences(sequences, model.config.context_window)
 
@@ -104,12 +98,10 @@ def generate(
         probs = temperature_probs(logits, temperature)
         tokens = sample_from_probs(probs, rng)
         steps += 1
-        for pos, (row, tok) in enumerate(zip(idx, tokens)):
+        for row, tok in zip(idx, tokens):
             tok = int(tok)
             responses[row].append(tok)
             sequences[row].append(tok)
-            if record_probs:
-                probs_out[row].append(float(probs[pos][tok]))
             if tok == EOS_ID:
                 active[row] = False
         # Refresh trailing windows only for still-active sequences.
@@ -123,6 +115,5 @@ def generate(
         responses=responses,
         finished=finished,
         model_steps=steps,
-        chosen_probs=probs_out if record_probs else [],
     )
 

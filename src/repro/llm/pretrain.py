@@ -23,6 +23,12 @@ from repro.llm.optim import Adam
 from repro.llm.sampler import log_softmax
 from repro.llm.vocab import BOS_ID, EOS_ID, NUM_SPECIAL_TOKENS
 
+#: Per-step probability that a corpus sequence ends with EOS.
+EOS_PROB = 0.02
+#: Adam step size and global gradient-norm clip of pretraining.
+PRETRAIN_LEARNING_RATE = 5e-3
+PRETRAIN_GRAD_CLIP = 10.0
+
 
 def synthetic_corpus(
     vocab_size: int,
@@ -30,18 +36,17 @@ def synthetic_corpus(
     length: int,
     rng: np.random.Generator,
     chain_prob: float = 0.85,
-    eos_prob: float = 0.02,
 ) -> List[List[int]]:
     """Noisy successor-chain corpus.
 
     Each sequence starts at a random regular token; with probability
     ``chain_prob`` the next token is the (wrapping) successor, otherwise a
-    random regular token; EOS terminates with ``eos_prob`` per step.  The
+    random regular token; EOS terminates with ``EOS_PROB`` per step.  The
     resulting LM has mostly-deterministic transitions with genuine
     entropy — the regime reasoning models occupy.
     """
-    if not 0.0 <= chain_prob <= 1.0 or not 0.0 <= eos_prob < 1.0:
-        raise ConfigError("chain_prob/eos_prob out of range")
+    if not 0.0 <= chain_prob <= 1.0:
+        raise ConfigError("chain_prob out of range")
     if num_sequences < 1 or length < 2:
         raise ConfigError("need num_sequences >= 1 and length >= 2")
     lo = NUM_SPECIAL_TOKENS
@@ -51,7 +56,7 @@ def synthetic_corpus(
         token = int(rng.integers(lo, vocab_size))
         seq = [BOS_ID, token]
         for _ in range(length - 1):
-            if rng.random() < eos_prob:
+            if rng.random() < EOS_PROB:
                 seq.append(EOS_ID)
                 break
             if rng.random() < chain_prob:
@@ -84,8 +89,6 @@ def pretrain_on_sequences(
     model: TinyLM,
     sequences: Sequence[Sequence[int]],
     epochs: int,
-    learning_rate: float = 5e-3,
-    grad_clip: float = 10.0,
 ) -> PretrainReport:
     """Teacher-forced cross-entropy pretraining of a TinyLM.
 
@@ -93,8 +96,6 @@ def pretrain_on_sequences(
         model: the model to train (mutated in place).
         sequences: token sequences (BOS-prefixed recommended).
         epochs: full-batch optimisation steps.
-        learning_rate: Adam step size.
-        grad_clip: global gradient-norm clip.
 
     Returns:
         A :class:`PretrainReport` with the per-epoch loss trajectory.
@@ -112,7 +113,7 @@ def pretrain_on_sequences(
     labels = np.roll(tokens, shift=-1, axis=1)
     total = float(mask.sum())
 
-    optimizer = Adam(lr=learning_rate)
+    optimizer = Adam(lr=PRETRAIN_LEARNING_RATE)
     losses: List[float] = []
     for _ in range(epochs):
         result = model.forward(tokens, keep_cache=True)
@@ -123,7 +124,7 @@ def pretrain_on_sequences(
         dlogits *= mask[:, :, None] / total
         losses.append(loss)
         grads = model.backward(result.cache, dlogits)
-        grads.clip_global_norm(grad_clip)
+        grads.clip_global_norm(PRETRAIN_GRAD_CLIP)
         optimizer.step(model.params, grads)
     return PretrainReport(losses=losses)
 

@@ -16,27 +16,25 @@ import numpy as np
 from repro.errors import GenerationError
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax along ``axis``, in place on one new array."""
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis, in place on one new array."""
     logits = np.asarray(logits, dtype=np.float64)
-    probs = logits - logits.max(axis=axis, keepdims=True)
+    probs = logits - logits.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=axis, keepdims=True)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable log-softmax along ``axis``."""
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable log-softmax over the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
 
-def temperature_probs(
-    logits: np.ndarray, temperature: float, axis: int = -1
-) -> np.ndarray:
-    """Token distribution after temperature scaling.
+def temperature_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """Token distribution (last axis) after temperature scaling.
 
     ``temperature == 0`` yields a greedy one-hot distribution (argmax);
     otherwise probabilities are ``softmax(logits / temperature)``.
@@ -47,16 +45,10 @@ def temperature_probs(
         )
     logits = np.asarray(logits, dtype=np.float64)
     if temperature == 0.0:
-        # One-hot at the first maximum: compare an index grid laid along
-        # ``axis`` with the argmax.
-        best_shape = list(logits.shape)
-        best_shape[axis] = 1
-        grid_shape = [1] * logits.ndim
-        grid_shape[axis] = -1
-        grid = np.arange(logits.shape[axis]).reshape(grid_shape)
-        best = logits.argmax(axis=axis).reshape(best_shape)
-        return (grid == best).astype(np.float64)
-    return softmax(logits / temperature, axis=axis)
+        # One-hot at the first maximum.
+        best = logits.argmax(axis=-1)[..., None]
+        return (np.arange(logits.shape[-1]) == best).astype(np.float64)
+    return softmax(logits / temperature)
 
 
 def tokens_at_uniforms(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:

@@ -97,62 +97,33 @@ class ColocatedLoop:
         self.published.append(published)
         return published
 
-    def run(
-        self, num_rounds: int, lookahead: int = 0
-    ) -> List["RlStepReport"]:
+    def run(self, num_rounds: int) -> List["RlStepReport"]:
         """Run ``num_rounds`` RL steps, each followed by the refresh.
 
-        Keeps up to ``lookahead`` extra batches staged ahead of the one
-        being trained on: while batch *k*'s stragglers decode, batch
-        *k+1*'s short requests are already filling the freed slots, and
-        batch *k* is still delivered group-complete before its update
-        runs.  Trainer RNG order is preserved — ``sample_prompts`` and
-        the scheduler's in-prompt-order seed draw alternate exactly as
-        :meth:`~repro.rl.trainer.RlTrainer.step`'s calls would — so the
-        *requests* are identical at every ``lookahead`` and
-        ``lookahead=0`` is ``trainer.step()`` byte for byte; a
-        looked-ahead batch *is* rolled out under a policy (and drafter)
-        up to ``lookahead`` updates stale, the classic async-RL
-        freshness trade the caller opts into.
-
-        With a spot trainer attached every step ends with the refresh:
-        ingest the finished rollouts, train a slice in the bubble
-        (drawing from ``spot_rng`` only), publish the snapshot.
+        Each round is one in-line :meth:`~repro.rl.trainer.RlTrainer.step`
+        (its rollout rides the pool through the trainer's
+        ``RolloutScheduler``).  With a spot trainer attached every step
+        ends with the refresh: ingest the finished rollouts, train a
+        slice in the bubble (drawing from ``spot_rng`` only), publish
+        the snapshot.
 
         Returns the per-step reports.
         """
         if num_rounds < 1:
             raise ConfigError(f"num_rounds must be >= 1, got {num_rounds}")
-        if lookahead < 0:
-            raise ConfigError(f"lookahead must be >= 0, got {lookahead}")
         trainer = self.trainer
-        scheduler = trainer.backend
-        config = trainer.config
-        in_flight: List = []  # (batch_id, PromptBatch)
-        submitted = 0
         reports: List["RlStepReport"] = []
         for _ in range(num_rounds):
-            while submitted < num_rounds and len(in_flight) <= lookahead:
-                prompts = trainer.sample_prompts()
-                batch_id = scheduler.submit_batch(
-                    trainer.policy,
-                    prompts.expanded,
-                    config.max_new_tokens,
-                    config.temperature,
-                    trainer.rng,
-                )
-                in_flight.append((batch_id, prompts))
-                submitted += 1
-            batch_id, prompts = in_flight.pop(0)
             step = trainer.steps_done
             if self.spot is not None:
                 self.spot.begin_step(step)
-            rollout = scheduler.collect(batch_id)
-            reports.append(trainer.step(rollout=rollout, prompts=prompts))
+            reports.append(trainer.step())
             if self.spot is not None:
                 self.spot.ingest(
                     collect_training_sequences(
-                        trainer.policy, rollout.full_sequences, step
+                        trainer.policy,
+                        trainer.last_rollout.full_sequences,
+                        step,
                     )
                 )
                 self.spot.train_slice(

@@ -12,7 +12,7 @@ keeps up as the rollout distribution shifts under RL training.  The
 * each family keeps a sliding window of observed response lengths
   (:attr:`~repro.rl.rollout_backends.RolloutResult.response_lengths`
   fed back after every rollout batch) plus an EWMA; the prediction is
-  the window **quantile** (p75 by default — scheduling cares about the
+  the window **quantile** (p75 — scheduling cares about the
   straggler end, not the mean), smoothed toward the EWMA while the
   window is thin;
 * unseen families fall back to a **prior** drawn from a
@@ -126,68 +126,40 @@ class LengthPredictor:
         family_prefix: leading prompt tokens forming the family key
             (GRPO members share the whole prompt, so any prefix groups
             them; a template-length prefix groups whole task families).
-        quantile: window quantile predicted (p75 by default — the
-            scheduler plans for the straggler end of each family).
-        ewma_alpha: EWMA smoothing factor in (0, 1].
-        min_window: observations a family needs before its window
-            quantile is trusted alone; below it the quantile and EWMA
-            are blended by observation count.
-        window: per-family sliding-window capacity (bounds memory and
-            keeps the estimate tracking a *shifting* distribution —
-            response lengths grow as RL training progresses).
-        prior: optional workload length model; its ``quantile`` is the
+        prior: optional workload length model; its ``QUANTILE`` is the
             prediction for never-observed families (sampled once,
             deterministically, at construction).
-        prior_samples: sample count for the prior quantile.
-        hit_factor: calibration band — an observation counts as a hit
-            when the prediction was within this factor both ways.
     """
+
+    #: Window quantile predicted (p75 — the scheduler plans for the
+    #: straggler end of each family).
+    QUANTILE = 75.0
+    #: EWMA smoothing factor.
+    EWMA_ALPHA = 0.25
+    #: Observations a family needs before its window quantile is
+    #: trusted alone; below it the quantile and EWMA are blended by
+    #: observation count.
+    MIN_WINDOW = 4
+    #: Per-family sliding-window capacity (bounds memory and keeps the
+    #: estimate tracking a *shifting* distribution — response lengths
+    #: grow as RL training progresses).
+    WINDOW = 64
+    #: Sample count for the prior quantile.
+    PRIOR_SAMPLES = 512
+    #: Calibration band: an observation counts as a hit when the
+    #: prediction was within this factor both ways.
+    HIT_FACTOR = 2.0
 
     def __init__(
         self,
         family_prefix: int = 4,
-        quantile: float = 75.0,
-        ewma_alpha: float = 0.25,
-        min_window: int = 4,
-        window: int = 64,
         prior: Optional[LengthModel] = None,
-        prior_samples: int = 512,
-        hit_factor: float = 2.0,
     ) -> None:
         if family_prefix < 1:
             raise ConfigError(
                 f"family_prefix must be >= 1, got {family_prefix}"
             )
-        if not 0.0 < quantile <= 100.0:
-            raise ConfigError(
-                f"quantile must be in (0, 100], got {quantile}"
-            )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ConfigError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}"
-            )
-        if min_window < 1:
-            raise ConfigError(
-                f"min_window must be >= 1, got {min_window}"
-            )
-        if window < min_window:
-            raise ConfigError(
-                f"window ({window}) must be >= min_window ({min_window})"
-            )
-        if prior_samples < 1:
-            raise ConfigError(
-                f"prior_samples must be >= 1, got {prior_samples}"
-            )
-        if hit_factor < 1.0:
-            raise ConfigError(
-                f"hit_factor must be >= 1.0, got {hit_factor}"
-            )
         self.family_prefix = family_prefix
-        self.quantile = quantile
-        self.ewma_alpha = ewma_alpha
-        self.min_window = min_window
-        self.window = window
-        self.hit_factor = hit_factor
         self.families: Dict[FamilyKey, FamilyEstimate] = {}
         self.calibration = PredictorCalibration()
         self._prior_length: Optional[float] = None
@@ -196,10 +168,10 @@ class LengthPredictor:
             # the predictor must not consume any caller RNG stream
             # (scheduling may only reorder, never perturb seeds).
             samples = prior.sample(
-                np.random.default_rng(0), prior_samples
+                np.random.default_rng(0), self.PRIOR_SAMPLES
             )
             self._prior_length = float(
-                np.percentile(samples, self.quantile)
+                np.percentile(samples, self.QUANTILE)
             )
 
     # -- family bookkeeping ------------------------------------------------
@@ -265,21 +237,21 @@ class LengthPredictor:
             else:
                 self.calibration.underestimates += 1
             ratio = max(before, 1.0) / max(float(length), 1.0)
-            if 1.0 / self.hit_factor <= ratio <= self.hit_factor:
+            if 1.0 / self.HIT_FACTOR <= ratio <= self.HIT_FACTOR:
                 self.calibration.within_factor += 1
         state = self.families.get(key)
         if state is None:
-            state = FamilyEstimate(deque(maxlen=self.window))
+            state = FamilyEstimate(deque(maxlen=self.WINDOW))
             self.families[key] = state
-        if len(state.window) == self.window:  # the oldest slides out
+        if len(state.window) == self.WINDOW:  # the oldest slides out
             del state.ordered[bisect_left(state.ordered, state.window[0])]
         state.window.append(float(length))
         insort(state.ordered, float(length))
         state.ewma = (
             float(length)
             if state.observations == 0
-            else self.ewma_alpha * float(length)
-            + (1.0 - self.ewma_alpha) * state.ewma
+            else self.EWMA_ALPHA * float(length)
+            + (1.0 - self.EWMA_ALPHA) * state.ewma
         )
         state.observations += 1
 
@@ -304,13 +276,13 @@ class LengthPredictor:
         state = self.families.get(key)
         if state is None or state.observations == 0:
             return None
-        quant = percentile_of_sorted(state.ordered, self.quantile)
+        quant = percentile_of_sorted(state.ordered, self.QUANTILE)
         count = len(state.window)
-        if count >= self.min_window:
+        if count >= self.MIN_WINDOW:
             return quant
         # Thin window: blend toward the EWMA by observation count, so
         # a single early outlier cannot own the family's estimate.
-        weight = count / self.min_window
+        weight = count / self.MIN_WINDOW
         return weight * quant + (1.0 - weight) * state.ewma
 
 

@@ -73,8 +73,9 @@ class DrafterZoo:
             acceptance scores (windowed, not running means: the
             target model drifts under RL training, and so does each
             arm's quality).
-        rng: generator for exploration draws (private default seed —
-            the zoo must not consume any trainer/rollout stream).
+
+    Exploration draws come from a private generator with a fixed seed:
+    the zoo must not consume any trainer/rollout stream.
     """
 
     def __init__(
@@ -83,7 +84,6 @@ class DrafterZoo:
         segments: Sequence[str],
         epsilon: float = 0.1,
         window: int = 16,
-        rng: Optional[np.random.Generator] = None,
     ) -> None:
         if not arms:
             raise ConfigError("the zoo needs at least one arm")
@@ -106,7 +106,7 @@ class DrafterZoo:
         self.segments = list(segments)
         self.epsilon = epsilon
         self.window = window
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = np.random.default_rng(0)
         self._bandits: Dict[str, _SegmentBandit] = {
             segment: _SegmentBandit(
                 windows={

@@ -150,13 +150,12 @@ class RlTrainer:
     def sample_prompts(self) -> PromptBatch:
         """Draw one step's prompt batch from the trainer's RNG.
 
-        The pipelining seam: a caller that splits the backend's
-        ``generate`` into ``submit_batch`` / ``collect``
-        (:meth:`repro.longtail.ColocatedLoop.run` over the same
-        ``RolloutScheduler`` that serves as the in-line backend)
-        samples the prompts here — consuming the trainer's RNG in
-        exactly the order :meth:`step` would — keeps batches in flight
-        across steps, and hands each finished
+        The split seam: a caller that splits the backend's
+        ``generate`` into ``submit_batch`` / ``collect`` (only
+        ``benchmarks/perf``'s ``rl_step`` workload, which drives the
+        pool's ticks itself to time them) samples the prompts here —
+        consuming the trainer's RNG in exactly the order :meth:`step`
+        would — and hands each finished
         :class:`~repro.rl.rollout_backends.RolloutResult` back through
         ``step(rollout=..., prompts=...)``.  Because prompt sampling
         and the backend's per-request seed draws are the only RNG

@@ -176,7 +176,7 @@ class PrefixAffinityDispatch(DispatchPolicy):
     matches on content: repeated system-prompt-style prefixes find
     their worker with no tag at all.
 
-    Matches shorter than ``min_match`` tokens fall through to the
+    Matches shorter than ``MIN_MATCH`` tokens fall through to the
     ``fallback`` policy (least-loaded when omitted) — a one-token
     coincidence is not affinity, and with BOS applied every prompt
     trivially shares its first token.  Among equally matched workers
@@ -186,29 +186,21 @@ class PrefixAffinityDispatch(DispatchPolicy):
 
     Args:
         fallback: policy for arrivals with no sufficient match.
-        min_match: minimum shared leading tokens (BOS included when
-            the front-end applies one) for affinity to bind.
     """
 
     name = "prefix-affinity"
+    #: Minimum shared leading tokens (BOS included when the front-end
+    #: applies one) for affinity to bind.
+    MIN_MATCH = 2
 
-    def __init__(
-        self,
-        fallback: Optional[DispatchPolicy] = None,
-        min_match: int = 2,
-    ) -> None:
-        if min_match < 1:
-            raise ConfigError(
-                f"min_match must be >= 1, got {min_match}"
-            )
+    def __init__(self, fallback: Optional[DispatchPolicy] = None) -> None:
         self.fallback = fallback or LeastLoadedDispatch()
-        self.min_match = min_match
 
     def choose(self, request: ServingRequest, workers: Sequence) -> int:
         index, match = warmest(
             request.prompt, workers, range(len(workers))
         )
-        if match < self.min_match:
+        if match < self.MIN_MATCH:
             return self.fallback.choose(request, workers)
         return index
 
@@ -351,59 +343,35 @@ class SloPreemption(PreemptionPolicy):
     """Park the longest-backlog low-urgency request for urgent traffic.
 
     An arrival is *urgent* when its TTFT target is at most
-    ``urgent_ttft`` ticks (the INTERACTIVE class by default) — queuing
-    behind a full worker for even a few cycles would blow that budget.
-    Victims are live requests whose SLO class is in ``victim_classes``
-    (BATCH-style background traffic by default — RL rollouts soaking
-    idle capacity are exactly the requests designed to be paused); among
-    them the one with the **largest remaining token backlog** is parked,
-    because pausing the longest straggler frees a slot for the longest
-    time per preemption.  Ties break to the lowest request id, keeping
-    runs deterministic.
-
-    Args:
-        urgent_ttft: TTFT target (ticks) at or below which an arrival
-            may preempt.
-        victim_classes: SLO class names eligible to be parked.  None
-            means any live request with a *strictly laxer* TTFT target
-            than the arrival is eligible (pure urgency ordering).
+    ``URGENT_TTFT`` ticks (the INTERACTIVE class) — queuing behind a
+    full worker for even a few cycles would blow that budget.  Victims
+    are live BATCH-class requests (RL rollouts soaking idle capacity
+    are exactly the requests designed to be paused); among them the one
+    with the **largest remaining token backlog** is parked, because
+    pausing the longest straggler frees a slot for the longest time per
+    preemption.  Ties break to the lowest request id, keeping runs
+    deterministic.
     """
 
     name = "slo-preemption"
-
-    def __init__(
-        self,
-        urgent_ttft: float = 4.0,
-        victim_classes: Optional[Sequence[str]] = ("batch",),
-    ) -> None:
-        if urgent_ttft <= 0:
-            raise ConfigError(
-                f"urgent_ttft must be positive, got {urgent_ttft}"
-            )
-        self.urgent_ttft = urgent_ttft
-        self.victim_classes = (
-            None if victim_classes is None else frozenset(victim_classes)
-        )
+    #: TTFT target (ticks) at or below which an arrival may preempt.
+    URGENT_TTFT = 4.0
 
     def is_urgent(self, request: ServingRequest) -> bool:
-        """Arrivals with a TTFT target at most ``urgent_ttft`` ticks."""
-        return request.slo.ttft_target <= self.urgent_ttft
+        """Arrivals with a TTFT target at most ``URGENT_TTFT`` ticks."""
+        return request.slo.ttft_target <= self.URGENT_TTFT
 
     def choose_victim(
         self,
         request: ServingRequest,
         live: Sequence[Tuple[ServingRequest, int]],
     ) -> Optional[int]:
-        if request.slo.ttft_target > self.urgent_ttft:
+        if request.slo.ttft_target > self.URGENT_TTFT:
             return None
         candidates = [
             (victim, remaining)
             for victim, remaining in live
-            if (
-                victim.slo.name in self.victim_classes
-                if self.victim_classes is not None
-                else victim.slo.ttft_target > request.slo.ttft_target
-            )
+            if victim.slo.name == "batch"
         ]
         if not candidates:
             return None

@@ -57,16 +57,11 @@ class RequestIdAllocator:
     lock — replicas driven from concurrent threads are safe — and
     :meth:`observe` bumps the namespace past externally-assigned ids
     (trace-synthesized requests), so mixed trace + programmatic traffic
-    stays collision-free too.
-
-    Args:
-        start: first id the allocator may hand out.
+    stays collision-free too.  Ids start at 0.
     """
 
-    def __init__(self, start: int = 0) -> None:
-        if start < 0:
-            raise ConfigError(f"start must be >= 0, got {start}")
-        self._next = int(start)
+    def __init__(self) -> None:
+        self._next = 0
         self._lock = threading.Lock()
 
     @property
@@ -97,7 +92,6 @@ def poisson_trace(
     vocab_size: int,
     prompt_len: int = 4,
     slo_mix: Sequence[Tuple[SloClass, float]] = ((STANDARD, 1.0),),
-    predictor_noise: float = 0.0,
     start_id: int = 0,
 ) -> List[ServingRequest]:
     """Synthesize a Poisson-arrival request trace with long-tail lengths.
@@ -120,19 +114,16 @@ def poisson_trace(
             (skipping PAD/BOS/EOS).
         prompt_len: prompt length in tokens.
         slo_mix: (slo, weight) pairs requests are assigned from.
-        predictor_noise: lognormal sigma of the multiplicative noise on
-            ``predicted_length`` (0.0 = oracle predictor).
         start_id: first request id.
 
     Returns:
-        Requests sorted by arrival time.
+        Requests sorted by arrival time, each predicted at its true
+        length (an oracle predictor).
     """
     if num_requests < 1:
         raise ConfigError(f"num_requests must be >= 1, got {num_requests}")
     if mean_interarrival <= 0:
         raise ConfigError("mean_interarrival must be positive")
-    if predictor_noise < 0:
-        raise ConfigError("predictor_noise must be non-negative")
     if not slo_mix:
         raise ConfigError("slo_mix must be non-empty")
     slos = [slo for slo, _ in slo_mix]
@@ -148,15 +139,6 @@ def poisson_trace(
     requests: List[ServingRequest] = []
     for i in range(num_requests):
         length = int(lengths[i])
-        predicted = length
-        if predictor_noise > 0:
-            predicted = int(
-                np.clip(
-                    round(length * rng.lognormal(0.0, predictor_noise)),
-                    1,
-                    None,
-                )
-            )
         requests.append(
             ServingRequest(
                 request_id=start_id + i,
@@ -167,7 +149,7 @@ def poisson_trace(
                 max_new_tokens=length,
                 arrival_time=float(arrivals[i]),
                 slo=slos[int(slo_picks[i])],
-                predicted_length=predicted,
+                predicted_length=length,
                 seed=int(rng.integers(0, np.iinfo(np.int64).max)),
             )
         )

@@ -112,8 +112,8 @@ class EventBus:
             worker that owns the engine; None for standalone engines).
     """
 
-    def __init__(self, worker_id: Optional[int] = None) -> None:
-        self.worker_id = worker_id
+    def __init__(self) -> None:
+        self.worker_id: Optional[int] = None
         self._events: List[RequestEvent] = []
         self._subscribers: List[Callable[[RequestEvent], None]] = []
 

@@ -8,11 +8,8 @@ loop of its own: the prompts become requests of a one-worker
 and seeded from the master generator in prompt order (the draw
 :meth:`~repro.longtail.scheduler.RolloutScheduler.submit_batch` makes),
 and the pool's tick (:func:`~repro.specdec.batch_engine.step_engines`)
-decodes them: continuous batching, one verify launch per cycle, and an
-optional :class:`~repro.rollout.adaptive.AdaptiveSdManager` consulted
-with the real live-batch size.  Private streams make the tokens
-independent of ``max_batch_size`` under a static strategy; a manager's
-elastic rule reads the live batch, so there capacity shapes the output.
+decodes them: continuous batching, one verify launch per cycle.
+Private streams make the tokens independent of ``max_batch_size``.
 
 The prefill kernels live here too.  :func:`suffix_prefill_hiddens` is
 the one prefill launch of a tick: it takes effective prefill contexts
@@ -42,7 +39,6 @@ from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import ChildMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.rollout.adaptive import AdaptiveSdManager
     from repro.specdec.batch_engine import BatchedGenerationResult
 
 
@@ -128,7 +124,6 @@ def speculative_generate(
     strategy: Optional[SdStrategy],
     child_mode: ChildMode = "sample",
     max_batch_size: Optional[int] = None,
-    sd_manager: Optional["AdaptiveSdManager"] = None,
 ) -> "BatchedGenerationResult":
     """Generate responses with (batched) speculative decoding.
 
@@ -140,13 +135,10 @@ def speculative_generate(
         temperature: sampling temperature (shared by drafter and target).
         rng: master random generator (one seed per prompt, drawn up
             front).
-        strategy: SD configuration tuple (optional when ``sd_manager``
-            selects strategies per cycle).
+        strategy: SD configuration tuple.
         child_mode: tree child expansion mode (``sample`` is lossless).
         max_batch_size: live-slot capacity (None = all prompts decode
             together, 1 = fully sequential decoding).
-        sd_manager: optional adaptive SD manager driven by the real
-            live-batch size each cycle.
 
     Returns:
         The one worker's :class:`~repro.specdec.batch_engine.
@@ -165,7 +157,6 @@ def speculative_generate(
         target,
         drafter,
         strategy=strategy,
-        sd_managers=None if sd_manager is None else [sd_manager],
         temperature=temperature,
         child_mode=child_mode,
         max_batch_size=max_batch_size,

@@ -23,6 +23,10 @@ from repro.systems.base import RlSystem, SystemStepReport
 
 #: Share of the roofline rollout speed the TRL + vLLM stack reaches.
 ROLLOUT_EFFICIENCY = 0.75
+#: Sequential rollout waves one global batch is generated in.
+ROLLOUT_WAVES = 4
+#: Per-step stage-transition cost of the training half, in seconds.
+TRANSITION_OVERHEAD_S = 20.0
 
 
 class OpenR1System(RlSystem):
@@ -30,21 +34,12 @@ class OpenR1System(RlSystem):
 
     name = "Open-R1"
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        cluster: ClusterSpec,
-        rollout_waves: int = 4,
-        transition_overhead_s: float = 20.0,
-    ) -> None:
+    def __init__(self, model: ModelSpec, cluster: ClusterSpec) -> None:
         super().__init__(model, cluster)
-        if rollout_waves < 1:
-            raise ConfigError("rollout_waves must be >= 1")
         if cluster.num_workers < 2:
             raise ConfigError(
                 "Open-R1 needs >= 2 workers (separate placement)"
             )
-        self.rollout_waves = rollout_waves
         serving_workers = cluster.num_workers // 2
         training_workers = cluster.num_workers - serving_workers
         self._serving_cluster = ClusterSpec(
@@ -70,7 +65,7 @@ class OpenR1System(RlSystem):
             cluster=self._training_cluster,
             sd_config=None,
             spot_training=False,
-            transition_overhead_s=transition_overhead_s,
+            transition_overhead_s=TRANSITION_OVERHEAD_S,
             # DeepSpeed ZeRO offloads optimizer state to host memory, so
             # the disaggregated trainer does not hit the device-OOM guard
             # (it pays in step time through the efficiency factor instead).
@@ -79,7 +74,7 @@ class OpenR1System(RlSystem):
 
     def simulate_step(self, workload: StepWorkload) -> SystemStepReport:
         lengths = np.asarray(list(workload.lengths))
-        waves = np.array_split(lengths, self.rollout_waves)
+        waves = np.array_split(lengths, ROLLOUT_WAVES)
         rollout_s = 0.0
         for wave in waves:
             if wave.size == 0:

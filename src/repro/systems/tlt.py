@@ -47,6 +47,9 @@ from repro.systems.base import RlSystem
 #: lengths of ~4-5 on repetitive math/code) vs the spot-trained EAGLE.
 MODEL_FREE_QUALITY = 0.6
 ADAPTIVE_QUALITY = 1.0
+#: TLT's multiplicative step overhead for drafter weight updates and
+#: optimizer offloading (the paper measures < 1%).
+EXTRA_OVERHEAD_FRACTION = 0.008
 
 
 class _AdaptiveSdSystem(RlSystem):
@@ -189,16 +192,9 @@ class TltBaseSystem(_AdaptiveSdSystem):
 
     name = "TLT-Base"
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        cluster: ClusterSpec,
-        activation_threshold: int = 32,
-        transition_overhead_s: float = 10.0,
-    ) -> None:
+    def __init__(self, model: ModelSpec, cluster: ClusterSpec) -> None:
         super().__init__(model, cluster)
         self.sd_config = AdaptiveSdConfig(
-            activation_threshold=activation_threshold,
             acceptance=ParametricAcceptance(
                 drafter_quality=MODEL_FREE_QUALITY
             ),
@@ -208,7 +204,6 @@ class TltBaseSystem(_AdaptiveSdSystem):
             cluster=cluster,
             sd_config=self.sd_config,
             spot_training=False,
-            transition_overhead_s=transition_overhead_s,
         )
 
 
@@ -222,8 +217,6 @@ class TltSystem(_AdaptiveSdSystem):
         model: ModelSpec,
         cluster: ClusterSpec,
         activation_threshold: int = 32,
-        transition_overhead_s: float = 10.0,
-        extra_overhead_fraction: float = 0.008,
         drafter_quality: float = ADAPTIVE_QUALITY,
     ) -> None:
         super().__init__(model, cluster)
@@ -238,6 +231,5 @@ class TltSystem(_AdaptiveSdSystem):
             cluster=cluster,
             sd_config=self.sd_config,
             spot_training=True,
-            transition_overhead_s=transition_overhead_s,
-            extra_overhead_fraction=extra_overhead_fraction,
+            extra_overhead_fraction=EXTRA_OVERHEAD_FRACTION,
         )

@@ -18,17 +18,11 @@ class VerlSystem(RlSystem):
 
     name = "VeRL"
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        cluster: ClusterSpec,
-        transition_overhead_s: float = 10.0,
-    ) -> None:
+    def __init__(self, model: ModelSpec, cluster: ClusterSpec) -> None:
         super().__init__(model, cluster)
         self._simulator = RlStepSimulator(
             model=model,
             cluster=cluster,
             sd_config=None,
             spot_training=False,
-            transition_overhead_s=transition_overhead_s,
         )

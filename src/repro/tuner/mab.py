@@ -26,6 +26,9 @@ from repro.errors import TunerError
 from repro.specdec.strategy import SdStrategy
 from repro.utils.stats import SlidingWindow
 
+#: Sliding-window length ``w`` of the ε-greedy selectors' reward windows.
+WINDOW_SIZE = 16
+
 
 class StrategySelector(abc.ABC):
     """Interface shared by BEG-MAB and the ablation baselines."""
@@ -81,7 +84,6 @@ class BegMabSelector(StrategySelector):
             ``t_1 < t_2 < ... < t_m`` (``t_1`` should be 1);  bucket ``i``
             covers ``[t_i, t_{i+1} - 1]`` and the last bucket is open.
         epsilon: exploration probability.
-        window_size: sliding-window length ``w``.
         rng: generator for exploration draws.
     """
 
@@ -90,7 +92,6 @@ class BegMabSelector(StrategySelector):
         strategies: Sequence[SdStrategy],
         batch_thresholds: Sequence[int],
         epsilon: float = 0.1,
-        window_size: int = 16,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if not strategies:
@@ -106,8 +107,6 @@ class BegMabSelector(StrategySelector):
             raise TunerError("batch thresholds must start at >= 1")
         if not 0.0 <= epsilon <= 1.0:
             raise TunerError("epsilon must be in [0, 1]")
-        if window_size < 1:
-            raise TunerError("window_size must be >= 1")
 
         # GroupByVerifyTokens(S) -> groups sorted by tokens_to_verify desc.
         verify_values = sorted(
@@ -126,12 +125,11 @@ class BegMabSelector(StrategySelector):
         self._groups = groups
         self._thresholds = thresholds
         self.epsilon = epsilon
-        self.window_size = window_size
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._arms: Dict[SdStrategy, _ArmState] = {
             s: _ArmState(
-                rewards=SlidingWindow(window_size),
-                accept_lens=SlidingWindow(window_size),
+                rewards=SlidingWindow(WINDOW_SIZE),
+                accept_lens=SlidingWindow(WINDOW_SIZE),
             )
             for s in strategies
         }
@@ -220,7 +218,6 @@ class PlainEpsilonGreedy(StrategySelector):
         self,
         strategies: Sequence[SdStrategy],
         epsilon: float = 0.1,
-        window_size: int = 16,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if not strategies:
@@ -231,7 +228,7 @@ class PlainEpsilonGreedy(StrategySelector):
         self.epsilon = epsilon
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._windows = {
-            s: SlidingWindow(window_size) for s in self._strategies
+            s: SlidingWindow(WINDOW_SIZE) for s in self._strategies
         }
 
     def select(self, batch_size: int) -> SdStrategy:
@@ -260,17 +257,13 @@ class Ucb1Selector(StrategySelector):
     sliding windows, so it adapts slowly when the workload drifts.
     """
 
-    def __init__(
-        self,
-        strategies: Sequence[SdStrategy],
-        exploration_coef: float = 2.0,
-    ) -> None:
+    #: Weight of the exploration bonus.
+    EXPLORATION_COEF = 2.0
+
+    def __init__(self, strategies: Sequence[SdStrategy]) -> None:
         if not strategies:
             raise TunerError("strategies must be non-empty")
-        if exploration_coef < 0:
-            raise TunerError("exploration_coef must be non-negative")
         self._strategies = list(strategies)
-        self.exploration_coef = exploration_coef
         self._counts = {s: 0 for s in self._strategies}
         self._sums = {s: 0.0 for s in self._strategies}
         self._total = 0
@@ -283,7 +276,7 @@ class Ucb1Selector(StrategySelector):
         def ucb(strategy: SdStrategy) -> float:
             mean = self._sums[strategy] / self._counts[strategy]
             bonus = np.sqrt(
-                self.exploration_coef
+                self.EXPLORATION_COEF
                 * np.log(max(self._total, 1))
                 / self._counts[strategy]
             )

@@ -22,28 +22,33 @@ so the zoo synthesizes the three canonical shapes the scoreboard
   threshold controller thrashes membership every period; a correct
   hysteresis band holds through the oscillation.
 
-Every scenario is seeded (one generator fixes the whole trace),
+Every scenario is seeded (one generator fixes the whole trace) and
 returns plain :class:`~repro.serving.request.ServingRequest` lists
-sorted by arrival, and honours the ``start_id`` convention — so zoo
-traces compose with :func:`~repro.workload.traces.fleet_trace` and
-each other by concatenation with shifted ids.
+sorted by arrival, with ids from 0.  Every request shares a
+``PREFIX_LEN``-token tenant prefix and has no private suffix, and
+short-lived traffic draws its lengths from ``SHORT_LENGTHS``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.workload.lengths import LengthModel, LognormalLengths
+from repro.specdec.scheduler import BATCH, STANDARD, ServingRequest, SloClass
+from repro.workload.lengths import LognormalLengths
 from repro.workload.traces import (
     _prefix_families,
     _requests_from_arrivals,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.serving.request import ServingRequest, SloClass
+#: Tenant-prefix tokens every zoo request shares with its family.
+PREFIX_LEN = 4
+#: Response lengths of the zoo's short-lived traffic.
+SHORT_LENGTHS = LognormalLengths(median=5.0, sigma=0.4, cap=12)
+#: Tenant prefix families of :func:`flash_crowd_trace`'s calm baseline.
+BASE_FAMILIES = 4
 
 
 def _thinned_arrivals(
@@ -75,12 +80,8 @@ def diurnal_trace(
     peak_interarrival: float = 0.5,
     trough_ratio: float = 0.12,
     num_families: int = 8,
-    prefix_len: int = 4,
-    suffix_len: int = 0,
-    lengths: Optional[LengthModel] = None,
-    slo: Optional["SloClass"] = None,
-    start_id: int = 0,
-) -> List["ServingRequest"]:
+    slo: Optional[SloClass] = None,
+) -> List[ServingRequest]:
     """A sinusoidal day/night arrival cycle (nonhomogeneous Poisson).
 
     The arrival rate follows ``λ(t) = λ_peak · (r + (1-r)·(1+sin)/2)``
@@ -98,16 +99,11 @@ def diurnal_trace(
         trough_ratio: trough rate as a fraction of the peak rate, in
             ``(0, 1]``.
         num_families: distinct tenant prefix families.
-        prefix_len / suffix_len: shared-prefix shape per request.
-        lengths: response-length model (short lognormal when omitted).
         slo: SLO class of every request (STANDARD when omitted).
-        start_id: first request id.
 
     Returns:
         Requests sorted by arrival time.
     """
-    from repro.serving.request import STANDARD
-
     if num_requests < 1:
         raise ConfigError(
             f"num_requests must be >= 1, got {num_requests}"
@@ -136,17 +132,11 @@ def diurnal_trace(
         rng, num_requests, peak_rate, rate_at
     )
     families = _prefix_families(
-        rng, vocab_size, num_families, prefix_len
+        rng, vocab_size, num_families, PREFIX_LEN
     )
     return _requests_from_arrivals(
-        rng,
-        vocab_size,
-        arrivals,
-        families,
-        suffix_len,
-        lengths or LognormalLengths(median=5.0, sigma=0.4, cap=12),
-        slo or STANDARD,
-        start_id,
+        rng, vocab_size, arrivals, families, 0, SHORT_LENGTHS,
+        slo or STANDARD, 0,
     )
 
 
@@ -157,18 +147,13 @@ def flash_crowd_trace(
     num_crowd: int,
     base_interarrival: float = 4.0,
     crowd_interarrival: float = 0.25,
-    base_families: int = 4,
     crowd_families: int = 6,
-    prefix_len: int = 4,
-    suffix_len: int = 0,
-    lengths: Optional[LengthModel] = None,
-    slo: Optional["SloClass"] = None,
-    start_id: int = 0,
-) -> List["ServingRequest"]:
+    slo: Optional[SloClass] = None,
+) -> List[ServingRequest]:
     """A calm baseline shattered by a sudden crowd.
 
     ``num_base`` requests arrive as a slow Poisson stream over
-    ``base_families`` tenant prefixes; from the middle of the base
+    ``BASE_FAMILIES`` tenant prefixes; from the middle of the base
     stream's horizon ``num_crowd`` requests slam in at
     ``crowd_interarrival`` spread over ``crowd_families`` *fresh*
     prefix families — a viral link, not hot-spotting of an existing
@@ -182,25 +167,20 @@ def flash_crowd_trace(
         num_crowd: crowd arrivals inside the burst window.
         base_interarrival: mean ticks between baseline arrivals.
         crowd_interarrival: mean ticks between crowd arrivals.
-        base_families / crowd_families: tenant prefix families per
-            stream (the crowd's are freshly drawn — all cold).
-        prefix_len / suffix_len: shared-prefix shape per request.
-        lengths: response-length model (short lognormal when omitted).
+        crowd_families: the crowd's tenant prefix families (freshly
+            drawn — all cold).
         slo: SLO class of every request (STANDARD when omitted).
-        start_id: first request id (baseline first, then crowd).
 
     Returns:
-        Requests of both streams merged and sorted by arrival time.
+        Requests of both streams merged and sorted by arrival time
+        (ids: baseline first, then crowd).
     """
-    from repro.serving.request import STANDARD
-
     if num_base < 1 or num_crowd < 1:
         raise ConfigError("num_base and num_crowd must be >= 1")
     if base_interarrival <= 0 or crowd_interarrival <= 0:
         raise ConfigError("interarrival means must be positive")
-    if base_families < 1 or crowd_families < 1:
+    if crowd_families < 1:
         raise ConfigError("family counts must be >= 1")
-    lengths = lengths or LognormalLengths(median=5.0, sigma=0.4, cap=12)
     slo = slo or STANDARD
 
     base_gaps = rng.exponential(base_interarrival, size=num_base)
@@ -213,21 +193,21 @@ def flash_crowd_trace(
         rng,
         vocab_size,
         [float(t) for t in base_arrivals],
-        _prefix_families(rng, vocab_size, base_families, prefix_len),
-        suffix_len,
-        lengths,
+        _prefix_families(rng, vocab_size, BASE_FAMILIES, PREFIX_LEN),
+        0,
+        SHORT_LENGTHS,
         slo,
-        start_id,
+        0,
     )
     crowd = _requests_from_arrivals(
         rng,
         vocab_size,
         [float(t) for t in crowd_arrivals],
-        _prefix_families(rng, vocab_size, crowd_families, prefix_len),
-        suffix_len,
-        lengths,
+        _prefix_families(rng, vocab_size, crowd_families, PREFIX_LEN),
+        0,
+        SHORT_LENGTHS,
         slo,
-        start_id + num_base,
+        num_base,
     )
     return sorted(
         base + crowd, key=lambda r: (r.arrival_time, r.request_id)
@@ -243,12 +223,8 @@ def adversarial_longtail_trace(
     lull_ticks: float = 30.0,
     num_longtail: int = 6,
     num_families: int = 6,
-    prefix_len: int = 4,
-    suffix_len: int = 0,
-    lengths: Optional[LengthModel] = None,
-    slo: Optional["SloClass"] = None,
-    start_id: int = 0,
-) -> List["ServingRequest"]:
+    slo: Optional[SloClass] = None,
+) -> List[ServingRequest]:
     """Oscillating bursts over a long-tail floor (the thrash trap).
 
     ``num_bursts`` dense bursts alternate with dead lulls of
@@ -270,17 +246,12 @@ def adversarial_longtail_trace(
         lull_ticks: dead time between consecutive bursts.
         num_longtail: BATCH-class stragglers spread over the horizon.
         num_families: tenant prefix families the bursts draw from.
-        prefix_len / suffix_len: shared-prefix shape per request.
-        lengths: burst response-length model (short lognormal when
-            omitted).
         slo: SLO class of burst requests (STANDARD when omitted).
-        start_id: first request id (bursts first, then stragglers).
 
     Returns:
-        Requests of both kinds merged and sorted by arrival time.
+        Requests of both kinds merged and sorted by arrival time
+        (ids: bursts first, then stragglers).
     """
-    from repro.serving.request import BATCH, STANDARD
-
     if num_bursts < 1 or burst_requests < 1:
         raise ConfigError(
             "num_bursts and burst_requests must be >= 1"
@@ -293,10 +264,9 @@ def adversarial_longtail_trace(
         raise ConfigError(
             f"num_longtail must be >= 0, got {num_longtail}"
         )
-    lengths = lengths or LognormalLengths(median=5.0, sigma=0.4, cap=12)
     slo = slo or STANDARD
     families = _prefix_families(
-        rng, vocab_size, num_families, prefix_len
+        rng, vocab_size, num_families, PREFIX_LEN
     )
 
     arrivals: List[float] = []
@@ -311,17 +281,10 @@ def adversarial_longtail_trace(
         t += lull_ticks
     horizon = arrivals[-1]
     bursts = _requests_from_arrivals(
-        rng,
-        vocab_size,
-        arrivals,
-        families,
-        suffix_len,
-        lengths,
-        slo,
-        start_id,
+        rng, vocab_size, arrivals, families, 0, SHORT_LENGTHS, slo, 0
     )
 
-    stragglers: List["ServingRequest"] = []
+    stragglers: List[ServingRequest] = []
     if num_longtail:
         tail_arrivals = sorted(
             float(t) for t in rng.uniform(0.0, horizon, num_longtail)
@@ -331,10 +294,10 @@ def adversarial_longtail_trace(
             vocab_size,
             tail_arrivals,
             families,
-            suffix_len,
+            0,
             LognormalLengths(median=40.0, sigma=0.9, cap=160),
             BATCH,
-            start_id + len(bursts),
+            len(bursts),
         )
     return sorted(
         bursts + stragglers,

@@ -36,20 +36,23 @@ signal the :class:`~repro.longtail.zoo.DrafterZoo` exploits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.llm.vocab import NUM_SPECIAL_TOKENS
+from repro.specdec.scheduler import (
+    BATCH,
+    INTERACTIVE,
+    ServingRequest,
+    SloClass,
+)
 from repro.workload.lengths import (
     LengthModel,
     LognormalLengths,
     length_statistics,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.serving.request import ServingRequest, SloClass
 
 #: Modelled wall-clock minutes per RL step, and per periodic evaluation
 #: (one every ``EVAL_EVERY`` steps) — the paper's 385 steps over 11 days.
@@ -61,6 +64,8 @@ EVAL_MINUTES = 20.0
 #: training lengthens reasoning.
 START_MEDIAN = 1200.0
 END_MEDIAN = 4500.0
+#: Lognormal spread of a synthesized step's lengths (the tail thickness).
+TRACE_SIGMA = 1.05
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,6 @@ def synthesize_trace(
     rng: np.random.Generator,
     cap: int = 20_480,
     requests_per_step: int = 512,
-    sigma: float = 1.05,
 ) -> TrainingTrace:
     """Synthesize a ByteDance-like RL training trace.
 
@@ -128,7 +132,6 @@ def synthesize_trace(
         rng: random generator.
         cap: maximum generation length (paper: 20,480).
         requests_per_step: rollout responses sampled per step.
-        sigma: lognormal spread (controls the tail thickness).
 
     Returns:
         A :class:`TrainingTrace` whose per-step statistics exhibit the
@@ -144,7 +147,7 @@ def synthesize_trace(
         # Smooth growth plus mild multiplicative jitter step to step.
         median = START_MEDIAN + (END_MEDIAN - START_MEDIAN) * progress
         median *= float(np.exp(rng.normal(0.0, 0.08)))
-        model = LognormalLengths(median=median, sigma=sigma, cap=cap)
+        model = LognormalLengths(median=median, sigma=TRACE_SIGMA, cap=cap)
         lengths = model.sample(rng, requests_per_step)
         stats = length_statistics(lengths)
         steps.append(
@@ -180,15 +183,13 @@ def _requests_from_arrivals(
     families: Sequence[Sequence[int]],
     suffix_len: int,
     lengths: LengthModel,
-    slo: "SloClass",
+    slo: SloClass,
     start_id: int,
-) -> List["ServingRequest"]:
+) -> List[ServingRequest]:
     """Materialise requests for given arrival times over prefix families."""
-    from repro.serving.request import ServingRequest
-
     picks = rng.integers(0, len(families), size=len(arrivals))
     caps = lengths.sample(rng, len(arrivals))
-    requests: List["ServingRequest"] = []
+    requests: List[ServingRequest] = []
     for i, arrival in enumerate(arrivals):
         prompt = list(families[int(picks[i])])
         if suffix_len:
@@ -211,7 +212,7 @@ def _requests_from_arrivals(
 
 
 def _tag_groups(
-    floor: List["ServingRequest"], size: int, first_tag: int
+    floor: List[ServingRequest], size: int, first_tag: int
 ) -> None:
     """Tag a BATCH floor into GRPO groups of ``size`` in place.
 
@@ -230,12 +231,8 @@ def mixed_serving_trace(
     num_interactive: int,
     num_batch: int,
     batch_gap: float = 1.0,
-    batch_lengths: Optional[LengthModel] = None,
-    prompt_len: int = 4,
-    predictor_noise: float = 0.0,
     batch_group_size: Optional[int] = None,
-    start_id: int = 0,
-) -> List["ServingRequest"]:
+) -> List[ServingRequest]:
     """Synthesize the co-located RL + serving workload as one trace.
 
     Short INTERACTIVE requests arrive as a Poisson stream over a floor
@@ -252,28 +249,18 @@ def mixed_serving_trace(
         num_batch: BATCH-class background requests in the floor.
         batch_gap: mean inter-arrival ticks of the BATCH floor (the
             interactive stream's is 2.5).
-        batch_lengths: BATCH response-length model (default: a
-            long-tailed lognormal — the paper's rollout distribution;
-            interactive requests draw from a short lognormal).
-        prompt_len: prompt length in tokens.
-        predictor_noise: lognormal sigma of the multiplicative noise on
-            ``predicted_length`` (0.0 = oracle predictor).
         batch_group_size: when set, consecutive BATCH requests share a
             GRPO-style group tag in chunks of this size (and the group's
             prompt, as grouped rollouts do by construction).
-        start_id: first request id (batch floor first, then stream).
+
+    BATCH lengths are long-tailed (the paper's rollout distribution),
+    interactive ones short; every prompt has 4 tokens.
 
     Returns:
-        Requests of both classes merged and sorted by arrival time.
+        Requests of both classes merged and sorted by arrival time
+        (ids: batch floor first, then stream).
     """
-    # Imported here: repro.serving.request itself imports
-    # repro.workload.lengths, so a module-level import would cycle
-    # through the two packages' __init__ modules.
-    from repro.serving.request import (
-        BATCH,
-        INTERACTIVE,
-        poisson_trace,
-    )
+    from repro.serving.request import poisson_trace
 
     if num_interactive < 1 or num_batch < 1:
         raise ConfigError(
@@ -281,32 +268,24 @@ def mixed_serving_trace(
         )
     if batch_group_size is not None and batch_group_size < 1:
         raise ConfigError("batch_group_size must be >= 1 when set")
-    batch_lengths = batch_lengths or LognormalLengths(
-        median=60.0, sigma=0.8, cap=240
-    )
     floor = poisson_trace(
         rng,
         num_requests=num_batch,
         mean_interarrival=batch_gap,
-        length_model=batch_lengths,
+        length_model=LognormalLengths(median=60.0, sigma=0.8, cap=240),
         vocab_size=vocab_size,
-        prompt_len=prompt_len,
         slo_mix=((BATCH, 1.0),),
-        predictor_noise=predictor_noise,
-        start_id=start_id,
     )
     if batch_group_size is not None:
-        _tag_groups(floor, batch_group_size, start_id)
+        _tag_groups(floor, batch_group_size, 0)
     stream = poisson_trace(
         rng,
         num_requests=num_interactive,
         mean_interarrival=2.5,
         length_model=LognormalLengths(median=5.0, sigma=0.4, cap=12),
         vocab_size=vocab_size,
-        prompt_len=prompt_len,
         slo_mix=((INTERACTIVE, 1.0),),
-        predictor_noise=predictor_noise,
-        start_id=start_id + num_batch,
+        start_id=num_batch,
     )
     return sorted(
         floor + stream,
@@ -323,9 +302,8 @@ def shared_prefix_trace(
     suffix_len: int = 0,
     mean_interarrival: float = 2.0,
     max_new_tokens: Optional[LengthModel] = None,
-    slo: Optional["SloClass"] = None,
     start_id: int = 0,
-) -> List["ServingRequest"]:
+) -> List[ServingRequest]:
     """Synthesize an interactive trace with shared prompt prefixes.
 
     Real interactive traffic repeats prompt prefixes constantly —
@@ -349,14 +327,11 @@ def shared_prefix_trace(
         mean_interarrival: mean ticks between Poisson arrivals.
         max_new_tokens: response-length model (short lognormal when
             omitted).
-        slo: SLO class of every request (INTERACTIVE when omitted).
         start_id: first request id.
 
     Returns:
-        Requests sorted by arrival time.
+        INTERACTIVE requests sorted by arrival time.
     """
-    from repro.serving.request import INTERACTIVE
-
     if num_requests < 1:
         raise ConfigError(
             f"num_requests must be >= 1, got {num_requests}"
@@ -386,7 +361,7 @@ def shared_prefix_trace(
         families,
         suffix_len,
         lengths,
-        slo or INTERACTIVE,
+        INTERACTIVE,
         start_id,
     )
 
@@ -404,8 +379,7 @@ def fleet_trace(
     batch_group_size: int = 4,
     max_new_tokens: Optional[LengthModel] = None,
     batch_lengths: Optional[LengthModel] = None,
-    start_id: int = 0,
-) -> List["ServingRequest"]:
+) -> List[ServingRequest]:
     """Synthesize multi-tenant fleet traffic: tenants + rollout floor.
 
     The fleet tier's traffic shape: ``num_tenants`` tenants each reuse
@@ -431,12 +405,12 @@ def fleet_trace(
         max_new_tokens: interactive response-length model.
         batch_lengths: rollout response-length model (long-tailed
             lognormal when omitted).
-        start_id: first request id (interactive first, then floor).
 
     Returns:
-        Requests of both classes merged and sorted by arrival time.
+        Requests of both classes merged and sorted by arrival time
+        (ids: interactive first, then floor).
     """
-    from repro.serving.request import BATCH, poisson_trace
+    from repro.serving.request import poisson_trace
 
     if num_tenants < 1:
         raise ConfigError(f"num_tenants must be >= 1, got {num_tenants}")
@@ -460,9 +434,8 @@ def fleet_trace(
         suffix_len=suffix_len,
         mean_interarrival=mean_interarrival,
         max_new_tokens=max_new_tokens,
-        start_id=start_id,
     )
-    floor: List["ServingRequest"] = []
+    floor: List[ServingRequest] = []
     if num_batch:
         batch_lengths = batch_lengths or LognormalLengths(
             median=30.0, sigma=0.8, cap=120
@@ -475,9 +448,9 @@ def fleet_trace(
             vocab_size=vocab_size,
             prompt_len=prefix_len + suffix_len,
             slo_mix=((BATCH, 1.0),),
-            start_id=start_id + len(stream),
+            start_id=len(stream),
         )
-        _tag_groups(floor, batch_group_size, start_id + len(stream))
+        _tag_groups(floor, batch_group_size, len(stream))
     return sorted(
         stream + floor,
         key=lambda r: (r.arrival_time, r.request_id),
@@ -525,16 +498,15 @@ class PromptFamily:
 
 
 def segment_families(
-    vocab_size: int,
-    num_families: int,
-    prompt_len: int = 4,
+    vocab_size: int, num_families: int
 ) -> List["PromptFamily"]:
     """Partition the regular-token range into disjoint prompt families.
 
     The regular range ``[NUM_SPECIAL_TOKENS, vocab_size)`` is split
     into ``num_families`` contiguous, non-overlapping slices named
-    ``"seg0" .. "segN"``.  Disjointness is what makes the family
-    recoverable from any prompt token.
+    ``"seg0" .. "segN"`` (prompts of ``PromptFamily.prompt_len``
+    tokens).  Disjointness is what makes the family recoverable from
+    any prompt token.
     """
     span = vocab_size - NUM_SPECIAL_TOKENS
     if num_families < 1:
@@ -551,10 +523,7 @@ def segment_families(
     ).astype(int)
     return [
         PromptFamily(
-            name=f"seg{i}",
-            lo=int(bounds[i]),
-            hi=int(bounds[i + 1]),
-            prompt_len=prompt_len,
+            name=f"seg{i}", lo=int(bounds[i]), hi=int(bounds[i + 1])
         )
         for i in range(num_families)
     ]
@@ -605,7 +574,6 @@ def segmented_grpo_trace(
     groups_per_batch: int,
     group_size: int,
     num_families: int = 3,
-    prompt_len: int = 4,
 ) -> SegmentedGrpoTrace:
     """Synthesize the long-tail rollout workload.
 
@@ -630,7 +598,6 @@ def segmented_grpo_trace(
         groups_per_batch: GRPO groups per batch.
         group_size: members per group.
         num_families: disjoint prompt families (= workload segments).
-        prompt_len: tokens per prompt.
 
     Returns:
         A :class:`SegmentedGrpoTrace` (batches + segment labeller).
@@ -647,9 +614,7 @@ def segmented_grpo_trace(
         raise ConfigError(
             f"group_size must be >= 1, got {group_size}"
         )
-    families = segment_families(
-        vocab_size, num_families, prompt_len=prompt_len
-    )
+    families = segment_families(vocab_size, num_families)
     batches: List[List[List[int]]] = []
     for _ in range(num_batches):
         expanded: List[List[int]] = []

@@ -405,15 +405,17 @@ class TestDispatchPolicies:
             _StubWorker(0, free_slots=0, backlog=10, victim=30),
             _StubWorker(1, free_slots=0, backlog=50, victim=4),
         ]
-        slo_policy = SloPreemption(urgent_ttft=10.0)
-        dispatch = PreemptionAwareDispatch(policy=slo_policy)
-        # Urgency comes from the policy (ttft 4 <= 10), costs from
-        # park_cost — the victim the policy would actually park.
+        class NothingUrgent(SloPreemption):
+            def is_urgent(self, request):
+                return False
+
+        dispatch = PreemptionAwareDispatch(policy=SloPreemption())
+        # Urgency comes from the policy (ttft 4 <= URGENT_TTFT), costs
+        # from park_cost — the victim the policy would actually park.
         assert dispatch.choose(_arrival(), workers) == 1
         # A policy that marks nothing urgent forces the fallback even
-        # though the default urgent_ttft proxy would have fired.
-        strict = SloPreemption(urgent_ttft=0.5)
-        dispatch = PreemptionAwareDispatch(policy=strict)
+        # though SloPreemption's own urgency test would have fired.
+        dispatch = PreemptionAwareDispatch(policy=NothingUrgent())
         assert dispatch.choose(_arrival(), workers) == 0
 
     def test_preemption_aware_falls_back_with_free_slots(self):
@@ -489,7 +491,7 @@ class TestDispatchPolicies:
             _StubWorker(1, free_slots=1, backlog=1),
         ]
         workers[0].matches[(5, 6, 7)] = 1  # BOS-only coincidence
-        policy = PrefixAffinityDispatch(min_match=2)
+        policy = PrefixAffinityDispatch()
         assert policy.choose(_arrival(), workers) == 1
 
     def test_prefix_affinity_tie_breaks_by_backlog(self):
@@ -500,10 +502,6 @@ class TestDispatchPolicies:
         workers[0].matches[(5, 6, 7)] = 3
         workers[1].matches[(5, 6, 7)] = 3
         assert PrefixAffinityDispatch().choose(_arrival(), workers) == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            PrefixAffinityDispatch(min_match=0)
 
 
 class TestServingIntegration:

@@ -46,7 +46,8 @@ PARKING = {RequestEventKind.PARKED, RequestEventKind.PREEMPTED}
 
 class TestEventBus:
     def test_subscribers_see_emission_order(self):
-        bus = EventBus(worker_id=4)
+        bus = EventBus()
+        bus.worker_id = 4  # the owning worker stamps it after building
         seen = []
         bus.subscribe(seen.append)
         first = bus.emit(RequestEventKind.ADMITTED, 1, cycle=0)

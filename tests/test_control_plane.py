@@ -585,10 +585,6 @@ class TestServingPreemption:
         # No eligible victims -> decline.
         inter_live = [(interactive, 3)]
         assert policy.choose_victim(interactive, inter_live) is None
-        # Urgency ordering when victim_classes is None.
-        anyclass = SloPreemption(victim_classes=None)
-        assert anyclass.choose_victim(interactive, inter_live) is None
-        assert anyclass.choose_victim(interactive, live) == 1
 
 
 class TestServingRollingSwap:

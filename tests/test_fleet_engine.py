@@ -97,8 +97,6 @@ class TestLifecycle:
 
 class TestRequestIdAllocator:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            RequestIdAllocator(start=-1)
         with pytest.raises(ServingError):
             RequestIdAllocator().allocate(0)
 

@@ -10,6 +10,13 @@ from repro.errors import ConfigError, FleetError
 from repro.fleet import ConsistentHashRing, PrefixHashRouting, prefix_key
 
 
+def _ring(members=()):
+    ring = ConsistentHashRing()
+    for replica_id in members:
+        ring.add(replica_id)
+    return ring
+
+
 def _keys(rng: np.random.Generator, count: int, length: int = 4):
     return [
         tuple(int(t) for t in rng.integers(0, 1000, size=length))
@@ -19,7 +26,7 @@ def _keys(rng: np.random.Generator, count: int, length: int = 4):
 
 class TestRingBasics:
     def test_membership(self):
-        ring = ConsistentHashRing([0, 1, 2])
+        ring = _ring([0, 1, 2])
         assert len(ring) == 3
         assert ring.members == [0, 1, 2]
         assert 1 in ring and 7 not in ring
@@ -29,9 +36,7 @@ class TestRingBasics:
         assert 7 in ring
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ConsistentHashRing(vnodes=0)
-        ring = ConsistentHashRing([0])
+        ring = _ring([0])
         with pytest.raises(FleetError):
             ring.add(0)  # duplicate member
         with pytest.raises(FleetError):
@@ -50,12 +55,12 @@ class TestDeterminism:
         """Same members => same owner for every key, across fresh
         rings and insertion orders (no process-salted hashing)."""
         keys = _keys(np.random.default_rng(0), 500)
-        a = ConsistentHashRing([0, 1, 2, 3])
-        b = ConsistentHashRing([3, 1, 0, 2])  # order must not matter
+        a = _ring([0, 1, 2, 3])
+        b = _ring([3, 1, 0, 2])  # order must not matter
         assert a.placement(keys) == b.placement(keys)
 
     def test_owner_is_stable(self):
-        ring = ConsistentHashRing([0, 1, 2])
+        ring = _ring([0, 1, 2])
         key = (4, 5, 6, 7)
         assert all(ring.owner(key) == ring.owner(key) for _ in range(5))
 
@@ -64,7 +69,7 @@ class TestBalance:
     def test_vnodes_spread_load(self):
         """With virtual nodes every replica owns a non-trivial share."""
         replicas = [0, 1, 2, 3]
-        ring = ConsistentHashRing(replicas, vnodes=64)
+        ring = _ring(replicas)
         keys = _keys(np.random.default_rng(1), 2000)
         owners = list(ring.placement(keys).values())
         for replica in replicas:
@@ -79,7 +84,7 @@ class TestMinimalMovement:
         moved key lands on the newcomer."""
         members = [0, 1, 2]
         keys = _keys(np.random.default_rng(seed), 1500)
-        ring = ConsistentHashRing(members)
+        ring = _ring(members)
         before = ring.placement(keys)
         ring.add(3)
         after = ring.placement(keys)
@@ -93,7 +98,7 @@ class TestMinimalMovement:
         """Removing a replica moves exactly the keys it owned; every
         other placement is untouched (the drain-time cache guarantee)."""
         keys = _keys(np.random.default_rng(seed + 10), 1500)
-        ring = ConsistentHashRing([0, 1, 2, 3])
+        ring = _ring([0, 1, 2, 3])
         before = ring.placement(keys)
         ring.remove(2)
         after = ring.placement(keys)
@@ -105,7 +110,7 @@ class TestMinimalMovement:
 
     def test_join_then_leave_roundtrips(self):
         keys = _keys(np.random.default_rng(3), 800)
-        ring = ConsistentHashRing([0, 1, 2])
+        ring = _ring([0, 1, 2])
         before = ring.placement(keys)
         ring.add(9)
         ring.remove(9)

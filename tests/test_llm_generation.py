@@ -78,19 +78,6 @@ class TestGenerate:
         )
         assert a.responses == b.responses
 
-    def test_record_probs(self, target):
-        rng = np.random.default_rng(4)
-        out = generate(
-            target,
-            [[5, 6]],
-            max_new_tokens=5,
-            temperature=1.0,
-            rng=rng,
-            record_probs=True,
-        )
-        assert len(out.chosen_probs[0]) == len(out.responses[0])
-        assert all(0 < p <= 1 for p in out.chosen_probs[0])
-
     def test_empty_prompts_raise(self, target):
         with pytest.raises(GenerationError):
             generate(

@@ -27,19 +27,18 @@ class TestCorpus:
 
     def test_chain_structure_present(self):
         corpus = synthetic_corpus(
-            16, 20, 40, np.random.default_rng(0), chain_prob=1.0,
-            eos_prob=0.0,
+            16, 20, 40, np.random.default_rng(0), chain_prob=1.0
         )
         lo = NUM_SPECIAL_TOKENS
         span = 16 - lo
         for seq in corpus:
-            body = seq[1:]
+            body = seq[1:-1] if seq[-1] == EOS_ID else seq[1:]
             for a, b in zip(body, body[1:]):
                 assert (a - lo + 1) % span == (b - lo)
 
     def test_eos_terminates(self):
         corpus = synthetic_corpus(
-            16, 30, 40, np.random.default_rng(0), eos_prob=0.5
+            16, 30, 40, np.random.default_rng(0)
         )
         assert any(seq[-1] == EOS_ID for seq in corpus)
 
@@ -73,7 +72,7 @@ class TestPretraining:
         rng = np.random.default_rng(0)
         model = TinyLM(cfg, rng)
         corpus = synthetic_corpus(
-            16, 48, 40, rng, chain_prob=1.0, eos_prob=0.0
+            16, 48, 40, rng, chain_prob=1.0
         )
         pretrain_on_sequences(model, corpus, epochs=150)
         lo = NUM_SPECIAL_TOKENS

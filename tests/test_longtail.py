@@ -11,7 +11,8 @@ Three contracts under test:
   reproduces FIFO byte-for-byte, its book-keeping does not outlive a
   collected batch, and the trainer seam
   (:meth:`~repro.rl.trainer.RlTrainer.step` with an injected rollout)
-  reproduces the in-line step exactly at ``lookahead=0``;
+  and :meth:`~repro.longtail.colocated.ColocatedLoop.run` reproduce
+  the in-line step exactly;
 * the zoo plumbing — per-worker drafter swaps, per-segment acceptance
   counters, segment-affinity dispatch, and the
   :class:`~repro.longtail.zoo.DrafterZoo` bandit on top — moves
@@ -66,18 +67,8 @@ def _frontend(scenario, num_workers=2, max_batch_size=2, **kwargs):
 
 class TestLengthPredictor:
     def test_validation(self):
-        for kwargs in (
-            dict(family_prefix=0),
-            dict(quantile=0.0),
-            dict(quantile=101.0),
-            dict(ewma_alpha=0.0),
-            dict(min_window=0),
-            dict(window=2, min_window=4),
-            dict(prior_samples=0),
-            dict(hit_factor=0.5),
-        ):
-            with pytest.raises(ConfigError):
-                LengthPredictor(**kwargs)
+        with pytest.raises(ConfigError):
+            LengthPredictor(family_prefix=0)
 
     def test_fallback_chain(self):
         bare = LengthPredictor()
@@ -102,7 +93,7 @@ class TestLengthPredictor:
         assert a.predict([1, 2], cap=100) == b.predict([1, 2], cap=100)
 
     def test_family_learning(self):
-        predictor = LengthPredictor(family_prefix=2, min_window=4)
+        predictor = LengthPredictor(family_prefix=2)
         long_prompt, short_prompt = [10, 11, 1], [20, 21, 2]
         for _ in range(8):
             predictor.observe(long_prompt, 40)
@@ -114,13 +105,13 @@ class TestLengthPredictor:
         assert predictor.predict([10, 11, 99]) == 40
 
     def test_single_observation_owns_thin_window(self):
-        predictor = LengthPredictor(min_window=4)
+        predictor = LengthPredictor()
         predictor.observe([7, 7, 7, 7], 12)
         # Quantile and EWMA agree on a single sample.
         assert predictor.predict([7, 7, 7, 7]) == 12
 
     def test_quantile_tracks_the_tail(self):
-        predictor = LengthPredictor(quantile=75.0, min_window=4)
+        predictor = LengthPredictor()
         prompt = [3, 3, 3, 3]
         for length in (4, 4, 4, 4, 4, 4, 20, 20):
             predictor.observe(prompt, length)
@@ -129,7 +120,6 @@ class TestLengthPredictor:
 
     def test_calibration_scores_before_update(self):
         predictor = LengthPredictor(
-            min_window=1,
             prior=LognormalLengths(median=10.0, sigma=0.3, cap=64),
         )
         prompt = [4, 5, 6, 7]
@@ -140,8 +130,9 @@ class TestLengthPredictor:
         assert cal.underestimates == 1  # prior ~10 vs observed 100
         assert cal.within_factor == 0
         # Second observation is scored against the family estimate
-        # (now exactly 100): zero error counts as an overestimate
-        # (error >= 0) and lands inside the factor band.
+        # (now exactly 100: quantile and EWMA agree on one sample):
+        # zero error counts as an overestimate (error >= 0) and lands
+        # inside the factor band.
         predictor.observe(prompt, 100)
         assert cal.observations == 2
         assert cal.overestimates == 1
@@ -182,23 +173,25 @@ class TestLengthPredictor:
                 sorted(values.tolist()), quantile
             ) == float(np.percentile(values, quantile))
 
-    @pytest.mark.parametrize("quantile", [50.0, 75.0, 90.0, 100.0])
-    def test_sliding_sorted_window_matches_numpy(self, quantile):
+    def test_sliding_sorted_window_matches_numpy(self):
         """The family's sorted copy follows the window through evictions,
-        and the estimate is ``np.percentile`` of the window, bitwise."""
-        rng = np.random.default_rng(100 + int(quantile))
-        predictor = LengthPredictor(quantile=quantile, min_window=1, window=16)
+        and once the window is trusted alone the estimate is
+        ``np.percentile`` of the window, bitwise."""
+        rng = np.random.default_rng(175)
+        predictor = LengthPredictor()
+        size = LengthPredictor.WINDOW
         prompt, window = [9, 9, 9, 9], []
-        for step in range(300):
+        for step in range(5 * size):
             high = 400 if step % 5 == 0 else 8  # mostly duplicates
             length = int(rng.integers(1, high))
             predictor.observe(prompt, length)
-            window = (window + [float(length)])[-16:]
+            window = (window + [float(length)])[-size:]
             state = predictor.families[predictor.family_of(prompt)]
             assert state.ordered == sorted(window)
-            assert predictor._estimate(predictor.family_of(prompt)) == (
-                float(np.percentile(window, quantile))
-            )
+            if len(window) >= LengthPredictor.MIN_WINDOW:
+                assert predictor._estimate(predictor.family_of(prompt)) == (
+                    float(np.percentile(window, LengthPredictor.QUANTILE))
+                )
 
 
 # -- the scheduler ---------------------------------------------------------
@@ -538,49 +531,50 @@ class TestTrainerSeam:
     def test_injected_rollout_matches_inline_step(
         self, scenario_factory, mode
     ):
-        """lookahead=0 pipelined stepping IS the in-line loop: same
-        prompts, same seeds, same updates, same reports."""
+        """The split seam (sample_prompts → submit_batch → collect →
+        step(rollout=, prompts=)) and ColocatedLoop.run ARE the in-line
+        loop: same prompts, same seeds, same updates, same reports."""
         scenario = scenario_factory(81)
 
-        policy_a = scenario.target.clone()
-        view_a = _PoolScenario(scenario, policy_a)
-        trainer_a = _trainer(
-            scenario, policy_a,
-            backend=RolloutScheduler(_frontend(view_a), mode=mode),
-        )
+        def trainer_over_pool():
+            policy = scenario.target.clone()
+            view = _PoolScenario(scenario, policy)
+            return policy, _trainer(
+                scenario, policy,
+                backend=RolloutScheduler(_frontend(view), mode=mode),
+            )
+
+        policy_a, trainer_a = trainer_over_pool()
         inline = [trainer_a.step() for _ in range(2)]
 
-        policy_b = scenario.target.clone()
-        view_b = _PoolScenario(scenario, policy_b)
-        trainer_b = _trainer(
-            scenario, policy_b,
-            backend=RolloutScheduler(_frontend(view_b), mode=mode),
-        )
-        piped = ColocatedLoop(trainer_b).run(2, lookahead=0)
+        policy_b, trainer_b = trainer_over_pool()
+        looped = ColocatedLoop(trainer_b).run(2)
 
-        for a, b in zip(inline, piped):
-            assert a.step == b.step
-            assert a.mean_reward == b.mean_reward
-            assert a.pg_loss == b.pg_loss
-            assert a.kl_value == b.kl_value
-            assert a.mean_response_length == b.mean_response_length
+        policy_c, trainer_c = trainer_over_pool()
+        scheduler, config = trainer_c.backend, trainer_c.config
+        injected = []
+        for _ in range(2):
+            prompts = trainer_c.sample_prompts()
+            batch_id = scheduler.submit_batch(
+                policy_c, prompts.expanded, config.max_new_tokens,
+                config.temperature, trainer_c.rng,
+            )
+            injected.append(trainer_c.step(
+                rollout=scheduler.collect(batch_id), prompts=prompts
+            ))
+
         probe = np.array([[1, 5, 6, 7]])
-        np.testing.assert_array_equal(
-            policy_a.forward(probe).logits,
-            policy_b.forward(probe).logits,
-        )
-
-    def test_lookahead_pipelines_across_steps(self, scenario_factory):
-        scenario = scenario_factory(82)
-        policy = scenario.target.clone()
-        view = _PoolScenario(scenario, policy)
-        scheduler = RolloutScheduler(_frontend(view))
-        trainer = _trainer(scenario, policy, backend=scheduler)
-        reports = ColocatedLoop(trainer).run(3, lookahead=1)
-        assert [r.step for r in reports] == [0, 1, 2]
-        assert scheduler.stats.batches_collected == 3
-        # Batch k+1 was staged while batch k was in flight.
-        assert scheduler.stats.pipelined_releases > 0
+        for reports, policy in ((looped, policy_b), (injected, policy_c)):
+            for a, b in zip(inline, reports, strict=True):
+                assert a.step == b.step
+                assert a.mean_reward == b.mean_reward
+                assert a.pg_loss == b.pg_loss
+                assert a.kl_value == b.kl_value
+                assert a.mean_response_length == b.mean_response_length
+            np.testing.assert_array_equal(
+                policy_a.forward(probe).logits,
+                policy.forward(probe).logits,
+            )
 
     def test_run_pipelined_validation(self, scenario_factory):
         scenario = scenario_factory(83)
@@ -594,19 +588,16 @@ class TestTrainerSeam:
         )
         with pytest.raises(ConfigError):
             loop.run(0)
-        with pytest.raises(ConfigError):
-            loop.run(1, lookahead=-1)
 
-    def test_lookahead_with_spot_submits_the_same_requests(
+    def test_spot_submits_the_same_requests(
         self, scenario_factory, monkeypatch
     ):
-        """With a spot trainer attached, lookahead moves *when* a batch
-        is submitted, never *what*: same ids, seeds and prompts; every
-        spot draw comes from ``spot_rng``, so ``trainer.rng`` ends where
-        the spot-less run leaves it."""
+        """A spot trainer changes the drafter, never the requests: same
+        ids, seeds and prompts; every spot draw comes from ``spot_rng``,
+        so ``trainer.rng`` ends where the spot-less run leaves it."""
         scenario = scenario_factory(84)
 
-        def run(lookahead, with_spot):
+        def run(with_spot):
             policy = scenario.target.clone()
             view = _PoolScenario(scenario, policy)
             view.drafter = scenario.drafter.clone()
@@ -638,7 +629,7 @@ class TestTrainerSeam:
                 trainer, spot=spot, spot_updates_per_round=2,
                 spot_rng=spot_rng,
             )
-            loop.run(3, lookahead=lookahead)
+            loop.run(3)
             if with_spot:
                 assert len(loop.published) == 3
                 assert all(rng is spot_rng for rng in slice_rngs)
@@ -651,12 +642,9 @@ class TestTrainerSeam:
             ]
             return requests, trainer.rng.bit_generator.state
 
-        sequential, rng_state = run(0, with_spot=True)
-        pipelined, piped_rng_state = run(1, with_spot=True)
-        assert len(sequential) == 12
-        assert pipelined == sequential
-        assert piped_rng_state == rng_state
-        assert run(0, with_spot=False) == (sequential, rng_state)
+        requests, rng_state = run(with_spot=True)
+        assert len(requests) == 12
+        assert run(with_spot=False) == (requests, rng_state)
 
 
 class _CountingNgram(NgramDrafter):

@@ -92,13 +92,10 @@ def test_prefix_affinity_ranks_and_probes_as_before():
     rng = np.random.default_rng(2)
     for i in range(TRIALS):
         views, request = _views(rng), _request(rng, i)
-        min_match = int(rng.integers(1, 4))
-        index = PrefixAffinityDispatch(min_match=min_match).choose(
-            request, views
-        )
+        index = PrefixAffinityDispatch().choose(request, views)
         probes = _probed(views)
         assert index == oracle.prefix_affinity_choose(
-            request, views, min_match
+            request, views, PrefixAffinityDispatch.MIN_MATCH
         )
         assert probes == _probed(views)
 

@@ -125,7 +125,7 @@ class TestRequests:
                 rng, 24, 6, 2, suffix_len=2
             ),
             "fleet": lambda: fleet_trace(rng, 24, 2, 3, num_batch=6),
-            "diurnal": lambda: diurnal_trace(rng, 24, 6, suffix_len=1),
+            "diurnal": lambda: diurnal_trace(rng, 24, 6),
             "flash_crowd": lambda: flash_crowd_trace(rng, 24, 4, 4),
             "adversarial": lambda: adversarial_longtail_trace(
                 rng, 24, num_bursts=2, burst_requests=3
@@ -136,11 +136,7 @@ class TestRequests:
             assert request.prompt
             assert all(type(t) is int for t in request.prompt)
 
-    def test_poisson_trace_predictor_noise(self):
-        noisy = _trace(seed=5, predictor_noise=0.5)
-        assert any(
-            r.predicted_length != r.max_new_tokens for r in noisy
-        )
+    def test_poisson_trace_predicts_the_true_length(self):
         oracle = _trace(seed=5)
         assert all(
             r.predicted_length == r.max_new_tokens for r in oracle

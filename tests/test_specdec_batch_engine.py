@@ -15,11 +15,23 @@ from repro.specdec import (
     SdStrategy,
     speculative_generate,
 )
+from repro.tuner.mab import WINDOW_SIZE
 
 from conftest import drain, seeded_requests
 
 PROMPTS = [[5, 6, 7], [9, 10, 11], [4, 8, 12], [13, 14, 15],
            [6, 9, 13], [7, 11, 5], [12, 4, 9], [15, 13, 6]]
+
+
+def _managed_generate(target, drafter, manager, max_new_tokens, seed):
+    """``speculative_generate``'s one-worker pool, with SD decided per
+    cycle by an adaptive manager instead of a static strategy."""
+    pool = ServingEngine(target, drafter, sd_managers=[manager],
+                         temperature=0.9)
+    pool.run(seeded_requests(
+        PROMPTS, max_new_tokens, np.random.default_rng(seed)
+    ))
+    return pool.workers[0].engine.result()
 
 
 @pytest.fixture()
@@ -262,11 +274,7 @@ class TestAdaptiveIntegration:
         """Above the threshold the engine decodes vanilla; once the live
         batch shrinks to it, SD engages — driven by real dynamics."""
         manager = self._manager(threshold=4)
-        out = speculative_generate(
-            target, trained_drafter, PROMPTS, max_new_tokens=40,
-            temperature=0.9, rng=np.random.default_rng(7),
-            strategy=None, sd_manager=manager,
-        )
+        out = _managed_generate(target, trained_drafter, manager, 40, 7)
         assert manager.activations == 1
         vanilla = [r for r in out.cycle_reports if not r.sd_active]
         sd = [r for r in out.cycle_reports if r.sd_active]
@@ -281,13 +289,8 @@ class TestAdaptiveIntegration:
     ):
         """Every SD cycle feeds the bandit exactly one measurement."""
         manager = self._manager(threshold=4)
-        out = speculative_generate(
-            target, trained_drafter, PROMPTS, max_new_tokens=30,
-            temperature=0.9, rng=np.random.default_rng(8),
-            strategy=None, sd_manager=manager,
-        )
+        out = _managed_generate(target, trained_drafter, manager, 30, 8)
         sd_cycles = sum(1 for r in out.cycle_reports if r.sd_active)
-        window = manager.selector.window_size
         observations = sum(
             v["observations"]
             for v in manager.selector.snapshot().values()
@@ -295,7 +298,7 @@ class TestAdaptiveIntegration:
         # Observations cannot exceed executed cycles; with few cycles
         # they match exactly (sliding windows have not wrapped).
         assert observations <= sd_cycles
-        if sd_cycles <= window:
+        if sd_cycles <= WINDOW_SIZE:
             assert observations == sd_cycles
 
     def test_adaptive_mode_is_seed_reproducible(
@@ -304,10 +307,8 @@ class TestAdaptiveIntegration:
         """The bandit is fed a deterministic work-proxy cost, so even
         multi-arm adaptive runs replay exactly under a fixed seed."""
         def run():
-            return speculative_generate(
-                target, trained_drafter, PROMPTS, max_new_tokens=30,
-                temperature=0.9, rng=np.random.default_rng(13),
-                strategy=None, sd_manager=self._manager(threshold=4),
+            return _managed_generate(
+                target, trained_drafter, self._manager(threshold=4), 30, 13
             )
 
         first, second = run(), run()

@@ -16,6 +16,7 @@ from repro.tuner import (
     StrategySelector,
     Ucb1Selector,
 )
+from repro.tuner.mab import WINDOW_SIZE
 
 
 def make_strategies():
@@ -107,15 +108,15 @@ class TestBegMab:
         strategies = make_strategies()
         selector = BegMabSelector(
             strategies, batch_thresholds=[1, 8, 32], epsilon=0.0,
-            window_size=4, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
         )
         fast, slow = strategies[0], strategies[1]
-        for _ in range(4):
+        for _ in range(WINDOW_SIZE):
             selector.record(fast, 1.0, [4.0], 1)
             selector.record(slow, 3.0, [4.0], 1)
         assert selector.select(1) == fast
         # Workload drifts: "fast" becomes slow.
-        for _ in range(4):
+        for _ in range(WINDOW_SIZE):
             selector.record(fast, 5.0, [4.0], 1)
             selector.record(slow, 1.0, [4.0], 1)
         assert selector.select(1) == slow
@@ -145,7 +146,7 @@ class TestBegMab:
             dict(batch_thresholds=[1, 1]),
             dict(batch_thresholds=[0, 8]),
             dict(batch_thresholds=[1, 8, 32], epsilon=1.5),
-            dict(batch_thresholds=[1, 8, 32], window_size=0),
+            dict(batch_thresholds=[1, 8, 32], epsilon=-0.1),
             dict(batch_thresholds=[1]),  # fewer buckets than groups
         ],
     )
@@ -187,7 +188,7 @@ class TestBaselines:
 
     def test_ucb_converges_to_best(self):
         strategies = make_strategies()[:2]
-        selector = Ucb1Selector(strategies, exploration_coef=0.1)
+        selector = Ucb1Selector(strategies)
         for _ in range(30):
             s = selector.select(1)
             elapsed = 1.0 if s == strategies[0] else 4.0

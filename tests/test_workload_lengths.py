@@ -134,7 +134,7 @@ class TestSegmentedGrpoTrace:
         )
 
     def test_families_partition_the_regular_range(self):
-        families = segment_families(24, 3, prompt_len=4)
+        families = segment_families(24, 3)
         assert [f.name for f in families] == ["seg0", "seg1", "seg2"]
         # Contiguous, disjoint, covering [NUM_SPECIAL_TOKENS, vocab).
         assert families[0].lo == 3
