@@ -77,12 +77,10 @@ def test_ablation_tuners(benchmark):
                 )
             )
             # Two passes: the second benefits from learned state.
-            RolloutEngine(roofline, sd_manager=manager).simulate(
-                lengths, 512
-            )
+            RolloutEngine(roofline, sd_manager=manager).simulate(lengths)
             timeline = RolloutEngine(
                 roofline, sd_manager=manager
-            ).simulate(lengths, 512)
+            ).simulate(lengths)
             results[name] = timeline.total_time_s
         return results
 
@@ -113,10 +111,8 @@ def test_ablation_elastic_threshold(benchmark):
             )
             out[threshold] = RolloutEngine(
                 roofline, sd_manager=manager
-            ).simulate(lengths, 512).total_time_s
-        out["vanilla"] = RolloutEngine(roofline).simulate(
-            lengths, 512
-        ).total_time_s
+            ).simulate(lengths).total_time_s
+        out["vanilla"] = RolloutEngine(roofline).simulate(lengths).total_time_s
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -30,37 +30,30 @@ import numpy as np
 from repro.autoscale import Autoscaler, HysteresisPolicy
 from repro.fleet import FleetEngine
 from repro.serving import ServingEngine
-from repro.serving.request import SloClass
 from repro.specdec import SdStrategy
 from repro.workload import (
     adversarial_longtail_trace,
     diurnal_trace,
     flash_crowd_trace,
 )
+from repro.workload.scenarios import SCENARIO_SLO
 
 NUM_WORKERS = 2
 MAX_BATCH = 2
 TEMPERATURE = 0.7
 STRATEGY = SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8)
 KV_CACHE_TOKENS = 4096
-MAX_REPLICAS = 4
+MAX_REPLICAS = HysteresisPolicy.MAX_REPLICAS
 WARMUP_TICKS = 1
 MAX_TICKS = 20_000
-
-#: One SLO class across the zoo: loose enough that a right-sized fleet
-#: attains it, tight enough that an undersized fleet visibly misses.
-SLO = SloClass("scenario", ttft_target=12.0, latency_target=96.0)
 
 
 def _policy():
     return HysteresisPolicy(
-        min_replicas=1,
-        max_replicas=MAX_REPLICAS,
         high_watermark=1.1,
         low_watermark=0.45,
         out_cooldown=2,
         in_cooldown=12,
-        max_step=2,
         surge_factor=1.8,
     )
 
@@ -69,13 +62,10 @@ def _naive_policy():
     # The thrash reference: no watermark band, no cooldowns.  Every
     # pressure wiggle becomes a membership change.
     return HysteresisPolicy(
-        min_replicas=1,
-        max_replicas=MAX_REPLICAS,
         high_watermark=0.9,
         low_watermark=0.85,
         out_cooldown=0,
         in_cooldown=0,
-        max_step=2,
         surge_factor=1.8,
     )
 
@@ -87,31 +77,14 @@ def _scenarios(vocab_size):
             vocab_size,
             num_base=24,
             num_crowd=60,
-            base_interarrival=4.0,
             crowd_interarrival=0.25,
-            crowd_families=6,
-            slo=SLO,
+            slo=SCENARIO_SLO,
         ),
         "diurnal": lambda: diurnal_trace(
-            np.random.default_rng(23),
-            vocab_size,
-            num_requests=90,
-            period=120.0,
-            peak_interarrival=0.6,
-            trough_ratio=0.1,
-            num_families=8,
-            slo=SLO,
+            np.random.default_rng(23), vocab_size, num_requests=90
         ),
         "adversarial": lambda: adversarial_longtail_trace(
-            np.random.default_rng(29),
-            vocab_size,
-            num_bursts=4,
-            burst_requests=20,
-            burst_interarrival=0.3,
-            lull_ticks=25.0,
-            num_longtail=6,
-            num_families=6,
-            slo=SLO,
+            np.random.default_rng(29), vocab_size
         ),
     }
 

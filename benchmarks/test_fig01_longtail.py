@@ -21,7 +21,7 @@ def _workload(rng: np.random.Generator) -> StepWorkload:
     lengths = LognormalLengths(
         median=2500, sigma=1.15, cap=30_000
     ).sample(rng, 512)
-    return StepWorkload(lengths=lengths.tolist(), prompt_tokens=512)
+    return StepWorkload(lengths=lengths.tolist())
 
 
 def test_fig01_longtail(benchmark):

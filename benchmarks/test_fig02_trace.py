@@ -18,9 +18,7 @@ def test_fig02_trace(benchmark):
     rng = np.random.default_rng(42)
 
     trace = benchmark.pedantic(
-        lambda: synthesize_trace(
-            385, rng, cap=20_480, requests_per_step=512
-        ),
+        lambda: synthesize_trace(385, rng),
         rounds=1,
         iterations=1,
     )

@@ -48,7 +48,7 @@ def _workload(rng, median, cap):
     lengths = LognormalLengths(
         median=median, sigma=1.15, cap=cap
     ).sample(rng, 512)
-    return StepWorkload(lengths=lengths.tolist(), prompt_tokens=512)
+    return StepWorkload(lengths=lengths.tolist())
 
 
 def _run_gpu(gpu_name: str):

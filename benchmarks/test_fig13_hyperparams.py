@@ -53,7 +53,6 @@ def test_fig13_hyperparams(benchmark):
     speedups = {
         key: roofline.sd_speedup(
             spec, min(value, key[1] + 1.0), 1, key[0], 8, key[1],
-            context_tokens=4000,
         )
         for key, value in accepts.items()
     }

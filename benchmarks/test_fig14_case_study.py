@@ -31,13 +31,13 @@ def test_fig14_case_study(benchmark):
     )
 
     def run():
-        baseline = RolloutEngine(roofline).simulate(lengths, 512)
+        baseline = RolloutEngine(roofline).simulate(lengths)
         manager = AdaptiveSdManager(
             AdaptiveSdConfig(activation_threshold=32)
         )
         adaptive = RolloutEngine(
             roofline, sd_manager=manager
-        ).simulate(lengths, 512)
+        ).simulate(lengths)
         return baseline, adaptive
 
     baseline, adaptive = benchmark.pedantic(run, rounds=1, iterations=1)

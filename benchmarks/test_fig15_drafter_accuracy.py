@@ -83,12 +83,12 @@ def test_fig15_drafter_accuracy(benchmark):
                 unroll_steps=1,
             )
             accuracy_curve.append(
-                evaluate_topk_accuracy(drafter, eval_batch, k=3)
+                evaluate_topk_accuracy(drafter, eval_batch)
             )
             for _ in range(SLICES_PER_STEP):
                 spot.train_slice(UPDATES_PER_SLICE, rng)
                 accuracy_curve.append(
-                    evaluate_topk_accuracy(drafter, eval_batch, k=3)
+                    evaluate_topk_accuracy(drafter, eval_batch)
                 )
         return accuracy_curve, update_marks
 

@@ -196,8 +196,6 @@ def _run_zoo_comparison(target, trace):
     zoo = DrafterZoo(
         arms={"shared": shared, **specialists},
         segments=segments,
-        epsilon=0.0,  # exploit-only measurement mode
-        window=8,
     )
     engine_zoo = _pool(
         target, shared,

@@ -38,6 +38,7 @@ from repro.serving import (
 )
 from repro.specdec import PrefixAwareAdmission, SdStrategy
 from repro.workload import mixed_serving_trace, shared_prefix_trace
+from repro.workload.traces import BATCH_GROUP_SIZE
 
 NUM_WORKERS = 2
 MAX_BATCH = 2
@@ -47,7 +48,7 @@ KV_CACHE_TOKENS = 4096
 
 #: Rollout floor: 4 GRPO groups x 4 members sharing one prompt each.
 NUM_GROUPS = 4
-GROUP_SIZE = 4
+GROUP_SIZE = BATCH_GROUP_SIZE
 TRACE_SEED = 31
 
 #: Interactive stream: 8 arrivals drawn from 2 repeated prompts (the
@@ -62,8 +63,6 @@ def _trace(vocab_size):
         vocab_size,
         num_interactive=1,  # placeholder stream, dropped below
         num_batch=NUM_GROUPS * GROUP_SIZE,
-        batch_group_size=GROUP_SIZE,
-        batch_gap=1.5,
     )
     floor = [r for r in rollouts if r.slo.name == "batch"]
     stream = shared_prefix_trace(

@@ -49,7 +49,6 @@ def test_tab1_topk(benchmark):
     speedups = {
         topk: roofline.sd_speedup(
             spec, min(value, 65.0), 1, 12, topk, 64,
-            context_tokens=4000,
         )
         for topk, value in accepts.items()
     }

@@ -22,7 +22,6 @@ PAPER = {
 
 ACCEPT_LENGTH = 5.2
 DEPTH, TOPK, VERIFY = 6, 8, 48
-CONTEXT = 4000
 
 
 def test_tab2_gpu_types(benchmark):
@@ -33,10 +32,9 @@ def test_tab2_gpu_types(benchmark):
         out = {}
         for gpu_name in PAPER:
             rl = RooflineModel(model=model, gpu=get_gpu(gpu_name))
-            vanilla = rl.vanilla_tokens_per_s(1, context_tokens=CONTEXT)
+            vanilla = rl.vanilla_tokens_per_s(1)
             sd = rl.sd_tokens_per_s(
                 drafter, ACCEPT_LENGTH, 1, DEPTH, TOPK, VERIFY,
-                context_tokens=CONTEXT,
             )
             out[gpu_name] = (sd, vanilla, sd / vanilla)
         return out

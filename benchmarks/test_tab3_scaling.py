@@ -44,7 +44,7 @@ def test_tab3_scaling(benchmark):
     lengths = LognormalLengths(
         median=2500, sigma=1.15, cap=32_768
     ).sample(rng, 512)
-    workload = StepWorkload(lengths=lengths.tolist(), prompt_tokens=512)
+    workload = StepWorkload(lengths=lengths.tolist())
 
     def sweep():
         return {

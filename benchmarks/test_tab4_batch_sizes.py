@@ -36,7 +36,6 @@ def test_tab4_batch_sizes(benchmark):
                 accept = acceptance.accept_length(strategy, batch)
                 grid[(batch, verify)] = roofline.sd_speedup(
                     drafter, accept, batch, 10, 8, verify,
-                    context_tokens=4000,
                 )
         return grid
 

@@ -11,7 +11,6 @@ from _common import format_table, write_result
 from repro.hardware import (
     CudaGraphPool,
     bucketed_plan,
-    get_gpu,
     get_model,
     single_strategy_plan,
     vanilla_multi_plan,
@@ -33,10 +32,7 @@ def test_tab5_cudagraph(benchmark):
             "bucketed": bucketed_plan(strategies),
         }
         for name, plan in plans.items():
-            pool = CudaGraphPool(
-                model, get_gpu("H100"), tensor_parallel=4,
-                memory_budget_gb=500,
-            )
+            pool = CudaGraphPool(model)
             pool.capture_plan(plan)
             out[name] = (pool.total_gib, pool.num_graphs)
         return out

@@ -68,7 +68,7 @@ def test_tab7_sd_methods(benchmark):
         model=model, gpu=get_gpu("H100"), tensor_parallel=2
     )
     spec = drafter_spec(model)
-    base_tps = roofline.vanilla_tokens_per_s(1, context_tokens=4000)
+    base_tps = roofline.vanilla_tokens_per_s(1)
 
     rows = [["Base (No-SD)", "1.00", f"{base_tps:.0f}", "1.00x", "-"]]
     speedups = {}
@@ -76,7 +76,6 @@ def test_tab7_sd_methods(benchmark):
         tps = roofline.sd_tokens_per_s(
             spec, max(accept, 1.0), 1,
             MEASURE.draft_depth, MEASURE.topk, MEASURE.tokens_to_verify,
-            context_tokens=4000,
         )
         speedups[name] = tps / base_tps
         paper_len, paper_speed, paper_cost = PAPER[name]

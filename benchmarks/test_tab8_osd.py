@@ -69,7 +69,7 @@ def test_tab8_osd(benchmark):
         # "Trained": SFT on the target's rollouts.
         distiller = SmallLmDistiller(
             small, target,
-            DistillationConfig(mode="sft", learning_rate=2e-3),
+            DistillationConfig(mode="sft"),
         )
         for _ in range(150):
             distiller.train_step(data)
@@ -78,8 +78,7 @@ def test_tab8_osd(benchmark):
         ).mean_accept_length
         # "+OSD": additional reverse-KD distillation.
         osd = SmallLmDistiller(
-            small, target, DistillationConfig(mode="reverse_kd",
-                                              learning_rate=2e-3)
+            small, target, DistillationConfig(mode="reverse_kd")
         )
         for _ in range(60):
             osd.train_step(data)

@@ -33,7 +33,7 @@ def main() -> None:
     lengths = LognormalLengths(
         median=2500, sigma=1.15, cap=32_768
     ).sample(rng, 512)
-    workload = StepWorkload(lengths=lengths.tolist(), prompt_tokens=512)
+    workload = StepWorkload(lengths=lengths.tolist())
     print(f"workload: {workload.num_requests} requests, "
           f"median {np.median(lengths):.0f}, max {lengths.max()} tokens")
 
@@ -66,12 +66,12 @@ def main() -> None:
     worker_lengths = LognormalLengths(
         median=2500, sigma=1.1, cap=30_000
     ).sample(np.random.default_rng(3), 128).tolist()
-    baseline = RolloutEngine(roofline).simulate(worker_lengths, 512)
+    baseline = RolloutEngine(roofline).simulate(worker_lengths)
     manager = AdaptiveSdManager(
         AdaptiveSdConfig(activation_threshold=32)
     )
     adaptive = RolloutEngine(roofline, sd_manager=manager).simulate(
-        worker_lengths, 512
+        worker_lengths
     )
     print(f"baseline rollout : {baseline.total_time_s:7.1f}s")
     print(f"adaptive SD      : {adaptive.total_time_s:7.1f}s "

@@ -31,7 +31,6 @@ from repro.specdec import SdStrategy
 from repro.workload import flash_crowd_trace
 
 NUM_WORKERS = 2
-MAX_REPLICAS = 4
 
 
 def main() -> None:
@@ -60,9 +59,7 @@ def main() -> None:
         config.vocab_size,
         num_base=30,
         num_crowd=60,
-        base_interarrival=4.0,
         crowd_interarrival=0.3,
-        crowd_families=6,
     )
     print(
         f"trace: {len(trace)} requests — calm baseline, then a crowd "
@@ -74,8 +71,6 @@ def main() -> None:
         fleet,
         replica_factory=build_pool,
         policy=HysteresisPolicy(
-            min_replicas=1,
-            max_replicas=MAX_REPLICAS,
             high_watermark=1.25,
             low_watermark=0.45,
             out_cooldown=3,

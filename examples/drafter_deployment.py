@@ -91,11 +91,10 @@ def main() -> None:
     print(f"{'GPU':>9} {'w/o SD':>8} {'w/ SD':>8} {'speedup':>8}")
     for gpu_name in ["B200", "H100", "A100", "RTX4090", "RTX3090"]:
         roofline = RooflineModel(model=model, gpu=get_gpu(gpu_name))
-        vanilla = roofline.vanilla_tokens_per_s(1, context_tokens=4000)
+        vanilla = roofline.vanilla_tokens_per_s(1)
         sd = roofline.sd_tokens_per_s(
             spec, min(accept, 5.2), 1, strategy.draft_depth,
             strategy.topk, strategy.tokens_to_verify,
-            context_tokens=4000,
         )
         print(f"{gpu_name:>9} {vanilla:>8.0f} {sd:>8.0f} "
               f"{sd / vanilla:>7.2f}x")

@@ -43,9 +43,7 @@ def build_trace(vocab_size: int):
         np.random.default_rng(11),
         vocab_size,
         num_interactive=1,  # placeholder stream, replaced below
-        num_batch=12,
-        batch_group_size=4,  # 3 GRPO groups x 4 members
-        batch_gap=1.5,
+        num_batch=12,  # 3 GRPO groups x 4 members
     )
     floor = [r for r in rollouts if r.slo.name == "batch"]
     stream = shared_prefix_trace(

@@ -62,7 +62,7 @@ def main() -> None:
     for _ in range(5):
         trainer.train_epochs(batch, 50)
         print(".", end="", flush=True)
-    accuracy = evaluate_topk_accuracy(drafter, batch, k=3)
+    accuracy = evaluate_topk_accuracy(drafter, batch)
     print(f" done (top-3 accuracy {accuracy:.1%})")
 
     # 4. Vanilla vs speculative decoding on fresh prompts.

@@ -93,8 +93,8 @@ class Autoscaler:
             SCALE_OUT; a scale-out decision without a factory raises
             :class:`~repro.errors.AutoscaleError`.
         policy: scaling policy (a default
-            :class:`~repro.autoscale.policy.HysteresisPolicy` bounded
-            by the fleet's starting size when omitted).
+            :class:`~repro.autoscale.policy.HysteresisPolicy` when
+            omitted).
     """
 
     #: Elastic-SD threshold change per nudge.
@@ -112,10 +112,7 @@ class Autoscaler:
     ) -> None:
         self.fleet = fleet
         self.replica_factory = replica_factory
-        self.policy = policy or HysteresisPolicy(
-            min_replicas=1,
-            max_replicas=max(len(fleet.replicas), 1) * 4,
-        )
+        self.policy = policy or HysteresisPolicy()
         self.signals = SignalAggregator()
         self.signals.attach(fleet)
         #: Every executed decision, in execution order (the audit log).

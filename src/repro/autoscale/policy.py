@@ -15,10 +15,10 @@ replica idles, then drains) while scaling in is expensive to get wrong
 scale-out cooldown is short and the scale-in cooldown long.  Between
 the watermarks it holds — the hysteresis band that keeps an
 oscillating load from thrashing membership.  At the replica bounds it
-falls back to **intra-pool actuation**: when pinned at ``max_replicas``
+falls back to **intra-pool actuation**: when pinned at ``MAX_REPLICAS``
 under high pressure it asks for the elastic-SD activation threshold to
 be nudged down (spend drafting capacity on serving), and at
-``min_replicas`` under low pressure nudged back up (idle slots return
+``MIN_REPLICAS`` under low pressure nudged back up (idle slots return
 to speculation) — capacity borrowed inside the pool when none can be
 added beside it.
 """
@@ -96,33 +96,31 @@ class HysteresisPolicy(ScalingPolicy):
         high_watermark: pressure above which the fleet scales out.
         low_watermark: pressure below which the fleet scales in; must
             leave a band (``low < high``) or membership thrashes.
-        min_replicas / max_replicas: inclusive bounds on non-retired
-            (ACTIVE + JOINING) replicas.
         out_cooldown: ticks after the last scaling decision (out OR
             in) before another scale-out (short — over-provisioning is
             cheap to undo).
         in_cooldown: ticks after the last scaling decision before a
             scale-in (long — drains forfeit cache warmth, so the low
             pressure must persist well past the last actuation).
-        max_step: most replicas one decision may add or drain.
         surge_factor: pressure beyond ``surge_factor × high_watermark``
-            scales out by up to ``max_step`` at once (a flash crowd
+            scales out by up to ``MAX_STEP`` at once (a flash crowd
             should not be answered one replica per cooldown).
     """
 
     name = "hysteresis"
     #: Ticks between SD-threshold nudges at the bounds.
     NUDGE_COOLDOWN = 8
+    #: Inclusive bounds on non-retired (ACTIVE + JOINING) replicas.
+    MIN_REPLICAS, MAX_REPLICAS = 1, 4
+    #: Most replicas one decision may add or drain.
+    MAX_STEP = 2
 
     def __init__(
         self,
         high_watermark: float = 1.25,
         low_watermark: float = 0.45,
-        min_replicas: int = 1,
-        max_replicas: int = 8,
         out_cooldown: int = 3,
         in_cooldown: int = 12,
-        max_step: int = 2,
         surge_factor: float = 2.0,
     ) -> None:
         if not 0.0 <= low_watermark < high_watermark:
@@ -130,30 +128,16 @@ class HysteresisPolicy(ScalingPolicy):
                 f"need 0 <= low_watermark < high_watermark, got "
                 f"low={low_watermark} high={high_watermark}"
             )
-        if min_replicas < 1:
-            raise ConfigError(
-                f"min_replicas must be >= 1, got {min_replicas}"
-            )
-        if max_replicas < min_replicas:
-            raise ConfigError(
-                f"max_replicas ({max_replicas}) must be >= "
-                f"min_replicas ({min_replicas})"
-            )
         if out_cooldown < 0 or in_cooldown < 0:
             raise ConfigError("cooldowns must be >= 0")
-        if max_step < 1:
-            raise ConfigError(f"max_step must be >= 1, got {max_step}")
         if surge_factor < 1.0:
             raise ConfigError(
                 f"surge_factor must be >= 1.0, got {surge_factor}"
             )
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
         self.out_cooldown = out_cooldown
         self.in_cooldown = in_cooldown
-        self.max_step = max_step
         self.surge_factor = surge_factor
         self._tick = -1
         self._last_scale: int = -(10**9)
@@ -170,7 +154,7 @@ class HysteresisPolicy(ScalingPolicy):
         since_scale = self._tick - self._last_scale
 
         if pressure > self.high_watermark:
-            if population < self.max_replicas:
+            if population < self.MAX_REPLICAS:
                 if since_scale < self.out_cooldown:
                     return HOLD
                 magnitude = self._out_magnitude(pressure, population)
@@ -184,7 +168,7 @@ class HysteresisPolicy(ScalingPolicy):
             return self._nudge(
                 ScaleAction.NUDGE_SD_DOWN,
                 f"pressure {pressure:.2f} at max_replicas "
-                f"{self.max_replicas}: borrow drafting slots",
+                f"{self.MAX_REPLICAS}: borrow drafting slots",
             )
 
         if pressure < self.low_watermark:
@@ -196,11 +180,11 @@ class HysteresisPolicy(ScalingPolicy):
                 # Backlog still growing: the lull is queue shadowing,
                 # not spare capacity.
                 return HOLD
-            if population > self.min_replicas:
+            if population > self.MIN_REPLICAS:
                 if since_scale < self.in_cooldown:
                     return HOLD
                 magnitude = min(
-                    self.max_step, population - self.min_replicas
+                    self.MAX_STEP, population - self.MIN_REPLICAS
                 )
                 self._last_scale = self._tick
                 return ScaleDecision(
@@ -212,7 +196,7 @@ class HysteresisPolicy(ScalingPolicy):
             return self._nudge(
                 ScaleAction.NUDGE_SD_UP,
                 f"pressure {pressure:.2f} at min_replicas "
-                f"{self.min_replicas}: return slots to speculation",
+                f"{self.MIN_REPLICAS}: return slots to speculation",
             )
 
         return HOLD
@@ -220,11 +204,11 @@ class HysteresisPolicy(ScalingPolicy):
     # -- internals ---------------------------------------------------------
 
     def _out_magnitude(self, pressure: float, population: int) -> int:
-        """One replica normally; up to ``max_step`` under a surge."""
+        """One replica normally; up to ``MAX_STEP`` under a surge."""
         step = 1
         if pressure > self.surge_factor * self.high_watermark:
-            step = self.max_step
-        return min(step, self.max_replicas - population)
+            step = self.MAX_STEP
+        return min(step, self.MAX_REPLICAS - population)
 
     def _nudge(
         self, action: ScaleAction, reason: str

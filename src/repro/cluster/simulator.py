@@ -23,10 +23,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, OutOfMemoryError
-from repro.hardware.gpus import GpuSpec, ModelSpec, drafter_spec
+from repro.hardware.gpus import BYTES_PER_PARAM, GpuSpec, ModelSpec, drafter_spec
 from repro.hardware.roofline import RooflineModel
 from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
-from repro.rollout.engine import RolloutEngine, RolloutTimeline
+from repro.rollout.engine import PROMPT_TOKENS, RolloutEngine, RolloutTimeline
 from repro.spot.coordinator import WorkerCoordinator, WorkerState
 
 #: Bytes per parameter during training: BF16 weights + FP32 master copy
@@ -77,21 +77,15 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class StepWorkload:
-    """One RL step's rollout demand.
-
-    Attributes:
-        lengths: response lengths (tokens), one per request.
-        prompt_tokens: prompt length per request.
+    """One RL step's rollout demand: response lengths (tokens), one per
+    request, each behind a ``PROMPT_TOKENS`` prompt.
     """
 
     lengths: Sequence[int]
-    prompt_tokens: int = 512
 
     def __post_init__(self) -> None:
         if len(self.lengths) == 0:
             raise ConfigError("lengths must be non-empty")
-        if self.prompt_tokens < 1:
-            raise ConfigError("prompt_tokens must be >= 1")
 
     @property
     def num_requests(self) -> int:
@@ -107,7 +101,7 @@ class StepWorkload:
     def total_tokens(self) -> int:
         """Prompt + response tokens (the throughput numerator)."""
         return self.total_response_tokens + (
-            self.prompt_tokens * self.num_requests
+            PROMPT_TOKENS * self.num_requests
         )
 
 
@@ -238,9 +232,7 @@ class RlStepSimulator:
                 sd_manager=self._managers[worker_id],
                 drafter=self.drafter,
             )
-            timelines.append(
-                engine.simulate(lens, prompt_tokens=workload.prompt_tokens)
-            )
+            timelines.append(engine.simulate(lens))
 
         worker_times = [t.total_time_s for t in timelines]
         rollout_s = max(worker_times)
@@ -364,13 +356,13 @@ class RlStepSimulator:
         optimizer = (
             self.model.params * TRAIN_BYTES_PER_PARAM / total_gpus
         )
-        max_len = float(max(workload.lengths)) + workload.prompt_tokens
+        max_len = float(max(workload.lengths)) + PROMPT_TOKENS
         activations = (
             max_len
             * self.model.hidden_size
             * self.model.num_layers
             * TRAIN_ACT_FACTOR
-            * self.model.bytes_per_param
+            * BYTES_PER_PARAM
             * TRAIN_GLOBAL_MICROBATCH
             / total_gpus
         )

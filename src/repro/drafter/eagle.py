@@ -36,6 +36,9 @@ from repro.llm.sampler import temperature_probs
 #: blocks typically use 4x).
 FFN_EXPANSION = 4
 
+#: Weight-initialisation scale of the drafter's own layers.
+INIT_SCALE = 0.5
+
 
 @dataclass(frozen=True)
 class EagleDrafterConfig:
@@ -45,17 +48,13 @@ class EagleDrafterConfig:
         fused_layers: indices into the target's hidden stack that form the
             input feature.  ``(-1,)`` is EAGLE (top layer only);
             ``(0, mid, -1)`` is the EAGLE-3 fusion.
-        init_scale: weight-initialisation scale.
     """
 
     fused_layers: Tuple[int, ...] = (-1,)
-    init_scale: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.fused_layers:
             raise DrafterError("fused_layers must be non-empty")
-        if self.init_scale <= 0:
-            raise DrafterError("init_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class EagleDrafter(Drafter):
     Args:
         target: the target model whose embedding/LM head are shared
             (referenced live, never copied — RL updates flow through).
-        config: fusion/initialisation settings.
+        config: fusion settings.
         rng: generator for weight initialisation.
     """
 
@@ -99,7 +98,7 @@ class EagleDrafter(Drafter):
             layer - target.num_layers if layer >= 0 else layer
             for layer in config.fused_layers
         )
-        scale = config.init_scale
+        scale = INIT_SCALE
         f = FFN_EXPANSION * d
         params = ParamSet()
         if n_fused > 1:

@@ -97,6 +97,13 @@ class SmallLmDrafter(Drafter):
         return SmallLmState(context=context)
 
 
+#: Adam step size of the distiller.
+LEARNING_RATE = 2e-3
+
+#: Global gradient-norm clip of a distillation update.
+GRAD_CLIP = 10.0
+
+
 @dataclass(frozen=True)
 class DistillationConfig:
     """Small-LM drafter training configuration.
@@ -104,21 +111,15 @@ class DistillationConfig:
     Attributes:
         mode: ``sft`` (hard labels), ``kd`` (forward KL) or
             ``reverse_kd`` (OSD-style).
-        learning_rate: Adam step size.
-        grad_clip: global gradient-norm clip.
     """
 
     mode: str = "sft"
-    learning_rate: float = 5e-3
-    grad_clip: float = 10.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("sft", "kd", "reverse_kd"):
             raise DrafterError(
                 "mode must be 'sft', 'kd' or 'reverse_kd'"
             )
-        if self.learning_rate <= 0:
-            raise DrafterError("learning_rate must be positive")
 
 
 class SmallLmDistiller:
@@ -135,7 +136,7 @@ class SmallLmDistiller:
         self.drafter = drafter
         self.target = target
         self.config = config
-        self.optimizer = Adam(lr=config.learning_rate)
+        self.optimizer = Adam(lr=LEARNING_RATE)
 
     def train_step(self, sequences: Sequence[Sequence[int]]) -> float:
         """One distillation step over teacher-forced sequences.
@@ -184,6 +185,6 @@ class SmallLmDistiller:
 
         dlogits = dlogits * mask[:, :, None] / total_positions
         grads = model.backward(result.cache, dlogits)
-        grads.clip_global_norm(self.config.grad_clip)
+        grads.clip_global_norm(GRAD_CLIP)
         self.optimizer.step(model.params, grads)
         return loss

@@ -260,19 +260,23 @@ def build_training_batch(
     )
 
 
+#: Global gradient-norm clip of a drafter update.
+GRAD_CLIP = 10.0
+
+#: The k of :func:`evaluate_topk_accuracy` (the paper's top-3 accuracy).
+ACCURACY_TOPK = 3
+
+
 @dataclass(frozen=True)
 class DrafterTrainingConfig:
     """Optimisation hyper-parameters for the drafter trainer."""
 
     strategy: TrainingStrategy = field(default_factory=TrainingStrategy.eagle)
     learning_rate: float = 3e-3
-    grad_clip: float = 10.0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise DrafterError("learning_rate must be positive")
-        if self.grad_clip <= 0:
-            raise DrafterError("grad_clip must be positive")
 
 
 @dataclass
@@ -407,7 +411,7 @@ class DrafterTrainer:
         if fuse_trains:
             drafter.backward_fuse(batch.fuse_stacks, dstate, grads)
 
-        grads.clip_global_norm(self.config.grad_clip)
+        grads.clip_global_norm(GRAD_CLIP)
         self.optimizer.step(drafter.params, grads)
         self.steps_done += 1
         return TrainStepReport(
@@ -449,19 +453,15 @@ class DrafterTrainer:
         self.steps_done = int(state["trainer.steps_done"])
 
 
-def evaluate_topk_accuracy(
-    drafter: EagleDrafter, batch: TrainingBatch, k: int = 3
-) -> float:
-    """Top-k next-token accuracy of the drafter's *first* draft step.
+def evaluate_topk_accuracy(drafter: EagleDrafter, batch: TrainingBatch) -> float:
+    """Top-3 next-token accuracy of the drafter's *first* draft step.
 
     This is the paper's Figure 15 metric (drafter top-3 accuracy).
     """
-    if k < 1:
-        raise DrafterError(f"k must be >= 1, got {k}")
     state = drafter.fuse(batch.fuse_stacks)
     hidden, _ = drafter.forward_cell_batch(state, batch.tokens[:, 0])
     logits = hidden @ drafter.target.params["embed"].T
-    k = min(k, logits.shape[-1])
+    k = min(ACCURACY_TOPK, logits.shape[-1])
     top = np.argpartition(-logits, kth=k - 1, axis=-1)[:, :k]
     labels = batch.labels[:, 0]
     hits = (top == labels[:, None]).any(axis=-1)

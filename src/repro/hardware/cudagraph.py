@@ -20,10 +20,10 @@ grows with the number of *distinct* captures:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import HardwareModelError, OutOfMemoryError
-from repro.hardware.gpus import GpuSpec, ModelSpec, drafter_spec
+from repro.hardware.gpus import BYTES_PER_PARAM, ModelSpec, drafter_spec
 from repro.specdec.strategy import SdStrategy
 
 _GIB = 1024.0**3
@@ -42,6 +42,12 @@ SEQ_ACT_FACTOR: float = 700.0
 
 #: Per-token activation factor (the smaller, token-count-dependent part).
 TOK_ACT_FACTOR: float = 3.0
+
+#: TP degree of the pool's placement (activations shard across ranks).
+TENSOR_PARALLEL = 4
+
+#: Bytes the pool may pin, in GB (a guard above any plan's footprint).
+MEMORY_BUDGET_GB = 500
 
 
 @dataclass(frozen=True)
@@ -92,33 +98,14 @@ class CapturePlan:
 
 
 class CudaGraphPool:
-    """Captured-graph memory accounting and lookup.
+    """Captured-graph memory accounting and lookup for one target model
+    (and its drafter) at ``TENSOR_PARALLEL`` ranks under a
+    ``MEMORY_BUDGET_GB`` budget."""
 
-    Args:
-        target: target model spec.
-        gpu: device spec (for the capacity guard).
-        tensor_parallel: TP degree (activations shard across ranks).
-        memory_budget_gb: optional explicit budget; defaults to device
-            capacity.
-    """
-
-    def __init__(
-        self,
-        target: ModelSpec,
-        gpu: GpuSpec,
-        tensor_parallel: int = 1,
-        memory_budget_gb: Optional[float] = None,
-    ) -> None:
-        if tensor_parallel < 1:
-            raise HardwareModelError("tensor_parallel must be >= 1")
+    def __init__(self, target: ModelSpec) -> None:
         self.target = target
         self.drafter = drafter_spec(target)
-        self.gpu = gpu
-        self.tensor_parallel = tensor_parallel
-        self.memory_budget_bytes = (
-            (memory_budget_gb if memory_budget_gb is not None
-             else gpu.memory_gb) * _GIB
-        )
+        self.memory_budget_bytes = MEMORY_BUDGET_GB * _GIB
         self._captured: Dict[CaptureKey, float] = {}
         self._routing: Dict[
             Tuple[SdStrategy, int], Tuple[CaptureKey, CaptureKey]
@@ -135,10 +122,10 @@ class CudaGraphPool:
         activation term.
         """
         model = self.target if key.role == "target" else self.drafter
-        unit = model.hidden_size * model.num_layers * model.bytes_per_param
+        unit = model.hidden_size * model.num_layers * BYTES_PER_PARAM
         seq_ws = key.batch_bucket * unit * SEQ_ACT_FACTOR
         tok_ws = key.batch_bucket * key.tokens * unit * TOK_ACT_FACTOR
-        return (seq_ws + tok_ws) / self.tensor_parallel + GRAPH_FIXED_BYTES
+        return (seq_ws + tok_ws) / TENSOR_PARALLEL + GRAPH_FIXED_BYTES
 
     def capture(self, key: CaptureKey) -> float:
         """Capture one graph (idempotent); returns its byte cost.

@@ -14,6 +14,14 @@ from typing import Dict
 
 from repro.errors import HardwareModelError
 
+#: Fixed per-forward overhead (launch + CPU) of a full-model step, and of
+#: a single-layer drafter step (smaller graphs launch faster), in seconds.
+STEP_OVERHEAD_S = 3.0e-4
+DRAFT_OVERHEAD_S = 2.0e-4
+
+#: Weight precision in bytes per parameter (BF16).
+BYTES_PER_PARAM = 2.0
+
 
 @dataclass(frozen=True)
 class GpuSpec:
@@ -28,10 +36,6 @@ class GpuSpec:
             sized GEMMs.
         memory_efficiency: achievable fraction of peak bandwidth during
             weight streaming.
-        step_overhead_s: fixed per-forward overhead (launch + CPU) for a
-            full-model step.
-        draft_overhead_s: fixed per-forward overhead for a single-layer
-            drafter step (smaller graphs launch faster).
     """
 
     name: str
@@ -40,8 +44,6 @@ class GpuSpec:
     memory_gb: float
     compute_efficiency: float = 0.55
     memory_efficiency: float = 0.72
-    step_overhead_s: float = 3.0e-4
-    draft_overhead_s: float = 2.0e-4
 
     def __post_init__(self) -> None:
         if min(self.bf16_tflops, self.hbm_gbps, self.memory_gb) <= 0:
@@ -54,10 +56,6 @@ class GpuSpec:
                 raise HardwareModelError(
                     f"{self.name}: {field_name} must be in (0, 1]"
                 )
-        if self.step_overhead_s < 0 or self.draft_overhead_s < 0:
-            raise HardwareModelError(
-                f"{self.name}: overheads must be non-negative"
-            )
 
     @property
     def effective_tflops(self) -> float:
@@ -114,7 +112,6 @@ class ModelSpec:
         vocab_size: vocabulary size.
         kv_bytes_per_token: K+V cache bytes per token across all layers
             (BF16, GQA-adjusted).
-        bytes_per_param: weight precision (2 = BF16).
     """
 
     name: str
@@ -123,7 +120,6 @@ class ModelSpec:
     hidden_size: int
     vocab_size: int
     kv_bytes_per_token: float
-    bytes_per_param: float = 2.0
 
     def __post_init__(self) -> None:
         if self.params <= 0 or self.num_layers < 1:
@@ -136,7 +132,7 @@ class ModelSpec:
     @property
     def weight_bytes(self) -> float:
         """Total weight footprint in bytes."""
-        return self.params * self.bytes_per_param
+        return self.params * BYTES_PER_PARAM
 
     @property
     def flops_per_token(self) -> float:
@@ -216,5 +212,4 @@ def drafter_spec(target: ModelSpec) -> ModelSpec:
         hidden_size=target.hidden_size,
         vocab_size=target.vocab_size,
         kv_bytes_per_token=target.kv_bytes_per_token / target.num_layers,
-        bytes_per_param=target.bytes_per_param,
     )

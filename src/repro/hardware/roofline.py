@@ -20,7 +20,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import HardwareModelError
-from repro.hardware.gpus import GpuSpec, ModelSpec
+from repro.hardware.gpus import (
+    DRAFT_OVERHEAD_S,
+    STEP_OVERHEAD_S,
+    GpuSpec,
+    ModelSpec,
+)
+
+#: Fractional step overhead per additional TP rank.
+TP_SYNC_TAX = 0.04
+
+#: CPU-side cost of tree construction, candidate selection and
+#: accept-path bookkeeping per speculative cycle.  GPU-independent,
+#: which is why SD speedups shrink on faster GPUs (Table 2).
+SD_CYCLE_OVERHEAD_S = 1.1e-3
+
+#: Average KV-cache tokens per sequence at which the throughput and
+#: speedup helpers price a decode step.
+THROUGHPUT_CONTEXT_TOKENS = 4000
 
 
 @dataclass(frozen=True)
@@ -58,20 +75,17 @@ class RooflineModel:
         model: the LLM size profile.
         gpu: the GPU performance envelope.
         tensor_parallel: TP degree (weights and FLOPs sharded; a mild
-            synchronisation tax is added per step).
-        tp_sync_tax: fractional overhead per additional TP rank.
+            synchronisation tax, ``TP_SYNC_TAX`` per additional rank, is
+            added per step).
     """
 
     model: ModelSpec
     gpu: GpuSpec
     tensor_parallel: int = 1
-    tp_sync_tax: float = 0.04
 
     def __post_init__(self) -> None:
         if self.tensor_parallel < 1:
             raise HardwareModelError("tensor_parallel must be >= 1")
-        if self.tp_sync_tax < 0:
-            raise HardwareModelError("tp_sync_tax must be non-negative")
 
     # -- primitive costs ---------------------------------------------------
 
@@ -79,7 +93,7 @@ class RooflineModel:
         return self.model.weight_bytes / self.tensor_parallel
 
     def _sync_factor(self) -> float:
-        return 1.0 + self.tp_sync_tax * (self.tensor_parallel - 1)
+        return 1.0 + TP_SYNC_TAX * (self.tensor_parallel - 1)
 
     def forward_cost(
         self,
@@ -120,7 +134,7 @@ class RooflineModel:
         return StepCost(
             compute_s=compute_s * self._sync_factor(),
             memory_s=memory_s * self._sync_factor(),
-            overhead_s=self.gpu.step_overhead_s,
+            overhead_s=STEP_OVERHEAD_S,
             tokens=tokens,
         )
 
@@ -159,13 +173,8 @@ class RooflineModel:
         compute_s = flops / (self.gpu.effective_tflops * 1e12)
         return (
             max(memory_s, compute_s) * self._sync_factor()
-            + self.gpu.draft_overhead_s
+            + DRAFT_OVERHEAD_S
         )
-
-    #: CPU-side cost of tree construction, candidate selection and
-    #: accept-path bookkeeping per speculative cycle.  GPU-independent,
-    #: which is why SD speedups shrink on faster GPUs (Table 2).
-    sd_cycle_overhead_s: float = 1.1e-3
 
     def sd_cycle_s(
         self,
@@ -182,7 +191,7 @@ class RooflineModel:
         verify = self.verify_step_s(
             batch_size, tokens_to_verify, context_tokens
         )
-        return drafting + verify + self.sd_cycle_overhead_s
+        return drafting + verify + SD_CYCLE_OVERHEAD_S
 
     def sd_tokens_per_s(
         self,
@@ -192,22 +201,19 @@ class RooflineModel:
         draft_depth: int,
         topk: int,
         tokens_to_verify: int,
-        context_tokens: float = 0.0,
     ) -> float:
         """Decode throughput (tokens/s/sequence) under SD."""
         if accept_length < 1.0:
             raise HardwareModelError("accept_length must be >= 1")
         cycle = self.sd_cycle_s(
             drafter, batch_size, draft_depth, topk, tokens_to_verify,
-            context_tokens,
+            THROUGHPUT_CONTEXT_TOKENS,
         )
         return accept_length / cycle
 
-    def vanilla_tokens_per_s(
-        self, batch_size: int, context_tokens: float = 0.0
-    ) -> float:
+    def vanilla_tokens_per_s(self, batch_size: int) -> float:
         """Decode throughput (tokens/s/sequence) without SD."""
-        return 1.0 / self.decode_step_s(batch_size, context_tokens)
+        return 1.0 / self.decode_step_s(batch_size, THROUGHPUT_CONTEXT_TOKENS)
 
     def sd_speedup(
         self,
@@ -217,13 +223,12 @@ class RooflineModel:
         draft_depth: int,
         topk: int,
         tokens_to_verify: int,
-        context_tokens: float = 0.0,
     ) -> float:
         """SD speedup over vanilla decoding at equal batch size."""
         return self.sd_tokens_per_s(
             drafter, accept_length, batch_size, draft_depth, topk,
-            tokens_to_verify, context_tokens,
-        ) / self.vanilla_tokens_per_s(batch_size, context_tokens)
+            tokens_to_verify,
+        ) / self.vanilla_tokens_per_s(batch_size)
 
     def prefill_s(self, batch_size: int, prompt_tokens: int) -> float:
         """Prompt prefill cost (compute-bound chunked forward)."""
@@ -235,7 +240,7 @@ class RooflineModel:
             raise HardwareModelError("tokens must be >= 1")
         flops = 6.0 * self.model.params * tokens / self.tensor_parallel
         compute_s = flops / (self.gpu.effective_tflops * 1e12)
-        return compute_s * self._sync_factor() + self.gpu.step_overhead_s
+        return compute_s * self._sync_factor() + STEP_OVERHEAD_S
 
     def achieved_tflops(self, cost: StepCost) -> float:
         """FLOP throughput realised by a step (for Figure 5c)."""

@@ -9,7 +9,7 @@ next batch's short requests into slots the current batch's stragglers
 free while delivering every batch group-complete with byte-identical
 outputs, a :class:`ColocatedLoop` closes trainer → spot train →
 publish → pool around it, and a :class:`DrafterZoo` keeps per-segment
-specialist drafters behind an ε-greedy bandit, refreshed continually
+specialist drafters behind a greedy windowed bandit, refreshed continually
 from spot snapshots and published through per-worker rolling hot swaps.
 
 predictor → scheduler → zoo: lengths feed admission order, segments

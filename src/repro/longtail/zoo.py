@@ -4,10 +4,10 @@ One shared drafter chases the whole rollout distribution at once; the
 paper's continual-adaptation argument says that is the wrong shape for
 a *segmented* workload (short-form vs long-form reasoning, distinct
 task families, distinct token ranges).  The zoo keeps a small set of
-drafters — **arms** — and, per workload segment, an ε-greedy bandit in
-the repo's BEG-MAB idiom (sliding-window scores, unexplored-first,
-seeded exploration) that decides which arm the segment's traffic
-speculates with.  The shared generalist is always one of the arms, so
+drafters — **arms** — and, per workload segment, a greedy bandit in
+the repo's BEG-MAB idiom (sliding-window scores, unexplored-first; it
+exploits and never explores) that decides which arm the segment's
+traffic speculates with.  The shared generalist is always one of the arms, so
 selection can never do worse than the single-drafter baseline once the
 windows fill.
 
@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.drafter.base import Drafter
 from repro.errors import ConfigError, DrafterError
 from repro.serving.frontend import ServingEngine
@@ -49,10 +47,15 @@ from repro.serving.metrics import ServingReport
 from repro.specdec.metrics import WorkerCounters
 from repro.utils.stats import SlidingWindow
 
+#: Per-(segment, arm) sliding-window capacity for acceptance scores
+#: (windowed, not running means: the target model drifts under RL
+#: training, and so does each arm's quality).
+WINDOW = 8
+
 
 @dataclass
 class _SegmentBandit:
-    """Per-segment ε-greedy state over the zoo's arms."""
+    """Per-segment greedy state over the zoo's arms."""
 
     windows: Dict[str, SlidingWindow]
     current_arm: Optional[str] = None
@@ -67,23 +70,15 @@ class DrafterZoo:
             generalist (conventionally ``"shared"``) so the bandit's
             floor is the single-drafter baseline.
         segments: workload segment labels the zoo serves.
-        epsilon: exploration probability (0.0 = pure exploit — the
-            measurement mode the zoo-vs-baseline scoreboard uses).
-        window: per-(segment, arm) sliding-window capacity for
-            acceptance scores (windowed, not running means: the
-            target model drifts under RL training, and so does each
-            arm's quality).
 
-    Exploration draws come from a private generator with a fixed seed:
-    the zoo must not consume any trainer/rollout stream.
+    The zoo draws no random numbers, so it consumes no trainer or
+    rollout stream.
     """
 
     def __init__(
         self,
         arms: Dict[str, Drafter],
         segments: Sequence[str],
-        epsilon: float = 0.1,
-        window: int = 16,
     ) -> None:
         if not arms:
             raise ConfigError("the zoo needs at least one arm")
@@ -91,12 +86,6 @@ class DrafterZoo:
             raise ConfigError("the zoo needs at least one segment")
         if len(set(segments)) != len(segments):
             raise ConfigError("segment labels must be unique")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ConfigError(
-                f"epsilon must be in [0, 1], got {epsilon}"
-            )
-        if window < 1:
-            raise ConfigError(f"window must be >= 1, got {window}")
         for name, drafter in arms.items():
             if not isinstance(drafter, Drafter):
                 raise ConfigError(
@@ -104,13 +93,10 @@ class DrafterZoo:
                 )
         self.arms: Dict[str, Drafter] = dict(arms)
         self.segments = list(segments)
-        self.epsilon = epsilon
-        self.window = window
-        self._rng = np.random.default_rng(0)
         self._bandits: Dict[str, _SegmentBandit] = {
             segment: _SegmentBandit(
                 windows={
-                    name: SlidingWindow(window) for name in self.arms
+                    name: SlidingWindow(WINDOW) for name in self.arms
                 }
             )
             for segment in self.segments
@@ -153,15 +139,13 @@ class DrafterZoo:
     def select(self, segment: str) -> str:
         """Choose the arm ``segment`` should speculate with.
 
-        BEG-MAB idiom: explore with probability ε, otherwise exploit
-        the best window mean — unexplored arms first, so every arm
-        gets at least one observation before exploitation locks in.
+        BEG-MAB idiom without exploration: the best window mean —
+        unexplored arms first, so every arm gets at least one
+        observation before exploitation locks in.
         """
         bandit = self._bandit(segment)
         bandit.selections += 1
         names = sorted(self.arms)
-        if len(names) > 1 and self._rng.random() < self.epsilon:
-            return names[int(self._rng.integers(len(names)))]
         unexplored = [
             name for name in names if bandit.windows[name].is_empty
         ]

@@ -6,7 +6,7 @@ differing only in advantage construction and KL regularisation.  This
 package implements that workflow for GRPO over the TinyLM substrate with
 real policy-gradient updates:
 
-* :mod:`repro.rl.kl` — the k1/k2/k3 KL estimators (Schulman);
+* :mod:`repro.rl.kl` — the k3 KL estimator (Schulman);
 * :mod:`repro.rl.algorithms` — the GRPO advantage estimator;
 * :mod:`repro.rl.rollout_backends` — :class:`RolloutResult`, what a
   rollout hands the trainer (rollouts themselves ride a serving pool

@@ -1,15 +1,11 @@
-"""Per-token KL-divergence estimators (Schulman's k1/k2/k3).
+"""The per-token KL-divergence estimator (Schulman's k3).
 
 The GRPO inference stage scores every response token under the policy and
 the frozen reference model; the KL penalty constrains the policy from
-drifting.  Three standard single-sample estimators of
-``KL(pi || pi_ref)`` at a sampled token with log-probs ``logp`` (policy)
-and ``logp_ref`` (reference):
-
-* ``k1 = logp - logp_ref`` (unbiased, high variance, can be negative),
-* ``k2 = 0.5 * (logp - logp_ref)^2`` (biased, always non-negative),
-* ``k3 = exp(logp_ref - logp) - (logp_ref - logp) - 1`` (unbiased-ish,
-  non-negative; the GRPO default).
+drifting.  At a sampled token with log-probs ``logp`` (policy) and
+``logp_ref`` (reference) the single-sample estimate of ``KL(pi || pi_ref)``
+is ``k3 = exp(logp_ref - logp) - (logp_ref - logp) - 1``: unbiased-ish and
+non-negative, the GRPO default.
 """
 
 from __future__ import annotations
@@ -18,61 +14,33 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-KL_ESTIMATORS = ("k1", "k2", "k3")
+
+def _log_ratio(logp: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
+    """``logp_ref - logp``, clipped for numeric safety."""
+    logp = np.asarray(logp, dtype=np.float64)
+    logp_ref = np.asarray(logp_ref, dtype=np.float64)
+    if logp.shape != logp_ref.shape:
+        raise ConfigError(
+            f"logp/logp_ref shape mismatch: {logp.shape} vs {logp_ref.shape}"
+        )
+    return np.clip(-(logp - logp_ref), -60.0, 60.0)
 
 
-def kl_estimate(
-    logp: np.ndarray, logp_ref: np.ndarray, kind: str = "k3"
-) -> np.ndarray:
-    """Per-token KL estimate for sampled tokens.
+def kl_estimate(logp: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
+    """Per-token k3 estimate for sampled tokens.
 
     Args:
         logp: policy log-probabilities of the sampled tokens.
         logp_ref: reference-model log-probabilities of the same tokens.
-        kind: one of ``k1``, ``k2``, ``k3``.
 
     Returns:
         An array of per-token estimates, same shape as the inputs.
     """
-    logp = np.asarray(logp, dtype=np.float64)
-    logp_ref = np.asarray(logp_ref, dtype=np.float64)
-    if logp.shape != logp_ref.shape:
-        raise ConfigError(
-            f"logp/logp_ref shape mismatch: {logp.shape} vs {logp_ref.shape}"
-        )
-    diff = logp - logp_ref
-    if kind == "k1":
-        return diff
-    if kind == "k2":
-        return 0.5 * diff * diff
-    if kind == "k3":
-        # exp(-diff) - (-diff) - 1, clipped for numeric safety.
-        neg = np.clip(-diff, -60.0, 60.0)
-        return np.exp(neg) - neg - 1.0
-    raise ConfigError(f"unknown KL estimator {kind!r}; use {KL_ESTIMATORS}")
+    neg = _log_ratio(logp, logp_ref)
+    return np.exp(neg) - neg - 1.0
 
 
-def kl_grad_coef(
-    logp: np.ndarray, logp_ref: np.ndarray, kind: str = "k3"
-) -> np.ndarray:
-    """d(KL estimate)/d(logp) — the coefficient entering the policy grad.
-
-    * k1: ``1``
-    * k2: ``logp - logp_ref``
-    * k3: ``1 - exp(logp_ref - logp)``
-    """
-    logp = np.asarray(logp, dtype=np.float64)
-    logp_ref = np.asarray(logp_ref, dtype=np.float64)
-    if logp.shape != logp_ref.shape:
-        raise ConfigError(
-            f"logp/logp_ref shape mismatch: {logp.shape} vs {logp_ref.shape}"
-        )
-    diff = logp - logp_ref
-    if kind == "k1":
-        return np.ones_like(diff)
-    if kind == "k2":
-        return diff
-    if kind == "k3":
-        neg = np.clip(-diff, -60.0, 60.0)
-        return 1.0 - np.exp(neg)
-    raise ConfigError(f"unknown KL estimator {kind!r}; use {KL_ESTIMATORS}")
+def kl_grad_coef(logp: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
+    """d(k3)/d(logp) — the coefficient entering the policy grad:
+    ``1 - exp(logp_ref - logp)``."""
+    return 1.0 - np.exp(_log_ratio(logp, logp_ref))

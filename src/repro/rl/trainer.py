@@ -7,11 +7,10 @@ One :meth:`RlTrainer.step` is one Figure 4 step:
 2. **Inference** — teacher-forced forwards score every response token
    under the policy and the frozen reference model; rule-based rewards
    come from the task verifier.
-3. **Training** — a token-level policy-gradient update with group-relative
-   advantages and a KL penalty, applied through TinyLM's exact backward.
-
-The update supports PPO-style ratio clipping for multi-epoch reuse, but
-defaults to the single on-policy epoch GRPO prescribes.
+3. **Training** — one on-policy epoch of a token-level policy-gradient
+   update with group-relative advantages and a k3 KL penalty, applied
+   through TinyLM's exact backward.  At one epoch the PPO ratio is 1, so
+   there is no ratio and nothing to clip.
 """
 
 from __future__ import annotations
@@ -26,12 +25,15 @@ from repro.llm.model import TinyLM, pad_sequences
 from repro.llm.optim import Adam
 from repro.llm.sampler import temperature_probs
 from repro.rl.algorithms import GrpoAdvantages
-from repro.rl.kl import KL_ESTIMATORS, kl_estimate, kl_grad_coef
+from repro.rl.kl import kl_estimate, kl_grad_coef
 from repro.rl.rollout_backends import RolloutResult
 from repro.workload.prompts import PromptBatch, Task, make_prompt_batch
 
 if TYPE_CHECKING:  # pragma: no cover - types only (the pool is a layer up)
     from repro.longtail.scheduler import RolloutScheduler
+
+#: Global gradient-norm clip of the policy update.
+GRAD_CLIP = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,6 @@ class RlConfig:
             matching the behaviour distribution).
         learning_rate: Adam step size.
         kl_coef: KL-penalty weight (0 disables the reference model term).
-        kl_estimator: ``k1`` / ``k2`` / ``k3``.
-        grad_clip: global gradient-norm clip.
-        clip_eps: PPO ratio clip (active when ``inner_epochs > 1``).
-        inner_epochs: optimisation epochs per rollout batch.
     """
 
     num_prompts: int = 8
@@ -58,10 +56,6 @@ class RlConfig:
     temperature: float = 0.9
     learning_rate: float = 1e-3
     kl_coef: float = 0.02
-    kl_estimator: str = "k3"
-    grad_clip: float = 1.0
-    clip_eps: float = 0.2
-    inner_epochs: int = 1
 
     def __post_init__(self) -> None:
         if self.num_prompts < 1 or self.group_size < 1:
@@ -76,14 +70,6 @@ class RlConfig:
             raise ConfigError("learning_rate must be positive")
         if self.kl_coef < 0:
             raise ConfigError("kl_coef must be non-negative")
-        if self.kl_estimator not in KL_ESTIMATORS:
-            raise ConfigError(
-                f"kl_estimator must be one of {KL_ESTIMATORS}"
-            )
-        if self.grad_clip <= 0:
-            raise ConfigError("grad_clip must be positive")
-        if self.inner_epochs < 1:
-            raise ConfigError("inner_epochs must be >= 1")
 
 
 @dataclass
@@ -278,34 +264,19 @@ class RlTrainer:
         def chosen_logp(probs):
             return np.log(np.maximum(probs[resp, chosen], 1e-300))
 
-        # Reference logprobs are fixed across inner epochs.
         logp_ref = chosen_logp(response_probs(self.reference)[1])
+        cache, probs = response_probs(self.policy, keep_cache=True)
+        logp = chosen_logp(probs)
+        kl_coef = config.kl_coef * kl_grad_coef(logp, logp_ref)
+        coef = (-adv + kl_coef) * scale
+        # dlogits = coef * (onehot - probs), one row per cell, built
+        # in place: probs is not read after logp.
+        probs *= -coef[:, None]
+        probs[resp, chosen] += coef
 
-        old_logp: Optional[np.ndarray] = None
-        for _ in range(config.inner_epochs):
-            cache, probs = response_probs(self.policy, keep_cache=True)
-            logp = chosen_logp(probs)
-            if old_logp is None:
-                old_logp = logp
-            ratio = np.exp(np.clip(logp - old_logp, -30.0, 30.0))
-            pg_coef = -adv * ratio
-            if config.inner_epochs > 1:
-                clipped_hi = (adv > 0) & (ratio > 1.0 + config.clip_eps)
-                clipped_lo = (adv < 0) & (ratio < 1.0 - config.clip_eps)
-                pg_coef = pg_coef * ~(clipped_hi | clipped_lo)
-            kl_coef = config.kl_coef * kl_grad_coef(
-                logp, logp_ref, config.kl_estimator
-            )
-            coef = (pg_coef + kl_coef) * scale
-            # dlogits = coef * (onehot - probs), one row per cell, built
-            # in place: probs is not read after logp.
-            probs *= -coef[:, None]
-            probs[resp, chosen] += coef
-
-            grads = self.policy.backward(cache, probs[None])
-            grads.clip_global_norm(config.grad_clip)
-            self.optimizer.step(self.policy.params, grads)
-            pg_loss_value = float(np.sum(-adv * ratio * logp)) / total_resp
-            kl = kl_estimate(logp, logp_ref, config.kl_estimator)
-            kl_value = float(np.sum(kl)) / total_resp
+        grads = self.policy.backward(cache, probs[None])
+        grads.clip_global_norm(GRAD_CLIP)
+        self.optimizer.step(self.policy.params, grads)
+        pg_loss_value = float(np.sum(-adv * logp)) / total_resp
+        kl_value = float(np.sum(kl_estimate(logp, logp_ref))) / total_resp
         return pg_loss_value, kl_value

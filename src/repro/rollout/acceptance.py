@@ -23,6 +23,17 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.specdec.strategy import SdStrategy
 
+#: The saturating curve's constants, fitted to Figure 13(a): the
+#: asymptotic accept length of a fresh drafter at ``V_REF``, the
+#: depth-saturation rate, the reference Tokens_to_Verify (the paper
+#: sweeps up to 64), the sensitivity to the verification budget and the
+#: mild sensitivity to tree width (Table 1 shows near-flat).
+E_MAX = 8.8
+RATE = 0.245
+V_REF = 64
+V_EXP = 0.12
+TOPK_EXP = 0.03
+
 
 class AcceptanceModel(abc.ABC):
     """Maps (strategy, batch) to an expected accept length per cycle."""
@@ -38,38 +49,24 @@ class AcceptanceModel(abc.ABC):
 class ParametricAcceptance(AcceptanceModel):
     """Saturating accept-length curve calibrated to Figure 13(a).
 
-    ``accept(D, V) = 1 + (E_max*q - 1) * (1 - exp(-rate*D)) * (V/V_ref)^v_exp``
+    ``accept(D, V) = 1 + (E_MAX*q - 1) * (1 - exp(-RATE*D)) * (V/V_REF)^V_EXP``
 
     Attributes:
-        e_max: asymptotic accept length of a fresh drafter at ``v_ref``.
-        rate: depth-saturation rate (0.245 fits the paper's curve).
-        v_ref: reference Tokens_to_Verify (the paper sweeps up to 64).
-        v_exp: sensitivity to the verification budget.
-        topk_exp: mild sensitivity to tree width (Table 1 shows near-flat).
-        drafter_quality: scale in (0, 1] — 1.0 for the continuously
+        drafter_quality: scale ``q`` in (0, 1] — 1.0 for the continuously
             adapted drafter, lower for stale or model-free drafters.
     """
 
-    e_max: float = 8.8
-    rate: float = 0.245
-    v_ref: int = 64
-    v_exp: float = 0.12
-    topk_exp: float = 0.03
     drafter_quality: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.e_max < 1.0 or self.rate <= 0:
-            raise ConfigError("e_max must be >= 1 and rate > 0")
-        if self.v_ref < 1:
-            raise ConfigError("v_ref must be >= 1")
         if not 0.0 < self.drafter_quality <= 1.0:
             raise ConfigError("drafter_quality must be in (0, 1]")
 
     def accept_length(self, strategy, batch_size):
-        depth_part = 1.0 - np.exp(-self.rate * strategy.draft_depth)
-        verify_part = (strategy.tokens_to_verify / self.v_ref) ** self.v_exp
-        topk_part = (strategy.topk / 8.0) ** self.topk_exp
-        peak = self.e_max * self.drafter_quality
+        depth_part = 1.0 - np.exp(-RATE * strategy.draft_depth)
+        verify_part = (strategy.tokens_to_verify / V_REF) ** V_EXP
+        topk_part = (strategy.topk / 8.0) ** TOPK_EXP
+        peak = E_MAX * self.drafter_quality
         accept = 1.0 + max(peak - 1.0, 0.0) * depth_part * verify_part * topk_part
         return float(np.clip(accept, 1.0, strategy.tokens_to_verify + 1.0))
 

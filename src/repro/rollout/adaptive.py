@@ -19,38 +19,31 @@ from repro.rollout.acceptance import AcceptanceModel, ParametricAcceptance
 from repro.specdec.strategy import SdStrategy, default_strategy_pool
 from repro.tuner.mab import BegMabSelector, StrategySelector
 
+#: One-off re-prefill cost when SD activates (the paper measures ~3 s).
+SWITCH_OVERHEAD_S = 3.0
+
 
 @dataclass
 class AdaptiveSdConfig:
     """Configuration of the adaptive SD manager.
 
     Attributes:
-        strategies: candidate SD strategies.
         activation_threshold: SD engages when running requests <= this.
-        switch_overhead_s: one-off re-prefill cost when SD activates
-            (the paper measures ~3 s).
         acceptance: accept-length model for the simulator.
-        selector: strategy selector; a BEG-MAB over the strategies is
+        selector: strategy selector; a BEG-MAB over
+            :func:`~repro.specdec.strategy.default_strategy_pool` is
             built when omitted.
     """
 
-    strategies: Sequence[SdStrategy] = field(
-        default_factory=default_strategy_pool
-    )
     activation_threshold: int = 32
-    switch_overhead_s: float = 3.0
     acceptance: AcceptanceModel = field(
         default_factory=ParametricAcceptance
     )
     selector: Optional[StrategySelector] = None
 
     def __post_init__(self) -> None:
-        if not self.strategies:
-            raise ConfigError("strategies must be non-empty")
         if self.activation_threshold < 1:
             raise ConfigError("activation_threshold must be >= 1")
-        if self.switch_overhead_s < 0:
-            raise ConfigError("switch_overhead_s must be non-negative")
 
 
 class AdaptiveSdManager:
@@ -61,12 +54,11 @@ class AdaptiveSdManager:
         if config.selector is not None:
             self.selector = config.selector
         else:
+            strategies = default_strategy_pool()
             thresholds = _default_thresholds(
-                len({s.tokens_to_verify for s in config.strategies})
+                len({s.tokens_to_verify for s in strategies})
             )
-            self.selector = BegMabSelector(
-                config.strategies, thresholds
-            )
+            self.selector = BegMabSelector(strategies, thresholds)
         self._sd_active = False
         self.activations = 0
 
@@ -105,7 +97,7 @@ class AdaptiveSdManager:
             return 0.0
         self._sd_active = True
         self.activations += 1
-        return self.config.switch_overhead_s
+        return SWITCH_OVERHEAD_S
 
     def reset(self) -> None:
         """New rollout: SD disengaged until the threshold is crossed."""

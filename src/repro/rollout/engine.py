@@ -25,6 +25,9 @@ from repro.hardware.gpus import ModelSpec, drafter_spec
 from repro.hardware.roofline import RooflineModel
 from repro.rollout.adaptive import AdaptiveSdManager
 
+#: Prompt length per simulated request (prefill + KV).
+PROMPT_TOKENS = 512
+
 
 @dataclass(frozen=True)
 class TimelinePoint:
@@ -87,16 +90,12 @@ class RolloutEngine:
         self.sd_manager = sd_manager
         self.drafter = drafter or drafter_spec(roofline.model)
 
-    def simulate(
-        self,
-        lengths: Sequence[int],
-        prompt_tokens: int = 512,
-    ) -> RolloutTimeline:
-        """Simulate decoding ``lengths`` to completion.
+    def simulate(self, lengths: Sequence[int]) -> RolloutTimeline:
+        """Simulate decoding ``lengths`` to completion, each request
+        behind a ``PROMPT_TOKENS`` prompt.
 
         Args:
             lengths: response length (tokens) per request.
-            prompt_tokens: prompt length per request (prefill + KV).
 
         Returns:
             A :class:`RolloutTimeline`.
@@ -106,13 +105,11 @@ class RolloutEngine:
             raise ConfigError("lengths must be non-empty")
         if lens[0] < 1:
             raise ConfigError("response lengths must be >= 1")
-        if prompt_tokens < 1:
-            raise ConfigError("prompt_tokens must be >= 1")
         n = len(lens)
         if self.sd_manager is not None:
             self.sd_manager.reset()
 
-        time_s = self.roofline.prefill_s(n, prompt_tokens)
+        time_s = self.roofline.prefill_s(n, PROMPT_TOKENS)
         points: List[TimelinePoint] = [TimelinePoint(time_s, n, False)]
         sd_start: Optional[float] = None
         generated = 0
@@ -127,7 +124,7 @@ class RolloutEngine:
             target_len = lens[completed]
             delta = target_len - generated
             if delta > 0:
-                context = prompt_tokens + generated + delta / 2.0
+                context = PROMPT_TOKENS + generated + delta / 2.0
                 step_s = self.roofline.decode_step_s(
                     batch, context_tokens=context
                 )
@@ -192,7 +189,7 @@ class RolloutEngine:
             total_time_s=time_s,
             sd_start_s=sd_start,
             total_tokens=sum(lens),
-            prompt_tokens=prompt_tokens * n,
+            prompt_tokens=PROMPT_TOKENS * n,
             sd_cycles=sd_cycles,
             vanilla_steps=vanilla_steps,
             decode_time_s=decode_time,

@@ -296,16 +296,16 @@ class SequenceSlot:
     """
 
     request: ServingRequest
-    response: List[int] = field(default_factory=list)
-    hidden: Optional[np.ndarray] = None
-    done: bool = False
-    state: RequestState = RequestState.QUEUED
+    response: List[int] = field(default_factory=list, init=False)
+    hidden: Optional[np.ndarray] = field(default=None, init=False)
+    done: bool = field(default=False, init=False)
+    state: RequestState = field(default=RequestState.QUEUED, init=False)
     urgent: bool = False
     since: int = 0
-    wait_cycles: int = 0
-    parked_cycles: int = 0
-    cache_key: Optional[Tuple[int, ...]] = None
-    cache_pinned: bool = False
+    wait_cycles: int = field(default=0, init=False)
+    parked_cycles: int = field(default=0, init=False)
+    cache_key: Optional[Tuple[int, ...]] = field(default=None, init=False)
+    cache_pinned: bool = field(default=False, init=False)
     prompt: Tuple[int, ...] = field(init=False)
     sequence: Optional[List[int]] = field(init=False)
     rng: Optional[np.random.Generator] = field(init=False)

@@ -79,10 +79,7 @@ class OpenR1System(RlSystem):
         for wave in waves:
             if wave.size == 0:
                 continue
-            wave_load = StepWorkload(
-                lengths=wave.tolist(),
-                prompt_tokens=workload.prompt_tokens,
-            )
+            wave_load = StepWorkload(lengths=wave.tolist())
             result = self._serving_sim.simulate_step(wave_load)
             rollout_s += result.rollout_s
         rollout_s /= ROLLOUT_EFFICIENCY

@@ -29,6 +29,9 @@ from repro.utils.stats import SlidingWindow
 #: Sliding-window length ``w`` of the ε-greedy selectors' reward windows.
 WINDOW_SIZE = 16
 
+#: Exploration probability ε of the ε-greedy selectors.
+EPSILON = 0.1
+
 
 class StrategySelector(abc.ABC):
     """Interface shared by BEG-MAB and the ablation baselines."""
@@ -83,7 +86,6 @@ class BegMabSelector(StrategySelector):
         batch_thresholds: ascending bucket lower bounds
             ``t_1 < t_2 < ... < t_m`` (``t_1`` should be 1);  bucket ``i``
             covers ``[t_i, t_{i+1} - 1]`` and the last bucket is open.
-        epsilon: exploration probability.
         rng: generator for exploration draws.
     """
 
@@ -91,7 +93,6 @@ class BegMabSelector(StrategySelector):
         self,
         strategies: Sequence[SdStrategy],
         batch_thresholds: Sequence[int],
-        epsilon: float = 0.1,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if not strategies:
@@ -105,8 +106,6 @@ class BegMabSelector(StrategySelector):
             raise TunerError("batch_thresholds must be strictly ascending")
         if thresholds[0] < 1:
             raise TunerError("batch thresholds must start at >= 1")
-        if not 0.0 <= epsilon <= 1.0:
-            raise TunerError("epsilon must be in [0, 1]")
 
         # GroupByVerifyTokens(S) -> groups sorted by tokens_to_verify desc.
         verify_values = sorted(
@@ -124,7 +123,6 @@ class BegMabSelector(StrategySelector):
         # Map bucket B_i -> group S_i; extra buckets fall to the last group.
         self._groups = groups
         self._thresholds = thresholds
-        self.epsilon = epsilon
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._arms: Dict[SdStrategy, _ArmState] = {
             s: _ArmState(
@@ -157,7 +155,7 @@ class BegMabSelector(StrategySelector):
         candidates = self.candidates(batch_size)
         if len(candidates) == 1:
             return candidates[0]
-        if self._rng.random() < self.epsilon:
+        if self._rng.random() < EPSILON:
             return candidates[self._rng.integers(len(candidates))]
         # Exploit: maximise the window median; unexplored arms first so
         # every candidate gets at least one observation.
@@ -217,22 +215,18 @@ class PlainEpsilonGreedy(StrategySelector):
     def __init__(
         self,
         strategies: Sequence[SdStrategy],
-        epsilon: float = 0.1,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if not strategies:
             raise TunerError("strategies must be non-empty")
-        if not 0.0 <= epsilon <= 1.0:
-            raise TunerError("epsilon must be in [0, 1]")
         self._strategies = list(strategies)
-        self.epsilon = epsilon
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._windows = {
             s: SlidingWindow(WINDOW_SIZE) for s in self._strategies
         }
 
     def select(self, batch_size: int) -> SdStrategy:
-        if self._rng.random() < self.epsilon:
+        if self._rng.random() < EPSILON:
             return self._strategies[
                 self._rng.integers(len(self._strategies))
             ]

@@ -70,35 +70,32 @@ class SuccessorChainTask(Task):
     """Reward = fraction of adjacent pairs (a, a+1) in the regular range.
 
     The successor relation wraps around within the regular-token range, so
-    every regular token has a valid successor.  A terminal bonus rewards
-    emitting EOS before the cap (teaches termination), and full credit
+    every regular token has a valid successor.  Prompts are
+    ``PROMPT_LENGTH`` random regular tokens.  An additive
+    ``TERMINAL_BONUS`` rewards clean EOS termination before the cap
+    (teaches termination), and full credit
     requires at least ``target_pairs`` correct steps — so policies cannot
     hack the reward with one lucky pair, and response lengths *grow* as
     training progresses (the paper's Figure 2 dynamic).
 
     Attributes:
         vocab: the shared vocabulary.
-        prompt_length: number of random regular tokens in each prompt.
-        terminal_bonus: additive reward for clean EOS termination.
         target_pairs: correct successor pairs needed for full chain credit.
     """
 
+    PROMPT_LENGTH = 4
+    TERMINAL_BONUS = 0.2
+
     vocab: Vocabulary
-    prompt_length: int = 4
-    terminal_bonus: float = 0.2
     target_pairs: int = 12
 
     def __post_init__(self) -> None:
-        if self.prompt_length < 1:
-            raise ConfigError("prompt_length must be >= 1")
-        if not 0.0 <= self.terminal_bonus <= 1.0:
-            raise ConfigError("terminal_bonus must be in [0, 1]")
         if self.target_pairs < 1:
             raise ConfigError("target_pairs must be >= 1")
 
     def generate_prompt(self, rng: np.random.Generator) -> List[int]:
         return self.vocab.random_regular_tokens(
-            rng, self.prompt_length
+            rng, self.PROMPT_LENGTH
         ).tolist()
 
     def is_successor(self, first: int, second: int) -> bool:
@@ -114,16 +111,16 @@ class SuccessorChainTask(Task):
         body = _strip(response)
         terminated = len(body) < len(response)
         if len(body) < 2:
-            return self.terminal_bonus if terminated else 0.0
+            return self.TERMINAL_BONUS if terminated else 0.0
         hits = sum(
             self.is_successor(a, b) for a, b in zip(body, body[1:])
         )
         # Correctness ratio penalises wrong steps; the target_pairs floor
         # penalises chains that are too short for full credit.
         chain_score = hits / max(len(body) - 1, self.target_pairs)
-        score = (1.0 - self.terminal_bonus) * chain_score
+        score = (1.0 - self.TERMINAL_BONUS) * chain_score
         if terminated:
-            score += self.terminal_bonus
+            score += self.TERMINAL_BONUS
         return float(min(score, 1.0))
 
 
@@ -133,31 +130,26 @@ class PatternCopyTask(Task):
 
     Responses to the same prompt share long common subsequences, which is
     precisely the "sequence similarity across rollouts" the model-free
-    drafter exploits.
+    drafter exploits.  Prompts are ``PROMPT_LENGTH`` random regular
+    tokens, and ``REPEATS`` copies of the prompt earn full reward.
 
     Attributes:
         vocab: the shared vocabulary.
-        repeats: how many copies of the prompt earn full reward.
     """
 
-    vocab: Vocabulary
-    prompt_length: int = 6
-    repeats: int = 2
+    PROMPT_LENGTH = 6
+    REPEATS = 2
 
-    def __post_init__(self) -> None:
-        if self.prompt_length < 1:
-            raise ConfigError("prompt_length must be >= 1")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+    vocab: Vocabulary
 
     def generate_prompt(self, rng: np.random.Generator) -> List[int]:
         return self.vocab.random_regular_tokens(
-            rng, self.prompt_length
+            rng, self.PROMPT_LENGTH
         ).tolist()
 
     def reward(self, prompt: Sequence[int], response: Sequence[int]) -> float:
         body = _strip(response)
-        want = list(prompt) * self.repeats
+        want = list(prompt) * self.REPEATS
         if not want:
             return 0.0
         hits = sum(

@@ -47,8 +47,35 @@ from repro.workload.traces import (
 PREFIX_LEN = 4
 #: Response lengths of the zoo's short-lived traffic.
 SHORT_LENGTHS = LognormalLengths(median=5.0, sigma=0.4, cap=12)
-#: Tenant prefix families of :func:`flash_crowd_trace`'s calm baseline.
+#: SLO class of the diurnal and adversarial traces' short-lived
+#: traffic: loose enough that a right-sized fleet attains it, tight
+#: enough that an undersized fleet visibly misses.
+SCENARIO_SLO = SloClass("scenario", ttft_target=12.0, latency_target=96.0)
+
+#: :func:`diurnal_trace`'s cycle: ticks per day/night period, mean ticks
+#: between arrivals at peak, the trough rate as a fraction of the peak
+#: rate, and its tenant prefix families.
+DIURNAL_PERIOD = 120.0
+DIURNAL_PEAK_INTERARRIVAL = 0.6
+DIURNAL_TROUGH_RATIO = 0.1
+DIURNAL_FAMILIES = 8
+
+#: :func:`flash_crowd_trace`'s calm baseline (tenant prefix families and
+#: mean ticks between arrivals) and the crowd's fresh prefix families.
 BASE_FAMILIES = 4
+BASE_INTERARRIVAL = 4.0
+CROWD_FAMILIES = 6
+
+#: :func:`adversarial_longtail_trace`'s square wave: dense bursts, the
+#: arrivals per burst, the mean ticks between arrivals inside a burst
+#: and the dead ticks between bursts; then its BATCH-class stragglers
+#: and the tenant prefix families the bursts draw from.
+NUM_BURSTS = 4
+BURST_REQUESTS = 20
+BURST_INTERARRIVAL = 0.3
+LULL_TICKS = 25.0
+NUM_LONGTAIL = 6
+ADVERSARIAL_FAMILIES = 6
 
 
 def _thinned_arrivals(
@@ -76,30 +103,20 @@ def diurnal_trace(
     rng: np.random.Generator,
     vocab_size: int,
     num_requests: int,
-    period: float = 200.0,
-    peak_interarrival: float = 0.5,
-    trough_ratio: float = 0.12,
-    num_families: int = 8,
-    slo: Optional[SloClass] = None,
 ) -> List[ServingRequest]:
     """A sinusoidal day/night arrival cycle (nonhomogeneous Poisson).
 
     The arrival rate follows ``λ(t) = λ_peak · (r + (1-r)·(1+sin)/2)``
-    with trough ratio ``r`` — a smooth wave from ``r·λ_peak`` (night)
-    to ``λ_peak`` (midday), sampled exactly by thinning.  Arrivals
-    draw from ``num_families`` tenant prefix families, so the trace
-    routes like fleet traffic.
+    with trough ratio ``r = DIURNAL_TROUGH_RATIO`` — a smooth wave from
+    ``r·λ_peak`` (night) to ``λ_peak`` (midday) over
+    ``DIURNAL_PERIOD`` ticks, sampled exactly by thinning.  Arrivals
+    draw from ``DIURNAL_FAMILIES`` tenant prefix families, so the trace
+    routes like fleet traffic; every request is ``SCENARIO_SLO``.
 
     Args:
         rng: master generator (one seed fixes the whole trace).
         vocab_size: token ids drawn from ``[3, vocab_size)``.
         num_requests: arrivals in the trace.
-        period: ticks per full day/night cycle.
-        peak_interarrival: mean ticks between arrivals at peak.
-        trough_ratio: trough rate as a fraction of the peak rate, in
-            ``(0, 1]``.
-        num_families: distinct tenant prefix families.
-        slo: SLO class of every request (STANDARD when omitted).
 
     Returns:
         Requests sorted by arrival time.
@@ -108,35 +125,23 @@ def diurnal_trace(
         raise ConfigError(
             f"num_requests must be >= 1, got {num_requests}"
         )
-    if period <= 0 or peak_interarrival <= 0:
-        raise ConfigError(
-            "period and peak_interarrival must be positive"
-        )
-    if not 0.0 < trough_ratio <= 1.0:
-        raise ConfigError(
-            f"trough_ratio must be in (0, 1], got {trough_ratio}"
-        )
-    if num_families < 1:
-        raise ConfigError(
-            f"num_families must be >= 1, got {num_families}"
-        )
-    peak_rate = 1.0 / peak_interarrival
+    peak_rate = 1.0 / DIURNAL_PEAK_INTERARRIVAL
 
     def rate_at(t: float) -> float:
-        phase = (1.0 + np.sin(2.0 * np.pi * t / period)) / 2.0
+        phase = (1.0 + np.sin(2.0 * np.pi * t / DIURNAL_PERIOD)) / 2.0
         return peak_rate * (
-            trough_ratio + (1.0 - trough_ratio) * phase
+            DIURNAL_TROUGH_RATIO + (1.0 - DIURNAL_TROUGH_RATIO) * phase
         )
 
     arrivals = _thinned_arrivals(
         rng, num_requests, peak_rate, rate_at
     )
     families = _prefix_families(
-        rng, vocab_size, num_families, PREFIX_LEN
+        rng, vocab_size, DIURNAL_FAMILIES, PREFIX_LEN
     )
     return _requests_from_arrivals(
         rng, vocab_size, arrivals, families, 0, SHORT_LENGTHS,
-        slo or STANDARD, 0,
+        SCENARIO_SLO, 0,
     )
 
 
@@ -145,17 +150,15 @@ def flash_crowd_trace(
     vocab_size: int,
     num_base: int,
     num_crowd: int,
-    base_interarrival: float = 4.0,
     crowd_interarrival: float = 0.25,
-    crowd_families: int = 6,
     slo: Optional[SloClass] = None,
 ) -> List[ServingRequest]:
     """A calm baseline shattered by a sudden crowd.
 
-    ``num_base`` requests arrive as a slow Poisson stream over
-    ``BASE_FAMILIES`` tenant prefixes; from the middle of the base
-    stream's horizon ``num_crowd`` requests slam in at
-    ``crowd_interarrival`` spread over ``crowd_families`` *fresh*
+    ``num_base`` requests arrive as a slow Poisson stream (mean gap
+    ``BASE_INTERARRIVAL``) over ``BASE_FAMILIES`` tenant prefixes; from
+    the middle of the base stream's horizon ``num_crowd`` requests slam
+    in at ``crowd_interarrival`` spread over ``CROWD_FAMILIES`` *fresh*
     prefix families — a viral link, not hot-spotting of an existing
     tenant, so scale-out capacity actually receives ring arcs instead
     of watching one hot key stay pinned to its owner.
@@ -165,10 +168,7 @@ def flash_crowd_trace(
         vocab_size: token ids drawn from ``[3, vocab_size)``.
         num_base: baseline arrivals.
         num_crowd: crowd arrivals inside the burst window.
-        base_interarrival: mean ticks between baseline arrivals.
         crowd_interarrival: mean ticks between crowd arrivals.
-        crowd_families: the crowd's tenant prefix families (freshly
-            drawn — all cold).
         slo: SLO class of every request (STANDARD when omitted).
 
     Returns:
@@ -177,13 +177,11 @@ def flash_crowd_trace(
     """
     if num_base < 1 or num_crowd < 1:
         raise ConfigError("num_base and num_crowd must be >= 1")
-    if base_interarrival <= 0 or crowd_interarrival <= 0:
-        raise ConfigError("interarrival means must be positive")
-    if crowd_families < 1:
-        raise ConfigError("family counts must be >= 1")
+    if crowd_interarrival <= 0:
+        raise ConfigError("crowd_interarrival must be positive")
     slo = slo or STANDARD
 
-    base_gaps = rng.exponential(base_interarrival, size=num_base)
+    base_gaps = rng.exponential(BASE_INTERARRIVAL, size=num_base)
     base_arrivals = np.cumsum(base_gaps) - base_gaps[0]
     crowd_start = float(base_arrivals[-1]) / 2.0
     crowd_gaps = rng.exponential(crowd_interarrival, size=num_crowd)
@@ -203,7 +201,7 @@ def flash_crowd_trace(
         rng,
         vocab_size,
         [float(t) for t in crowd_arrivals],
-        _prefix_families(rng, vocab_size, crowd_families, PREFIX_LEN),
+        _prefix_families(rng, vocab_size, CROWD_FAMILIES, PREFIX_LEN),
         0,
         SHORT_LENGTHS,
         slo,
@@ -217,88 +215,60 @@ def flash_crowd_trace(
 def adversarial_longtail_trace(
     rng: np.random.Generator,
     vocab_size: int,
-    num_bursts: int = 4,
-    burst_requests: int = 24,
-    burst_interarrival: float = 0.25,
-    lull_ticks: float = 30.0,
-    num_longtail: int = 6,
-    num_families: int = 6,
-    slo: Optional[SloClass] = None,
 ) -> List[ServingRequest]:
     """Oscillating bursts over a long-tail floor (the thrash trap).
 
-    ``num_bursts`` dense bursts alternate with dead lulls of
-    ``lull_ticks`` — a square-wave load whose period is deliberately
+    ``NUM_BURSTS`` dense bursts alternate with dead lulls of
+    ``LULL_TICKS`` — a square-wave load whose period is deliberately
     close to typical scaling cooldowns, so a controller without a
     hysteresis band scales out on every burst and in on every lull,
     paying ring movement and cold prefills each time.  Underneath,
-    ``num_longtail`` BATCH-class stragglers with long-tailed response
+    ``NUM_LONGTAIL`` BATCH-class stragglers with long-tailed response
     lengths (a heavy lognormal: the paper's long-tail rollouts) keep
     the fleet's backlog from ever reaching zero, tempting premature
-    scale-in mid-burst shadow.
+    scale-in mid-burst shadow.  Burst requests are ``SCENARIO_SLO``.
 
     Args:
         rng: master generator (one seed fixes the whole trace).
         vocab_size: token ids drawn from ``[3, vocab_size)``.
-        num_bursts: dense burst windows.
-        burst_requests: arrivals per burst.
-        burst_interarrival: mean ticks between arrivals inside a burst.
-        lull_ticks: dead time between consecutive bursts.
-        num_longtail: BATCH-class stragglers spread over the horizon.
-        num_families: tenant prefix families the bursts draw from.
-        slo: SLO class of burst requests (STANDARD when omitted).
 
     Returns:
         Requests of both kinds merged and sorted by arrival time
         (ids: bursts first, then stragglers).
     """
-    if num_bursts < 1 or burst_requests < 1:
-        raise ConfigError(
-            "num_bursts and burst_requests must be >= 1"
-        )
-    if burst_interarrival <= 0 or lull_ticks < 0:
-        raise ConfigError(
-            "burst_interarrival must be positive and lull_ticks >= 0"
-        )
-    if num_longtail < 0:
-        raise ConfigError(
-            f"num_longtail must be >= 0, got {num_longtail}"
-        )
-    slo = slo or STANDARD
     families = _prefix_families(
-        rng, vocab_size, num_families, PREFIX_LEN
+        rng, vocab_size, ADVERSARIAL_FAMILIES, PREFIX_LEN
     )
 
     arrivals: List[float] = []
     t = 0.0
-    for _ in range(num_bursts):
+    for _ in range(NUM_BURSTS):
         gaps = rng.exponential(
-            burst_interarrival, size=burst_requests
+            BURST_INTERARRIVAL, size=BURST_REQUESTS
         )
         for gap in gaps:
             t += float(gap)
             arrivals.append(t)
-        t += lull_ticks
+        t += LULL_TICKS
     horizon = arrivals[-1]
     bursts = _requests_from_arrivals(
-        rng, vocab_size, arrivals, families, 0, SHORT_LENGTHS, slo, 0
+        rng, vocab_size, arrivals, families, 0, SHORT_LENGTHS,
+        SCENARIO_SLO, 0,
     )
 
-    stragglers: List[ServingRequest] = []
-    if num_longtail:
-        tail_arrivals = sorted(
-            float(t) for t in rng.uniform(0.0, horizon, num_longtail)
-        )
-        stragglers = _requests_from_arrivals(
-            rng,
-            vocab_size,
-            tail_arrivals,
-            families,
-            0,
-            LognormalLengths(median=40.0, sigma=0.9, cap=160),
-            BATCH,
-            len(bursts),
-        )
+    tail_arrivals = sorted(
+        float(t) for t in rng.uniform(0.0, horizon, NUM_LONGTAIL)
+    )
+    stragglers = _requests_from_arrivals(
+        rng,
+        vocab_size,
+        tail_arrivals,
+        families,
+        0,
+        LognormalLengths(median=40.0, sigma=0.9, cap=160),
+        BATCH,
+        len(bursts),
+    )
     return sorted(
         bursts + stragglers,
         key=lambda r: (r.arrival_time, r.request_id),

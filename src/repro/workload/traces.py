@@ -66,6 +66,15 @@ START_MEDIAN = 1200.0
 END_MEDIAN = 4500.0
 #: Lognormal spread of a synthesized step's lengths (the tail thickness).
 TRACE_SIGMA = 1.05
+#: A synthesized trace's generation-length cap (the paper's 20,480) and
+#: rollout responses sampled per step.
+TRACE_CAP = 20_480
+REQUESTS_PER_STEP = 512
+
+#: :func:`mixed_serving_trace`'s BATCH floor: mean inter-arrival ticks,
+#: and the GRPO group size its consecutive requests are tagged in.
+BATCH_GAP = 1.5
+BATCH_GROUP_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -122,16 +131,13 @@ class TrainingTrace:
 def synthesize_trace(
     num_steps: int,
     rng: np.random.Generator,
-    cap: int = 20_480,
-    requests_per_step: int = 512,
 ) -> TrainingTrace:
-    """Synthesize a ByteDance-like RL training trace.
+    """Synthesize a ByteDance-like RL training trace: ``REQUESTS_PER_STEP``
+    responses a step, capped at ``TRACE_CAP`` tokens.
 
     Args:
         num_steps: RL steps to simulate (the paper's trace has 385).
         rng: random generator.
-        cap: maximum generation length (paper: 20,480).
-        requests_per_step: rollout responses sampled per step.
 
     Returns:
         A :class:`TrainingTrace` whose per-step statistics exhibit the
@@ -139,16 +145,16 @@ def synthesize_trace(
     """
     if num_steps < 1:
         raise ConfigError("num_steps must be >= 1")
-    if requests_per_step < 4:
-        raise ConfigError("requests_per_step must be >= 4")
     steps: List[TraceStep] = []
     for step in range(num_steps):
         progress = step / max(num_steps - 1, 1)
         # Smooth growth plus mild multiplicative jitter step to step.
         median = START_MEDIAN + (END_MEDIAN - START_MEDIAN) * progress
         median *= float(np.exp(rng.normal(0.0, 0.08)))
-        model = LognormalLengths(median=median, sigma=TRACE_SIGMA, cap=cap)
-        lengths = model.sample(rng, requests_per_step)
+        model = LognormalLengths(
+            median=median, sigma=TRACE_SIGMA, cap=TRACE_CAP
+        )
+        lengths = model.sample(rng, REQUESTS_PER_STEP)
         stats = length_statistics(lengths)
         steps.append(
             TraceStep(
@@ -157,10 +163,10 @@ def synthesize_trace(
                 p75=stats["p75"],
                 p50=stats["p50"],
                 mean=stats["mean"],
-                hit_cap=bool(stats["max"] >= cap),
+                hit_cap=bool(stats["max"] >= TRACE_CAP),
             )
         )
-    return TrainingTrace(steps=steps, cap=cap)
+    return TrainingTrace(steps=steps, cap=TRACE_CAP)
 
 
 def _prefix_families(
@@ -230,8 +236,6 @@ def mixed_serving_trace(
     vocab_size: int,
     num_interactive: int,
     num_batch: int,
-    batch_gap: float = 1.0,
-    batch_group_size: Optional[int] = None,
 ) -> List[ServingRequest]:
     """Synthesize the co-located RL + serving workload as one trace.
 
@@ -247,13 +251,12 @@ def mixed_serving_trace(
         vocab_size: prompt token ids drawn from ``[3, vocab_size)``.
         num_interactive: interactive requests in the stream.
         num_batch: BATCH-class background requests in the floor.
-        batch_gap: mean inter-arrival ticks of the BATCH floor (the
-            interactive stream's is 2.5).
-        batch_group_size: when set, consecutive BATCH requests share a
-            GRPO-style group tag in chunks of this size (and the group's
-            prompt, as grouped rollouts do by construction).
 
-    BATCH lengths are long-tailed (the paper's rollout distribution),
+    The BATCH floor arrives every ``BATCH_GAP`` ticks on average (the
+    interactive stream every 2.5), and consecutive BATCH requests share
+    a GRPO-style group tag in chunks of ``BATCH_GROUP_SIZE`` (and the
+    group's prompt, as grouped rollouts do by construction).  BATCH
+    lengths are long-tailed (the paper's rollout distribution),
     interactive ones short; every prompt has 4 tokens.
 
     Returns:
@@ -266,18 +269,15 @@ def mixed_serving_trace(
         raise ConfigError(
             "num_interactive and num_batch must be >= 1"
         )
-    if batch_group_size is not None and batch_group_size < 1:
-        raise ConfigError("batch_group_size must be >= 1 when set")
     floor = poisson_trace(
         rng,
         num_requests=num_batch,
-        mean_interarrival=batch_gap,
+        mean_interarrival=BATCH_GAP,
         length_model=LognormalLengths(median=60.0, sigma=0.8, cap=240),
         vocab_size=vocab_size,
         slo_mix=((BATCH, 1.0),),
     )
-    if batch_group_size is not None:
-        _tag_groups(floor, batch_group_size, 0)
+    _tag_groups(floor, BATCH_GROUP_SIZE, 0)
     stream = poisson_trace(
         rng,
         num_requests=num_interactive,
@@ -469,13 +469,14 @@ class PromptFamily:
     Attributes:
         name: segment label requests from this family carry.
         lo / hi: token ids drawn from ``[lo, hi)``.
-        prompt_len: tokens per prompt.
     """
+
+    #: Tokens per prompt.
+    PROMPT_LEN = 4
 
     name: str
     lo: int
     hi: int
-    prompt_len: int = 4
 
     def __post_init__(self) -> None:
         if not NUM_SPECIAL_TOKENS <= self.lo < self.hi:
@@ -484,16 +485,12 @@ class PromptFamily:
                 f"{NUM_SPECIAL_TOKENS} <= lo < hi, "
                 f"got [{self.lo}, {self.hi})"
             )
-        if self.prompt_len < 1:
-            raise ConfigError(
-                f"family {self.name!r}: prompt_len must be >= 1"
-            )
 
     def sample_prompt(self, rng: np.random.Generator) -> List[int]:
         """One prompt from this family's token slice."""
         return [
             int(t)
-            for t in rng.integers(self.lo, self.hi, size=self.prompt_len)
+            for t in rng.integers(self.lo, self.hi, size=self.PROMPT_LEN)
         ]
 
 
@@ -504,7 +501,7 @@ def segment_families(
 
     The regular range ``[NUM_SPECIAL_TOKENS, vocab_size)`` is split
     into ``num_families`` contiguous, non-overlapping slices named
-    ``"seg0" .. "segN"`` (prompts of ``PromptFamily.prompt_len``
+    ``"seg0" .. "segN"`` (prompts of ``PromptFamily.PROMPT_LEN``
     tokens).  Disjointness is what makes the family recoverable from
     any prompt token.
     """

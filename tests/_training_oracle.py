@@ -32,6 +32,7 @@ from repro.llm.params import ParamSet
 from repro.llm.sampler import temperature_probs
 from repro.llm.vocab import PAD_ID
 from repro.rl.kl import kl_estimate, kl_grad_coef
+from repro.rl.trainer import GRAD_CLIP
 
 
 def tinylm_backward(
@@ -207,63 +208,34 @@ def update_policy(trainer, rollout, advantages) -> tuple:
     if total_resp == 0:
         return 0.0, 0.0
 
-    # Reference logprobs are fixed across inner epochs.
     ref_logits = trainer.reference.forward(tokens).logits
     ref_probs = temperature_probs(ref_logits, config.temperature)
+    result = trainer.policy.forward(tokens, keep_cache=True)
+    probs = temperature_probs(result.logits, config.temperature)
+    dlogits = np.zeros_like(result.logits)
+    pg_terms: List[float] = []
+    kl_terms: List[float] = []
+    scale = 1.0 / (total_resp * config.temperature)
+    for row in range(batch_size):
+        positions = resp_pos[row]
+        chosen = resp_tok[row]
+        if positions.size == 0:
+            continue
+        p_tok = probs[row, positions, chosen]
+        logp = np.log(np.maximum(p_tok, 1e-300))
+        ref_tok = ref_probs[row, positions, chosen]
+        logp_ref = np.log(np.maximum(ref_tok, 1e-300))
+        adv = advantages[row]
+        coef = (-adv + config.kl_coef * kl_grad_coef(logp, logp_ref)) * scale
+        # dlogits += coef * (onehot - probs)
+        dlogits[row, positions, :] -= coef[:, None] * probs[row, positions, :]
+        dlogits[row, positions, chosen] += coef
+        pg_terms.append(float(np.sum(-adv * logp)))
+        kl_terms.append(float(np.sum(kl_estimate(logp, logp_ref))))
 
-    old_logp: Optional[List[np.ndarray]] = None
-    pg_loss_value = 0.0
-    kl_value = 0.0
-    for epoch in range(config.inner_epochs):
-        result = trainer.policy.forward(tokens, keep_cache=True)
-        probs = temperature_probs(result.logits, config.temperature)
-        dlogits = np.zeros_like(result.logits)
-        pg_terms: List[float] = []
-        kl_terms: List[float] = []
-        if old_logp is None:
-            old_logp = []
-        scale = 1.0 / (total_resp * config.temperature)
-        for row in range(batch_size):
-            positions = resp_pos[row]
-            chosen = resp_tok[row]
-            if positions.size == 0:
-                if epoch == 0:
-                    old_logp.append(np.zeros(0))
-                continue
-            p_tok = probs[row, positions, chosen]
-            logp = np.log(np.maximum(p_tok, 1e-300))
-            ref_tok = ref_probs[row, positions, chosen]
-            logp_ref = np.log(np.maximum(ref_tok, 1e-300))
-            if epoch == 0:
-                old_logp.append(logp.copy())
-            ratio = np.exp(np.clip(logp - old_logp[row], -30.0, 30.0))
-            adv = advantages[row]
-            if config.inner_epochs > 1:
-                clipped_hi = (adv > 0) & (ratio > 1.0 + config.clip_eps)
-                clipped_lo = (adv < 0) & (ratio < 1.0 - config.clip_eps)
-                active = ~(clipped_hi | clipped_lo)
-            else:
-                active = np.ones_like(ratio, dtype=bool)
-            pg_coef = -adv * ratio * active
-            kl_coef = config.kl_coef * kl_grad_coef(
-                logp, logp_ref, config.kl_estimator
-            )
-            coef = (pg_coef + kl_coef) * scale
-            # dlogits += coef * (onehot - probs)
-            dlogits[row, positions, :] -= (
-                coef[:, None] * probs[row, positions, :]
-            )
-            dlogits[row, positions, chosen] += coef
-            pg_terms.append(float(np.sum(-adv * ratio * logp)))
-            kl_terms.append(
-                float(
-                    np.sum(kl_estimate(logp, logp_ref, config.kl_estimator))
-                )
-            )
-
-        grads = trainer.policy.backward(result.cache, dlogits)
-        grads.clip_global_norm(config.grad_clip)
-        trainer.optimizer.step(trainer.policy.params, grads)
-        pg_loss_value = sum(pg_terms) / total_resp
-        kl_value = sum(kl_terms) / total_resp
+    grads = trainer.policy.backward(result.cache, dlogits)
+    grads.clip_global_norm(GRAD_CLIP)
+    trainer.optimizer.step(trainer.policy.params, grads)
+    pg_loss_value = sum(pg_terms) / total_resp
+    kl_value = sum(kl_terms) / total_resp
     return pg_loss_value, kl_value

@@ -25,6 +25,7 @@ from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
 from repro.serving import ServingEngine
 from repro.specdec import SdStrategy
 from repro.specdec.control import RequestEvent, RequestEventKind
+from repro.tuner import StaticSelector
 from repro.workload import flash_crowd_trace
 
 STRATEGY = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
@@ -45,9 +46,7 @@ def _crowd_trace(seed=7, num_base=20, num_crowd=40):
         24,
         num_base=num_base,
         num_crowd=num_crowd,
-        base_interarrival=4.0,
         crowd_interarrival=0.3,
-        crowd_families=5,
     )
 
 
@@ -257,13 +256,7 @@ class TestHysteresisPolicyEdges:
         with pytest.raises(ConfigError):
             HysteresisPolicy(low_watermark=-0.1)
         with pytest.raises(ConfigError):
-            HysteresisPolicy(min_replicas=0)
-        with pytest.raises(ConfigError):
-            HysteresisPolicy(min_replicas=4, max_replicas=2)
-        with pytest.raises(ConfigError):
             HysteresisPolicy(out_cooldown=-1)
-        with pytest.raises(ConfigError):
-            HysteresisPolicy(max_step=0)
         with pytest.raises(ConfigError):
             HysteresisPolicy(surge_factor=0.5)
 
@@ -277,7 +270,7 @@ class TestHysteresisPolicyEdges:
         assert decision.is_hold
 
     def test_scales_out_above_high_watermark(self):
-        policy = HysteresisPolicy(max_replicas=4)
+        policy = HysteresisPolicy()
         decision = policy.decide(
             _snapshot(live=5, queue_ewma=1.0, capacity=4, active=2)
         )
@@ -286,20 +279,15 @@ class TestHysteresisPolicyEdges:
         assert "high watermark" in decision.reason
 
     def test_surge_scales_out_by_max_step(self):
-        policy = HysteresisPolicy(
-            max_replicas=8, max_step=3, surge_factor=2.0,
-            high_watermark=1.25,
-        )
+        policy = HysteresisPolicy(surge_factor=2.0, high_watermark=1.25)
         decision = policy.decide(
             _snapshot(live=40, capacity=4, active=1)
         )
         assert decision.action is ScaleAction.SCALE_OUT
-        assert decision.magnitude == 3
+        assert decision.magnitude == HysteresisPolicy.MAX_STEP == 2
 
     def test_scale_out_clamped_to_max_replicas(self):
-        policy = HysteresisPolicy(
-            max_replicas=4, max_step=3, surge_factor=1.0
-        )
+        policy = HysteresisPolicy(surge_factor=1.0)
         decision = policy.decide(
             _snapshot(live=40, capacity=12, active=3)
         )
@@ -307,7 +295,7 @@ class TestHysteresisPolicyEdges:
         assert decision.magnitude == 1  # 3 -> 4, never past the bound
 
     def test_out_cooldown_blocks_back_to_back(self):
-        policy = HysteresisPolicy(out_cooldown=3, max_replicas=8)
+        policy = HysteresisPolicy(out_cooldown=3)
         hot = _snapshot(live=20, capacity=4, active=2)
         assert policy.decide(hot).action is ScaleAction.SCALE_OUT
         assert policy.decide(hot).is_hold
@@ -315,11 +303,9 @@ class TestHysteresisPolicyEdges:
         assert policy.decide(hot).action is ScaleAction.SCALE_OUT
 
     def test_scale_in_needs_long_cooldown(self):
-        policy = HysteresisPolicy(
-            out_cooldown=0, in_cooldown=5, max_replicas=8
-        )
-        hot = _snapshot(live=20, capacity=4, active=4)
-        idle = _snapshot(live=0, capacity=16, active=4)
+        policy = HysteresisPolicy(out_cooldown=0, in_cooldown=5)
+        hot = _snapshot(live=20, capacity=4, active=3)
+        idle = _snapshot(live=0, capacity=16, active=3)
         assert policy.decide(hot).action is ScaleAction.SCALE_OUT
         for _ in range(4):
             assert policy.decide(idle).is_hold
@@ -341,18 +327,16 @@ class TestHysteresisPolicyEdges:
         assert policy.decide(idle_but_growing).is_hold
 
     def test_scale_in_clamped_to_min_replicas(self):
-        policy = HysteresisPolicy(
-            min_replicas=2, in_cooldown=0, max_step=4
-        )
+        policy = HysteresisPolicy(in_cooldown=0)
         decision = policy.decide(
-            _snapshot(live=0, capacity=12, active=3)
+            _snapshot(live=0, capacity=12, active=2)
         )
         assert decision.action is ScaleAction.SCALE_IN
-        assert decision.magnitude == 1  # 3 -> 2, never past the bound
+        assert decision.magnitude == 1  # 2 -> 1, never past the bound
 
     def test_nudges_at_bounds_with_cooldown(self):
-        policy = HysteresisPolicy(min_replicas=1, max_replicas=2)
-        pinned_high = _snapshot(live=20, capacity=4, active=2)
+        policy = HysteresisPolicy()
+        pinned_high = _snapshot(live=20, capacity=4, active=4)
         pinned_low = _snapshot(live=0, capacity=4, active=1)
         assert (
             policy.decide(pinned_high).action
@@ -374,7 +358,7 @@ class TestHysteresisPolicyFuzz:
 
     def _drive(self, rng, policy, ticks=300):
         population = int(
-            rng.integers(policy.min_replicas, policy.max_replicas + 1)
+            rng.integers(policy.MIN_REPLICAS, policy.MAX_REPLICAS + 1)
         )
         join_timers = []
         last_scale = None
@@ -413,9 +397,9 @@ class TestHysteresisPolicyFuzz:
                 population -= decision.magnitude
                 last_scale = tick
             assert (
-                policy.min_replicas
+                policy.MIN_REPLICAS
                 <= population
-                <= policy.max_replicas
+                <= policy.MAX_REPLICAS
             ), "population left the configured bounds"
 
     @pytest.mark.parametrize("seed", range(8))
@@ -424,11 +408,8 @@ class TestHysteresisPolicyFuzz:
         policy = HysteresisPolicy(
             high_watermark=float(rng.uniform(0.9, 1.6)),
             low_watermark=float(rng.uniform(0.1, 0.6)),
-            min_replicas=int(rng.integers(1, 3)),
-            max_replicas=int(rng.integers(4, 9)),
             out_cooldown=int(rng.integers(0, 5)),
             in_cooldown=int(rng.integers(5, 15)),
-            max_step=int(rng.integers(1, 4)),
         )
         self._drive(rng, policy)
 
@@ -473,7 +454,6 @@ class TestAutoscalerFlashCrowd:
             fleet,
             replica_factory=pool,
             policy=HysteresisPolicy(
-                min_replicas=1, max_replicas=4,
                 high_watermark=1.25, low_watermark=0.45,
                 out_cooldown=3, in_cooldown=12,
             ),
@@ -553,9 +533,7 @@ class TestAutoscalerActuation:
         holding the least cached prefix state."""
         trace = flash_crowd_trace(
             np.random.default_rng(3), 24,
-            num_base=10, num_crowd=6,
-            base_interarrival=1.0, crowd_interarrival=1.0,
-            crowd_families=1,
+            num_base=10, num_crowd=6, crowd_interarrival=1.0,
         )
         fleet = FleetEngine(
             [
@@ -596,7 +574,7 @@ class TestAutoscalerActuation:
         self, target, trained_drafter
     ):
         config = AdaptiveSdConfig(
-            strategies=[STRATEGY], activation_threshold=6
+            activation_threshold=6, selector=StaticSelector(STRATEGY)
         )
         managers = [
             AdaptiveSdManager(config), AdaptiveSdManager(config)

@@ -26,7 +26,7 @@ def workload():
     lengths = LognormalLengths(
         median=1500, sigma=1.1, cap=16000
     ).sample(rng, 128)
-    return StepWorkload(lengths=lengths.tolist(), prompt_tokens=256)
+    return StepWorkload(lengths=lengths.tolist())
 
 
 class TestSpecs:

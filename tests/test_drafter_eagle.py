@@ -215,12 +215,12 @@ class TestTraining:
         drafter = EagleDrafter(target, EagleDrafterConfig(), rng)
         sequences = collect_training_sequences(target, rollout_sequences)
         batch = build_training_batch(sequences, unroll_steps=1)
-        before = evaluate_topk_accuracy(drafter, batch, k=3)
+        before = evaluate_topk_accuracy(drafter, batch)
         trainer = DrafterTrainer(
             drafter, DrafterTrainingConfig(learning_rate=5e-3)
         )
         trainer.train_epochs(batch, epochs=60)
-        after = evaluate_topk_accuracy(drafter, batch, k=3)
+        after = evaluate_topk_accuracy(drafter, batch)
         assert after > before + 0.1
 
     def test_gradient_check_eagle_loss(self, target, rollout_sequences):

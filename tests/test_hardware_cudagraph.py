@@ -9,20 +9,17 @@ from repro.hardware import (
     CaptureKey,
     CudaGraphPool,
     bucketed_plan,
-    get_gpu,
     get_model,
     single_strategy_plan,
     vanilla_multi_plan,
 )
+from repro.hardware import cudagraph
 from repro.specdec import SdStrategy, default_strategy_pool
 
 
 @pytest.fixture()
 def pool():
-    return CudaGraphPool(
-        get_model("Llama-3-8B"), get_gpu("H100"), tensor_parallel=4,
-        memory_budget_gb=200,
-    )
+    return CudaGraphPool(get_model("Llama-3-8B"))
 
 
 @pytest.fixture()
@@ -48,11 +45,9 @@ class TestPool:
         assert first == again
         assert pool.num_graphs == 1
 
-    def test_memory_budget_enforced(self):
-        pool = CudaGraphPool(
-            get_model("Llama-3-8B"), get_gpu("H100"),
-            tensor_parallel=4, memory_budget_gb=0.5,
-        )
+    def test_memory_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(cudagraph, "MEMORY_BUDGET_GB", 0.5)
+        pool = CudaGraphPool(get_model("Llama-3-8B"))
         with pytest.raises(OutOfMemoryError):
             pool.capture(CaptureKey("target", 32, 49))
 
@@ -86,10 +81,7 @@ class TestPlans:
             ("multi", vanilla_multi_plan(strategies)),
             ("bucketed", bucketed_plan(strategies)),
         ]:
-            pool = CudaGraphPool(
-                get_model("Llama-3-8B"), get_gpu("H100"),
-                tensor_parallel=4, memory_budget_gb=500,
-            )
+            pool = CudaGraphPool(get_model("Llama-3-8B"))
             pool.capture_plan(plan)
             sizes[name] = pool.total_gib
         assert sizes["multi"] > 2.5 * sizes["single"]

@@ -82,7 +82,6 @@ class TestRoofline:
             roofline.sd_speedup(
                 drafter, accept_length=5.0, batch_size=b,
                 draft_depth=8, topk=8, tokens_to_verify=48,
-                context_tokens=2000,
             )
             for b in [1, 8, 32, 128]
         ]
@@ -98,7 +97,6 @@ class TestRoofline:
             return rl.sd_speedup(
                 drafter, accept_length=5.2, batch_size=1,
                 draft_depth=6, topk=8, tokens_to_verify=48,
-                context_tokens=4000,
             )
 
         assert speedup("RTX3090") > speedup("H100") > speedup("B200")
@@ -108,7 +106,7 @@ class TestRoofline:
         rl = RooflineModel(
             model=get_model("Qwen2.5-7B"), gpu=get_gpu("H100")
         )
-        tps = rl.vanilla_tokens_per_s(1, context_tokens=4000)
+        tps = rl.vanilla_tokens_per_s(1)
         assert 120 < tps < 220
 
     def test_tp_reduces_latency(self):

@@ -66,7 +66,7 @@ from repro.specdec import batch_engine
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine, step_engines
 from repro.specdec.control import RequestEventKind
 from repro.specdec.engine import initial_hiddens, suffix_prefill_hiddens
-from repro.tuner.mab import StrategySelector
+from repro.tuner.mab import BegMabSelector, StrategySelector
 from repro.workload import fleet_trace
 
 import _tick_oracle
@@ -353,20 +353,21 @@ def test_tail_first_rollouts_with_spot_publish(
 ARMS = [STRATEGY, SdStrategy(draft_depth=3, topk=2, tokens_to_verify=5)]
 
 
+def _arms_selector():
+    """The BEG-MAB the manager builds over ARMS' two verify groups."""
+    return BegMabSelector(ARMS, [1, 4])
+
+
 def _managers(count, threshold):
     """Per-worker managers over ONE shared BEG-MAB selector (the
     ``TltSystem.serving_frontend`` default)."""
-    managers, selector = [], None
-    for _ in range(count):
-        manager = AdaptiveSdManager(
-            AdaptiveSdConfig(
-                strategies=ARMS, activation_threshold=threshold,
-                selector=selector,
-            )
+    selector = _arms_selector()
+    return [
+        AdaptiveSdManager(
+            AdaptiveSdConfig(activation_threshold=threshold, selector=selector)
         )
-        selector = manager.selector
-        managers.append(manager)
-    return managers
+        for _ in range(count)
+    ]
 
 
 def _assert_crosses_both_ways(engines):
@@ -464,7 +465,7 @@ def test_one_verify_launch_per_target_and_temperature(
     vanilla = BatchedSpecDecodeEngine(
         target, scenario.drafter, None, 0.8,
         sd_manager=AdaptiveSdManager(
-            AdaptiveSdConfig(strategies=ARMS, activation_threshold=1)
+            AdaptiveSdConfig(activation_threshold=1, selector=_arms_selector())
         ),
     )
     speculative = BatchedSpecDecodeEngine(
@@ -501,7 +502,7 @@ def test_vanilla_row_hands_off_its_prefix_row(scenario_factory):
     engine = BatchedSpecDecodeEngine(
         scenario.target, scenario.drafter, None, 0.8,
         sd_manager=AdaptiveSdManager(
-            AdaptiveSdConfig(strategies=ARMS, activation_threshold=1)
+            AdaptiveSdConfig(activation_threshold=1, selector=_arms_selector())
         ),
     )
     engine.start(scenario.requests())
@@ -907,7 +908,7 @@ def test_shared_selector_picks_before_any_feedback(scenario_factory):
     managers = [
         AdaptiveSdManager(
             AdaptiveSdConfig(
-                strategies=[STRATEGY], activation_threshold=64,
+                activation_threshold=64,
                 selector=_RecordingSelector(log, worker),
             )
         )

@@ -40,6 +40,7 @@ from repro.longtail import (
     SchedulerMode,
 )
 from repro.longtail.predictor import percentile_of_sorted
+from repro.longtail.zoo import WINDOW
 from repro.rl import RlConfig, RlTrainer
 from repro.serving import SegmentAffinityDispatch, ServingEngine
 from repro.serving.metrics import ServingReport
@@ -792,7 +793,6 @@ class TestDrafterZoo:
         defaults = dict(
             arms={"shared": trained, "spec": untrained},
             segments=["seg0", "seg1"],
-            epsilon=0.0,
         )
         defaults.update(kwargs)
         return DrafterZoo(**defaults)
@@ -809,17 +809,7 @@ class TestDrafterZoo:
                 arms={"x": trained_drafter}, segments=["a", "a"]
             )
         with pytest.raises(ConfigError):
-            DrafterZoo(
-                arms={"x": trained_drafter}, segments=["a"],
-                epsilon=1.5,
-            )
-        with pytest.raises(ConfigError):
             DrafterZoo(arms={"x": object()}, segments=["a"])
-        with pytest.raises(ConfigError):
-            DrafterZoo(
-                arms={"x": trained_drafter}, segments=["a"],
-                window=0,
-            )
 
     def test_place_round_robin_and_publish(
         self, scenario_factory, trained_drafter, untrained_drafter
@@ -851,6 +841,12 @@ class TestDrafterZoo:
         bandit.windows["spec"].append(0.0)
         bandit.windows["spec"].append(0.0)
         assert zoo.select("seg0") == "shared"
+        # The window keeps the last WINDOW scores: the early 0.9 and
+        # zeros slide out, and "spec" wins again.
+        for _ in range(WINDOW):
+            bandit.windows["spec"].append(0.6)
+        assert list(bandit.windows["spec"]) == [0.6] * WINDOW
+        assert zoo.select("seg0") == "spec"
 
     def test_observe_report_scores_deltas(
         self, scenario_factory, trained_drafter, untrained_drafter

@@ -1,4 +1,4 @@
-"""Tests for the KL estimators and the GRPO advantage estimator."""
+"""Tests for the k3 KL estimator and the GRPO advantage estimator."""
 
 from __future__ import annotations
 
@@ -20,21 +20,14 @@ logp_arrays = hnp.arrays(
 class TestKlEstimators:
     def test_zero_when_identical(self):
         logp = np.array([-1.0, -2.0])
-        for kind in ("k1", "k2", "k3"):
-            assert np.allclose(kl_estimate(logp, logp, kind), 0.0)
+        assert np.allclose(kl_estimate(logp, logp), 0.0)
 
     @given(logp_arrays, logp_arrays)
     @settings(max_examples=40, deadline=None)
-    def test_k2_k3_nonnegative(self, logp, logp_ref):
+    def test_k3_nonnegative(self, logp, logp_ref):
         if logp.shape != logp_ref.shape:
             return
-        assert (kl_estimate(logp, logp_ref, "k2") >= 0).all()
-        assert (kl_estimate(logp, logp_ref, "k3") >= -1e-12).all()
-
-    def test_k1_is_log_ratio(self):
-        logp = np.array([-1.0])
-        ref = np.array([-3.0])
-        assert kl_estimate(logp, ref, "k1")[0] == pytest.approx(2.0)
+        assert (kl_estimate(logp, logp_ref) >= -1e-12).all()
 
     def test_k3_unbiasedness(self):
         """E_p[k3] equals the true KL(p||q) for known distributions."""
@@ -43,26 +36,19 @@ class TestKlEstimators:
         q = np.array([0.4, 0.4, 0.2])
         true_kl = float(np.sum(p * np.log(p / q)))
         draws = rng.choice(3, size=200_000, p=p)
-        est = kl_estimate(
-            np.log(p[draws]), np.log(q[draws]), "k3"
-        ).mean()
+        est = kl_estimate(np.log(p[draws]), np.log(q[draws])).mean()
         assert est == pytest.approx(true_kl, abs=0.01)
 
     def test_grad_coef_matches_finite_difference(self):
         logp = np.array([-1.3])
         ref = np.array([-0.7])
         eps = 1e-6
-        for kind in ("k1", "k2", "k3"):
-            up = kl_estimate(logp + eps, ref, kind)
-            down = kl_estimate(logp - eps, ref, kind)
-            numeric = (up - down) / (2 * eps)
-            assert kl_grad_coef(logp, ref, kind)[0] == pytest.approx(
-                numeric[0], rel=1e-4
-            )
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            kl_estimate(np.zeros(1), np.zeros(1), "k9")
+        up = kl_estimate(logp + eps, ref)
+        down = kl_estimate(logp - eps, ref)
+        numeric = (up - down) / (2 * eps)
+        assert kl_grad_coef(logp, ref)[0] == pytest.approx(
+            numeric[0], rel=1e-4
+        )
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):

@@ -14,6 +14,9 @@ from repro.rollout import (
     ParametricAcceptance,
     RolloutEngine,
 )
+from repro.rollout import acceptance, adaptive
+from repro.rollout.adaptive import SWITCH_OVERHEAD_S
+from repro.rollout.engine import PROMPT_TOKENS
 from repro.specdec import SdStrategy
 
 
@@ -69,8 +72,9 @@ class TestAcceptanceModels:
             < fresh.accept_length(strategy, 1)
         )
 
-    def test_never_exceeds_verify_budget(self):
-        model = ParametricAcceptance(e_max=100.0)
+    def test_never_exceeds_verify_budget(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "E_MAX", 100.0)
+        model = ParametricAcceptance()
         strategy = SdStrategy(draft_depth=30, topk=2, tokens_to_verify=4)
         assert model.accept_length(strategy, 1) <= 5.0
 
@@ -96,13 +100,12 @@ class TestAdaptiveManager:
 
     def test_switch_overhead_paid_once(self):
         manager = AdaptiveSdManager(
-            AdaptiveSdConfig(activation_threshold=32,
-                             switch_overhead_s=3.0)
+            AdaptiveSdConfig(activation_threshold=32)
         )
-        assert manager.engage(16) == 3.0
+        assert manager.engage(16) == SWITCH_OVERHEAD_S == 3.0
         assert manager.engage(8) == 0.0
         manager.reset()
-        assert manager.engage(16) == 3.0
+        assert manager.engage(16) == SWITCH_OVERHEAD_S
 
     def test_engage_above_threshold_raises(self):
         """engage() outside the elastic rule is a caller bug, not a
@@ -128,7 +131,7 @@ class TestRolloutEngine:
     def test_vanilla_profile_monotone(self, roofline):
         engine = RolloutEngine(roofline)
         rng = np.random.default_rng(0)
-        timeline = engine.simulate(long_tail_lengths(rng), 512)
+        timeline = engine.simulate(long_tail_lengths(rng))
         actives = [p.active_requests for p in timeline.points]
         assert actives == sorted(actives, reverse=True)
         assert actives[-1] == 0
@@ -138,20 +141,20 @@ class TestRolloutEngine:
     def test_total_tokens(self, roofline):
         engine = RolloutEngine(roofline)
         lengths = [10, 20, 30]
-        timeline = engine.simulate(lengths, 100)
+        timeline = engine.simulate(lengths)
         assert timeline.total_tokens == 60
-        assert timeline.prompt_tokens == 300
+        assert timeline.prompt_tokens == 3 * PROMPT_TOKENS
 
     def test_sd_accelerates_long_tail(self, roofline):
         rng = np.random.default_rng(0)
         lengths = long_tail_lengths(rng)
-        vanilla = RolloutEngine(roofline).simulate(lengths, 512)
+        vanilla = RolloutEngine(roofline).simulate(lengths)
         manager = AdaptiveSdManager(
             AdaptiveSdConfig(activation_threshold=32)
         )
         adaptive = RolloutEngine(
             roofline, sd_manager=manager
-        ).simulate(lengths, 512)
+        ).simulate(lengths)
         assert adaptive.total_time_s < vanilla.total_time_s
         assert adaptive.sd_start_s is not None
 
@@ -164,7 +167,7 @@ class TestRolloutEngine:
         )
         timeline = RolloutEngine(
             roofline, sd_manager=manager
-        ).simulate(lengths, 512)
+        ).simulate(lengths)
         assert timeline.sd_start_s is not None
         for point in timeline.points:
             if point.time_s < timeline.sd_start_s:
@@ -173,7 +176,7 @@ class TestRolloutEngine:
     def test_benefit_guard_blocks_useless_sd(self, roofline):
         """With accept length 1 SD can never pay; the engine must fall
         back to vanilla and finish in the same time."""
-        vanilla = RolloutEngine(roofline).simulate([100] * 8, 128)
+        vanilla = RolloutEngine(roofline).simulate([100] * 8)
         manager = AdaptiveSdManager(
             AdaptiveSdConfig(
                 activation_threshold=100,
@@ -182,7 +185,7 @@ class TestRolloutEngine:
         )
         guarded = RolloutEngine(
             roofline, sd_manager=manager
-        ).simulate([100] * 8, 128)
+        ).simulate([100] * 8)
         assert guarded.total_time_s == pytest.approx(
             vanilla.total_time_s, rel=1e-6
         )
@@ -190,7 +193,7 @@ class TestRolloutEngine:
 
     def test_empty_lengths_raise(self, roofline):
         with pytest.raises(ConfigError):
-            RolloutEngine(roofline).simulate([], 128)
+            RolloutEngine(roofline).simulate([])
 
     def test_mab_feedback_recorded(self, roofline):
         rng = np.random.default_rng(2)
@@ -198,7 +201,7 @@ class TestRolloutEngine:
             AdaptiveSdConfig(activation_threshold=64)
         )
         RolloutEngine(roofline, sd_manager=manager).simulate(
-            long_tail_lengths(rng, n=32), 256
+            long_tail_lengths(rng, n=32)
         )
         snapshot = manager.selector.snapshot()
         assert any(v["observations"] > 0 for v in snapshot.values())
@@ -227,35 +230,31 @@ class _CountingSelector:
 class TestSimulatorBugfixes:
     """Regression tests for the sd_start / bandit-feedback fixes."""
 
-    def test_zero_switch_overhead_still_marks_sd_active(self, roofline):
-        """With switch_overhead_s=0 the timeline must still report when
-        SD engaged (sd_start_s was previously left None forever)."""
+    def test_zero_switch_overhead_still_marks_sd_active(
+        self, roofline, monkeypatch
+    ):
+        """With a zero switch overhead the timeline must still report
+        when SD engaged (sd_start_s was previously left None forever)."""
         rng = np.random.default_rng(3)
-        manager = AdaptiveSdManager(
-            AdaptiveSdConfig(
-                activation_threshold=32, switch_overhead_s=0.0
-            )
-        )
+        monkeypatch.setattr(adaptive, "SWITCH_OVERHEAD_S", 0.0)
+        manager = AdaptiveSdManager(AdaptiveSdConfig(activation_threshold=32))
         timeline = RolloutEngine(
             roofline, sd_manager=manager
-        ).simulate(long_tail_lengths(rng), 512)
+        ).simulate(long_tail_lengths(rng))
         assert manager.activations == 1
         assert timeline.sd_start_s is not None
         assert any(p.sd_active for p in timeline.points)
 
-    def test_sd_start_matches_nonzero_overhead_run(self, roofline):
+    def test_sd_start_matches_nonzero_overhead_run(
+        self, roofline, monkeypatch
+    ):
         """Zero and nonzero overhead runs engage at the same moment."""
         lengths = long_tail_lengths(np.random.default_rng(4))
 
         def run(overhead):
-            manager = AdaptiveSdManager(
-                AdaptiveSdConfig(
-                    activation_threshold=32, switch_overhead_s=overhead
-                )
-            )
-            return RolloutEngine(roofline, sd_manager=manager).simulate(
-                lengths, 512
-            )
+            monkeypatch.setattr(adaptive, "SWITCH_OVERHEAD_S", overhead)
+            manager = AdaptiveSdManager(AdaptiveSdConfig(activation_threshold=32))
+            return RolloutEngine(roofline, sd_manager=manager).simulate(lengths)
 
         with_overhead = run(3.0)
         without = run(0.0)
@@ -278,7 +277,7 @@ class TestSimulatorBugfixes:
         )
         timeline = RolloutEngine(
             roofline, sd_manager=manager
-        ).simulate([100] * 8, 128)
+        ).simulate([100] * 8)
         assert timeline.sd_cycles == 0
         snapshot = manager.selector.snapshot()
         assert all(v["observations"] == 0 for v in snapshot.values())
@@ -300,7 +299,7 @@ class TestSimulatorBugfixes:
         lengths = [100, 200, 300, 400, 500, 600, 700, 800]
         timeline = RolloutEngine(
             roofline, sd_manager=manager
-        ).simulate(lengths, 128)
+        ).simulate(lengths)
         # Distinct lengths => one decode segment per completion; SD pays
         # at these small batches, so every segment records exactly once.
         assert timeline.sd_cycles > 0

@@ -265,7 +265,7 @@ class TestMixedServingTrace:
     def test_classes_arrivals_and_groups(self):
         trace = mixed_serving_trace(
             np.random.default_rng(0), vocab_size=24,
-            num_interactive=6, num_batch=6, batch_group_size=3,
+            num_interactive=6, num_batch=6,
         )
         assert len(trace) == 12
         arrivals = [r.arrival_time for r in trace]
@@ -276,9 +276,10 @@ class TestMixedServingTrace:
             (r for r in trace if r.slo.name == "batch"),
             key=lambda r: r.request_id,
         )
-        # Chunks of batch_group_size share group AND prompt.
-        assert batch[0].group == batch[2].group != batch[3].group
-        assert batch[0].prompt == batch[2].prompt
+        # Chunks of BATCH_GROUP_SIZE (4) share group AND prompt.
+        assert batch[0].group == batch[3].group != batch[4].group
+        assert batch[0].prompt == batch[3].prompt
+        assert batch[4].group == batch[5].group
         assert all(r.group is None for r in trace
                    if r.slo.name == "interactive")
 
@@ -287,11 +288,6 @@ class TestMixedServingTrace:
             mixed_serving_trace(
                 np.random.default_rng(0), vocab_size=24,
                 num_interactive=0, num_batch=2,
-            )
-        with pytest.raises(ConfigError):
-            mixed_serving_trace(
-                np.random.default_rng(0), vocab_size=24,
-                num_interactive=2, num_batch=2, batch_group_size=0,
             )
 
 

@@ -118,18 +118,14 @@ class TestRequests:
         lengths = LognormalLengths(median=8.0, sigma=1.0, cap=30)
         trace = {
             "poisson": lambda: poisson_trace(rng, 6, 1.0, lengths, 24),
-            "mixed": lambda: mixed_serving_trace(
-                rng, 24, 4, 6, batch_group_size=2
-            ),
+            "mixed": lambda: mixed_serving_trace(rng, 24, 4, 6),
             "shared_prefix": lambda: shared_prefix_trace(
                 rng, 24, 6, 2, suffix_len=2
             ),
             "fleet": lambda: fleet_trace(rng, 24, 2, 3, num_batch=6),
             "diurnal": lambda: diurnal_trace(rng, 24, 6),
             "flash_crowd": lambda: flash_crowd_trace(rng, 24, 4, 4),
-            "adversarial": lambda: adversarial_longtail_trace(
-                rng, 24, num_bursts=2, burst_requests=3
-            ),
+            "adversarial": lambda: adversarial_longtail_trace(rng, 24),
         }[generator]()
         assert trace
         for request in trace:

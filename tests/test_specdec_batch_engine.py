@@ -15,7 +15,7 @@ from repro.specdec import (
     SdStrategy,
     speculative_generate,
 )
-from repro.tuner.mab import WINDOW_SIZE
+from repro.tuner.mab import WINDOW_SIZE, BegMabSelector
 
 from conftest import drain, seeded_requests
 
@@ -207,8 +207,10 @@ class TestAdaptiveIntegration:
     def _manager(self, threshold):
         return AdaptiveSdManager(
             AdaptiveSdConfig(
-                strategies=[SdStrategy(3, 2, 6), SdStrategy(4, 2, 8)],
                 activation_threshold=threshold,
+                selector=BegMabSelector(
+                    [SdStrategy(3, 2, 6), SdStrategy(4, 2, 8)], [1, 4]
+                ),
             )
         )
 

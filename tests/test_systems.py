@@ -24,7 +24,7 @@ def workload():
     lengths = LognormalLengths(
         median=2500, sigma=1.15, cap=32768
     ).sample(rng, 256)
-    return StepWorkload(lengths=lengths.tolist(), prompt_tokens=512)
+    return StepWorkload(lengths=lengths.tolist())
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,26 @@ from repro.tuner import (
     StrategySelector,
     Ucb1Selector,
 )
-from repro.tuner.mab import WINDOW_SIZE
+from repro.tuner.mab import EPSILON, WINDOW_SIZE
+
+#: ``ScriptedRng.random()`` values: at or above EPSILON the selectors
+#: exploit, below it they explore.
+EXPLOIT, EXPLORE = 0.5, 0.0
+
+
+class ScriptedRng:
+    """Stands in for a selector's generator: ``random()`` always returns
+    ``uniform`` and ``integers(n)`` plays ``picks`` in a cycle (mod n)."""
+
+    def __init__(self, uniform, picks=(0,)):
+        self.uniform = uniform
+        self._picks = itertools.cycle(picks)
+
+    def random(self):
+        return self.uniform
+
+    def integers(self, n):
+        return next(self._picks) % n
 
 
 def make_strategies():
@@ -72,8 +93,7 @@ class TestBegMab:
     def test_exploitation_prefers_higher_median(self):
         strategies = make_strategies()
         selector = BegMabSelector(
-            strategies, batch_thresholds=[1, 8, 32], epsilon=0.0,
-            rng=np.random.default_rng(0),
+            strategies, batch_thresholds=[1, 8, 32], rng=ScriptedRng(EXPLOIT)
         )
         good, bad = strategies[0], strategies[1]
         for _ in range(5):
@@ -85,7 +105,7 @@ class TestBegMab:
     def test_unexplored_arms_tried_first(self):
         strategies = make_strategies()
         selector = BegMabSelector(
-            strategies, batch_thresholds=[1, 8, 32], epsilon=0.0
+            strategies, batch_thresholds=[1, 8, 32], rng=ScriptedRng(EXPLOIT)
         )
         first = selector.select(1)
         selector.record(first, 1.0, [4.0], 1)
@@ -95,20 +115,32 @@ class TestBegMab:
     def test_exploration_rate(self):
         strategies = make_strategies()
         selector = BegMabSelector(
-            strategies, batch_thresholds=[1, 8, 32], epsilon=1.0,
-            rng=np.random.default_rng(0),
+            strategies, batch_thresholds=[1, 8, 32],
+            rng=ScriptedRng(EXPLORE, picks=(0, 1)),
         )
         for s in strategies[:2]:
             selector.record(s, 1.0, [4.0], 1)
         seen = {selector.select(1) for _ in range(50)}
         assert len(seen) == 2  # pure exploration covers the bucket
+        # A real generator explores an EPSILON share of the steps, half
+        # of which land on the worse of the bucket's two arms.
+        selector = BegMabSelector(
+            strategies, batch_thresholds=[1, 8, 32],
+            rng=np.random.default_rng(0),
+        )
+        good, bad = strategies[0], strategies[1]
+        selector.record(good, 1.0, [4.0], 1)
+        selector.record(bad, 2.0, [4.0], 1)
+        picks = [selector.select(1) for _ in range(4000)]
+        assert picks.count(bad) / len(picks) == pytest.approx(
+            EPSILON / 2, abs=0.015
+        )
 
     def test_sliding_window_adapts(self):
         """Old rewards age out: the bandit follows the drift (§5.2)."""
         strategies = make_strategies()
         selector = BegMabSelector(
-            strategies, batch_thresholds=[1, 8, 32], epsilon=0.0,
-            rng=np.random.default_rng(0),
+            strategies, batch_thresholds=[1, 8, 32], rng=ScriptedRng(EXPLOIT)
         )
         fast, slow = strategies[0], strategies[1]
         for _ in range(WINDOW_SIZE):
@@ -145,8 +177,6 @@ class TestBegMab:
             dict(batch_thresholds=[8, 1]),
             dict(batch_thresholds=[1, 1]),
             dict(batch_thresholds=[0, 8]),
-            dict(batch_thresholds=[1, 8, 32], epsilon=1.5),
-            dict(batch_thresholds=[1, 8, 32], epsilon=-0.1),
             dict(batch_thresholds=[1]),  # fewer buckets than groups
         ],
     )
@@ -166,9 +196,7 @@ class TestBegMab:
 class TestBaselines:
     def test_plain_epsilon_ignores_batch(self):
         strategies = make_strategies()
-        selector = PlainEpsilonGreedy(
-            strategies, epsilon=0.0, rng=np.random.default_rng(0)
-        )
+        selector = PlainEpsilonGreedy(strategies, rng=ScriptedRng(EXPLOIT))
         # Can pick a 48-verify strategy even at batch 500 — the failure
         # mode BEG prevents.
         for s in strategies:

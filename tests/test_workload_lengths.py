@@ -75,42 +75,29 @@ class TestStatistics:
 
 class TestTrace:
     def test_shape_and_growth(self):
-        trace = synthesize_trace(
-            60, np.random.default_rng(0), cap=20_480,
-            requests_per_step=256,
-        )
+        trace = synthesize_trace(60, np.random.default_rng(0))
         assert trace.num_steps == 60
         p50 = trace.series("p50")
         # Median grows over training.
         assert np.mean(p50[-10:]) > np.mean(p50[:10])
 
     def test_max_pinned_at_cap_most_steps(self):
-        trace = synthesize_trace(
-            60, np.random.default_rng(0), cap=20_480,
-            requests_per_step=512,
-        )
+        trace = synthesize_trace(60, np.random.default_rng(0))
         assert trace.cap_hit_fraction > 0.5
 
     def test_under_utilized_gap(self):
         """p75 stays well below the max (Figure 2's shaded zone)."""
-        trace = synthesize_trace(
-            40, np.random.default_rng(1), cap=20_480,
-            requests_per_step=512,
-        )
+        trace = synthesize_trace(40, np.random.default_rng(1))
         gaps = trace.series("max_length") - trace.series("p75")
         assert np.mean(gaps) > 0.3 * 20_480
 
     def test_total_days_accounting(self):
-        trace = synthesize_trace(
-            10, np.random.default_rng(0), requests_per_step=64
-        )
+        trace = synthesize_trace(10, np.random.default_rng(0))
         # 10 steps * 40 min + 2 evals * 20 min = 440 min.
         assert trace.total_days == pytest.approx(440 / (60 * 24))
 
     def test_unknown_series_raises(self):
-        trace = synthesize_trace(
-            5, np.random.default_rng(0), requests_per_step=64
-        )
+        trace = synthesize_trace(5, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             trace.series("nope")
 
@@ -182,8 +169,6 @@ class TestSegmentedGrpoTrace:
             segment_families(5, 10)  # more families than tokens
         with pytest.raises(ConfigError):
             PromptFamily(name="x", lo=2, hi=1)
-        with pytest.raises(ConfigError):
-            PromptFamily(name="x", lo=5, hi=9, prompt_len=0)
         with pytest.raises(ConfigError):
             segmented_grpo_trace(
                 rng, 24, num_batches=0,

@@ -51,7 +51,7 @@ class TestSuccessorChain:
         assert long > short
 
     def test_wrong_tokens_no_chain_credit(self, vocab):
-        task = SuccessorChainTask(vocab=vocab, terminal_bonus=0.0)
+        task = SuccessorChainTask(vocab=vocab)
         lo = NUM_SPECIAL_TOKENS
         assert task.reward([lo], [lo, lo + 5, lo + 9]) == 0.0
 
@@ -73,20 +73,22 @@ class TestSuccessorChain:
 
 class TestPatternCopy:
     def test_exact_copy_full_reward(self, vocab):
-        task = PatternCopyTask(vocab=vocab, prompt_length=3, repeats=2)
+        task = PatternCopyTask(vocab=vocab)
         prompt = [5, 6, 7]
-        assert task.reward(prompt, prompt * 2 + [EOS_ID]) == 1.0
+        assert task.reward(prompt, prompt * task.REPEATS + [EOS_ID]) == 1.0
 
     def test_partial_copy(self, vocab):
-        task = PatternCopyTask(vocab=vocab, prompt_length=2, repeats=1)
-        assert task.reward([5, 6], [5, 9]) == pytest.approx(0.5)
+        task = PatternCopyTask(vocab=vocab)
+        assert task.REPEATS == 2
+        assert task.reward([5, 6], [5, 9, 5, 9]) == pytest.approx(0.5)
 
     def test_rollout_similarity(self, vocab):
         """Optimal responses to the same prompt are identical — the
         regime motivating the model-free drafter."""
-        task = PatternCopyTask(vocab=vocab, prompt_length=4, repeats=2)
+        task = PatternCopyTask(vocab=vocab)
         prompt = task.generate_prompt(np.random.default_rng(0))
-        best = list(prompt) * 2
+        assert len(prompt) == task.PROMPT_LENGTH
+        best = list(prompt) * task.REPEATS
         assert task.reward(prompt, best) == 1.0
 
 

@@ -1,9 +1,10 @@
-"""Which functions of ``src/repro`` does a body of traffic never call?
+"""Which functions of ``src/repro`` does a body of traffic never call, and
+which of its options does it only ever set to one value?
 
     python tools/traffic_audit.py run a.db -m pytest benchmarks -q --benchmark-disable
     python tools/traffic_audit.py run a.db benchmarks/perf/run.py --workload rl_step --seconds 4
     python tools/traffic_audit.py report a.db [b.db ...] [--keep tools/traffic_keep.txt]
-    python tools/traffic_audit.py options [--keep tools/option_keep.txt]
+    python tools/traffic_audit.py options a.db [b.db ...] [--keep tools/option_keep.txt]
 
 ``run`` executes a module (``-m``) or script under ``sys.setprofile`` /
 ``threading.setprofile`` and appends the (file, function, first line) of every
@@ -11,37 +12,71 @@ call under ``src/repro`` to the db; ``report`` prints the non-abstract functions
 of an ``ast`` walk that none of its dbs names.  pytest-benchmark unsets the
 profiler inside ``benchmark.pedantic``, so pass ``--benchmark-disable``.
 
-With ``--keep``, ``report`` prints only disagreements with the keep list — one
-``file<TAB>qualified name<TAB># reason`` line per function allowed to go
-uncalled — and exits non-zero on any: an uncalled function the list does not
-name, or a listed one that no longer exists or is now called.
+``run`` also records the values the options take: at call entry, every
+defaulted parameter of a public ``src/repro`` callable (``Callable(param)``),
+and in each ``__post_init__`` of a public ``src/repro`` dataclass, every public
+``init`` field with a default (``Class.field``).  A value's signature is its
+``repr``; a ``repr`` holding a memory address counts as varying.  ``options``
+prints each option its dbs saw with exactly one signature: with one value in
+use, it is a constant.
 
-``options`` needs no db: from the source alone it prints every defaulted
-parameter of a public ``src/repro`` callable that no call under ``src/``,
-``benchmarks/`` or ``examples/`` passes, by keyword or by position (tests do
-not count).  Calls are matched by the callee's name, so a same-named callee
-that passes the parameter hides a hit; a ``*args`` / ``**kwargs`` call passes
-every position / keyword, and ``super().__init__(...)`` and a subclass without
-its own ``__init__`` call the base's.  Its keep list names each parameter
-allowed to stay unset as ``file<TAB>Callable(param)<TAB># reason``.
+With ``--keep``, ``report`` / ``options`` print only disagreements with the
+keep list — one ``file<TAB>name<TAB># reason`` line per function allowed to go
+uncalled, or per option allowed to keep one value — and exit non-zero on any:
+a hit the list does not name, or a listed one that no longer exists or is now
+called / set to a second value.
 """
 
 import ast
+import dataclasses
 import fileinput
+import inspect
 import os
+import re
 import runpy
 import sys
 import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro")
+ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")  # "<... object at 0x7f...>"
+RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
 
 
 def run(db, argv):
     called = set()  # code objects: one set insert per call keeps the profiler cheap
+    specs = {}  # code -> what to record at its entry: (), parameters or __post_init__
+    fields = {}  # dataclass -> (file, [(label, field name)])
+    values = {}  # (file, label) -> set of signatures, None once it varies
+
+    def record(rel, label, value):
+        sigs = values.setdefault((rel, label), set())
+        if sigs is not None and len(sigs) < 2:
+            sig = repr(value)
+            if ADDRESS.search(sig):
+                values[rel, label] = None
+            else:
+                sigs.add(sig)
+
     def profiler(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            code = frame.f_code
+            called.add(code)
+            spec = specs.get(code)
+            if spec is None:
+                spec = specs[code] = option_spec(frame)
+            if spec == "__post_init__":
+                cls = type(frame.f_locals["self"])
+                if cls not in fields:
+                    fields[cls] = dataclass_options(cls)
+                rel, names = fields[cls]
+                for label, name in names:
+                    record(rel, label, getattr(frame.f_locals["self"], name))
+            elif spec:
+                rel, names = spec
+                local = frame.f_locals
+                for label, name in names:
+                    record(rel, label, local[name])
 
     sys.argv = argv[1:] if argv[0] == "-m" else argv
     sys.path[:0] = [os.path.dirname(SRC), os.path.dirname(os.path.abspath(argv[0]))]
@@ -58,6 +93,53 @@ def run(db, argv):
             out.writelines(
                 f"{os.path.relpath(c.co_filename, SRC)}\t{c.co_name}\t{c.co_firstlineno}\n"
                 for c in called if c.co_filename.startswith(SRC))
+            for (rel, label), sigs in values.items():
+                for sig in ["varies"] if sigs is None else [f"={sig!r}" for sig in sigs]:
+                    out.write(f"{rel}\t{label}\t{sig}\n")
+
+
+def option_spec(frame):
+    """What to record when ``frame``'s code is entered: "__post_init__",
+    (file, [(label, parameter)]) for a public src callable with defaulted
+    parameters, or ()."""
+    code = frame.f_code
+    if not code.co_filename.startswith(SRC) or code.co_flags & RESUMABLE:
+        return ()  # a resumed generator's locals are no longer its arguments
+    if code.co_name == "__post_init__":
+        return "__post_init__"
+    parts = code.co_qualname.split(".")
+    if "<locals>" in parts or any(p.startswith("_") for p in parts[:-1]) or (
+        parts[-1].startswith("_") and not (parts[-1] == "__init__" and len(parts) > 1)
+    ):
+        return ()
+    func = sys.modules.get(frame.f_globals.get("__name__"))
+    for part in parts:
+        func = vars(func).get(part) if hasattr(func, "__dict__") else None
+        func = getattr(func, "__func__", func)  # staticmethod / classmethod
+    while func is not None and getattr(func, "__code__", None) is not code:
+        func = getattr(func, "__wrapped__", None)
+    if func is None:
+        return ()
+    positional = code.co_varnames[:code.co_argcount]
+    defaulted = positional[len(positional) - len(func.__defaults__ or ()):]
+    names = [*defaulted, *(func.__kwdefaults__ or {})]
+    owner = ".".join(parts[:-1]) if parts[-1] == "__init__" else code.co_qualname
+    rel = os.path.relpath(code.co_filename, SRC)
+    return (rel, [(f"{owner}({name})", name) for name in names]) if names else ()
+
+
+def dataclass_options(cls):
+    """(file, [(label, field)]) of the public init fields with a default
+    of ``cls`` (none unless it is a public dataclass defined under src)."""
+    path = getattr(sys.modules.get(cls.__module__), "__file__", "") or ""
+    if not (dataclasses.is_dataclass(cls) and path.startswith(SRC)) or cls.__name__.startswith("_"):
+        return "", []
+    names = [
+        (f"{cls.__qualname__}.{f.name}", f.name) for f in dataclasses.fields(cls)
+        if f.init and not f.name.startswith("_")
+        and (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
+    ]
+    return os.path.relpath(path, SRC), names
 
 
 def uncalled(tree, rel, called, scope=""):
@@ -117,83 +199,23 @@ def check_keep(found, keep_path, hit, stale):
     return 1 if bad or found.keys() ^ keep else 0
 
 
-def defaulted(tree, scope=""):
-    """(callable, parameter, position or None if keyword-only) of each
-    defaulted parameter of the public callables under ``tree``."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            yield from defaulted(node, f"{scope}{node.name}.")
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-            not node.name.startswith("_") or (scope and node.name == "__init__")
-        ):
-            args = node.args
-            bound = scope and "staticmethod" not in map(ast.unparse, node.decorator_list)
-            positional = (args.posonlyargs + args.args)[1 if bound else 0:]
-            first = len(positional) - len(args.defaults)
-            for index, arg in enumerate(positional[first:], first):
-                yield scope + node.name, arg.arg, index
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    yield scope + node.name, arg.arg, None
-
-
-def record_calls(tree, passed, heirs, bases=()):
-    """Fold every call under ``tree`` into ``passed`` (callee name ->
-    [most positions passed, keywords passed]) and every class without an
-    ``__init__`` into ``heirs`` (base name -> such subclasses)."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.ClassDef):
-            names = [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
-            if not any(getattr(n, "name", None) == "__init__" for n in node.body):
-                for name in names:
-                    heirs.setdefault(name, []).append(node.name)
-            record_calls(node, passed, heirs, names)
-            continue
-        if isinstance(node, ast.Call):
-            func = node.func
-            names = [getattr(func, "id", None) or getattr(func, "attr", None)]
-            if names[0] == "__init__" and isinstance(func.value, ast.Call):
-                names = bases  # super().__init__(...)
-            for name in names:
-                entry = passed.setdefault(name, [0, set()])
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                entry[0] = max(entry[0], float("inf") if starred else len(node.args))
-                entry[1].update(k.arg or "**" for k in node.keywords)
-        record_calls(node, passed, heirs, bases)
-
-
-def options(keep_path=None):
-    """Report the defaulted public parameters no non-test call passes."""
-    passed, sources, heirs = {}, [], {}
-    for top in ("src", "benchmarks", "examples"):
-        for folder, _, files in sorted(os.walk(os.path.join(ROOT, top))):
-            for path in sorted(os.path.join(folder, f) for f in files if f.endswith(".py")):
-                with open(path) as source:
-                    tree = ast.parse(source.read())
-                record_calls(tree, passed, heirs)
-                if path.startswith(SRC):
-                    sources.append((os.path.relpath(path, SRC), tree))
-    rows, total = [], 0
-    for rel, tree in sources:
-        for qualname, param, index in defaulted(tree):
-            total += 1
-            *owner, name = qualname.split(".")
-            label = f"{'.'.join(owner)}({param})" if name == "__init__" else f"{qualname}({param})"
-            callees = [owner[-1] if name == "__init__" else name]
-            for callee in callees:
-                if name == "__init__":
-                    callees += [c for c in heirs.get(callee, ()) if c not in callees]
-                positions, keywords = passed.get(callee, (0, ()))
-                if param in keywords or "**" in keywords or (index is not None and positions > index):
-                    break
-            else:
-                rows.append(((rel, label), f"{rel}\t{label}"))
+def options(dbs, keep_path=None):
+    """Report the options their dbs saw with exactly one value."""
+    seen = {}  # (file, label) -> set of signatures, None once it varies
+    for line in fileinput.input(dbs):
+        rel, label, value = line.rstrip("\n").split("\t", 2)
+        if value == "varies":
+            seen[rel, label] = None
+        elif value.startswith("=") and seen.setdefault((rel, label), set()) is not None:
+            seen[rel, label].add(value[1:])
+    rows = [((rel, label), f"{rel}\t{label}\t{ast.literal_eval(next(iter(sigs)))}")
+            for (rel, label), sigs in sorted(seen.items()) if sigs is not None and len(sigs) == 1]
     if keep_path is None:
         for _, row in rows:
             print(row)
-        print(f"{len(rows)} of {total} defaulted public parameters never passed")
+        print(f"{len(rows)} of {len(seen)} recorded options took one value")
         return 0
-    return check_keep(dict(rows), keep_path, "never passed", "gone or now passed")
+    return check_keep(dict(rows), keep_path, "one value", "gone, uncalled or now varied")
 
 
 if __name__ == "__main__":
@@ -203,9 +225,9 @@ if __name__ == "__main__":
         sys.exit(report(sys.argv[2:-2], sys.argv[-1]))
     elif len(sys.argv) >= 3 and sys.argv[1] == "report" and "--keep" not in sys.argv:
         sys.exit(report(sys.argv[2:]))
-    elif sys.argv[1:] == ["options"]:
-        sys.exit(options())
-    elif len(sys.argv) == 4 and sys.argv[1:3] == ["options", "--keep"]:
-        sys.exit(options(sys.argv[3]))
+    elif len(sys.argv) >= 5 and sys.argv[1] == "options" and sys.argv[-2] == "--keep":
+        sys.exit(options(sys.argv[2:-2], sys.argv[-1]))
+    elif len(sys.argv) >= 3 and sys.argv[1] == "options" and "--keep" not in sys.argv:
+        sys.exit(options(sys.argv[2:]))
     else:
         sys.exit(__doc__)
