@@ -92,9 +92,9 @@ class Autoscaler:
             scale-out replica.  Required for any policy that can emit
             SCALE_OUT; a scale-out decision without a factory raises
             :class:`~repro.errors.AutoscaleError`.
-        policy: scaling policy (a default
-            :class:`~repro.autoscale.policy.HysteresisPolicy` when
-            omitted).
+        policy: scaling policy; when omitted, a default
+            :class:`~repro.autoscale.policy.HysteresisPolicy`, bounded
+            at its ``MAX_REPLICAS`` (a larger fleet needs its own).
     """
 
     #: Elastic-SD threshold change per nudge.

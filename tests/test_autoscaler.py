@@ -26,7 +26,7 @@ from repro.serving import ServingEngine
 from repro.specdec import SdStrategy
 from repro.specdec.control import RequestEvent, RequestEventKind
 from repro.tuner import StaticSelector
-from repro.workload import flash_crowd_trace
+from repro.workload import flash_crowd_trace, scenarios
 
 STRATEGY = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6)
 
@@ -527,10 +527,14 @@ class TestAutoscalerFlashCrowd:
 
 class TestAutoscalerActuation:
     def test_scale_in_drains_coldest_replica(
-        self, target, trained_drafter
+        self, target, trained_drafter, monkeypatch
     ):
         """The victim is the least-prefix-valuable replica — the one
-        holding the least cached prefix state."""
+        holding the least cached prefix state.  A dense base stream and
+        a one-family crowd land every arrival before the scripted
+        scale-in, so one replica is hot when the victim is chosen."""
+        monkeypatch.setattr(scenarios, "BASE_INTERARRIVAL", 1.0)
+        monkeypatch.setattr(scenarios, "CROWD_FAMILIES", 1)
         trace = flash_crowd_trace(
             np.random.default_rng(3), 24,
             num_base=10, num_crowd=6, crowd_interarrival=1.0,

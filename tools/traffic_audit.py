@@ -15,10 +15,13 @@ profiler inside ``benchmark.pedantic``, so pass ``--benchmark-disable``.
 ``run`` also records the values the options take: at call entry, every
 defaulted parameter of a public ``src/repro`` callable (``Callable(param)``),
 and in each ``__post_init__`` of a public ``src/repro`` dataclass, every public
-``init`` field with a default (``Class.field``).  A value's signature is its
-``repr``; a ``repr`` holding a memory address counts as varying.  ``options``
-prints each option its dbs saw with exactly one signature: with one value in
-use, it is a constant.
+``init`` field with a default (``Class.field``).  A dataclass without a
+``__post_init__`` (a record or report, which validates nothing) goes
+unrecorded; every config and spec dataclass under src validates in one.  A
+value's signature is its ``repr``; a ``repr`` holding a memory address, or
+elided with ``...`` (as numpy prints a large array), counts as varying.
+``options`` prints each option its dbs saw with exactly one signature: with
+one value in use, it is a constant.
 
 With ``--keep``, ``report`` / ``options`` print only disagreements with the
 keep list — one ``file<TAB>name<TAB># reason`` line per function allowed to go
@@ -53,7 +56,7 @@ def run(db, argv):
         sigs = values.setdefault((rel, label), set())
         if sigs is not None and len(sigs) < 2:
             sig = repr(value)
-            if ADDRESS.search(sig):
+            if ADDRESS.search(sig) or "..." in sig:
                 values[rel, label] = None
             else:
                 sigs.add(sig)
