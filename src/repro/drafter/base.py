@@ -22,8 +22,9 @@ and after the root proposal each round of growth is ONE fused launch over
 the nodes about to be expanded, instead of two calls per node per
 sequence.  The batched calls accept states either as a sequence or packed
 by :meth:`Drafter.pack_states` (an array with one row per state, which is
-how the tree builder keeps them).  The base class provides per-state
-fallbacks; vectorised overrides must be row-identical to them.
+how the tree builder keeps them), and a vectorised :meth:`Drafter.
+begin_batch` may return its states packed.  The base class provides
+per-state fallbacks; vectorised overrides must be row-identical to them.
 
 Because every drafting state is rebuilt from the target's hidden hand-off
 at the start of each cycle, a drafter carries **no cross-cycle state the
@@ -82,8 +83,10 @@ class Drafter(abc.ABC):
         The default implementation is the per-sequence fallback (one
         :meth:`begin` call per sequence).  Learned drafters override it
         with a vectorised path that pushes all sequences through one
-        batched matmul; overrides MUST stay row-identical to the fallback
-        so the batched engine's losslessness guarantee holds.
+        batched matmul and may return the states packed, as
+        :meth:`pack_states` would; overrides MUST stay row-identical to
+        the fallback so the batched engine's losslessness guarantee
+        holds.
         """
         if len(prefixes) != len(last_hiddens):
             raise DrafterError(

@@ -211,47 +211,47 @@ class EagleDrafter(Drafter):
         prefix_tokens: Sequence[int],
         last_hidden: Optional[np.ndarray],
     ) -> EagleState:
-        return self.begin_batch([prefix_tokens], [last_hidden])[0]
+        return EagleState(
+            hidden=self.begin_batch([prefix_tokens], [last_hidden])[0]
+        )
 
     def begin_batch(
         self,
         prefixes: Sequence[Sequence[int]],
         last_hiddens: Sequence[Optional[np.ndarray]],
-    ) -> List[EagleState]:
+    ) -> np.ndarray:
         """Vectorised begin: one fuse + cell matmul over all sequences.
 
-        Bitwise row-identical to per-sequence :meth:`begin` — every
-        matmul goes through the batch-size-invariant
-        :meth:`_row_linear` kernel — which is what lets the batched
-        engine keep the token-identity guarantee while amortising
-        drafter launches across the live batch.
+        Returns the ``(n, d)`` root block, packed as :meth:`pack_states`
+        packs states, which the tree builder keeps as it is.  Row ``i``
+        is bitwise the state per-sequence :meth:`begin` returns — every
+        matmul goes through the batch-size-invariant :meth:`_row_linear`
+        kernel — which is what lets the batched engine keep the
+        token-identity guarantee while amortising drafter launches
+        across the live batch.  A hand-off is a full ``(num_layers, d)``
+        stack, or None.
         """
         if len(prefixes) != len(last_hiddens):
             raise DrafterError(
                 "prefixes and last_hiddens must have equal lengths, got "
                 f"{len(prefixes)}/{len(last_hiddens)}"
             )
-        n = len(prefixes)
-        d = self.hidden_size
-        fused = np.zeros((n, d))
+        fused = np.zeros((len(prefixes), self.hidden_size))
         rows = [i for i, h in enumerate(last_hiddens) if h is not None]
         if rows:
-            stacks = []
-            for i in rows:
-                stack = np.asarray(last_hiddens[i], dtype=np.float64)
-                if stack.ndim == 1:
-                    # Tolerate a bare top-layer vector by broadcasting it.
-                    stack = np.tile(stack, (self.target.num_layers, 1))
-                stacks.append(stack)
-            fused[rows] = self._fuse_rows(np.stack(stacks, axis=0))
+            fused[rows] = self._fuse_rows(
+                np.stack(
+                    [np.asarray(last_hiddens[i], dtype=np.float64)
+                     for i in rows]
+                )
+            )
         tokens = []
         for prefix in prefixes:
             if not len(prefix):
                 raise DrafterError("prefix_tokens must be non-empty")
             tokens.append(int(prefix[-1]))
         embed = self.target.params["embed"][np.asarray(tokens, dtype=np.int64)]
-        hidden = self._cell_rows(fused, embed)  # (n, d)
-        return [EagleState(hidden=hidden[i]) for i in range(n)]
+        return self._cell_rows(fused, embed)
 
     def pack_states(self, states: Sequence[EagleState]) -> np.ndarray:
         """``(n, d)`` hidden rows; an already packed block passes through."""

@@ -52,9 +52,9 @@ and the swap roll are the driver's, shared with the fleet tier.  One
    cycle is opened in worker order, the live slots of every worker are
    drafted by one drafter build per shared drafter/strategy group and
    verified by one target forward per shared target and temperature —
-   a vanilla worker's rows are zero-node trees in that same forward —
-   and each cycle is closed in worker order; real deployments run the
-   workers on separate accelerators in parallel, and here the
+   a vanilla worker's rows are sequences with no nodes in that same
+   forward — and each cycle is closed in worker order; real deployments
+   run the workers on separate accelerators in parallel, and here the
    per-launch cost is paid once per tick.
 
 Steps 1-5 are :meth:`ServingEngine.open_tick` and the records of step 6
@@ -277,8 +277,8 @@ class ServingEngine(TickDriver):
         num_workers: decode workers in the pool.
         strategy: static SD configuration.  Omit it when managers drive
             the per-cycle choice; omit both and SD is off: every cycle
-            decodes vanilla (each live slot a zero-node tree in the
-            tick's verify launch) — the VeRL-style baseline rides the
+            decodes vanilla (each live slot a sequence with no nodes in
+            the tick's verify launch) — the VeRL-style baseline rides the
             same tick as the speculative pool.
         sd_managers: optional per-worker adaptive managers (exactly one
             per worker); each sees its own worker's live-batch size.

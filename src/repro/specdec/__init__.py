@@ -37,8 +37,9 @@ from repro.specdec.scheduler import (
 )
 from repro.specdec.strategy import SdStrategy, default_strategy_pool
 from repro.specdec.tree import (
-    FlatDraftTree,
+    DraftBatch,
     GrowMap,
+    Verdicts,
     build_draft_trees,
     verify_trees,
 )
@@ -46,8 +47,9 @@ from repro.specdec.tree import (
 __all__ = [
     "SdStrategy",
     "default_strategy_pool",
-    "FlatDraftTree",
+    "DraftBatch",
     "GrowMap",
+    "Verdicts",
     "build_draft_trees",
     "verify_trees",
     "speculative_generate",

@@ -13,12 +13,13 @@ only be all-zero when ``p == q`` (a rejection then has probability
 zero); under rounding the rule falls back to ``p`` itself.
 
 The walk that applies it lives in
-:func:`repro.specdec.tree._walk_acceptance`, which reads each slot's one
-draft distribution from the :class:`~repro.specdec.tree.FlatDraftTree`.
-The per-trial reference — ``multi_round_accept`` and
-``residual_distribution``, one candidate and one distribution per call —
-is kept in ``tests/_tree_oracle.py``, and the walk is held to it draw
-for draw.
+:func:`repro.specdec.tree._walk_acceptance`, which walks every sequence
+of a :class:`~repro.specdec.tree.DraftBatch` and reads each row's one
+draft distribution from it.  The per-trial reference —
+``multi_round_accept`` and ``residual_distribution``, one candidate and
+one distribution per call — is kept in ``tests/_tree_oracle.py``, and
+the walk is held to it draw for draw, one sequence's slice of the batch
+at a time.
 
 The rule requires that each candidate was *sampled from the draft
 distribution passed in*; the tree builder's ``sample`` child mode satisfies

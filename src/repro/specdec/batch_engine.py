@@ -31,11 +31,14 @@ engine keeps, finish (inserts, pins, events, SD decision, per engine),
 draft, verify and close; see :func:`step_engines`.  There is one decode
 path: a cycle without an SD strategy (vanilla decoding — an engine with
 no strategy and no manager decodes every cycle that way, and needs no
-drafter) gives each live slot the zero-node
-:data:`~repro.specdec.tree.EMPTY_TREE`, whose verification samples one
-token from the target at the prefix row, so vanilla and speculative
-rows of every engine sharing a target and temperature ride ONE
-:func:`~repro.specdec.tree.verify_trees` launch per tick.
+drafter) makes each live slot a sequence with no nodes
+(:meth:`~repro.specdec.tree.DraftBatch.vanilla`), whose verification
+samples one token from the target at its prefix row.  A tick's drafts
+stay one :class:`~repro.specdec.tree.DraftBatch` from build to commit:
+the vanilla and speculative rows of every engine sharing a target and
+temperature ride ONE :func:`~repro.specdec.tree.verify_trees` launch,
+and each engine commits from that launch's batch-wide
+:class:`~repro.specdec.tree.Verdicts`.
 
 Parking stashes a live slot whole (tokens, hidden hand-off, random
 stream), so a resumed sequence's remaining tokens are byte-identical to
@@ -111,8 +114,7 @@ from repro.specdec.scheduler import (
 )
 from repro.specdec.strategy import SdStrategy
 from repro.specdec.tree import (
-    EMPTY_TREE, ChildMode, FlatDraftTree, TreeVerifyResult,
-    build_draft_trees, verify_trees,
+    ChildMode, DraftBatch, Verdicts, build_draft_trees, verify_trees,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -193,9 +195,10 @@ class _Cycle:
     positions to compute); the batch step answers ``prefill`` with
     ``handoffs``, a position -> stack map per computed key.  The finish
     half inserts their block-boundary rows and sets ``live`` and
-    ``strategy`` — None when the cycle decodes vanilla, its trees then
-    all :data:`~repro.specdec.tree.EMPTY_TREE` — and the batch step
-    hands it one tree and verify result per live slot.
+    ``strategy`` — None when the cycle decodes vanilla, its slots then
+    sequences with no nodes.  The batch step hands it the batch its rows
+    rode in the verify launch, that launch's ``verdicts`` and ``first``,
+    its first sequence there; its live slots are the next ones.
     """
 
     engine: "BatchedSpecDecodeEngine"
@@ -208,8 +211,9 @@ class _Cycle:
     handoffs: Sequence[Dict[int, np.ndarray]] = ()
     live: List[SequenceSlot] = field(default_factory=list)
     strategy: Optional[SdStrategy] = None
-    trees: Sequence[FlatDraftTree] = ()
-    results: Sequence[TreeVerifyResult] = ()
+    batch: Optional[DraftBatch] = None
+    verdicts: Optional[Verdicts] = None
+    first: int = 0
 
 
 class BatchedSpecDecodeEngine:
@@ -552,63 +556,72 @@ class BatchedSpecDecodeEngine:
         scheduler = self.scheduler
         counters = self.counters
         counters.target_steps += 1
-        live, strategy, trees = cycle.live, cycle.strategy, cycle.trees
-        batch = len(live)
+        live, strategy, batch = cycle.live, cycle.strategy, cycle.batch
+        size = len(live)
         committed = verify_rows = launches = saved = 0
         cycle_stats: List[SdCycleStats] = []
-        for slot, tree, result in zip(live, trees, cycle.results):
-            count = slot.commit(result.accepted_tokens, EOS_ID)
-            slot.hidden = result.next_hidden
-            committed += count
-            verify_rows += result.verify_batch
-            if strategy is None:
-                continue  # a vanilla row: one token, nothing drafted
-            stats = SdCycleStats(
-                accepted=result.accepted_node_count,
-                committed=count,
-                drafted=tree.num_nodes,
-                draft_steps=tree.draft_steps,
-                verify_batch=result.verify_batch,
+        if live:
+            lo, hi = cycle.first, cycle.first + size
+            accepted, bonus, handoffs, attempted = (
+                column[lo:hi] for column in cycle.verdicts
             )
-            self._metrics.profile.record(stats.accepted, result.attempted)
-            self._metrics.add_cycle(stats)
-            cycle_stats.append(stats)
-            # Charge a tagged request's segment its tokens.
-            segment = slot.request.segment
-            if segment is None:
-                continue
-            counters.segment_accepted[segment] = (
-                counters.segment_accepted.get(segment, 0) + stats.accepted
-            )
-            counters.segment_drafted[segment] = (
-                counters.segment_drafted.get(segment, 0) + stats.drafted
-            )
-        if strategy is not None:
+            counts = []
+            for slot, tokens, token, handoff in zip(
+                live, accepted, bonus, handoffs
+            ):
+                counts.append(slot.commit(tokens + [token], EOS_ID))
+                slot.hidden = handoff
+            committed = sum(counts)
+            starts = batch.starts[lo : hi + 1].tolist()
+            verify_rows = starts[-1] - starts[0]
+        if strategy is not None and live:
+            nodes = [end - start - 1 for start, end in zip(starts, starts[1:])]
+            for slot, tokens, count, drafted, steps, tried in zip(
+                live, accepted, counts, nodes,
+                batch.draft_steps[lo:hi].tolist(), attempted,
+            ):
+                stats = SdCycleStats(
+                    accepted=len(tokens),
+                    committed=count,
+                    drafted=drafted,
+                    draft_steps=steps,
+                    verify_batch=drafted + 1,
+                )
+                self._metrics.profile.record(stats.accepted, tried)
+                self._metrics.add_cycle(stats)
+                cycle_stats.append(stats)
+                # Charge a tagged request's segment its tokens.
+                segment = slot.request.segment
+                if segment is None:
+                    continue
+                counters.segment_accepted[segment] = (
+                    counters.segment_accepted.get(segment, 0) + stats.accepted
+                )
+                counters.segment_drafted[segment] = (
+                    counters.segment_drafted.get(segment, 0) + stats.drafted
+                )
             # Charged what its own trees cost as a batch of their own,
             # whichever batch their rows rode: a worker is one
             # accelerator.
-            launches = 1 + max(tree.rounds for tree in trees) if trees else 0
-            saved = max(0, sum(tree.draft_calls for tree in trees) - launches)
+            launches = 1 + max(batch.rounds[lo:hi].tolist())
+            saved = max(0, sum(batch.draft_calls[lo:hi].tolist()) - launches)
             counters.draft_launches += launches
             counters.draft_launches_saved += saved
-            if self.sd_manager is not None:
-                # Cost proxy: rows pushed through the target plus
-                # drafter steps.  Deterministic (unlike wall-clock,
-                # which would let a CPU spike flip the bandit's arm
-                # choice and break seeded reproducibility) while
-                # still charging verification-heavy strategies more.
-                cost = float(
-                    sum(
-                        c.verify_batch + c.draft_steps
-                        for c in cycle_stats
-                    )
-                )
-                self.sd_manager.record(
-                    strategy,
-                    cost,
-                    [float(c.accepted) for c in cycle_stats],
-                    batch,
-                )
+        if strategy is not None and self.sd_manager is not None:
+            # Cost proxy: rows pushed through the target plus
+            # drafter steps.  Deterministic (unlike wall-clock,
+            # which would let a CPU spike flip the bandit's arm
+            # choice and break seeded reproducibility) while
+            # still charging verification-heavy strategies more.
+            cost = float(
+                sum(c.verify_batch + c.draft_steps for c in cycle_stats)
+            )
+            self.sd_manager.record(
+                strategy,
+                cost,
+                [float(c.accepted) for c in cycle_stats],
+                size,
+            )
         drafted = sum(c.drafted for c in cycle_stats)
         retired = scheduler.retire_finished()
         for slot in retired:
@@ -618,7 +631,7 @@ class BatchedSpecDecodeEngine:
             self._metrics.record_wait(wait)
         report = BatchCycleReport(
             index=len(self._reports),
-            live_batch=batch,
+            live_batch=size,
             admitted=len(cycle.admitted),
             retired=len(retired),
             sd_active=strategy is not None,
@@ -690,13 +703,16 @@ def step_engines(
        pins, RESUMED / ADMITTED events and the SD/vanilla decision;
     4. *draft*: all live slots of SD cycles whose engines share a
        drafter, target, strategy, temperature and child mode are drafted
-       by ONE :func:`build_draft_trees` call; a vanilla cycle gives each
-       live slot the zero-node :data:`EMPTY_TREE`;
-    5. *verify*: every tree of the engines sharing a target and
-       temperature — vanilla and SD rows alike — is verified by ONE
-       :func:`verify_trees` call;
-    6. *close*, per engine in order: commit, retirement, events, report,
-       manager feedback.
+       by ONE :func:`build_draft_trees` call into one
+       :class:`~repro.specdec.tree.DraftBatch`; the live slots of the
+       vanilla cycles sharing a target and temperature are one batch of
+       sequences with no nodes;
+    5. *verify*: the batches of the engines sharing a target and
+       temperature — vanilla and SD rows alike — are joined and verified
+       by ONE :func:`verify_trees` call;
+    6. *close*, per engine in order: commit from the launch's
+       batch-wide verdicts, retirement, events, report, manager
+       feedback.
 
     Within one engine the order of operations is that of stepping it
     alone; across engines only the plans move ahead of the inserts, so
@@ -725,49 +741,57 @@ def step_engines(
         _prefill(cycles)
         for cycle in cycles:
             cycle.engine._open_finish(cycle)
+        # Per (target, temperature): the batches one verify launch joins
+        # and the cycles whose rows they hold, in the same order.
+        verifies: Dict[tuple, Tuple[List[DraftBatch], List[_Cycle]]] = {}
         drafts: Dict[tuple, List[_Cycle]] = {}
-        verifies: Dict[tuple, List[_Cycle]] = {}
         for cycle in cycles:
             engine = cycle.engine
-            if cycle.strategy is None:
-                cycle.trees = [EMPTY_TREE] * len(cycle.live)
-            else:
-                key = (
-                    id(engine.drafter), id(engine.target), cycle.strategy,
-                    engine.temperature, engine.child_mode,
-                )
-                drafts.setdefault(key, []).append(cycle)
             key = (id(engine.target), engine.temperature)
-            verifies.setdefault(key, []).append(cycle)
-        for members in drafts.values():
+            verifies.setdefault(key, ([], []))
+            if cycle.strategy is not None:
+                key += (id(engine.drafter), cycle.strategy, engine.child_mode)
+            drafts.setdefault(key, []).append(cycle)
+        for key, members in drafts.items():
             lead = members[0].engine
             slots = [slot for cycle in members for slot in cycle.live]
-            trees, _ = build_draft_trees(
-                lead.drafter,
-                [slot.sequence for slot in slots],
-                [slot.hidden for slot in slots],
-                members[0].strategy,
-                lead.temperature,
-                [slot.rng for slot in slots],
-                child_mode=lead.child_mode,
-            )
-            rows = iter(trees)
-            for cycle in members:
-                cycle.trees = list(islice(rows, len(cycle.live)))
-        for members in verifies.values():
-            lead = members[0].engine
-            slots = [slot for cycle in members for slot in cycle.live]
-            rows = iter(
-                verify_trees(
-                    lead.target,
-                    [tree for cycle in members for tree in cycle.trees],
+            if members[0].strategy is None:  # sequences with no nodes
+                batch = DraftBatch.vanilla(
+                    len(slots), lead.target.config.vocab_size
+                )
+            elif slots:
+                batch = build_draft_trees(
+                    lead.drafter,
                     [slot.sequence for slot in slots],
+                    [slot.hidden for slot in slots],
+                    members[0].strategy,
                     lead.temperature,
                     [slot.rng for slot in slots],
+                    child_mode=lead.child_mode,
                 )
+            else:
+                continue
+            batches, joined = verifies[key[:2]]
+            batches.append(batch)
+            joined.extend(members)
+        for batches, members in verifies.values():
+            if not batches:
+                continue
+            slots = []
+            for cycle in members:
+                cycle.first = len(slots)
+                slots.extend(cycle.live)
+            batch = DraftBatch.concat(batches)
+            lead = members[0].engine
+            verdicts = verify_trees(
+                lead.target,
+                batch,
+                [slot.sequence for slot in slots],
+                lead.temperature,
+                [slot.rng for slot in slots],
             )
             for cycle in members:
-                cycle.results = list(islice(rows, len(cycle.live)))
+                cycle.batch, cycle.verdicts = batch, verdicts
         return [cycle.engine._close(cycle) for cycle in cycles]
     finally:
         for engine in engines:

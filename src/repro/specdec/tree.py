@@ -1,4 +1,4 @@
-"""Draft-tree construction and parallel verification, array-resident.
+"""Draft-tree construction and parallel verification, one batch per tick.
 
 Reproduces Figure 9 of the paper: starting from the committed prefix, the
 drafter expands up to ``topk`` candidate children per node for up to
@@ -7,26 +7,27 @@ drafter expands up to ``topk`` candidate children per node for up to
 in one batched forward pass and accepted along a single root-to-leaf path
 with the multi-round rule.
 
-A finished tree is a :class:`FlatDraftTree`: contiguous, level-ordered
-per-node arrays (tokens, parent indices, depths, cumulative draft
-confidences) plus a CSR candidate table and one draft distribution per
-candidate slot.  Node ``i``'s verification row is simply row ``i + 1``;
-``tests/_tree_oracle.py`` keeps the views derived from it (levels,
-children, the tree-attention mask, token paths).
+A tick's trees never exist one by one.  :func:`build_draft_trees` returns
+them as one :class:`DraftBatch`: batch-wide, verification-ordered rows
+(each sequence's prefix row, then its selected nodes by level), per-row
+tokens and parent rows, a CSR candidate table and one draft distribution
+per row, plus per-sequence launch counts.  ``tests/_tree_oracle.py``
+keeps the per-tree views derived from it (levels, children, the
+tree-attention mask, token paths).
 
-:func:`build_draft_trees` grows EVERY live sequence's tree in lock-step
-inside one set of ``(batch, slots)`` tables (:class:`_LockStepTrees`):
-nodes, candidate lists and drafter states are written in place, a round's
-decisions for all live sequences are a handful of array operations, and
-the flat trees are cut out of the tables by one stable depth sort.  A
-node's drafter state is only computed when the node is expanded, by the
-fused :meth:`~repro.drafter.base.Drafter.extend_propose_batch` launch that
-also yields its proposal, so the drafter launches per cycle are
+The builder grows EVERY live sequence's tree in lock-step inside one set
+of ``(batch, slots)`` tables (:class:`_LockStepTrees`): nodes, candidate
+lists and drafter states are written in place, a round's decisions for
+all live sequences are a handful of array operations, and the batch's
+rows are cut out of the tables by one stable depth sort.  A node's
+drafter state is only computed when the node is expanded, by the fused
+:meth:`~repro.drafter.base.Drafter.extend_propose_batch` launch that also
+yields its proposal, so the drafter launches per cycle are
 
-* ``sample`` mode — ``1 + rounds``: one ``begin_batch``, one root
+* ``sample`` mode — ``1 + max(rounds)``: one ``begin_batch``, one root
   proposal, one fused launch per further best-first expansion round
-  (``rounds`` is the largest number of expansions any live sequence
-  makes, at most ``1 + tokens_to_verify``);
+  (a sequence's ``rounds`` counts its root proposal and each expansion,
+  at most ``1 + tokens_to_verify``);
 * ``topk`` mode — at most ``1 + draft_depth``: one ``begin_batch``, one
   root proposal, one fused launch per level below the first, laid out
   ahead of time by a :class:`GrowMap` (TriForce style).
@@ -35,9 +36,10 @@ Both modes commit tokens byte-identical to building each tree alone, node
 by node, under the same seeds (``tests/_tree_oracle.py`` is that
 reference).
 
-:func:`verify_trees` verifies any number of trees in one target
-forward.  The zero-node :data:`EMPTY_TREE` is how vanilla decoding rides
-the same launch: its walk samples one token at the prefix row.
+:func:`verify_trees` verifies a whole batch in one target forward.  A
+sequence with no nodes (:meth:`DraftBatch.vanilla`) is how vanilla
+decoding rides the same launch: its walk samples one token at its
+prefix row.
 
 Expansion is *best-first* on cumulative draft confidence and
 **all-or-nothing per node**: once a node's candidates are drawn, every one
@@ -65,7 +67,7 @@ Two child-expansion modes are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (
     List,
     Literal,
@@ -136,47 +138,48 @@ class GrowMap:
 
 
 @dataclass
-class FlatDraftTree:
-    """Flat, level-ordered tensor layout of a selected draft tree.
+class DraftBatch:
+    """A tick's draft trees as batch-wide, verification-ordered arrays.
 
-    Nodes are stored in verification order — sorted by ``(depth, creation
-    index)`` — so node ``i``'s verification row is row ``i + 1`` (row 0 is
-    the committed prefix) and parents always precede children.  Only nodes
-    that survived top-N selection are materialised; candidates whose child
-    was pruned (or never created) keep their row in the candidate table
-    with ``cand_child == -1``, which is exactly what the lossless
-    acceptance walk needs to skip them without re-deriving tree structure.
+    Sequence ``b`` owns rows ``starts[b]:starts[b + 1]``: its prefix row
+    (the committed prefix — the root distribution and the fallback
+    hand-off), then one row per selected node sorted by ``(depth,
+    creation index)``, so parents precede children.  A sequence with no
+    nodes, a vanilla decode step, is its prefix row alone.  Rows are
+    batch-wide: ``parents`` and ``cand_child`` name rows of this batch.
 
-    Candidate slots are CSR-packed: slot 0 holds the root's candidate
-    list and slot ``i + 1`` holds node ``i``'s, so slot ``s`` spans rows
-    ``cand_offsets[s]:cand_offsets[s + 1]``.  Every candidate of a slot
-    was drawn from the one distribution its node proposed (i.i.d. draws
-    in ``sample`` mode, a top-k cut in ``topk`` mode), so the tree keeps
-    that distribution once per slot, not once per candidate row.
+    Row ``r``'s candidates — the tokens drawn below it — span
+    ``cand_offsets[r]:cand_offsets[r + 1]``.  They were all drawn from
+    the one distribution ``node_dists[r]`` (i.i.d. draws in ``sample``
+    mode, a top-k cut in ``topk`` mode).  A candidate whose child was
+    pruned or never created has ``cand_child == -1``, which is exactly
+    what the acceptance walk needs to skip it; duplicate draws share the
+    first occurrence's child, as the multi-round rule requires.
 
     Attributes:
-        tokens: ``(N,)`` drafted token per node.
-        parents: ``(N,)`` flat parent index per node (-1 = root).
-        depths: ``(N,)`` node depth (1 = root children), non-decreasing.
-        path_probs: ``(N,)`` cumulative draft confidence per node.
-        cand_offsets: ``(N + 2,)`` CSR offsets of the candidate slots.
-        cand_tokens: ``(C,)`` candidate token per candidate row.
-        cand_child: ``(C,)`` flat index of the materialised selected child
-            for each candidate row, or -1 (duplicate draws share the first
-            occurrence's child, as the multi-round rule requires).
-        node_dists: ``(N + 1, V)``: row ``s`` is the draft distribution
-            slot ``s``'s candidates were drawn from (zeros for a slot
-            with no candidates).  Node ``i``'s own token was drawn from
-            row ``parents[i] + 1``.
-        draft_steps: nodes drafted for this tree before selection (one
-            ``extend`` each on the per-node path).
-        draft_calls: drafter launches the per-node path would have issued
-            for this tree (begin + proposes + extends) — the baseline the
-            engine's ``draft_launches_saved`` counter is measured against.
-        rounds: batched launches after ``begin`` this tree took part in:
-            its root proposal plus one fused launch per round it grew.
-            It does not depend on what else shares the batch, and trees
-            built as a batch of their own cost ``1 + max(rounds)``.
+        tokens: ``(R,)`` drafted token per row (0 at a prefix row).
+        parents: ``(R,)`` parent row (-1 at a prefix row).
+        depths: ``(R,)`` node depth (0 at a prefix row, 1 = root
+            children).
+        path_probs: ``(R,)`` cumulative draft confidence (1 at a prefix
+            row).
+        cand_offsets: ``(R + 1,)`` CSR offsets of the candidate lists.
+        cand_tokens: ``(C,)`` candidate token per candidate entry.
+        cand_child: ``(C,)`` row of each candidate's selected child, or -1.
+        node_dists: ``(R, V)``: the draft distribution row ``r``'s
+            candidates were drawn from (zeros for a row with none).
+        starts: ``(B + 1,)`` each sequence's prefix row, then ``R``.
+        rounds: ``(B,)`` batched launches after ``begin`` each sequence
+            took part in: its root proposal plus one fused launch per
+            round it grew (0 for a vanilla row).  They do not depend on
+            what else shares the batch, and sequences drafted as a batch
+            of their own cost ``1 + max(rounds)`` launches.
+        draft_steps: ``(B,)`` nodes drafted per sequence before selection
+            (one ``extend`` each on the per-node path).
+        draft_calls: ``(B,)`` drafter launches the per-node path would
+            have issued per sequence (begin + proposes + extends) — the
+            baseline the engine's ``draft_launches_saved`` is measured
+            against.
     """
 
     tokens: np.ndarray
@@ -187,41 +190,76 @@ class FlatDraftTree:
     cand_tokens: np.ndarray
     cand_child: np.ndarray
     node_dists: np.ndarray
-    draft_steps: int
-    draft_calls: int
-    rounds: int
+    starts: np.ndarray
+    rounds: np.ndarray
+    draft_steps: np.ndarray
+    draft_calls: np.ndarray
 
-    @property
-    def num_nodes(self) -> int:
-        """Number of materialised (selected) nodes."""
-        return int(self.tokens.shape[0])
+    @classmethod
+    def vanilla(cls, count: int, vocab: int) -> "DraftBatch":
+        """``count`` sequences with no nodes: one vanilla decode step each.
 
-    @property
-    def max_depth(self) -> int:
-        """Deepest materialised level (0 for an empty tree)."""
-        return int(self.depths[-1]) if self.num_nodes else 0
+        Verifying one draws one uniform at its prefix row, the same draw
+        and inverse-CDF lookup as sampling that row alone, and hands off
+        the prefix row — the hidden stack at the pre-commit last
+        position, so a later switch to SD pays no re-prefill.
+        """
+        zeros = np.zeros(count, dtype=np.int64)
+        return cls(
+            tokens=zeros, parents=np.full(count, -1), depths=zeros,
+            path_probs=np.ones(count),
+            cand_offsets=np.zeros(count + 1, dtype=np.int64),
+            cand_tokens=zeros[:0], cand_child=zeros[:0],
+            node_dists=np.zeros((count, vocab)),
+            starts=np.arange(count + 1), rounds=zeros, draft_steps=zeros,
+            draft_calls=zeros,
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["DraftBatch"]) -> "DraftBatch":
+        """The parts' sequences as one batch, in order (rows renamed)."""
+        if len(parts) == 1:
+            return parts[0]
+        rows = np.cumsum([0] + [part.tokens.shape[0] for part in parts])
+        cands = np.cumsum([0] + [part.cand_tokens.shape[0] for part in parts])
+        renamed = {"parents": rows, "cand_child": rows}
+        offsets = {"starts": rows, "cand_offsets": cands}
+        joined = {}
+        for name in (f.name for f in fields(cls)):
+            arrays = [getattr(part, name) for part in parts]
+            if name in offsets:
+                shift = offsets[name]
+                arrays = [a[:-1] + s for a, s in zip(arrays, shift)]
+                arrays.append(shift[-1:])
+            elif name in renamed:
+                arrays = [
+                    np.where(a >= 0, a + s, -1)
+                    for a, s in zip(arrays, renamed[name])
+                ]
+            joined[name] = np.concatenate(arrays)
+        return cls(**joined)
 
 
-_NO_NODES = np.zeros(0, dtype=np.int64)
+class Verdicts(NamedTuple):
+    """What one :func:`verify_trees` launch decided, one entry per
+    sequence of its batch.
 
-#: The zero-node tree: a vanilla decode step.  Its acceptance walk stops
-#: at the prefix row and draws one uniform, the same draw and inverse-CDF
-#: lookup as sampling that row alone, and its hand-off is the prefix
-#: row — the hidden stack at the pre-commit last position, so a later
-#: switch to SD pays no re-prefill.
-EMPTY_TREE = FlatDraftTree(
-    tokens=_NO_NODES,
-    parents=_NO_NODES,
-    depths=_NO_NODES,
-    path_probs=np.zeros(0),
-    cand_offsets=np.zeros(2, dtype=np.int64),
-    cand_tokens=_NO_NODES,
-    cand_child=_NO_NODES,
-    node_dists=np.zeros((1, 0)),
-    draft_steps=0,
-    draft_calls=0,
-    rounds=0,
-)
+    Attributes:
+        accepted: accepted draft tokens, in order (bonus excluded).
+        bonus: the token the target adds after them — sampled from the
+            full target distribution at a leaf, or from the final
+            residual after every candidate was rejected.
+        handoffs: exact target hidden stack ``(num_layers, hidden_size)``
+            at the position *before* the bonus token, the drafter
+            hand-off for the next cycle; each an owned array.
+        attempted: draft depths at which an acceptance round ran; the
+            first ``len(accepted)`` of them succeeded.
+    """
+
+    accepted: List[List[int]]
+    bonus: List[int]
+    handoffs: List[np.ndarray]
+    attempted: List[int]
 
 
 class _LockStepTrees:
@@ -238,7 +276,7 @@ class _LockStepTrees:
     of rounds it sits out.  The two child modes differ only in how they
     turn a round's proposals into a block and pick the next parents;
     adding blocks, recording candidates, launching the drafter and
-    cutting out the :class:`FlatDraftTree` arrays are shared.
+    cutting out the :class:`DraftBatch` are shared.
     """
 
     def __init__(
@@ -345,16 +383,13 @@ class _LockStepTrees:
         self.cand_count[seq, slot] = counts
         self.node_dists[seq, slot] = dists
 
-    def emit(self, keep: np.ndarray, max_depth: int) -> List[FlatDraftTree]:
-        """Cut the kept nodes out of the tables as flat trees.
+    def emit(self, keep: np.ndarray, max_depth: int) -> DraftBatch:
+        """Cut the kept nodes out of the tables as one :class:`DraftBatch`.
 
         One stable sort by ``(sequence, depth)`` over the kept slots plus
-        every root puts each tree's candidate slots in verification order
-        (root first); a slot's position behind its tree's root is its flat
-        index, which makes the root -1.  All per-tree arrays are then
-        slices of batch-wide gathers, with slots remapped to flat indices
-        through one ``(batch, slots)`` lookup that also reads -1 for every
-        dropped node.
+        every root puts the rows in verification order, each sequence's
+        root first; one ``(batch, slots)`` lookup then maps slots to rows
+        and reads -1 for every dropped node.
         """
         keep = keep.copy()
         keep[:, 0] = True
@@ -362,13 +397,13 @@ class _LockStepTrees:
         depth = self.depths[seq, slot]
         order = (seq * (max_depth + 1) + depth).argsort(kind="stable")
         seq, slot, depth = seq[order], slot[order], depth[order]
-        ends = keep.sum(axis=1).cumsum()
-        roots = np.concatenate(([0], ends[:-1]))
-        flat_of = np.full(keep.shape, -1, dtype=np.int64)
-        flat_of[seq, slot] = np.arange(seq.shape[0]) - (roots + 1)[seq]
-        tokens = self.tokens[seq, slot]
-        parents = flat_of[seq, self.parents[seq, slot]]
-        path_probs = self.path_probs[seq, slot]
+        starts = np.zeros(self.batch + 1, dtype=np.int64)
+        keep.sum(axis=1).cumsum(out=starts[1:])
+        row_of = np.full(keep.shape, -1, dtype=np.int64)
+        row_of[seq, slot] = np.arange(seq.shape[0])
+        parents = row_of[seq, self.parents[seq, slot]]
+        parents[starts[:-1]] = -1
+        row_of[:, 0] = -1  # a candidate naming the root has no child
 
         counts = self.cand_count[seq, slot]
         offsets = np.zeros(seq.shape[0] + 1, dtype=np.int64)
@@ -376,40 +411,26 @@ class _LockStepTrees:
         of_slot = np.arange(seq.shape[0]).repeat(counts)
         row_seq, row_slot = seq[of_slot], slot[of_slot]
         column = np.arange(offsets[-1]) - offsets[of_slot]
-        cand_tokens = self.cand_tokens[row_seq, row_slot, column]
-        cand_child = flat_of[
-            row_seq, self.cand_child[row_seq, row_slot, column]
-        ]
         # One row per kept slot; a slot that drew nothing reads zeros.
         node_dists = self.node_dists[seq, slot]
         node_dists[counts == 0] = 0.0
-
-        draft_steps = self.made.sum(axis=1).tolist()
-        proposes = self.proposes.tolist()
-        rounds = self.rounds.tolist()
-        row_ends = offsets[ends].tolist()
-        roots, ends = roots.tolist(), ends.tolist()
-        trees: List[FlatDraftTree] = []
-        for b, (root, end) in enumerate(zip(roots, ends)):
-            nodes = slice(root + 1, end)
-            row_start = row_ends[b - 1] if b else 0
-            cand_rows = slice(row_start, row_ends[b])
-            trees.append(
-                FlatDraftTree(
-                    tokens=tokens[nodes],
-                    parents=parents[nodes],
-                    depths=depth[nodes],
-                    path_probs=path_probs[nodes],
-                    cand_offsets=offsets[root : end + 1] - row_start,
-                    cand_tokens=cand_tokens[cand_rows],
-                    cand_child=cand_child[cand_rows],
-                    node_dists=node_dists[root:end],
-                    draft_steps=draft_steps[b],
-                    draft_calls=1 + proposes[b] + draft_steps[b],
-                    rounds=rounds[b],
-                )
-            )
-        return trees
+        draft_steps = self.made.sum(axis=1)
+        return DraftBatch(
+            tokens=self.tokens[seq, slot],
+            parents=parents,
+            depths=depth,
+            path_probs=self.path_probs[seq, slot],
+            cand_offsets=offsets,
+            cand_tokens=self.cand_tokens[row_seq, row_slot, column],
+            cand_child=row_of[
+                row_seq, self.cand_child[row_seq, row_slot, column]
+            ],
+            node_dists=node_dists,
+            starts=starts,
+            rounds=self.rounds,
+            draft_steps=draft_steps,
+            draft_calls=1 + self.proposes + draft_steps,
+        )
 
 
 def _grow_sampled(
@@ -583,11 +604,11 @@ def build_draft_trees(
     temperature: float,
     rngs: Sequence[np.random.Generator],
     child_mode: ChildMode = "sample",
-) -> Tuple[List[FlatDraftTree], int]:
+) -> DraftBatch:
     """Draft every live sequence's candidate tree in lock-step.
 
     All trees grow together in shared tables through batched drafter
-    calls — ``1 + rounds`` launches in ``sample`` mode, at most
+    calls — ``1 + max(rounds)`` launches in ``sample`` mode, at most
     ``1 + draft_depth`` in ``topk`` mode (see the module docstring) —
     and each sequence's private ``rng`` is consumed in exactly the
     per-node order, so committed tokens are byte-identical to building
@@ -603,11 +624,10 @@ def build_draft_trees(
         child_mode: ``"sample"`` (lossless) or ``"topk"`` (EAGLE-2 style).
 
     Returns:
-        ``(trees, launches)``: one :class:`FlatDraftTree` per sequence
-        and the number of batched drafter launches issued, ``1 +
-        max(tree.rounds)`` (the per-node baseline is ``sum(tree.draft_calls
-        for tree in trees)``).  Each tree is bitwise what any sub-batch
-        holding its sequence builds.
+        One :class:`DraftBatch` holding every sequence, in order.  A
+        sequence's rows are bitwise what any sub-batch holding it builds,
+        and the build issued ``1 + max(rounds)`` drafter launches (the
+        per-node baseline is ``draft_calls.sum()``).
     """
     if not (len(prefixes) == len(last_hiddens) == len(rngs)):
         raise SpecDecodeError(
@@ -615,7 +635,7 @@ def build_draft_trees(
             f"got {len(prefixes)}/{len(last_hiddens)}/{len(rngs)}"
         )
     if not prefixes:
-        return [], 0
+        return DraftBatch.vanilla(0, 0)
     if child_mode == "sample":
         # At most one expansion per node plus the root's, ``topk`` slots each.
         trees = _LockStepTrees(
@@ -635,215 +655,155 @@ def build_draft_trees(
         keep = _select_top_connected(trees, strategy.tokens_to_verify)
     else:
         raise SpecDecodeError(f"unknown child mode {child_mode!r}")
-    flat = trees.emit(keep, strategy.draft_depth)
-    return flat, 1 + max(tree.rounds for tree in flat)
-
-
-@dataclass
-class TreeVerifyResult:
-    """Outcome of verifying one draft tree against the target model.
-
-    Attributes:
-        accepted_tokens: committed tokens in order (accepted draft nodes
-            followed by the bonus/correction token).
-        accepted_node_count: accepted draft nodes (bonus excluded).
-        bonus_token: the final token sampled from the target (or residual).
-        next_hidden: exact target hidden stack (num_layers, hidden_size) at
-            the position *before* the bonus token — the drafter hand-off
-            for the next cycle.
-        verify_batch: rows in the batched verification forward.
-        attempted: draft depths at which an acceptance round ran; the
-            first ``accepted_node_count`` of them succeeded.
-    """
-
-    accepted_tokens: List[int]
-    accepted_node_count: int
-    bonus_token: int
-    next_hidden: np.ndarray
-    verify_batch: int
-    attempted: int
+    return trees.emit(keep, strategy.draft_depth)
 
 
 def _verify_contexts(
-    trees: Sequence[FlatDraftTree],
-    prefixes: Sequence[Sequence[int]],
-    window: int,
-) -> Tuple[np.ndarray, List[int]]:
-    """``(rows, window)`` context block of every tree's verification rows.
+    batch: DraftBatch, prefixes: Sequence[Sequence[int]], window: int
+) -> np.ndarray:
+    """``(rows, window)`` context block of a batch's verification rows.
 
-    Each tree contributes its prefix row followed by one row per node.  A
-    node's context is its parent's shifted left by one token with the
-    node's token appended, so the block is filled straight from
-    ``parents``/``tokens`` — no token paths are materialised: every
-    pass copies all parents' contexts at once, and after ``d`` passes
-    the rows of depth ``<= d`` are final.
-
-    Returns the block and each tree's first row.
+    A prefix row holds the tail of its committed prefix.  A node's
+    context is its parent's shifted left by one token with the node's
+    token appended, so the block is filled straight from
+    ``parents``/``tokens`` — no token paths are materialised: every pass
+    copies all parents' contexts at once, and after ``d`` passes the
+    rows of depth ``<= d`` are final.
     """
-    sizes = np.array([tree.num_nodes + 1 for tree in trees])
-    first_rows = sizes.cumsum() - sizes
-    contexts = np.full((sizes.sum(), window), PAD_ID, dtype=np.int64)
-    for first, prefix in zip(first_rows.tolist(), prefixes):
+    contexts = np.full(
+        (batch.tokens.shape[0], window), PAD_ID, dtype=np.int64
+    )
+    for first, prefix in zip(batch.starts[:-1].tolist(), prefixes):
         tail = prefix[-window:]
         if not len(tail):
             raise SpecDecodeError("prefix must be non-empty")
         contexts[first, window - len(tail) :] = tail
-    # Global rows: a node sits one row further down than its flat index
-    # for every root before it, its own included.
-    owner = np.arange(len(trees)).repeat(sizes - 1)
-    node_rows = np.arange(owner.shape[0]) + owner + 1
-    parent_rows = (
-        np.concatenate([tree.parents for tree in trees])
-        + first_rows[owner]
-        + 1
-    )
-    contexts[node_rows, -1] = np.concatenate([tree.tokens for tree in trees])
-    for _ in range(max(tree.max_depth for tree in trees)):
-        contexts[node_rows, :-1] = contexts[parent_rows, 1:]
-    return contexts, first_rows.tolist()
+    nodes = np.flatnonzero(batch.parents >= 0)
+    parents = batch.parents[nodes]
+    contexts[nodes, -1] = batch.tokens[nodes]
+    for _ in range(int(batch.depths.max())):
+        contexts[nodes, :-1] = contexts[parents, 1:]
+    return contexts
 
 
 def verify_trees(
     target: TinyLM,
-    trees: Sequence[FlatDraftTree],
+    batch: DraftBatch,
     prefixes: Sequence[Sequence[int]],
     temperature: float,
     rngs: Sequence[np.random.Generator],
-) -> List[TreeVerifyResult]:
-    """Verify several sequences' draft trees in ONE target forward pass.
+) -> Verdicts:
+    """Verify a batch's draft trees in ONE target forward pass.
 
-    This is the continuous-batching amortisation: every live sequence's
-    verification rows — one for the committed prefix (the root
-    distribution and the fallback hand-off) plus one per selected node —
-    are concatenated into a single batched
-    :meth:`~repro.llm.model.TinyLM.step` launch, then each sequence walks
-    its own acceptance path with its own random stream.  Row results are
-    identical to verifying each tree alone, so committed tokens do not
-    depend on the batch.  A :data:`EMPTY_TREE` row is a vanilla decode
-    step.
+    This is the continuous-batching amortisation: every row of the batch
+    — each sequence's prefix row plus one per selected node — goes
+    through a single batched :meth:`~repro.llm.model.TinyLM.step`
+    launch, then each sequence walks its own acceptance path with its
+    own random stream.  Row results are identical to verifying each
+    sequence alone, so committed tokens do not depend on the batch.  A
+    sequence with no nodes is a vanilla decode step.
 
     Args:
         target: the target model.
-        trees: one draft tree per live sequence.
-        prefixes: committed prefix per live sequence.
+        batch: the draft trees, one sequence per live slot.
+        prefixes: committed prefix per sequence.
         temperature: shared sampling temperature.
         rngs: per-sequence random streams (acceptance + bonus sampling).
 
     Returns:
-        One :class:`TreeVerifyResult` per input tree, in order;
-        ``accepted_tokens`` always holds at least the bonus token, which
-        preserves the target distribution exactly in ``sample`` child
-        mode.
+        The :class:`Verdicts`, one entry per sequence in order; every
+        sequence commits its accepted tokens and then its bonus token,
+        which preserves the target distribution exactly in ``sample``
+        child mode.
     """
-    if not (len(trees) == len(prefixes) == len(rngs)):
+    if not (len(batch.rounds) == len(prefixes) == len(rngs)):
         raise SpecDecodeError(
-            "trees, prefixes and rngs must have equal lengths, got "
-            f"{len(trees)}/{len(prefixes)}/{len(rngs)}"
+            "the batch, prefixes and rngs must have equal lengths, got "
+            f"{len(batch.rounds)}/{len(prefixes)}/{len(rngs)}"
         )
-    if not trees:
-        return []
-    contexts, first_rows = _verify_contexts(
-        trees, prefixes, target.config.context_window
+    if not prefixes:
+        return Verdicts([], [], [], [])
+    contexts = _verify_contexts(
+        batch, prefixes, target.config.context_window
     )
     logits, hiddens = target.step(contexts)
     probs = temperature_probs(logits, temperature)
-    walks = [
-        _walk_acceptance(tree, probs[first : first + tree.num_nodes + 1], rng)
-        for tree, first, rng in zip(trees, first_rows, rngs)
-    ]
-    # Only each tree's hand-off row is kept: gather those, not every row.
-    handoff_rows = [first + walk.row for first, walk in zip(first_rows, walks)]
-    handoffs = np.stack([h[handoff_rows] for h in hiddens], axis=1)
+    accepted, rows, dists, uniforms, attempted = _walk_acceptance(
+        batch, probs, rngs
+    )
+    # Only each sequence's hand-off row is kept: gather those, not every row.
+    handoffs = np.stack([h[rows] for h in hiddens], axis=1)
     # Every walk drew its own bonus uniform; the lookups share one pass.
-    bonus_tokens = tokens_at_uniforms(
-        np.array([walk.bonus_dist for walk in walks]),
-        np.array([walk.bonus_uniform for walk in walks]),
-    ).tolist()
-    return [
-        TreeVerifyResult(
-            accepted_tokens=walk.accepted + [bonus],
-            accepted_node_count=len(walk.accepted),
-            bonus_token=bonus,
-            next_hidden=handoff.copy(),  # (L, d), owned by the slot
-            verify_batch=tree.num_nodes + 1,
-            attempted=walk.attempted,
-        )
-        for tree, handoff, walk, bonus in zip(
-            trees, handoffs, walks, bonus_tokens
-        )
-    ]
-
-
-class _Walk(NamedTuple):
-    """Where one tree's acceptance walk ended, bonus token still to pick."""
-
-    accepted: List[int]
-    row: int
-    bonus_dist: np.ndarray
-    bonus_uniform: float
-    attempted: int
+    bonus = tokens_at_uniforms(np.array(dists), np.array(uniforms)).tolist()
+    # Each slot owns its (L, d) row, never a view of the batch's block.
+    return Verdicts(accepted, bonus, [h.copy() for h in handoffs], attempted)
 
 
 def _walk_acceptance(
-    tree: FlatDraftTree, probs: np.ndarray, rng: np.random.Generator
-) -> _Walk:
-    """Run the multi-round acceptance walk over one flat tree's rows.
+    batch: DraftBatch, probs: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> Tuple[list, ...]:
+    """Run every sequence's multi-round acceptance walk over its rows.
 
-    ``probs`` is this tree's slice of the batched target forward; row 0
-    is the prefix row and node ``i`` sits on row ``i + 1`` by
-    construction, so the walk needs no row map and a node's row is also
-    its candidate slot.  At each level the slot's candidates are tried
-    in order against the one draft distribution ``q`` they were drawn
-    from (:mod:`repro.specdec.acceptance` states the rule): candidate
-    ``x`` is accepted with probability ``min(1, p(x) / q(x))``, and only
-    a rejection forms the residual ``norm(max(p - q, 0))`` that the next
+    ``probs`` holds the target's distribution at every row of the batch.
+    A walk starts at its sequence's prefix row, and a row's candidate
+    list is also where its children are found, so the walk needs no row
+    map.  At each level the row's candidates are tried in order against
+    the one draft distribution ``q`` they were drawn from
+    (:mod:`repro.specdec.acceptance` states the rule): candidate ``x`` is
+    accepted with probability ``min(1, p(x) / q(x))``, and only a
+    rejection forms the residual ``norm(max(p - q, 0))`` that the next
     candidate is tried against.  Candidates with ``cand_child == -1``
     (pruned or never materialised) and candidates with ``q(x) = 0`` are
     skipped without a draw; duplicate draws stay in (sharing the first
-    occurrence's child), as the multi-round rule requires.  The walk
-    ends by drawing the uniform that picks the bonus token from the
-    full target distribution (at a leaf) or from the final residual
-    (after every candidate was rejected).  An :data:`EMPTY_TREE` row
-    draws that uniform and nothing else.
+    occurrence's child), as the multi-round rule requires.  Each walk
+    ends by drawing the uniform that picks the bonus token from the full
+    target distribution (at a leaf) or from the final residual (after
+    every candidate was rejected); a sequence with no nodes draws that
+    uniform and nothing else.
+
+    Returns, per sequence: the accepted tokens, the row the walk ended
+    on (its hand-off row), the distribution and the uniform of its bonus
+    draw, and the number of acceptance rounds it ran.  The candidate
+    table is read through lists made once per batch.
     """
-    if tree is EMPTY_TREE:
-        return _Walk([], 0, probs[0], rng.random(), 0)
-    offsets = tree.cand_offsets.tolist()
-    children = tree.cand_child.tolist()
-    cand_tokens = tree.cand_tokens.tolist()
-    accepted: List[int] = []
-    attempted = 0
-    row = 0
-    while True:
-        current = probs[row]
-        start, end = offsets[row], offsets[row + 1]
-        if start == end:
-            break
-        attempted += 1
-        q = tree.node_dists[row]
-        chosen = -1
-        for c in range(start, end):
-            if children[c] < 0:
-                continue
-            token = cand_tokens[c]
-            q_tok = float(q[token])
-            if q_tok <= 0.0:
-                continue  # no draft mass: nothing to test or subtract
-            if rng.random() < min(1.0, float(current[token]) / q_tok):
-                chosen = c
+    offsets = batch.cand_offsets.tolist()
+    children = batch.cand_child.tolist()
+    cand_tokens = batch.cand_tokens.tolist()
+    walks = []
+    for row, rng in zip(batch.starts[:-1].tolist(), rngs):
+        accepted: List[int] = []
+        attempted = 0
+        while True:
+            current = probs[row]
+            start, end = offsets[row], offsets[row + 1]
+            if start == end:
                 break
-            residual = current - q
-            np.maximum(residual, 0.0, out=residual)
-            total = residual.sum()
-            if total <= RESIDUAL_EPS:
-                # Only p == q empties the residual, and then a rejection
-                # has probability zero; under rounding keep the target.
-                current = current / current.sum()
-            else:
-                residual /= total
-                current = residual
-        if chosen < 0:
-            break
-        accepted.append(cand_tokens[chosen])
-        row = children[chosen] + 1
-    return _Walk(accepted, row, current, rng.random(), attempted)
+            attempted += 1
+            q = batch.node_dists[row]
+            chosen = -1
+            for c in range(start, end):
+                if children[c] < 0:
+                    continue
+                token = cand_tokens[c]
+                q_tok = float(q[token])
+                if q_tok <= 0.0:
+                    continue  # no draft mass: nothing to test or subtract
+                if rng.random() < min(1.0, float(current[token]) / q_tok):
+                    chosen = c
+                    break
+                residual = current - q
+                np.maximum(residual, 0.0, out=residual)
+                total = residual.sum()
+                if total <= RESIDUAL_EPS:
+                    # Only p == q empties the residual, and then a rejection
+                    # has probability zero; under rounding keep the target.
+                    current = current / current.sum()
+                else:
+                    residual /= total
+                    current = residual
+            if chosen < 0:
+                break
+            accepted.append(cand_tokens[chosen])
+            row = children[chosen]
+        walks.append((accepted, row, current, rng.random(), attempted))
+    return tuple(map(list, zip(*walks)))

@@ -7,8 +7,8 @@ launches they replaced, in which each engine drafts and verifies alone,
 worker by worker, and a fleet ticks its replicas one after another,
 each running its whole pool tick before the next starts.  It also keeps
 the vanilla decode that vanilla rows replaced when they joined the
-tick's verify launch as zero-node trees: a vanilla cycle makes its own
-``TinyLM.step`` over its live rows and samples each row with
+tick's verify launch as sequences with no nodes: a vanilla cycle makes
+its own ``TinyLM.step`` over its live rows and samples each row with
 ``sample_from_probs``.  And it keeps the per-engine prefill that the
 tick's one prefill launch per target replaced: each engine computes its
 own planned hand-offs with :func:`~repro.specdec.engine.initial_hiddens`
@@ -39,8 +39,8 @@ from repro.serving import ServingEngine
 from repro.specdec.control import RequestEventKind
 from repro.specdec.engine import initial_hiddens
 from repro.specdec.tree import (
-    EMPTY_TREE,
-    TreeVerifyResult,
+    DraftBatch,
+    Verdicts,
     build_draft_trees,
     verify_trees,
 )
@@ -75,11 +75,12 @@ def terminal_streams(pools):
 
 
 def vanilla_decode(engine, live):
-    """One token per live slot from the engine's own target forward.
+    """One token per live slot from the engine's own target forward,
+    as the :class:`~repro.specdec.tree.Verdicts` a verify launch returns.
 
     The step's hidden stack at each row's (pre-commit) last position is
-    the slot's hand-off, as the verify of an empty tree hands off its
-    prefix row.
+    the slot's hand-off, as the verify of a sequence with no nodes hands
+    off its prefix row.
     """
     contexts = contexts_from_sequences(
         [slot.sequence for slot in live], engine.target.config.context_window
@@ -87,20 +88,16 @@ def vanilla_decode(engine, live):
     logits, hiddens = engine.target.step(contexts)
     probs = temperature_probs(logits, engine.temperature)
     stack = np.stack(hiddens, axis=1)  # (rows, L, d)
-    results = []
-    for row, slot in enumerate(live):
-        token = int(sample_from_probs(probs[row][None, :], slot.rng)[0])
-        results.append(
-            TreeVerifyResult(
-                accepted_tokens=[token],
-                accepted_node_count=0,
-                bonus_token=token,
-                next_hidden=stack[row].copy(),
-                verify_batch=1,
-                attempted=0,
-            )
-        )
-    return results
+    bonus = [
+        int(sample_from_probs(probs[row][None, :], slot.rng)[0])
+        for row, slot in enumerate(live)
+    ]
+    return Verdicts(
+        accepted=[[] for _ in live],
+        bonus=bonus,
+        handoffs=[row.copy() for row in stack],
+        attempted=[0] * len(live),
+    )
 
 
 def prefill_alone(cycle):
@@ -130,19 +127,24 @@ def prefill_alone(cycle):
 def _launch_alone(cycle):
     """Draft and verify one engine's cycle with launches of its own."""
     engine, live = cycle.engine, cycle.live
+    cycle.first = 0
+    if not live:
+        return
     if cycle.strategy is None:
-        cycle.trees = [EMPTY_TREE] * len(live)
-        cycle.results = vanilla_decode(engine, live) if live else []
+        cycle.batch = DraftBatch.vanilla(
+            len(live), engine.target.config.vocab_size
+        )
+        cycle.verdicts = vanilla_decode(engine, live)
         return
     sequences = [slot.sequence for slot in live]
     rngs = [slot.rng for slot in live]
-    cycle.trees, _ = build_draft_trees(
+    cycle.batch = build_draft_trees(
         engine.drafter, sequences, [slot.hidden for slot in live],
         cycle.strategy, engine.temperature, rngs,
         child_mode=engine.child_mode,
     )
-    cycle.results = verify_trees(
-        engine.target, cycle.trees, sequences, engine.temperature, rngs
+    cycle.verdicts = verify_trees(
+        engine.target, cycle.batch, sequences, engine.temperature, rngs
     )
 
 

@@ -1,22 +1,27 @@
 """Per-node reference for the draft-tree builders (test oracle).
 
 The production builder (:func:`repro.specdec.tree.build_draft_trees`)
-grows every live sequence's tree in lock-step inside shared arrays.
-This module is the definition it is held to: one sequence at a time, one
+grows every live sequence's tree in lock-step inside shared arrays and
+returns them as one :class:`~repro.specdec.tree.DraftBatch`.  This
+module is the definition it is held to: one sequence at a time, one
 Python object per node, one drafter call per node — the form in which the
 best-first / beam policies and the losslessness argument are easiest to
 read.  The byte-identity suites build trees both ways under equal seeds
-and require identical flat arrays, identical RNG consumption and
-identical committed tokens.
+and require identical arrays, identical RNG consumption and identical
+committed tokens.
 
-It also keeps the per-node object view (:class:`DraftTree`) and its
-round trip to the flat layout (:func:`flatten`, :func:`to_node_view`),
-the views a reader derives from a :class:`FlatDraftTree` (levels,
-children, the tree-attention mask, verification token paths), the
-one-distribution draw primitives the builder's batched draws match, and
-the per-trial acceptance rule (:func:`multi_round_accept`,
-:func:`residual_distribution`) with the per-candidate walk
-(:func:`walk_acceptance`) the production walk is held to.
+A tree of its own is a :class:`FlatDraftTree`: one sequence's slice of a
+batch in per-tree indices (node ``i`` on row ``i + 1``).
+:func:`trees_of` cuts a batch into them and :func:`to_batch` packs them
+back.  The module also keeps the per-node object view
+(:class:`DraftTree`) and its round trip to the flat layout
+(:func:`flatten`, :func:`to_node_view`), the views a reader derives from
+a flat tree (levels, children, the tree-attention mask, verification
+token paths), the one-distribution draw primitives the builder's batched
+draws match, and the per-trial acceptance rule
+(:func:`multi_round_accept`, :func:`residual_distribution`) with the
+per-candidate walk (:func:`walk_acceptance`) the production walk is held
+to.
 """
 
 from __future__ import annotations
@@ -32,7 +37,110 @@ from repro.errors import SpecDecodeError
 from repro.llm.vocab import EOS_ID
 from repro.specdec.acceptance import RESIDUAL_EPS
 from repro.specdec.strategy import SdStrategy
-from repro.specdec.tree import ChildMode, FlatDraftTree, GrowMap
+from repro.specdec.tree import ChildMode, DraftBatch, GrowMap
+
+
+@dataclass
+class FlatDraftTree:
+    """One sequence's draft tree in per-tree indices.
+
+    It is that sequence's slice of a :class:`~repro.specdec.tree.
+    DraftBatch` with the batch's rows renamed: node ``i`` sits on row
+    ``i + 1`` and row 0 is the prefix row, so ``parents`` and
+    ``cand_child`` hold node indices (-1 = the root, or no child).  Slot
+    ``s`` of the candidate table is row ``s``'s list, drawn from
+    ``node_dists[s]``; node ``i``'s own token was drawn from row
+    ``parents[i] + 1``.
+    """
+
+    tokens: np.ndarray
+    parents: np.ndarray
+    depths: np.ndarray
+    path_probs: np.ndarray
+    cand_offsets: np.ndarray
+    cand_tokens: np.ndarray
+    cand_child: np.ndarray
+    node_dists: np.ndarray
+    draft_steps: int
+    draft_calls: int
+    rounds: int
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of materialised (selected) nodes."""
+        return int(self.tokens.shape[0])
+
+    @property
+    def max_depth(self) -> int:
+        """Deepest materialised level (0 for an empty tree)."""
+        return int(self.depths[-1]) if self.num_nodes else 0
+
+
+def to_batch(trees: Sequence[FlatDraftTree]) -> DraftBatch:
+    """Pack flat trees into one batch, one sequence each, in order.
+
+    Each tree becomes a one-sequence batch (a prefix row holds token 0,
+    parent -1, depth 0 and confidence 1), and
+    :meth:`~repro.specdec.tree.DraftBatch.concat` renames the rows.
+    """
+    if not trees:
+        return DraftBatch.vanilla(0, 0)
+    parts = []
+    for tree in trees:
+        child = tree.cand_child
+        parts.append(
+            DraftBatch(
+                tokens=np.concatenate(([0], tree.tokens)),
+                parents=np.concatenate(([-1], tree.parents + 1)),
+                depths=np.concatenate(([0], tree.depths)),
+                path_probs=np.concatenate(([1.0], tree.path_probs)),
+                cand_offsets=tree.cand_offsets,
+                cand_tokens=tree.cand_tokens,
+                cand_child=np.where(child >= 0, child + 1, -1),
+                node_dists=tree.node_dists,
+                starts=np.array([0, tree.num_nodes + 1]),
+                rounds=np.array([tree.rounds]),
+                draft_steps=np.array([tree.draft_steps]),
+                draft_calls=np.array([tree.draft_calls]),
+            )
+        )
+    return DraftBatch.concat(parts)
+
+
+def trees_of(batch: DraftBatch) -> List[FlatDraftTree]:
+    """Cut a batch into its sequences' flat trees.
+
+    Asserts the batch layout on the way: each sequence's first row is a
+    prefix row, and every parent and candidate child is a node row of
+    the same sequence.
+    """
+    trees = []
+    starts = batch.starts.tolist()
+    assert starts[0] == 0 and starts[-1] == batch.tokens.shape[0]
+    for b, (first, end) in enumerate(zip(starts[:-1], starts[1:])):
+        assert batch.parents[first] == -1 and batch.depths[first] == 0
+        nodes = slice(first + 1, end)
+        parents = batch.parents[nodes]
+        assert ((parents >= first) & (parents < end)).all()
+        lo, hi = int(batch.cand_offsets[first]), int(batch.cand_offsets[end])
+        child = batch.cand_child[lo:hi]
+        assert ((child == -1) | ((child > first) & (child < end))).all()
+        trees.append(
+            FlatDraftTree(
+                tokens=batch.tokens[nodes],
+                parents=parents - first - 1,
+                depths=batch.depths[nodes],
+                path_probs=batch.path_probs[nodes],
+                cand_offsets=batch.cand_offsets[first : end + 1] - lo,
+                cand_tokens=batch.cand_tokens[lo:hi],
+                cand_child=np.where(child >= 0, child - first - 1, -1),
+                node_dists=batch.node_dists[first:end],
+                draft_steps=int(batch.draft_steps[b]),
+                draft_calls=int(batch.draft_calls[b]),
+                rounds=int(batch.rounds[b]),
+            )
+        )
+    return trees
 
 
 @dataclass
@@ -587,13 +695,13 @@ def build_draft_trees(
     temperature: float,
     rngs: Sequence[np.random.Generator],
     child_mode: ChildMode = "sample",
-) -> Tuple[List[FlatDraftTree], int]:
+) -> DraftBatch:
     """Drop-in twin of the production entry point: one tree at a time.
 
     Every per-node drafter call is its own launch, so the launch count is
-    the per-node baseline ``sum(tree.draft_calls)``.
+    the per-node baseline ``draft_calls.sum()``.
     """
-    trees = [
+    return to_batch([
         flatten(
             build_draft_tree(
                 drafter, prefix, hidden, strategy, temperature, rng,
@@ -601,8 +709,7 @@ def build_draft_trees(
             )
         )
         for prefix, hidden, rng in zip(prefixes, last_hiddens, rngs)
-    ]
-    return trees, sum(tree.draft_calls for tree in trees)
+    ])
 
 
 def plan_verify_rows(
@@ -632,8 +739,8 @@ def plan_verify_rows(
 
 
 # -- views of the flat layout -------------------------------------------------
-# Production indexes the FlatDraftTree arrays directly; these derived
-# views are how tests read a tree.
+# Production indexes the DraftBatch arrays directly; these derived views
+# of one sequence's flat tree are how tests read a tree.
 
 
 def node_dist_row(flat: FlatDraftTree) -> np.ndarray:
@@ -707,7 +814,7 @@ def flat_verify_rows(
     Row 0 is the committed prefix; node ``i`` verifies on row ``i + 1``
     (flat order IS verification order), holding its root-to-node path
     appended to the prefix.  ``repro.specdec.tree.verify_trees`` builds
-    the same rows directly as context windows.
+    the same rows, batch-wide, directly as context windows.
     """
     prefix = [int(t) for t in prefix_tokens]
     if not prefix:

@@ -53,7 +53,10 @@ def _states(drafter, target):
         )
         for _ in prefixes
     ]
-    return drafter.begin_batch(prefixes, hiddens)
+    return [
+        drafter.begin(prefix, hidden)
+        for prefix, hidden in zip(prefixes, hiddens)
+    ]
 
 
 def _drafter_cases(request):

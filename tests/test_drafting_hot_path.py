@@ -24,7 +24,12 @@ from repro.specdec.tree import _verify_contexts
 
 import _tick_oracle
 import _tree_oracle
-from _tree_oracle import children_of, flat_verify_rows, inverse_cdf_draws
+from _tree_oracle import (
+    children_of,
+    flat_verify_rows,
+    inverse_cdf_draws,
+    trees_of,
+)
 
 
 # -- (i) batched inverse-CDF draws == the scalar primitive -------------------
@@ -154,7 +159,8 @@ def _arrays_equal(left, right):
         np.array_equal(getattr(left, name), getattr(right, name))
         for name in (
             "tokens", "parents", "depths", "path_probs", "cand_offsets",
-            "cand_tokens", "cand_child", "node_dists",
+            "cand_tokens", "cand_child", "node_dists", "starts", "rounds",
+            "draft_steps", "draft_calls",
         )
     )
 
@@ -170,9 +176,11 @@ class TestFrontierTieBreak:
         strategy = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=4)
         expanded_first = 0
         for seed in range(20):
-            (tree,), _ = build_draft_trees(
-                drafter, [[3, 4]], [None], strategy, 1.0,
-                [np.random.default_rng(seed)],
+            (tree,) = trees_of(
+                build_draft_trees(
+                    drafter, [[3, 4]], [None], strategy, 1.0,
+                    [np.random.default_rng(seed)],
+                )
             )
             if (
                 tree.depths.tolist().count(1) != 2
@@ -190,16 +198,15 @@ class TestFrontierTieBreak:
         drafter = NgramDrafter(NgramDrafterConfig(vocab_size=VOCAB))
         strategy = SdStrategy(draft_depth=4, topk=3, tokens_to_verify=10)
         prefixes = [[3, 4], [5], [6, 7, 8]]
-        ours, _ = build_draft_trees(
+        ours = build_draft_trees(
             drafter, prefixes, [None] * 3, strategy, 1.0,
             [np.random.default_rng(seed + i) for i in range(3)],
         )
-        heap, _ = _tree_oracle.build_draft_trees(
+        heap = _tree_oracle.build_draft_trees(
             drafter, prefixes, [None] * 3, strategy, 1.0,
             [np.random.default_rng(seed + i) for i in range(3)],
         )
-        for tree, reference in zip(ours, heap):
-            assert _arrays_equal(tree, reference)
+        assert _arrays_equal(ours, heap)
 
 
 # -- launch accounting and the verify context block --------------------------
@@ -219,23 +226,20 @@ def test_launch_bound_and_per_node_baseline(
     def rngs():
         return [np.random.default_rng(seed + i) for i in range(5)]
 
-    trees, launches = build_draft_trees(
+    batch = build_draft_trees(
         trained_drafter, prefixes, hiddens, strategy, 0.8, rngs(),
         child_mode,
     )
-    reference, per_node = _tree_oracle.build_draft_trees(
+    reference = _tree_oracle.build_draft_trees(
         trained_drafter, prefixes, hiddens, strategy, 0.8, rngs(),
         child_mode,
     )
-    assert [t.draft_calls for t in trees] == [
-        t.draft_calls for t in reference
-    ]
-    assert [t.draft_steps for t in trees] == [
-        t.draft_steps for t in reference
-    ]
-    assert launches < per_node
+    assert batch.draft_calls.tolist() == reference.draft_calls.tolist()
+    assert batch.draft_steps.tolist() == reference.draft_steps.tolist()
+    launches = 1 + int(batch.rounds.max())
+    assert launches < reference.draft_calls.sum()
     if child_mode == "sample":
-        rounds = max(t.draft_calls - 1 - t.draft_steps for t in trees)
+        rounds = (batch.draft_calls - 1 - batch.draft_steps).max()
         assert launches == 1 + rounds
     else:
         assert launches <= 1 + strategy.draft_depth
@@ -249,15 +253,17 @@ def test_verify_contexts_equal_the_token_paths(
     cutting the window out of every full prefix + path sequence."""
     prefixes = [[3, 5, 7, 2], [4], [1, 2]]
     hiddens = initial_hiddens(target, prefixes)
-    trees, _ = build_draft_trees(
+    batch = build_draft_trees(
         trained_drafter, prefixes, hiddens,
         SdStrategy(draft_depth=5, topk=2, tokens_to_verify=9), 0.9,
         [np.random.default_rng(i) for i in range(3)],
     )
-    contexts, first_rows = _verify_contexts(trees, prefixes, window)
+    contexts = _verify_contexts(batch, prefixes, window)
     paths = []
-    for tree, prefix in zip(trees, prefixes):
-        assert first_rows.pop(0) == len(paths)
+    for first, tree, prefix in zip(
+        batch.starts.tolist(), trees_of(batch), prefixes
+    ):
+        assert first == len(paths)
         paths.extend(flat_verify_rows(tree, prefix)[0])
     assert np.array_equal(contexts, contexts_from_sequences(paths, window))
 

@@ -12,8 +12,8 @@ another) and requires, for every worker, equal responses, final
 random-stream states, tick stamps, counters, cycle reports and
 per-request ``(kind, cycle, time)`` event subsequences — for static
 strategies and for adaptive pools and fleets whose workers cross the
-elastic threshold both ways, where vanilla rows are zero-node trees in
-the tick's one verify launch per target and temperature.
+elastic threshold both ways, where vanilla rows are sequences with no
+nodes in the tick's one verify launch per target and temperature.
 
 The prefill half of the tick is held the same way: every engine's
 admission plan runs first, then ONE prefill launch per target computes
@@ -393,8 +393,8 @@ def _assert_crosses_both_ways(engines):
 def test_adaptive_pool_equals_vanilla_decode_alone(
     scenario_factory, child_mode, threshold
 ):
-    """Above the threshold a worker's rows are zero-node trees in the
-    tick's one verify launch; they must decode exactly what each
+    """Above the threshold a worker's rows are sequences with no nodes
+    in the tick's one verify launch; they must decode exactly what each
     engine's own vanilla forward decoded."""
     scenario = scenario_factory(
         2033, num_requests=30, max_new_tokens=14, ragged_caps=True,
@@ -770,12 +770,20 @@ def _tree_fields(tree):
 @pytest.mark.parametrize("child_mode", ["sample", "topk"])
 @pytest.mark.parametrize("seed", [0, 3, 8, 13])
 def test_build_is_invariant_to_any_split(
-    target, trained_drafter, child_mode, seed
+    target, trained_drafter, child_mode, seed, monkeypatch
 ):
     """A whole batch and any split of it build bitwise-equal trees, and
     each part's launches are ``1 + max(rounds)`` of its own trees —
     the count the per-node oracle's rounds give too."""
     hiddens = initial_hiddens(target, PREFIXES)
+    launches = []
+    fused = trained_drafter.extend_propose_batch
+
+    def counting(states, tokens, temperature):
+        launches.append(len(tokens))
+        return fused(states, tokens, temperature)
+
+    monkeypatch.setattr(trained_drafter, "extend_propose_batch", counting)
 
     def build(rows):
         return build_draft_trees(
@@ -787,23 +795,25 @@ def test_build_is_invariant_to_any_split(
             child_mode,
         )
 
-    whole, _ = build(range(len(PREFIXES)))
+    whole = _tree_oracle.trees_of(build(range(len(PREFIXES))))
     rng = np.random.default_rng(seed)
     cuts = sorted(rng.choice(np.arange(1, len(PREFIXES)), 3, replace=False))
     order = rng.permutation(len(PREFIXES))
     for part in np.split(order, cuts):
-        trees, launches = build(part.tolist())
-        assert launches == 1 + max(tree.rounds for tree in trees)
+        del launches[:]
+        trees = _tree_oracle.trees_of(build(part.tolist()))
+        # begin_batch + the root proposal, then one fused launch a round.
+        assert 1 + 1 + len(launches) == 1 + max(t.rounds for t in trees)
         for tree, row in zip(trees, part.tolist()):
             assert _tree_fields(tree) == _tree_fields(whole[row])
-        reference, _ = _tree_oracle.build_draft_trees(
+        reference = _tree_oracle.trees_of(_tree_oracle.build_draft_trees(
             trained_drafter,
             [PREFIXES[i] for i in part],
             [hiddens[i] for i in part],
             STRATEGY, 0.8,
             [np.random.default_rng(seed * 100 + i) for i in part],
             child_mode,
-        )
+        ))
         assert [t.rounds for t in trees] == [t.rounds for t in reference]
 
 
@@ -812,15 +822,14 @@ def test_verify_hands_off_one_owned_row_per_tree(target, trained_drafter):
     never a view into the batch-wide hidden stack."""
     hiddens = initial_hiddens(target, PREFIXES)
     rngs = [np.random.default_rng(i) for i in range(len(PREFIXES))]
-    trees, _ = build_draft_trees(
+    batch = build_draft_trees(
         trained_drafter, PREFIXES, hiddens, STRATEGY, 0.8, rngs
     )
-    results = verify_trees(target, trees, PREFIXES, 0.8, rngs)
-    for result in results:
-        assert result.next_hidden.shape == (
-            target.num_layers, target.config.hidden_size
-        )
-        assert result.next_hidden.base is None
+    verdicts = verify_trees(target, batch, PREFIXES, 0.8, rngs)
+    assert len(verdicts.handoffs) == len(PREFIXES)
+    for handoff in verdicts.handoffs:
+        assert handoff.shape == (target.num_layers, target.config.hidden_size)
+        assert handoff.base is None
 
 
 # -- step_engines beyond one pool ----------------------------------------------

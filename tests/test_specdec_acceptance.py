@@ -8,11 +8,13 @@ distributions, never two-sample):
 * multi-round rule: same, for any number of sibling candidates.
 
 The per-trial rule lives in ``tests/_tree_oracle.py``; the production
-walk over a flat tree (one draft distribution per slot) is held to the
-oracle's per-candidate walk draw for draw.
+walk over a draft batch (one draft distribution per row) is held to the
+oracle's per-candidate walk draw for draw, on each sequence's own rows.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,18 +24,15 @@ from hypothesis import strategies as st
 from repro.errors import SpecDecodeError
 from repro.llm.model import contexts_from_sequences
 from repro.llm.sampler import temperature_probs, tokens_at_uniforms
-from repro.specdec.tree import (
-    EMPTY_TREE,
-    FlatDraftTree,
-    _walk_acceptance,
-    verify_trees,
-)
+from repro.specdec.tree import DraftBatch, _walk_acceptance, verify_trees
 
 from _tree_oracle import (
+    FlatDraftTree,
     flat_verify_rows,
     multi_round_accept,
     residual_distribution,
     sequential_residual_draws,
+    to_batch,
     walk_acceptance,
 )
 
@@ -246,6 +245,27 @@ def _target_rows(rng, rows, vocab):
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _walks(batch, probs, rngs):
+    """The production walk over a batch, one namespace per sequence
+    with its hand-off row renamed to the sequence's own rows."""
+    accepted, rows, dists, uniforms, attempted = _walk_acceptance(
+        batch, probs, rngs
+    )
+    return [
+        SimpleNamespace(
+            accepted=accepted[b], row=rows[b] - int(batch.starts[b]),
+            bonus_dist=dists[b], bonus_uniform=uniforms[b],
+            attempted=attempted[b],
+        )
+        for b in range(len(rngs))
+    ]
+
+
+def _walk(tree, probs, rng):
+    """The production walk over one tree, as a batch of its own."""
+    return _walks(to_batch([tree]), probs, [rng])[0]
+
+
 def _assert_same_walk(walk, ref):
     accepted = len(ref.accepted)
     assert walk.accepted == ref.accepted
@@ -262,34 +282,43 @@ def _assert_same_walk(walk, ref):
 class TestAcceptanceWalk:
     @pytest.mark.parametrize("seed", range(6))
     def test_walk_equals_per_candidate_oracle(self, seed):
-        """Randomised trees: same accepted tokens, hand-off row, bonus
-        distribution and uniform, depth counts and RNG consumption."""
+        """Randomised batches of three trees: each sequence's accepted
+        tokens, hand-off row, bonus distribution and uniform, depth
+        counts and RNG consumption equal the oracle walk's on its own
+        target rows."""
         rng = np.random.default_rng(seed)
         vocab = 6  # small: duplicate draws and rejections are common
         seen = {"rejected": 0, "pruned": 0, "zero_q": 0, "duplicate": 0}
-        for case in range(150):
-            tree = _random_tree(rng, vocab)
-            probs = _target_rows(rng, tree.num_nodes + 1, vocab)
-            _fit_dists(tree, probs, rng)
-            seen["pruned"] += int((tree.cand_child < 0).sum())
-            for a, b in zip(tree.cand_offsets[:-1], tree.cand_offsets[1:]):
-                span = tree.cand_tokens[a:b].tolist()
-                seen["duplicate"] += len(span) - len(set(span))
-            owner = np.repeat(
-                np.arange(tree.num_nodes + 1), np.diff(tree.cand_offsets)
-            )
-            seen["zero_q"] += int(
-                (tree.node_dists[owner, tree.cand_tokens] == 0).sum()
-            )
-            streams = [np.random.default_rng([seed, case]) for _ in range(2)]
-            walk = _walk_acceptance(tree, probs, streams[0])
-            ref = walk_acceptance(tree, probs, streams[1])
-            _assert_same_walk(walk, ref)
-            seen["rejected"] += walk.attempted - len(walk.accepted)
-            assert (
-                streams[0].bit_generator.state
-                == streams[1].bit_generator.state
-            )
+        for case in range(50):
+            trees = [_random_tree(rng, vocab) for _ in range(3)]
+            rows = []
+            for tree in trees:
+                probs = _target_rows(rng, tree.num_nodes + 1, vocab)
+                _fit_dists(tree, probs, rng)
+                rows.append(probs)
+                seen["pruned"] += int((tree.cand_child < 0).sum())
+                for a, b in zip(
+                    tree.cand_offsets[:-1], tree.cand_offsets[1:]
+                ):
+                    span = tree.cand_tokens[a:b].tolist()
+                    seen["duplicate"] += len(span) - len(set(span))
+                owner = np.repeat(
+                    np.arange(tree.num_nodes + 1), np.diff(tree.cand_offsets)
+                )
+                seen["zero_q"] += int(
+                    (tree.node_dists[owner, tree.cand_tokens] == 0).sum()
+                )
+            streams = [
+                [np.random.default_rng([seed, case, i]) for i in range(3)]
+                for _ in range(2)
+            ]
+            walks = _walks(to_batch(trees), np.vstack(rows), streams[0])
+            for tree, probs, walk, ours, theirs in zip(
+                trees, rows, walks, *streams
+            ):
+                _assert_same_walk(walk, walk_acceptance(tree, probs, theirs))
+                seen["rejected"] += walk.attempted - len(walk.accepted)
+                assert ours.bit_generator.state == theirs.bit_generator.state
         assert min(seen.values()) > 0, seen
 
     def test_all_zero_residual_falls_back_to_the_target(self):
@@ -313,16 +342,14 @@ class TestAcceptanceWalk:
             )
 
         # A pruned candidate is skipped: only the bonus uniform is drawn.
-        walk = _walk_acceptance(
-            one_candidate(-1), probs[:1], np.random.default_rng(0)
-        )
+        walk = _walk(one_candidate(-1), probs[:1], np.random.default_rng(0))
         assert (walk.attempted, walk.accepted) == (1, [])
         assert walk.bonus_dist.tobytes() == p.tobytes()
         tree = one_candidate(0)
         rejected = 0
         for seed in range(40):
             streams = [np.random.default_rng(seed) for _ in range(2)]
-            walk = _walk_acceptance(tree, probs, streams[0])
+            walk = _walk(tree, probs, streams[0])
             _assert_same_walk(
                 walk, walk_acceptance(tree, probs, streams[1])
             )
@@ -332,17 +359,26 @@ class TestAcceptanceWalk:
         assert 0 < rejected < 40
 
     def test_empty_rows_mixed_with_sd_rows(self, target):
-        """``verify_trees`` over EMPTY_TREE rows interleaved with drafted
-        trees equals each tree's oracle walk on its own target rows."""
+        """``verify_trees`` over vanilla rows (sequences with no nodes)
+        joined with drafted trees equals each tree's oracle walk on its
+        own target rows."""
         rng = np.random.default_rng(11)
         vocab = target.config.vocab_size
         window = target.config.context_window
         temperature = 0.9
-        trees, prefixes = [], []
+        empty = FlatDraftTree(
+            tokens=_ints([]), parents=_ints([]), depths=_ints([]),
+            path_probs=np.ones(0), cand_offsets=_ints([0, 0]),
+            cand_tokens=_ints([]), cand_child=_ints([]),
+            node_dists=np.zeros((1, vocab)), draft_steps=0, draft_calls=0,
+            rounds=0,
+        )
+        trees, prefixes, parts = [], [], []
         for i in range(12):
             prefixes.append([1] + rng.integers(3, vocab, size=i % 5).tolist())
             if i % 3 == 0:
-                trees.append(EMPTY_TREE)
+                trees.append(empty)
+                parts.append(DraftBatch.vanilla(1, vocab))
                 continue
             tree = _random_tree(rng, vocab, topk=4)
             logits, _ = target.step(
@@ -352,13 +388,14 @@ class TestAcceptanceWalk:
             )
             _fit_dists(tree, temperature_probs(logits, temperature), rng)
             trees.append(tree)
-        results = verify_trees(
-            target, trees, prefixes, temperature,
+            parts.append(to_batch([tree]))
+        batch = DraftBatch.concat(parts)
+        verdicts = verify_trees(
+            target, batch, prefixes, temperature,
             [np.random.default_rng([11, i]) for i in range(12)],
         )
-        for i, (tree, prefix, result) in enumerate(
-            zip(trees, prefixes, results)
-        ):
+        sizes = np.diff(batch.starts).tolist()
+        for i, (tree, prefix) in enumerate(zip(trees, prefixes)):
             logits, hiddens = target.step(
                 contexts_from_sequences(
                     flat_verify_rows(tree, prefix)[0], window
@@ -371,10 +408,11 @@ class TestAcceptanceWalk:
                     ref.bonus_dist[None], np.array([ref.bonus_uniform])
                 )[0]
             )
-            assert result.accepted_tokens == ref.accepted + [bonus]
-            assert result.attempted == len(ref.depth_attempts)
-            assert result.verify_batch == tree.num_nodes + 1
+            assert verdicts.accepted[i] == ref.accepted
+            assert verdicts.bonus[i] == bonus
+            assert verdicts.attempted[i] == len(ref.depth_attempts)
+            assert sizes[i] == tree.num_nodes + 1
             assert np.array_equal(
-                result.next_hidden,
+                verdicts.handoffs[i],
                 np.stack([h[ref.row] for h in hiddens], axis=0),
             )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.llm.sampler import temperature_probs
 from repro.specdec import SdStrategy
 from repro.specdec import verify_trees as verify_flat_trees
 from repro.specdec.engine import initial_hiddens
+from repro.specdec.tree import _verify_contexts
 
 from _tree_oracle import (
     ancestor_matrix,
@@ -22,15 +25,28 @@ from _tree_oracle import (
     level_slice,
     node_dist_row,
     plan_verify_rows as plan_verify_rows_ref,
+    to_batch,
     to_node_view,
+    trees_of,
 )
 
 
 def verify_tree(target, tree, prefix, temperature, rng):
-    """Verify a per-node oracle tree through the production flat path."""
-    return verify_flat_trees(
-        target, [flatten(tree)], [prefix], temperature, [rng]
-    )[0]
+    """Verify a per-node oracle tree through the production batch path;
+    returns its one sequence's verdict."""
+    batch = to_batch([flatten(tree)])
+    verdicts = verify_flat_trees(target, batch, [prefix], temperature, [rng])
+    bonus = verdicts.bonus[0]
+    return SimpleNamespace(
+        accepted_tokens=verdicts.accepted[0] + [bonus],
+        bonus_token=bonus,
+        next_hidden=verdicts.handoffs[0],
+        attempted=verdicts.attempted[0],
+        # The rows the verify launch gives the target.
+        verify_batch=_verify_contexts(
+            batch, [prefix], target.config.context_window
+        ).shape[0],
+    )
 
 
 @pytest.fixture()
@@ -390,13 +406,13 @@ class TestFlatRoundTrip:
             )
             for p, h, r in zip(prefixes, hiddens, rngs_a)
         ]
-        trees, launches = build_draft_trees(
+        batch = build_draft_trees(
             trained_drafter, prefixes, hiddens, strategy, temperature,
             rngs_b, child_mode,
         )
-        assert launches >= 1
+        assert batch.rounds.min() >= 1
         for reference, flat in zip(
-            map(flatten, legacy), trees
+            map(flatten, legacy), trees_of(batch)
         ):
             assert np.array_equal(reference.tokens, flat.tokens)
             assert np.array_equal(reference.parents, flat.parents)
@@ -414,35 +430,39 @@ class TestFlatRoundTrip:
                 node_dist_row(reference), node_dist_row(flat)
             )
             assert reference.draft_steps == flat.draft_steps
+            assert reference.draft_calls == flat.draft_calls
+            assert reference.rounds == flat.rounds
         # The two builds consumed each rng stream identically.
         for ra, rb in zip(rngs_a, rngs_b):
             assert ra.random() == rb.random()
         verify_a = verify_trees(
-            target, list(map(flatten, legacy)), prefixes, temperature,
+            target, to_batch(list(map(flatten, legacy))), prefixes,
+            temperature,
             [np.random.default_rng(seed + 50 + i) for i in range(4)],
         )
         verify_b = verify_trees(
-            target, trees, prefixes, temperature,
+            target, batch, prefixes, temperature,
             [np.random.default_rng(seed + 50 + i) for i in range(4)],
         )
-        for a, b in zip(verify_a, verify_b):
-            assert a.accepted_tokens == b.accepted_tokens
-            assert np.array_equal(a.next_hidden, b.next_hidden)
-            assert a.attempted == b.attempted
+        assert verify_a.accepted == verify_b.accepted
+        assert verify_a.bonus == verify_b.bonus
+        assert verify_a.attempted == verify_b.attempted
+        for a, b in zip(verify_a.handoffs, verify_b.handoffs):
+            assert np.array_equal(a, b)
 
 
 class TestFlatLayoutInvariants:
     @pytest.fixture()
     def flat(self, target, trained_drafter):
         prefixes, hiddens = _prefixes_and_hiddens(target)
-        trees, _ = build_draft_trees(
+        batch = build_draft_trees(
             trained_drafter, prefixes, hiddens,
             SdStrategy(draft_depth=4, topk=3, tokens_to_verify=8),
             0.9,
             [np.random.default_rng(i) for i in range(len(prefixes))],
             "topk",
         )
-        return trees[0]
+        return trees_of(batch)[0]
 
     def test_level_order(self, flat):
         """Depths are non-decreasing, parents precede children, and
@@ -496,9 +516,9 @@ class TestFlatLayoutInvariants:
             )
 
     def test_empty_batch(self, trained_drafter):
-        trees, launches = build_draft_trees(
+        batch = build_draft_trees(
             trained_drafter, [], [],
             SdStrategy(draft_depth=2, topk=2, tokens_to_verify=4),
             0.5, [],
         )
-        assert trees == [] and launches == 0
+        assert batch.starts.tolist() == [0] and trees_of(batch) == []
