@@ -35,7 +35,7 @@ def test_fig17a_checkpointing(benchmark, tmp_path):
 
     def measure():
         latencies = {}
-        manager = CheckpointManager(str(tmp_path), keep_last=10)
+        manager = CheckpointManager(str(tmp_path))
         # Warm the filesystem path once.
         manager.save(state, step=0, mode="sync")
         for mode in ("sync", "async", "selective_async"):

@@ -40,8 +40,6 @@ _EXPORTS = {
     "repro.drafter": (
         "EagleDrafter",
         "EagleDrafterConfig",
-        "NgramDrafter",
-        "NgramDrafterConfig",
         "DrafterTrainer",
         "DrafterTrainingConfig",
         "TrainingStrategy",

@@ -1,14 +1,14 @@
 """Draft models (paper §4) and their unified training framework.
 
 Provides the learned single-layer drafters (EAGLE, HASS, EAGLE-3 training
-strategies), the model-free n-gram retrieval drafter (§5.3), OSD-style
-distillation, and the unified trainer that consumes cached target hidden
-states exactly as the paper's spot trainer does.
+strategies), OSD-style distillation, and the unified trainer that
+consumes cached target hidden states exactly as the paper's spot trainer
+does.  The paper's model-free TLT-Base drafter has no live counterpart:
+the simulator prices it with ``repro.systems.tlt.MODEL_FREE_QUALITY``.
 """
 
 from repro.drafter.base import Drafter, DrafterState
 from repro.drafter.eagle import EagleDrafter, EagleDrafterConfig
-from repro.drafter.ngram import NgramDrafter, NgramDrafterConfig
 from repro.drafter.training import (
     DrafterTrainer,
     DrafterTrainingConfig,
@@ -22,8 +22,6 @@ __all__ = [
     "DrafterState",
     "EagleDrafter",
     "EagleDrafterConfig",
-    "NgramDrafter",
-    "NgramDrafterConfig",
     "DrafterTrainer",
     "DrafterTrainingConfig",
     "TrainingBatch",

@@ -3,9 +3,10 @@
 A drafter proposes next-token distributions cheaply.  The engine drives it
 through three calls:
 
-* :meth:`Drafter.begin` — start drafting after a verified prefix; learned
-  drafters receive the target model's exact hidden state at the second-to-
-  last position (the EAGLE hand-off), retrieval drafters ignore it.
+* :meth:`Drafter.begin` — start drafting after a verified prefix; feature-
+  level drafters receive the target model's exact hidden state at the second-to-
+  last position (the EAGLE hand-off); a small-LM drafter, which runs its
+  own model over the prefix, ignores it.
 * :meth:`Drafter.propose` — the distribution of the next token given the
   current drafting state (pure; does not mutate state).
 * :meth:`Drafter.extend` — append a chosen token, returning the successor
@@ -66,7 +67,7 @@ class Drafter(abc.ABC):
             last_hidden: the target model's exact top-layer hidden state at
                 the *second-to-last* position (the state that generated the
                 last token), or ``None`` when unavailable (sequence shorter
-                than two tokens, or a model-free drafter).
+                than two tokens).
 
         Returns:
             A state from which :meth:`propose` yields the distribution of
@@ -180,18 +181,3 @@ class Drafter(abc.ABC):
         return self.pack_states(successors), np.array(
             self.propose_batch(successors, temperature)
         )
-
-    def observe_rollouts(
-        self, sequences: Sequence[Sequence[int]]
-    ) -> None:
-        """Hook: ingest finished rollout responses.
-
-        Retrieval-based drafters refresh their n-gram database here; learned
-        drafters are trained through :mod:`repro.drafter.training` instead
-        and ignore this.
-        """
-
-    @property
-    def trainable(self) -> bool:
-        """Whether this drafter has weights updated by the spot trainer."""
-        return False

@@ -116,10 +116,6 @@ class EagleDrafter(Drafter):
     # -- introspection ---------------------------------------------------
 
     @property
-    def trainable(self) -> bool:
-        return True
-
-    @property
     def hidden_size(self) -> int:
         """Hidden width (matches the target)."""
         return self.target.config.hidden_size

@@ -67,10 +67,6 @@ class SmallLmDrafter(Drafter):
             )
         self.model = draft_model
 
-    @property
-    def trainable(self) -> bool:
-        return True
-
     # -- Drafter protocol -------------------------------------------------
 
     def begin(

@@ -375,10 +375,8 @@ class RolloutScheduler:
         was cancelled or expired mid-batch fails the whole batch loudly
         instead of silently corrupting the GRPO group.  Observed
         response lengths are fed back to the predictor before
-        returning, so the next batch's staging uses them, the responses
-        feed the retrieval database of every distinct model-free
-        (non-trainable) drafter installed on the pool, once each, and
-        the batch's book-keeping is dropped.
+        returning, so the next batch's staging uses them, and the
+        batch's book-keeping is dropped.
         """
         if batch_id not in self._batches:
             raise SchedulingError(
@@ -417,14 +415,6 @@ class RolloutScheduler:
             [r.request.prompt for r in records],
             [max(1, len(r)) for r in responses],
         )
-        drafters = {
-            id(w.engine.drafter): w.engine.drafter
-            for w in engine.workers
-            if w.engine.drafter is not None  # an SD-off worker
-        }
-        for drafter in drafters.values():
-            if not drafter.trainable:
-                drafter.observe_rollouts(responses)
         spent = self._pool_counters() - counters_before
         return RolloutResult(
             prompts=[list(r.slot.prompt) for r in records],

@@ -3,9 +3,8 @@
 Couples the algorithmic speculative-decoding layer with the roofline cost
 model to simulate continuous-batching rollouts:
 
-* :mod:`repro.rollout.acceptance` — accept-length models (parametric,
-  calibrated to the paper's Figure 13 saturation curve, plus
-  measurement-backed tables from the TinyLM substrate);
+* :mod:`repro.rollout.acceptance` — the accept-length model, parametric
+  and calibrated to the paper's Figure 13 saturation curve;
 * :mod:`repro.rollout.engine` — the fluid rollout simulator with elastic
   SD activation below a running-request threshold (Figure 14);
 * :mod:`repro.rollout.adaptive` — the Adaptive SD Manager gluing the
@@ -14,7 +13,6 @@ model to simulate continuous-batching rollouts:
 
 from repro.rollout.acceptance import (
     AcceptanceModel,
-    MeasuredAcceptance,
     ParametricAcceptance,
 )
 from repro.rollout.adaptive import AdaptiveSdManager, AdaptiveSdConfig
@@ -27,7 +25,6 @@ from repro.rollout.engine import (
 __all__ = [
     "AcceptanceModel",
     "ParametricAcceptance",
-    "MeasuredAcceptance",
     "AdaptiveSdConfig",
     "AdaptiveSdManager",
     "RolloutEngine",

@@ -6,17 +6,16 @@ stand-in for large-model acceptance behaviour.  The parametric model is
 calibrated to the paper's Figure 13(a) saturation curve (accept length
 rises with draft depth and saturates near 8.7 for a fresh EAGLE drafter
 at V=64) and exposes a ``drafter_quality`` scale so the same curve family
-covers the model-free n-gram drafter (~0.35), a stale drafter (~0.6) and
-the continuously adapted drafter (1.0).  The other model,
-:class:`MeasuredAcceptance`, is a table of accept lengths measured on
-the TinyLM engine.
+covers the paper's model-free TLT-Base drafter
+(``repro.systems.tlt.MODEL_FREE_QUALITY``, a simulator arm with no live
+drafter), a stale drafter and the continuously adapted drafter (1.0).  :class:`AcceptanceModel` is the
+seam the simulator reads through, so tests can substitute their own.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -70,36 +69,3 @@ class ParametricAcceptance(AcceptanceModel):
         accept = 1.0 + max(peak - 1.0, 0.0) * depth_part * verify_part * topk_part
         return float(np.clip(accept, 1.0, strategy.tokens_to_verify + 1.0))
 
-
-class MeasuredAcceptance(AcceptanceModel):
-    """Lookup table of measured accept lengths (from the TinyLM engine).
-
-    Args:
-        table: maps ``(draft_depth, topk, tokens_to_verify)`` to a
-            measured accept length.
-        default: fallback for unmeasured strategies (None = strict).
-    """
-
-    def __init__(
-        self,
-        table: Dict[Tuple[int, int, int], float],
-        default: float | None = None,
-    ) -> None:
-        if not table and default is None:
-            raise ConfigError("table must be non-empty or default set")
-        for key, value in table.items():
-            if value < 1.0:
-                raise ConfigError(f"accept length for {key} must be >= 1")
-        self._table = dict(table)
-        self._default = default
-
-    def accept_length(self, strategy, batch_size):
-        key = (strategy.draft_depth, strategy.topk,
-               strategy.tokens_to_verify)
-        if key in self._table:
-            return min(self._table[key], strategy.tokens_to_verify + 1.0)
-        if self._default is not None:
-            return min(self._default, strategy.tokens_to_verify + 1.0)
-        raise ConfigError(
-            f"no measured accept length for strategy {strategy.describe()}"
-        )

@@ -24,7 +24,6 @@ from repro.serving.dispatch import (
     DispatchPolicy,
     LeastLoadedDispatch,
     LongTailDispatch,
-    PreemptionAwareDispatch,
     PreemptionPolicy,
     PrefixAffinityDispatch,
     RoundRobinDispatch,
@@ -53,7 +52,6 @@ __all__ = [
     "LongTailDispatch",
     "PreemptionPolicy",
     "PrefixAffinityDispatch",
-    "PreemptionAwareDispatch",
     "SegmentAffinityDispatch",
     "SloPreemption",
     "steal_work",

@@ -3,7 +3,7 @@
 The dispatcher decides which worker an arriving request joins.  Because
 every request carries its own random stream, routing is *free* to be
 smart: it changes latency and SLO attainment but never the committed
-tokens.  Six policies span the design space the long-tail papers argue
+tokens.  Five policies span the design space the long-tail papers argue
 about:
 
 * :class:`RoundRobinDispatch` — the placement-oblivious baseline.
@@ -22,9 +22,6 @@ about:
 * :class:`SegmentAffinityDispatch` — routes segment-tagged arrivals to
   the worker hosting their segment's specialist drafter (the drafter
   zoo's placement map).
-* :class:`PreemptionAwareDispatch` — when the whole pool is saturated,
-  routes urgent arrivals to the worker whose cheapest preemption victim
-  has the fewest remaining tokens, minimising what a park costs.
 
 :func:`steal_work` rebalances *queued* (not yet admitted) requests from
 backlogged workers onto workers with free slots between cycles.
@@ -47,10 +44,10 @@ Policies return a position in a non-empty, id-ordered sequence of
 :class:`~repro.serving.frontend.ServingWorker` list or a fleet's
 routable replicas (:class:`~repro.fleet.router.RoutingPolicy`), so a
 tie to the lowest position is a tie to the lowest id.  :func:`warmest`
-is the one warmest-view ranking.  Preemption-aware dispatch also reads
-``num_waiting``, ``free_slots`` and ``park_cost`` (workers only);
-:func:`steal_work` reads ``worker_id`` and moves requests through each
-worker's ``engine.scheduler`` (``steal_waiting`` / ``push``).
+is the one warmest-view ranking.  :func:`steal_work` also reads
+``worker_id``, ``num_waiting`` and ``free_slots`` (workers only) and
+moves requests through each worker's ``engine.scheduler``
+(``steal_waiting`` / ``push``).
 """
 
 from __future__ import annotations
@@ -239,61 +236,6 @@ class SegmentAffinityDispatch(DispatchPolicy):
             if index is not None and 0 <= index < len(workers):
                 return index
         return self.fallback.choose(request, workers)
-
-
-class PreemptionAwareDispatch(DispatchPolicy):
-    """Route urgent arrivals where preemption will be cheapest.
-
-    Dispatch policies normally ignore what preemption will do to the
-    worker they pick; when every worker is saturated (zero free slots)
-    that choice decides WHICH live request gets parked.  This policy
-    routes an urgent arrival to the worker where the park will cost
-    the fewest remaining predicted tokens, so preemption spends the
-    least batch-latency per slot freed.  The cost per worker is the
-    remaining tokens of the victim the preemption policy would REALLY
-    choose there (:meth:`~repro.serving.frontend.ServingWorker.
-    park_cost` evaluates the policy against the worker's live set),
-    and urgency is that policy's own ``is_urgent`` test — routing and
-    parking cannot drift apart.  Pass the pool's actual policy
-    instance via ``policy`` (a default :class:`SloPreemption` when
-    omitted).
-
-    Workers where no park can happen (no eligible victim) are skipped
-    entirely; non-urgent arrivals, and any arrival while a free slot
-    exists somewhere, fall through to the ``fallback`` policy.
-
-    Args:
-        fallback: policy used outside the saturated-urgent case
-            (least-loaded when omitted).
-        policy: the pool's preemption policy; urgency and per-worker
-            park costs are derived from it directly.
-    """
-
-    name = "preemption-aware"
-
-    def __init__(
-        self,
-        fallback: Optional[DispatchPolicy] = None,
-        policy: Optional["PreemptionPolicy"] = None,
-    ) -> None:
-        self.fallback = fallback or LeastLoadedDispatch()
-        self.policy = policy or SloPreemption()
-
-    def choose(self, request: ServingRequest, workers: Sequence) -> int:
-        if not self.policy.is_urgent(request) or any(
-            worker.free_slots > 0 for worker in workers
-        ):
-            return self.fallback.choose(request, workers)
-        costs = [
-            worker.park_cost(self.policy, request)
-            for worker in workers
-        ]
-        if all(cost is None for cost in costs):
-            return self.fallback.choose(request, workers)
-        return min(
-            (i for i, cost in enumerate(costs) if cost is not None),
-            key=lambda i: (costs[i], workers[i].backlog_tokens, i),
-        )
 
 
 class PreemptionPolicy(abc.ABC):

@@ -137,9 +137,9 @@ class ServingWorker:
     calls ``worker.engine`` (``cancel`` / ``expire`` / ``park`` /
     ``resume`` / ``swap_drafter``) and ``worker.engine.scheduler``
     (``push``, ``steal_waiting``, the counts) directly.  What remains
-    here is the surface the dispatch policies — and their test stubs —
-    duck-type: :attr:`num_waiting`, :attr:`free_slots`,
-    :attr:`backlog_tokens`, :meth:`prefix_match` and :meth:`park_cost`.
+    here is the surface the dispatch policies, work stealing and
+    preemption — and their test stubs — duck-type: :attr:`num_waiting`,
+    :attr:`free_slots`, :attr:`backlog_tokens` and :meth:`prefix_match`.
     Each reads the scheduler's slots, and a slot carries the pool's
     own :class:`~repro.serving.request.ServingRequest` (SLO class and
     length estimate included), so the worker needs no path back into
@@ -201,40 +201,6 @@ class ServingWorker:
             slot.request.dispatch_length for slot in scheduler.waiting
         )
         return remaining + queued
-
-    def _live_pairs(self) -> List[Tuple[ServingRequest, int]]:
-        """(serving request, remaining tokens) for every live slot.
-
-        The same shape the front-end hands
-        :meth:`~repro.serving.dispatch.PreemptionPolicy.choose_victim`
-        at preemption time, so dispatch-side cost probes and the real
-        park see identical candidates.
-        """
-        return [
-            (slot.request, slot.request.max_new_tokens - len(slot.response))
-            for slot in self.engine.scheduler.live
-        ]
-
-    def park_cost(
-        self, policy, arrival: ServingRequest
-    ) -> Optional[int]:
-        """Remaining tokens of the victim ``policy`` would park here.
-
-        Evaluates the pool's actual preemption policy against this
-        worker's live set, so a preemption-aware dispatcher routes on
-        the cost of the park that would really happen — not a proxy
-        that may name a victim the policy would never choose.  None
-        when the policy declines (no eligible victim).
-        """
-        live = self._live_pairs()
-        victim_id = policy.choose_victim(arrival, live)
-        if victim_id is None:
-            return None
-        return next(
-            remaining
-            for victim, remaining in live
-            if victim.request_id == victim_id
-        )
 
     def prefix_match(self, prompt: Sequence[int]) -> int:
         """Longest prefix this worker already holds for ``prompt``.
@@ -731,8 +697,12 @@ class ServingEngine(TickDriver):
         effective = worker.free_slots
         if effective >= worker.num_waiting:
             return  # request will be seated next cycle anyway
-        beneficiary = worker.engine.scheduler.waiting[effective].request
-        live = worker._live_pairs()
+        scheduler = worker.engine.scheduler
+        beneficiary = scheduler.waiting[effective].request
+        live = [
+            (slot.request, slot.request.max_new_tokens - len(slot.response))
+            for slot in scheduler.live
+        ]
         victim_id = self.preemption.choose_victim(beneficiary, live)
         if victim_id is None:
             return

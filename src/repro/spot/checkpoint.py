@@ -31,6 +31,9 @@ from repro.errors import CheckpointError
 SaveMode = str
 _MODES = ("sync", "async", "selective_async")
 
+#: Checkpoints a manager retains; older ones are deleted.
+KEEP_LAST = 10
+
 
 def default_frozen_filter(name: str) -> bool:
     """Keep parameters that are NOT frozen/tied (the trainable set)."""
@@ -65,15 +68,11 @@ class CheckpointManager:
 
     Args:
         directory: destination directory (created if missing; a temporary
-            directory is used when omitted).
-        keep_last: retained checkpoints per manager (oldest deleted).
+            directory is used when omitted).  The newest ``KEEP_LAST``
+            checkpoints are retained.
     """
 
-    def __init__(
-        self, directory: Optional[str] = None, keep_last: int = 3
-    ) -> None:
-        if keep_last < 1:
-            raise CheckpointError("keep_last must be >= 1")
+    def __init__(self, directory: Optional[str] = None) -> None:
         if directory is None:
             self._tempdir = tempfile.TemporaryDirectory(
                 prefix="repro-ckpt-"
@@ -83,7 +82,6 @@ class CheckpointManager:
             self._tempdir = None
             os.makedirs(directory, exist_ok=True)
         self.directory = directory
-        self.keep_last = keep_last
         self._threads: List[threading.Thread] = []
         # Completed checkpoints as (submission counter, path); ordering by
         # counter keeps `latest` correct even when background writes
@@ -189,7 +187,7 @@ class CheckpointManager:
         with self._lock:
             self._saved.append((counter, path))
             self._saved.sort()
-            while len(self._saved) > self.keep_last:
+            while len(self._saved) > KEEP_LAST:
                 _, stale = self._saved.pop(0)
                 try:
                     os.remove(stale)

@@ -8,7 +8,8 @@ acceleration:
 * :class:`VerlSystem` — colocated time-sharing, vanilla decoding (the
   state-of-the-art baseline, normalised to 1.0x);
 * :class:`TltBaseSystem` — VeRL placement + adaptive SD with the
-  model-free n-gram drafter;
+  model-free drafter, a simulator arm priced by ``MODEL_FREE_QUALITY``
+  (there is no live model-free drafter);
 * :class:`TltSystem` — full TLT: adaptive learned drafter kept fresh by
   spot training in rollout bubbles.
 """

@@ -2,6 +2,8 @@
 
 ``TLT-Base`` is the paper's ablation: the adaptive rollout engine with the
 model-free n-gram drafter only (no learned drafter, no spot training).
+Here it is a simulator arm: ``MODEL_FREE_QUALITY`` prices the n-gram
+drafter's acceptance, and no live model-free drafter exists.
 ``TLT`` is the full system: a continuously adapted EAGLE drafter whose
 freshness is maintained by spot training inside the long-tail bubbles,
 plus the <1% bookkeeping overhead for drafter weight updates and
@@ -78,8 +80,8 @@ class _AdaptiveSdSystem(RlSystem):
 
         Args:
             target: the target model served by every worker.
-            drafter: the draft model (spot-trained EAGLE for full TLT,
-                the n-gram retrieval drafter for TLT-Base).
+            drafter: the draft model every worker serves with (the
+                spot-trained EAGLE for full TLT).
             num_workers: decode workers in the pool.
             strategy: static SD configuration; when set, per-worker
                 adaptive managers are NOT built and every cycle runs

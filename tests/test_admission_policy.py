@@ -11,8 +11,8 @@ Three layers are pinned here:
   no-cache runs byte-identical; one prefill row per shared prompt;
   eviction under capacity pressure never corrupting a live slot; the
   park/resume ref lifecycle;
-* the serving layer — prefix-affinity and preemption-aware dispatch
-  routing, and the report's prefix-cache columns.
+* the serving layer — prefix-affinity dispatch routing, and the
+  report's prefix-cache columns.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.errors import CacheError, ConfigError, SpecDecodeError
 from repro.serving import (
     INTERACTIVE,
     LeastLoadedDispatch,
-    PreemptionAwareDispatch,
     PrefixAffinityDispatch,
     ServingEngine,
     ServingRequest,
@@ -364,15 +363,11 @@ class TestEnginePrefixCache:
 class _StubWorker:
     """Duck-typed worker for dispatch-policy unit tests."""
 
-    def __init__(self, worker_id, free_slots, backlog, victim=None):
+    def __init__(self, worker_id, free_slots, backlog):
         self.worker_id = worker_id
         self.free_slots = free_slots
         self.backlog_tokens = backlog
-        self._victim = victim
         self.matches = {}
-
-    def park_cost(self, policy, arrival):
-        return self._victim
 
     def prefix_match(self, prompt):
         return self.matches.get(tuple(prompt), 0)
@@ -389,92 +384,6 @@ def _arrival(request_id=0, prompt=(5, 6, 7), slo=INTERACTIVE):
 
 
 class TestDispatchPolicies:
-    def test_preemption_aware_routes_to_cheapest_victim(self):
-        workers = [
-            _StubWorker(0, free_slots=0, backlog=10, victim=30),
-            _StubWorker(1, free_slots=0, backlog=50, victim=4),
-            _StubWorker(2, free_slots=0, backlog=5, victim=None),
-        ]
-        policy = PreemptionAwareDispatch()
-        assert policy.choose(_arrival(), workers) == 1
-
-    def test_preemption_aware_derives_from_policy(self):
-        from repro.serving import SloPreemption
-
-        workers = [
-            _StubWorker(0, free_slots=0, backlog=10, victim=30),
-            _StubWorker(1, free_slots=0, backlog=50, victim=4),
-        ]
-        class NothingUrgent(SloPreemption):
-            def is_urgent(self, request):
-                return False
-
-        dispatch = PreemptionAwareDispatch(policy=SloPreemption())
-        # Urgency comes from the policy (ttft 4 <= URGENT_TTFT), costs
-        # from park_cost — the victim the policy would actually park.
-        assert dispatch.choose(_arrival(), workers) == 1
-        # A policy that marks nothing urgent forces the fallback even
-        # though SloPreemption's own urgency test would have fired.
-        dispatch = PreemptionAwareDispatch(policy=NothingUrgent())
-        assert dispatch.choose(_arrival(), workers) == 0
-
-    def test_preemption_aware_falls_back_with_free_slots(self):
-        workers = [
-            _StubWorker(0, free_slots=0, backlog=10, victim=2),
-            _StubWorker(1, free_slots=1, backlog=50, victim=4),
-        ]
-        policy = PreemptionAwareDispatch()
-        # Free slot somewhere -> fallback (least-loaded -> worker 0).
-        assert policy.choose(_arrival(), workers) == 0
-
-    def test_preemption_aware_ignores_non_urgent(self):
-        from repro.serving import BATCH
-
-        workers = [
-            _StubWorker(0, free_slots=0, backlog=50, victim=1),
-            _StubWorker(1, free_slots=0, backlog=10, victim=99),
-        ]
-        policy = PreemptionAwareDispatch()
-        assert policy.choose(_arrival(slo=BATCH), workers) == 1
-
-    def test_preemption_aware_all_idle_victimless(self):
-        workers = [
-            _StubWorker(0, free_slots=0, backlog=50, victim=None),
-            _StubWorker(1, free_slots=0, backlog=10, victim=None),
-        ]
-        assert PreemptionAwareDispatch().choose(_arrival(), workers) == 1
-
-    def test_park_cost_matches_actual_preemption_choice(
-        self, target, trained_drafter, strategy
-    ):
-        # SloPreemption parks the LARGEST-backlog BATCH victim;
-        # park_cost must report that victim's remaining tokens (not
-        # the cheapest slot on the worker), so routing and parking
-        # agree on what a park costs.
-        from repro.serving import BATCH, SloPreemption
-
-        pool = ServingEngine(
-            target, trained_drafter, num_workers=1, strategy=strategy,
-            temperature=0.9, max_batch_size=2,
-        )
-        short = _arrival(0, prompt=(5, 6, 7), slo=BATCH)
-        short.max_new_tokens = 8
-        long = _arrival(1, prompt=(9, 10, 11), slo=BATCH)
-        long.max_new_tokens = 64
-        pool.submit(short)
-        pool.submit(long)
-        pool.tick()
-        worker = pool.workers[0]
-        policy = SloPreemption()
-        urgent = _arrival(2, prompt=(4, 8, 12))
-        cost = worker.park_cost(policy, urgent)
-        live = {
-            request.request_id: remaining
-            for request, remaining in worker._live_pairs()
-        }
-        assert cost == live[1]          # the long victim gets parked
-        assert cost > live[0]           # ...not the cheap slot
-
     def test_prefix_affinity_routes_to_best_match(self):
         workers = [
             _StubWorker(0, free_slots=1, backlog=0),

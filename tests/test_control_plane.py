@@ -527,6 +527,33 @@ class TestServingPreemption:
         assert report.preemptions == 0  # the second slot was free
         assert all(r.finished for r in report.records)
 
+    def test_park_takes_the_live_slot_with_most_tokens_left(
+        self, target, trained_drafter
+    ):
+        """The pool hands SloPreemption each live slot with its
+        remaining tokens, so of two live BATCH rollouts the long one
+        is parked, not the short one or the lowest id."""
+        frontend = ServingEngine(
+            target, trained_drafter, num_workers=1, strategy=STRATEGY,
+            temperature=0.9, max_batch_size=2,
+            preemption=SloPreemption(),
+        )
+        rng = np.random.default_rng(3)
+        short, long = (
+            ServingRequest(
+                i, list(rng.integers(3, 24, 4)), cap, 0.0,
+                slo=BATCH, seed=i,
+            )
+            for i, cap in enumerate((12, 60))
+        )
+        urgent = ServingRequest(
+            2, list(rng.integers(3, 24, 4)), 5, 1.0,
+            slo=INTERACTIVE, seed=9,
+        )
+        report = ServingEngine.run(frontend, [short, long, urgent])
+        assert [r.preemptions for r in report.records] == [0, 1, 0]
+        assert all(r.finished for r in report.records)
+
     def test_resuming_slots_visible_to_load_signals(
         self, target, trained_drafter
     ):

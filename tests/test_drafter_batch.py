@@ -3,29 +3,20 @@
 The flat tree builder issues one ``propose_batch``/``extend_batch`` per
 tree depth for the whole live batch; its byte-identity to per-node
 drafting rests on every batched row being unaffected by its neighbours.
-These tests pin that contract for all three drafters — the vectorised
-EAGLE overrides and the per-state base-class fallbacks alike — mirroring
+These tests pin that contract for both drafters — the vectorised
+EAGLE overrides and the per-state base-class fallbacks (which the
+small-LM drafter runs) alike — mirroring
 the ``begin_batch`` identity tests added with the batched prefill path.
 """
 
 import numpy as np
 import pytest
 
-from repro.drafter.ngram import NgramDrafter, NgramDrafterConfig
 from repro.drafter.small_lm import SmallLmDrafter
 from repro.errors import DrafterError
 from repro.llm.model import TinyLM, TinyLMConfig
 
 TEMPERATURES = [0.0, 0.9]
-
-
-@pytest.fixture(scope="module")
-def ngram_drafter(rollout_sequences):
-    drafter = NgramDrafter(
-        NgramDrafterConfig(vocab_size=24, max_order=3)
-    )
-    drafter.observe_rollouts(rollout_sequences)
-    return drafter
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +53,11 @@ def _states(drafter, target):
 def _drafter_cases(request):
     return {
         "eagle": request.getfixturevalue("trained_drafter"),
-        "ngram": request.getfixturevalue("ngram_drafter"),
         "small_lm": request.getfixturevalue("small_lm_drafter"),
     }
 
 
-@pytest.mark.parametrize("name", ["eagle", "ngram", "small_lm"])
+@pytest.mark.parametrize("name", ["eagle", "small_lm"])
 @pytest.mark.parametrize("temperature", TEMPERATURES)
 class TestProposeBatchIdentity:
     def test_rows_bitwise_equal_per_state(
@@ -86,7 +76,7 @@ class TestProposeBatchIdentity:
             assert np.array_equal(single, row)
 
 
-@pytest.mark.parametrize("name", ["eagle", "ngram", "small_lm"])
+@pytest.mark.parametrize("name", ["eagle", "small_lm"])
 class TestExtendBatchIdentity:
     def test_states_equal_per_pair(self, request, target, name):
         drafter = _drafter_cases(request)[name]

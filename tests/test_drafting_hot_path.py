@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.drafter.ngram import NgramDrafter, NgramDrafterConfig
+from repro.drafter.base import Drafter
 from repro.drafter.small_lm import SmallLmDrafter
 from repro.llm.model import TinyLM, TinyLMConfig, contexts_from_sequences
 from repro.llm.vocab import EOS_ID
@@ -91,13 +91,6 @@ TOKENS = [4, 11, 0, 23, 7, 7, 19, 2]
 
 
 @pytest.fixture(scope="module")
-def ngram_drafter(rollout_sequences):
-    drafter = NgramDrafter(NgramDrafterConfig(vocab_size=VOCAB, max_order=3))
-    drafter.observe_rollouts(rollout_sequences)
-    return drafter
-
-
-@pytest.fixture(scope="module")
 def small_lm_drafter():
     model = TinyLM(
         TinyLMConfig(
@@ -114,7 +107,7 @@ def _same_states(left, right):
     return np.array_equal(left, right)
 
 
-@pytest.mark.parametrize("name", ["eagle", "small_lm", "ngram"])
+@pytest.mark.parametrize("name", ["eagle", "small_lm"])
 @pytest.mark.parametrize("temperature", [0.0, 0.9])
 @pytest.mark.parametrize("size", [1, 3, 8])
 def test_fused_launch_equals_extend_then_propose(
@@ -123,7 +116,6 @@ def test_fused_launch_equals_extend_then_propose(
     drafter = {
         "eagle": "trained_drafter",
         "small_lm": "small_lm_drafter",
-        "ngram": "ngram_drafter",
     }[name]
     drafter = request.getfixturevalue(drafter)
     hiddens = initial_hiddens(target, PREFIXES[:size])
@@ -165,13 +157,27 @@ def _arrays_equal(left, right):
     )
 
 
+class _UniformDrafter(Drafter):
+    """Proposes the uniform distribution below every state."""
+
+    name = "uniform"
+
+    def begin(self, prefix_tokens, last_hidden):
+        return tuple(prefix_tokens)
+
+    def propose(self, state, temperature):
+        return np.full(VOCAB, 1.0 / VOCAB)
+
+    def extend(self, state, token):
+        return state + (int(token),)
+
+
 class TestFrontierTieBreak:
-    """An empty n-gram drafter proposes the uniform distribution, so every
-    node of a level has the same confidence and the pop order is decided
-    by the tie-break alone."""
+    """A uniform drafter gives every node of a level the same
+    confidence, so the pop order is decided by the tie-break alone."""
 
     def test_first_created_of_tied_nodes_is_expanded(self):
-        drafter = NgramDrafter(NgramDrafterConfig(vocab_size=VOCAB))
+        drafter = _UniformDrafter()
         # Budget 4 = the root's two children plus ONE further expansion.
         strategy = SdStrategy(draft_depth=3, topk=2, tokens_to_verify=4)
         expanded_first = 0
@@ -195,7 +201,7 @@ class TestFrontierTieBreak:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tied_builds_match_the_heap(self, seed):
-        drafter = NgramDrafter(NgramDrafterConfig(vocab_size=VOCAB))
+        drafter = _UniformDrafter()
         strategy = SdStrategy(draft_depth=4, topk=3, tokens_to_verify=10)
         prefixes = [[3, 4], [5], [6, 7, 8]]
         ours = build_draft_trees(

@@ -2,9 +2,8 @@
 
 Wires every component together the way the paper's system does — GRPO
 with speculative rollouts on a one-worker serving pool, hidden-state
-capture into the DataBuffer, spot drafter training with selective async
-checkpointing, and n-gram fallback — and asserts cross-component
-invariants.
+capture into the DataBuffer, and spot drafter training with selective
+async checkpointing — and asserts cross-component invariants.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from repro.drafter import (
     DrafterTrainingConfig,
     EagleDrafter,
     EagleDrafterConfig,
-    NgramDrafter,
-    NgramDrafterConfig,
 )
 from repro.drafter.training import collect_training_sequences
 from repro.llm import TinyLMConfig
@@ -159,36 +156,3 @@ class TestPipelineCoherence:
         # Reference model differs from the trained policy after 4 steps.
         assert trainer_ref[-1].kl_value >= 0.0
 
-
-class TestNgramFallbackPath:
-    def test_model_free_backend_in_rl(self):
-        """TLT-Base path: the n-gram drafter as the rollout accelerator
-        with database feedback across steps."""
-        config = TinyLMConfig(
-            vocab_size=24, hidden_size=16, context_window=4,
-            num_layers=2, init_scale=0.8,
-        )
-        policy = pretrained_target(
-            config, np.random.default_rng(4), corpus_sequences=32,
-            corpus_length=30, epochs=80, chain_prob=0.8,
-        )
-        task = SuccessorChainTask(vocab=Vocabulary(24), target_pairs=6)
-        drafter = NgramDrafter(NgramDrafterConfig(vocab_size=24))
-        backend = _pool_backend(
-            policy, drafter,
-            SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6), 0.9,
-        )
-        trainer = RlTrainer(
-            policy, task,
-            RlConfig(num_prompts=3, group_size=4, max_new_tokens=20,
-                     temperature=0.9, learning_rate=5e-3,
-                     kl_coef=0.002),
-            backend=backend,
-            rng=np.random.default_rng(5),
-        )
-        _, first = _accept_length(backend, trainer.step)
-        # The database was fed by step 1's rollouts.
-        assert drafter.num_contexts > 0
-        _, second = _accept_length(backend, trainer.step)
-        assert second >= 1.0
-        assert first >= 1.0

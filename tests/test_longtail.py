@@ -29,8 +29,6 @@ from repro.llm.vocab import BOS_ID, Vocabulary
 from repro.drafter import (
     DrafterTrainer,
     DrafterTrainingConfig,
-    NgramDrafter,
-    NgramDrafterConfig,
 )
 from repro.longtail import (
     ColocatedLoop,
@@ -646,40 +644,6 @@ class TestTrainerSeam:
         requests, rng_state = run(with_spot=True)
         assert len(requests) == 12
         assert run(with_spot=False) == (requests, rng_state)
-
-
-class _CountingNgram(NgramDrafter):
-    """An n-gram drafter that counts the rollout batches it ingests."""
-
-    def __init__(self, vocab_size):
-        super().__init__(NgramDrafterConfig(vocab_size=vocab_size))
-        self.fed = 0
-
-    def observe_rollouts(self, sequences):
-        self.fed += 1
-        super().observe_rollouts(sequences)
-
-
-class TestModelFreeFeed:
-    def test_collect_feeds_each_model_free_drafter_once(
-        self, scenario_factory
-    ):
-        """TLT-Base's retrieval database learns from pool rollouts:
-        every collected batch reaches each distinct non-trainable
-        drafter installed on the pool exactly once."""
-        scenario = scenario_factory(84)
-        policy = scenario.target.clone()
-        vocab = policy.config.vocab_size
-        shared, specialist = _CountingNgram(vocab), _CountingNgram(vocab)
-        pool = ServingEngine(
-            policy, shared, num_workers=3, strategy=scenario.strategy,
-            temperature=scenario.temperature, max_batch_size=2,
-        )
-        pool.swap_worker_drafter(2, specialist)
-        trainer = _trainer(scenario, policy, backend=RolloutScheduler(pool))
-        ColocatedLoop(trainer).run(2)
-        assert shared.fed == specialist.fed == 2
-        assert shared.num_contexts > 0
 
 
 # -- per-worker swaps ------------------------------------------------------

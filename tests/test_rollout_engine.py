@@ -8,9 +8,9 @@ import pytest
 from repro.errors import ConfigError
 from repro.hardware import RooflineModel, get_gpu, get_model
 from repro.rollout import (
+    AcceptanceModel,
     AdaptiveSdConfig,
     AdaptiveSdManager,
-    MeasuredAcceptance,
     ParametricAcceptance,
     RolloutEngine,
 )
@@ -18,6 +18,13 @@ from repro.rollout import acceptance, adaptive
 from repro.rollout.adaptive import SWITCH_OVERHEAD_S
 from repro.rollout.engine import PROMPT_TOKENS
 from repro.specdec import SdStrategy
+
+
+class _NoSpeculativeGain(AcceptanceModel):
+    """Every cycle commits one token, so SD can never pay."""
+
+    def accept_length(self, strategy, batch_size):
+        return 1.0
 
 
 @pytest.fixture()
@@ -77,16 +84,6 @@ class TestAcceptanceModels:
         model = ParametricAcceptance()
         strategy = SdStrategy(draft_depth=30, topk=2, tokens_to_verify=4)
         assert model.accept_length(strategy, 1) <= 5.0
-
-    def test_measured_lookup_and_default(self):
-        strategy = SdStrategy(draft_depth=4, topk=2, tokens_to_verify=8)
-        model = MeasuredAcceptance({(4, 2, 8): 3.5})
-        assert model.accept_length(strategy, 1) == 3.5
-        other = SdStrategy(draft_depth=6, topk=2, tokens_to_verify=8)
-        with pytest.raises(ConfigError):
-            model.accept_length(other, 1)
-        with_default = MeasuredAcceptance({(4, 2, 8): 3.5}, default=2.0)
-        assert with_default.accept_length(other, 1) == 2.0
 
 
 class TestAdaptiveManager:
@@ -180,7 +177,7 @@ class TestRolloutEngine:
         manager = AdaptiveSdManager(
             AdaptiveSdConfig(
                 activation_threshold=100,
-                acceptance=MeasuredAcceptance({}, default=1.0),
+                acceptance=_NoSpeculativeGain(),
             )
         )
         guarded = RolloutEngine(
@@ -272,7 +269,7 @@ class TestSimulatorBugfixes:
         manager = AdaptiveSdManager(
             AdaptiveSdConfig(
                 activation_threshold=100,
-                acceptance=MeasuredAcceptance({}, default=1.0),
+                acceptance=_NoSpeculativeGain(),
             )
         )
         timeline = RolloutEngine(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.drafter.ngram import NgramDrafter, NgramDrafterConfig
+from repro.drafter.small_lm import SmallLmDrafter
 from repro.errors import SpecDecodeError
 from repro.llm import TinyLM, TinyLMConfig, generate
 from repro.llm.model import contexts_from_sequences
@@ -115,15 +115,18 @@ class TestSpeculativeGenerate:
         assert sd.responses == vanilla.responses
 
 
-@pytest.fixture(params=["eagle", "ngram"])
-def chain_drafter(request, target, trained_drafter, rollout_sequences):
+@pytest.fixture(params=["eagle", "small_lm"])
+def chain_drafter(request, target, trained_drafter):
     if request.param == "eagle":
         return trained_drafter
-    drafter = NgramDrafter(
-        NgramDrafterConfig(vocab_size=target.config.vocab_size)
+    vocab = target.config.vocab_size
+    model = TinyLM(
+        TinyLMConfig(
+            vocab_size=vocab, hidden_size=8, context_window=4, num_layers=2
+        ),
+        np.random.default_rng(31),
     )
-    drafter.observe_rollouts(rollout_sequences)
-    return drafter
+    return SmallLmDrafter(model, target_vocab_size=vocab)
 
 
 class TestChainStrategy:
