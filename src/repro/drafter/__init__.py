@@ -7,7 +7,7 @@ does.  The paper's model-free TLT-Base drafter has no live counterpart:
 the simulator prices it with ``repro.systems.tlt.MODEL_FREE_QUALITY``.
 """
 
-from repro.drafter.base import Drafter, DrafterState
+from repro.drafter.base import Drafter
 from repro.drafter.eagle import EagleDrafter, EagleDrafterConfig
 from repro.drafter.training import (
     DrafterTrainer,
@@ -19,7 +19,6 @@ from repro.drafter.training import (
 
 __all__ = [
     "Drafter",
-    "DrafterState",
     "EagleDrafter",
     "EagleDrafterConfig",
     "DrafterTrainer",

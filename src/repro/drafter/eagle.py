@@ -22,11 +22,11 @@ decays with draft depth (Figure 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.drafter.base import Drafter
+from repro.drafter.base import Drafter, check_rows, last_tokens
 from repro.errors import DrafterError
 from repro.llm.model import TinyLM
 from repro.llm.params import ParamSet
@@ -55,13 +55,6 @@ class EagleDrafterConfig:
     def __post_init__(self) -> None:
         if not self.fused_layers:
             raise DrafterError("fused_layers must be non-empty")
-
-
-@dataclass(frozen=True)
-class EagleState:
-    """Immutable drafting state: the drafter's current hidden vector."""
-
-    hidden: np.ndarray  # (d,)
 
 
 class EagleDrafter(Drafter):
@@ -201,37 +194,20 @@ class EagleDrafter(Drafter):
         return hidden @ self.target.params["embed"].T
 
     # -- Drafter protocol ---------------------------------------------------
-
-    def begin(
-        self,
-        prefix_tokens: Sequence[int],
-        last_hidden: Optional[np.ndarray],
-    ) -> EagleState:
-        return EagleState(
-            hidden=self.begin_batch([prefix_tokens], [last_hidden])[0]
-        )
+    #
+    # Every matmul goes through the batch-size-invariant ``_row_linear``
+    # kernel, so each call's rows are bitwise the rows of one-row calls.
 
     def begin_batch(
         self,
         prefixes: Sequence[Sequence[int]],
         last_hiddens: Sequence[Optional[np.ndarray]],
     ) -> np.ndarray:
-        """Vectorised begin: one fuse + cell matmul over all sequences.
-
-        Returns the ``(n, d)`` root block, packed as :meth:`pack_states`
-        packs states, which the tree builder keeps as it is.  Row ``i``
-        is bitwise the state per-sequence :meth:`begin` returns — every
-        matmul goes through the batch-size-invariant :meth:`_row_linear`
-        kernel — which is what lets the batched engine keep the
-        token-identity guarantee while amortising drafter launches
-        across the live batch.  A hand-off is a full ``(num_layers, d)``
-        stack, or None.
-        """
-        if len(prefixes) != len(last_hiddens):
-            raise DrafterError(
-                "prefixes and last_hiddens must have equal lengths, got "
-                f"{len(prefixes)}/{len(last_hiddens)}"
-            )
+        """One fuse + cell matmul over all sequences: the ``(n, d)`` root
+        block.  A hand-off is a full ``(num_layers, d)`` stack, or None
+        (a zero feature)."""
+        check_rows(prefixes, last_hiddens, "prefixes and last_hiddens")
+        tokens = last_tokens(prefixes)
         fused = np.zeros((len(prefixes), self.hidden_size))
         rows = [i for i, h in enumerate(last_hiddens) if h is not None]
         if rows:
@@ -241,88 +217,24 @@ class EagleDrafter(Drafter):
                      for i in rows]
                 )
             )
-        tokens = []
-        for prefix in prefixes:
-            if not len(prefix):
-                raise DrafterError("prefix_tokens must be non-empty")
-            tokens.append(int(prefix[-1]))
-        embed = self.target.params["embed"][np.asarray(tokens, dtype=np.int64)]
-        return self._cell_rows(fused, embed)
-
-    def pack_states(self, states: Sequence[EagleState]) -> np.ndarray:
-        """``(n, d)`` hidden rows; an already packed block passes through."""
-        if isinstance(states, np.ndarray):
-            return states
-        if not len(states):
-            return np.zeros((0, self.hidden_size))
-        return np.stack(
-            [np.asarray(s.hidden, dtype=np.float64) for s in states],
-            axis=0,
-        )
-
-    def _extend_rows(
-        self, states: Sequence[EagleState], tokens: Sequence[int]
-    ) -> np.ndarray:
-        """One cell step over all (state, token) pairs -> ``(n, d)``."""
-        if len(states) != len(tokens):
-            raise DrafterError(
-                "states and tokens must have equal lengths, got "
-                f"{len(states)}/{len(tokens)}"
-            )
-        ids = np.asarray(tokens, dtype=np.int64)
-        return self._cell_rows(
-            self.pack_states(states), self.target.params["embed"][ids]
-        )
-
-    def propose(self, state: EagleState, temperature: float) -> np.ndarray:
-        return self.propose_batch([state], temperature)[0]
+        return self._cell_rows(fused, self.target.params["embed"][tokens])
 
     def propose_batch(
-        self, states: Sequence[EagleState], temperature: float
-    ) -> List[np.ndarray]:
-        """Vectorised propose: one head matmul over all states.
-
-        Single-state :meth:`propose` delegates here, so the per-node and
-        the batched drafting paths share one canonical (batch-size-
-        invariant) numeric kernel and return bitwise-equal rows.
-        """
-        return list(
-            temperature_probs(
-                self._head_rows(self.pack_states(states)), temperature
-            )
-        )
-
-    def extend(self, state: EagleState, token: int) -> EagleState:
-        return self.extend_batch([state], [token])[0]
-
-    def extend_batch(
-        self,
-        states: Sequence[EagleState],
-        tokens: Sequence[int],
-    ) -> List[EagleState]:
-        """Vectorised extend: one cell step over all (state, token) pairs.
-
-        Single-pair :meth:`extend` delegates here (same bitwise-identity
-        argument as :meth:`propose_batch`).
-        """
-        return [
-            EagleState(hidden=row)
-            for row in self._extend_rows(states, tokens)
-        ]
+        self, states: np.ndarray, temperature: float
+    ) -> np.ndarray:
+        """One head matmul over ``(n, d)`` hidden rows."""
+        return temperature_probs(self._head_rows(states), temperature)
 
     def extend_propose_batch(
         self,
-        states: Sequence[EagleState],
+        states: np.ndarray,
         tokens: Sequence[int],
         temperature: float,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused launch: one cell step feeding one head matmul.
-
-        Works on packed hidden rows end to end — no per-node
-        :class:`EagleState` is built — and goes through the same
-        row-stable kernels as the separate calls.
-        """
-        hiddens = self._extend_rows(states, tokens)
+        """One cell step feeding one head matmul."""
+        check_rows(states, tokens, "states and tokens")
+        ids = np.asarray(tokens, dtype=np.int64)
+        hiddens = self._cell_rows(states, self.target.params["embed"][ids])
         return hiddens, temperature_probs(
             self._head_rows(hiddens), temperature
         )

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.drafter.base import Drafter
+from repro.drafter.base import Drafter, check_rows, last_tokens
 from repro.errors import DrafterError
 from repro.llm.model import (
     TinyLM,
@@ -34,21 +34,15 @@ from repro.llm.optim import Adam
 from repro.llm.sampler import log_softmax, temperature_probs
 
 
-@dataclass(frozen=True)
-class SmallLmState:
-    """Immutable drafting state: the trailing context window."""
-
-    context: Tuple[int, ...]
-
-
 class SmallLmDrafter(Drafter):
     """A separate small LM used as a draft model.
 
-    Inherits the per-state ``propose_batch``/``extend_batch`` fallbacks:
-    each proposal is one single-row :meth:`~repro.llm.model.TinyLM.step`,
-    and batching rows through the small LM's BLAS matmuls would not be
-    bitwise row-identical to single-row calls — the fallback keeps the
-    flat tree builder's byte-identity guarantee instead.
+    A drafting state is the trailing context window, PAD-left-padded as
+    :func:`~repro.llm.model.contexts_from_sequences` builds it, so the
+    packed states are the ``(n, context_window)`` token array one
+    :meth:`~repro.llm.model.TinyLM.step` takes.  The step runs every row
+    through its own matmuls, so its rows are bitwise those of one-row
+    calls.
 
     Args:
         draft_model: the small LM (vocab must match the target's).
@@ -69,28 +63,38 @@ class SmallLmDrafter(Drafter):
 
     # -- Drafter protocol -------------------------------------------------
 
-    def begin(
+    def begin_batch(
         self,
-        prefix_tokens: Sequence[int],
-        last_hidden: Optional[np.ndarray],
-    ) -> SmallLmState:
-        if not prefix_tokens:
-            raise DrafterError("prefix_tokens must be non-empty")
-        window = self.model.config.context_window
-        tail = tuple(int(t) for t in prefix_tokens[-window:])
-        return SmallLmState(context=tail)
-
-    def propose(self, state: SmallLmState, temperature: float) -> np.ndarray:
-        context = contexts_from_sequences(
-            [list(state.context)], self.model.config.context_window
+        prefixes: Sequence[Sequence[int]],
+        last_hiddens: Sequence[Optional[np.ndarray]],
+    ) -> np.ndarray:
+        check_rows(prefixes, last_hiddens, "prefixes and last_hiddens")
+        last_tokens(prefixes)  # raises on an empty prefix
+        return contexts_from_sequences(
+            prefixes, self.model.config.context_window
         )
-        logits, _ = self.model.step(context)
-        return temperature_probs(logits[0], temperature)
 
-    def extend(self, state: SmallLmState, token: int) -> SmallLmState:
-        window = self.model.config.context_window
-        context = (state.context + (int(token),))[-window:]
-        return SmallLmState(context=context)
+    def propose_batch(
+        self, states: np.ndarray, temperature: float
+    ) -> np.ndarray:
+        return temperature_probs(self.model.step(states)[0], temperature)
+
+    def extend_propose_batch(
+        self,
+        states: np.ndarray,
+        tokens: Sequence[int],
+        temperature: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Shift each window left by one, append the token, step once
+        (not through :meth:`propose_batch`: this is one launch)."""
+        check_rows(states, tokens, "states and tokens")
+        successors = np.concatenate(
+            [states[:, 1:], np.asarray(tokens, dtype=np.int64)[:, None]],
+            axis=1,
+        )
+        return successors, temperature_probs(
+            self.model.step(successors)[0], temperature
+        )
 
 
 #: Adam step size of the distiller.

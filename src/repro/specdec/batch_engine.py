@@ -412,7 +412,7 @@ class BatchedSpecDecodeEngine:
 
         Legal only between cycles: per-slot draft state is
         rebuilt from each sequence's target hidden hand-off at the start
-        of every cycle (:meth:`~repro.drafter.base.Drafter.begin`), so
+        of every cycle (:meth:`~repro.drafter.base.Drafter.begin_batch`), so
         no live request carries drafter-internal state across the swap —
         every sequence simply continues under the new drafter, and no
         request is dropped or stalled.  Committed tokens remain samples

@@ -35,7 +35,7 @@ uninterrupted run, which is what makes preemption *free* correctness-
 wise: it trades latency across requests without touching any output.
 
 Hot-swap semantics: per-slot draft state is rebuilt from the target
-hidden hand-off at the start of every cycle (``Drafter.begin``), so a
+hidden hand-off at the start of every cycle (``Drafter.begin_batch``), so a
 drafter carried no cross-cycle state the engine needs to migrate —
 swapping between cycles is cycle-boundary safe by
 construction, and every live request simply continues under the new

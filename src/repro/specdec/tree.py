@@ -169,13 +169,13 @@ class DraftBatch:
         node_dists: ``(R, V)``: the draft distribution row ``r``'s
             candidates were drawn from (zeros for a row with none).
         starts: ``(B + 1,)`` each sequence's prefix row, then ``R``.
-        rounds: ``(B,)`` batched launches after ``begin`` each sequence
-            took part in: its root proposal plus one fused launch per
-            round it grew (0 for a vanilla row).  They do not depend on
-            what else shares the batch, and sequences drafted as a batch
-            of their own cost ``1 + max(rounds)`` launches.
+        rounds: ``(B,)`` batched launches after ``begin_batch`` each
+            sequence took part in: its root proposal plus one fused
+            launch per round it grew (0 for a vanilla row).  They do not
+            depend on what else shares the batch, and sequences drafted
+            as a batch of their own cost ``1 + max(rounds)`` launches.
         draft_steps: ``(B,)`` nodes drafted per sequence before selection
-            (one ``extend`` each on the per-node path).
+            (one extension each on the per-node path).
         draft_calls: ``(B,)`` drafter launches the per-node path would
             have issued per sequence (begin + proposes + extends) — the
             baseline the engine's ``draft_launches_saved`` is measured
@@ -266,7 +266,7 @@ class _LockStepTrees:
     """One cycle's draft trees, grown in place in ``(batch, slots)`` tables.
 
     Slot 0 of every sequence is its implicit root (depth 0, confidence
-    1, the ``begin`` state).  Each round of growth appends one *block* of
+    1, its ``begin_batch`` row).  Each round of growth appends one *block* of
     slots — the same columns for every sequence — and ``made`` marks
     which of them hold a node, so a round is a handful of whole-table
     operations with no per-sequence compaction, and slot order is
@@ -292,9 +292,7 @@ class _LockStepTrees:
         self.temperature = temperature
         self.batch = batch = len(prefixes)
         # Kept beside the table: a contiguous block for the root proposal.
-        self._roots = drafter.pack_states(
-            drafter.begin_batch(prefixes, last_hiddens)
-        )
+        self._roots = drafter.begin_batch(prefixes, last_hiddens)
         #: Launches each sequence took part in (the root proposal first).
         self.rounds = np.ones(batch, dtype=np.int64)
         slots = capacity + 2
@@ -321,9 +319,7 @@ class _LockStepTrees:
 
     def propose_roots(self) -> np.ndarray:
         """``(batch, V)`` proposals below every root (one launch)."""
-        probs = np.array(
-            self.drafter.propose_batch(self._roots, self.temperature)
-        )
+        probs = self.drafter.propose_batch(self._roots, self.temperature)
         self.node_dists = np.empty(
             self.cand_count.shape + probs.shape[1:], dtype=np.float64
         )

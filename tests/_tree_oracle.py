@@ -4,7 +4,7 @@ The production builder (:func:`repro.specdec.tree.build_draft_trees`)
 grows every live sequence's tree in lock-step inside shared arrays and
 returns them as one :class:`~repro.specdec.tree.DraftBatch`.  This
 module is the definition it is held to: one sequence at a time, one
-Python object per node, one drafter call per node — the form in which the
+Python object per node, one-row drafter calls — the form in which the
 best-first / beam policies and the losslessness argument are easiest to
 read.  The byte-identity suites build trees both ways under equal seeds
 and require identical arrays, identical RNG consumption and identical
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.drafter.base import Drafter, DrafterState
+from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
 from repro.llm.vocab import EOS_ID
 from repro.specdec.acceptance import RESIDUAL_EPS
@@ -169,7 +169,7 @@ class TreeNode:
     depth: int
     path_prob: float
     draft_dist: np.ndarray
-    state: DrafterState
+    state: np.ndarray
     child_candidates: List[int] = field(default_factory=list)
     child_dists: List[np.ndarray] = field(default_factory=list)
     child_nodes: Dict[int, int] = field(default_factory=dict)
@@ -187,8 +187,8 @@ class DraftTree:
         root_children: token -> node index for root-level nodes.
         selected_indices: indices of nodes that survived top-N selection,
             in breadth-first order.
-        draft_steps: number of drafter ``extend`` calls performed.
-        draft_proposes: number of drafter ``propose`` calls performed
+        draft_steps: number of node extensions performed.
+        draft_proposes: number of proposals performed
             (including expansions then discarded for lack of budget).
         rounds: growth rounds with a proposal from this tree — what
             the lock-step builder's launch count is made of.
@@ -208,6 +208,17 @@ class DraftTree:
         """Number of nodes submitted for verification."""
         return len(self.selected_indices)
 
+
+
+def _extend(
+    drafter: Drafter, state: np.ndarray, token: int, temperature: float
+) -> np.ndarray:
+    """One node's state: its parent's, extended by a one-row fused call
+    (the proposal below it is drawn again when the node is expanded)."""
+    successors, _ = drafter.extend_propose_batch(
+        state[None], [token], temperature
+    )
+    return successors[0]
 
 
 def build_draft_tree(
@@ -253,18 +264,18 @@ def _build_tree_sampled(
     rng: np.random.Generator,
 ) -> DraftTree:
     """Lossless best-first build (see the module docstring)."""
-    root_state = drafter.begin(prefix_tokens, last_hidden)
+    root_state = drafter.begin_batch([prefix_tokens], [last_hidden])[0]
     nodes: List[TreeNode] = []
     draft_steps = 0
     draft_proposes = 0
 
     def draw_candidates(
-        state: DrafterState,
+        state: np.ndarray,
     ) -> Tuple[List[int], List[np.ndarray]]:
         """Draw i.i.d. candidate children for one node."""
         nonlocal draft_proposes
         draft_proposes += 1
-        probs = drafter.propose(state, temperature)
+        probs = drafter.propose_batch(state[None], temperature)[0]
         tokens = inverse_cdf_draws(probs, rng.random(strategy.topk))
         dists = [probs] * len(tokens)
         return tokens, dists
@@ -313,7 +324,7 @@ def _build_tree_sampled(
         for token, dist in zip(candidates, dists):
             if token in child_map:
                 continue
-            state = drafter.extend(parent_state, token)
+            state = _extend(drafter, parent_state, token, temperature)
             draft_steps += 1
             node = TreeNode(
                 token=token,
@@ -383,18 +394,18 @@ def _build_tree_topk(
     materialised; afterwards the ``tokens_to_verify`` highest-confidence
     nodes across the whole tree form the verified (connected) subtree.
     """
-    root_state = drafter.begin(prefix_tokens, last_hidden)
+    root_state = drafter.begin_batch([prefix_tokens], [last_hidden])[0]
     nodes: List[TreeNode] = []
     draft_steps = 0
     draft_proposes = 0
     level_width = GrowMap.from_strategy(strategy).level_width
 
     def top_children(
-        state: DrafterState,
+        state: np.ndarray,
     ) -> Tuple[List[int], np.ndarray]:
         nonlocal draft_proposes
         draft_proposes += 1
-        probs = drafter.propose(state, temperature)
+        probs = drafter.propose_batch(state[None], temperature)[0]
         order = np.argsort(-probs, kind="stable")[: strategy.topk]
         return [int(t) for t in order if probs[t] > 0.0], probs
 
@@ -405,7 +416,7 @@ def _build_tree_topk(
     root_children: Dict[int, int] = {}
     frontier: List[int] = []
     for token in root_tokens:
-        state = drafter.extend(root_state, token)
+        state = _extend(drafter, root_state, token, temperature)
         draft_steps += 1
         nodes.append(
             TreeNode(
@@ -452,7 +463,7 @@ def _build_tree_topk(
             candidates[:level_width]
         ):
             parent = nodes[parent_index]
-            state = drafter.extend(parent.state, token)
+            state = _extend(drafter, parent.state, token, temperature)
             draft_steps += 1
             nodes.append(
                 TreeNode(

@@ -17,16 +17,15 @@ Three layers are pinned here:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import pytest
 
 from repro.cache import KVCacheManager
-from repro.errors import CacheError, ConfigError, SpecDecodeError
+from repro.errors import ConfigError, SpecDecodeError
 from repro.serving import (
     INTERACTIVE,
-    LeastLoadedDispatch,
     PrefixAffinityDispatch,
     ServingEngine,
     ServingRequest,

@@ -28,7 +28,6 @@ from repro.errors import ServingError, SpecDecodeError
 from repro.serving import (
     BATCH,
     INTERACTIVE,
-    LeastLoadedDispatch,
     RequestState,
     ServingEngine,
     ServingRequest,

@@ -107,8 +107,8 @@ class TestArchitecture:
         drafter = EagleDrafter(
             target, EagleDrafterConfig(), np.random.default_rng(0)
         )
-        state = drafter.begin([1, 5, 6], None)
-        probs = drafter.propose(state, 0.9)
+        states = drafter.begin_batch([[1, 5, 6]], [None])
+        (probs,) = drafter.propose_batch(states, 0.9)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs >= 0).all()
 
@@ -117,16 +117,16 @@ class TestArchitecture:
             target, EagleDrafterConfig(), np.random.default_rng(0)
         )
         with pytest.raises(DrafterError):
-            drafter.begin([], None)
+            drafter.begin_batch([[]], [None])
 
     def test_extend_immutable(self, target):
         drafter = EagleDrafter(
             target, EagleDrafterConfig(), np.random.default_rng(0)
         )
-        state = drafter.begin([1, 5, 6], None)
-        hidden_before = state.hidden.copy()
-        drafter.extend(state, 4)
-        assert np.allclose(state.hidden, hidden_before)
+        states = drafter.begin_batch([[1, 5, 6]], [None])
+        before = states.copy()
+        drafter.extend_propose_batch(states, [4], 0.9)
+        assert np.array_equal(states, before)
 
     def test_clone_independent(self, target):
         drafter = EagleDrafter(

@@ -12,6 +12,7 @@ from repro.drafter.small_lm import (
 )
 from repro.errors import DrafterError
 from repro.llm import TinyLM, TinyLMConfig, generate
+from repro.llm.vocab import PAD_ID
 from repro.specdec import SdStrategy, speculative_generate
 
 
@@ -40,20 +41,20 @@ class TestProtocol:
 
     def test_propose_distribution(self, target):
         drafter = make_small(target)
-        state = drafter.begin([1, 5, 6], None)
-        probs = drafter.propose(state, 0.9)
+        states = drafter.begin_batch([[1, 5, 6]], [None])
+        (probs,) = drafter.propose_batch(states, 0.9)
         assert probs.sum() == pytest.approx(1.0)
 
     def test_extend_shifts_window(self, target):
         drafter = make_small(target)
-        state = drafter.begin([1, 5, 6], None)
-        state = drafter.extend(state, 9)
-        assert state.context == (5, 6, 9)
+        states = drafter.begin_batch([[1, 5, 6], [2]], [None, None])
+        states, _ = drafter.extend_propose_batch(states, [9, 4], 0.9)
+        assert states.tolist() == [[5, 6, 9], [PAD_ID, 2, 4]]
 
     def test_empty_prefix_raises(self, target):
         drafter = make_small(target)
         with pytest.raises(DrafterError):
-            drafter.begin([], None)
+            drafter.begin_batch([[]], [None])
 
     def test_usable_for_speculation(self, target):
         drafter = make_small(target)

@@ -947,23 +947,11 @@ class _FailingDrafter(Drafter):
     def __init__(self, inner, fail_at):
         self.inner, self.fail_at, self.calls = inner, fail_at, 0
 
-    def begin(self, prefix_tokens, last_hidden):
-        return self.inner.begin(prefix_tokens, last_hidden)
-
-    def propose(self, state, temperature):
-        return self.inner.propose(state, temperature)
-
-    def extend(self, state, token):
-        return self.inner.extend(state, token)
-
     def begin_batch(self, prefixes, last_hiddens):
         return self.inner.begin_batch(prefixes, last_hiddens)
 
     def propose_batch(self, states, temperature):
         return self.inner.propose_batch(states, temperature)
-
-    def pack_states(self, states):
-        return self.inner.pack_states(states)
 
     def extend_propose_batch(self, states, tokens, temperature):
         self.calls += 1

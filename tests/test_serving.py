@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.drafter.base import Drafter
 from repro.errors import SpecDecodeError
 from repro.specdec import (
     BatchedSpecDecodeEngine,
@@ -267,51 +266,11 @@ class TestQueueMetrics:
         )
 
 
-class _FallbackBeginDrafter(Drafter):
-    """Wrapper that forces the per-sequence begin fallback path."""
-
-    name = "fallback"
-
-    def __init__(self, inner: Drafter) -> None:
-        self.inner = inner
-
-    def begin(self, prefix_tokens, last_hidden):
-        return self.inner.begin(prefix_tokens, last_hidden)
-
-    # begin_batch deliberately NOT overridden: the base class loops
-    # over per-sequence begin calls.
-
-    def propose(self, state, temperature):
-        return self.inner.propose(state, temperature)
-
-    def extend(self, state, token):
-        return self.inner.extend(state, token)
-
-
 class TestBatchedBeginFastPath:
-    def test_chain_tokens_identical_to_fallback(
-        self, target, trained_drafter
-    ):
-        """The batched begin fast path (one fuse+cell matmul across the
-        live batch) commits exactly the tokens of the per-sequence
-        fallback (on a chain: the ``topk=1`` tree)."""
-        def run(drafter):
-            return speculative_generate(
-                target, drafter, PROMPTS, max_new_tokens=24,
-                temperature=0.9, rng=np.random.default_rng(5),
-                strategy=SdStrategy(3, 1, 3),
-            )
-
-        fast = run(trained_drafter)
-        fallback = run(_FallbackBeginDrafter(trained_drafter))
-        assert fast.responses == fallback.responses
-        assert fast.finished == fallback.finished
-        assert fast.target_steps == fallback.target_steps
-
     def test_eagle_begin_batch_matches_begin(self, target,
                                              trained_drafter):
-        """Vectorised begin_batch is bitwise row-identical to begin, with
-        the None / stacked hidden conventions both honoured."""
+        """Vectorised begin_batch is bitwise row-identical to one-row
+        calls, with the None / stacked hidden conventions both honoured."""
         rng = np.random.default_rng(9)
         prefixes = [[1, 5, 6], [2, 7], [3, 8, 9, 4]]
         hiddens = [None] + [
@@ -321,8 +280,8 @@ class TestBatchedBeginFastPath:
         batched = trained_drafter.begin_batch(prefixes, hiddens)
         assert batched.shape == (3, target.config.hidden_size)
         for prefix, hidden, row in zip(prefixes, hiddens, batched):
-            single = trained_drafter.begin(prefix, hidden)
-            assert np.array_equal(single.hidden, row)
+            single = trained_drafter.begin_batch([prefix], [hidden])
+            assert np.array_equal(single[0], row)
 
     def test_begin_batch_validates_lengths(self, trained_drafter):
         from repro.errors import DrafterError
